@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import fields
 from typing import List, Optional
 
 from ._version import package_version
@@ -19,26 +20,28 @@ from .core.simulation import (
     DEFAULT_SEED,
     DEFAULT_WARMUP,
 )
-from .faults import FaultSpec, FaultSpecError
+from .faults import FaultSpecError, canonical_faults
 from .harness import (
+    FAULT_AXIS,
+    GATING_AXIS,
     ExperimentPlan,
     ExperimentRunner,
     ResultCache,
+    render_axis_sweep,
     render_claims,
-    render_faultsweep,
     render_figure3,
-    render_powersweep,
     render_table,
     render_table3,
     render_table4,
+    run_axis_sweep,
     run_claims,
-    run_faultsweep,
     run_figure3,
-    run_powersweep,
     run_table3,
     run_table4,
+    simulate_plan,
 )
-from .power import GatingPolicy, GatingSpecError
+from .harness.axissweep import DEFAULT_BENCHMARKS
+from .power import GatingSpecError, canonical_gating
 from .wires import table2_rows
 from .workloads.spec2k import BENCHMARK_NAMES, PROFILES
 
@@ -103,22 +106,17 @@ def _retries(text: str) -> int:
 def _fault_spec(text: str) -> str:
     """argparse type: fault spec string, normalized to canonical form."""
     try:
-        return FaultSpec.parse(text).canonical()
+        return canonical_faults(text)
     except FaultSpecError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _gating_spec(text: str) -> str:
-    """argparse type: gating-policy string, normalized to canonical form.
-
-    "never" (and "") normalize to "", the always-on configuration that
-    builds no power manager at all.
-    """
+    """argparse type: gating-policy string, normalized to canonical form."""
     try:
-        policy = GatingPolicy.parse(text)
+        return canonical_gating(text)
     except GatingSpecError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
-    return "" if policy.is_never else policy.canonical()
 
 
 def _service_fault_spec(text: str) -> str:
@@ -147,6 +145,7 @@ def _port(text: str) -> int:
 
 
 def _add_window_args(parser: argparse.ArgumentParser) -> None:
+    """The measurement window and seed every simulating command takes."""
     parser.add_argument(
         "--instructions", type=int, default=DEFAULT_INSTRUCTIONS,
         help="measured instructions per benchmark",
@@ -156,13 +155,48 @@ def _add_window_args(parser: argparse.ArgumentParser) -> None:
         help="warmup instructions per benchmark",
     )
     parser.add_argument(
-        "--benchmarks", nargs="*", default=None, metavar="NAME",
-        help="benchmark subset (default: all 23)",
-    )
-    parser.add_argument(
         "--seed", type=_seed, default=DEFAULT_SEED,
         help=f"workload RNG seed (default: {DEFAULT_SEED})",
     )
+
+
+def _add_axis_args(parser: argparse.ArgumentParser) -> None:
+    """The fault and gating axes.  On 'faults'/'power', the swept
+    axis's flag appends a 'custom' row and the other applies to every
+    row."""
+    parser.add_argument(
+        "--fault-spec", type=_fault_spec, default="", metavar="SPEC",
+        help="wire-fault injection spec, e.g. "
+             "'ber=1e-6;kill=L@*@2000;derate=PW:1.5;retries=4'",
+    )
+    parser.add_argument(
+        "--gating", dest="gating_policy", type=_gating_spec, default="",
+        metavar="POLICY",
+        help="plane gating policy: 'never', "
+             "'idle:drowsy=64,gate=256' or "
+             "'ewma:halflife=64,thr=0.5' (default: never)",
+    )
+
+
+def _add_plan_args(parser: argparse.ArgumentParser) -> None:
+    """Every flag that describes one plan; dests are plan field names
+    so :func:`_plan_from_args` can read them back."""
+    parser.add_argument("--clusters", dest="num_clusters", type=int,
+                        default=4)
+    parser.add_argument("--latency-scale", type=float, default=1.0)
+    _add_window_args(parser)
+    _add_axis_args(parser)
+
+
+def _add_benchmarks_arg(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "--benchmarks", nargs="*", default=None, metavar="NAME",
+        help="benchmark subset (default: all 23)",
+    )
+
+
+def _add_runner_args(parser: argparse.ArgumentParser) -> None:
+    """How a local runner executes: fan-out, isolation, cache, tracing."""
     parser.add_argument(
         "--workers", type=_positive_workers, default=1, metavar="N",
         help="processes to fan cache misses across (default: 1, serial)",
@@ -220,23 +254,6 @@ def _budget(text: str) -> int:
     return value
 
 
-def _add_fault_spec_arg(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--fault-spec", type=_fault_spec, default="", metavar="SPEC",
-        help="wire-fault injection spec, e.g. "
-             "'ber=1e-6;kill=L@*@2000;derate=PW:1.5;retries=4'",
-    )
-
-
-def _add_gating_arg(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--gating", type=_gating_spec, default="", metavar="POLICY",
-        help="plane gating policy: 'never', "
-             "'idle:drowsy=64,gate=256' or "
-             "'ewma:halflife=64,thr=0.5' (default: never)",
-    )
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -262,37 +279,27 @@ def build_parser() -> argparse.ArgumentParser:
     ):
         p = sub.add_parser(name, help=desc)
         _add_window_args(p)
+        _add_benchmarks_arg(p)
+        _add_runner_args(p)
 
     p = sub.add_parser("run", help="simulate one benchmark on one model")
     p.add_argument("--model", default="I", choices=MODEL_NAMES)
     p.add_argument("--benchmark", default="gzip")
-    p.add_argument("--clusters", type=int, default=4)
-    p.add_argument("--latency-scale", type=float, default=1.0)
-    _add_window_args(p)
-    _add_fault_spec_arg(p)
-    _add_gating_arg(p)
+    _add_plan_args(p)
+    _add_runner_args(p)
 
-    p = sub.add_parser(
-        "faults",
-        help="degradation sweep: one model under injected wire faults",
-    )
-    p.add_argument("--model", default="X", choices=MODEL_NAMES)
-    _add_window_args(p)
-    _add_fault_spec_arg(p)
-    _add_gating_arg(p)
-
-    p = sub.add_parser(
-        "power",
-        help="plane-gating power sweep: leakage/ED^2/IPC trade-off "
-             "table over gating policies (ROADMAP item 5)",
-    )
-    p.add_argument("--model", default="X", choices=MODEL_NAMES)
-    _add_window_args(p)
-    _add_fault_spec_arg(p)
-    p.add_argument(
-        "--gating", type=_gating_spec, default="", metavar="POLICY",
-        help="extra gating scenario appended to the default sweep",
-    )
+    for name, desc in (
+        ("faults", "degradation sweep: one model under injected wire "
+                   "faults"),
+        ("power", "plane-gating power sweep: leakage/ED^2/IPC trade-off "
+                  "table over gating policies"),
+    ):
+        p = sub.add_parser(name, help=desc)
+        p.add_argument("--model", default="X", choices=MODEL_NAMES)
+        _add_window_args(p)
+        _add_benchmarks_arg(p)
+        _add_runner_args(p)
+        _add_axis_args(p)
 
     p = sub.add_parser(
         "trace",
@@ -302,22 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("model", choices=MODEL_NAMES,
                    help="interconnect model to simulate")
     p.add_argument("--benchmark", default="gzip")
-    p.add_argument("--clusters", type=int, default=4)
-    p.add_argument("--latency-scale", type=float, default=1.0)
-    p.add_argument(
-        "--instructions", type=int, default=DEFAULT_INSTRUCTIONS,
-        help="measured instructions",
-    )
-    p.add_argument(
-        "--warmup", type=int, default=DEFAULT_WARMUP,
-        help="warmup instructions",
-    )
-    p.add_argument(
-        "--seed", type=_seed, default=DEFAULT_SEED,
-        help=f"workload RNG seed (default: {DEFAULT_SEED})",
-    )
-    _add_fault_spec_arg(p)
-    _add_gating_arg(p)
+    _add_plan_args(p)
     p.add_argument(
         "--out", default=None, metavar="PATH",
         help="write the Chrome-trace JSON here (load in Perfetto or "
@@ -393,8 +385,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--models", nargs="+", default=["I"],
                    choices=MODEL_NAMES, metavar="MODEL",
                    help="interconnect models to sweep (default: I)")
-    p.add_argument("--clusters", type=int, default=4)
-    p.add_argument("--latency-scale", type=float, default=1.0)
     p.add_argument("--priority", type=int, default=0,
                    help="admission priority (higher dequeues first)")
     p.add_argument("--retry-budget", type=_retries, default=None,
@@ -407,9 +397,8 @@ def build_parser() -> argparse.ArgumentParser:
                    metavar="SECONDS",
                    help="when waiting, give up after this long "
                         "(default: 600)")
-    _add_window_args(p)
-    _add_fault_spec_arg(p)
-    _add_gating_arg(p)
+    _add_plan_args(p)
+    _add_benchmarks_arg(p)
 
     p = sub.add_parser(
         "explore",
@@ -465,6 +454,8 @@ def build_parser() -> argparse.ArgumentParser:
                    metavar="SECONDS",
                    help="per-wave wait when submitting (default: 600)")
     _add_window_args(p)
+    _add_benchmarks_arg(p)
+    _add_runner_args(p)
 
     p = sub.add_parser(
         "status",
@@ -520,40 +511,42 @@ def _cmd_table2() -> str:
 
 
 def _wants_telemetry(args: argparse.Namespace) -> bool:
-    return bool(getattr(args, "telemetry", False)
-                or getattr(args, "trace_out", None))
+    return bool(args.telemetry or args.trace_out)
 
 
 def _make_runner(args: argparse.Namespace,
                  profiler=None) -> ExperimentRunner:
     cache = ResultCache(enabled=not args.no_cache)
     return ExperimentRunner(
-        cache=cache, workers=args.workers,
-        run_timeout=getattr(args, "run_timeout", None),
-        max_retries=getattr(args, "max_retries", 0),
-        profiler=profiler,
+        cache=cache, workers=args.workers, run_timeout=args.run_timeout,
+        max_retries=args.max_retries, profiler=profiler,
     )
 
 
-def _traced_simulation(model_name: str, benchmark: str, clusters: int,
-                       latency_scale: float, instructions: int,
-                       warmup: int, seed: int, fault_spec: str,
-                       gating: str = ""):
-    """One telemetry-enabled simulation; returns (run, telemetry)."""
-    from .core.simulation import simulate_benchmark
+def _plan_from_args(args: argparse.Namespace,
+                    **names: object) -> ExperimentPlan:
+    """The plan the plan flags in ``args`` describe; ``names`` fills
+    in what they do not (the model, and the benchmark for sweeps)."""
+    values = {f.name: getattr(args, f.name) for f in fields(ExperimentPlan)
+              if hasattr(args, f.name)}
+    values.update(names)
+    return ExperimentPlan(**values)
+
+
+def _new_telemetry():
     from .telemetry import RingBufferSink, Telemetry
 
-    telemetry = Telemetry(enabled=True,
-                          sink=RingBufferSink(capacity=None))
-    run = simulate_benchmark(
-        model(model_name).config, benchmark,
-        instructions=instructions, warmup=warmup,
-        num_clusters=clusters, seed=seed,
-        latency_scale=latency_scale,
-        fault_spec=fault_spec or None, telemetry=telemetry,
-        gating=gating or None,
-    )
-    return run, telemetry
+    return Telemetry(enabled=True, sink=RingBufferSink(capacity=None))
+
+
+def _trace_metadata(plan: ExperimentPlan) -> dict:
+    return {
+        "model": plan.model_name,
+        "benchmark": plan.benchmark,
+        "seed": plan.seed,
+        "fault_spec": plan.fault_spec,
+        "gating": plan.gating_policy,
+    }
 
 
 def _cmd_trace(args: argparse.Namespace) -> str:
@@ -564,11 +557,9 @@ def _cmd_trace(args: argparse.Namespace) -> str:
         write_chrome_trace,
     )
 
-    run, telemetry = _traced_simulation(
-        args.model, args.benchmark, args.clusters, args.latency_scale,
-        args.instructions, args.warmup, args.seed, args.fault_spec,
-        args.gating,
-    )
+    plan = _plan_from_args(args, model_name=args.model)
+    telemetry = _new_telemetry()
+    run = simulate_plan(plan, telemetry=telemetry)
     events = list(telemetry.events())
     lines = [
         f"traced model {args.model} / {args.benchmark}: "
@@ -578,14 +569,8 @@ def _cmd_trace(args: argparse.Namespace) -> str:
         render_summary(summarize(events), cycles=run.cycles),
     ]
     if args.out:
-        metadata = {
-            "model": args.model,
-            "benchmark": args.benchmark,
-            "seed": args.seed,
-            "fault_spec": args.fault_spec,
-            "gating": args.gating,
-        }
-        write_chrome_trace(args.out, events, metadata=metadata)
+        write_chrome_trace(args.out, events,
+                           metadata=_trace_metadata(plan))
         lines.append("")
         lines.append(f"chrome trace written to {args.out} "
                      f"(load in Perfetto or chrome://tracing)")
@@ -601,20 +586,21 @@ def _cmd_trace(args: argparse.Namespace) -> str:
 
 
 def _cmd_run(args: argparse.Namespace) -> str:
-    if _wants_telemetry(args):
-        return _cmd_run_traced(args)
-    runner = _make_runner(args)
-    plan = ExperimentPlan(
-        model_name=args.model, benchmark=args.benchmark,
-        num_clusters=args.clusters, latency_scale=args.latency_scale,
-        instructions=args.instructions, warmup=args.warmup,
-        seed=args.seed, fault_spec=args.fault_spec,
-        gating_policy=args.gating,
-    )
-    run = runner.run_many([plan])[plan]
+    """One plan: through the cached runner, or with ``--telemetry``
+    simulated live (uncached) with a tracer.
+
+    Telemetry never changes a reproduced number, so both paths print
+    the same figures for the same plan.
+    """
+    plan = _plan_from_args(args, model_name=args.model)
+    telemetry = _new_telemetry() if _wants_telemetry(args) else None
+    if telemetry is None:
+        run = _make_runner(args).run_many([plan])[plan]
+    else:
+        run = simulate_plan(plan, telemetry=telemetry)
     lines = [
         f"model {args.model} ({model(args.model).description}), "
-        f"{args.clusters} clusters, benchmark {args.benchmark}",
+        f"{plan.num_clusters} clusters, benchmark {args.benchmark}",
         f"IPC {run.ipc:.3f}  ({run.instructions} instructions, "
         f"{run.cycles} cycles)",
         f"interconnect dynamic energy (rel units) "
@@ -626,9 +612,9 @@ def _cmd_run(args: argparse.Namespace) -> str:
         f"false LS-bit deps {extra['false_dependences']:.0f}, "
         f"narrow coverage {extra['narrow_coverage']:.1%}"
     )
-    if args.fault_spec:
+    if plan.fault_spec:
         lines.append(
-            f"faults ({args.fault_spec}): "
+            f"faults ({plan.fault_spec}): "
             f"retransmissions {extra.get('retransmissions', 0):.0f}, "
             f"escalations {extra.get('retry_escalations', 0):.0f}, "
             f"reroutes {extra.get('degraded_reroutes', 0):.0f}, "
@@ -636,9 +622,9 @@ def _cmd_run(args: argparse.Namespace) -> str:
             f"{extra.get('degraded_selections', 0):.0f}, "
             f"planes killed {extra.get('planes_killed', 0):.0f}"
         )
-    if args.gating:
+    if plan.gating_policy:
         lines.append(
-            f"gating ({args.gating}): "
+            f"gating ({plan.gating_policy}): "
             f"leakage (rel units) {run.interconnect_leakage:.0f}, "
             f"wakes {extra.get('plane_wakes', 0):.0f}, "
             f"gate entries {extra.get('plane_gate_events', 0):.0f}, "
@@ -646,76 +632,39 @@ def _cmd_run(args: argparse.Namespace) -> str:
             f"{extra.get('gated_wire_cycle_share', 0):.1%}, "
             f"wake energy {extra.get('wake_energy', 0):.1f}"
         )
-    return "\n".join(lines)
+    if telemetry is not None:
+        from .telemetry import render_summary, summarize, write_chrome_trace
 
-
-def _cmd_run_traced(args: argparse.Namespace) -> str:
-    """``run --telemetry``: simulate live (uncached) with a tracer.
-
-    Telemetry never changes a reproduced number, so the printed IPC and
-    energy figures match the cached path for the same plan.
-    """
-    from .telemetry import render_summary, summarize, write_chrome_trace
-
-    run, telemetry = _traced_simulation(
-        args.model, args.benchmark, args.clusters, args.latency_scale,
-        args.instructions, args.warmup, args.seed, args.fault_spec,
-        args.gating,
-    )
-    lines = [
-        f"model {args.model} ({model(args.model).description}), "
-        f"{args.clusters} clusters, benchmark {args.benchmark}",
-        f"IPC {run.ipc:.3f}  ({run.instructions} instructions, "
-        f"{run.cycles} cycles)",
-        f"interconnect dynamic energy (rel units) "
-        f"{run.interconnect_dynamic:.0f}",
-        "",
-        render_summary(summarize(telemetry.events()), cycles=run.cycles),
-    ]
-    if args.trace_out:
-        write_chrome_trace(args.trace_out, telemetry.events(),
-                           metadata={"model": args.model,
-                                     "benchmark": args.benchmark})
         lines.append("")
-        lines.append(f"chrome trace written to {args.trace_out}")
+        lines.append(render_summary(summarize(telemetry.events()),
+                                    cycles=run.cycles))
+        if args.trace_out:
+            write_chrome_trace(args.trace_out, telemetry.events(),
+                               metadata=_trace_metadata(plan))
+            lines.append("")
+            lines.append(f"chrome trace written to {args.trace_out}")
     return "\n".join(lines)
 
 
-def _cmd_faults(args: argparse.Namespace,
-                runner: ExperimentRunner) -> str:
-    from .harness.faultsweep import DEFAULT_SCENARIOS, FaultScenario
-
-    scenarios = list(DEFAULT_SCENARIOS)
-    if args.fault_spec:
-        scenarios.append(FaultScenario(label="custom",
-                                       spec=args.fault_spec))
-    result = run_faultsweep(
-        runner, model_name=args.model, scenarios=scenarios,
-        benchmarks=args.benchmarks, instructions=args.instructions,
-        warmup=args.warmup, seed=args.seed,
-        gating_policy=args.gating, workers=args.workers,
-    )
-    return render_faultsweep(result)
+#: The axis each sweep subcommand sweeps.
+_SWEEP_AXES = {"faults": FAULT_AXIS, "power": GATING_AXIS}
 
 
-def _cmd_power(args: argparse.Namespace,
-               runner: ExperimentRunner) -> str:
-    from .harness.powersweep import (
-        DEFAULT_GATING_SCENARIOS,
-        GatingScenario,
-    )
-
-    scenarios = list(DEFAULT_GATING_SCENARIOS)
-    if args.gating:
-        scenarios.append(GatingScenario(label="custom",
-                                        policy=args.gating))
-    result = run_powersweep(
-        runner, model_name=args.model, scenarios=scenarios,
-        benchmarks=args.benchmarks, instructions=args.instructions,
-        warmup=args.warmup, seed=args.seed,
-        fault_spec=args.fault_spec, workers=args.workers,
-    )
-    return render_powersweep(result)
+def _cmd_axis_sweep(args: argparse.Namespace,
+                    runner: ExperimentRunner) -> str:
+    """``faults``/``power``: the default rows of the subcommand's axis,
+    plus a "custom" row when that axis's flag is set; the other axis's
+    flag applies to every row."""
+    axis = _SWEEP_AXES[args.command]
+    benchmarks = tuple(args.benchmarks or DEFAULT_BENCHMARKS)
+    base = _plan_from_args(args, model_name=args.model,
+                           benchmark=benchmarks[0])
+    rows = list(axis.rows)
+    if getattr(base, axis.field):
+        rows.append(("custom", getattr(base, axis.field)))
+    result = run_axis_sweep(runner, axis, base, rows=rows,
+                            benchmarks=benchmarks, workers=args.workers)
+    return render_axis_sweep(result)
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
@@ -742,21 +691,46 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 def _submit_plans(args: argparse.Namespace) -> List[ExperimentPlan]:
     benchmarks = args.benchmarks or list(BENCHMARK_NAMES)
     return [
-        ExperimentPlan(
-            model_name=model_name, benchmark=benchmark,
-            num_clusters=args.clusters,
-            latency_scale=args.latency_scale,
-            instructions=args.instructions, warmup=args.warmup,
-            seed=args.seed, fault_spec=args.fault_spec,
-            gating_policy=args.gating,
-        )
+        _plan_from_args(args, model_name=model_name, benchmark=benchmark)
         for model_name in args.models
         for benchmark in benchmarks
     ]
 
 
+def _service_failure(args: argparse.Namespace, exc: Exception,
+                     what: str) -> Optional[int]:
+    """Report a sweep-service failure and return its exit code; None
+    when ``exc`` is not one."""
+    from .service import Backpressure, ServiceError
+
+    if isinstance(exc, Backpressure):
+        print(f"rejected: {exc.message} (Retry-After: "
+              f"{exc.retry_after}s)", file=sys.stderr)
+        return 3
+    if isinstance(exc, ServiceError):
+        print(f"{what}{exc}", file=sys.stderr)
+        return 2
+    if isinstance(exc, (ConnectionError, OSError)):
+        print(f"cannot reach {args.host}:{args.port}: {exc} "
+              f"(is 'repro serve' running?)", file=sys.stderr)
+        return 2
+    return None
+
+
+def _print_job(job: dict, attempt: str) -> None:
+    print(f"job {job['job_id']}: {job['state']} "
+          f"({job['plans']} plan(s), attempt {attempt})")
+    summary = job.get("summary")
+    if summary:
+        print(f"  executed {summary['executed']}, "
+              f"cache hits {summary['cache_hits']}, "
+              f"failed {summary['failed']}")
+    if job.get("manifest"):
+        print(job["manifest"])
+
+
 def _cmd_submit(args: argparse.Namespace) -> int:
-    from .service import Backpressure, ServiceClient, ServiceError
+    from .service import ServiceClient
 
     client = ServiceClient(host=args.host, port=args.port)
     plans = _submit_plans(args)
@@ -769,46 +743,23 @@ def _cmd_submit(args: argparse.Namespace) -> int:
                 plans, priority=args.priority,
                 retry_budget=args.retry_budget, timeout=args.timeout,
             )
-    except Backpressure as exc:
-        print(f"rejected: {exc.message} (Retry-After: "
-              f"{exc.retry_after}s)", file=sys.stderr)
-        return 3
-    except ServiceError as exc:
-        print(f"submission failed: {exc}", file=sys.stderr)
-        return 2
-    except (ConnectionError, OSError) as exc:
-        print(f"cannot reach {args.host}:{args.port}: {exc} "
-              f"(is 'repro serve' running?)", file=sys.stderr)
-        return 2
-    print(f"job {job['job_id']}: {job['state']} "
-          f"({job['plans']} plan(s), attempt {job['attempts']})")
-    summary = job.get("summary")
-    if summary:
-        print(f"  executed {summary['executed']}, "
-              f"cache hits {summary['cache_hits']}, "
-              f"failed {summary['failed']}")
-    if job.get("manifest"):
-        print(job["manifest"])
+    except Exception as exc:
+        code = _service_failure(args, exc, "submission failed: ")
+        if code is not None:
+            return code
+        raise
+    _print_job(job, f"{job['attempts']}")
     return 0 if job["state"] in ("queued", "running", "done") else 1
 
 
 def _cmd_status(args: argparse.Namespace) -> int:
-    from .service import ServiceClient, ServiceError
+    from .service import ServiceClient
 
     client = ServiceClient(host=args.host, port=args.port)
     try:
         if args.job_id:
             job = client.job(args.job_id)
-            print(f"job {job['job_id']}: {job['state']} "
-                  f"({job['plans']} plan(s), attempt "
-                  f"{job['attempts']}/{job['retry_budget'] + 1})")
-            summary = job.get("summary")
-            if summary:
-                print(f"  executed {summary['executed']}, "
-                      f"cache hits {summary['cache_hits']}, "
-                      f"failed {summary['failed']}")
-            if job.get("manifest"):
-                print(job["manifest"])
+            _print_job(job, f"{job['attempts']}/{job['retry_budget'] + 1}")
             return 0 if job["state"] != "failed" else 1
         health = client.health()
         print(f"server {args.host}:{args.port}: "
@@ -821,13 +772,11 @@ def _cmd_status(args: argparse.Namespace) -> int:
             print(f"  {job['job_id']}  {job['state']:<9s} "
                   f"{job['plans']} plan(s)")
         return 0
-    except ServiceError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
-    except (ConnectionError, OSError) as exc:
-        print(f"cannot reach {args.host}:{args.port}: {exc} "
-              f"(is 'repro serve' running?)", file=sys.stderr)
-        return 2
+    except Exception as exc:
+        code = _service_failure(args, exc, "")
+        if code is not None:
+            return code
+        raise
 
 
 def _cmd_explore(args: argparse.Namespace) -> int:
@@ -891,20 +840,10 @@ def _cmd_explore(args: argparse.Namespace) -> int:
                          budget=args.budget, seed=args.seed,
                          profiler=profiler)
     except Exception as exc:
-        if args.submit:
-            from .service import Backpressure, ServiceError
-
-            if isinstance(exc, Backpressure):
-                print(f"rejected: {exc.message} (Retry-After: "
-                      f"{exc.retry_after}s)", file=sys.stderr)
-                return 3
-            if isinstance(exc, ServiceError):
-                print(f"exploration failed: {exc}", file=sys.stderr)
-                return 2
-            if isinstance(exc, (ConnectionError, OSError)):
-                print(f"cannot reach {args.host}:{args.port}: {exc} "
-                      f"(is 'repro serve' running?)", file=sys.stderr)
-                return 2
+        code = (_service_failure(args, exc, "exploration failed: ")
+                if args.submit else None)
+        if code is not None:
+            return code
         raise
 
     print(frontier_table(result))
@@ -943,29 +882,18 @@ def _main(argv: Optional[List[str]] = None) -> int:
         return simlint_main(list(argv[1:]))
     args = build_parser().parse_args(argv)
     command = args.command
-    if command == "models":
-        print(_cmd_models())
+    listings = {"models": _cmd_models, "benchmarks": _cmd_benchmarks,
+                "table2": _cmd_table2}
+    if command in listings:
+        print(listings[command]())
         return 0
-    if command == "benchmarks":
-        print(_cmd_benchmarks())
+    if command in ("run", "trace"):
+        print(_cmd_run(args) if command == "run" else _cmd_trace(args))
         return 0
-    if command == "table2":
-        print(_cmd_table2())
-        return 0
-    if command == "run":
-        print(_cmd_run(args))
-        return 0
-    if command == "trace":
-        print(_cmd_trace(args))
-        return 0
-    if command == "serve":
-        return _cmd_serve(args)
-    if command == "submit":
-        return _cmd_submit(args)
-    if command == "status":
-        return _cmd_status(args)
-    if command == "explore":
-        return _cmd_explore(args)
+    services = {"serve": _cmd_serve, "submit": _cmd_submit,
+                "status": _cmd_status, "explore": _cmd_explore}
+    if command in services:
+        return services[command](args)
 
     # Sweep commands: --telemetry/--trace-out attach a wall-clock
     # harness profiler (cache probes, runs, workers) to the runner.
@@ -976,17 +904,12 @@ def _main(argv: Optional[List[str]] = None) -> int:
         profiler = HarnessProfiler()
     runner = _make_runner(args, profiler=profiler)
 
-    if command == "faults":
-        print(_cmd_faults(args, runner))
-        return _finish_profiled(args, profiler)
-
-    if command == "power":
-        print(_cmd_power(args, runner))
-        return _finish_profiled(args, profiler)
-
     kwargs = dict(benchmarks=args.benchmarks,
-                  instructions=args.instructions, warmup=args.warmup)
-    if command == "figure3":
+                  instructions=args.instructions, warmup=args.warmup,
+                  seed=args.seed)
+    if command in _SWEEP_AXES:
+        print(_cmd_axis_sweep(args, runner))
+    elif command == "figure3":
         print(render_figure3(run_figure3(runner, **kwargs)))
     elif command == "table3":
         print(render_table3(run_table3(runner, **kwargs)))
@@ -1002,10 +925,9 @@ def _main(argv: Optional[List[str]] = None) -> int:
 def _finish_profiled(args: argparse.Namespace, profiler) -> int:
     if profiler is not None:
         print(profiler.summary())
-        trace_out = getattr(args, "trace_out", None)
-        if trace_out:
-            profiler.write(trace_out)
-            print(f"harness trace written to {trace_out} "
+        if args.trace_out:
+            profiler.write(args.trace_out)
+            print(f"harness trace written to {args.trace_out} "
                   f"(load in Perfetto or chrome://tracing)")
     return 0
 

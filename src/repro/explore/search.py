@@ -33,7 +33,6 @@ from typing import (
 from ..core.metrics import DYNAMIC_SHARE, LEAKAGE_SHARE, BenchmarkRun
 from ..harness.profiling import NULL_PROFILER, HarnessProfiler
 from ..harness.runner import ExperimentPlan, RunFailure, SweepReport
-from ..power import GatingPolicy, GatingSpecError
 from ..wires import (
     CANONICAL_SPECS,
     FREQ_BASE_GHZ,
@@ -42,7 +41,12 @@ from ..wires import (
     node_scaling,
 )
 from .pareto import DEFAULT_OBJECTIVES, Objective, pareto_frontier
-from .space import TOPOLOGIES, DesignPoint, PointMetrics
+from .space import (
+    TOPOLOGIES,
+    DesignPoint,
+    PointMetrics,
+    check_canonical_gating,
+)
 
 #: An executor turns a plan batch into a SweepReport (local runner or
 #: sweep-service client).
@@ -89,18 +93,7 @@ class SearchSpace:
                 "(use \"\" for always-on planes)"
             )
         for gating in self.gating_policies:
-            if not gating:
-                continue
-            try:
-                policy = GatingPolicy.parse(gating)
-            except GatingSpecError as exc:
-                raise ValueError(f"bad gating policy: {exc}") from None
-            canonical = "" if policy.is_never else policy.canonical()
-            if canonical != gating:
-                raise ValueError(
-                    f"gating policy {gating!r} is not canonical; "
-                    f"use {canonical!r}"
-                )
+            check_canonical_gating(gating)
 
     def _axes(self) -> Tuple[Tuple[WireClass, Tuple[int, ...]], ...]:
         return (

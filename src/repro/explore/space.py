@@ -19,7 +19,7 @@ from ..core.models import (
     parse_design_point,
 )
 from ..harness.runner import ExperimentPlan
-from ..power import GatingPolicy
+from ..power import GatingSpecError, canonical_gating
 from ..wires import WireClass, node_scaling
 from ..wires.scaling import _check_node
 
@@ -27,6 +27,20 @@ from ..wires.scaling import _check_node
 #: clusters the simulator builds a crossbar; beyond that, the paper's
 #: Figure 2 hierarchy (ring of crossbars).
 TOPOLOGIES: Dict[str, int] = {"xbar4": 4, "ring16": 16}
+
+
+def check_canonical_gating(gating: str) -> None:
+    """Reject a malformed or non-canonical policy: one policy, one
+    design-point identity."""
+    try:
+        canonical = canonical_gating(gating)
+    except GatingSpecError as exc:
+        raise ValueError(f"bad gating policy: {exc}") from None
+    if canonical != gating:
+        raise ValueError(
+            f"gating policy {gating!r} is not canonical; "
+            f"use {canonical!r}"
+        )
 
 
 @dataclass(frozen=True)
@@ -49,14 +63,7 @@ class DesignPoint:
 
     def __post_init__(self) -> None:
         _check_node(self.node)
-        if self.gating:
-            policy = GatingPolicy.parse(self.gating)
-            canonical = "" if policy.is_never else policy.canonical()
-            if canonical != self.gating:
-                raise ValueError(
-                    f"gating policy {self.gating!r} is not canonical; "
-                    f"use {canonical!r}"
-                )
+        check_canonical_gating(self.gating)
         if self.topology not in TOPOLOGIES:
             raise ValueError(
                 f"unknown topology {self.topology!r}; choose from "

@@ -67,7 +67,9 @@ class FaultSpec:
     retry_budget: int = 4
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.ber < 1.0:
+        # A rate so close to 1 that its canonical form prints as "1"
+        # would not parse back, so it is out of range too.
+        if not 0.0 <= self.ber < 1.0 or f"{self.ber:g}" == "1":
             raise FaultSpecError(
                 f"bit-error rate must be in [0, 1), got {self.ber!r}"
             )
@@ -75,7 +77,7 @@ class FaultSpec:
             raise FaultSpecError("retry budget must be non-negative")
         seen = set()
         for wire_class, factor in self.derates:
-            if factor < 1.0:
+            if not factor >= 1.0:
                 raise FaultSpecError(
                     f"derate factor for {wire_class.value}-Wires must be "
                     f">= 1.0 (slower, never faster), got {factor!r}"
@@ -107,13 +109,15 @@ class FaultSpec:
                            key=lambda k: (k.cycle, k.link,
                                           k.wire_class.value)):
             clauses.append(kill.clause())
+        # Factors are compared as printed, so a factor that rounds to 1
+        # is dropped here rather than on the next canonicalization.
         derates = sorted(
-            ((wc, f) for wc, f in self.derates if f != 1.0),
+            ((wc, f"{f:g}") for wc, f in self.derates if f"{f:g}" != "1"),
             key=lambda pair: pair[0].value,
         )
         if derates:
             clauses.append("derate=" + ",".join(
-                f"{wc.value}:{f:g}" for wc, f in derates))
+                f"{wc.value}:{f}" for wc, f in derates))
         if self.retry_budget != 4:
             clauses.append(f"retries={self.retry_budget}")
         return ";".join(clauses)
@@ -235,3 +239,9 @@ def _parse_retries(value: str) -> int:
 
 #: The no-fault spec, for callers that want an explicit default.
 NULL_FAULTS = FaultSpec()
+
+
+def canonical_faults(text: str) -> str:
+    """The canonical spelling of a fault-spec string ("" = healthy
+    wires); raises :class:`FaultSpecError`."""
+    return FaultSpec.parse(text).canonical()

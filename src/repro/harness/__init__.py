@@ -1,13 +1,14 @@
 """Experiment harness: regenerates every table and figure of the paper."""
 
-from .claims import ClaimResult, render_claims, run_claims
-from .faultsweep import (
-    DEFAULT_SCENARIOS,
-    FaultScenario,
-    FaultSweepResult,
-    render_faultsweep,
-    run_faultsweep,
+from .axissweep import (
+    FAULT_AXIS,
+    GATING_AXIS,
+    AxisSweepResult,
+    SweepAxis,
+    render_axis_sweep,
+    run_axis_sweep,
 )
+from .claims import ClaimResult, render_claims, run_claims
 from .figure3 import Figure3Result, render_figure3, run_figure3
 from .formatting import (
     percent_delta,
@@ -17,13 +18,6 @@ from .formatting import (
 )
 from .backoff import DecorrelatedJitter, backoff_seed, jitter_delays
 from .paperdata import PAPER_CLAIMS, PAPER_TABLE3, PAPER_TABLE4
-from .powersweep import (
-    DEFAULT_GATING_SCENARIOS,
-    GatingScenario,
-    PowerSweepResult,
-    render_powersweep,
-    run_powersweep,
-)
 from .profiling import NULL_PROFILER, HarnessProfiler
 from .runner import (
     CACHE_VERSION,
@@ -35,6 +29,7 @@ from .runner import (
     SweepError,
     SweepReport,
     SweepSummary,
+    simulate_plan,
 )
 from .table3 import TableResult, render_table3, run_table3, shape_summary
 from .table4 import render_table4, run_table4
@@ -54,16 +49,13 @@ __all__ = [
     "SweepError",
     "SweepReport",
     "SweepSummary",
-    "DEFAULT_SCENARIOS",
-    "FaultScenario",
-    "FaultSweepResult",
-    "render_faultsweep",
-    "run_faultsweep",
-    "DEFAULT_GATING_SCENARIOS",
-    "GatingScenario",
-    "PowerSweepResult",
-    "render_powersweep",
-    "run_powersweep",
+    "simulate_plan",
+    "FAULT_AXIS",
+    "GATING_AXIS",
+    "AxisSweepResult",
+    "SweepAxis",
+    "render_axis_sweep",
+    "run_axis_sweep",
     "percent_delta",
     "render_bar_chart",
     "render_table",

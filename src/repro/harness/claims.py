@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from ..core.metrics import ModelResult
-from ..core.simulation import DEFAULT_INSTRUCTIONS, DEFAULT_WARMUP
+from ..core.simulation import DEFAULT_INSTRUCTIONS, DEFAULT_SEED, DEFAULT_WARMUP
 from ..workloads.spec2k import BENCHMARK_NAMES
 from .paperdata import PAPER_CLAIMS
 from .runner import ExperimentPlan, ExperimentRunner
@@ -43,7 +43,8 @@ def run_claims(runner: Optional[ExperimentRunner] = None,
                benchmarks: Optional[Sequence[str]] = None,
                instructions: int = DEFAULT_INSTRUCTIONS,
                warmup: int = DEFAULT_WARMUP,
-               workers: Optional[int] = None) -> Tuple[ClaimResult, ...]:
+               workers: Optional[int] = None,
+               seed: int = DEFAULT_SEED) -> Tuple[ClaimResult, ...]:
     """Regenerate every scalar claim.
 
     All six model sweeps (baseline/VII at 4 and 16 clusters, plus the
@@ -65,7 +66,8 @@ def run_claims(runner: Optional[ExperimentRunner] = None,
         key: [
             ExperimentPlan(model_name=model_name, benchmark=bench,
                            num_clusters=clusters, latency_scale=scale,
-                           instructions=instructions, warmup=warmup)
+                           instructions=instructions, warmup=warmup,
+                           seed=seed)
             for bench in names
         ]
         for key, (model_name, clusters, scale) in sweeps.items()

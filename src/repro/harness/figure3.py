@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional, Sequence, Tuple
 
-from ..core.simulation import DEFAULT_INSTRUCTIONS, DEFAULT_WARMUP
+from ..core.simulation import DEFAULT_INSTRUCTIONS, DEFAULT_SEED, DEFAULT_WARMUP
 from ..workloads.spec2k import BENCHMARK_NAMES
 from .formatting import render_bar_chart, render_table
 from .paperdata import PAPER_CLAIMS
@@ -51,14 +51,16 @@ def run_figure3(runner: Optional[ExperimentRunner] = None,
                 benchmarks: Optional[Sequence[str]] = None,
                 instructions: int = DEFAULT_INSTRUCTIONS,
                 warmup: int = DEFAULT_WARMUP,
-                workers: Optional[int] = None) -> Figure3Result:
+                workers: Optional[int] = None,
+                seed: int = DEFAULT_SEED) -> Figure3Result:
     """Regenerate Figure 3's data (both models in one parallel batch)."""
     runner = runner or ExperimentRunner()
     names = tuple(benchmarks or BENCHMARK_NAMES)
 
     def plan(model_name: str, bench: str) -> ExperimentPlan:
         return ExperimentPlan(model_name=model_name, benchmark=bench,
-                              instructions=instructions, warmup=warmup)
+                              instructions=instructions, warmup=warmup,
+                              seed=seed)
 
     runs = runner.run_many(
         [plan(m, n) for m in (BASELINE_MODEL, LWIRE_MODEL) for n in names],

@@ -40,7 +40,7 @@ import tempfile
 import threading
 import time
 from collections import deque
-from dataclasses import asdict, dataclass, fields
+from dataclasses import MISSING, asdict, dataclass, fields
 from pathlib import Path
 from typing import (
     Dict,
@@ -50,6 +50,7 @@ from typing import (
     Optional,
     Sequence,
     Tuple,
+    get_type_hints,
 )
 
 from ..core.config import InterconnectConfig
@@ -61,7 +62,10 @@ from ..core.simulation import (
     DEFAULT_WARMUP,
     simulate_benchmark,
 )
+from ..faults import FaultSpecError, canonical_faults
 from ..interconnect.selection import PolicyFlags
+from ..power import GatingSpecError, canonical_gating
+from ..telemetry import Telemetry
 from ..workloads.spec2k import BENCHMARK_NAMES
 from .backoff import DecorrelatedJitter
 from .profiling import NULL_PROFILER, HarnessProfiler
@@ -84,7 +88,14 @@ _RESULT_SCHEMA: Dict[str, tuple] = {
 
 @dataclass(frozen=True)
 class ExperimentPlan:
-    """Everything that determines a run's outcome."""
+    """Everything that determines a run's outcome.
+
+    A plan canonicalizes itself at construction: ``fault_spec`` and
+    ``gating_policy`` take their canonical spellings (``"never"``
+    becomes ``""``) and ``latency_scale`` becomes a float, so plans
+    that compare equal always share one cache key.  A malformed spec
+    raises ``ValueError``.
+    """
 
     model_name: str
     benchmark: str
@@ -101,12 +112,22 @@ class ExperimentPlan:
     #: :meth:`repro.power.GatingPolicy.canonical`.
     gating_policy: str = ""
 
+    def __post_init__(self) -> None:
+        try:
+            fault_spec = canonical_faults(self.fault_spec)
+        except FaultSpecError as exc:
+            raise ValueError(f"bad fault_spec: {exc}") from None
+        try:
+            gating_policy = canonical_gating(self.gating_policy)
+        except GatingSpecError as exc:
+            raise ValueError(f"bad gating_policy: {exc}") from None
+        object.__setattr__(self, "fault_spec", fault_spec)
+        object.__setattr__(self, "gating_policy", gating_policy)
+        object.__setattr__(self, "latency_scale", float(self.latency_scale))
+
     def cache_key(self) -> str:
         payload = json.dumps(
-            [CACHE_VERSION, self.model_name, self.benchmark,
-             self.num_clusters, self.latency_scale, self.instructions,
-             self.warmup, self.seed, self.policy_tag, self.fault_spec,
-             self.gating_policy],
+            [CACHE_VERSION, *(getattr(self, f.name) for f in fields(self))],
             sort_keys=True,
         )
         return hashlib.sha256(payload.encode()).hexdigest()[:24]
@@ -128,23 +149,28 @@ class ExperimentPlan:
     def from_dict(cls, data: object) -> "ExperimentPlan":
         """Rebuild a plan from untrusted JSON; raises ``ValueError``.
 
-        Every field is type-checked so a malformed service submission
-        or a hand-edited manifest fails loudly at the boundary instead
-        of poisoning a cache key downstream.
+        Every field is type-checked against its annotation (a float
+        field also takes a JSON integer), and fields without a default
+        are required, so a malformed service submission or a
+        hand-edited manifest fails loudly at the boundary instead of
+        poisoning a cache key downstream.
         """
         if not isinstance(data, dict):
             raise ValueError(f"plan must be a JSON object, got "
                              f"{type(data).__name__}")
-        allowed = {f.name for f in fields(cls)}
-        unknown = sorted(set(data) - allowed)
+        plan_fields = fields(cls)
+        allowed = {f.name for f in plan_fields}
+        unknown = sorted(str(name) for name in data if name not in allowed)
         if unknown:
             raise ValueError(f"unknown plan field(s): {', '.join(unknown)}")
-        for required in ("model_name", "benchmark"):
-            if required not in data:
-                raise ValueError(f"plan is missing {required!r}")
-        for name, types in _PLAN_FIELD_TYPES.items():
+        hints = get_type_hints(cls)
+        for field_def in plan_fields:
+            name = field_def.name
             if name not in data:
+                if field_def.default is MISSING:
+                    raise ValueError(f"plan is missing {name!r}")
                 continue
+            types = (int, float) if hints[name] is float else (hints[name],)
             value = data[name]
             if not isinstance(value, types) or isinstance(value, bool):
                 raise ValueError(
@@ -153,21 +179,6 @@ class ExperimentPlan:
                     f"got {value!r}"
                 )
         return cls(**data)
-
-
-#: Acceptable JSON types per :class:`ExperimentPlan` field.
-_PLAN_FIELD_TYPES: Dict[str, tuple] = {
-    "model_name": (str,),
-    "benchmark": (str,),
-    "num_clusters": (int,),
-    "latency_scale": (int, float),
-    "instructions": (int,),
-    "warmup": (int,),
-    "seed": (int,),
-    "policy_tag": (str,),
-    "fault_spec": (str,),
-    "gating_policy": (str,),
-}
 
 
 def _simulator_commit() -> str:
@@ -310,20 +321,11 @@ class ResultCache:
             except OSError:
                 return None
         try:
-            data = self._validate(json.loads(text))
-        except json.JSONDecodeError:
-            data = None
-        if data is None:
+            # Malformed JSON and schema mismatches both raise ValueError.
+            return _run_from_json(json.loads(text))
+        except ValueError:
             self._quarantine(path)
             return None
-        return BenchmarkRun(
-            benchmark=data["benchmark"],
-            instructions=data["instructions"],
-            cycles=data["cycles"],
-            interconnect_dynamic=data["interconnect_dynamic"],
-            interconnect_leakage=data["interconnect_leakage"],
-            extra=tuple((k, v) for k, v in data.get("extra", [])),
-        )
 
     def store(self, plan: ExperimentPlan, run: BenchmarkRun,
               duration: Optional[float] = None) -> None:
@@ -338,20 +340,12 @@ class ResultCache:
 
     def _store(self, plan: ExperimentPlan, run: BenchmarkRun,
                duration: Optional[float]) -> None:
-        payload = {
-            "benchmark": run.benchmark,
-            "instructions": run.instructions,
-            "cycles": run.cycles,
-            "interconnect_dynamic": run.interconnect_dynamic,
-            "interconnect_leakage": run.interconnect_leakage,
-            "extra": [list(pair) for pair in run.extra],
-            "provenance": {
-                "cache_version": CACHE_VERSION,
-                "plan": asdict(plan),
-                "duration_seconds": duration,
-                "simulator_commit": _simulator_commit(),
-            },
-        }
+        payload = dict(_run_to_json(run), provenance={
+            "cache_version": CACHE_VERSION,
+            "plan": asdict(plan),
+            "duration_seconds": duration,
+            "simulator_commit": _simulator_commit(),
+        })
         path = self._path(plan)
         path.parent.mkdir(parents=True, exist_ok=True)
         # Atomic publish: a same-directory temp file renamed over the
@@ -371,22 +365,36 @@ class ResultCache:
             raise
 
 
-def _execute_plan(
+def simulate_plan(
     plan: ExperimentPlan,
+    telemetry: Optional[Telemetry] = None,
     interconnect_model: Optional[InterconnectModel] = None,
-) -> Tuple[BenchmarkRun, float]:
-    """Simulate one plan; also usable as a process-pool worker."""
+) -> BenchmarkRun:
+    """Simulate one plan, uncached; ``telemetry`` optionally observes it.
+
+    ``interconnect_model`` overrides the model ``plan.model_name``
+    names (the policy-flag ablations use this).
+    """
     if interconnect_model is None:
         interconnect_model = model(plan.model_name)
-    start = time.perf_counter()
-    run = simulate_benchmark(
+    return simulate_benchmark(
         interconnect_model.config, plan.benchmark,
         instructions=plan.instructions, warmup=plan.warmup,
         num_clusters=plan.num_clusters, seed=plan.seed,
         latency_scale=plan.latency_scale,
         fault_spec=plan.fault_spec or None,
+        telemetry=telemetry,
         gating=plan.gating_policy or None,
     )
+
+
+def _execute_plan(
+    plan: ExperimentPlan,
+    interconnect_model: Optional[InterconnectModel] = None,
+) -> Tuple[BenchmarkRun, float]:
+    """Simulate one plan; also usable as a process-pool worker."""
+    start = time.perf_counter()
+    run = simulate_plan(plan, interconnect_model=interconnect_model)
     return run, time.perf_counter() - start
 
 
@@ -927,6 +935,11 @@ class ExperimentRunner:
 
             progressed = False
             for plan, (proc, recv, started, attempt) in list(active.items()):
+                # Liveness is read before the pipe: a worker that sends
+                # and exits between the two reads must not look like a
+                # crash, so it is one only if it was already dead and
+                # its pipe is still empty.
+                alive = proc.is_alive()
                 if recv.poll(0):
                     try:
                         message = recv.recv()
@@ -948,7 +961,7 @@ class ExperimentRunner:
                         close_span(plan, attempt, "error")
                         finish(plan, attempt, "error",
                                f"{message[1]}: {message[2]}")
-                elif not proc.is_alive():
+                elif not alive:
                     proc.join()
                     recv.close()
                     del active[plan]

@@ -13,7 +13,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..core.metrics import ModelResult, RelativeMetrics, relative_metrics
 from ..core.models import MODEL_NAMES, model
-from ..core.simulation import DEFAULT_INSTRUCTIONS, DEFAULT_WARMUP
+from ..core.simulation import DEFAULT_INSTRUCTIONS, DEFAULT_SEED, DEFAULT_WARMUP
 from ..workloads.spec2k import BENCHMARK_NAMES
 from .formatting import render_table
 from .paperdata import PAPER_TABLE3
@@ -44,7 +44,8 @@ def run_table3(runner: Optional[ExperimentRunner] = None,
                instructions: int = DEFAULT_INSTRUCTIONS,
                warmup: int = DEFAULT_WARMUP,
                latency_scale: float = 1.0,
-               workers: Optional[int] = None) -> TableResult:
+               workers: Optional[int] = None,
+               seed: int = DEFAULT_SEED) -> TableResult:
     """Regenerate Table 3 (or, with num_clusters=16, Table 4's runs).
 
     The whole models x benchmarks cross product goes through
@@ -58,7 +59,7 @@ def run_table3(runner: Optional[ExperimentRunner] = None,
             ExperimentPlan(
                 model_name=name, benchmark=bench,
                 num_clusters=num_clusters, latency_scale=latency_scale,
-                instructions=instructions, warmup=warmup,
+                instructions=instructions, warmup=warmup, seed=seed,
             )
             for bench in names
         ]

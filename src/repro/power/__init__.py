@@ -33,6 +33,7 @@ from .policy import (
     IdleThreshold,
     NeverGate,
     TrafficEwma,
+    canonical_gating,
     parse_gating,
 )
 
@@ -52,6 +53,7 @@ __all__ = [
     "PlanePowerReport",
     "PowerState",
     "TrafficEwma",
+    "canonical_gating",
     "leakage_power_watts",
     "parse_gating",
 ]

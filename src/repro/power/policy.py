@@ -282,7 +282,9 @@ class TrafficEwma(GatingPolicy):
 
     def canonical(self) -> str:
         parts = [f"halflife={self.halflife}", f"thr={self.thr:g}"]
-        if self.gthr != type(self).gthr:
+        # Compare as printed: a gthr that rounds to the default must be
+        # omitted, or re-canonicalizing the output would drop it.
+        if f"{self.gthr:g}" != f"{type(self).gthr:g}":
             parts.append(f"gthr={self.gthr:g}")
         if self.hold != type(self).hold:
             parts.append(f"hold={self.hold}")
@@ -353,3 +355,10 @@ def parse_gating(text: Optional[str]) -> Optional[GatingPolicy]:
     policy = text if isinstance(text, GatingPolicy) \
         else GatingPolicy.parse(text)
     return None if policy.is_never else policy
+
+
+def canonical_gating(text: str) -> str:
+    """The canonical spelling of a policy string; ``""`` and
+    ``"never"`` both become ``""``, the always-on configuration."""
+    policy = parse_gating(text)
+    return "" if policy is None else policy.canonical()

@@ -43,14 +43,11 @@ import asyncio
 import json
 import threading
 import time
-from dataclasses import replace
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from ..core.models import MODEL_NAMES, is_design_point, parse_design_point
-from ..faults import FaultSpec, FaultSpecError
 from ..harness.backoff import DecorrelatedJitter, backoff_seed
-from ..power import GatingPolicy, GatingSpecError
 from ..harness.runner import (
     ExperimentPlan,
     ExperimentRunner,
@@ -468,6 +465,8 @@ class SweepService:
     # -- admission -------------------------------------------------------
 
     def _normalize_plan(self, raw: object) -> ExperimentPlan:
+        """A validated plan; its specs are canonical by construction,
+        so every spelling of one plan maps to one job id."""
         plan = ExperimentPlan.from_dict(raw)
         if is_design_point(plan.model_name):
             # Explorer-minted design points validate structurally: the
@@ -481,21 +480,6 @@ class SweepService:
             )
         if plan.benchmark not in BENCHMARK_NAMES:
             raise ValueError(f"unknown benchmark {plan.benchmark!r}")
-        if plan.fault_spec:
-            try:
-                canonical = FaultSpec.parse(plan.fault_spec).canonical()
-            except FaultSpecError as exc:
-                raise ValueError(f"bad fault_spec: {exc}") from None
-            if canonical != plan.fault_spec:
-                plan = replace(plan, fault_spec=canonical)
-        if plan.gating_policy:
-            try:
-                gating = GatingPolicy.parse(plan.gating_policy)
-            except GatingSpecError as exc:
-                raise ValueError(f"bad gating_policy: {exc}") from None
-            canonical = "" if gating.is_never else gating.canonical()
-            if canonical != plan.gating_policy:
-                plan = replace(plan, gating_policy=canonical)
         return plan
 
     def _admit(self, payload: object

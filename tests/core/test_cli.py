@@ -3,6 +3,7 @@
 import pytest
 
 from repro.__main__ import build_parser, main
+from repro.core.metrics import BenchmarkRun
 
 
 class TestStaticCommands:
@@ -55,6 +56,27 @@ class TestExperimentCommands:
                      "--instructions", "500", "--warmup", "150"])
         assert code == 0
         assert "Scalar claims" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", ["table3", "table4", "figure3"])
+    def test_seed_reaches_every_plan(self, command, monkeypatch, tmp_path,
+                                     capsys):
+        executed = []
+
+        def execute(plan, interconnect_model=None):
+            executed.append(plan)
+            return BenchmarkRun(
+                benchmark=plan.benchmark, instructions=plan.instructions,
+                cycles=plan.instructions * 2, interconnect_dynamic=1.0,
+                interconnect_leakage=1.0,
+            ), 0.01
+
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        monkeypatch.setattr("repro.harness.runner._execute_plan", execute)
+        code = main([command, "--benchmarks", "gzip", "--seed", "7",
+                     "--instructions", "300", "--warmup", "80"])
+        assert code == 0
+        assert executed
+        assert {plan.seed for plan in executed} == {7}
 
 
 class TestParser:
@@ -121,6 +143,25 @@ class TestArgumentValidation:
             ["run", "--fault-spec", "kill=L@c0@100; kill=B@c1@50"])
         assert args.fault_spec == "kill=B@c1@50;kill=L@c0@100"
 
+    def test_gating_never_canonicalizes_to_empty(self):
+        args = build_parser().parse_args(["run", "--gating", "never"])
+        assert args.gating_policy == ""
+
+    @pytest.mark.parametrize("argv", [
+        # 'run' simulates exactly one --benchmark.
+        ["run", "--benchmarks", "gzip"],
+        # 'submit' never builds a local runner.
+        ["submit", "--workers", "2"],
+        ["submit", "--run-timeout", "5"],
+        ["submit", "--max-retries", "1"],
+        ["submit", "--no-cache"],
+        ["submit", "--telemetry"],
+        ["submit", "--trace-out", "t.json"],
+    ])
+    def test_rejects_flags_nothing_reads(self, argv, capsys):
+        err = self._error_of(argv, capsys)
+        assert "unrecognized arguments" in err
+
 
 class TestFaultCommands:
     def test_run_with_fault_spec_prints_degradation(self, capsys,
@@ -144,3 +185,31 @@ class TestFaultCommands:
         assert "degradation sweep" in out
         assert "fault-free" in out
         assert "L-plane kill" in out
+        # The spec column shows each row's canonical spelling.
+        row = next(line for line in out.splitlines()
+                   if line.strip().startswith("ber 1e-6 |"))
+        assert row.split("|")[1].strip() == "ber=1e-06"
+
+    def test_power_subcommand_renders_table(self, capsys, monkeypatch,
+                                            tmp_path):
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        code = main(["power", "--benchmarks", "gzip",
+                     "--instructions", "500", "--warmup", "120",
+                     "--gating", "idle:gate=128,drowsy=32"])
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "Plane-gating power sweep, model X" in out
+        header = next(line for line in out.splitlines()
+                      if line.startswith("Scenario"))
+        assert [cell.strip() for cell in header.split("|")] == [
+            "Scenario", "Policy", "IPC", "dIPC", "Leakage", "Dynamic",
+            "ED2", "wakes", "gated"]
+        rows = {line.split("|")[0].strip(): line
+                for line in out.splitlines() if "|" in line}
+        for label in ("always-on", "idle 64/256", "idle 16/64",
+                      "ewma h=64", "custom"):
+            assert label in rows
+        assert "idle:drowsy=32,gate=128" in rows["custom"]
+        # The always-on row is the baseline every column is relative to.
+        assert [cell.strip() for cell in rows["always-on"].split("|")][
+            3:7] == ["+0.0%", "100", "100", "100"]

@@ -2,6 +2,7 @@
 
 import os
 import time
+import types
 
 import pytest
 
@@ -126,6 +127,65 @@ class TestCrashes:
         assert failure.reason == "crash"
         assert failure.attempts == 3  # initial + 2 retries
         assert "3 attempt" in failure.describe()
+
+
+class TestExitRace:
+    def test_result_sent_just_before_exit_is_not_a_crash(self, tmp_path,
+                                                          monkeypatch):
+        """A worker that sends its result and exits between the
+        parent's pipe poll and its liveness check finished cleanly.
+
+        Scripted with a stub process/pipe pair: the first poll finds
+        the pipe empty, and the worker completes right after it, so
+        from then on the process is dead and the pipe holds the result.
+        """
+        plan = ExperimentPlan("I", "gzip", **WINDOW)
+        result = fake_run(plan)
+        state = {"done": False}
+
+        class StubPipe:
+            def poll(self, timeout=None):
+                ready = state["done"]
+                state["done"] = True  # the worker sends and exits now
+                return ready
+
+            def recv(self):
+                return ("ok", result, 0.01)
+
+            def close(self):
+                pass
+
+        class StubProcess:
+            exitcode = 0
+
+            def __init__(self, target, args):
+                pass
+
+            def start(self):
+                pass
+
+            def is_alive(self):
+                return not state["done"]
+
+            def join(self, timeout=None):
+                pass
+
+            def terminate(self):
+                pass
+
+        class Context:
+            Process = StubProcess
+
+            @staticmethod
+            def Pipe(duplex=True):
+                return StubPipe(), StubPipe()
+
+        monkeypatch.setattr("repro.harness.runner.multiprocessing",
+                            types.SimpleNamespace(get_context=Context))
+        runner = make_runner(tmp_path, run_timeout=10)
+        report = runner.run_many_report([plan], workers=2)
+        assert report.failures == ()
+        assert report.results[plan] == result
 
 
 class TestErrors:

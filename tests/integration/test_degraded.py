@@ -104,24 +104,21 @@ class TestWorkerCountDeterminism:
 
 class TestFaultSweep:
     def test_faultsweep_table_renders(self, tmp_path):
-        from repro.harness.faultsweep import (
-            FaultScenario,
-            render_faultsweep,
-            run_faultsweep,
+        from repro.harness.axissweep import (
+            FAULT_AXIS,
+            render_axis_sweep,
+            run_axis_sweep,
         )
 
         runner = ExperimentRunner(cache=ResultCache(tmp_path),
                                   verbose=False)
-        scenarios = (
-            FaultScenario("fault-free", ""),
-            FaultScenario("L kill", "kill=L@*@150"),
-        )
-        result = run_faultsweep(
-            runner, model_name="X", scenarios=scenarios,
-            benchmarks=("gzip",), instructions=500, warmup=120,
+        rows = (("fault-free", ""), ("L kill", "kill=L@*@150"))
+        result = run_axis_sweep(
+            runner, FAULT_AXIS, ExperimentPlan("X", "gzip", **WINDOW),
+            rows=rows, benchmarks=("gzip",),
         )
         assert result.report.ok
-        text = render_faultsweep(result)
+        text = render_axis_sweep(result)
         assert "L kill" in text and "fault-free" in text
         assert "killed" in text
         # The kill scenario must report dead planes in the table.

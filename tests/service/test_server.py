@@ -115,6 +115,28 @@ class TestValidation:
             client.submit([plan_for("gzip", model="dp@n90:B144:cw2")])
         assert excinfo.value.status == 400
 
+    def test_spec_spellings_share_one_job(self, fake_execute, serve):
+        client = serve().client()
+        plan = plan_for("gzip", model="X", fault_spec="ber=1e-06")
+        first = client.submit([plan])
+        respelled = dict(plan.to_dict(), fault_spec="ber=1e-6",
+                         gating_policy="never", latency_scale=1)
+        _status, decoded = client._request("POST", "/jobs",
+                                           {"plans": [respelled]})
+        assert decoded["job"]["job_id"] == first["job_id"]
+
+    @pytest.mark.parametrize("field, text", [
+        ("fault_spec", "kill=L@c0"),
+        ("gating_policy", "idle:bogus=1"),
+    ])
+    def test_malformed_spec_is_400(self, fake_execute, serve, field, text):
+        client = serve().client()
+        raw = dict(plan_for("gzip").to_dict(), **{field: text})
+        with pytest.raises(ServiceError) as excinfo:
+            client._request("POST", "/jobs", {"plans": [raw]})
+        assert excinfo.value.status == 400
+        assert f"bad {field}" in excinfo.value.message
+
     def test_unknown_benchmark_is_400(self, fake_execute, serve):
         client = serve().client()
         with pytest.raises(ServiceError) as excinfo:
