@@ -8,7 +8,6 @@ through the cached runner, so repeated invocations are cheap.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from dataclasses import fields
 from typing import List, Optional
@@ -857,20 +856,6 @@ def _cmd_explore(args: argparse.Namespace) -> int:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    # CLI runs default to the event-driven fast engine; REPRO_ENGINE in
-    # the environment (e.g. "scalar") still wins.  The override is
-    # scoped to this invocation so in-process callers (tests, notebooks)
-    # don't inherit a mutated environment.
-    preset = "REPRO_ENGINE" in os.environ
-    os.environ.setdefault("REPRO_ENGINE", "event")
-    try:
-        return _main(argv)
-    finally:
-        if not preset:
-            os.environ.pop("REPRO_ENGINE", None)
-
-
-def _main(argv: Optional[List[str]] = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     if argv and argv[0] == "lint":

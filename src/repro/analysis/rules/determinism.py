@@ -289,9 +289,9 @@ def check_id_ordering(ctx: FileContext) -> Iterator[Finding]:
 #: numpy reductions whose float result depends on accumulation order.
 #: The backend is free to vectorize, pairwise-split or thread these, so
 #: the same inputs can sum to different ULPs across numpy builds and
-#: CPUs -- fatal for the fast engine's bit-exactness contract (the
-#: scalar reference accumulates elementwise in Python order; see the
-#: VectorSteering docstring).
+#: CPUs -- fatal for reproducible results (the steering heuristic's
+#: numpy and Python scorers accumulate elementwise in the same order;
+#: see the :mod:`repro.clusters.steering` docstring).
 _NP_ORDER_SENSITIVE = {
     "numpy.sum", "numpy.nansum", "numpy.dot", "numpy.vdot",
     "numpy.inner", "numpy.matmul", "numpy.einsum", "numpy.mean",
@@ -322,14 +322,17 @@ def _sort_kind(node: ast.Call) -> Optional[str]:
 def check_numpy_nondeterminism(ctx: FileContext) -> Iterator[Finding]:
     """Vectorized simulator code must replicate scalar float behaviour.
 
-    The event engine's correctness contract is bit-exact equality with
-    the scalar reference tree, and float summation is not associative:
+    Simulated numbers are pinned bit for bit (the golden corpus), and
+    a hot path may take a numpy or a Python route depending on the
+    machine size (steering does, at ``NUMPY_MIN_CLUSTERS``); both must
+    produce the same floats.  Float summation is not associative:
     ``np.sum``/``np.dot`` and friends reduce in whatever order the
     build's SIMD/pairwise/threading heuristics pick, so the "same"
     computation can differ in the last ULP between machines -- and a
     one-ULP steering-score difference picks a different cluster.
     Vectorized hot paths must accumulate elementwise (``scores += w *
-    row``, as :class:`VectorSteering` does) or reduce in Python.
+    row``, as :class:`~repro.clusters.steering.SteeringHeuristic` does)
+    or reduce in Python.
     ``np.sort``/``np.argsort`` default to an unstable kind, so equal
     keys tie-break irreproducibly; pass ``kind="stable"`` or sort in
     Python.  Harness/analysis code (no reproduced numbers) is exempt.

@@ -12,18 +12,7 @@ import heapq
 from typing import Dict, List
 
 from ..core.instruction import DynInstr
-from ..workloads.trace import OpClass
-
-#: Functional-unit pool an op class issues to.
-FU_POOL: Dict[OpClass, str] = {
-    OpClass.IALU: "ialu",
-    OpClass.LOAD: "ialu",
-    OpClass.STORE: "ialu",
-    OpClass.BRANCH: "ialu",
-    OpClass.IMUL: "imul",
-    OpClass.FPALU: "fpalu",
-    OpClass.FPMUL: "fpmul",
-}
+from ..workloads.trace import FU_POOL, OpClass  # noqa: F401  (re-export)
 
 #: Units of each pool per cluster (Table 1: one of each kind).
 DEFAULT_FU_COUNTS: Dict[str, int] = {
@@ -37,7 +26,12 @@ def uses_fp_resources(op: OpClass) -> bool:
 
 
 class Cluster:
-    """Execution resources and the ready/issue machinery of one cluster."""
+    """Execution resources and the ready/issue machinery of one cluster.
+
+    Hot paths read the per-op constants stamped onto :class:`OpClass`
+    members (``op._fp``, ``op._pool``) instead of calling properties or
+    hashing the enum.
+    """
 
     def __init__(self, index: int, node: str, iq_size: int = 15,
                  regfile_size: int = 32,
@@ -62,7 +56,7 @@ class Cluster:
     # -- dispatch-side resource accounting ---------------------------------
 
     def can_accept(self, op: OpClass, has_dest: bool) -> bool:
-        if uses_fp_resources(op):
+        if op._fp:
             return self.free_fp_iq > 0 and (
                 not has_dest or self.free_fp_regs > 0
             )
@@ -72,11 +66,11 @@ class Cluster:
 
     def admit(self, instr: DynInstr) -> None:
         """Consume an issue-queue slot and a destination register."""
-        op = instr.op
+        op = instr.rec.op
         has_dest = instr.rec.dest >= 0
         if not self.can_accept(op, has_dest):
             raise RuntimeError(f"cluster {self.index} has no room for {op}")
-        if uses_fp_resources(op):
+        if op._fp:
             self.free_fp_iq -= 1
             if has_dest:
                 self.free_fp_regs -= 1
@@ -91,21 +85,20 @@ class Cluster:
         """Free the destination register at commit."""
         if instr.rec.dest < 0:
             return
-        if uses_fp_resources(instr.op):
+        if instr.rec.op._fp:
             self.free_fp_regs = min(self.regfile_size, self.free_fp_regs + 1)
         else:
             self.free_int_regs = min(self.regfile_size, self.free_int_regs + 1)
 
     def free_iq_entries(self, op: OpClass) -> int:
         """Load-balance input to the steering heuristic."""
-        return self.free_fp_iq if uses_fp_resources(op) else self.free_int_iq
+        return self.free_fp_iq if op._fp else self.free_int_iq
 
     # -- issue-side ----------------------------------------------------------
 
     def make_ready(self, instr: DynInstr) -> None:
         """All operands available in this cluster: eligible for selection."""
-        pool = FU_POOL[instr.op]
-        heapq.heappush(self._ready[pool], instr.seq)
+        heapq.heappush(self._ready[instr.rec.op._pool], instr.seq)
         self._ready_instrs[instr.seq] = instr
 
     def select(self) -> List[DynInstr]:
@@ -114,23 +107,27 @@ class Cluster:
         Frees the issue-queue entries of the selected instructions.
         """
         selected: List[DynInstr] = []
+        ready_instrs = self._ready_instrs
+        heappop = heapq.heappop
         for pool, heap in self._ready.items():
+            if not heap:
+                continue
             budget = self.fu_counts[pool]
             while budget > 0 and heap:
-                seq = heapq.heappop(heap)
-                instr = self._ready_instrs.pop(seq)
+                seq = heappop(heap)
+                instr = ready_instrs.pop(seq)
                 instr.issued = True
                 selected.append(instr)
                 budget -= 1
                 self.issued_count += 1
-                if uses_fp_resources(instr.op):
+                if instr.rec.op._fp:
                     self.free_fp_iq = min(self.iq_size, self.free_fp_iq + 1)
                 else:
                     self.free_int_iq = min(self.iq_size, self.free_int_iq + 1)
         return selected
 
     def has_ready(self) -> bool:
-        return any(self._ready.values())
+        return bool(self._ready_instrs)
 
     def occupancy(self) -> int:
         """Issue-queue entries in use (int + fp)."""

@@ -12,12 +12,21 @@ While dispatching, the heuristic assigns each cluster a weight built from:
 
 The instruction goes to the heaviest cluster; if that cluster has no free
 register or issue-queue entry, to the nearest cluster that has both.
+
+Scoring is a flattened Python loop on small machines and numpy passes
+over precomputed affinity rows from
+:attr:`SteeringHeuristic.NUMPY_MIN_CLUSTERS` clusters up (the paper's
+16-cluster configurations).  Both paths produce every cluster's score
+by the same sequence of IEEE-754 operations -- per-element
+multiply-then-add, no reductions, no reassociation (simlint SIM106) --
+so the choice does not depend on which path ran.  numpy is imported on
+first use, so small machines never load it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 from ..core.instruction import DynInstr
 from ..interconnect.topology import CACHE_NODE, Topology, cluster_node
@@ -43,6 +52,10 @@ class SteeringWeights:
 class SteeringHeuristic:
     """Weight-based cluster assignment."""
 
+    #: Below this cluster count the flattened loop beats numpy's
+    #: per-call overhead; at or above it the numpy path wins.
+    NUMPY_MIN_CLUSTERS = 8
+
     def __init__(self, clusters: Sequence[Cluster], topology: Topology,
                  weights: SteeringWeights | None = None,
                  criticality: CriticalityPredictor | None = None,
@@ -54,7 +67,7 @@ class SteeringHeuristic:
         self.criticality = criticality or CriticalityPredictor()
         self.telemetry = telemetry if telemetry is not None \
             else NULL_TELEMETRY
-        n = len(self.clusters)
+        n = self._n = len(self.clusters)
         # Distance proxies from the topology: link-lengths spanned.
         self._cache_distance = [
             topology.path(cluster_node(i), CACHE_NODE).energy_weight
@@ -84,19 +97,43 @@ class SteeringHeuristic:
         self._cache_affinity = [
             min_cache / d for d in self._cache_distance
         ]
+        #: Overflow scan order per preferred cluster: nearest first,
+        #: ties by index.
+        self._orders: Tuple[Tuple[int, ...], ...] = tuple(
+            tuple(sorted(
+                range(n),
+                key=lambda j, o=origin: (self._cluster_distance[o][j], j),
+            ))
+            for origin in range(n)
+        )
         self.steered = 0
         self.overflowed = 0
         # Accumulated per-cluster penalties from degraded (faulted)
         # links; zero-cost on the healthy path.
         self._link_penalty = [0.0] * n
         self._any_degraded = False
+        self._np = None
+        if n >= self.NUMPY_MIN_CLUSTERS:
+            import numpy as np
+
+            self._np = np
+            self._aff_np = np.asarray(self._affinity, dtype=np.float64)
+            self._cache_aff_np = np.asarray(self._cache_affinity,
+                                            dtype=np.float64)
+            self._iq_np = np.asarray(
+                [c.iq_size for c in self.clusters], dtype=np.float64
+            )
+            self._penalty_np = np.zeros(n, dtype=np.float64)
 
     def note_degraded_link(self, cluster_index: int,
                            cycle: int = 0) -> None:
         """A wire plane on this cluster's link died: steer away from it."""
-        if 0 <= cluster_index < len(self._link_penalty):
+        if 0 <= cluster_index < self._n:
             self._link_penalty[cluster_index] += self.weights.degraded_link
             self._any_degraded = True
+            if self._np is not None:
+                self._penalty_np[cluster_index] = \
+                    self._link_penalty[cluster_index]
             tel = self.telemetry
             if tel.enabled:
                 tel.count("steering.degraded_penalties")
@@ -113,46 +150,36 @@ class SteeringHeuristic:
         ``producers`` are (source register, in-flight producer) pairs for
         the instruction's not-yet-architected inputs.
         """
-        w = self.weights
-        scores = [0.0] * len(self.clusters)
+        clusters = self.clusters
+        op = instr.rec.op
+        if self._np is not None:
+            scores, free = self._score_np(producers, op)
+        else:
+            scores, free = self._score(producers, op)
 
-        for _, producer in producers:
-            if 0 <= producer.cluster < len(scores):
-                affinity = self._affinity[producer.cluster]
-                for c in range(len(scores)):
-                    scores[c] += w.dependence * affinity[c]
+        # argmax over (score, free IQ entries, earliest index).
+        best = 0
+        best_score = scores[0]
+        best_free = free[0]
+        for i in range(1, self._n):
+            score = scores[i]
+            if score > best_score or (score == best_score
+                                      and free[i] > best_free):
+                best = i
+                best_score = score
+                best_free = free[i]
 
-        if len(producers) > 1:
-            pcs = [p.rec.pc for _, p in producers]
-            critical = self.criticality.pick_critical(pcs)
-            if critical is not None:
-                producer = producers[critical][1]
-                if 0 <= producer.cluster < len(scores):
-                    affinity = self._affinity[producer.cluster]
-                    for c in range(len(scores)):
-                        scores[c] += w.critical_bonus * affinity[c]
-
-        op = instr.op
-        for cluster in self.clusters:
-            share = cluster.free_iq_entries(op) / cluster.iq_size
-            scores[cluster.index] += w.load_balance * share
-
-        if op.is_memory:
-            for cluster in self.clusters:
-                proximity = self._cache_affinity[cluster.index]
-                scores[cluster.index] += w.cache_proximity * proximity
-
-        if self._any_degraded:
-            for c, penalty in enumerate(self._link_penalty):
-                scores[c] -= penalty
-
-        best = self._argmax(scores, op)
         has_dest = instr.rec.dest >= 0
-        chosen = self.clusters[best]
+        chosen = clusters[best]
         if chosen.can_accept(op, has_dest):
             self.steered += 1
             return chosen
-        fallback = self._nearest_with_room(best, op, has_dest)
+        fallback = None
+        for j in self._orders[best]:
+            cluster = clusters[j]
+            if cluster.can_accept(op, has_dest):
+                fallback = cluster
+                break
         if fallback is not None:
             self.overflowed += 1
             tel = self.telemetry
@@ -166,26 +193,84 @@ class SteeringHeuristic:
                 })
         return fallback
 
-    def _argmax(self, scores: List[float], op) -> int:
-        best = 0
-        best_key = None
-        for i, score in enumerate(scores):
-            key = (score, self.clusters[i].free_iq_entries(op), -i)
-            if best_key is None or key > best_key:
-                best, best_key = i, key
-        return best
+    # -- scoring -----------------------------------------------------------
 
-    def _nearest_with_room(self, origin: int, op,
-                           has_dest: bool) -> Optional[Cluster]:
-        order = sorted(
-            range(len(self.clusters)),
-            key=lambda j: (self._cluster_distance[origin][j], j),
-        )
-        for j in order:
-            cluster = self.clusters[j]
-            if cluster.can_accept(op, has_dest):
-                return cluster
-        return None
+    def _score(self, producers, op):
+        """Flattened scoring: (per-cluster scores, free IQ entries)."""
+        n = self._n
+        clusters = self.clusters
+        w = self.weights
+        scores = [0.0] * n
+        for _, producer in producers:
+            home = producer.cluster
+            if 0 <= home < n:
+                affinity = self._affinity[home]
+                dep = w.dependence
+                for c in range(n):
+                    scores[c] += dep * affinity[c]
+        if len(producers) > 1:
+            pcs = [p.rec.pc for _, p in producers]
+            critical = self.criticality.pick_critical(pcs)
+            if critical is not None:
+                home = producers[critical][1].cluster
+                if 0 <= home < n:
+                    affinity = self._affinity[home]
+                    bonus = w.critical_bonus
+                    for c in range(n):
+                        scores[c] += bonus * affinity[c]
+        balance = w.load_balance
+        free = [0] * n
+        if op._fp:
+            for i in range(n):
+                cluster = clusters[i]
+                entries = cluster.free_fp_iq
+                free[i] = entries
+                scores[i] += balance * (entries / cluster.iq_size)
+        else:
+            for i in range(n):
+                cluster = clusters[i]
+                entries = cluster.free_int_iq
+                free[i] = entries
+                scores[i] += balance * (entries / cluster.iq_size)
+        if op._mem:
+            proximity_w = w.cache_proximity
+            cache_affinity = self._cache_affinity
+            for i in range(n):
+                scores[i] += proximity_w * cache_affinity[i]
+        if self._any_degraded:
+            penalties = self._link_penalty
+            for i in range(n):
+                scores[i] -= penalties[i]
+        return scores, free
+
+    def _score_np(self, producers, op):
+        """Numpy scoring, the same operations as :meth:`_score`."""
+        np = self._np
+        n = self._n
+        w = self.weights
+        scores = np.zeros(n, dtype=np.float64)
+        for _, producer in producers:
+            home = producer.cluster
+            if 0 <= home < n:
+                scores += w.dependence * self._aff_np[home]
+        if len(producers) > 1:
+            pcs = [p.rec.pc for _, p in producers]
+            critical = self.criticality.pick_critical(pcs)
+            if critical is not None:
+                home = producers[critical][1].cluster
+                if 0 <= home < n:
+                    scores += w.critical_bonus * self._aff_np[home]
+        if op._fp:
+            free = [c.free_fp_iq for c in self.clusters]
+        else:
+            free = [c.free_int_iq for c in self.clusters]
+        free_np = np.asarray(free, dtype=np.float64)
+        scores += w.load_balance * (free_np / self._iq_np)
+        if op._mem:
+            scores += w.cache_proximity * self._cache_aff_np
+        if self._any_degraded:
+            scores -= self._penalty_np
+        return scores.tolist(), free
 
     def train_criticality(self, last_pc: int,
                           other_pcs: Sequence[int]) -> None:

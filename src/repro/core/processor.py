@@ -16,22 +16,31 @@ Ties every substrate together into a cycle-level model:
 Phase order within a cycle: deliveries -> scheduled events -> commit ->
 issue -> dispatch -> fetch -> network arbitration.  Scheduled events are
 always strictly in the future, so the wheel never re-enters a cycle.
+
+Execution strategy (none of it changes what happens, only when the host
+does the work):
+
+* the front end replays a precomputed
+  :class:`~repro.workloads.annotate.AnnotatedTrace`;
+* pending work lives in an :class:`~repro.core.wheel.EventWheel`; when
+  no stage can make progress, the core jumps straight to the next cycle
+  holding an event instead of stepping through idle cycles;
+* network transfers come from a free list and dispatch their arrivals
+  through per-kind handler tables instead of per-transfer closures.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Deque, Dict, List, Optional, Tuple
+from typing import Deque, Dict, Iterable, List, Optional, Union
 
 from ..clusters.cluster import Cluster
 from ..clusters.steering import SteeringHeuristic, SteeringWeights
-from ..frontend.bpred import BranchTargetBuffer, CombinedPredictor
 from ..frontend.fetch import FetchUnit
 from ..interconnect.message import Transfer, TransferKind
 from ..interconnect.network import Network
 from ..interconnect.topology import CACHE_NODE, cluster_node
-from ..memory.cache import SetAssocCache
 from ..memory.depspec import MemoryDependencePredictor
 from ..memory.hierarchy import HitLevel, MemoryHierarchy
 from ..memory.lsq import LoadStoreQueue
@@ -40,16 +49,33 @@ from ..operands.frequent import FrequentValueTable
 from ..operands.narrow import NarrowWidthPredictor
 from ..telemetry import NULL_TELEMETRY, EventKind, Telemetry
 from ..wires import WireClass
-from ..workloads.trace import (
-    EXECUTION_LATENCY,
-    NUM_ARCH_REGS,
-    InstructionRecord,
-)
+from ..workloads.annotate import AnnotatedTrace
+from ..workloads.trace import NUM_ARCH_REGS, InstructionRecord, OpClass
 from .config import InterconnectConfig, ProcessorConfig
-from .instruction import DynInstr, is_producer
+from .instruction import DynInstr
+from .wheel import EventWheel
 
 #: Abort if commit makes no progress for this many cycles.
 DEADLOCK_HORIZON = 50_000
+
+#: Post-prewarm cache images, keyed by (region tuple, cache geometry):
+#: {set index: tag tuple}.  A sweep rebuilds identical processors per
+#: benchmark; restoring the analytic warmup from a snapshot is much
+#: cheaper than recomputing it per cache set.
+_PREWARM_CACHE: dict = {}
+
+
+def _prewarm_cached(cache, regions) -> None:
+    key = (regions, cache.num_sets, cache.assoc, cache.line_size)
+    image = _PREWARM_CACHE.get(key)
+    if image is None:
+        for base, size in regions:
+            cache.prewarm_region(base, size)
+        _PREWARM_CACHE[key] = {
+            index: tuple(tags) for index, tags in cache._sets.items()
+        }
+    else:
+        cache._sets = {index: list(tags) for index, tags in image.items()}
 
 
 @dataclass
@@ -76,39 +102,39 @@ class ProcessorStats:
 
 
 class ClusteredProcessor:
-    """Cycle-level model of the paper's evaluation platform."""
+    """Cycle-level model of the paper's evaluation platform.
 
-    #: Substrate classes, overridable by alternative engines (the
-    #: event-driven core swaps in fast subclasses; the scalar reference
-    #: tree itself stays untouched).
-    NETWORK_CLS = Network
-    CLUSTER_CLS = Cluster
-    STEERING_CLS = SteeringHeuristic
-    LSQ_CLS = LoadStoreQueue
+    ``trace`` is an :class:`AnnotatedTrace` (see
+    :func:`~repro.workloads.annotate.annotated_trace`) or any iterator of
+    instruction records, which is annotated with this configuration's
+    I-cache.
+    """
 
     def __init__(self, config: ProcessorConfig,
                  interconnect: InterconnectConfig,
-                 supply, seed_tag: str = "",
+                 trace: Union[AnnotatedTrace, Iterable[InstructionRecord]],
                  faults: Optional["FaultInjector"] = None,
                  telemetry: Optional[Telemetry] = None,
                  gating=None) -> None:
+        if not isinstance(trace, AnnotatedTrace):
+            trace = AnnotatedTrace(
+                trace, (config.icache_size_kb, config.icache_assoc))
+        self._trace = trace
         self.config = config
         self.telemetry = telemetry if telemetry is not None \
             else NULL_TELEMETRY
         self.topology = config.build_topology()
         composition = interconnect.build_composition()
-        self.network = self.NETWORK_CLS(self.topology, composition,
-                                        interconnect.flags,
-                                        injector=faults,
-                                        telemetry=self.telemetry,
-                                        gating=gating)
+        self.network = Network(self.topology, composition,
+                               interconnect.flags, injector=faults,
+                               telemetry=self.telemetry, gating=gating)
         self.network.on_plane_kill = self._plane_killed
         self.clusters = [
-            self.CLUSTER_CLS(i, cluster_node(i), config.issue_queue_size,
-                             config.regfile_size)
+            Cluster(i, cluster_node(i), config.issue_queue_size,
+                    config.regfile_size)
             for i in range(config.num_clusters)
         ]
-        self.steering = self.STEERING_CLS(
+        self.steering = SteeringHeuristic(
             self.clusters, self.topology, SteeringWeights(),
             telemetry=self.telemetry,
         )
@@ -122,27 +148,27 @@ class ClusteredProcessor:
             MemoryDependencePredictor()
             if config.memory_dependence_speculation else None
         )
-        self.lsq = self.LSQ_CLS(
+        self.lsq = LoadStoreQueue(
             self.cache_pipeline, config.lsq_size,
             partial_enabled=partial,
             load_done=self._load_data_ready,
             dependence_predictor=self.dependence_predictor,
             on_violation=self._ordering_violation,
         )
-        icache = SetAssocCache(config.icache_size_kb * 1024,
-                               config.icache_assoc, 64, name="L1I")
         self.fetch = FetchUnit(
-            supply,
-            predictor=CombinedPredictor(),
-            btb=BranchTargetBuffer(),
-            icache=icache,
+            trace,
             width=config.fetch_width,
             queue_size=config.fetch_queue_size,
             max_blocks=config.max_fetch_blocks,
             refill_penalty=config.frontend_refill,
             icache_miss_penalty=config.icache_miss_penalty,
         )
+        #: Holds the narrow predictor's accuracy counters as of the last
+        #: run (the annotation made the predictions ahead of time).
         self.narrow_predictor = NarrowWidthPredictor()
+        #: predict_and_train calls replayed so far; indexes the
+        #: annotation's narrow-counter prefix snapshots.
+        self._narrow_calls = 0
         # Frequent-value compaction (extension, off unless the policy
         # enables it).  One logical table, assumed replicated coherently
         # at every cluster -- updates are a deterministic function of
@@ -153,26 +179,42 @@ class ClusteredProcessor:
         )
         self.rename: List[Optional[DynInstr]] = [None] * (2 * NUM_ARCH_REGS)
         self.rob: Deque[DynInstr] = deque()
-        self._events: Dict[int, List[Callable[[], None]]] = {}
+        self._wheel = EventWheel()
         self.cycle = 0
         self.stats = ProcessorStats()
-        self._measuring = True
         self._last_commit_cycle = 0
         self._node_of = [cluster_node(i) for i in range(config.num_clusters)]
+        self._pool: List[Transfer] = []
+        net = self.network
+        net.pool = self._pool
+        net.partial_handlers = {
+            TransferKind.LOAD_ADDRESS: self._arrive_partial_address,
+            TransferKind.STORE_ADDRESS: self._arrive_partial_address,
+        }
+        net.final_handlers = {
+            TransferKind.OPERAND: self._arrive_operand,
+            TransferKind.LOAD_ADDRESS: self._arrive_full_address,
+            TransferKind.STORE_ADDRESS: self._arrive_full_address,
+            TransferKind.STORE_DATA: self._arrive_store_data,
+            TransferKind.LOAD_DATA: self._arrive_load_data,
+            TransferKind.MISPREDICT: self._arrive_redirect,
+        }
 
-    def prewarm(self, footprint) -> None:
-        """Analytically warm the caches over a workload's data regions.
+    def prewarm(self, footprint=None) -> None:
+        """Analytically warm the caches over a workload's data regions
+        (default: the trace's footprint).
 
         Stands in for the paper's long warmup phase: the L2 holds
         whatever one pass over each region leaves resident; the L1 gets
         the (small) last region, typically the stack.  Short simulated
         warmup then settles the L1, TLB and predictors.
         """
-        for base, size in footprint:
-            self.hierarchy.l2.prewarm_region(base, size)
-        if footprint:
-            base, size = footprint[-1]
-            self.hierarchy.l1.prewarm_region(base, size)
+        if footprint is None:
+            footprint = self._trace.footprint
+        regions = tuple(footprint)
+        _prewarm_cached(self.hierarchy.l2, regions)
+        if regions:
+            _prewarm_cached(self.hierarchy.l1, regions[-1:])
 
     def _plane_killed(self, channel: str, plane: WireClass,
                       cycle: int) -> None:
@@ -180,13 +222,6 @@ class ClusteredProcessor:
         node = channel.split(":", 1)[0]
         if node.startswith("c") and node[1:].isdigit():
             self.steering.note_degraded_link(int(node[1:]), cycle)
-
-    # -- events ------------------------------------------------------------
-
-    def _schedule(self, cycle: int, fn: Callable[[], None]) -> None:
-        if cycle <= self.cycle:
-            cycle = self.cycle + 1
-        self._events.setdefault(cycle, []).append(fn)
 
     # -- top-level driver -----------------------------------------------------
 
@@ -203,34 +238,104 @@ class ClusteredProcessor:
             self._run_until(self.stats.committed + warmup, max_cycles)
             self.reset_measurement()
         self._run_until(self.stats.committed + instructions, max_cycles)
+        # The annotation trained the narrow predictor ahead of time; the
+        # run's timing decides where it stops, so install the accuracy
+        # counters as of this run's last predict_and_train call.
+        npred = self.narrow_predictor
+        (npred.narrow_results,
+         npred.narrow_predicted_and_narrow,
+         npred.predicted_narrow,
+         npred.predicted_narrow_but_wide) = \
+            self._trace.narrow_prefix[self._narrow_calls]
+        self.network.stats.flush()
         return self.stats
 
     def _run_until(self, target_committed: int,
                    max_cycles: Optional[int]) -> None:
-        while self.stats.committed < target_committed:
-            if max_cycles is not None and self.stats.cycles >= max_cycles:
+        stats = self.stats
+        wheel = self._wheel
+        net = self.network
+        fetch = self.fetch
+        lsq = self.lsq
+        rob = self.rob
+        clusters = self.clusters
+        while stats.committed < target_committed:
+            if max_cycles is not None and stats.cycles >= max_cycles:
                 break
             self.step()
             if self.cycle - self._last_commit_cycle > DEADLOCK_HORIZON:
                 raise RuntimeError(
                     f"no commit for {DEADLOCK_HORIZON} cycles at cycle "
-                    f"{self.cycle}; rob={len(self.rob)}, "
-                    f"head={self.rob[0] if self.rob else None}"
+                    f"{self.cycle}; rob={len(rob)}, "
+                    f"head={rob[0] if rob else None}"
                 )
+            # Idle-skip: if no stage can make progress next cycle, jump
+            # straight to the next cycle holding pending work.  Every
+            # check is conservative -- any doubt means "step normally".
+            if fetch.queue:
+                continue
+            if fetch._redirect_seq is None and self.cycle >= fetch._resume_cycle:
+                continue
+            if net._active or net._active_chans:
+                continue
+            if rob:
+                head = rob[0]
+                if head.completed and (
+                        head.rec.op is not OpClass.STORE
+                        or lsq.store_ready_to_commit(head)):
+                    continue
+            busy = False
+            for cluster in clusters:
+                if cluster._ready_instrs:
+                    busy = True
+                    break
+            if busy:
+                continue
+            target = wheel.next_cycle()
+            net_next = net.next_event_cycle()
+            if net_next is not None and (target is None or net_next < target):
+                target = net_next
+            if fetch._redirect_seq is None and fetch._resume_cycle > self.cycle:
+                if target is None or fetch._resume_cycle < target:
+                    target = fetch._resume_cycle
+            if target is None or target <= self.cycle:
+                continue
+            if max_cycles is not None:
+                limit = self.cycle + (max_cycles - stats.cycles)
+                if target > limit:
+                    target = limit
+            horizon = self._last_commit_cycle + DEADLOCK_HORIZON + 1
+            if target > horizon:
+                target = horizon
+            if target > self.cycle:
+                stats.cycles += target - self.cycle
+                self.cycle = target
 
     def step(self) -> None:
         """Advance one cycle."""
         cycle = self.cycle
-        self.network.deliver_due(cycle)
-        events = self._events.pop(cycle, None)
-        if events:
-            for fn in events:
-                fn()
-        self._commit(cycle)
-        self._issue(cycle)
-        self._dispatch(cycle)
-        self.fetch.tick(cycle)
-        self.network.tick(cycle)
+        net = self.network
+        deliveries = net._deliveries
+        if deliveries and deliveries[0][0] <= cycle:
+            net.deliver_due(cycle)
+        for entry in self._wheel.pop_due(cycle):
+            if entry is not None:
+                fn, arg = entry
+                fn(arg)
+        rob = self.rob
+        if rob and rob[0].completed:
+            self._commit(cycle)
+        for cluster in self.clusters:
+            if cluster._ready_instrs:
+                self._issue(cluster, cycle)
+        fetch = self.fetch
+        if fetch.queue:
+            self._dispatch(cycle)
+        if fetch._redirect_seq is None and cycle >= fetch._resume_cycle:
+            fetch.tick(cycle)
+        if (net._active or net._active_chans or net._pending_kills
+                or net._retries):
+            net.tick(cycle)
         self.stats.cycles += 1
         self.cycle = cycle + 1
 
@@ -251,70 +356,76 @@ class ClusteredProcessor:
     def _dispatch(self, cycle: int) -> None:
         budget = self.config.dispatch_width
         queue = self.fetch.queue
+        stats = self.stats
+        rob = self.rob
+        rob_size = self.config.rob_size
+        lsq = self.lsq
+        rename = self.rename
+        narrow_pred = self._trace.narrow_pred
+        fv = self.frequent_values
         while budget > 0 and queue:
-            if len(self.rob) >= self.config.rob_size:
-                self.stats.dispatch_stalls += 1
+            if len(rob) >= rob_size:
+                stats.dispatch_stalls += 1
                 return
             instr = queue[0]
-            if instr.op.is_memory and not self.lsq.has_room():
-                self.stats.dispatch_stalls += 1
+            rec = instr.rec
+            op = rec.op
+            if op._mem and not lsq.has_room():
+                stats.dispatch_stalls += 1
                 return
-            producers = self._inflight_producers(instr.rec)
+            producers = []
+            for reg in rec.srcs:
+                producer = rename[reg]
+                if producer is not None and not producer.committed:
+                    producers.append((reg, producer))
             cluster = self.steering.choose(instr, producers, cycle)
             if cluster is None:
-                self.stats.dispatch_stalls += 1
+                stats.dispatch_stalls += 1
                 return
             queue.popleft()
             budget -= 1
             cluster.admit(instr)
             instr.dispatch_cycle = cycle
-            self.rob.append(instr)
-            if instr.op.is_memory:
-                self.lsq.allocate(instr)
-            if instr.rec.writes_int_register:
-                instr.narrow_predicted = self.narrow_predictor.predict_and_train(
-                    instr.rec.pc, instr.rec.is_narrow
-                )
-                if self.frequent_values is not None:
-                    self.frequent_values.observe(instr.rec.value)
+            rob.append(instr)
+            if op._mem:
+                lsq.allocate(instr)
+            if rec.writes_int_register:
+                # Replay the annotation's prediction: in-order dispatch
+                # makes this the (narrow_calls)-th predict_and_train call
+                # in stream order.
+                instr.narrow_predicted = narrow_pred[instr.seq] != 0
+                self._narrow_calls += 1
+                if fv is not None:
+                    fv.observe(rec.value)
             self._rename(instr, producers, cluster, cycle)
-            if instr.rec.dest >= 0:
-                self.rename[instr.rec.dest] = instr
+            if rec.dest >= 0:
+                rename[rec.dest] = instr
 
-    def _inflight_producers(
-        self, rec: InstructionRecord
-    ) -> List[Tuple[int, DynInstr]]:
-        producers = []
-        for reg in rec.srcs:
-            producer = self.rename[reg]
-            if is_producer(producer):
-                producers.append((reg, producer))
-        return producers
-
-    def _rename(self, instr: DynInstr,
-                producers: List[Tuple[int, DynInstr]],
-                cluster: Cluster, cycle: int) -> None:
+    def _rename(self, instr: DynInstr, producers, cluster: Cluster,
+                cycle: int) -> None:
         outstanding = 0
         data_outstanding = 0
         home = cluster.index
         pcs = []
+        rename = self.rename
         # A store's first source is its address operand (gates AGEN and
         # issue); remaining sources are the data value, which ships to
         # the LSQ independently of issue.
-        is_store = instr.is_store
+        is_store = instr.rec.op is OpClass.STORE
         for idx, reg in enumerate(instr.rec.srcs):
-            producer = self.rename[reg]
-            if not is_producer(producer):
+            producer = rename[reg]
+            if producer is None or producer.committed:
                 continue
             pcs.append(producer.rec.pc)
             is_data = is_store and idx >= 1
-            if producer.available_in(home, cycle):
+            avail = producer.avail_cycle.get(home, -1)
+            if avail != -1 and avail <= cycle:
                 continue
             if is_data:
                 data_outstanding += 1
             else:
                 outstanding += 1
-            producer.add_waiter(home, instr, is_data=is_data)
+            producer.waiters.setdefault(home, []).append((instr, is_data))
             if (producer.completed and home != producer.cluster
                     and home not in producer.transfer_started):
                 # Value already sitting in a remote register file at
@@ -325,30 +436,24 @@ class ClusteredProcessor:
         instr.producer_pcs = pcs
         instr.outstanding = outstanding
         instr.data_outstanding = data_outstanding
-        if instr.is_store and data_outstanding == 0:
-            self._schedule(cycle + 1, lambda i=instr: self._send_store_data(i))
+        if is_store and data_outstanding == 0:
+            self._wheel.schedule(cycle + 1, self._send_store_data, instr)
         if outstanding == 0:
             cluster.make_ready(instr)
 
     # -- issue and execute --------------------------------------------------------
 
-    def _issue(self, cycle: int) -> None:
-        for cluster in self.clusters:
-            if not cluster.has_ready():
-                continue
-            for instr in cluster.select():
-                instr.issue_cycle = cycle
-                op = instr.op
-                if op.is_memory:
-                    agen_done = cycle + EXECUTION_LATENCY[op]
-                    instr.addr_known_cycle = agen_done
-                    self._schedule(
-                        agen_done,
-                        lambda i=instr: self._send_address(i),
-                    )
-                else:
-                    done = cycle + EXECUTION_LATENCY[op]
-                    self._schedule(done, lambda i=instr: self._complete(i))
+    def _issue(self, cluster: Cluster, cycle: int) -> None:
+        wheel = self._wheel
+        for instr in cluster.select():
+            instr.issue_cycle = cycle
+            op = instr.rec.op
+            done = cycle + op._lat
+            if op._mem:
+                instr.addr_known_cycle = done
+                wheel.schedule(done, self._send_address, instr)
+            else:
+                wheel.schedule(done, self._complete, instr)
 
     def _complete(self, instr: DynInstr) -> None:
         """A non-memory instruction finished executing."""
@@ -386,37 +491,57 @@ class ClusteredProcessor:
                               if pc != producer.rec.pc]
                     self.steering.train_criticality(producer.rec.pc, others)
 
+    # -- pooled transfers -------------------------------------------------------
+
+    def _acquire(self, kind: TransferKind, src: str, dst: str,
+                 seq: int, payload) -> Transfer:
+        pool = self._pool
+        if pool:
+            t = pool.pop()
+            t.kind = kind
+            t.src = src
+            t.dst = dst
+            t.bits = kind._bits
+            t.seq = seq
+            t.ready_at_dispatch = False
+            t.narrow_predicted = False
+            t.narrow_actual = False
+            t.fv_encodable = False
+            t.payload = payload
+        else:
+            t = Transfer(kind=kind, src=src, dst=dst, seq=seq,
+                         payload=payload)
+            t._pooled = True
+        return t
+
     # -- operand transport -----------------------------------------------------
 
     def _start_operand_transfer(self, producer: DynInstr, target: int,
                                 cycle: int, ready_at_dispatch: bool) -> None:
         producer.transfer_started.add(target)
         self.stats.cross_cluster_operands += 1
-        transfer = Transfer(
-            kind=TransferKind.OPERAND,
-            src=self._node_of[producer.cluster],
-            dst=self._node_of[target],
-            ready_at_dispatch=ready_at_dispatch,
-            narrow_predicted=producer.narrow_predicted,
-            narrow_actual=producer.rec.is_narrow,
-            fv_encodable=self._fv_encodable(producer),
-            seq=producer.seq,
-            on_arrival=lambda arrival, p=producer, t=target:
-                self._operand_arrived(p, t, arrival),
-        )
-        self.network.submit(transfer, cycle)
+        t = self._acquire(TransferKind.OPERAND,
+                          self._node_of[producer.cluster],
+                          self._node_of[target],
+                          producer.seq, producer)
+        t.ready_at_dispatch = ready_at_dispatch
+        t.narrow_predicted = producer.narrow_predicted
+        t.narrow_actual = producer.rec.is_narrow
+        if self.frequent_values is not None:
+            t.fv_encodable = self._fv_encodable(producer)
+        t._target = target
+        self.network.submit(t, cycle)
 
     def _fv_encodable(self, producer: DynInstr) -> bool:
         """Can this result travel as a frequent-value index?"""
-        if self.frequent_values is None:
-            return False
         rec = producer.rec
         return rec.writes_int_register and self.frequent_values.contains(
             rec.value
         )
 
-    def _operand_arrived(self, producer: DynInstr, target: int,
-                         arrival: int) -> None:
+    def _arrive_operand(self, transfer: Transfer, arrival: int) -> None:
+        producer = transfer.payload
+        target = transfer._target
         producer.avail_cycle[target] = arrival
         self._wake_cluster(producer, target, arrival)
 
@@ -425,68 +550,69 @@ class ClusteredProcessor:
     def _send_address(self, instr: DynInstr) -> None:
         """AGEN finished: ship the effective address to the LSQ/cache."""
         cycle = self.cycle
-        kind = (TransferKind.LOAD_ADDRESS if instr.is_load
-                else TransferKind.STORE_ADDRESS)
-        addr = instr.rec.addr
-        transfer = Transfer(
-            kind=kind,
-            src=self._node_of[instr.cluster],
-            dst=CACHE_NODE,
-            seq=instr.seq,
-            on_partial_arrival=lambda t, i=instr, a=addr:
-                self.lsq.on_partial_address(i, a, t),
-            on_arrival=lambda t, i=instr, a=addr:
-                self.lsq.on_full_address(i, a, t),
-        )
-        self.network.submit(transfer, cycle)
-        if instr.is_store:
+        is_store = instr.rec.op is OpClass.STORE
+        kind = (TransferKind.STORE_ADDRESS if is_store
+                else TransferKind.LOAD_ADDRESS)
+        t = self._acquire(kind, self._node_of[instr.cluster], CACHE_NODE,
+                          instr.seq, instr)
+        self.network.submit(t, cycle)
+        if is_store:
             instr.completed = True
             instr.complete_cycle = cycle
 
+    def _arrive_partial_address(self, transfer: Transfer,
+                                arrival: int) -> None:
+        instr = transfer.payload
+        self.lsq.on_partial_address(instr, instr.rec.addr, arrival)
+
+    def _arrive_full_address(self, transfer: Transfer, arrival: int) -> None:
+        instr = transfer.payload
+        self.lsq.on_full_address(instr, instr.rec.addr, arrival)
+
     def _send_store_data(self, instr: DynInstr) -> None:
         """The store's data value is in its cluster: ship it to the LSQ."""
-        data = Transfer(
-            kind=TransferKind.STORE_DATA,
-            src=self._node_of[instr.cluster],
-            dst=CACHE_NODE,
-            seq=instr.seq,
-            on_arrival=lambda t, i=instr: self.lsq.on_store_data(i, t),
-        )
-        self.network.submit(data, self.cycle)
+        t = self._acquire(TransferKind.STORE_DATA,
+                          self._node_of[instr.cluster], CACHE_NODE,
+                          instr.seq, instr)
+        self.network.submit(t, self.cycle)
+
+    def _arrive_store_data(self, transfer: Transfer, arrival: int) -> None:
+        self.lsq.on_store_data(transfer.payload, arrival)
 
     def _load_data_ready(self, instr: DynInstr, cycle: int,
                          level: HitLevel) -> None:
         """LSQ callback: the load's value can leave the cache at ``cycle``."""
-        self.stats.hit_levels[level] = self.stats.hit_levels.get(level, 0) + 1
+        stats = self.stats
+        stats.hit_levels[level] = stats.hit_levels.get(level, 0) + 1
         tel = self.telemetry
         if tel.enabled:
             tel.count(f"cache.{level.value}")
             tel.emit(self.cycle, EventKind.CACHE_ACCESS,
                      {"level": level.value, "seq": instr.seq})
-        self._schedule(cycle, lambda i=instr: self._send_load_data(i))
+        if cycle <= self.cycle:
+            cycle = self.cycle + 1
+        self._wheel.schedule(cycle, self._send_load_data, instr)
 
     def _send_load_data(self, instr: DynInstr) -> None:
-        transfer = Transfer(
-            kind=TransferKind.LOAD_DATA,
-            src=CACHE_NODE,
-            dst=self._node_of[instr.cluster],
-            seq=instr.seq,
-            narrow_predicted=instr.narrow_predicted,
-            narrow_actual=instr.rec.is_narrow,
-            fv_encodable=self._fv_encodable(instr),
-            on_arrival=lambda t, i=instr: self._load_complete(i, t),
-        )
-        self.network.submit(transfer, self.cycle)
+        t = self._acquire(TransferKind.LOAD_DATA, CACHE_NODE,
+                          self._node_of[instr.cluster],
+                          instr.seq, instr)
+        t.narrow_predicted = instr.narrow_predicted
+        t.narrow_actual = instr.rec.is_narrow
+        if self.frequent_values is not None:
+            t.fv_encodable = self._fv_encodable(instr)
+        self.network.submit(t, self.cycle)
 
-    def _load_complete(self, instr: DynInstr, cycle: int) -> None:
+    def _arrive_load_data(self, transfer: Transfer, arrival: int) -> None:
+        instr = transfer.payload
         instr.completed = True
-        instr.complete_cycle = cycle
+        instr.complete_cycle = arrival
         home = instr.cluster
-        instr.avail_cycle[home] = cycle
-        self._wake_cluster(instr, home, cycle)
+        instr.avail_cycle[home] = arrival
+        self._wake_cluster(instr, home, arrival)
         for target in list(instr.waiters):
             if target != home and target not in instr.transfer_started:
-                self._start_operand_transfer(instr, target, cycle,
+                self._start_operand_transfer(instr, target, arrival,
                                              ready_at_dispatch=False)
 
     def _ordering_violation(self, instr: DynInstr, cycle: int) -> None:
@@ -503,15 +629,13 @@ class ClusteredProcessor:
 
     def _send_redirect(self, instr: DynInstr, cycle: int) -> None:
         self.stats.redirects += 1
-        transfer = Transfer(
-            kind=TransferKind.MISPREDICT,
-            src=self._node_of[instr.cluster],
-            dst=CACHE_NODE,
-            seq=instr.seq,
-            on_arrival=lambda t, i=instr:
-                self.fetch.redirect_arrived(i.seq, t),
-        )
-        self.network.submit(transfer, cycle)
+        t = self._acquire(TransferKind.MISPREDICT,
+                          self._node_of[instr.cluster], CACHE_NODE,
+                          instr.seq, instr)
+        self.network.submit(t, cycle)
+
+    def _arrive_redirect(self, transfer: Transfer, arrival: int) -> None:
+        self.fetch.redirect_arrived(transfer.payload.seq, arrival)
 
     # -- commit ------------------------------------------------------------------
 

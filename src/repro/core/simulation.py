@@ -7,8 +7,8 @@ from typing import Iterable, Optional, Union
 
 from ..faults import FaultInjector, FaultSpec
 from ..telemetry import EventKind, Telemetry
-from ..workloads.generator import TraceGenerator
-from ..workloads.spec2k import BENCHMARK_NAMES, profile
+from ..workloads.annotate import annotated_trace
+from ..workloads.spec2k import BENCHMARK_NAMES
 from .config import InterconnectConfig, ProcessorConfig
 from .metrics import BenchmarkRun, ModelResult
 from .models import InterconnectModel
@@ -21,24 +21,7 @@ DEFAULT_INSTRUCTIONS = int(os.environ.get("REPRO_INSTRUCTIONS", "12000"))
 DEFAULT_WARMUP = int(os.environ.get("REPRO_WARMUP", "3000"))
 DEFAULT_SEED = 42
 
-#: Simulation engines.  "scalar" is the reference tree; "event" is the
-#: event-driven fast engine (:mod:`repro.core.fastcore`), bit-exact with
-#: the reference by the differential suite's contract.  An explicit
-#: ``engine=`` argument wins; otherwise ``REPRO_ENGINE`` decides, and the
-#: library default is the reference engine (the CLI defaults to "event").
-ENGINES = ("scalar", "event")
-
 FaultSpecLike = Union[str, FaultSpec, None]
-
-
-def _resolve_engine(engine: Optional[str]) -> str:
-    if engine is None:
-        engine = os.environ.get("REPRO_ENGINE", "scalar")
-    if engine not in ENGINES:
-        raise ValueError(
-            f"unknown engine {engine!r}; expected one of {ENGINES}"
-        )
-    return engine
 
 
 def _build_injector(fault_spec: FaultSpecLike, seed: int,
@@ -60,7 +43,6 @@ def build_processor(interconnect: InterconnectConfig, benchmark: str,
                     config: Optional[ProcessorConfig] = None,
                     fault_spec: FaultSpecLike = None,
                     telemetry: Optional[Telemetry] = None,
-                    engine: Optional[str] = None,
                     gating: Optional[str] = None
                     ) -> ClusteredProcessor:
     """A processor wired to one synthetic SPEC2k benchmark."""
@@ -68,27 +50,14 @@ def build_processor(interconnect: InterconnectConfig, benchmark: str,
         config = ProcessorConfig(
             num_clusters=num_clusters, latency_scale=latency_scale
         )
-    if _resolve_engine(engine) == "event":
-        from ..workloads.annotate import annotated_trace
-        from .fastcore import EventProcessor
-
-        annotated = annotated_trace(benchmark, seed,
-                                    config.icache_size_kb,
-                                    config.icache_assoc)
-        cpu: ClusteredProcessor = EventProcessor(
-            config, interconnect, annotated,
-            faults=_build_injector(fault_spec, seed, telemetry),
-            telemetry=telemetry, gating=gating,
-        )
-        cpu.prewarm(annotated.footprint)
-        return cpu
-    generator = TraceGenerator(profile(benchmark), seed=seed)
+    trace = annotated_trace(benchmark, seed, config.icache_size_kb,
+                            config.icache_assoc)
     cpu = ClusteredProcessor(
-        config, interconnect, generator.stream_forever(),
+        config, interconnect, trace,
         faults=_build_injector(fault_spec, seed, telemetry),
         telemetry=telemetry, gating=gating,
     )
-    cpu.prewarm(generator.data_footprint())
+    cpu.prewarm()
     return cpu
 
 
@@ -100,7 +69,6 @@ def simulate_benchmark(interconnect: InterconnectConfig, benchmark: str,
                        config: Optional[ProcessorConfig] = None,
                        fault_spec: FaultSpecLike = None,
                        telemetry: Optional[Telemetry] = None,
-                       engine: Optional[str] = None,
                        gating: Optional[str] = None
                        ) -> BenchmarkRun:
     """Run one benchmark under one interconnect; returns measured numbers.
@@ -116,8 +84,7 @@ def simulate_benchmark(interconnect: InterconnectConfig, benchmark: str,
     """
     cpu = build_processor(interconnect, benchmark, num_clusters, seed,
                           latency_scale, config, fault_spec=fault_spec,
-                          telemetry=telemetry, engine=engine,
-                          gating=gating)
+                          telemetry=telemetry, gating=gating)
     if telemetry is not None and telemetry.enabled:
         telemetry.emit(cpu.cycle, EventKind.RUN_START, {
             "benchmark": benchmark,
@@ -180,7 +147,6 @@ def simulate_model(model: InterconnectModel,
                    latency_scale: float = 1.0,
                    fault_spec: FaultSpecLike = None,
                    telemetry: Optional[Telemetry] = None,
-                   engine: Optional[str] = None,
                    gating: Optional[str] = None) -> ModelResult:
     """Run a whole benchmark suite under one interconnect model."""
     names = tuple(benchmarks) if benchmarks is not None else BENCHMARK_NAMES
@@ -188,7 +154,7 @@ def simulate_model(model: InterconnectModel,
         simulate_benchmark(
             model.config, name, instructions, warmup,
             num_clusters, seed, latency_scale, fault_spec=fault_spec,
-            telemetry=telemetry, engine=engine, gating=gating,
+            telemetry=telemetry, gating=gating,
         )
         for name in names
     )

@@ -1,12 +1,11 @@
-"""The event wheel driving the event-driven ("event" engine) core.
+"""The event wheel driving the processor's scheduled work.
 
 A minimal calendar queue specialized for the simulator's needs:
 
 * :meth:`schedule` files a callback under an absolute cycle and returns
   a token; :meth:`cancel` revokes a token before it fires.
-* :meth:`pop_due` drains exactly one cycle's events in FIFO order --
-  the same order the scalar core's ``Dict[int, List[fn]]`` wheel fires
-  them, which the differential suite pins.
+* :meth:`pop_due` drains exactly one cycle's events in FIFO order
+  (schedule order), which the golden corpus's pinned results rest on.
 * :meth:`next_cycle` reports the earliest cycle holding a live event,
   letting the core skip idle cycles entirely instead of stepping
   through them one at a time.

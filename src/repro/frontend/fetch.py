@@ -1,43 +1,44 @@
 """The fetch unit: 8-wide across up to two basic blocks, 64-entry queue.
 
-Trace-driven: instruction records come from the workload generator, which
+Trace-driven: instruction records come from the workload stream, which
 supplies the *correct* path.  Branches are run through the combining
 predictor and the BTB; a mispredicted branch (wrong direction, or a taken
 branch the BTB cannot supply a target for) stops fetch on the spot --
 wrong-path instructions are not simulated, the penalty is the stall until
 the branch resolves, the redirect signal crosses the interconnect, and
 the front-end pipeline refills ("at least 12 cycles", Table 1).
+
+Prediction, BTB and I-cache outcomes are pure functions of stream order,
+so they come precomputed with the stream
+(:class:`~repro.workloads.annotate.AnnotatedTrace`); this unit replays
+them against the cycle-level stall and redirect timing.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Iterator, Optional
+from typing import TYPE_CHECKING, Deque, Optional
 
 from ..core.instruction import DynInstr
-from ..memory.cache import SetAssocCache
-from ..workloads.trace import InstructionRecord, OpClass
-from .bpred import BranchTargetBuffer, CombinedPredictor
+from ..workloads.trace import OpClass
+
+if TYPE_CHECKING:
+    from ..workloads.annotate import AnnotatedTrace
+    from .bpred import CombinedPredictor
 
 
 class FetchUnit:
     """Fills the fetch queue and enforces redirect stalls."""
 
-    def __init__(self, supply: Iterator[InstructionRecord],
-                 predictor: Optional[CombinedPredictor] = None,
-                 btb: Optional[BranchTargetBuffer] = None,
-                 icache: Optional[SetAssocCache] = None,
-                 width: int = 8, queue_size: int = 64,
-                 max_blocks: int = 2, refill_penalty: int = 10,
+    def __init__(self, trace: "AnnotatedTrace", width: int = 8,
+                 queue_size: int = 64, max_blocks: int = 2,
+                 refill_penalty: int = 10,
                  icache_miss_penalty: int = 12) -> None:
         if width < 1 or queue_size < 1 or max_blocks < 1:
             raise ValueError("fetch dimensions must be positive")
         if refill_penalty < 0 or icache_miss_penalty < 0:
             raise ValueError("penalties must be non-negative")
-        self._supply = supply
-        self.predictor = predictor or CombinedPredictor()
-        self.btb = btb or BranchTargetBuffer()
-        self.icache = icache
+        self.trace = trace
         self.width = width
         self.max_blocks = max_blocks
         self.refill_penalty = refill_penalty
@@ -45,13 +46,20 @@ class FetchUnit:
         self.queue: Deque[DynInstr] = deque()
         self.queue_size = queue_size
         self._seq = 0
-        self._pending: Optional[InstructionRecord] = None
+        #: The current record already paid its I-cache miss stall.
+        self._retrying = False
         self._resume_cycle = 0
         #: Sequence number of the unresolved redirecting branch, if any.
         self._redirect_seq: Optional[int] = None
         self.exhausted = False
         self.fetched = 0
         self.redirects = 0
+
+    @property
+    def predictor(self) -> "CombinedPredictor":
+        """The direction predictor; it trains along the annotated stream,
+        which may run ahead of fetch."""
+        return self.trace.predictor
 
     # -- redirect handshake -------------------------------------------------
 
@@ -79,54 +87,48 @@ class FetchUnit:
         number fetched."""
         if self._redirect_seq is not None or cycle < self._resume_cycle:
             return 0
+        trace = self.trace
+        records = trace.records
+        miss = trace.miss
+        queue = self.queue
+        queue_size = self.queue_size
+        seq = self._seq
         fetched = 0
         blocks = 1
-        while (fetched < self.width
-               and len(self.queue) < self.queue_size
-               and not self.exhausted):
-            rec = self._next_record()
-            if rec is None:
-                break
-            if self.icache is not None and not self.icache.access(rec.pc):
-                # I-cache miss: stall, retry this record when the line is in.
-                self._pending = rec
+        width = self.width
+        max_blocks = self.max_blocks
+        while fetched < width and len(queue) < queue_size:
+            if seq >= len(records):
+                trace.ensure(seq + 1)
+                if seq >= len(records):
+                    self.exhausted = True
+                    break
+            if miss[seq] and not self._retrying:
+                # I-cache miss: stall, retry this record when the line
+                # is in (the annotation already accounted the retry hit).
+                self._retrying = True
                 self._resume_cycle = cycle + self.icache_miss_penalty
                 break
-            instr = DynInstr(self._seq, rec)
-            self._seq += 1
+            self._retrying = False
+            rec = records[seq]
+            instr = DynInstr(seq, rec)
+            seq += 1
             self.fetched += 1
             fetched += 1
             if rec.op is OpClass.BRANCH:
-                self._handle_branch(instr)
-                if instr.needs_redirect:
+                index = instr.seq
+                instr.pred_taken = bool(trace.pred_taken[index])
+                instr.mispredicted = bool(trace.mispredicted[index])
+                instr.btb_miss = bool(trace.btb_miss[index])
+                if instr.mispredicted or instr.btb_miss:
                     self._redirect_seq = instr.seq
-                    self.queue.append(instr)
+                    queue.append(instr)
                     break
                 blocks += 1
-                self.queue.append(instr)
-                if blocks > self.max_blocks:
+                queue.append(instr)
+                if blocks > max_blocks:
                     break
             else:
-                self.queue.append(instr)
+                queue.append(instr)
+        self._seq = seq
         return fetched
-
-    def _next_record(self) -> Optional[InstructionRecord]:
-        if self._pending is not None:
-            rec, self._pending = self._pending, None
-            return rec
-        try:
-            return next(self._supply)
-        except StopIteration:
-            self.exhausted = True
-            return None
-
-    def _handle_branch(self, instr: DynInstr) -> None:
-        rec = instr.rec
-        prediction = self.predictor.predict_and_train(rec.pc, rec.taken)
-        instr.pred_taken = prediction
-        instr.mispredicted = prediction != rec.taken
-        if rec.taken:
-            target = self.btb.lookup(rec.pc)
-            if not instr.mispredicted and target != rec.target:
-                instr.btb_miss = True
-            self.btb.install(rec.pc, rec.target)

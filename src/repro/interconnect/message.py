@@ -67,6 +67,11 @@ DEFAULT_BITS = {
     TransferKind.MISPREDICT: MISPREDICT_BITS,
 }
 
+for _kind in TransferKind:
+    # Plain-attribute copy for the per-transfer hot path (no enum hash).
+    _kind._bits = DEFAULT_BITS[_kind]
+del _kind
+
 
 def is_narrow(value: int) -> bool:
     """True if an integer result fits the paper's narrow encoding (0..1023)."""
@@ -98,6 +103,14 @@ class Transfer:
     on_arrival: Optional[Callable[[int], None]] = None
     on_partial_arrival: Optional[Callable[[int], None]] = None
     payload: object = field(default=None, repr=False)
+
+    # Plain class attributes, not fields: the processor marks the
+    # transfers it recycles ``_pooled``; the network counts their
+    # segments in flight and returns them to its pool after the last.
+    _pooled = False
+    _segs_left = 0
+    #: Destination cluster index of a recycled operand transfer.
+    _target = -1
 
     def __post_init__(self) -> None:
         if self.bits <= 0:

@@ -31,6 +31,26 @@ Fault injection (optional, via a
 
 All fault decisions are pure functions of (seed, segment identity,
 attempt), so faulted runs stay bit-deterministic.
+
+Two queue representations, chosen once per network from its own
+inputs:
+
+* *Batched* (no fault injector, no gating policy, telemetry off):
+  routes are memoized per (src, dst), every (channel, plane) arbitrates
+  through one :class:`_Chan` object -- plain attribute arithmetic
+  instead of dicts keyed by ``(channel, WireClass)``, whose hashes go
+  through Python-level ``Enum.__hash__`` -- and queue items are
+  recycled.
+* *Keyed* (faulted, gated or traced networks): per-(channel, plane)
+  dicts, which plane kills, retransmissions, sleeping planes and
+  per-segment telemetry hook into.
+
+Both record grants through the same stats tally, so the same traffic
+yields the same numbers either way.  Transfers the processor recycles
+(``_pooled``) carry no callbacks: their arrivals dispatch through the
+per-kind :attr:`Network.final_handlers` / :attr:`Network.partial_handlers`
+tables, and each returns to :attr:`Network.pool` once its last segment
+has arrived.
 """
 
 from __future__ import annotations
@@ -43,13 +63,17 @@ from ..power import GatingPolicy, PlanePowerManager, parse_gating
 from ..telemetry import NULL_TELEMETRY, EventKind, Telemetry
 from ..wires import WireClass
 from .errors import ConfigError, UnroutableError
-from .message import Transfer
+from .message import Transfer, TransferKind
 from .plane import LinkComposition
 from .selection import PlannedSegment, PolicyFlags, WireSelector
 from .stats import InterconnectStats, leakage_energy
 from .topology import Topology
 
 _NO_AVOID: FrozenSet[WireClass] = frozenset()
+_NUM_PLANES = len(WireClass)
+
+#: Arrival handler for recycled transfers: (transfer, arrival cycle).
+Handler = Callable[[Transfer, int], None]
 
 
 @dataclass
@@ -64,6 +88,44 @@ class _Queued:
     energy_weight: int
     earliest_cycle: int
     attempt: int = 0
+    #: Every hop's :class:`_Chan` on a multi-hop batched path.
+    peers: Optional[List["_Chan"]] = None
+
+
+class _Route:
+    """Memoized per-(src, dst) routing state of the batched path.
+
+    ``by_plane[wire_class._index]`` is ``None`` when the link has no
+    such plane, else ``(latency, chan, peers)`` where ``latency`` may be
+    ``None`` (missing from the topology: submitting raises),
+    ``chan`` arbitrates the first hop and ``peers`` lists every hop's
+    :class:`_Chan` on multi-hop paths (``None`` on single-hop ones).
+    """
+
+    __slots__ = ("channels", "latencies", "energy_weight", "by_plane")
+
+
+class _Chan:
+    """Arbitration state of one (channel, plane) on the batched path."""
+
+    __slots__ = ("key", "order", "queue", "head", "capacity",
+                 "budget", "budget_cycle", "grants", "bits")
+
+    def __init__(self, key: Tuple[str, WireClass], capacity: int) -> None:
+        self.key = key
+        #: Arbitration order, identical to the keyed path's.
+        self.order = _queue_order(key)
+        self.queue: List[_Queued] = []
+        self.head = 0
+        self.capacity = capacity
+        self.budget = 0
+        self.budget_cycle = -1
+        self.grants = 0
+        self.bits = 0
+
+
+def _chan_order(chan: _Chan) -> Tuple[str, str]:
+    return chan.order
 
 
 @dataclass(frozen=True)
@@ -101,9 +163,6 @@ class DegradationReport:
 class Network:
     """Cycle-driven heterogeneous inter-cluster network."""
 
-    #: Wire-selector class, overridable by alternative engines.
-    SELECTOR_CLS = WireSelector
-
     #: Fixed histogram buckets: segment payload sizes (bits) and cycles
     #: a segment waited between eligibility and its grant.
     SEGMENT_BITS_BUCKETS = (18, 54, 72, 144, 288)
@@ -118,8 +177,8 @@ class Network:
         self.composition = composition
         self.telemetry = telemetry if telemetry is not None \
             else NULL_TELEMETRY
-        self.selector = self.SELECTOR_CLS(composition, flags,
-                                          telemetry=self.telemetry)
+        self.selector = WireSelector(composition, flags,
+                                     telemetry=self.telemetry)
         self.stats = InterconnectStats(specs=composition.specs_map())
         self.injector = injector
         # Gating: ``None``/""/"never" build no manager at all, keeping
@@ -170,11 +229,81 @@ class Network:
                     )
                 heapq.heappush(self._pending_kills,
                                (cycle, channel, plane))
+        #: Arrival dispatch and free list for recycled transfers; the
+        #: processor installs them.
+        self.final_handlers: Dict[TransferKind, Handler] = {}
+        self.partial_handlers: Dict[TransferKind, Handler] = {}
+        self.pool: Optional[List[Transfer]] = None
+        # Batched-path state (see the module docstring).
+        self._batched = (injector is None and self.power is None
+                         and not self.telemetry.enabled)
+        self._chans: Dict[Tuple[str, WireClass], _Chan] = {}
+        self._active_chans: set = set()
+        self._routes: Dict[Tuple[str, str], _Route] = {}
+        self._peer_cache: Dict[Tuple[Tuple[str, ...], WireClass],
+                               List[_Chan]] = {}
+        self._planes = frozenset(
+            w for w in WireClass if composition.has_plane(w)
+        )
+        #: Recycled queue items (a delivery is a _Queued's last act).
+        self._qpool: List[_Queued] = []
 
     # -- submission ------------------------------------------------------
 
     def submit(self, transfer: Transfer, cycle: int) -> None:
         """Plan a transfer's segments and queue them for arbitration."""
+        if not self._batched:
+            self._submit_keyed(transfer, cycle)
+            return
+        route = self._routes.get((transfer.src, transfer.dst))
+        if route is None:
+            route = self._route(transfer.src, transfer.dst)
+        selector = self.selector
+        segments = selector.select(transfer, cycle, avoid=_NO_AVOID)
+        if len(segments) > 1:
+            self.stats.split_transfers += 1
+        channels = route.channels
+        latencies = route.latencies
+        energy_weight = route.energy_weight
+        by_plane = route.by_plane
+        qpool = self._qpool
+        active = self._active_chans
+        for segment in segments:
+            wire_class = segment.wire_class
+            entry = by_plane[wire_class._index]
+            if entry is None:
+                self._missing_plane(transfer, wire_class)
+            latency, chan, peers = entry
+            selector.record_injection(cycle, wire_class)
+            if latency is None:
+                self._plane_latency(transfer, latencies, wire_class)
+            if qpool:
+                item = qpool.pop()
+                item.transfer = transfer
+                item.segment = segment
+                item.path_channels = channels
+                item.latencies = latencies
+                item.latency = latency
+                item.energy_weight = energy_weight
+                item.earliest_cycle = cycle + segment.submit_delay
+                item.attempt = 0
+                item.peers = peers
+            else:
+                item = _Queued(
+                    transfer=transfer,
+                    segment=segment,
+                    path_channels=channels,
+                    latencies=latencies,
+                    latency=latency,
+                    energy_weight=energy_weight,
+                    earliest_cycle=cycle + segment.submit_delay,
+                    peers=peers,
+                )
+            chan.queue.append(item)
+            active.add(chan)
+        transfer._segs_left = len(segments)
+
+    def _submit_keyed(self, transfer: Transfer, cycle: int) -> None:
         path = self.topology.path(transfer.src, transfer.dst)
         avoid = _NO_AVOID
         if self._pending_kills:
@@ -196,12 +325,7 @@ class Network:
         for segment in segments:
             wire_class = segment.wire_class
             if not self.composition.has_plane(wire_class):
-                raise ConfigError(
-                    f"transfer {transfer.kind.value} "
-                    f"({transfer.src}->{transfer.dst}) requests "
-                    f"{wire_class.value}-Wires, but the link composition "
-                    f"({self.composition.describe()}) has no such plane"
-                )
+                self._missing_plane(transfer, wire_class)
             self.selector.record_injection(cycle, wire_class)
             if power is not None:
                 power.note_activity(path.channels, wire_class, cycle)
@@ -228,6 +352,53 @@ class Network:
                 earliest_cycle=cycle + segment.submit_delay,
             )
             self._enqueue(key, queued)
+        transfer._segs_left = len(segments)
+
+    def _missing_plane(self, transfer: Transfer,
+                       wire_class: WireClass) -> None:
+        raise ConfigError(
+            f"transfer {transfer.kind.value} "
+            f"({transfer.src}->{transfer.dst}) requests "
+            f"{wire_class.value}-Wires, but the link composition "
+            f"({self.composition.describe()}) has no such plane"
+        )
+
+    def _route(self, src: str, dst: str) -> _Route:
+        """Build and memoize the batched routing state of (src, dst)."""
+        path = self.topology.path(src, dst)
+        route = _Route()
+        route.channels = channels = path.channels
+        route.latencies = latencies = path.latency
+        route.energy_weight = path.energy_weight
+        route.by_plane = by_plane = [None] * _NUM_PLANES
+        multi = len(channels) > 1
+        for wire_class in WireClass:
+            if wire_class not in self._planes:
+                continue
+            peers = self._peers(channels, wire_class) if multi else None
+            by_plane[wire_class._index] = (
+                latencies.get(wire_class),
+                self._chan((channels[0], wire_class)), peers,
+            )
+        self._routes[(src, dst)] = route
+        return route
+
+    def _chan(self, key: Tuple[str, WireClass]) -> _Chan:
+        chan = self._chans.get(key)
+        if chan is None:
+            chan = self._chans[key] = _Chan(key, self._capacity(key))
+        return chan
+
+    def _peers(self, channels: Tuple[str, ...],
+               plane: WireClass) -> List[_Chan]:
+        """The per-hop arbitration states of a multi-hop path."""
+        pkey = (channels, plane)
+        peers = self._peer_cache.get(pkey)
+        if peers is None:
+            peers = self._peer_cache[pkey] = [
+                self._chan((channel, plane)) for channel in channels
+            ]
+        return peers
 
     def _plane_latency(self, transfer: Transfer,
                        latencies: Dict[WireClass, int],
@@ -380,6 +551,90 @@ class Network:
 
     def tick(self, cycle: int) -> None:
         """Arbitrate all queued segments for this cycle's wire budgets."""
+        if not self._batched:
+            self._tick_keyed(cycle)
+            return
+        active = self._active_chans
+        if not active:
+            return
+        stats = self.stats
+        deliveries = self._deliveries
+        tally = stats._tally
+        granted_any = False
+        drained = None
+        order = (sorted(active, key=_chan_order)
+                 if len(active) > 1 else tuple(active))
+        for chan in order:
+            queue = chan.queue
+            head = chan.head
+            length = len(queue)
+            plane = chan.key[1]
+            if chan.budget_cycle != cycle:
+                chan.budget = 0
+                chan.budget_cycle = cycle
+            budget = chan.budget
+            capacity = chan.capacity
+            while head < length:
+                item = queue[head]
+                if item.earliest_cycle > cycle:
+                    break
+                bits = item.segment.bits
+                peers = item.peers
+                if peers is None:
+                    if budget + bits > capacity:
+                        break
+                    budget += bits
+                    chan.grants += 1
+                    chan.bits += bits
+                else:
+                    chan.budget = budget
+                    blocked = False
+                    for peer in peers:
+                        if peer.budget_cycle != cycle:
+                            peer.budget = 0
+                            peer.budget_cycle = cycle
+                        if peer.budget + bits > peer.capacity:
+                            blocked = True
+                            break
+                    if blocked:
+                        break
+                    for peer in peers:
+                        peer.budget += bits
+                        peer.grants += 1
+                        peer.bits += bits
+                    budget = chan.budget
+                granted_any = True
+                tkey = (plane, bits, item.energy_weight,
+                        item.transfer.kind)
+                tally[tkey] = tally.get(tkey, 0) + 1
+                self._delivery_seq += 1
+                heapq.heappush(
+                    deliveries,
+                    (cycle + item.latency, self._delivery_seq, item),
+                )
+                head += 1
+            chan.budget = budget
+            stats.buffered_cycles += length - head
+            if head >= length:
+                queue.clear()
+                head = 0
+                if drained is None:
+                    drained = [chan]
+                else:
+                    drained.append(chan)
+            elif head > 64:
+                del queue[:head]
+                head = 0
+            chan.head = head
+        if granted_any:
+            if self._first_grant_cycle is None:
+                self._first_grant_cycle = cycle
+            self._last_grant_cycle = cycle
+        if drained:
+            for chan in drained:
+                active.discard(chan)
+
+    def _tick_keyed(self, cycle: int) -> None:
         if self._pending_kills:
             self._activate_kills(cycle)
         if self._retries:
@@ -478,17 +733,43 @@ class Network:
         return True
 
     def deliver_due(self, cycle: int) -> None:
-        """Fire arrival callbacks for every segment due by ``cycle``."""
+        """Fire arrivals for every segment due by ``cycle``."""
         deliveries = self._deliveries
+        if not deliveries or deliveries[0][0] > cycle:
+            return
+        heappop = heapq.heappop
+        finals = self.final_handlers
+        partials = self.partial_handlers
+        pool = self.pool
+        qpool = self._qpool
         while deliveries and deliveries[0][0] <= cycle:
-            arrival, _, item = heapq.heappop(deliveries)
+            arrival, _, item = heappop(deliveries)
             transfer = item.transfer
-            if item.segment.is_leading_slice:
-                if transfer.on_partial_arrival is not None:
-                    transfer.on_partial_arrival(arrival)
-            if item.segment.is_final_slice:
-                if transfer.on_arrival is not None:
-                    transfer.on_arrival(arrival)
+            segment = item.segment
+            if segment.is_leading_slice:
+                callback = transfer.on_partial_arrival
+                if callback is not None:
+                    callback(arrival)
+                else:
+                    handler = partials.get(transfer.kind)
+                    if handler is not None:
+                        handler(transfer, arrival)
+            if segment.is_final_slice:
+                callback = transfer.on_arrival
+                if callback is not None:
+                    callback(arrival)
+                else:
+                    handler = finals.get(transfer.kind)
+                    if handler is not None:
+                        handler(transfer, arrival)
+            if transfer._pooled:
+                transfer._segs_left -= 1
+                if transfer._segs_left <= 0 and pool is not None:
+                    transfer.payload = None
+                    pool.append(transfer)
+            # A delivery is the queue item's last act: recycle it.
+            item.transfer = None
+            qpool.append(item)
 
     # -- introspection ----------------------------------------------------
 
@@ -504,8 +785,8 @@ class Network:
 
     def idle(self) -> bool:
         """True when nothing is queued, in flight or awaiting retry."""
-        return (not self._active and not self._deliveries
-                and not self._retries)
+        return (not self._active and not self._active_chans
+                and not self._deliveries and not self._retries)
 
     def next_event_cycle(self) -> Optional[int]:
         """Earliest future delivery/retry, for event-skipping cores."""
@@ -561,6 +842,7 @@ class Network:
                          - self._first_grant_cycle + 1)
         if cycles < 1:
             raise ValueError("cycles must be positive")
+        self._fold_channels()
         reports = []
         # Sorted so equal-utilization rows tie-break by (channel,
         # plane) instead of by whatever order traffic first touched
@@ -580,6 +862,18 @@ class Network:
             ))
         reports.sort(key=lambda r: -r.utilization)
         return reports
+
+    def _fold_channels(self) -> None:
+        """Fold batched-path grant/bit counters into the keyed dicts."""
+        grants = self._channel_grants
+        bits = self._channel_bits
+        for chan in self._chans.values():
+            if chan.grants:
+                key = chan.key
+                grants[key] = grants.get(key, 0) + chan.grants
+                bits[key] = bits.get(key, 0) + chan.bits
+                chan.grants = 0
+                chan.bits = 0
 
     def wire_inventory(self) -> Dict[WireClass, int]:
         """Physical wires per class across all links (for leakage)."""

@@ -21,9 +21,7 @@ else PW-Wires).
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import FrozenSet, List
-
-from typing import Optional
+from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from ..telemetry import NULL_TELEMETRY, EventKind, Telemetry
 from ..wires import WireClass
@@ -79,12 +77,18 @@ class PlannedSegment:
     submit_delay: int = 0
 
 
+#: A decision: (reason, planned segments).
+Plan = Tuple[str, List[PlannedSegment]]
+
+
 class WireSelector:
     """Applies :class:`PolicyFlags` to a link composition.
 
     ``select`` returns the planned segments for a transfer;
     ``record_injection`` feeds the imbalance detector (the paper tracks
-    traffic *injected* into each interconnect).
+    traffic *injected* into each interconnect).  A plan is a function of
+    (reason, final plane, bits), so undegraded plans are memoized and
+    shared between transfers.
     """
 
     #: Extra cycle to detect a narrow-width misprediction and reissue the
@@ -108,6 +112,12 @@ class WireSelector:
             window=self.flags.load_balance_window,
             threshold=self.flags.load_balance_threshold,
         )
+        #: The imbalance detector is consulted only when the rule is on
+        #: and both bulk-capable planes exist; otherwise feeding its
+        #: traffic window is unobservable work.
+        self._dynamic_bulk = (self.flags.pw_load_balance
+                              and self._has_b and self._has_pw)
+        self._plans: Dict[Tuple[str, WireClass, int], Plan] = {}
         self.narrow_transfers = 0
         self.narrow_mispredicts = 0
         # Register-traffic narrowness (the paper's "14% of all register
@@ -126,7 +136,8 @@ class WireSelector:
     # -- bookkeeping -----------------------------------------------------
 
     def record_injection(self, cycle: int, wire_class: WireClass) -> None:
-        self._detector.record(cycle, wire_class)
+        if self._dynamic_bulk:
+            self._detector.record(cycle, wire_class)
 
     # -- the policy ------------------------------------------------------
 
@@ -155,8 +166,7 @@ class WireSelector:
         return segments
 
     def _plan(self, transfer: Transfer, cycle: int,
-              avoid: FrozenSet[WireClass]
-              ) -> tuple:
+              avoid: FrozenSet[WireClass]) -> Plan:
         """(decision reason, planned segments) -- the policy proper."""
         kind = transfer.kind
         flags = self.flags
@@ -175,62 +185,57 @@ class WireSelector:
             if transfer.narrow_actual:
                 self.operand_narrow += 1
 
+        # Each rule picks a reason plus the plane and width of the final
+        # (or only) segment; split reasons add a leading L-Wire slice.
+        bits = transfer.bits
         if kind is TransferKind.MISPREDICT:
+            bits = MISPREDICT_BITS
             if flags.lwire_mispredict and has_l:
-                return ("mispredict_lwire",
-                        [PlannedSegment(WireClass.L, MISPREDICT_BITS)])
-            return ("mispredict_bulk",
-                    [self._bulk_segment(MISPREDICT_BITS, transfer, cycle,
-                                        avoid)])
-
-        if kind.is_address and flags.lwire_partial_address and has_l:
-            bulk = self._bulk_choice(transfer, cycle, avoid)
-            return ("partial_address", [
-                PlannedSegment(WireClass.L, PARTIAL_ADDRESS_BITS,
-                               is_leading_slice=True, is_final_slice=False),
-                PlannedSegment(bulk, MS_ADDRESS_BITS),
-            ])
-
-        if (kind in (TransferKind.OPERAND, TransferKind.LOAD_DATA)
+                reason, plane = "mispredict_lwire", WireClass.L
+            else:
+                reason = "mispredict_bulk"
+                plane = self._bulk_choice(transfer, cycle, avoid)
+        elif kind.is_address and flags.lwire_partial_address and has_l:
+            reason, bits = "partial_address", MS_ADDRESS_BITS
+            plane = self._bulk_choice(transfer, cycle, avoid)
+        elif (kind in (TransferKind.OPERAND, TransferKind.LOAD_DATA)
                 and flags.lwire_narrow and has_l
                 and transfer.narrow_predicted):
             self.narrow_transfers += 1
             if transfer.narrow_actual:
-                return ("narrow_lwire",
-                        [PlannedSegment(WireClass.L, LWIRE_BITS)])
-            # Width mispredicted: the tag went out on L-Wires but the value
-            # does not fit; reissue full width after a detection cycle.
-            self.narrow_mispredicts += 1
-            bulk = self._bulk_choice(transfer, cycle, avoid)
-            return ("narrow_mispredict", [
-                PlannedSegment(WireClass.L, LWIRE_BITS,
-                               is_leading_slice=True, is_final_slice=False),
-                PlannedSegment(bulk, transfer.bits,
-                               submit_delay=self.NARROW_MISPREDICT_PENALTY),
-            ])
-
-        if (kind in (TransferKind.OPERAND, TransferKind.LOAD_DATA)
+                reason, plane, bits = "narrow_lwire", WireClass.L, LWIRE_BITS
+            else:
+                # Width mispredicted: the tag went out on L-Wires but the
+                # value does not fit; reissue full width after a
+                # detection cycle.
+                self.narrow_mispredicts += 1
+                reason = "narrow_mispredict"
+                plane = self._bulk_choice(transfer, cycle, avoid)
+        elif (kind in (TransferKind.OPERAND, TransferKind.LOAD_DATA)
                 and flags.lwire_frequent_value and has_l
                 and transfer.fv_encodable):
             # Frequent-value index + tag fits the L-Wire plane.
             self.fv_transfers += 1
-            return ("frequent_value",
-                    [PlannedSegment(WireClass.L, LWIRE_BITS)])
-
-        if (kind is TransferKind.OPERAND and transfer.ready_at_dispatch
+            reason, plane, bits = "frequent_value", WireClass.L, LWIRE_BITS
+        elif (kind is TransferKind.OPERAND and transfer.ready_at_dispatch
                 and flags.pw_ready_operand and has_pw):
             self.pw_ready_transfers += 1
-            return ("pw_ready",
-                    [PlannedSegment(WireClass.PW, transfer.bits)])
-
-        if (kind is TransferKind.STORE_DATA and flags.pw_store_data
+            reason, plane = "pw_ready", WireClass.PW
+        elif (kind is TransferKind.STORE_DATA and flags.pw_store_data
                 and has_pw):
             self.pw_store_transfers += 1
-            return ("pw_store",
-                    [PlannedSegment(WireClass.PW, transfer.bits)])
+            reason, plane = "pw_store", WireClass.PW
+        else:
+            reason = "bulk"
+            plane = self._bulk_choice(transfer, cycle, avoid)
 
-        return ("bulk",
-                [self._bulk_segment(transfer.bits, transfer, cycle, avoid)])
+        if avoid:
+            return reason, _segments(reason, plane, bits)
+        key = (reason, plane, bits)
+        plan = self._plans.get(key)
+        if plan is None:
+            plan = self._plans[key] = (reason, _segments(reason, plane, bits))
+        return plan
 
     def demand_planes(self, transfer: Transfer) -> FrozenSet[WireClass]:
         """Planes the unconstrained policy would pick for a transfer.
@@ -286,8 +291,7 @@ class WireSelector:
     def _bulk_choice(self, transfer: Transfer, cycle: int,
                      avoid: FrozenSet[WireClass] = frozenset()) -> WireClass:
         """Bulk plane after the load-imbalance rule."""
-        if (self.flags.pw_load_balance and self._has_b and self._has_pw
-                and WireClass.B not in avoid
+        if (self._dynamic_bulk and WireClass.B not in avoid
                 and WireClass.PW not in avoid):
             diverted = self._detector.redirect(
                 cycle, WireClass.B, WireClass.PW
@@ -308,7 +312,17 @@ class WireSelector:
                 return diverted
         return self.bulk_for(avoid)
 
-    def _bulk_segment(self, bits: int, transfer: Transfer, cycle: int,
-                      avoid: FrozenSet[WireClass] = frozenset()
-                      ) -> PlannedSegment:
-        return PlannedSegment(self._bulk_choice(transfer, cycle, avoid), bits)
+
+def _segments(reason: str, plane: WireClass,
+              bits: int) -> List[PlannedSegment]:
+    """The segments of a decision; ``plane``/``bits`` are the final one's."""
+    if reason == "partial_address":
+        return [PlannedSegment(WireClass.L, PARTIAL_ADDRESS_BITS,
+                               is_leading_slice=True, is_final_slice=False),
+                PlannedSegment(plane, bits)]
+    if reason == "narrow_mispredict":
+        return [PlannedSegment(WireClass.L, LWIRE_BITS,
+                               is_leading_slice=True, is_final_slice=False),
+                PlannedSegment(plane, bits, submit_delay=WireSelector
+                               .NARROW_MISPREDICT_PENALTY)]
+    return [PlannedSegment(plane, bits)]

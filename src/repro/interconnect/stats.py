@@ -12,7 +12,7 @@ normalization against Model I.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Mapping, Optional
+from typing import Dict, Mapping, Optional, Tuple
 
 from ..wires import CANONICAL_SPECS, WireClass, WireSpec
 from .message import TransferKind
@@ -27,12 +27,17 @@ class PlaneActivity:
     weighted_bits: int = 0
 
 
-@dataclass
+@dataclass(eq=False)
 class InterconnectStats:
-    """Everything the energy model and the paper's traffic claims need."""
+    """Everything the energy model and the paper's traffic claims need.
 
-    by_plane: Dict[WireClass, PlaneActivity] = field(default_factory=dict)
-    by_kind: Dict[TransferKind, int] = field(default_factory=dict)
+    Grants are tallied per distinct ``(plane, bits, weight, kind)``
+    shape and folded into :attr:`by_plane` / :attr:`by_kind` on first
+    read.  All counters are integers and the fold keeps first-grant
+    order, so the float summation order of :meth:`dynamic_energy` is
+    that of per-grant recording.
+    """
+
     buffered_cycles: int = 0
     split_transfers: int = 0
     diverted_transfers: int = 0
@@ -44,12 +49,28 @@ class InterconnectStats:
     retry_escalations: int = 0
     degraded_reroutes: int = 0
     # Per-class electrical parameters the energy model weighs traffic
-    # with; None means the canonical Table 2 catalog.  Excluded from
-    # equality so the dual-engine bit-exactness contract keeps comparing
-    # counters only.
+    # with; None means the canonical Table 2 catalog.
     specs: Optional[Mapping[WireClass, WireSpec]] = field(
-        default=None, compare=False, repr=False
+        default=None, repr=False
     )
+    _planes: Dict[WireClass, PlaneActivity] = field(
+        default_factory=dict, init=False, repr=False)
+    _kinds: Dict[TransferKind, int] = field(
+        default_factory=dict, init=False, repr=False)
+    #: (wire_class, bits, energy_weight, kind) -> grants not yet folded,
+    #: in first-grant order (dict insertion order).
+    _tally: Dict[Tuple[WireClass, int, int, TransferKind], int] = field(
+        default_factory=dict, init=False, repr=False)
+
+    @property
+    def by_plane(self) -> Dict[WireClass, PlaneActivity]:
+        self.flush()
+        return self._planes
+
+    @property
+    def by_kind(self) -> Dict[TransferKind, int]:
+        self.flush()
+        return self._kinds
 
     def record_segment(self, wire_class: WireClass, bits: int,
                        energy_weight: int, kind: TransferKind) -> None:
@@ -58,13 +79,31 @@ class InterconnectStats:
                 f"cannot record a segment of {bits} bits on "
                 f"{wire_class.value}-Wires; bit counts are non-negative"
             )
-        activity = self.by_plane.get(wire_class)
-        if activity is None:
-            activity = self.by_plane.setdefault(wire_class, PlaneActivity())
-        activity.transfers += 1
-        activity.bits += bits
-        activity.weighted_bits += bits * energy_weight
-        self.by_kind[kind] = self.by_kind.get(kind, 0) + 1
+        key = (wire_class, bits, energy_weight, kind)
+        tally = self._tally
+        tally[key] = tally.get(key, 0) + 1
+
+    def flush(self) -> "InterconnectStats":
+        """Fold pending grant tallies into the plane/kind counters."""
+        tally = self._tally
+        if not tally:
+            return self
+        self._tally = {}
+        planes = self._planes
+        kinds = self._kinds
+        for (wire_class, bits, weight, kind), count in tally.items():
+            activity = planes.get(wire_class)
+            if activity is None:
+                activity = planes.setdefault(wire_class, PlaneActivity())
+            activity.transfers += count
+            activity.bits += count * bits
+            activity.weighted_bits += count * bits * weight
+            kinds[kind] = kinds.get(kind, 0) + count
+        return self
+
+    def reset(self) -> None:
+        """Zero every counter, pending tallies included; keep ``specs``."""
+        self.__init__(specs=self.specs)
 
     def merge(self, other: "InterconnectStats") -> "InterconnectStats":
         """Fold ``other``'s counters into this one; returns ``self``.
@@ -74,15 +113,17 @@ class InterconnectStats:
         insertion order, preserving the first-touch ordering that
         :meth:`dynamic_energy` sums in.
         """
+        planes = self.by_plane
         for wire_class, activity in other.by_plane.items():
-            mine = self.by_plane.get(wire_class)
+            mine = planes.get(wire_class)
             if mine is None:
-                mine = self.by_plane.setdefault(wire_class, PlaneActivity())
+                mine = planes.setdefault(wire_class, PlaneActivity())
             mine.transfers += activity.transfers
             mine.bits += activity.bits
             mine.weighted_bits += activity.weighted_bits
+        kinds = self.by_kind
         for kind, count in other.by_kind.items():
-            self.by_kind[kind] = self.by_kind.get(kind, 0) + count
+            kinds[kind] = kinds.get(kind, 0) + count
         self.buffered_cycles += other.buffered_cycles
         self.split_transfers += other.split_transfers
         self.diverted_transfers += other.diverted_transfers

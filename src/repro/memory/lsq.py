@@ -11,6 +11,13 @@ starts immediately; the tag/TLB side completes after the MS bits arrive.
 An LS-bit match forces a wait for full addresses -- if the full addresses
 then differ, that was a *false dependence* (the paper measures <9% of
 loads at 8 LS compare bits).
+
+Store events re-advance only the waiting loads they can move: a load
+still waiting for its own address, once the early-RAM question is
+settled, moves only on its own address events; a load whose forwarding
+store is already decided moves only when that store's data arrives.
+Committed stores are pruned from a load's older-store snapshot in
+place as it advances.
 """
 
 from __future__ import annotations
@@ -33,7 +40,7 @@ class _Entry:
         "instr", "is_store", "ls", "full", "full_cycle",
         "data_cycle", "ram_started", "ram_done", "done",
         "older_stores", "had_ls_match", "committed",
-        "wait_for_stores", "speculated", "violated",
+        "wait_for_stores", "speculated", "violated", "wait_store",
     )
 
     def __init__(self, instr: DynInstr, is_store: bool,
@@ -61,6 +68,9 @@ class _Entry:
         self.older_stores = older_stores
         self.had_ls_match = False
         self.committed = False
+        #: The store whose data this load's forward waits on, once the
+        #: match is decided (non-speculative loads only).
+        self.wait_store: Optional["_Entry"] = None
 
     @property
     def data_ready(self) -> bool:
@@ -205,9 +215,22 @@ class LoadStoreQueue:
     # -- the disambiguation state machine ------------------------------------
 
     def _wake_loads(self, cycle: int) -> None:
-        for entry in list(self._waiting_loads):
-            if not entry.done:
-                self._advance_load(entry, cycle)
+        waiting = self._waiting_loads
+        if not waiting:
+            return
+        partial = self.partial_enabled
+        for entry in list(waiting):
+            if entry.done:
+                continue
+            wait_store = entry.wait_store
+            if wait_store is not None:
+                if wait_store.data_cycle < 0:
+                    continue
+                entry.wait_store = None
+            elif entry.full is None and (not partial or entry.ram_started):
+                # Only this load's own address events can advance it now.
+                continue
+            self._advance_load(entry, cycle)
 
     def _live_older_stores(self, entry: _Entry) -> List[_Entry]:
         return [s for s in entry.older_stores if not s.committed]
@@ -218,35 +241,53 @@ class LoadStoreQueue:
         if not entry.wait_for_stores:
             self._advance_speculative_load(entry, cycle)
             return
-        older = self._live_older_stores(entry)
+        older = entry.older_stores
+        for store in older:
+            if store.committed:
+                older = entry.older_stores = self._live_older_stores(entry)
+                break
 
-        # Early RAM start from LS bits (accelerated pipeline).
+        # Early RAM start from LS bits (accelerated pipeline): once every
+        # older store's LS bits are known and none matches.
         if (self.partial_enabled and not entry.ram_started
-                and entry.ls is not None
-                and all(s.ls is not None for s in older)):
-            if not any(s.ls == entry.ls for s in older):
-                entry.ram_started = True
-                entry.ram_done = self.pipeline.start_ram_early(
-                    self._probe_addr(entry), cycle
-                )
-                self.early_ram_starts += 1
-            else:
-                entry.had_ls_match = True
+                and entry.ls is not None):
+            entry_ls = entry.ls
+            all_known = True
+            ls_match = False
+            for store in older:
+                store_ls = store.ls
+                if store_ls is None:
+                    all_known = False
+                    break
+                if store_ls == entry_ls:
+                    ls_match = True
+            if all_known:
+                if not ls_match:
+                    entry.ram_started = True
+                    entry.ram_done = self.pipeline.start_ram_early(
+                        self._probe_addr(entry), cycle
+                    )
+                    self.early_ram_starts += 1
+                else:
+                    entry.had_ls_match = True
 
         # Final completion needs the full address and full disambiguation.
         if entry.full is None:
             return
-        if any(s.full is None for s in older):
-            return
+        for store in older:
+            if store.full is None:
+                return
 
         match = None
+        entry_full = entry.full
         for store in reversed(older):
-            if store.full == entry.full:
+            if store.full == entry_full:
                 match = store
                 break
 
         if match is not None:
-            if not match.data_ready:
+            if match.data_cycle < 0:
+                entry.wait_store = match
                 return
             self._finish_forward(entry, match, cycle)
             return

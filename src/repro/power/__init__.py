@@ -8,7 +8,7 @@ technology nodes; this package gates them at runtime.  The pieces:
   string-round-trippable rules.
 * :mod:`repro.power.manager` -- the per-(link, plane) ACTIVE / WAKING /
   DROWSY / GATED machines, settled lazily from the injection stream so
-  both simulation engines reconstruct identical histories.
+  a processor that skips idle cycles reconstructs the same histories.
 
 ``repro run --gating idle:drowsy=64,gate=256`` turns it on; the
 explorer sweeps ``gating_policy`` as a design axis.

@@ -21,7 +21,7 @@ is a closed-form function of the plane's injection history (the policy
 contract, :mod:`repro.power.policy`), so the manager walks a plane
 forward only when something asks about it -- a submit arbitrating a
 path, a measurement-window boundary, the end-of-run leakage
-integration.  Lazy settlement is what lets the event engine keep its
+integration.  Lazy settlement is what lets the processor keep its
 idle-cycle skipping: a skipped cycle cannot miss a transition because
 transitions are reconstructed, not observed.
 
@@ -46,7 +46,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Callable, Dict, FrozenSet, List, Mapping, Optional, Tuple
+from typing import Dict, FrozenSet, List, Mapping, Optional, Tuple
 
 from ..telemetry import NULL_TELEMETRY, EventKind, Telemetry
 from ..wires import CANONICAL_SPECS, WireClass
@@ -144,9 +144,6 @@ class PlanePowerManager:
         self.policy = policy
         self.telemetry = telemetry if telemetry is not None \
             else NULL_TELEMETRY
-        #: Invoked on every state transition; the batched network hooks
-        #: its tally flush here (DESIGN §15's flush contract).
-        self.on_transition: Optional[Callable[[], None]] = None
         self.window_start = 0
         links = dict(topology.link_inventory())
         self._link_of: Dict[str, str] = {
@@ -315,8 +312,6 @@ class PlanePowerManager:
                 "state": state.value,
                 "cycle": effective,
             })
-        if self.on_transition is not None:
-            self.on_transition()
 
     def _wake(self, slot: _PlaneSlot, cycle: int) -> None:
         from_gated = slot.state is PowerState.GATED
@@ -359,8 +354,6 @@ class PlanePowerManager:
                 "ready": slot.wake_ready if not forced else cycle,
                 "forced": forced,
             })
-        if self.on_transition is not None:
-            self.on_transition()
 
     def _slots_on(self, channels: Tuple[str, ...]) -> List[_PlaneSlot]:
         slots = self._path_slots.get(channels)

@@ -6,8 +6,9 @@ GATED states.  The :class:`~repro.power.manager.PlanePowerManager`
 evaluates policies lazily -- state is settled analytically from the
 submit stream, never ticked -- so a policy must answer "given the last
 use and the traffic estimate, when would this plane step down?" as a
-pure function.  That purity is what keeps the scalar and event engines
-bit-exact under gating: both settle the same closed-form machine.
+pure function.  That purity is what lets the processor skip idle
+cycles under gating: settling the closed-form machine late gives the
+same states as stepping it every cycle.
 
 Three policies reproduce the design space of the leakage-aware
 interconnect literature (PAPERS.md):

@@ -30,6 +30,14 @@ class WireClass(enum.Enum):
         return f"{self.value}-Wires"
 
 
+# A dense per-class index as a plain attribute: the network's hot paths
+# index lists with it instead of hashing the enum (``Enum.__hash__`` is
+# Python-level).
+for _index, _wc in enumerate(WireClass):
+    _wc._index = _index
+del _index, _wc
+
+
 @dataclass(frozen=True)
 class WireSpec:
     """Electrical summary of one wire class, as consumed by the simulator.

@@ -1,41 +1,40 @@
-"""Precomputed front-end annotations for the event-driven core.
+"""The instruction stream with its front-end behaviour precomputed.
 
-The scalar core interleaves front-end work (trace generation, branch
-prediction, BTB lookups, I-cache accesses, narrow-width prediction) with
-back-end timing.  All of that state is a pure function of *stream order*,
-not of timing:
+Trace generation, branch prediction, BTB lookups, I-cache accesses and
+narrow-width prediction are pure functions of *stream order*, not of
+timing:
 
-* the trace generator is walked in stream order regardless of stalls;
+* the trace is walked in stream order regardless of stalls;
 * the branch predictor and BTB train at fetch, in stream order;
 * the I-cache sees accesses in stream order (a miss re-accesses the same
   line on retry, with no other access interleaved);
 * the narrow-width predictor trains at in-order dispatch -- the k-th
   integer-writing record is always its k-th call.
 
-So the whole front end can be evaluated once per (benchmark, seed,
-I-cache geometry) and cached across runs: an interconnect-model sweep
-pays the front-end cost once per benchmark instead of once per run.
-The event engine replays the annotations; the scalar reference keeps
-computing everything live, and the differential suite pins the two
-bit-exact.
+So the whole front end is evaluated once per stream and replayed by
+:class:`~repro.frontend.fetch.FetchUnit`; :func:`annotated_trace`
+caches it per (benchmark, seed, I-cache geometry), so an
+interconnect-model sweep pays the front-end cost once per benchmark
+instead of once per run.
 
 The narrow predictor's end-of-run accuracy counters depend on *where*
 the run stops, which is timing-dependent -- so per-call prefix snapshots
-are kept, and the engine installs ``prefix[ncalls]`` after the run.
+are kept, and the processor installs ``prefix[ncalls]`` after the run.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from itertools import islice
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..frontend.bpred import BranchTargetBuffer, CombinedPredictor
 from ..memory.cache import SetAssocCache
 from ..operands.narrow import NarrowWidthPredictor
-from .generator import TraceGenerator, WorkloadProfile
+from .generator import TraceGenerator
 from .spec2k import profile
 from .trace import InstructionRecord, OpClass
 
-#: Records generated per :meth:`AnnotatedTrace.ensure` refill.
+#: Records annotated per :meth:`AnnotatedTrace.ensure` refill.
 CHUNK = 4096
 
 #: I-cache line size used by the processor (bytes).
@@ -44,6 +43,12 @@ ICACHE_LINE = 64
 
 class AnnotatedTrace:
     """A lazily-grown instruction stream with precomputed front-end state.
+
+    ``records`` is any iterator of :class:`InstructionRecord`; a finite
+    one ends the stream (fetch then reports ``exhausted``).  ``icache``
+    is the L1 I-cache's (size in KB, associativity); ``None`` means
+    every fetch hits.  ``footprint`` lists the (base, size) data regions
+    the processor prewarms its caches over.
 
     Parallel arrays, indexed by sequence number (= stream position):
 
@@ -55,17 +60,19 @@ class AnnotatedTrace:
       write an integer register (zero otherwise).
 
     ``narrow_prefix[k]`` holds the predictor's four accuracy counters
-    after its first ``k`` calls (``narrow_calls[i]`` maps a record to its
-    call number).
+    after its first ``k`` calls.
     """
 
-    def __init__(self, workload: WorkloadProfile, seed: int,
-                 icache_size_kb: int, icache_assoc: int) -> None:
-        self._generator = TraceGenerator(workload, seed=seed)
-        self._walk = self._generator.stream_forever()
-        self._icache = SetAssocCache(icache_size_kb * 1024, icache_assoc,
-                                     ICACHE_LINE, name="L1I")
-        self._predictor = CombinedPredictor()
+    def __init__(self, records: Iterable[InstructionRecord],
+                 icache: Optional[Tuple[int, int]] = None,
+                 footprint: Sequence[Tuple[int, int]] = ()) -> None:
+        self._walk = iter(records)
+        self._icache = None
+        if icache is not None:
+            size_kb, assoc = icache
+            self._icache = SetAssocCache(size_kb * 1024, assoc,
+                                         ICACHE_LINE, name="L1I")
+        self.predictor = CombinedPredictor()
         self._btb = BranchTargetBuffer()
         self._narrow = NarrowWidthPredictor()
         self.records: List[InstructionRecord] = []
@@ -78,20 +85,22 @@ class AnnotatedTrace:
         #: (narrow_results, narrow_predicted_and_narrow,
         #:  predicted_narrow, predicted_narrow_but_wide).
         self.narrow_prefix: List[Tuple[int, int, int, int]] = [(0, 0, 0, 0)]
-        self.footprint = self._generator.data_footprint()
+        self.footprint = tuple(footprint)
+        #: The record iterator ran out: ``records`` is the whole stream.
+        self.finished = False
 
     def __len__(self) -> int:
         return len(self.records)
 
     def ensure(self, count: int) -> None:
-        """Grow the annotated stream to at least ``count`` records."""
-        while len(self.records) < count:
+        """Grow the annotated stream to at least ``count`` records, or
+        to the whole stream if it is shorter."""
+        while len(self.records) < count and not self.finished:
             self._extend(CHUNK)
 
     def _extend(self, count: int) -> None:
-        walk = self._walk
         icache = self._icache
-        predictor = self._predictor
+        predictor = self.predictor
         btb = self._btb
         narrow = self._narrow
         records = self.records
@@ -101,15 +110,15 @@ class AnnotatedTrace:
         btb_miss = self.btb_miss
         narrow_pred = self.narrow_pred
         prefix = self.narrow_prefix
-        for _ in range(count):
-            rec = next(walk)
+        start = len(records)
+        for rec in islice(self._walk, count):
             records.append(rec)
-            if icache.access(rec.pc):
+            if icache is None or icache.access(rec.pc):
                 miss.append(0)
             else:
-                # The scalar fetch unit retries the record after the
-                # miss penalty, re-accessing the (now resident) line;
-                # nothing else touches the I-cache in between.
+                # Fetch retries the record after the miss penalty,
+                # re-accessing the (now resident) line; nothing else
+                # touches the I-cache in between.
                 miss.append(1)
                 icache.access(rec.pc)
             if rec.op is OpClass.BRANCH:
@@ -142,6 +151,8 @@ class AnnotatedTrace:
                     ))
                 else:
                     narrow_pred.append(0)
+        if len(records) - start < count:
+            self.finished = True
 
 
 _CACHE: Dict[Tuple[str, int, int, int], AnnotatedTrace] = {}
@@ -158,8 +169,10 @@ def annotated_trace(benchmark: str, seed: int, icache_size_kb: int,
     key = (benchmark, seed, icache_size_kb, icache_assoc)
     cached = _CACHE.get(key)
     if cached is None:
+        generator = TraceGenerator(profile(benchmark), seed=seed)
         cached = _CACHE[key] = AnnotatedTrace(
-            profile(benchmark), seed, icache_size_kb, icache_assoc
+            generator.stream_forever(), (icache_size_kb, icache_assoc),
+            generator.data_footprint(),
         )
     return cached
 

@@ -49,6 +49,29 @@ EXECUTION_LATENCY = {
     OpClass.BRANCH: 1,
 }
 
+#: Functional-unit pool an op class issues to: address generation for
+#: loads/stores and branch resolution use the integer ALU, as in
+#: Simplescalar.
+FU_POOL = {
+    OpClass.IALU: "ialu",
+    OpClass.LOAD: "ialu",
+    OpClass.STORE: "ialu",
+    OpClass.BRANCH: "ialu",
+    OpClass.IMUL: "imul",
+    OpClass.FPALU: "fpalu",
+    OpClass.FPMUL: "fpmul",
+}
+
+# The per-op constants as plain attributes on the members: the hottest
+# per-instruction paths read one attribute instead of hashing the enum
+# (``Enum.__hash__`` is Python-level) or calling a property.
+for _op in OpClass:
+    _op._lat = EXECUTION_LATENCY[_op]
+    _op._mem = _op.is_memory
+    _op._fp = _op.is_fp
+    _op._pool = FU_POOL[_op]
+del _op
+
 #: Number of architectural integer registers (fp registers occupy
 #: ``NUM_ARCH_REGS .. 2*NUM_ARCH_REGS - 1``).
 NUM_ARCH_REGS = 32

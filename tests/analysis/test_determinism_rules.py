@@ -250,7 +250,7 @@ class TestSIM106NumpyNondeterminism:
         assert result.findings == []
 
     def test_elementwise_accumulation_is_fine(self, lint_tree):
-        # The sanctioned VectorSteering pattern: per-row fused
+        # The sanctioned SteeringHeuristic pattern: per-row fused
         # multiply-add via broadcasting, no reduction call.
         result = lint_tree({"src/repro/clusters/fast.py": """\
             import numpy as np

@@ -1,5 +1,11 @@
 """Tests for the dynamic steering heuristic and criticality predictor."""
 
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.clusters.cluster import Cluster
@@ -8,6 +14,8 @@ from repro.clusters.steering import SteeringHeuristic, SteeringWeights
 from repro.core.instruction import DynInstr
 from repro.interconnect.topology import CrossbarTopology, HierarchicalTopology
 from repro.workloads.trace import InstructionRecord, OpClass
+
+SRC = str(Path(__file__).resolve().parents[2] / "src")
 
 
 def make_instr(seq, op=OpClass.IALU, dest=5, pc=None):
@@ -163,3 +171,57 @@ class TestValidation:
     def test_needs_clusters(self):
         with pytest.raises(ValueError):
             SteeringHeuristic([], CrossbarTopology(4))
+
+
+class TestScoringPaths:
+    """The numpy scorer (at NUMPY_MIN_CLUSTERS and up) and the Python
+    loop produce the same floats, so the path never changes a choice."""
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_numpy_and_loop_scores_identical(self, seed):
+        rng = random.Random(seed)
+        n = SteeringHeuristic.NUMPY_MIN_CLUSTERS * 2
+        clusters = make_clusters(n)
+        steer = SteeringHeuristic(clusters, HierarchicalTopology(n))
+        assert steer._np is not None
+        for pc in range(0x400000, 0x400100, 4):
+            steer.train_criticality(pc, [pc + 4])
+        for _ in range(3):
+            steer.note_degraded_link(rng.randrange(n))
+        for _ in range(50):
+            for cluster in clusters:
+                cluster.free_int_iq = rng.randrange(cluster.iq_size + 1)
+                cluster.free_fp_iq = rng.randrange(cluster.iq_size + 1)
+            producers = []
+            for reg in range(rng.randrange(4)):
+                producer = make_instr(rng.randrange(100),
+                                      pc=0x400000 + 4 * rng.randrange(64))
+                producer.cluster = rng.randrange(n)
+                producers.append((reg, producer))
+            op = rng.choice(list(OpClass))
+            assert steer._score_np(producers, op) == \
+                steer._score(producers, op)
+
+
+def test_numpy_loads_only_for_large_machines():
+    # The sweep runner's parent process never simulates, so it must not
+    # pay for numpy; neither do machines below NUMPY_MIN_CLUSTERS.
+    script = (
+        "import sys\n"
+        "import repro.harness.runner\n"
+        "from repro.core.models import model\n"
+        "from repro.core.simulation import build_processor\n"
+        "assert 'numpy' not in sys.modules, 'runner import'\n"
+        "build_processor(model('X').config, 'gzip', num_clusters=4)\n"
+        "assert 'numpy' not in sys.modules, '4 clusters'\n"
+        "build_processor(model('X').config, 'gzip', num_clusters=16)\n"
+        "assert 'numpy' in sys.modules, '16 clusters'\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = SRC + (
+        os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
+    )
+    proc = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, text=True, env=env,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr

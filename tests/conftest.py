@@ -6,9 +6,17 @@ cannot mask simulator regressions), while developers may have
 layer construct their own ``ResultCache(tmp_path)`` and must see neither
 setting, so both are cleared for every test; tests that *want* them set
 them explicitly via ``monkeypatch``.
+
+The golden-corpus helpers (``tests/golden/golden.py``) are importable as
+``golden`` from every test.
 """
 
+import sys
+from pathlib import Path
+
 import pytest
+
+sys.path.insert(0, str(Path(__file__).resolve().parent / "golden"))
 
 
 @pytest.fixture(autouse=True)

@@ -1,15 +1,14 @@
-"""Property-based tests for the event wheel (the fast engine's heart).
+"""Property-based tests for the event wheel (the processor's heart).
 
-The wheel's contract, as the event core relies on it:
+The wheel's contract, as the processor relies on it:
 
-* events scheduled for the same cycle fire in schedule order (FIFO) --
-  the scalar core's ``Dict[int, List[fn]]`` firing order, which the
-  differential suite's bit-exactness rests on;
+* events scheduled for the same cycle fire in schedule order (FIFO),
+  which the pinned results of the golden corpus rest on;
 * no live event is ever skipped: draining the wheel cycle by cycle
   fires every scheduled-and-not-cancelled event exactly once, at
   exactly its cycle;
 * :meth:`next_cycle` never overshoots the earliest live event -- the
-  idle-skip in ``EventProcessor._run_until`` jumps straight to it, so
+  idle-skip in ``ClusteredProcessor._run_until`` jumps straight to it, so
   an overshoot would silently drop a wakeup;
 * cancellation revokes exactly the targeted event and never perturbs
   the relative order of that cycle's survivors.

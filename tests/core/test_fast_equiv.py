@@ -1,106 +1,45 @@
-"""Differential suite: the event engine is bit-exact with the scalar tree.
+"""Reference runs across the simulator's internal execution paths.
 
-The fast engine's correctness contract is *equality of the measured
-numbers*: for any (model, benchmark, topology, fault spec, telemetry)
-combination, ``simulate_benchmark(engine="event")`` must return a
-:class:`BenchmarkRun` that compares equal -- field for field, including
-the extra-stats tuple with its operand/degradation counters -- to the
-scalar reference's.  These tests pin that contract across the
-dimensions the engines diverge on internally: wire compositions (which
-planes exist drives selection), cluster counts (4 vs the paper's 16,
-which flips the vectorized-steering path), fault injection (which
-forces the network onto its scalar fallback paths), telemetry (whose
-event stream must also match, event for event) and memory-dependence
-speculation (which exercises the fast LSQ's wake filtering).
-
-Runs here are short -- the point is covering engine-divergent paths,
-not reproducing paper numbers (the tier-1 suites do that on the scalar
-tree, and equality transfers them to the fast engine for free).
+Each test checks one golden-corpus entry (``tests/golden``).  Its digests
+were pinned while an independent scalar implementation of the same model
+agreed with this one bit for bit, so the corpus stands in for that
+reference.  The entries cover the dimensions where the simulator takes
+different internal paths: wire compositions (which planes exist drives
+selection), cluster counts (16 crosses
+``SteeringHeuristic.NUMPY_MIN_CLUSTERS``), fault injection (the
+network's keyed queue path), telemetry (event stream and metrics
+snapshot) and memory-dependence speculation (the LSQ's wake filtering).
 """
-
-import os
 
 import pytest
 
-from repro.clusters.cluster import FU_POOL
-from repro.core.config import ProcessorConfig
-from repro.core.models import MODEL_NAMES, model
-from repro.core.simulation import ENGINES, _resolve_engine, simulate_benchmark
-from repro.telemetry import RingBufferSink, Telemetry
-from repro.workloads import fastops
-
-INSTRUCTIONS = 800
-WARMUP = 200
-
-
-def run_pair(model_name="X", benchmark="gzip", *, num_clusters=4,
-             fault_spec=None, telemetry=False, config=None,
-             instructions=INSTRUCTIONS, warmup=WARMUP, seed=42):
-    """One (scalar, event) run pair plus their telemetry handles."""
-    results = []
-    for engine in ENGINES:
-        tel = (Telemetry(sink=RingBufferSink(capacity=None))
-               if telemetry else None)
-        run = simulate_benchmark(
-            model(model_name).config, benchmark,
-            instructions=instructions, warmup=warmup,
-            num_clusters=num_clusters, seed=seed, config=config,
-            fault_spec=fault_spec, telemetry=tel, engine=engine,
-        )
-        results.append((run, tel))
-    (scalar, scalar_tel), (event, event_tel) = results
-    return scalar, event, scalar_tel, event_tel
-
-
-def assert_runs_equal(scalar, event):
-    """Equality with a readable per-field diff on failure."""
-    if scalar == event:
-        return
-    diffs = []
-    for field in ("benchmark", "instructions", "cycles",
-                  "interconnect_dynamic", "interconnect_leakage"):
-        a, b = getattr(scalar, field), getattr(event, field)
-        if a != b:
-            diffs.append(f"{field}: scalar={a!r} event={b!r}")
-    a_extra, b_extra = dict(scalar.extra), dict(event.extra)
-    for key in sorted(set(a_extra) | set(b_extra)):
-        a, b = a_extra.get(key), b_extra.get(key)
-        if a != b:
-            diffs.append(f"extra[{key}]: scalar={a!r} event={b!r}")
-    pytest.fail("engines diverged:\n  " + "\n  ".join(diffs))
+from golden import (TRACED_FAULTS, assert_digest, assert_pinned, label,
+                    measured)
+from repro.core.models import MODEL_NAMES
 
 
 class TestHealthyRuns:
     @pytest.mark.parametrize("name", MODEL_NAMES)
     def test_every_model_matches(self, name):
-        scalar, event, _, _ = run_pair(model_name=name)
-        assert_runs_equal(scalar, event)
+        assert_pinned(label(name))
 
     @pytest.mark.parametrize("bench", ["gzip", "art", "mcf", "gcc"])
     def test_benchmarks_match(self, bench):
-        scalar, event, _, _ = run_pair(benchmark=bench)
-        assert_runs_equal(scalar, event)
+        assert_pinned(label(benchmark=bench))
 
     @pytest.mark.parametrize("name", ["III", "X"])
     def test_sixteen_clusters_match(self, name):
-        # 16 clusters crosses VectorSteering.NUMPY_MIN_CLUSTERS, so this
-        # pins the numpy scoring path against the scalar heuristic.
-        scalar, event, _, _ = run_pair(model_name=name, num_clusters=16)
-        assert_runs_equal(scalar, event)
+        assert_pinned(label(name, num_clusters=16))
 
     def test_different_seed_matches(self):
-        scalar, event, _, _ = run_pair(seed=7)
-        assert_runs_equal(scalar, event)
+        assert_pinned(label(seed=7))
 
     def test_memory_dependence_speculation_matches(self):
-        config = ProcessorConfig(num_clusters=4,
-                                 memory_dependence_speculation=True)
-        scalar, event, _, _ = run_pair(config=config)
-        assert_runs_equal(scalar, event)
+        assert_pinned(label(config={"memory_dependence_speculation": True}))
 
 
 class TestFaultedRuns:
-    """Fault injection forces the network's scalar fallback paths."""
+    """Fault injection takes the network's keyed queue path."""
 
     @pytest.mark.parametrize("spec", [
         "kill=B@*@600",
@@ -111,64 +50,22 @@ class TestFaultedRuns:
         "kill=B@*@600; ber=1e-4; retries=2",
     ])
     def test_fault_specs_match(self, spec):
-        scalar, event, _, _ = run_pair(fault_spec=spec)
-        assert_runs_equal(scalar, event)
+        assert_pinned(label(fault_spec=spec))
 
     def test_degraded_sixteen_clusters_match(self):
-        scalar, event, _, _ = run_pair(model_name="X", num_clusters=16,
-                                       fault_spec="kill=PW@*@500")
-        assert_runs_equal(scalar, event)
+        assert_pinned(label(num_clusters=16, fault_spec="kill=PW@*@500"))
 
 
 class TestTelemetry:
     def test_event_streams_identical(self):
-        scalar, event, scalar_tel, event_tel = run_pair(telemetry=True)
-        assert_runs_equal(scalar, event)
-        assert scalar_tel.events() == event_tel.events()
+        assert_digest(label(traced=True), "events")
 
     def test_metrics_snapshots_identical(self):
-        _, _, scalar_tel, event_tel = run_pair(telemetry=True)
-        assert (scalar_tel.metrics.snapshot()
-                == event_tel.metrics.snapshot())
+        assert_digest(label(traced=True), "metrics")
 
     def test_traced_run_equals_untraced_run(self):
-        # Telemetry observes without perturbing -- on both engines.
-        traced, traced_event, _, _ = run_pair(telemetry=True)
-        untraced, untraced_event, _, _ = run_pair(telemetry=False)
-        assert traced == untraced
-        assert traced_event == untraced_event
+        # Telemetry observes without perturbing.
+        assert measured(label(traced=True)).run == measured(label()).run
 
     def test_faulted_event_streams_identical(self):
-        scalar, event, scalar_tel, event_tel = run_pair(
-            fault_spec="kill=B@*@600; ber=1e-4", telemetry=True)
-        assert_runs_equal(scalar, event)
-        assert scalar_tel.events() == event_tel.events()
-
-
-class TestEngineResolution:
-    def test_explicit_argument_wins_over_environment(self, monkeypatch):
-        monkeypatch.setenv("REPRO_ENGINE", "event")
-        assert _resolve_engine("scalar") == "scalar"
-
-    def test_environment_default(self, monkeypatch):
-        monkeypatch.setenv("REPRO_ENGINE", "event")
-        assert _resolve_engine(None) == "event"
-        monkeypatch.delenv("REPRO_ENGINE")
-        assert _resolve_engine(None) == "scalar"
-
-    def test_unknown_engine_rejected(self):
-        with pytest.raises(ValueError, match="unknown engine"):
-            _resolve_engine("warp")
-
-    def test_cli_does_not_leak_engine_override(self):
-        from repro.__main__ import main
-
-        assert "REPRO_ENGINE" not in os.environ
-        main(["models"])
-        assert "REPRO_ENGINE" not in os.environ
-
-
-def test_fastops_fu_pool_mirrors_cluster_table():
-    # fastops duplicates FU_POOL to avoid a workloads -> clusters
-    # dependency cycle; this is the pin promised in its comment.
-    assert fastops._FU_POOL == FU_POOL
+        assert_pinned(label(fault_spec=TRACED_FAULTS, traced=True))

@@ -7,6 +7,7 @@ from repro.core.models import model
 from repro.core.processor import ClusteredProcessor
 from repro.core.simulation import build_processor, simulate_benchmark
 from repro.frontend.fetch import FetchUnit
+from repro.workloads.annotate import AnnotatedTrace
 from repro.workloads.trace import InstructionRecord, OpClass
 
 
@@ -41,14 +42,14 @@ class TestMeasurementControl:
 
 class TestFetchStall:
     def test_stall_until_blocks_fetch(self):
-        fetch = FetchUnit(iter([alu(0x400000 + 4 * i, dest=5)
-                                for i in range(20)]))
+        fetch = FetchUnit(AnnotatedTrace([alu(0x400000 + 4 * i, dest=5)
+                                          for i in range(20)]))
         fetch.stall_until(10)
         assert fetch.tick(5) == 0
         assert fetch.tick(10) > 0
 
     def test_stall_until_never_moves_backwards(self):
-        fetch = FetchUnit(iter([alu(0x400000, dest=5)]))
+        fetch = FetchUnit(AnnotatedTrace([alu(0x400000, dest=5)]))
         fetch.stall_until(10)
         fetch.stall_until(3)
         assert fetch.tick(9) == 0

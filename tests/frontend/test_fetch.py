@@ -3,6 +3,7 @@
 import pytest
 
 from repro.frontend.fetch import FetchUnit
+from repro.workloads.annotate import AnnotatedTrace
 from repro.workloads.trace import InstructionRecord, OpClass
 
 
@@ -16,7 +17,7 @@ def branch(pc, taken, target=0x500000):
 
 
 def make_fetch(records, **kw):
-    return FetchUnit(iter(records), **kw)
+    return FetchUnit(AnnotatedTrace(records), **kw)
 
 
 class TestFetchWidth:
@@ -126,8 +127,8 @@ class TestBranchHandling:
 class TestValidation:
     def test_rejects_bad_dimensions(self):
         with pytest.raises(ValueError):
-            FetchUnit(iter([]), width=0)
+            make_fetch([], width=0)
         with pytest.raises(ValueError):
-            FetchUnit(iter([]), queue_size=0)
+            make_fetch([], queue_size=0)
         with pytest.raises(ValueError):
-            FetchUnit(iter([]), refill_penalty=-1)
+            make_fetch([], refill_penalty=-1)

@@ -15,8 +15,7 @@ traced entries, the telemetry event stream and the metrics snapshot.
     PYTHONPATH=src python tests/golden/golden.py LABEL...   # just these
 
 A re-pin goes with a ``CACHE_VERSION`` bump in ``repro.harness.runner``
-(DESIGN §11).  Before writing, the pin runs every entry on both engines
-and refuses to write unless they agree, event streams included.
+(DESIGN §11).
 """
 
 from __future__ import annotations
@@ -26,14 +25,14 @@ import hashlib
 import json
 import sys
 from pathlib import Path
-from typing import Dict, NamedTuple, Optional
+from typing import Dict, NamedTuple, Optional, Tuple
 
 from repro.core.config import ProcessorConfig
 from repro.core.metrics import BenchmarkRun
 from repro.core.models import MODEL_NAMES, model
-from repro.core.simulation import ENGINES, simulate_benchmark
+from repro.core.simulation import simulate_benchmark
 from repro.harness import ExperimentPlan
-from repro.telemetry import RingBufferSink, Telemetry
+from repro.telemetry import RingBufferSink, Telemetry, TraceEvent
 
 CORPUS_PATH = Path(__file__).resolve().parent / "corpus.json"
 
@@ -64,10 +63,11 @@ TRACED_FAULTS = "kill=B@*@600; ber=1e-4"
 
 
 class Measured(NamedTuple):
-    """One entry's result and its digests."""
+    """One entry's result, its digests and, if traced, its events."""
 
     run: BenchmarkRun
     digests: Dict[str, str]
+    events: Optional[Tuple[TraceEvent, ...]] = None
 
 
 def _sha(payload) -> str:
@@ -116,6 +116,11 @@ def _entry(model_name="X", benchmark="gzip", *, config=None,
     return spec
 
 
+def label(model_name="X", benchmark="gzip", **kwargs) -> str:
+    """The label of the entry with these inputs (as :func:`_entry`)."""
+    return label_of(_entry(model_name, benchmark, **kwargs))
+
+
 def entries() -> Dict[str, Dict[str, object]]:
     """The corpus inputs: label -> entry (digests not yet filled)."""
     specs = [_entry(name, bench)
@@ -153,8 +158,7 @@ def entries() -> Dict[str, Dict[str, object]]:
     return corpus
 
 
-def simulate(spec: Dict[str, object],
-             engine: Optional[str] = None) -> Measured:
+def simulate(spec: Dict[str, object]) -> Measured:
     """Run one entry and digest its result."""
     plan = ExperimentPlan.from_dict(spec["plan"])
     config = ProcessorConfig(num_clusters=plan.num_clusters,
@@ -168,13 +172,15 @@ def simulate(spec: Dict[str, object],
         seed=plan.seed, config=config,
         fault_spec=plan.fault_spec or None,
         gating=plan.gating_policy or None,
-        telemetry=telemetry, engine=engine,
+        telemetry=telemetry,
     )
     digests = {"run": run_digest(run)}
-    if telemetry is not None:
-        digests["events"] = _sha([e.to_json() for e in telemetry.events()])
-        digests["metrics"] = _sha(telemetry.metrics.snapshot())
-    return Measured(run, digests)
+    if telemetry is None:
+        return Measured(run, digests)
+    events = telemetry.events()
+    digests["events"] = _sha([e.to_json() for e in events])
+    digests["metrics"] = _sha(telemetry.metrics.snapshot())
+    return Measured(run, digests, events)
 
 
 def load() -> Dict[str, Dict[str, object]]:
@@ -185,6 +191,11 @@ def load() -> Dict[str, Dict[str, object]]:
 def measured(label: str) -> Measured:
     """A pinned entry, simulated at most once per process."""
     return simulate(load()[label])
+
+
+def assert_digest(label: str, name: str) -> None:
+    """One of the entry's digests (run, events, metrics) is unchanged."""
+    assert measured(label).digests[name] == load()[label]["digests"][name]
 
 
 def assert_pinned(label: str) -> None:
@@ -207,16 +218,14 @@ def assert_pinned(label: str) -> None:
 
 
 def pin(labels=None) -> None:
-    """Run entries on both engines and write their digests."""
+    """Run entries and write their digests."""
     corpus = load() if CORPUS_PATH.exists() else {}
     fresh = entries()
     for label in labels or fresh:
         spec = fresh[label]
-        scalar, event = (simulate(spec, engine) for engine in ENGINES)
-        if scalar.digests != event.digests:
-            raise SystemExit(f"{label}: engines disagree; not pinned")
-        corpus[label] = {**spec, "run": run_fields(event.run),
-                         "digests": event.digests}
+        result = simulate(spec)
+        corpus[label] = {**spec, "run": run_fields(result.run),
+                         "digests": result.digests}
         print(f"pinned {label}")
     corpus = {label: corpus[label] for label in fresh if label in corpus}
     CORPUS_PATH.write_text(json.dumps({"entries": corpus}, indent=1) + "\n")

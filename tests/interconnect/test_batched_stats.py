@@ -1,23 +1,23 @@
-"""Round-trip coverage of the batched accounting paths.
+"""Round-trip coverage of the tallied grant accounting.
 
-The fast engine tallies grants per (plane, bits, weight, kind) shape
-and folds them through :meth:`InterconnectStats.merge` on first read.
-These tests pin the fold: a flushed :class:`BatchedStats` must agree
-with a scalar :class:`InterconnectStats` fed the same grant sequence on
-*every* observable -- counters, insertion order (which fixes the float
-summation order of ``dynamic_energy``) and energy totals -- and the
-merge itself must round-trip across splits of the grant stream, which
-is exactly what warmup resets and sweep roll-ups rely on.
+:class:`InterconnectStats` tallies grants per (plane, bits, weight,
+kind) shape and folds them into its counters on first read.  These
+tests pin the fold: tallied stats must agree with stats folded after
+every single grant on *every* observable -- counters, insertion order
+(which fixes the float summation order of ``dynamic_energy``) and energy
+totals -- and :meth:`InterconnectStats.merge` must round-trip across
+splits of the grant stream, which is exactly what warmup resets and
+sweep roll-ups rely on.
 """
 
 import pytest
 
 from repro.core.models import model
 from repro.core.simulation import build_processor
-from repro.interconnect.fastnet import BatchedStats
 from repro.interconnect.message import TransferKind
 from repro.interconnect.stats import InterconnectStats
-from repro.telemetry import MetricsRegistry, merge_counters
+from repro.telemetry import (MetricsRegistry, RingBufferSink, Telemetry,
+                             merge_counters)
 from repro.wires import WireClass
 
 #: A grant stream touching several planes/kinds in interleaved order,
@@ -41,52 +41,57 @@ def record_all(stats, grants):
     return stats
 
 
-def assert_same_counters(batched, scalar):
+def per_grant(grants):
+    """The reference: stats folded after every single grant."""
+    stats = InterconnectStats()
+    for grant in grants:
+        record_all(stats, [grant]).flush()
+    return stats
+
+
+def assert_same_counters(stats, reference):
     """Field-for-field agreement, including dict insertion order."""
-    assert list(batched.by_plane) == list(scalar.by_plane)
-    assert batched.by_plane == scalar.by_plane
-    assert list(batched.by_kind) == list(scalar.by_kind)
-    assert batched.by_kind == scalar.by_kind
-    assert batched.dynamic_energy() == scalar.dynamic_energy()
-    assert batched.total_transfers() == scalar.total_transfers()
+    assert list(stats.by_plane) == list(reference.by_plane)
+    assert stats.by_plane == reference.by_plane
+    assert list(stats.by_kind) == list(reference.by_kind)
+    assert stats.by_kind == reference.by_kind
+    assert stats.dynamic_energy() == reference.dynamic_energy()
+    assert stats.total_transfers() == reference.total_transfers()
     for wire_class in WireClass:
-        assert (batched.transfers_on(wire_class)
-                == scalar.transfers_on(wire_class))
+        assert (stats.transfers_on(wire_class)
+                == reference.transfers_on(wire_class))
 
 
 class TestBatchedStatsFold:
     def test_flush_matches_scalar_recording(self):
-        batched = record_all(BatchedStats(), GRANTS)
-        scalar = record_all(InterconnectStats(), GRANTS)
+        batched = record_all(InterconnectStats(), GRANTS)
         batched.flush()
-        assert_same_counters(batched, scalar)
+        assert_same_counters(batched, per_grant(GRANTS))
 
     def test_flush_is_idempotent_and_incremental(self):
-        batched = record_all(BatchedStats(), GRANTS[:4])
+        batched = record_all(InterconnectStats(), GRANTS[:4])
         batched.flush()
         first = batched.dynamic_energy()
         assert batched.flush().dynamic_energy() == first
         record_all(batched, GRANTS[4:])
         batched.flush()
-        scalar = record_all(InterconnectStats(), GRANTS)
-        assert_same_counters(batched, scalar)
+        assert_same_counters(batched, per_grant(GRANTS))
 
     def test_reading_accessors_fold_pending_tallies(self):
         # dynamic_energy/transfers_on/total_transfers auto-flush, so a
         # reader can never observe a half-recorded state.
         for accessor in ("dynamic_energy", "total_transfers"):
-            batched = record_all(BatchedStats(), GRANTS)
-            scalar = record_all(InterconnectStats(), GRANTS)
+            batched = record_all(InterconnectStats(), GRANTS)
             assert getattr(batched, accessor)() == \
-                getattr(scalar, accessor)()
-        batched = record_all(BatchedStats(), GRANTS)
+                getattr(per_grant(GRANTS), accessor)()
+        batched = record_all(InterconnectStats(), GRANTS)
         assert batched.transfers_on(WireClass.B) == 4
 
     def test_reinit_clears_tally(self):
-        # reset_measurement() re-runs __init__ on the live stats object;
-        # pending tallies must not leak into the measured window.
-        batched = record_all(BatchedStats(), GRANTS)
-        batched.__init__()
+        # reset_measurement() resets the live stats object; pending
+        # tallies must not leak into the measured window.
+        batched = record_all(InterconnectStats(), GRANTS)
+        batched.reset()
         batched.flush()
         assert batched.total_transfers() == 0
         assert batched.by_plane == {}
@@ -102,8 +107,8 @@ class TestMergeRoundTrip:
     @pytest.mark.parametrize("split", [0, 1, 4, len(GRANTS)])
     def test_split_streams_merge_to_the_whole(self, split):
         whole = record_all(InterconnectStats(), GRANTS)
-        head = record_all(BatchedStats(), GRANTS[:split]).flush()
-        tail = record_all(BatchedStats(), GRANTS[split:]).flush()
+        head = record_all(InterconnectStats(), GRANTS[:split]).flush()
+        tail = record_all(InterconnectStats(), GRANTS[split:]).flush()
         combined = InterconnectStats()
         combined.merge(head).merge(tail)
         assert_same_counters(combined, whole)
@@ -111,7 +116,7 @@ class TestMergeRoundTrip:
     def test_merge_preserves_first_touch_order(self):
         # The fold must append unseen planes in the *other* stats'
         # insertion order -- dynamic_energy sums floats in that order,
-        # and bit-exactness across engines depends on it.
+        # and pinned energy totals depend on it.
         first = record_all(InterconnectStats(), GRANTS[:2])
         second = record_all(InterconnectStats(), GRANTS[2:])
         first.merge(second)
@@ -131,33 +136,38 @@ class TestMergeRoundTrip:
 
 
 class TestEngineReportsAgree:
-    """The BatchedNetwork's folded reports match the scalar network's."""
+    """The network's batched path reports what its keyed path does.
+
+    Telemetry sends a run down the keyed path without perturbing it, so
+    a traced and an untraced run of the same window must agree.
+    """
 
     @pytest.fixture(scope="class")
     def processors(self):
         cpus = {}
-        for engine in ("scalar", "event"):
+        for path, telemetry in (("batched", None),
+                                ("keyed", Telemetry(sink=RingBufferSink()))):
             cpu = build_processor(model("X").config, "gzip",
-                                  engine=engine)
+                                  telemetry=telemetry)
+            assert cpu.network._batched == (path == "batched")
             cpu.run(600, warmup=150)
-            cpus[engine] = cpu
+            cpus[path] = cpu
         return cpus
 
     def test_utilization_reports_identical(self, processors):
-        assert (processors["scalar"].network.utilization_report()
-                == processors["event"].network.utilization_report())
+        assert (processors["keyed"].network.utilization_report()
+                == processors["batched"].network.utilization_report())
 
     def test_degradation_reports_identical(self, processors):
-        assert (processors["scalar"].network.degradation_report()
-                == processors["event"].network.degradation_report())
+        assert (processors["keyed"].network.degradation_report()
+                == processors["batched"].network.degradation_report())
 
     def test_stats_counters_identical(self, processors):
-        scalar = processors["scalar"].network.stats
-        batched = processors["event"].network.stats
-        batched.flush()
-        assert_same_counters(batched, scalar)
-        assert batched.buffered_cycles == scalar.buffered_cycles
-        assert batched.split_transfers == scalar.split_transfers
+        keyed = processors["keyed"].network.stats
+        batched = processors["batched"].network.stats
+        assert_same_counters(batched, keyed)
+        assert batched.buffered_cycles == keyed.buffered_cycles
+        assert batched.split_transfers == keyed.split_transfers
 
 
 class TestMetricsRegistryMerge:

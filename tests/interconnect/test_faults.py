@@ -11,8 +11,7 @@ from repro.interconnect.topology import CrossbarTopology
 from repro.wires import WireClass
 
 
-def make_network(wires, spec_text=None, seed=0):
-    injector = None
+def make_network(wires, spec_text=None, seed=0, injector=None):
     if spec_text is not None:
         injector = FaultInjector(FaultSpec.parse(spec_text), seed=seed)
     return Network(CrossbarTopology(4), LinkComposition(wires),
@@ -96,9 +95,8 @@ class TestPermanentKills:
 
 class TestTransientCorruption:
     def test_corrupted_segment_retransmitted_then_delivered(self):
-        net = make_network({WireClass.B: 144})
-        net.injector = ScriptedInjector(fail_attempts=1)
-        net._ber_active = True
+        net = make_network({WireClass.B: 144},
+                           injector=ScriptedInjector(fail_attempts=1))
         seen = []
         net.submit(Transfer(kind=TransferKind.OPERAND, src="c0", dst="c1",
                             on_arrival=seen.append), 0)
@@ -119,9 +117,8 @@ class TestTransientCorruption:
                               dst="c1"), 0)
         run_cycles(clean, 20)
 
-        net = make_network({WireClass.B: 144})
-        net.injector = ScriptedInjector(fail_attempts=1)
-        net._ber_active = True
+        net = make_network({WireClass.B: 144},
+                           injector=ScriptedInjector(fail_attempts=1))
         net.submit(Transfer(kind=TransferKind.OPERAND, src="c0",
                             dst="c1"), 0)
         run_cycles(net, 20)
@@ -129,11 +126,9 @@ class TestTransientCorruption:
                 > clean.stats.dynamic_energy())
 
     def test_retry_budget_exhaustion_escalates_to_kill(self):
-        net = make_network({WireClass.B: 144, WireClass.PW: 288})
-        net.injector = ScriptedInjector(fail_attempts=99,
-                                        planes={WireClass.B})
-        net._ber_active = True
-        net._retry_budget = net.injector.spec.retry_budget
+        net = make_network({WireClass.B: 144, WireClass.PW: 288},
+                           injector=ScriptedInjector(fail_attempts=99,
+                                                     planes={WireClass.B}))
         seen = []
         net.submit(Transfer(kind=TransferKind.OPERAND, src="c0", dst="c1",
                             on_arrival=seen.append), 0)

@@ -1,13 +1,14 @@
-"""Differential suite: plane gating is bit-exact across both engines.
+"""Plane gating: reference runs and the never-gate contract.
 
 The power manager decides lazily (closed-form settlement of each
 plane's state from its injection history) precisely so that the
-event engine -- which skips idle cycles entirely -- reaches the same
-gate-down points, the same wake latencies and the same state-weighted
-leakage as the scalar reference stepping every cycle.  These tests pin
-that contract across every gating policy kind, crossed with fault
+processor -- which skips idle cycles entirely -- reaches the same
+gate-down points, wake latencies and state-weighted leakage as a model
+stepping every cycle.  Each gated run here checks a golden-corpus entry
+(``tests/golden``) pinned while such a cycle-stepping reference agreed
+bit for bit, across every gating policy kind, crossed with fault
 injection (dead planes and gated planes merge into one avoid set) and
-telemetry (the gate/wake event streams must match event for event).
+telemetry (the gate/wake events are part of the pinned stream).
 
 Also pinned: the never-gate policy builds no power manager at all, so
 ``gating="never"`` is bit-identical to a run with no gating argument.
@@ -15,94 +16,39 @@ Also pinned: the never-gate policy builds no power manager at all, so
 
 import pytest
 
+from golden import (INSTRUCTIONS, POLICIES, TRACED_FAULTS, WARMUP,
+                    assert_digest, assert_pinned, label, measured)
 from repro.core.models import model
-from repro.core.simulation import ENGINES, simulate_benchmark
+from repro.core.simulation import build_processor, simulate_benchmark
 from repro.power import PlanePowerManager
-from repro.telemetry import EventKind, RingBufferSink, Telemetry
-
-INSTRUCTIONS = 800
-WARMUP = 200
-
-#: One policy per kind, plus an aggressive idle variant that actually
-#: reaches GATED (not just DROWSY) inside the short test window.
-POLICIES = (
-    "idle:drowsy=64,gate=256",
-    "idle:drowsy=16,gate=64",
-    "ewma:halflife=32,thr=0.5",
-    "ewma:halflife=64,thr=0.5,gthr=0.25,hold=16",
-)
-
-
-def run_pair(model_name="X", benchmark="gzip", *, num_clusters=4,
-             gating=None, fault_spec=None, telemetry=False,
-             instructions=INSTRUCTIONS, warmup=WARMUP, seed=42):
-    """One (scalar, event) run pair plus their telemetry handles."""
-    results = []
-    for engine in ENGINES:
-        tel = (Telemetry(sink=RingBufferSink(capacity=None))
-               if telemetry else None)
-        run = simulate_benchmark(
-            model(model_name).config, benchmark,
-            instructions=instructions, warmup=warmup,
-            num_clusters=num_clusters, seed=seed, gating=gating,
-            fault_spec=fault_spec, telemetry=tel, engine=engine,
-        )
-        results.append((run, tel))
-    (scalar, scalar_tel), (event, event_tel) = results
-    return scalar, event, scalar_tel, event_tel
-
-
-def assert_runs_equal(scalar, event):
-    """Equality with a readable per-field diff on failure."""
-    if scalar == event:
-        return
-    diffs = []
-    for field in ("benchmark", "instructions", "cycles",
-                  "interconnect_dynamic", "interconnect_leakage"):
-        a, b = getattr(scalar, field), getattr(event, field)
-        if a != b:
-            diffs.append(f"{field}: scalar={a!r} event={b!r}")
-    a_extra, b_extra = dict(scalar.extra), dict(event.extra)
-    for key in sorted(set(a_extra) | set(b_extra)):
-        a, b = a_extra.get(key), b_extra.get(key)
-        if a != b:
-            diffs.append(f"extra[{key}]: scalar={a!r} event={b!r}")
-    pytest.fail("engines diverged:\n  " + "\n  ".join(diffs))
+from repro.telemetry import EventKind
 
 
 class TestGatedHealthyRuns:
     @pytest.mark.parametrize("gating", POLICIES)
     def test_policies_match(self, gating):
-        scalar, event, _, _ = run_pair(gating=gating)
-        assert_runs_equal(scalar, event)
+        assert_pinned(label(gating_policy=gating))
 
     @pytest.mark.parametrize("gating", POLICIES[:2])
     @pytest.mark.parametrize("name", ["II", "VII", "X"])
     def test_models_match(self, name, gating):
         # II: PW-only (single ungateable bulk plane); VII: B+L; X: all
         # three planes.  Each flips which planes the manager may gate.
-        scalar, event, _, _ = run_pair(model_name=name, gating=gating)
-        assert_runs_equal(scalar, event)
+        assert_pinned(label(name, gating_policy=gating))
 
     @pytest.mark.parametrize("bench", ["art", "mcf"])
     def test_benchmarks_match(self, bench):
-        scalar, event, _, _ = run_pair(benchmark=bench,
-                                       gating=POLICIES[1])
-        assert_runs_equal(scalar, event)
+        assert_pinned(label(benchmark=bench, gating_policy=POLICIES[1]))
 
     def test_sixteen_clusters_match(self):
-        scalar, event, _, _ = run_pair(num_clusters=16,
-                                       gating=POLICIES[1])
-        assert_runs_equal(scalar, event)
+        assert_pinned(label(num_clusters=16, gating_policy=POLICIES[1]))
 
     def test_gating_engages_in_window(self):
         # Guard against a vacuous suite: the aggressive policy must
-        # actually gate and wake planes inside the test window.
-        scalar, event, _, _ = run_pair(gating=POLICIES[1])
-        extra = dict(scalar.extra)
+        # actually gate and wake planes inside the window.
+        extra = dict(measured(label(gating_policy=POLICIES[1])).run.extra)
         assert extra["plane_wakes"] > 0
         assert extra["gated_wire_cycle_share"] > 0.0
-        assert dict(event.extra)["plane_wakes"] == extra["plane_wakes"]
 
 
 class TestGatedFaultedRuns:
@@ -118,82 +64,55 @@ class TestGatedFaultedRuns:
     ])
     @pytest.mark.parametrize("gating", POLICIES[:2])
     def test_fault_specs_match(self, spec, gating):
-        scalar, event, _, _ = run_pair(gating=gating, fault_spec=spec)
-        assert_runs_equal(scalar, event)
+        assert_pinned(label(fault_spec=spec, gating_policy=gating))
 
     def test_degraded_sixteen_clusters_match(self):
-        scalar, event, _, _ = run_pair(num_clusters=16,
-                                       gating=POLICIES[1],
-                                       fault_spec="kill=PW@*@500")
-        assert_runs_equal(scalar, event)
+        assert_pinned(label(num_clusters=16, gating_policy=POLICIES[1],
+                            fault_spec="kill=PW@*@500"))
 
 
 class TestGatedTelemetry:
+    TRACED = label(gating_policy=POLICIES[1], traced=True)
+
     def test_event_streams_identical(self):
-        scalar, event, scalar_tel, event_tel = run_pair(
-            gating=POLICIES[1], telemetry=True)
-        assert_runs_equal(scalar, event)
-        assert scalar_tel.events() == event_tel.events()
+        assert_digest(self.TRACED, "events")
 
     def test_power_events_present_and_identical(self):
-        _, _, scalar_tel, event_tel = run_pair(gating=POLICIES[1],
-                                               telemetry=True)
         power_kinds = (EventKind.PLANE_GATED, EventKind.PLANE_WOKEN)
-        scalar_power = [e for e in scalar_tel.events()
-                        if e.kind in power_kinds]
-        event_power = [e for e in event_tel.events()
-                       if e.kind in power_kinds]
-        assert scalar_power, "no gate/wake events in the window"
-        assert scalar_power == event_power
+        kinds = {e.kind for e in measured(self.TRACED).events}
+        assert set(power_kinds) <= kinds, "no gate/wake events in the window"
+        assert_digest(self.TRACED, "events")
 
     def test_metrics_snapshots_identical(self):
-        _, _, scalar_tel, event_tel = run_pair(gating=POLICIES[1],
-                                               telemetry=True)
-        assert (scalar_tel.metrics.snapshot()
-                == event_tel.metrics.snapshot())
+        assert_digest(self.TRACED, "metrics")
 
     def test_traced_run_equals_untraced_run(self):
-        # Telemetry observes gating without perturbing it, both engines.
-        traced, traced_event, _, _ = run_pair(gating=POLICIES[1],
-                                              telemetry=True)
-        untraced, untraced_event, _, _ = run_pair(gating=POLICIES[1],
-                                                  telemetry=False)
-        assert traced == untraced
-        assert traced_event == untraced_event
+        # Telemetry observes gating without perturbing it.
+        untraced = label(gating_policy=POLICIES[1])
+        assert measured(self.TRACED).run == measured(untraced).run
 
     def test_faulted_gated_event_streams_identical(self):
-        scalar, event, scalar_tel, event_tel = run_pair(
-            gating=POLICIES[1], fault_spec="kill=B@*@600; ber=1e-4",
-            telemetry=True)
-        assert_runs_equal(scalar, event)
-        assert scalar_tel.events() == event_tel.events()
+        assert_pinned(label(gating_policy=POLICIES[1],
+                            fault_spec=TRACED_FAULTS, traced=True))
 
 
 class TestNeverGate:
     """'never' must be indistinguishable from no gating at all."""
 
-    @pytest.mark.parametrize("engine", ENGINES)
-    @pytest.mark.parametrize("spelling", ["never", "", None])
-    def test_never_bit_identical_to_ungated(self, engine, spelling):
-        base = simulate_benchmark(
-            model("X").config, "gzip", instructions=INSTRUCTIONS,
-            warmup=WARMUP, engine=engine,
-        )
+    @pytest.mark.parametrize("spelling", ["never", "", None],
+                             ids=["never", "empty", "None"])
+    def test_never_bit_identical_to_ungated(self, spelling):
         never = simulate_benchmark(
             model("X").config, "gzip", instructions=INSTRUCTIONS,
-            warmup=WARMUP, engine=engine, gating=spelling,
+            warmup=WARMUP, gating=spelling,
         )
-        assert base == never
+        assert never == measured(label()).run
         # No power extras: the manager is never even constructed.
         assert "plane_wakes" not in dict(never.extra)
 
     def test_never_builds_no_manager(self):
-        from repro.core.simulation import build_processor
-
-        cpu = build_processor(model("X").config, "gzip",
-                              gating="never", engine="scalar")
+        cpu = build_processor(model("X").config, "gzip", gating="never")
         assert cpu.network.power is None
         gated = build_processor(model("X").config, "gzip",
-                                gating="idle:drowsy=16,gate=64",
-                                engine="scalar")
+                                gating="idle:drowsy=16,gate=64")
         assert isinstance(gated.network.power, PlanePowerManager)

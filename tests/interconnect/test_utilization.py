@@ -2,17 +2,24 @@
 
 import pytest
 
-from repro.interconnect.fastnet import BatchedNetwork
 from repro.interconnect.message import Transfer, TransferKind
 from repro.interconnect.network import Network
 from repro.interconnect.plane import LinkComposition
 from repro.interconnect.topology import CrossbarTopology
+from repro.telemetry import RingBufferSink, Telemetry
 from repro.wires import WireClass
 
 
-def make_network(wires=None, cls=Network, **kwargs):
+def make_network(wires=None, **kwargs):
     wires = wires or {WireClass.B: 144}
-    return cls(CrossbarTopology(4), LinkComposition(wires), **kwargs)
+    return Network(CrossbarTopology(4), LinkComposition(wires), **kwargs)
+
+
+def keyed_network(wires=None):
+    """A network on its keyed queue path (telemetry turns it on)."""
+    net = make_network(wires, telemetry=Telemetry(sink=RingBufferSink()))
+    assert not net._batched
+    return net
 
 
 def drive(net, transfers, cycles=20):
@@ -97,26 +104,28 @@ class TestUtilizationReport:
         # Regression: a zero-traffic network asked about a concrete
         # window must report an empty table, not divide by zero while
         # normalizing utilization or leakage shares.
-        for cls in (Network, BatchedNetwork):
-            net = make_network(cls=cls)
+        for net in (make_network(), keyed_network()):
             assert net.utilization_report(cycles=100) == []
 
     def test_zero_traffic_plane_is_absent_not_zero_divided(self):
         # An idle plane (L carries nothing here) simply has no rows;
         # the active plane's rows are unaffected.
-        for cls in (Network, BatchedNetwork):
-            net = make_network({WireClass.B: 144, WireClass.L: 36},
-                               cls=cls)
+        wires = {WireClass.B: 144, WireClass.L: 36}
+        for net in (make_network(wires), keyed_network(wires)):
             drive(net, [("c0", "c1", 0)])
             report = net.utilization_report(cycles=10)
             assert report
             assert all(r.wire_class is WireClass.B for r in report)
 
     def test_zero_traffic_reports_match_across_engines(self):
-        scalar = make_network()
-        event = make_network(cls=BatchedNetwork)
-        assert (scalar.utilization_report(cycles=50)
-                == event.utilization_report(cycles=50))
+        # The batched and keyed queue paths agree, with and without
+        # traffic.
+        for transfers in ([], [("c0", "c1", 0), ("c3", "c1", 0)]):
+            batched, keyed = make_network(), keyed_network()
+            drive(batched, transfers)
+            drive(keyed, transfers)
+            assert (batched.utilization_report(cycles=50)
+                    == keyed.utilization_report(cycles=50))
 
     def test_gated_zero_traffic_network_reports_cleanly(self):
         # Gating enabled but no traffic ever submitted: the power
