@@ -342,7 +342,7 @@ class ClusteredProcessor:
     def reset_measurement(self) -> None:
         """Zero the measured counters (end of warmup)."""
         self.stats = ProcessorStats()
-        self.network.stats.__init__()
+        self.network.stats.reset()
         if self.network.power is not None:
             self.network.power.begin_window(self.cycle)
         self.lsq.loads_disambiguated = 0

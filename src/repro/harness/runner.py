@@ -71,7 +71,7 @@ from .backoff import DecorrelatedJitter
 from .profiling import NULL_PROFILER, HarnessProfiler
 
 #: Bump when simulator changes invalidate cached results.
-CACHE_VERSION = 6
+CACHE_VERSION = 7
 
 #: Bump when the :meth:`SweepReport.to_json` wire format changes.
 REPORT_SCHEMA_VERSION = 1

