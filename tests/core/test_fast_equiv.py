@@ -13,8 +13,8 @@ snapshot) and memory-dependence speculation (the LSQ's wake filtering).
 
 import pytest
 
-from golden import (TRACED_FAULTS, assert_digest, assert_pinned, label,
-                    measured)
+from golden import (FAULT_SPECS, TRACED_FAULTS, assert_digest, assert_pinned,
+                    label, measured)
 from repro.core.models import MODEL_NAMES
 
 
@@ -41,14 +41,7 @@ class TestHealthyRuns:
 class TestFaultedRuns:
     """Fault injection takes the network's keyed queue path."""
 
-    @pytest.mark.parametrize("spec", [
-        "kill=B@*@600",
-        "kill=PW@*@500",
-        "kill=L@c0@400",
-        "ber=2e-4",
-        "derate=PW:1.3,B:1.1",
-        "kill=B@*@600; ber=1e-4; retries=2",
-    ])
+    @pytest.mark.parametrize("spec", FAULT_SPECS)
     def test_fault_specs_match(self, spec):
         assert_pinned(label(fault_spec=spec))
 

@@ -36,7 +36,7 @@ from repro.telemetry import RingBufferSink, Telemetry, TraceEvent
 
 CORPUS_PATH = Path(__file__).resolve().parent / "corpus.json"
 
-#: Every entry's measured window (the differential suites' window).
+#: Every entry's measured window.
 INSTRUCTIONS = 800
 WARMUP = 200
 

@@ -16,8 +16,8 @@ Also pinned: the never-gate policy builds no power manager at all, so
 
 import pytest
 
-from golden import (INSTRUCTIONS, POLICIES, TRACED_FAULTS, WARMUP,
-                    assert_digest, assert_pinned, label, measured)
+from golden import (FAULT_SPECS, INSTRUCTIONS, POLICIES, TRACED_FAULTS,
+                    WARMUP, assert_digest, assert_pinned, label, measured)
 from repro.core.models import model
 from repro.core.simulation import build_processor, simulate_benchmark
 from repro.power import PlanePowerManager
@@ -54,14 +54,7 @@ class TestGatedHealthyRuns:
 class TestGatedFaultedRuns:
     """Dead planes and sleeping planes merge into one avoid set."""
 
-    @pytest.mark.parametrize("spec", [
-        "kill=B@*@600",
-        "kill=PW@*@500",
-        "kill=L@c0@400",
-        "ber=2e-4",
-        "derate=PW:1.3,B:1.1",
-        "kill=B@*@600; ber=1e-4; retries=2",
-    ])
+    @pytest.mark.parametrize("spec", FAULT_SPECS)
     @pytest.mark.parametrize("gating", POLICIES[:2])
     def test_fault_specs_match(self, spec, gating):
         assert_pinned(label(fault_spec=spec, gating_policy=gating))
