@@ -11,14 +11,17 @@ injection (dead planes and gated planes merge into one avoid set) and
 telemetry (the gate/wake events are part of the pinned stream).
 
 Also pinned: the never-gate policy builds no power manager at all, so
-``gating="never"`` is bit-identical to a run with no gating argument.
+``gating="never"`` is bit-identical to a run with no gating argument,
+whether the processor skips idle cycles or steps through every one.
 """
 
 import pytest
 
 from golden import (FAULT_SPECS, INSTRUCTIONS, POLICIES, TRACED_FAULTS,
-                    WARMUP, assert_digest, assert_pinned, label, measured)
+                    WARMUP, assert_digest, assert_pinned, label, load,
+                    measured, run_digest)
 from repro.core.models import model
+from repro.core.processor import ClusteredProcessor
 from repro.core.simulation import build_processor, simulate_benchmark
 from repro.power import PlanePowerManager
 from repro.telemetry import EventKind
@@ -89,17 +92,35 @@ class TestGatedTelemetry:
                             fault_spec=TRACED_FAULTS, traced=True))
 
 
+def _step_every_cycle(cpu, target_committed, max_cycles):
+    """``ClusteredProcessor._run_until`` without idle skipping."""
+    while cpu.stats.committed < target_committed:
+        cpu.step()
+
+
 class TestNeverGate:
     """'never' must be indistinguishable from no gating at all."""
 
-    @pytest.mark.parametrize("spelling", ["never", "", None],
-                             ids=["never", "empty", "None"])
-    def test_never_bit_identical_to_ungated(self, spelling):
+    #: How the processor advances: one ``step()`` per cycle, as a
+    #: cycle-stepping reference would ("scalar"), or its own run loop,
+    #: which jumps over idle cycles ("event").
+    @pytest.mark.parametrize("stepping", ["scalar", "event"])
+    @pytest.mark.parametrize("spelling", ["never", "", None])
+    def test_never_bit_identical_to_ungated(self, stepping, spelling,
+                                            monkeypatch):
+        if stepping == "scalar":
+            monkeypatch.setattr(ClusteredProcessor, "_run_until",
+                                _step_every_cycle)
+        base = simulate_benchmark(
+            model("X").config, "gzip", instructions=INSTRUCTIONS,
+            warmup=WARMUP,
+        )
         never = simulate_benchmark(
             model("X").config, "gzip", instructions=INSTRUCTIONS,
             warmup=WARMUP, gating=spelling,
         )
-        assert never == measured(label()).run
+        assert base == never
+        assert run_digest(never) == load()[label()]["digests"]["run"]
         # No power extras: the manager is never even constructed.
         assert "plane_wakes" not in dict(never.extra)
 
