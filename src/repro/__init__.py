@@ -20,6 +20,8 @@ See DESIGN.md for the full system inventory and EXPERIMENTS.md for
 paper-vs-measured results.
 """
 
+# Registers the old module names of the folded event-driven classes.
+from . import _folded  # noqa: F401
 from ._version import package_version
 from .core import (
     ClusteredProcessor,

@@ -104,3 +104,15 @@ class TestPrewarm:
         cpu = make_cpu([alu(0x400000, dest=8)])
         cpu.prewarm([])
         assert cpu.hierarchy.l1.accesses == 0
+
+
+class TestFoldedNames:
+    def test_old_module_names_bind_the_current_classes(self):
+        import importlib
+
+        from repro._folded import FOLDED
+
+        for name, classes in FOLDED.items():
+            module = importlib.import_module(name)
+            for old, cls in classes.items():
+                assert getattr(module, old) is cls
