@@ -17,14 +17,13 @@ them against the cycle-level stall and redirect timing.
 from __future__ import annotations
 
 from collections import deque
-from typing import TYPE_CHECKING, Deque, Optional
+from typing import TYPE_CHECKING, Deque, Optional, Tuple
 
 from ..core.instruction import DynInstr
 from ..workloads.trace import OpClass
 
 if TYPE_CHECKING:
     from ..workloads.annotate import AnnotatedTrace
-    from .bpred import CombinedPredictor
 
 
 class FetchUnit:
@@ -55,11 +54,29 @@ class FetchUnit:
         self.fetched = 0
         self.redirects = 0
 
+    def predictor_counts(self) -> Tuple[int, int]:
+        """(lookups, mispredicts) of the direction predictor over the
+        branches fetched so far.
+
+        The predictor itself trains along the annotated stream, which
+        runs ahead of fetch and is shared by every run of the same
+        stream, so its own counters describe the stream, not this run.
+        """
+        records = self.trace.records
+        mispredicted = self.trace.mispredicted
+        lookups = mispredicts = 0
+        for seq in range(self._seq):
+            if records[seq].op is OpClass.BRANCH:
+                lookups += 1
+                mispredicts += mispredicted[seq]
+        return lookups, mispredicts
+
     @property
-    def predictor(self) -> "CombinedPredictor":
-        """The direction predictor; it trains along the annotated stream,
-        which may run ahead of fetch."""
-        return self.trace.predictor
+    def branch_accuracy(self) -> float:
+        """Direction-prediction accuracy over the branches fetched so
+        far (1.0 before the first)."""
+        lookups, mispredicts = self.predictor_counts()
+        return 1.0 - mispredicts / lookups if lookups else 1.0
 
     # -- redirect handshake -------------------------------------------------
 

@@ -121,7 +121,7 @@ class TestBranchHandling:
             if fetch.stalled_for_redirect:
                 fetch.redirect_arrived(fetch.queue[-1].seq, cycle)
             cycle += 1
-        assert fetch.predictor.lookups == 10
+        assert fetch.predictor_counts()[0] == 10
 
 
 class TestValidation:

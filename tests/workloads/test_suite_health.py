@@ -9,7 +9,7 @@ import pytest
 
 from repro.core.models import model
 from repro.core.simulation import build_processor
-from repro.workloads.spec2k import BENCHMARK_NAMES, PROFILES
+from repro.workloads.spec2k import BENCHMARK_NAMES
 
 
 @pytest.fixture(scope="module")
@@ -23,7 +23,7 @@ def health():
             "ipc": stats.ipc,
             "l1_miss": cpu.hierarchy.l1.miss_rate,
             "l2_miss": cpu.hierarchy.l2.miss_rate,
-            "bpred": cpu.fetch.predictor.accuracy,
+            "bpred": cpu.fetch.branch_accuracy,
             "branches": stats.branches,
             "loads": stats.loads,
         }
