@@ -1,6 +1,6 @@
 """Cluster execution resources, steering, and criticality prediction."""
 
-from .cluster import DEFAULT_FU_COUNTS, FU_POOL, Cluster, uses_fp_resources
+from .cluster import DEFAULT_FU_COUNTS, FU_POOL, Cluster
 from .criticality import CriticalityPredictor
 from .steering import SteeringHeuristic, SteeringWeights
 
@@ -8,7 +8,6 @@ __all__ = [
     "DEFAULT_FU_COUNTS",
     "FU_POOL",
     "Cluster",
-    "uses_fp_resources",
     "CriticalityPredictor",
     "SteeringHeuristic",
     "SteeringWeights",

@@ -20,11 +20,6 @@ DEFAULT_FU_COUNTS: Dict[str, int] = {
 }
 
 
-def uses_fp_resources(op: OpClass) -> bool:
-    """FP ops draw on the FP issue queue and FP register file."""
-    return op.is_fp
-
-
 class Cluster:
     """Execution resources and the ready/issue machinery of one cluster.
 
@@ -125,9 +120,6 @@ class Cluster:
                 else:
                     self.free_int_iq = min(self.iq_size, self.free_int_iq + 1)
         return selected
-
-    def has_ready(self) -> bool:
-        return bool(self._ready_instrs)
 
     def occupancy(self) -> int:
         """Issue-queue entries in use (int + fp)."""

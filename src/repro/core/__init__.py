@@ -6,7 +6,7 @@ from .config import (
     baseline_interconnect,
     wire_counts,
 )
-from .instruction import NEVER, DynInstr, is_producer
+from .instruction import NEVER, DynInstr
 from .metrics import (
     DYNAMIC_SHARE,
     LEAKAGE_SHARE,
@@ -39,7 +39,6 @@ __all__ = [
     "wire_counts",
     "NEVER",
     "DynInstr",
-    "is_producer",
     "DYNAMIC_SHARE",
     "LEAKAGE_SHARE",
     "BenchmarkRun",

@@ -9,7 +9,7 @@ between them.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from ..workloads.trace import InstructionRecord, OpClass
 
@@ -93,26 +93,7 @@ class DynInstr:
         """True if resolving this branch must redirect the front-end."""
         return self.mispredicted or self.btb_miss
 
-    def available_in(self, cluster: int, cycle: int) -> bool:
-        """Is this result usable in ``cluster`` at ``cycle``?"""
-        avail = self.avail_cycle.get(cluster, NEVER)
-        return avail != NEVER and avail <= cycle
-
-    def add_waiter(self, cluster: int, consumer: "DynInstr",
-                   is_data: bool = False) -> None:
-        """Register a consumer waiting in ``cluster`` for this result.
-
-        ``is_data`` marks a store waiting for its *data* operand (which
-        gates shipping the value to the LSQ, not issue).
-        """
-        self.waiters.setdefault(cluster, []).append((consumer, is_data))
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"DynInstr(seq={self.seq}, op={self.rec.op.value}, "
                 f"cluster={self.cluster}, issued={self.issued}, "
                 f"completed={self.completed})")
-
-
-def is_producer(instr: Optional[DynInstr]) -> bool:
-    """True when a rename-table entry still points at an in-flight producer."""
-    return instr is not None and not instr.committed

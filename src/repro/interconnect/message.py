@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Callable, Optional
 
 #: Data payload of a register value (bits).
 OPERAND_DATA_BITS = 64
@@ -84,9 +83,11 @@ class Transfer:
 
     The network may split it into several wire-plane messages (e.g. the
     partial-address optimization sends 18 bits on L-Wires and the rest on
-    B-Wires).  ``on_arrival`` fires when the *complete* transfer has
-    arrived; ``on_partial_arrival`` (if set) fires when the leading slice
-    arrives -- the hook the accelerated cache pipeline uses.
+    B-Wires).  Arrivals dispatch on ``kind`` through the network's
+    handler tables: :attr:`~repro.interconnect.network.Network.final_handlers`
+    when the *complete* transfer has arrived,
+    :attr:`~repro.interconnect.network.Network.partial_handlers` when the
+    leading slice arrives -- the hook the accelerated cache pipeline uses.
     """
 
     kind: TransferKind
@@ -100,8 +101,6 @@ class Transfer:
     #: The carried value is in the frequent-value table and can be sent
     #: as a small index (extension).
     fv_encodable: bool = False
-    on_arrival: Optional[Callable[[int], None]] = None
-    on_partial_arrival: Optional[Callable[[int], None]] = None
     payload: object = field(default=None, repr=False)
 
     # Plain class attributes, not fields: the processor marks the

@@ -10,9 +10,10 @@ many bits as it has wires.  A transfer is granted when *all* channels on
 its path (source out-channel, any ring segments, destination in-channel)
 have budget left on the chosen plane in that cycle -- a cut-through
 approximation of the paper's fully pipelined links.  Granted segments
-arrive after the plane's path latency; arrival fires the transfer's
-callbacks (partial-slice arrivals fire ``on_partial_arrival``, the hook
-the accelerated cache pipeline uses).
+arrive after the plane's path latency; arrival calls the handler
+registered for the transfer's kind (partial-slice arrivals call
+:attr:`Network.partial_handlers`, the hook the accelerated cache
+pipeline uses).
 
 Fault injection (optional, via a
 :class:`~repro.faults.injector.FaultInjector`):
@@ -47,10 +48,8 @@ inputs:
 
 Both record grants through the same stats tally, so the same traffic
 yields the same numbers either way.  Transfers the processor recycles
-(``_pooled``) carry no callbacks: their arrivals dispatch through the
-per-kind :attr:`Network.final_handlers` / :attr:`Network.partial_handlers`
-tables, and each returns to :attr:`Network.pool` once its last segment
-has arrived.
+(``_pooled``) return to :attr:`Network.pool` once their last segment has
+arrived.
 """
 
 from __future__ import annotations
@@ -229,7 +228,8 @@ class Network:
                     )
                 heapq.heappush(self._pending_kills,
                                (cycle, channel, plane))
-        #: Arrival dispatch and free list for recycled transfers; the
+        #: Arrival dispatch by transfer kind (complete transfer, leading
+        #: slice) and the free list for recycled transfers; the
         #: processor installs them.
         self.final_handlers: Dict[TransferKind, Handler] = {}
         self.partial_handlers: Dict[TransferKind, Handler] = {}
@@ -747,21 +747,13 @@ class Network:
             transfer = item.transfer
             segment = item.segment
             if segment.is_leading_slice:
-                callback = transfer.on_partial_arrival
-                if callback is not None:
-                    callback(arrival)
-                else:
-                    handler = partials.get(transfer.kind)
-                    if handler is not None:
-                        handler(transfer, arrival)
+                handler = partials.get(transfer.kind)
+                if handler is not None:
+                    handler(transfer, arrival)
             if segment.is_final_slice:
-                callback = transfer.on_arrival
-                if callback is not None:
-                    callback(arrival)
-                else:
-                    handler = finals.get(transfer.kind)
-                    if handler is not None:
-                        handler(transfer, arrival)
+                handler = finals.get(transfer.kind)
+                if handler is not None:
+                    handler(transfer, arrival)
             if transfer._pooled:
                 transfer._segs_left -= 1
                 if transfer._segs_left <= 0 and pool is not None:

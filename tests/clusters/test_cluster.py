@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.clusters.cluster import FU_POOL, Cluster, uses_fp_resources
+from repro.clusters.cluster import FU_POOL, Cluster
 from repro.core.instruction import DynInstr
 from repro.workloads.trace import InstructionRecord, OpClass
 
@@ -117,13 +117,13 @@ class TestSelect:
             assert FU_POOL[op] == "ialu"
 
     def test_has_ready(self, cluster):
-        assert not cluster.has_ready()
+        # Only instructions marked ready are selected, each exactly once.
         instr = make_instr(0)
         cluster.admit(instr)
+        assert cluster.select() == []
         cluster.make_ready(instr)
-        assert cluster.has_ready()
-        cluster.select()
-        assert not cluster.has_ready()
+        assert cluster.select() == [instr]
+        assert cluster.select() == []
 
     def test_occupancy(self, cluster):
         cluster.admit(make_instr(0))
@@ -133,8 +133,9 @@ class TestSelect:
 
 class TestFpClassification:
     def test_fp_ops(self):
-        assert uses_fp_resources(OpClass.FPALU)
-        assert uses_fp_resources(OpClass.FPMUL)
+        # The cluster reads the ``_fp`` stamp; it must agree with is_fp.
+        for op in (OpClass.FPALU, OpClass.FPMUL):
+            assert op.is_fp and op._fp
         for op in (OpClass.IALU, OpClass.IMUL, OpClass.LOAD,
                    OpClass.STORE, OpClass.BRANCH):
-            assert not uses_fp_resources(op)
+            assert not op.is_fp and not op._fp

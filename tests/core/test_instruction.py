@@ -1,12 +1,31 @@
-"""Tests for the shared dynamic-instruction record."""
+"""Tests for the shared dynamic-instruction record and how rename reads
+its availability and waiter fields."""
 
-from repro.core.instruction import NEVER, DynInstr, is_producer
+from repro.core.config import InterconnectConfig, ProcessorConfig, wire_counts
+from repro.core.instruction import NEVER, DynInstr
+from repro.core.processor import ClusteredProcessor
 from repro.workloads.trace import InstructionRecord, OpClass
 
 
-def make(seq=0, op=OpClass.IALU, dest=5):
-    rec = InstructionRecord(pc=0x400000, op=op, dest=dest, srcs=(1, 2))
+def make(seq=0, op=OpClass.IALU, dest=5, srcs=(1, 2)):
+    rec = InstructionRecord(pc=0x400000 + 4 * seq, op=op, dest=dest,
+                            srcs=srcs)
     return DynInstr(seq, rec)
+
+
+def rename(producer, consumer=None, home=0, cycle=100):
+    """Rename ``consumer`` (default: an ALU op reading r5) into cluster
+    ``home`` at ``cycle`` while the rename table maps r5 to
+    ``producer``; returns the consumer."""
+    cpu = ClusteredProcessor(ProcessorConfig(num_clusters=4),
+                             InterconnectConfig(wires=wire_counts(B=144)),
+                             iter(()))
+    cpu.rename[5] = producer
+    consumer = consumer or make(9, dest=6, srcs=(5,))
+    cluster = cpu.clusters[home]
+    cluster.admit(consumer)
+    cpu._rename(consumer, [], cluster, cycle)
+    return consumer
 
 
 class TestLifecycleFlags:
@@ -36,31 +55,41 @@ class TestLifecycleFlags:
 
 class TestAvailability:
     def test_not_available_until_recorded(self):
-        instr = make()
-        assert not instr.available_in(0, 100)
-        instr.avail_cycle[0] = 50
-        assert instr.available_in(0, 50)
-        assert instr.available_in(0, 100)
-        assert not instr.available_in(0, 49)
-        assert not instr.available_in(1, 100)
+        producer = make()
+        assert rename(producer).outstanding == 1
+        producer.avail_cycle[0] = 50
+        assert rename(producer, cycle=50).outstanding == 0
+        assert rename(producer, cycle=100).outstanding == 0
+        assert rename(producer, cycle=49).outstanding == 1
+        assert rename(producer, home=1, cycle=100).outstanding == 1
 
     def test_waiters_partitioned_by_cluster(self):
         producer = make(0)
-        a, b = make(1), make(2)
-        producer.add_waiter(0, a)
-        producer.add_waiter(2, b, is_data=True)
-        assert [w for w, _ in producer.waiters[0]] == [a]
+        a = rename(producer, home=0)
+        # A store's second source is its data operand.
+        b = rename(producer, make(2, op=OpClass.STORE, dest=-1,
+                                  srcs=(1, 5)), home=2)
+        assert producer.waiters[0] == [(a, False)]
         assert producer.waiters[2] == [(b, True)]
+        assert (b.outstanding, b.data_outstanding) == (0, 1)
 
 
 class TestIsProducer:
     def test_none_is_not_producer(self):
-        assert not is_producer(None)
+        consumer = rename(None)
+        assert consumer.outstanding == 0
+        assert consumer.producer_pcs == []
 
     def test_inflight_is_producer(self):
-        assert is_producer(make())
+        producer = make()
+        consumer = rename(producer)
+        assert consumer.outstanding == 1
+        assert consumer.producer_pcs == [producer.rec.pc]
 
     def test_committed_is_not_producer(self):
         instr = make()
         instr.committed = True
-        assert not is_producer(instr)
+        consumer = rename(instr)
+        assert consumer.outstanding == 0
+        assert consumer.producer_pcs == []
+        assert instr.waiters == {}

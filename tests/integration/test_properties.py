@@ -109,6 +109,9 @@ net_settings = settings(max_examples=25, deadline=None)
 def _run_network(transfers, topology, wires):
     net = Network(topology, LinkComposition(wires))
     arrivals = []
+    # Each transfer carries its submit cycle as payload.
+    net.final_handlers[TransferKind.OPERAND] = \
+        lambda t, c: arrivals.append((t.payload, c))
     submitted = 0
     pairs = [(s, d, c) for s, d, c in transfers if s != d]
     pairs.sort(key=lambda p: p[2])
@@ -118,8 +121,7 @@ def _run_network(transfers, topology, wires):
             src, dst, _ = pairs.pop(0)
             net.submit(
                 Transfer(kind=TransferKind.OPERAND, src=src, dst=dst,
-                         on_arrival=lambda c, t=cycle: arrivals.append(
-                             (t, c))),
+                         payload=cycle),
                 cycle,
             )
             submitted += 1

@@ -18,6 +18,14 @@ def make_network(wires, spec_text=None, seed=0, injector=None):
                    injector=injector)
 
 
+def arrivals(net):
+    """Arrival cycle of every complete transfer, in delivery order."""
+    log = []
+    for kind in TransferKind:
+        net.final_handlers[kind] = lambda t, c: log.append(c)
+    return log
+
+
 def run_cycles(net, upto):
     for cycle in range(upto):
         net.deliver_due(cycle)
@@ -46,9 +54,8 @@ class TestPermanentKills:
     def test_lwire_kill_flips_steering_to_bulk(self):
         net = make_network({WireClass.B: 144, WireClass.L: 36},
                            "kill=L@*@0")
-        seen = []
-        t = Transfer(kind=TransferKind.MISPREDICT, src="c0", dst="c1",
-                     on_arrival=seen.append)
+        seen = arrivals(net)
+        t = Transfer(kind=TransferKind.MISPREDICT, src="c0", dst="c1")
         net.submit(t, cycle=0)
         run_cycles(net, 6)
         assert seen == [2]  # B-Wire latency, not the 1-cycle L-Wire
@@ -66,11 +73,10 @@ class TestPermanentKills:
     def test_queued_segment_rerouted_when_plane_dies(self):
         net = make_network({WireClass.B: 144, WireClass.PW: 288},
                            "kill=B@c0@1")
-        seen = []
+        seen = arrivals(net)
         for i in range(3):
             net.submit(Transfer(kind=TransferKind.OPERAND, src="c0",
-                                dst="c1", seq=i,
-                                on_arrival=seen.append), 0)
+                                dst="c1", seq=i), 0)
         run_cycles(net, 12)
         assert len(seen) == 3
         report = net.degradation_report()
@@ -97,9 +103,9 @@ class TestTransientCorruption:
     def test_corrupted_segment_retransmitted_then_delivered(self):
         net = make_network({WireClass.B: 144},
                            injector=ScriptedInjector(fail_attempts=1))
-        seen = []
-        net.submit(Transfer(kind=TransferKind.OPERAND, src="c0", dst="c1",
-                            on_arrival=seen.append), 0)
+        seen = arrivals(net)
+        net.submit(Transfer(kind=TransferKind.OPERAND, src="c0", dst="c1"),
+                   0)
         run_cycles(net, 20)
         report = net.degradation_report()
         assert report.corrupted_segments == 1
@@ -129,9 +135,9 @@ class TestTransientCorruption:
         net = make_network({WireClass.B: 144, WireClass.PW: 288},
                            injector=ScriptedInjector(fail_attempts=99,
                                                      planes={WireClass.B}))
-        seen = []
-        net.submit(Transfer(kind=TransferKind.OPERAND, src="c0", dst="c1",
-                            on_arrival=seen.append), 0)
+        seen = arrivals(net)
+        net.submit(Transfer(kind=TransferKind.OPERAND, src="c0", dst="c1"),
+                   0)
         run_cycles(net, 60)
         report = net.degradation_report()
         assert report.retry_escalations == 1
@@ -163,19 +169,18 @@ class TestConfigErrors:
 
 class TestDeterminism:
     def test_identical_seeds_identical_arrivals(self):
-        def arrivals():
+        def faulted_run():
             net = make_network({WireClass.B: 144, WireClass.PW: 288},
                                "ber=1e-3", seed=5)
-            seen = []
+            seen = arrivals(net)
             for i in range(40):
                 net.submit(Transfer(kind=TransferKind.OPERAND, src="c0",
-                                    dst="c1", seq=i,
-                                    on_arrival=seen.append), i)
+                                    dst="c1", seq=i), i)
             run_cycles(net, 400)
             return seen, net.degradation_report()
 
-        first, report_a = arrivals()
-        second, report_b = arrivals()
+        first, report_a = faulted_run()
+        second, report_b = faulted_run()
         assert first == second
         assert report_a == report_b
         assert report_a.retransmissions > 0

@@ -5,7 +5,6 @@ import pytest
 from repro.interconnect.message import Transfer, TransferKind
 from repro.interconnect.network import Network
 from repro.interconnect.plane import LinkComposition
-from repro.interconnect.selection import PolicyFlags
 from repro.interconnect.topology import CrossbarTopology, HierarchicalTopology
 from repro.wires import WireClass
 
@@ -16,25 +15,28 @@ def make_network(wires=None, flags=None, topology=None):
     return Network(topology, LinkComposition(wires), flags)
 
 
-def run_cycles(net, upto):
-    arrivals = []
-    for cycle in range(upto):
-        net.deliver_due(cycle)
-        net.tick(cycle)
-    return arrivals
+def arrivals(net):
+    """(transfer, cycle) of every complete arrival, in delivery order."""
+    log = []
+    for kind in TransferKind:
+        net.final_handlers[kind] = lambda t, c: log.append((t, c))
+    return log
+
+
+def cycles(log):
+    return [cycle for _, cycle in log]
 
 
 class TestBasicDelivery:
     def test_operand_arrives_after_crossbar_latency(self):
         net = make_network()
-        seen = []
-        t = Transfer(kind=TransferKind.OPERAND, src="c0", dst="c1",
-                     on_arrival=seen.append)
+        seen = arrivals(net)
+        t = Transfer(kind=TransferKind.OPERAND, src="c0", dst="c1")
         net.submit(t, cycle=0)
         for cycle in range(5):
             net.deliver_due(cycle)
             net.tick(cycle)
-        assert seen == [2]  # B-Wire crossbar latency
+        assert cycles(seen) == [2]  # B-Wire crossbar latency
 
     def test_idle_network(self):
         net = make_network()
@@ -56,80 +58,74 @@ class TestContention:
     def test_one_transfer_per_cycle_per_cluster_link(self):
         """72 B-Wires per direction carry exactly one 72-bit operand."""
         net = make_network()
-        seen = []
+        seen = arrivals(net)
         for i in range(3):
             net.submit(Transfer(kind=TransferKind.OPERAND, src="c0",
-                                dst="c1", seq=i,
-                                on_arrival=seen.append), 0)
+                                dst="c1", seq=i), 0)
         for cycle in range(8):
             net.deliver_due(cycle)
             net.tick(cycle)
-        assert seen == [2, 3, 4]  # serialized, one grant per cycle
+        assert cycles(seen) == [2, 3, 4]  # serialized, one grant per cycle
 
     def test_cache_link_carries_two_per_cycle(self):
         net = make_network()
-        seen = []
+        seen = arrivals(net)
         for i in range(4):
             net.submit(Transfer(kind=TransferKind.LOAD_DATA, src="cache",
-                                dst=f"c{i}", seq=i,
-                                on_arrival=seen.append), 0)
+                                dst=f"c{i}", seq=i), 0)
         for cycle in range(8):
             net.deliver_due(cycle)
             net.tick(cycle)
         # cache:out has 144 bits/cycle = two 72-bit transfers.
-        assert seen == [2, 2, 3, 3]
+        assert cycles(seen) == [2, 2, 3, 3]
 
     def test_distinct_sources_do_not_contend(self):
         net = make_network()
-        seen = []
+        seen = arrivals(net)
         for i in range(4):
             net.submit(Transfer(kind=TransferKind.OPERAND, src=f"c{i}",
-                                dst="cache", seq=i,
-                                on_arrival=seen.append), 0)
+                                dst="cache", seq=i), 0)
         for cycle in range(6):
             net.deliver_due(cycle)
             net.tick(cycle)
         # cache:in accepts 2/cycle; four sources serialize into pairs.
-        assert sorted(seen) == [2, 2, 3, 3]
+        assert sorted(cycles(seen)) == [2, 2, 3, 3]
 
     def test_planes_are_independent_resources(self):
         net = make_network({WireClass.B: 144, WireClass.L: 36})
-        seen = []
+        seen = arrivals(net)
         # Saturate B with operands, then a mispredict on L sails through.
         for i in range(2):
             net.submit(Transfer(kind=TransferKind.OPERAND, src="c0",
-                                dst="c1", seq=i, on_arrival=seen.append), 0)
+                                dst="c1", seq=i), 0)
         net.submit(Transfer(kind=TransferKind.MISPREDICT, src="c0",
-                            dst="cache", seq=9,
-                            on_arrival=lambda c: seen.append(("m", c))), 0)
+                            dst="cache", seq=9), 0)
         for cycle in range(6):
             net.deliver_due(cycle)
             net.tick(cycle)
-        assert ("m", 1) in seen  # L-Wire latency 1, unaffected by B queue
+        # L-Wire latency 1, unaffected by the B queue.
+        assert (TransferKind.MISPREDICT, 1) in [(t.kind, c) for t, c in seen]
 
     def test_fifo_order_within_plane(self):
         net = make_network()
-        order = []
+        seen = arrivals(net)
         for i in range(5):
             net.submit(Transfer(kind=TransferKind.OPERAND, src="c0",
-                                dst="c1", seq=i,
-                                on_arrival=lambda c, i=i: order.append(i)), 0)
+                                dst="c1", seq=i), 0)
         for cycle in range(10):
             net.deliver_due(cycle)
             net.tick(cycle)
-        assert order == [0, 1, 2, 3, 4]
+        assert [t.seq for t, _ in seen] == [0, 1, 2, 3, 4]
 
 
 class TestSplitTransfers:
     def test_partial_then_full_arrival(self):
         net = make_network({WireClass.B: 144, WireClass.L: 36})
         events = []
-        t = Transfer(
-            kind=TransferKind.LOAD_ADDRESS, src="c0", dst="cache",
-            on_partial_arrival=lambda c: events.append(("ls", c)),
-            on_arrival=lambda c: events.append(("full", c)),
-        )
-        net.submit(t, 0)
+        kind = TransferKind.LOAD_ADDRESS
+        net.partial_handlers[kind] = lambda t, c: events.append(("ls", c))
+        net.final_handlers[kind] = lambda t, c: events.append(("full", c))
+        net.submit(Transfer(kind=kind, src="c0", dst="cache"), 0)
         for cycle in range(6):
             net.deliver_due(cycle)
             net.tick(cycle)
@@ -138,16 +134,15 @@ class TestSplitTransfers:
 
     def test_narrow_mispredict_delays_final(self):
         net = make_network({WireClass.B: 144, WireClass.L: 36})
-        events = []
+        seen = arrivals(net)
         t = Transfer(kind=TransferKind.OPERAND, src="c0", dst="c1",
-                     narrow_predicted=True, narrow_actual=False,
-                     on_arrival=lambda c: events.append(c))
+                     narrow_predicted=True, narrow_actual=False)
         net.submit(t, 0)
         for cycle in range(8):
             net.deliver_due(cycle)
             net.tick(cycle)
         # Bulk copy submitted one cycle late -> arrives at 1 + 2.
-        assert events == [3]
+        assert cycles(seen) == [3]
 
 
 class TestEnergyAccounting:
@@ -198,14 +193,14 @@ class TestRingContention:
         ring segment."""
         topo = HierarchicalTopology(16, ring_width_factor=1)
         net = make_network(topology=topo)
-        seen = []
+        seen = arrivals(net)
         net.submit(Transfer(kind=TransferKind.OPERAND, src="c0", dst="c4",
-                            on_arrival=lambda c: seen.append(("a", c))), 0)
+                            payload="a"), 0)
         net.submit(Transfer(kind=TransferKind.OPERAND, src="c1", dst="c5",
-                            on_arrival=lambda c: seen.append(("b", c))), 0)
+                            payload="b"), 0)
         for cycle in range(12):
             net.deliver_due(cycle)
             net.tick(cycle)
-        times = dict(seen)
+        times = {t.payload: c for t, c in seen}
         assert times["a"] == 6  # crossbar 2 + hop 4
         assert times["b"] == 7  # waited a cycle for ring:0>1
