@@ -65,6 +65,11 @@ DEADLOCK_HORIZON = 50_000
 _PREWARM_CACHE: dict = {}
 
 
+def clear_prewarm_cache() -> None:
+    """Drop all cached prewarm images (memory pressure)."""
+    _PREWARM_CACHE.clear()
+
+
 def _prewarm_cached(cache, regions) -> None:
     key = (regions, cache.num_sets, cache.assoc, cache.line_size)
     image = _PREWARM_CACHE.get(key)

@@ -17,23 +17,24 @@ wall-clock duration, simulator commit); entries from older versions of
 this file lack it and are still accepted, since the cache key already
 pins :data:`CACHE_VERSION`.
 
-:meth:`ExperimentRunner.run_many` fans cache misses out over a pool of
-*crash-isolated* worker processes (one process per run) -- simulations
-share no state and are deterministic for a fixed plan (seeded workload
+:meth:`ExperimentRunner.run_many` fans cache misses out over
+*crash-isolated* worker processes that live for one sweep: each is
+forked once and runs plan after plan, dispatched in trace-key order so
+the runs of one (benchmark, seed) reuse one annotated trace.
+Simulations are deterministic for a fixed plan (seeded workload
 generation, no wall-clock coupling), so serial and parallel sweeps are
 bit-identical; ``tests/harness/test_parallel.py`` enforces this.  A
-worker that crashes, wedges past ``run_timeout`` or raises no longer
-kills the sweep: crashed/timed-out runs are retried with exponential
-backoff up to ``max_retries`` times, and whatever still fails lands in
-a structured failure manifest (:class:`SweepReport`) next to every
-completed result.
+worker that crashes or wedges past ``run_timeout`` is replaced, and
+only its in-flight plan is retried with seeded decorrelated-jitter
+backoff up to ``max_retries`` times; a plan that raises is not
+retried.  Whatever still fails lands in a structured failure manifest
+(:class:`SweepReport`) next to every completed result.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import multiprocessing
 import os
 import subprocess
 import tempfile
@@ -69,6 +70,7 @@ from ..telemetry import Telemetry
 from ..workloads.spec2k import BENCHMARK_NAMES
 from .backoff import DecorrelatedJitter
 from .profiling import NULL_PROFILER, HarnessProfiler
+from .workers import Worker, wait_any
 
 #: Bump when simulator changes invalidate cached results.
 CACHE_VERSION = 7
@@ -392,33 +394,10 @@ def _execute_plan(
     plan: ExperimentPlan,
     interconnect_model: Optional[InterconnectModel] = None,
 ) -> Tuple[BenchmarkRun, float]:
-    """Simulate one plan; also usable as a process-pool worker."""
+    """Simulate one plan, timed: what serial sweeps and workers run."""
     start = time.perf_counter()
     run = simulate_plan(plan, interconnect_model=interconnect_model)
     return run, time.perf_counter() - start
-
-
-def _worker_entry(conn, plan: ExperimentPlan,
-                  interconnect_model: Optional[InterconnectModel]) -> None:
-    """Entry point of one crash-isolated worker process.
-
-    Ships either ``("ok", run, duration)`` or ``("error", type, msg)``
-    back through the pipe; a worker that dies before sending (segfault,
-    OOM-kill, SIGKILL) is detected by the parent via process exit.
-    """
-    try:
-        run, duration = _execute_plan(plan, interconnect_model)
-        payload = ("ok", run, duration)
-    # Crash-isolation boundary: this worker must convert *any* failure
-    # (simulator bug, MemoryError, KeyboardInterrupt forwarded by the
-    # pool) into a structured ("error", ...) message so one bad run
-    # cannot kill the sweep; the parent decides retry-vs-manifest.
-    except BaseException as exc:  # simlint: disable=SIM302
-        payload = ("error", type(exc).__name__, str(exc))
-    try:
-        conn.send(payload)
-    finally:
-        conn.close()
 
 
 @dataclass(frozen=True)
@@ -627,8 +606,9 @@ class ExperimentRunner:
     :mod:`repro.harness.backoff`) before declaring the run failed.
     Jitter keeps herds of retrying workers from synchronizing while
     staying a pure function of each plan, so replayed sweeps retry on
-    identical schedules.  Setting a timeout forces every run into its
-    own worker process so a wedged simulation can actually be killed.
+    identical schedules.  Setting a timeout routes even a one-worker
+    sweep through a worker process, so a wedged simulation can
+    actually be killed.
     """
 
     def __init__(self, cache: Optional[ResultCache] = None,
@@ -838,37 +818,31 @@ class ExperimentRunner:
         max_retries: int,
         cancel: Optional[threading.Event] = None,
     ) -> Dict[ExperimentPlan, object]:
-        """Execute plans in one killable process each.
+        """Execute plans on up to ``workers`` long-lived worker processes.
 
-        Schedules up to ``workers`` concurrent worker processes; a
-        worker that exceeds ``run_timeout`` is terminated, a worker
-        that dies without reporting is detected via its exit code, and
-        both are retried with seeded decorrelated-jitter backoff up to
-        ``max_retries`` times.  Returns plan -> (run, duration) |
-        RunFailure.
+        Workers are forked for this call only and each runs plan after
+        plan.  Plans are dispatched in trace-key order -- every plan of
+        one (benchmark, seed) back to back, keys in order of first
+        appearance -- and an idle worker takes the next launchable one,
+        so a worker annotates each trace once.  A worker that dies
+        without reporting or exceeds ``run_timeout`` is terminated and
+        replaced; only its in-flight plan is retried, with seeded
+        decorrelated-jitter backoff, up to ``max_retries`` times.  A
+        plan that raises is not retried.  No worker outlives the call.
+        Returns plan -> (run, duration) | RunFailure.
         """
-        ctx = multiprocessing.get_context()
-        prof = self.profiler
         outcomes: Dict[ExperimentPlan, object] = {}
-        # (plan, attempt, not-before-monotonic-time)
-        ready = deque((plan, 0, 0.0) for plan in misses)
-        active: Dict[ExperimentPlan, tuple] = {}
-        # Launch timestamps on the profiler clock, for worker spans.
-        launched_at: Dict[ExperimentPlan, float] = {}
+        keys: Dict[Tuple[str, int], int] = {}
+        for plan in misses:
+            keys.setdefault((plan.benchmark, plan.seed), len(keys))
+        # (plan, attempt, not-before-monotonic-time), in trace-key order
+        ready = deque((plan, 0, 0.0) for plan in sorted(
+            misses, key=lambda p: keys[p.benchmark, p.seed]))
+        pool: List[Worker] = []
+        ending = "exit"
         # Per-plan retry schedules, seeded from the plan so replays
         # back off identically while distinct plans stay decorrelated.
         backoffs: Dict[ExperimentPlan, DecorrelatedJitter] = {}
-
-        def close_span(plan, attempt, outcome):
-            if not prof.enabled:
-                return
-            start = launched_at.pop(plan, None)
-            if start is None:
-                return
-            prof.complete(f"worker:{plan.model_name}/{plan.benchmark}",
-                          start, prof.now() - start, category="worker",
-                          plan=plan.describe(), attempt=attempt + 1,
-                          outcome=outcome)
 
         def finish(plan, attempt, reason, detail):
             if reason in ("timeout", "crash") and attempt < max_retries:
@@ -890,98 +864,80 @@ class ExperimentRunner:
                     attempts=attempt + 1,
                 )
 
-        while ready or active:
-            if cancel is not None and cancel.is_set():
-                # Cooperative abort: kill live workers, mark everything
-                # unfinished as cancelled; completed outcomes survive.
-                for plan, (proc, recv, _started, attempt) in active.items():
-                    proc.terminate()
-                    proc.join()
-                    recv.close()
-                    close_span(plan, attempt, "cancelled")
-                    outcomes[plan] = RunFailure(
-                        plan=plan, reason="cancelled",
-                        detail="sweep cancelled while running",
-                        attempts=attempt + 1,
-                    )
-                active.clear()
-                for plan, attempt, _not_before in ready:
-                    outcomes[plan] = RunFailure(
-                        plan=plan, reason="cancelled",
-                        detail="sweep cancelled before launch",
-                        attempts=attempt,
-                    )
-                ready.clear()
-                break
-            now = time.monotonic()
-            # Launch as many ready plans as there are free slots.
-            for _ in range(len(ready)):
-                if len(active) >= max(1, workers):
+        try:
+            while ready or any(w.job is not None for w in pool):
+                if cancel is not None and cancel.is_set():
+                    # Cooperative abort: every worker is killed below,
+                    # everything unfinished is marked cancelled, and
+                    # completed outcomes survive.
+                    ending = "cancelled"
+                    for worker in pool:
+                        if worker.job is not None:
+                            plan, attempt = worker.end_job(ending)
+                            outcomes[plan] = RunFailure(
+                                plan=plan, reason="cancelled",
+                                detail="sweep cancelled while running",
+                                attempts=attempt + 1,
+                            )
+                    for plan, attempt, _not_before in ready:
+                        outcomes[plan] = RunFailure(
+                            plan=plan, reason="cancelled",
+                            detail="sweep cancelled before launch",
+                            attempts=attempt,
+                        )
                     break
-                plan, attempt, not_before = ready.popleft()
-                if not_before > now:
-                    ready.append((plan, attempt, not_before))
-                    continue
-                recv, send = ctx.Pipe(duplex=False)
-                proc = ctx.Process(
-                    target=_worker_entry,
-                    args=(send, plan, models.get(plan) if models else None),
-                )
-                proc.start()
-                send.close()
-                if prof.enabled:
-                    launched_at[plan] = prof.now()
-                active[plan] = (proc, recv, time.monotonic(), attempt)
+                # Fork workers (at the start, and to replace retired
+                # ones) while there are plans for them; then idle
+                # workers take the next launchable plans in order.
+                busy = sum(w.job is not None for w in pool)
+                while len(pool) < min(workers, busy + len(ready)):
+                    pool.append(Worker(_execute_plan, self.profiler))
+                idle = [w for w in pool if w.job is None]
+                now = time.monotonic()
+                for _ in range(len(ready)):
+                    if not idle:
+                        break
+                    plan, attempt, not_before = ready.popleft()
+                    if not_before > now:
+                        ready.append((plan, attempt, not_before))
+                        continue
+                    idle.pop().start(plan, attempt,
+                                     models.get(plan) if models else None)
 
-            progressed = False
-            for plan, (proc, recv, started, attempt) in list(active.items()):
-                # Liveness is read before the pipe: a worker that sends
-                # and exits between the two reads must not look like a
-                # crash, so it is one only if it was already dead and
-                # its pipe is still empty.
-                alive = proc.is_alive()
-                if recv.poll(0):
-                    try:
-                        message = recv.recv()
-                    except EOFError:
-                        message = None
-                    proc.join()
-                    recv.close()
-                    del active[plan]
-                    progressed = True
+                progressed = False
+                for worker in list(pool):
+                    message = worker.poll(run_timeout)
                     if message is None:
-                        close_span(plan, attempt, "crash")
-                        finish(plan, attempt, "crash",
-                               f"worker pipe closed without a result "
-                               f"(exit code {proc.exitcode})")
-                    elif message[0] == "ok":
-                        close_span(plan, attempt, "ok")
+                        continue
+                    progressed = True
+                    reason = message[0]
+                    job = (worker.end_job(reason)
+                           if worker.job is not None else None)
+                    if reason in ("crash", "timeout"):
+                        # Retired here, replaced at the top of the loop
+                        # if plans are left for it.
+                        pool.remove(worker)
+                        worker.stop(reason)
+                    if job is None:
+                        continue
+                    plan, attempt = job
+                    if reason == "ok":
                         outcomes[plan] = (message[1], message[2])
-                    else:
-                        close_span(plan, attempt, "error")
-                        finish(plan, attempt, "error",
+                    elif reason == "error":
+                        finish(plan, attempt, reason,
                                f"{message[1]}: {message[2]}")
-                elif not alive:
-                    proc.join()
-                    recv.close()
-                    del active[plan]
-                    progressed = True
-                    close_span(plan, attempt, "crash")
-                    finish(plan, attempt, "crash",
-                           f"worker exited with code {proc.exitcode} "
-                           f"before reporting a result")
-                elif (run_timeout is not None
-                        and time.monotonic() - started >= run_timeout):
-                    proc.terminate()
-                    proc.join()
-                    recv.close()
-                    del active[plan]
-                    progressed = True
-                    close_span(plan, attempt, "timeout")
-                    finish(plan, attempt, "timeout",
-                           f"exceeded run timeout of {run_timeout:g}s")
-            if not progressed and (active or ready):
-                time.sleep(0.01)
+                    elif reason == "timeout":
+                        finish(plan, attempt, reason,
+                               f"exceeded run timeout of {run_timeout:g}s")
+                    else:
+                        finish(plan, attempt, reason,
+                               f"worker died without a result "
+                               f"(exit code {worker.proc.exitcode})")
+                if not progressed:
+                    wait_any(pool, 0.01)
+        finally:
+            for worker in pool:
+                worker.stop(ending)
         return outcomes
 
     def run_model(self, model_name: str,

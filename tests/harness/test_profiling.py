@@ -112,15 +112,28 @@ class TestRunnerIntegration:
             profiler=prof,
         )
         plans = [
-            self._plan(),
-            ExperimentPlan(model_name="II", benchmark="gzip",
-                           instructions=300, warmup=100),
+            ExperimentPlan(model_name=name, benchmark="gzip",
+                           instructions=300, warmup=100)
+            for name in ("I", "II", "III", "IV")
         ]
         runner.run_many(plans)
-        workers = [e for e in prof.events
-                   if str(e["name"]).startswith("worker:")]
-        assert len(workers) == 2
-        assert all(e["args"]["outcome"] == "ok" for e in workers)
+        # One launch-to-exit span per worker process, not per plan...
+        workers = [e for e in prof.events if e["cat"] == "worker"]
+        assert [e["name"] for e in workers] == ["worker", "worker"]
+        assert all(e["args"]["outcome"] == "exit" for e in workers)
+        assert sum(e["args"]["plans"] for e in workers) == len(plans)
+        assert len({e["args"]["pid"] for e in workers}) == 2
+        # ...and one run.execute span per plan, inside its worker's.
+        runs = [e for e in prof.events if e["name"] == "run.execute"]
+        assert sorted(e["args"]["plan"] for e in runs) == sorted(
+            p.describe() for p in plans)
+        assert all(e["args"]["outcome"] == "ok" for e in runs)
+        spans = {e["args"]["pid"]: e for e in workers}
+        for run in runs:
+            worker = spans[run["args"]["pid"]]
+            assert worker["ts"] <= run["ts"]
+            assert run["ts"] + run["dur"] <= worker["ts"] + worker["dur"]
+        assert validate_chrome_trace(prof.chrome_trace()) == []
 
     def test_profiler_default_is_null(self, tmp_path):
         runner = ExperimentRunner(cache=ResultCache(tmp_path),

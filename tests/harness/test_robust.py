@@ -133,20 +133,25 @@ class TestExitRace:
     def test_result_sent_just_before_exit_is_not_a_crash(self, tmp_path,
                                                           monkeypatch):
         """A worker that sends its result and exits between the
-        parent's pipe poll and its liveness check finished cleanly.
+        parent's liveness check and its pipe poll delivered the result.
 
-        Scripted with a stub process/pipe pair: the first poll finds
-        the pipe empty, and the worker completes right after it, so
+        Scripted with a stub process/pipe pair speaking the worker
+        protocol: the parent sends the job, the first poll finds the
+        pipe empty, and the worker answers and dies right after it, so
         from then on the process is dead and the pipe holds the result.
+        The dead worker is then idle, so shutting it down is no crash.
         """
         plan = ExperimentPlan("I", "gzip", **WINDOW)
         result = fake_run(plan)
-        state = {"done": False}
+        state = {"done": False, "sent": []}
 
         class StubPipe:
+            def send(self, message):
+                state["sent"].append(message)
+
             def poll(self, timeout=None):
                 ready = state["done"]
-                state["done"] = True  # the worker sends and exits now
+                state["done"] = True  # the worker answers and dies now
                 return ready
 
             def recv(self):
@@ -157,6 +162,7 @@ class TestExitRace:
 
         class StubProcess:
             exitcode = 0
+            pid = 4242
 
             def __init__(self, target, args):
                 pass
@@ -171,21 +177,25 @@ class TestExitRace:
                 pass
 
             def terminate(self):
-                pass
+                raise AssertionError("a finished worker was killed")
 
         class Context:
             Process = StubProcess
 
             @staticmethod
-            def Pipe(duplex=True):
+            def Pipe():
                 return StubPipe(), StubPipe()
 
-        monkeypatch.setattr("repro.harness.runner.multiprocessing",
-                            types.SimpleNamespace(get_context=Context))
+        monkeypatch.setattr("repro.harness.workers.multiprocessing",
+                            types.SimpleNamespace(
+                                get_context=Context,
+                                connection=types.SimpleNamespace(
+                                    wait=lambda conns, timeout: [])))
         runner = make_runner(tmp_path, run_timeout=10)
         report = runner.run_many_report([plan], workers=2)
         assert report.failures == ()
         assert report.results[plan] == result
+        assert state["sent"] == [(plan, None), None]  # job, then sentinel
 
 
 class TestErrors:
