@@ -1,15 +1,14 @@
 """simlint: simulator-invariant static analysis.
 
 The reproduction's headline numbers are only trustworthy if every run
-is bit-deterministic and every plan field that affects results is part
-of the cache key.  ``simlint`` machine-checks those invariants on every
-commit instead of trusting convention:
+is bit-deterministic.  ``simlint`` machine-checks that and the
+simulator's other invariants on every commit instead of trusting
+convention.  (Cache keys need no rule: a plan's key serializes every
+field plus a digest of the simulator's source.)
 
 * **SIM1xx determinism** -- no global-RNG draws, no wall clock outside
   the harness timing paths, no hash-ordered set iteration or ``id()``
   ordering feeding results.
-* **SIM2xx cache-key completeness** -- every field of a plan dataclass
-  must feed its ``cache_key()``, and the key must pin ``CACHE_VERSION``.
 * **SIM3xx exception hygiene** -- broad ``except`` only at annotated
   crash-isolation boundaries; ``ConfigError``, not ``KeyError``, for
   configuration lookups.
@@ -21,8 +20,7 @@ graph, symbol table, approximate call graph -- see
 :mod:`repro.analysis.project`):
 
 * **SIM5xx seed provenance** -- every RNG construction must be seeded
-  from a plan-derived value (taint chased across the call graph), and
-  plan fields consumed across modules must feed ``cache_key()``.
+  from a plan-derived value (taint chased across the call graph).
 * **SIM6xx physical units** -- wire/energy/stats API parameters carry
   units (builtin registry + ``# simlint: units(...)`` declarations);
   unit-incompatible arithmetic and unconverted cross-API handoffs are

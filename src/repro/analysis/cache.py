@@ -35,6 +35,8 @@ import tempfile
 from pathlib import Path
 from typing import Dict, List, Optional
 
+from .._version import source_digest
+
 _FORMAT_VERSION = 1
 
 #: Default cache directory name, created at the detected repo root.
@@ -52,18 +54,7 @@ def analysis_signature() -> str:
     """
     global _signature_memo
     if _signature_memo is None:
-        package_dir = Path(__file__).resolve().parent
-        digest = hashlib.sha256()
-        for path in sorted(package_dir.rglob("*.py")):
-            digest.update(path.relative_to(package_dir).as_posix()
-                          .encode("utf-8"))
-            digest.update(b"\0")
-            try:
-                digest.update(path.read_bytes())
-            except OSError:
-                digest.update(b"<unreadable>")
-            digest.update(b"\0")
-        _signature_memo = digest.hexdigest()[:16]
+        _signature_memo = source_digest(Path(__file__).resolve().parent)[:16]
     return _signature_memo
 
 

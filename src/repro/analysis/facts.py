@@ -5,9 +5,9 @@ reduces each file to a :class:`ModuleFacts` record -- imports (relative
 ones resolved against the module's dotted name), defined
 functions/classes, an approximate list of call sites with receiver
 resolution hints, RNG construction sites with a local seed-taint
-verdict, plan-attribute reads, and ``# simlint: units(...)``
-declarations.  Facts are plain JSON-able data, which is what makes the
-``.simlint-cache`` entries (and the process-pool hand-off) cheap.
+verdict, and ``# simlint: units(...)`` declarations.  Facts are plain
+JSON-able data, which is what makes the ``.simlint-cache`` entries (and
+the process-pool hand-off) cheap.
 
 Taint verdicts here are *local*: an expression is ``T`` (tainted) when
 it syntactically mentions a seed-ish name/attribute or a seed-deriving
@@ -131,8 +131,6 @@ class ModuleFacts:
     self_attr_types: Dict[str, Dict[str, str]] = field(
         default_factory=dict)
     rng_sites: List[dict] = field(default_factory=list)
-    plan_reads: List[dict] = field(default_factory=list)
-    plan_classes: Dict[str, dict] = field(default_factory=dict)
     unit_decls: Dict[str, Dict[str, str]] = field(default_factory=dict)
 
     def to_json(self) -> dict:
@@ -207,7 +205,6 @@ class _FactsVisitor(ast.NodeVisitor):
     def visit_ClassDef(self, node: ast.ClassDef) -> None:
         self.facts.classes.append(node.name)
         self.facts.self_attr_types.setdefault(node.name, {})
-        self._collect_plan_class(node)
         self._class_stack.append(node.name)
         self.generic_visit(node)
         self._class_stack.pop()
@@ -226,7 +223,6 @@ class _FactsVisitor(ast.NodeVisitor):
             is_async=isinstance(node, ast.AsyncFunctionDef),
             params=params,
         )
-        info._plan_params = getattr(node, "_plan_params", [])
         self.facts.functions.append(asdict(info))
         self._func_stack.append(info)
         self._var_types.append({})
@@ -386,97 +382,6 @@ class _FactsVisitor(ast.NodeVisitor):
             line=node.lineno, col=node.col_offset,
         )))
 
-    # -- plan reads ------------------------------------------------------
-
-    def visit_Attribute(self, node: ast.Attribute) -> None:
-        if isinstance(node.value, ast.Name) and self._planish(
-                node.value.id):
-            self.facts.plan_reads.append({
-                "name": node.attr,
-                "line": node.lineno,
-                "col": node.col_offset,
-            })
-        self.generic_visit(node)
-
-    def _planish(self, name: str) -> bool:
-        if name == "plan":
-            return True
-        # Parameters annotated with a *Plan type mark their name
-        # plan-ish for the enclosing function.
-        for info in self._func_stack:
-            if name in getattr(info, "_plan_params", ()):
-                return True
-        return False
-
-    # -- plan classes ----------------------------------------------------
-
-    def _collect_plan_class(self, node: ast.ClassDef) -> None:
-        key_func = None
-        for stmt in node.body:
-            if (isinstance(stmt, ast.FunctionDef)
-                    and stmt.name == "cache_key"):
-                key_func = stmt
-                break
-        if key_func is None:
-            return
-        fields: List[str] = []
-        for stmt in node.body:
-            if (isinstance(stmt, ast.AnnAssign)
-                    and isinstance(stmt.target, ast.Name)
-                    and not stmt.target.id.startswith("_")
-                    and "ClassVar" not in ast.dump(stmt.annotation)):
-                fields.append(stmt.target.id)
-        reads: List[str] = []
-        whole = False
-        for sub in ast.walk(key_func):
-            if (isinstance(sub, ast.Attribute)
-                    and isinstance(sub.value, ast.Name)
-                    and sub.value.id == "self"):
-                reads.append(sub.attr)
-            elif isinstance(sub, ast.Call):
-                name = ""
-                if isinstance(sub.func, ast.Name):
-                    name = sub.func.id
-                elif isinstance(sub.func, ast.Attribute):
-                    name = sub.func.attr
-                if name in ("asdict", "astuple", "fields") and any(
-                        isinstance(a, ast.Name) and a.id == "self"
-                        for a in sub.args):
-                    whole = True
-        self.facts.plan_classes[node.name] = {
-            "fields": fields,
-            "key_reads": sorted(set(reads)),
-            "whole": whole,
-            "line": node.lineno,
-        }
-
-
-def _annotate_plan_params(tree: ast.AST) -> None:
-    """Stamp each def's plan-annotated parameter names onto the walk.
-
-    Stored on the AST nodes (``_plan_params``) so the visitor's
-    function stack can consult them without a second symbol pass.
-    """
-    for node in ast.walk(tree):
-        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            continue
-        names = []
-        for arg in (list(getattr(node.args, "posonlyargs", []))
-                    + node.args.args + node.args.kwonlyargs):
-            ann = arg.annotation
-            dotted = ""
-            if isinstance(ann, ast.Name):
-                dotted = ann.id
-            elif isinstance(ann, ast.Attribute):
-                dotted = ann.attr
-            elif (isinstance(ann, ast.Constant)
-                    and isinstance(ann.value, str)):
-                dotted = ann.value.split(".")[-1]
-            if dotted.endswith("Plan"):
-                names.append(arg.arg)
-        if names:
-            node._plan_params = names  # type: ignore[attr-defined]
-
 
 def _collect_unit_decls(source: str, facts: ModuleFacts) -> None:
     """Harvest ``# simlint: units(param=unit, return=unit)`` comments.
@@ -511,7 +416,6 @@ def _collect_unit_decls(source: str, facts: ModuleFacts) -> None:
 def extract_facts(ctx: FileContext) -> ModuleFacts:
     """Reduce one parsed file to its :class:`ModuleFacts`."""
     facts = ModuleFacts(rel=ctx.rel, module=module_name_for(ctx.rel))
-    _annotate_plan_params(ctx.tree)
     visitor = _FactsVisitor(facts)
     visitor.visit(ctx.tree)
     _collect_unit_decls(ctx.source, facts)

@@ -13,8 +13,8 @@ Two kinds of rule register here:
 Registration happens at import time of :mod:`repro.analysis.rules`;
 the engine iterates :func:`file_rules` / :func:`project_rules`.  Codes
 group into families by their hundreds digit (SIM1xx determinism,
-SIM2xx cache keys, SIM3xx exceptions, SIM4xx model hygiene, SIM5xx
-seed provenance, SIM6xx physical units, SIM8xx async blocking).
+SIM3xx exceptions, SIM4xx model hygiene, SIM5xx seed provenance,
+SIM6xx physical units, SIM8xx async blocking).
 """
 
 from __future__ import annotations

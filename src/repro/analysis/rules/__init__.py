@@ -8,7 +8,6 @@ hazard in *this* codebase that motivated its family.
 from . import (  # noqa: F401
     asynchygiene,
     blocking,
-    cachekey,
     determinism,
     exceptions,
     hygiene,

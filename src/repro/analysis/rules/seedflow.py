@@ -8,7 +8,7 @@ just as broken when ``x`` does not flow from a plan -- a constant, a
 config default, or a forgotten parameter two modules away produces
 streams that no plan field can reproduce or invalidate.
 
-These rules run on the project call graph: the facts pass records a
+SIM501 runs on the project call graph: the facts pass records a
 local taint verdict for every RNG construction (seed-ish name or
 attribute -> tainted; a parameter -> chase the callers), and the
 checker walks ``src/`` call sites until it finds plan-derived evidence
@@ -128,59 +128,3 @@ def check_rng_provenance(ctx: ProjectContext) -> Iterator[Finding]:
             if message is not None:
                 yield Finding(code="SIM501", message=message, path=rel,
                               line=site["line"], col=site["col"])
-
-
-@register_project("SIM502",
-                  "plan fields consumed across modules must feed "
-                  "cache_key()")
-def check_cross_module_key_fields(ctx: ProjectContext
-                                  ) -> Iterator[Finding]:
-    """A consumed-but-unkeyed plan field is a wrong-results bug.
-
-    SIM201 flags the missing read inside ``cache_key`` itself; this
-    rule anchors the same hazard at the *consumption* site, which is
-    where review happens when a field starts influencing behaviour in
-    another module.  Any ``plan.<field>`` read (variables named
-    ``plan`` or parameters annotated with a ``*Plan`` type) of a
-    declared field that ``cache_key()`` never serializes is flagged.
-    """
-    # class name -> (defining module, fields, key reads, whole-object)
-    plan_classes = {}
-    for rel in sorted(ctx.facts):
-        facts = ctx.facts[rel]
-        if not facts.rel.startswith("src/"):
-            continue
-        for name, info in facts.plan_classes.items():
-            plan_classes.setdefault(name, (facts.module, info))
-    if not plan_classes:
-        return
-    leaky = {}
-    for name, (module, info) in sorted(plan_classes.items()):
-        if info["whole"]:
-            continue
-        missing = set(info["fields"]) - set(info["key_reads"])
-        for field_name in missing:
-            leaky.setdefault(field_name, (name, module))
-    if not leaky:
-        return
-    for rel in sorted(ctx.facts):
-        facts = ctx.facts[rel]
-        if not _in_scope(facts):
-            continue
-        for read in facts.plan_reads:
-            entry = leaky.get(read["name"])
-            if entry is None:
-                continue
-            cls_name, cls_module = entry
-            yield Finding(
-                code="SIM502",
-                message=(
-                    f"plan field '{read['name']}' is consumed here "
-                    f"but never enters {cls_name}.cache_key() (defined "
-                    f"in {cls_module}); plans differing only in "
-                    f"'{read['name']}' would share a cache entry"
-                ),
-                path=rel,
-                line=read["line"],
-                col=read["col"],
-            )

@@ -40,8 +40,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro lint",
         description="simulator-invariant static analysis "
-                    "(determinism, cache-key completeness, exception "
-                    "and model hygiene)",
+                    "(determinism, exception and model hygiene, seed "
+                    "provenance, units, async blocking)",
     )
     parser.add_argument(
         "--version", action="version",

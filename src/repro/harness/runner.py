@@ -3,19 +3,18 @@
 Every (model, benchmark, machine, window, seed) run is cached as JSON
 under ``.repro_cache/`` in the repository root (override with
 ``REPRO_CACHE_DIR``; set ``REPRO_NO_CACHE=1`` to disable).  The cache key
-includes a schema version -- bump :data:`CACHE_VERSION` when simulator
-changes invalidate old numbers.
+is the plan plus :data:`CACHE_VERSION`, a digest of the simulator's own
+source, so a result is only ever served to the code that produced it.
 
 Cache files are written atomically (temp file + ``os.replace``) so
 concurrent writers -- e.g. several :meth:`ExperimentRunner.run_many`
 workers, or two sweeps racing on the same directory -- can never leave a
 partial JSON file behind.  Loads are schema-validated: corrupt, truncated
 or wrong-version entries are quarantined under ``quarantine/`` and
-treated as misses, never returned as data.  Each entry written by this
-version carries a ``provenance`` block (cache version, the full plan,
-wall-clock duration, simulator commit); entries from older versions of
-this file lack it and are still accepted, since the cache key already
-pins :data:`CACHE_VERSION`.
+treated as misses, never returned as data.  Every entry carries a
+``provenance`` block (cache version, the full plan, wall-clock
+duration, simulator commit), and one whose cache version is not
+:data:`CACHE_VERSION` is a miss.
 
 :meth:`ExperimentRunner.run_many` fans cache misses out over
 *crash-isolated* worker processes that live for one sweep: each is
@@ -54,6 +53,7 @@ from typing import (
     get_type_hints,
 )
 
+from .._version import source_digest
 from ..core.config import InterconnectConfig
 from ..core.metrics import BenchmarkRun, ModelResult
 from ..core.models import InterconnectModel, model
@@ -72,8 +72,15 @@ from .backoff import DecorrelatedJitter
 from .profiling import NULL_PROFILER, HarnessProfiler
 from .workers import Worker, wait_any
 
-#: Bump when simulator changes invalidate cached results.
-CACHE_VERSION = 7
+#: Top-level ``repro`` entries no simulation imports: the analyzer, the
+#: sweep service, the explorer and the CLI.
+_UNKEYED_SOURCES = ("analysis", "service", "explore", "__main__.py")
+
+#: Digest of the source of every other ``repro`` module, taken once per
+#: process.  It leads every cache key, so any edit to the simulator
+#: re-keys every plan.
+CACHE_VERSION = source_digest(Path(__file__).resolve().parents[1],
+                              exclude=_UNKEYED_SOURCES)[:16]
 
 #: Bump when the :meth:`SweepReport.to_json` wire format changes.
 REPORT_SCHEMA_VERSION = 1
@@ -135,13 +142,13 @@ class ExperimentPlan:
         return hashlib.sha256(payload.encode()).hexdigest()[:24]
 
     def describe(self) -> str:
-        return (f"{self.model_name}/{self.benchmark} "
-                f"({self.num_clusters}cl, x{self.latency_scale:g}, "
-                f"{self.instructions}i, tag={self.policy_tag}"
-                + (f", faults={self.fault_spec}" if self.fault_spec else "")
-                + (f", gating={self.gating_policy}"
-                   if self.gating_policy else "")
-                + ")")
+        """``model/benchmark`` plus ``name=value`` per non-default field."""
+        changed = ", ".join(
+            f"{f.name}={getattr(self, f.name)}" for f in fields(self)
+            if f.default is not MISSING and getattr(self, f.name) != f.default
+        )
+        name = f"{self.model_name}/{self.benchmark}"
+        return f"{name} ({changed})" if changed else name
 
     def to_dict(self) -> Dict[str, object]:
         """A JSON-ready dict; inverse of :meth:`from_dict`."""
@@ -211,9 +218,7 @@ class ResultCache:
 
     Entries are sharded two directory levels deep by cache-key prefix
     (``ab/cd/abcd....json``) so frontier sweeps writing tens of
-    thousands of results never produce one giant flat directory.  The
-    pre-sharding flat layout is still readable: a flat entry is
-    migrated into its shard on first load.
+    thousands of results never produce one giant flat directory.
     """
 
     def __init__(self, directory: Optional[Path] = None,
@@ -237,24 +242,6 @@ class ResultCache:
     def _path(self, plan: ExperimentPlan) -> Path:
         key = plan.cache_key()
         return self.directory / key[:2] / key[2:4] / f"{key}.json"
-
-    def _migrate_legacy(self, sharded: Path) -> Optional[Path]:
-        """Move a flat-layout entry into its shard (best effort).
-
-        Returns the path to read from -- the sharded location after a
-        successful move, the flat file itself if the move failed (e.g.
-        a read-only cache directory), or None when no flat entry
-        exists.
-        """
-        legacy = self.directory / sharded.name
-        if not legacy.is_file():
-            return None
-        try:
-            sharded.parent.mkdir(parents=True, exist_ok=True)
-            os.replace(legacy, sharded)
-            return sharded
-        except OSError:
-            return legacy
 
     def _quarantine(self, path: Path) -> None:
         """Move a bad cache file out of the way (best effort)."""
@@ -286,14 +273,6 @@ class ResultCache:
                     or not isinstance(pair[1], (int, float))
                     or isinstance(pair[1], bool)):
                 return None
-        # Entries written before provenance existed carry no version
-        # field; the cache key already pins CACHE_VERSION, so only an
-        # explicit mismatch (e.g. a hand-copied file) is rejected.
-        provenance = data.get("provenance")
-        if provenance is not None:
-            if (not isinstance(provenance, dict)
-                    or provenance.get("cache_version") != CACHE_VERSION):
-                return None
         return data
 
     def load(self, plan: ExperimentPlan) -> Optional[BenchmarkRun]:
@@ -315,16 +294,17 @@ class ResultCache:
         try:
             text = path.read_text()
         except OSError:
-            path = self._migrate_legacy(path)
-            if path is None:
-                return None
-            try:
-                text = path.read_text()
-            except OSError:
-                return None
+            return None
         try:
-            # Malformed JSON and schema mismatches both raise ValueError.
-            return _run_from_json(json.loads(text))
+            # Malformed JSON, schema mismatches and entries written by
+            # another simulator version all raise ValueError.
+            data = json.loads(text)
+            run = _run_from_json(data)
+            provenance = data.get("provenance")
+            if (not isinstance(provenance, dict)
+                    or provenance.get("cache_version") != CACHE_VERSION):
+                raise ValueError("entry of another simulator version")
+            return run
         except ValueError:
             self._quarantine(path)
             return None

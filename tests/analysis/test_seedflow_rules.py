@@ -211,126 +211,3 @@ class TestEwmaRngFreeGuarantee:
                 )
         assert offenders == []
 
-
-class TestSIM502CrossModuleKeyFields:
-    def test_unkeyed_field_read_in_other_module_is_flagged(
-            self, lint_tree):
-        result = lint_tree({
-            "src/repro/core/plans.py": """\
-                import hashlib
-                from dataclasses import dataclass
-
-                @dataclass(frozen=True)
-                class RoutePlan:
-                    model: str
-                    width: int
-
-                    def cache_key(self):
-                        return hashlib.sha256(
-                            self.model.encode()).hexdigest()
-                """,
-            "src/repro/interconnect/router.py": """\
-                def segments(plan):
-                    return plan.width * 2
-                """,
-        }, select={"SIM502"})
-        assert [f.code for f in result.findings] == ["SIM502"]
-        finding = result.findings[0]
-        assert finding.path == "src/repro/interconnect/router.py"
-        assert "RoutePlan" in finding.message
-        assert "'width'" in finding.message
-
-    def test_keyed_field_is_fine(self, lint_tree):
-        result = lint_tree({
-            "src/repro/core/plans.py": """\
-                import hashlib
-                from dataclasses import dataclass
-
-                @dataclass(frozen=True)
-                class RoutePlan:
-                    model: str
-                    width: int
-
-                    def cache_key(self):
-                        payload = f"{self.model}:{self.width}"
-                        return hashlib.sha256(
-                            payload.encode()).hexdigest()
-                """,
-            "src/repro/interconnect/router.py": """\
-                def segments(plan):
-                    return plan.width * 2
-                """,
-        }, select={"SIM502"})
-        assert result.findings == []
-
-    def test_whole_object_serialization_is_fine(self, lint_tree):
-        result = lint_tree({
-            "src/repro/core/plans.py": """\
-                import hashlib
-                import json
-                from dataclasses import asdict, dataclass
-
-                @dataclass(frozen=True)
-                class RoutePlan:
-                    model: str
-                    width: int
-
-                    def cache_key(self):
-                        payload = json.dumps(asdict(self),
-                                             sort_keys=True)
-                        return hashlib.sha256(
-                            payload.encode()).hexdigest()
-                """,
-            "src/repro/interconnect/router.py": """\
-                def segments(plan):
-                    return plan.width * 2
-                """,
-        }, select={"SIM502"})
-        assert result.findings == []
-
-    def test_plan_annotated_parameter_counts_as_a_read(
-            self, lint_tree):
-        result = lint_tree({
-            "src/repro/core/plans.py": """\
-                import hashlib
-                from dataclasses import dataclass
-
-                @dataclass(frozen=True)
-                class RoutePlan:
-                    model: str
-                    width: int
-
-                    def cache_key(self):
-                        return hashlib.sha256(
-                            self.model.encode()).hexdigest()
-                """,
-            "src/repro/interconnect/router.py": """\
-                from repro.core.plans import RoutePlan
-
-                def segments(route: RoutePlan):
-                    return route.width * 2
-                """,
-        }, select={"SIM502"})
-        assert [f.code for f in result.findings] == ["SIM502"]
-
-    def test_reads_of_unrelated_names_are_ignored(self, lint_tree):
-        result = lint_tree({
-            "src/repro/core/plans.py": """\
-                import hashlib
-                from dataclasses import dataclass
-
-                @dataclass(frozen=True)
-                class RoutePlan:
-                    model: str
-                    width: int
-
-                    def cache_key(self):
-                        return hashlib.sha256(
-                            self.model.encode()).hexdigest()
-                """,
-            "src/repro/interconnect/router.py": """\
-                def segments(spec):
-                    return spec.width * 2
-                """,
-        }, select={"SIM502"})
-        assert result.findings == []

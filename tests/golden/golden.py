@@ -14,8 +14,9 @@ traced entries, the telemetry event stream and the metrics snapshot.
     PYTHONPATH=src python tests/golden/golden.py            # every entry
     PYTHONPATH=src python tests/golden/golden.py LABEL...   # just these
 
-A re-pin goes with a ``CACHE_VERSION`` bump in ``repro.harness.runner``
-(DESIGN §11).
+No cache bump goes with a re-pin: the simulator edit that moved the
+results has already changed ``repro.harness.runner.CACHE_VERSION``, a
+digest of the simulator's source (DESIGN §7, §11).
 """
 
 from __future__ import annotations

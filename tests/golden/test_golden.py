@@ -1,8 +1,8 @@
 """Every golden-corpus entry still produces its pinned digests.
 
 A failure means a simulated number moved.  If the change was intended,
-re-pin with ``tests/golden/golden.py`` and bump ``CACHE_VERSION``
-(DESIGN §11); otherwise the message names the digests that moved.
+re-pin with ``tests/golden/golden.py`` (DESIGN §11); otherwise the
+message names the digests that moved.
 """
 
 import pytest

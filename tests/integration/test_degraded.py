@@ -99,7 +99,7 @@ class TestWorkerCountDeterminism:
         runs = runner.run_many([healthy, faulted])
         assert runner.executed == 2
         assert runs[healthy] != runs[faulted]
-        assert "faults=kill=L@*@200" in faulted.describe()
+        assert "fault_spec=kill=L@*@200" in faulted.describe()
 
 
 class TestFaultSweep:
