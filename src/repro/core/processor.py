@@ -281,7 +281,7 @@ class ClusteredProcessor:
                 continue
             if fetch._redirect_seq is None and self.cycle >= fetch._resume_cycle:
                 continue
-            if net._active or net._active_chans:
+            if net._active:
                 continue
             if rob:
                 head = rob[0]
@@ -338,8 +338,7 @@ class ClusteredProcessor:
             self._dispatch(cycle)
         if fetch._redirect_seq is None and cycle >= fetch._resume_cycle:
             fetch.tick(cycle)
-        if (net._active or net._active_chans or net._pending_kills
-                or net._retries):
+        if net._active or net._pending_kills or net._retries:
             net.tick(cycle)
         self.stats.cycles += 1
         self.cycle = cycle + 1

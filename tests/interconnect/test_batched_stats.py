@@ -136,38 +136,40 @@ class TestMergeRoundTrip:
 
 
 class TestEngineReportsAgree:
-    """The network's batched path reports what its keyed path does.
+    """Telemetry does not change what the network reports.
 
-    Telemetry sends a run down the keyed path without perturbing it, so
-    a traced and an untraced run of the same window must agree.
+    Every run takes the network's one queue path; a traced run adds
+    per-segment events and histograms to it, so a traced and an
+    untraced run of the same window must report the same numbers.
     """
 
     @pytest.fixture(scope="class")
     def processors(self):
         cpus = {}
-        for path, telemetry in (("batched", None),
-                                ("keyed", Telemetry(sink=RingBufferSink()))):
+        for name, telemetry in (("untraced", None),
+                                ("traced", Telemetry(sink=RingBufferSink()))):
             cpu = build_processor(model("X").config, "gzip",
                                   telemetry=telemetry)
-            assert cpu.network._batched == (path == "batched")
             cpu.run(600, warmup=150)
-            cpus[path] = cpu
+            cpus[name] = cpu
+        assert cpus["traced"].network.telemetry.metrics.snapshot()[
+            "network.segments_routed"] > 0
         return cpus
 
     def test_utilization_reports_identical(self, processors):
-        assert (processors["keyed"].network.utilization_report()
-                == processors["batched"].network.utilization_report())
+        assert (processors["traced"].network.utilization_report()
+                == processors["untraced"].network.utilization_report())
 
     def test_degradation_reports_identical(self, processors):
-        assert (processors["keyed"].network.degradation_report()
-                == processors["batched"].network.degradation_report())
+        assert (processors["traced"].network.degradation_report()
+                == processors["untraced"].network.degradation_report())
 
     def test_stats_counters_identical(self, processors):
-        keyed = processors["keyed"].network.stats
-        batched = processors["batched"].network.stats
-        assert_same_counters(batched, keyed)
-        assert batched.buffered_cycles == keyed.buffered_cycles
-        assert batched.split_transfers == keyed.split_transfers
+        traced = processors["traced"].network.stats
+        untraced = processors["untraced"].network.stats
+        assert_same_counters(untraced, traced)
+        assert untraced.buffered_cycles == traced.buffered_cycles
+        assert untraced.split_transfers == traced.split_transfers
 
 
 class TestMetricsRegistryMerge:

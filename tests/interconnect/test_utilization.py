@@ -16,9 +16,9 @@ def make_network(wires=None, **kwargs):
 
 
 def keyed_network(wires=None):
-    """A network on its keyed queue path (telemetry turns it on)."""
+    """A traced network: same queue path, plus per-segment telemetry."""
     net = make_network(wires, telemetry=Telemetry(sink=RingBufferSink()))
-    assert not net._batched
+    assert net.telemetry.enabled
     return net
 
 
@@ -118,14 +118,14 @@ class TestUtilizationReport:
             assert all(r.wire_class is WireClass.B for r in report)
 
     def test_zero_traffic_reports_match_across_engines(self):
-        # The batched and keyed queue paths agree, with and without
+        # Telemetry does not change the report, with and without
         # traffic.
         for transfers in ([], [("c0", "c1", 0), ("c3", "c1", 0)]):
-            batched, keyed = make_network(), keyed_network()
-            drive(batched, transfers)
-            drive(keyed, transfers)
-            assert (batched.utilization_report(cycles=50)
-                    == keyed.utilization_report(cycles=50))
+            untraced, traced = make_network(), keyed_network()
+            drive(untraced, transfers)
+            drive(traced, transfers)
+            assert (untraced.utilization_report(cycles=50)
+                    == traced.utilization_report(cycles=50))
 
     def test_gated_zero_traffic_network_reports_cleanly(self):
         # Gating enabled but no traffic ever submitted: the power
