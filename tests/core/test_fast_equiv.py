@@ -7,8 +7,9 @@ reference.  The entries cover the dimensions where the simulator takes
 different internal paths: wire compositions (which planes exist drives
 selection), cluster counts (16 crosses
 ``SteeringHeuristic.NUMPY_MIN_CLUSTERS``), fault injection (the
-network's keyed queue path), telemetry (event stream and metrics
-snapshot) and memory-dependence speculation (the LSQ's wake filtering).
+network's kill, reroute and retransmission hooks), telemetry (event
+stream and metrics snapshot) and memory-dependence speculation (the
+LSQ's wake filtering).
 """
 
 import pytest
@@ -39,7 +40,7 @@ class TestHealthyRuns:
 
 
 class TestFaultedRuns:
-    """Fault injection takes the network's keyed queue path."""
+    """Fault injection runs the network's kill and retry hooks."""
 
     @pytest.mark.parametrize("spec", FAULT_SPECS)
     def test_fault_specs_match(self, spec):
