@@ -58,10 +58,11 @@ from .wheel import EventWheel
 #: Abort if commit makes no progress for this many cycles.
 DEADLOCK_HORIZON = 50_000
 
-#: Post-prewarm cache images, keyed by (region tuple, cache geometry):
-#: {set index: tag tuple}.  A sweep rebuilds identical processors per
-#: benchmark; restoring the analytic warmup from a snapshot is much
-#: cheaper than recomputing it per cache set.
+#: Post-prewarm cache images (:meth:`SetAssocCache.image`), keyed by
+#: (region tuple, cache geometry).  A sweep rebuilds identical processors
+#: per benchmark; restoring the analytic warmup from a snapshot is much
+#: cheaper than recomputing it per cache set, and a restore shares the
+#: image's tag tuples instead of building one list per set.
 _PREWARM_CACHE: dict = {}
 
 
@@ -76,11 +77,8 @@ def _prewarm_cached(cache, regions) -> None:
     if image is None:
         for base, size in regions:
             cache.prewarm_region(base, size)
-        _PREWARM_CACHE[key] = {
-            index: tuple(tags) for index, tags in cache._sets.items()
-        }
-    else:
-        cache._sets = {index: list(tags) for index, tags in image.items()}
+        image = _PREWARM_CACHE[key] = cache.image()
+    cache.restore(image)
 
 
 @dataclass

@@ -51,6 +51,9 @@ class TransferKind(enum.Enum):
     #: Branch mispredict notification, cluster -> front-end.
     MISPREDICT = "mispredict"
 
+    #: Identity hashing in C, consistent with identity equality.
+    __hash__ = object.__hash__
+
     @property
     def is_address(self) -> bool:
         return self in (TransferKind.LOAD_ADDRESS, TransferKind.STORE_ADDRESS)

@@ -37,8 +37,8 @@ One queue path serves every run.  Routes are memoized per (src, dst)
 (:class:`_Route`: channels, energy weight and, per plane, the derated
 latency and the hops' arbitration states), and every (channel, plane)
 arbitrates through one :class:`_Chan` object -- plain attribute
-arithmetic instead of dicts keyed by ``(channel, WireClass)``, whose
-hashes go through Python-level ``Enum.__hash__``.  Plane kills,
+arithmetic instead of dicts keyed by ``(channel, WireClass)`` tuples,
+each lookup of which builds and hashes a tuple.  Plane kills,
 retransmissions, sleeping planes (a
 :class:`~repro.power.PlanePowerManager`, which owns all gating state)
 and per-segment telemetry hook into that path, each behind a flag read

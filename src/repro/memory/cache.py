@@ -4,11 +4,17 @@ Tracks only tags and LRU state -- the simulator is timing-only, so no data
 is stored.  Used for the L1 instruction cache, the centralized L1 data
 cache (Table 1: 32KB 4-way, 6 cycles, 4-way word-interleaved) and the
 unified L2 (8MB 8-way, 30 cycles).
+
+A cache's contents can be saved with :meth:`SetAssocCache.image` and
+installed in another cache of the same geometry with
+:meth:`SetAssocCache.restore`.  Restored sets are shared tag tuples,
+copied to a list only when an access first changes that set, so a
+restore allocates one dict and no per-set list.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict, Sequence, Tuple
 
 
 class SetAssocCache:
@@ -34,8 +40,9 @@ class SetAssocCache:
             raise ValueError(f"{name}: set count must be a power of two")
         self._set_mask = self.num_sets - 1
         self._line_shift = line_size.bit_length() - 1
-        # Sparse: sets materialize on first touch, MRU-first tag lists.
-        self._sets: Dict[int, List[int]] = {}
+        # Sparse: sets materialize on first touch, MRU-first tags.  A set
+        # restored from an image is a tuple until an access changes it.
+        self._sets: Dict[int, Sequence[int]] = {}
         self.accesses = 0
         self.misses = 0
 
@@ -56,14 +63,19 @@ class SetAssocCache:
                 pos = -1
             if pos >= 0:
                 if pos:
+                    if entries.__class__ is tuple:
+                        entries = self._sets[index] = list(entries)
                     entries.insert(0, entries.pop(pos))
                 return True
         self.misses += 1
         if allocate:
             if entries is None:
-                entries = self._sets.setdefault(index, [])
-            entries.insert(0, tag)
-            del entries[self.assoc:]
+                self._sets[index] = [tag]
+            else:
+                if entries.__class__ is tuple:
+                    entries = self._sets[index] = list(entries)
+                entries.insert(0, tag)
+                del entries[self.assoc:]
         return False
 
     def contains(self, addr: int) -> bool:
@@ -71,6 +83,22 @@ class SetAssocCache:
         index, tag = self._index_tag(addr)
         entries = self._sets.get(index)
         return entries is not None and tag in entries
+
+    def image(self) -> Dict[int, Tuple[int, ...]]:
+        """The resident tags of every touched set, MRU first, as tuples.
+
+        No statistics are included.  The image shares nothing mutable
+        with the cache: later accesses leave it unchanged.
+        """
+        return {index: tuple(tags) for index, tags in self._sets.items()}
+
+    def restore(self, image: Dict[int, Tuple[int, ...]]) -> None:
+        """Replace the contents with ``image`` (from :meth:`image` of a
+        cache of the same geometry); statistics are kept.
+
+        The sets stay the image's tuples until an access changes them, so
+        one image can back any number of caches."""
+        self._sets = dict(image)
 
     @property
     def miss_rate(self) -> float:

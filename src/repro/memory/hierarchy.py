@@ -25,6 +25,9 @@ class HitLevel(enum.Enum):
     MEMORY = "memory"
     FORWARD = "forward"
 
+    #: Identity hashing in C, consistent with identity equality.
+    __hash__ = object.__hash__
+
 
 @dataclass(frozen=True)
 class HierarchyConfig:

@@ -12,12 +12,20 @@ An LS-bit match forces a wait for full addresses -- if the full addresses
 then differ, that was a *false dependence* (the paper measures <9% of
 loads at 8 LS compare bits).
 
-Store events re-advance only the waiting loads they can move: a load
-still waiting for its own address, once the early-RAM question is
+Store events re-advance only the waiting loads they can move.  Each
+scan of a load's older stores remembers the first store it stopped at:
+``ls_block``, whose LS bits were unknown, and ``full_block``, whose full
+address was unknown.  A store's bits never become unknown again and a
+committed store has both, so while its blocker is still unresolved a
+re-scan would stop at the same store and change nothing; the load is
+skipped.  A load whose older LS bits were all known but one matched (an
+LS alias) has no blocker and is re-scanned on every store event: once
+the aliasing store commits, the next scan can start its RAM early.  A
+load still waiting for its own address, once the early-RAM question is
 settled, moves only on its own address events; a load whose forwarding
 store is already decided moves only when that store's data arrives.
-Committed stores are pruned from a load's older-store snapshot in
-place as it advances.
+Stores commit in program order, so committed stores form a prefix of a
+load's older-store snapshot, pruned in place as the load advances.
 """
 
 from __future__ import annotations
@@ -41,6 +49,7 @@ class _Entry:
         "data_cycle", "ram_started", "ram_done", "done",
         "older_stores", "had_ls_match", "committed",
         "wait_for_stores", "speculated", "violated", "wait_store",
+        "ls_block", "full_block",
     )
 
     def __init__(self, instr: DynInstr, is_store: bool,
@@ -71,6 +80,11 @@ class _Entry:
         #: The store whose data this load's forward waits on, once the
         #: match is decided (non-speculative loads only).
         self.wait_store: Optional["_Entry"] = None
+        #: The older store a scan last stopped at for want of its LS
+        #: bits (``ls_block``) or its full address (``full_block``); once
+        #: that store resolves, it blocks nothing.
+        self.ls_block: Optional["_Entry"] = None
+        self.full_block: Optional["_Entry"] = None
 
     @property
     def data_ready(self) -> bool:
@@ -134,8 +148,9 @@ class LoadStoreQueue:
         """Reserve a slot at dispatch; False when the LSQ is full."""
         if not self.has_room():
             return False
-        older = [s for s in self._stores if not s.committed]
-        entry = _Entry(instr, instr.is_store, older if instr.is_load else [])
+        # release() drops committed stores, so every listed one is live.
+        older = list(self._stores) if instr.is_load else []
+        entry = _Entry(instr, instr.is_store, older)
         self._entries[instr.seq] = entry
         if instr.is_store:
             self._stores.append(entry)
@@ -227,9 +242,17 @@ class LoadStoreQueue:
                 if wait_store.data_cycle < 0:
                     continue
                 entry.wait_store = None
-            elif entry.full is None and (not partial or entry.ram_started):
-                # Only this load's own address events can advance it now.
-                continue
+            else:
+                block = entry.full_block
+                if entry.full is None or (block is not None
+                                          and block.full is None):
+                    # Final disambiguation cannot move; only an early
+                    # RAM start can.
+                    if not partial or entry.ram_started or entry.ls is None:
+                        continue
+                    block = entry.ls_block
+                    if block is not None and block.ls is None:
+                        continue
             self._advance_load(entry, cycle)
 
     def _live_older_stores(self, entry: _Entry) -> List[_Entry]:
@@ -242,10 +265,8 @@ class LoadStoreQueue:
             self._advance_speculative_load(entry, cycle)
             return
         older = entry.older_stores
-        for store in older:
-            if store.committed:
-                older = entry.older_stores = self._live_older_stores(entry)
-                break
+        if older and older[0].committed:
+            older = entry.older_stores = self._live_older_stores(entry)
 
         # Early RAM start from LS bits (accelerated pipeline): once every
         # older store's LS bits are known and none matches.
@@ -257,6 +278,7 @@ class LoadStoreQueue:
             for store in older:
                 store_ls = store.ls
                 if store_ls is None:
+                    entry.ls_block = store
                     all_known = False
                     break
                 if store_ls == entry_ls:
@@ -276,6 +298,7 @@ class LoadStoreQueue:
             return
         for store in older:
             if store.full is None:
+                entry.full_block = store
                 return
 
         match = None

@@ -26,13 +26,17 @@ class WireClass(enum.Enum):
     B = "B"
     L = "L"
 
+    #: Identity hashing in C; equality is identity too (``Enum.__eq__``
+    #: is ``object.__eq__``), so lookups are unchanged.
+    __hash__ = object.__hash__
+
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return f"{self.value}-Wires"
 
 
 # A dense per-class index as a plain attribute: the network's hot paths
-# index lists with it instead of hashing the enum (``Enum.__hash__`` is
-# Python-level).
+# index lists with it, which is cheaper than even the C-level hash and
+# dict probe of an enum-keyed lookup.
 for _index, _wc in enumerate(WireClass):
     _wc._index = _index
 del _index, _wc

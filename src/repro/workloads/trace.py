@@ -26,6 +26,9 @@ class OpClass(enum.Enum):
     STORE = "store"
     BRANCH = "branch"
 
+    #: Identity hashing in C, consistent with identity equality.
+    __hash__ = object.__hash__
+
     @property
     def is_memory(self) -> bool:
         return self in (OpClass.LOAD, OpClass.STORE)
@@ -63,8 +66,8 @@ FU_POOL = {
 }
 
 # The per-op constants as plain attributes on the members: the hottest
-# per-instruction paths read one attribute instead of hashing the enum
-# (``Enum.__hash__`` is Python-level) or calling a property.
+# per-instruction paths read one attribute instead of probing an
+# enum-keyed dict or calling a Python-level property.
 for _op in OpClass:
     _op._lat = EXECUTION_LATENCY[_op]
     _op._mem = _op.is_memory

@@ -130,3 +130,86 @@ class TestPrewarm:
             walked.access(addr)
         for addr in range((base // 64) * 64, base + size, 64):
             assert analytic.contains(addr) == walked.contains(addr)
+
+
+class TestImages:
+    """Copy-on-write images: restored sets are shared tag tuples."""
+
+    def warmed(self):
+        """Sets 0-7 of a 16-set 2-way cache full, sets 8-15 empty."""
+        cache = make_cache(size=1024, assoc=2, line=32)
+        cache.prewarm_region(0x4000, 256)
+        cache.prewarm_region(0x8000, 256)
+        return cache
+
+    def test_image_is_tuples_of_the_resident_tags(self):
+        image = self.warmed().image()
+        assert sorted(image) == list(range(8))
+        assert all(isinstance(tags, tuple) and len(tags) == 2
+                   for tags in image.values())
+
+    def test_restored_caches_are_independent(self):
+        """A hit that reorders, a miss that evicts and a miss that fills a
+        new set in one restored cache change neither the other restored
+        cache nor the image."""
+        image = self.warmed().image()
+        frozen = dict(image)
+        a, b = make_cache(), make_cache()
+        a.restore(image)
+        b.restore(image)
+        # Set 0 holds 0x8000 (MRU) and 0x4000 (LRU).
+        assert a.access(0x4000)            # hit: reorders set 0
+        assert not a.access(0x100000)      # miss in set 0: evicts 0x8000
+        assert not a.access(0x4100)        # miss into empty set 8
+        assert a.contains(0x4000) and a.contains(0x100000)
+        assert a.contains(0x4100) and not a.contains(0x8000)
+        assert image == frozen
+        assert all(isinstance(tags, tuple) for tags in image.values())
+        assert b.image() == frozen
+        assert b.contains(0x8000) and b.contains(0x4000)
+        assert not b.contains(0x100000) and not b.contains(0x4100)
+        assert b.accesses == 0
+
+    def test_restored_cache_behaves_like_a_prewarmed_one(self):
+        direct = self.warmed()
+        restored = make_cache()
+        restored.restore(self.warmed().image())
+        probes = [base + 32 * k for base in (0x4000, 0x8000, 0x100000)
+                  for k in range(-4, 20, 3)]
+        probes += probes[::-1]
+        for addr in probes:
+            assert restored.contains(addr) == direct.contains(addr)
+            assert restored.access(addr) == direct.access(addr), hex(addr)
+        assert (restored.accesses, restored.misses) == (
+            direct.accesses, direct.misses)
+        assert restored.image() == direct.image()
+
+    def test_prewarm_region_over_restored_sets(self):
+        direct = self.warmed()
+        restored = make_cache()
+        restored.restore(self.warmed().image())
+        for cache in (direct, restored):
+            cache.prewarm_region(0x20000, 384)
+        assert restored.image() == direct.image()
+        assert restored.contains(0x20000) and restored.contains(0x8000)
+        assert not restored.contains(0x4000)
+
+    def test_back_to_back_plans_are_identical(self):
+        """The second run restores the first run's prewarm image; both
+        runs, and a cold one, give the same BenchmarkRun."""
+        from repro.core.models import model
+        from repro.core.processor import clear_prewarm_cache
+        from repro.core.simulation import simulate_benchmark
+
+        config = model("X").config
+
+        def run():
+            return simulate_benchmark(config, "mcf", instructions=400,
+                                      warmup=100)
+
+        clear_prewarm_cache()
+        first = run()
+        second = run()
+        clear_prewarm_cache()
+        cold = run()
+        assert first == second == cold

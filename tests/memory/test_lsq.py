@@ -221,6 +221,85 @@ class TestPartialAddressPipeline:
         assert fast.done[0][1] < base.done[0][1]
 
 
+class TestBlockerAwareWakes:
+    """Store events skip a load while the store its last scan stopped at
+    is still unresolved -- and only then."""
+
+    @staticmethod
+    def count_advances(h):
+        calls = []
+        advance = h.lsq._advance_load
+
+        def counted(entry, cycle):
+            calls.append(entry.instr.seq)
+            advance(entry, cycle)
+        h.lsq._advance_load = counted
+        return calls
+
+    def test_load_blocked_on_one_store_ignores_the_others(self):
+        h = Harness()
+        h.warm(0x100)
+        s1, s2, s3 = store(0, 0x900), store(1, 0xA00), store(2, 0xB00)
+        ld = load(3, 0x100)
+        for instr in (s1, s2, s3, ld):
+            h.lsq.allocate(instr)
+        h.lsq.on_full_address(s1, 0x900, cycle=5)
+        h.lsq.on_full_address(ld, 0x100, cycle=10)
+        assert h.done == []
+        calls = self.count_advances(h)
+        h.lsq.on_store_data(s1, cycle=11)
+        h.lsq.on_full_address(s3, 0xB00, cycle=12)
+        h.lsq.on_store_data(s3, cycle=13)
+        assert calls == [] and h.done == []
+        h.lsq.on_full_address(s2, 0xA00, cycle=20)
+        assert calls == [3]
+        # Disambiguated at cycle 20, then a 6-cycle L1 hit.
+        assert h.done == [(3, 26, HitLevel.L1)]
+
+    def test_load_blocked_on_ls_bits_ignores_the_others(self):
+        h = Harness(partial=True)
+        h.warm(0x100)
+        s1, s2 = store(0, 0x908), store(1, 0xA08)
+        ld = load(2, 0x100)
+        for instr in (s1, s2, ld):
+            h.lsq.allocate(instr)
+        h.lsq.on_partial_address(ld, 0x100, cycle=5)
+        h.lsq.on_partial_address(s2, 0xA08, cycle=6)
+        assert h.lsq.early_ram_starts == 0
+        calls = self.count_advances(h)
+        h.lsq.on_full_address(s2, 0xA08, cycle=7)
+        h.lsq.on_store_data(s2, cycle=8)
+        assert calls == [] and h.lsq.early_ram_starts == 0
+        h.lsq.on_partial_address(s1, 0x908, cycle=9)
+        assert calls == [2] and h.lsq.early_ram_starts == 1
+
+    def test_ls_alias_rescans_after_the_aliasing_store_commits(self):
+        """Every older LS slice known, one matching: no store blocks the
+        load, so the first store event after the alias commits starts
+        its RAM early."""
+        h = Harness(partial=True)
+        h.warm(0x100)
+        alias = 0x100 + (1 << 11)  # same 8 LS word bits, different page
+        s1, s2 = store(0, alias), store(1, 0x908)
+        ld = load(2, 0x100)
+        for instr in (s1, s2, ld):
+            h.lsq.allocate(instr)
+        h.lsq.on_partial_address(s1, alias, cycle=5)
+        h.lsq.on_partial_address(s2, 0x908, cycle=5)
+        h.lsq.on_partial_address(ld, 0x100, cycle=6)
+        assert h.lsq.early_ram_starts == 0
+        h.lsq.on_full_address(s1, alias, cycle=8)
+        h.lsq.on_store_data(s1, cycle=9)
+        h.lsq.release(s1)
+        assert h.lsq.early_ram_starts == 0
+        h.lsq.on_store_data(s2, cycle=10)  # unrelated to the load
+        assert h.lsq.early_ram_starts == 1
+        h.lsq.on_full_address(s2, 0x908, cycle=12)
+        h.lsq.on_full_address(ld, 0x100, cycle=12)
+        # The RAM started at cycle 10: done after its 6-cycle access.
+        assert h.done == [(2, 16, HitLevel.L1)]
+
+
 class TestStoreCommitGate:
     def test_store_ready_needs_address_and_data(self):
         h = Harness()
