@@ -13,8 +13,6 @@ from conftest import publish
 from repro.harness import ExperimentRunner, render_table
 from repro.interconnect.selection import PolicyFlags
 
-# "all_on" uses the tag "default" so its runs share the cache with the
-# table/figure benches (identical configuration).
 VARIANTS = (
     ("default", PolicyFlags()),
     ("no_partial_address", replace(PolicyFlags(),
@@ -30,9 +28,9 @@ def test_lwire_ablation(benchmark, runner: ExperimentRunner, bench_suite,
     def compute():
         results = {}
         for tag, flags in VARIANTS:
-            results[tag] = runner.run_model_with_flags(
-                "VII", flags, tag, benchmarks=bench_suite,
-                instructions=instructions, warmup=warmup,
+            results[tag] = runner.run_model(
+                "VII", benchmarks=bench_suite, instructions=instructions,
+                warmup=warmup, flags=flags,
             )
         return results
 

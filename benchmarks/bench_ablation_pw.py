@@ -27,10 +27,9 @@ def test_pw_ablation(benchmark, runner: ExperimentRunner, bench_suite,
                      instructions, warmup, results_dir):
     def compute():
         return {
-            tag: runner.run_model_with_flags(
-                "V", flags, tag if tag == "default" else f"pw_{tag}",
-                benchmarks=bench_suite,
-                instructions=instructions, warmup=warmup,
+            tag: runner.run_model(
+                "V", benchmarks=bench_suite, instructions=instructions,
+                warmup=warmup, flags=flags,
             )
             for tag, flags in VARIANTS
         }

@@ -64,10 +64,9 @@ def test_frequent_value_compaction(benchmark, runner: ExperimentRunner,
     def compute():
         base = runner.run_model("VII", suite, instructions=instructions,
                                 warmup=warmup)
-        fv = runner.run_model_with_flags(
-            "VII", replace(PolicyFlags(), lwire_frequent_value=True),
-            "fv", benchmarks=suite, instructions=instructions,
-            warmup=warmup,
+        fv = runner.run_model(
+            "VII", suite, instructions=instructions, warmup=warmup,
+            flags=replace(PolicyFlags(), lwire_frequent_value=True),
         )
         return base, fv
 

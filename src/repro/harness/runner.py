@@ -40,13 +40,12 @@ import tempfile
 import threading
 import time
 from collections import deque
-from dataclasses import MISSING, asdict, dataclass, fields
+from dataclasses import MISSING, asdict, dataclass, fields, replace
 from pathlib import Path
 from typing import (
     Dict,
     Iterable,
     List,
-    Mapping,
     Optional,
     Sequence,
     Tuple,
@@ -56,7 +55,7 @@ from typing import (
 from .._version import source_digest
 from ..core.config import InterconnectConfig
 from ..core.metrics import BenchmarkRun, ModelResult
-from ..core.models import InterconnectModel, model
+from ..core.models import model
 from ..core.simulation import (
     DEFAULT_INSTRUCTIONS,
     DEFAULT_SEED,
@@ -99,11 +98,11 @@ _RESULT_SCHEMA: Dict[str, tuple] = {
 class ExperimentPlan:
     """Everything that determines a run's outcome.
 
-    A plan canonicalizes itself at construction: ``fault_spec`` and
-    ``gating_policy`` take their canonical spellings (``"never"``
-    becomes ``""``) and ``latency_scale`` becomes a float, so plans
-    that compare equal always share one cache key.  A malformed spec
-    raises ``ValueError``.
+    A plan canonicalizes itself at construction: ``policy_tag``,
+    ``fault_spec`` and ``gating_policy`` take their canonical spellings
+    (``"never"`` becomes ``""``) and ``latency_scale`` becomes a float,
+    so plans that compare equal always share one cache key.  A
+    malformed spec raises ``ValueError``.
     """
 
     model_name: str
@@ -113,6 +112,8 @@ class ExperimentPlan:
     instructions: int = DEFAULT_INSTRUCTIONS
     warmup: int = DEFAULT_WARMUP
     seed: int = DEFAULT_SEED
+    #: Canonical :class:`PolicyFlags` spelling ("default" = every
+    #: mechanism as the paper runs it); see :meth:`PolicyFlags.tag`.
     policy_tag: str = "default"
     #: Canonical fault-spec string ("" = healthy wires); see
     #: :meth:`repro.faults.FaultSpec.canonical`.
@@ -123,6 +124,10 @@ class ExperimentPlan:
 
     def __post_init__(self) -> None:
         try:
+            policy_tag = PolicyFlags.from_tag(self.policy_tag).tag()
+        except ValueError as exc:
+            raise ValueError(f"bad policy_tag: {exc}") from None
+        try:
             fault_spec = canonical_faults(self.fault_spec)
         except FaultSpecError as exc:
             raise ValueError(f"bad fault_spec: {exc}") from None
@@ -130,9 +135,15 @@ class ExperimentPlan:
             gating_policy = canonical_gating(self.gating_policy)
         except GatingSpecError as exc:
             raise ValueError(f"bad gating_policy: {exc}") from None
+        object.__setattr__(self, "policy_tag", policy_tag)
         object.__setattr__(self, "fault_spec", fault_spec)
         object.__setattr__(self, "gating_policy", gating_policy)
         object.__setattr__(self, "latency_scale", float(self.latency_scale))
+
+    def interconnect(self) -> InterconnectConfig:
+        """The model's interconnect under this plan's policy flags."""
+        return replace(model(self.model_name).config,
+                       flags=PolicyFlags.from_tag(self.policy_tag))
 
     def cache_key(self) -> str:
         payload = json.dumps(
@@ -347,20 +358,11 @@ class ResultCache:
             raise
 
 
-def simulate_plan(
-    plan: ExperimentPlan,
-    telemetry: Optional[Telemetry] = None,
-    interconnect_model: Optional[InterconnectModel] = None,
-) -> BenchmarkRun:
-    """Simulate one plan, uncached; ``telemetry`` optionally observes it.
-
-    ``interconnect_model`` overrides the model ``plan.model_name``
-    names (the policy-flag ablations use this).
-    """
-    if interconnect_model is None:
-        interconnect_model = model(plan.model_name)
+def simulate_plan(plan: ExperimentPlan,
+                  telemetry: Optional[Telemetry] = None) -> BenchmarkRun:
+    """Simulate one plan, uncached; ``telemetry`` optionally observes it."""
     return simulate_benchmark(
-        interconnect_model.config, plan.benchmark,
+        plan.interconnect(), plan.benchmark,
         instructions=plan.instructions, warmup=plan.warmup,
         num_clusters=plan.num_clusters, seed=plan.seed,
         latency_scale=plan.latency_scale,
@@ -370,13 +372,10 @@ def simulate_plan(
     )
 
 
-def _execute_plan(
-    plan: ExperimentPlan,
-    interconnect_model: Optional[InterconnectModel] = None,
-) -> Tuple[BenchmarkRun, float]:
+def _execute_plan(plan: ExperimentPlan) -> Tuple[BenchmarkRun, float]:
     """Simulate one plan, timed: what serial sweeps and workers run."""
     start = time.perf_counter()
-    run = simulate_plan(plan, interconnect_model=interconnect_model)
+    run = simulate_plan(plan)
     return run, time.perf_counter() - start
 
 
@@ -631,43 +630,28 @@ class ExperimentRunner:
         self.max_duration = max(self.max_duration, duration)
         self.cache.store(plan, run, duration=duration)
 
-    def run(self, plan: ExperimentPlan,
-            interconnect_model: Optional[InterconnectModel] = None
-            ) -> BenchmarkRun:
-        cached = self.cache.load(plan)
-        if cached is not None:
-            self.cache_hits += 1
-            return cached
-        if self.verbose:
-            print(f"  running {plan.model_name:>4s}/{plan.benchmark:<8s} "
-                  f"({plan.num_clusters}cl, x{plan.latency_scale:g})",
-                  flush=True)
-        with self.profiler.span("run.execute", category="run",
-                                plan=plan.describe()):
-            run, duration = _execute_plan(plan, interconnect_model)
-        self._record(plan, run, duration)
-        return run
+    def run(self, plan: ExperimentPlan) -> BenchmarkRun:
+        """One plan, as a one-plan :meth:`run_many` sweep."""
+        return self.run_many([plan])[plan]
 
     def run_many(
         self,
         plans: Sequence[ExperimentPlan],
         workers: Optional[int] = None,
-        models: Optional[Mapping[ExperimentPlan, InterconnectModel]] = None,
         run_timeout: Optional[float] = None,
         max_retries: Optional[int] = None,
     ) -> Dict[ExperimentPlan, BenchmarkRun]:
         """Run a batch of plans, fanning cache misses across processes.
 
-        Duplicate plans are coalesced and simulated once.  ``models``
-        optionally overrides the interconnect model per plan (used by
-        the policy-flag ablations).  Returns a plan -> run mapping
-        covering every distinct input plan; sets :attr:`last_summary`.
+        Duplicate plans are coalesced and simulated once.  Returns a
+        plan -> run mapping covering every distinct input plan; sets
+        :attr:`last_summary`.
         Raises :class:`SweepError` (carrying the partial results and
         the failure manifest) if any run ultimately fails; use
         :meth:`run_many_report` to get partial results without raising.
         """
         report = self.run_many_report(
-            plans, workers=workers, models=models,
+            plans, workers=workers,
             run_timeout=run_timeout, max_retries=max_retries,
         )
         if report.failures:
@@ -678,7 +662,6 @@ class ExperimentRunner:
         self,
         plans: Sequence[ExperimentPlan],
         workers: Optional[int] = None,
-        models: Optional[Mapping[ExperimentPlan, InterconnectModel]] = None,
         run_timeout: Optional[float] = None,
         max_retries: Optional[int] = None,
         cancel: Optional[threading.Event] = None,
@@ -728,7 +711,7 @@ class ExperimentRunner:
             # in-process and cheap.
             if run_timeout is not None or (workers > 1 and len(misses) > 1):
                 outcomes = self._run_isolated(
-                    misses, models, workers, run_timeout, max_retries,
+                    misses, workers, run_timeout, max_retries,
                     cancel=cancel)
             else:
                 outcomes = {}
@@ -743,8 +726,7 @@ class ExperimentRunner:
                     try:
                         with prof.span("run.execute", category="run",
                                        plan=plan.describe()):
-                            outcomes[plan] = _execute_plan(
-                                plan, models.get(plan) if models else None)
+                            outcomes[plan] = _execute_plan(plan)
                     # Crash-isolation boundary (serial path): mirror
                     # the worker-pool contract -- an erroring plan
                     # becomes a RunFailure in the sweep manifest, it
@@ -792,7 +774,6 @@ class ExperimentRunner:
     def _run_isolated(
         self,
         misses: Sequence[ExperimentPlan],
-        models: Optional[Mapping[ExperimentPlan, InterconnectModel]],
         workers: int,
         run_timeout: Optional[float],
         max_retries: int,
@@ -881,8 +862,7 @@ class ExperimentRunner:
                     if not_before > now:
                         ready.append((plan, attempt, not_before))
                         continue
-                    idle.pop().start(plan, attempt,
-                                     models.get(plan) if models else None)
+                    idle.pop().start(plan, attempt)
 
                 progressed = False
                 for worker in list(pool):
@@ -926,49 +906,25 @@ class ExperimentRunner:
                   instructions: int = DEFAULT_INSTRUCTIONS,
                   warmup: int = DEFAULT_WARMUP,
                   seed: int = DEFAULT_SEED,
-                  workers: Optional[int] = None) -> ModelResult:
+                  workers: Optional[int] = None,
+                  flags: Optional[PolicyFlags] = None) -> ModelResult:
+        """One model over ``benchmarks`` (all by default).
+
+        Non-default ``flags`` (the ablations) name the result
+        ``"<model>:<policy tag>"``.
+        """
+        tag = (flags or PolicyFlags()).tag()
         names: Iterable[str] = tuple(benchmarks or BENCHMARK_NAMES)
         plans = [
             ExperimentPlan(
                 model_name=model_name, benchmark=name,
                 num_clusters=num_clusters, latency_scale=latency_scale,
                 instructions=instructions, warmup=warmup, seed=seed,
+                policy_tag=tag,
             )
             for name in names
         ]
         results = self.run_many(plans, workers=workers)
-        return ModelResult(model=model_name,
-                           runs=tuple(results[p] for p in plans))
-
-    def run_model_with_flags(self, model_name: str, flags: PolicyFlags,
-                             tag: str,
-                             benchmarks: Optional[Sequence[str]] = None,
-                             num_clusters: int = 4,
-                             instructions: int = DEFAULT_INSTRUCTIONS,
-                             warmup: int = DEFAULT_WARMUP,
-                             seed: int = DEFAULT_SEED,
-                             workers: Optional[int] = None) -> ModelResult:
-        """A model's link composition with modified policy flags.
-
-        Used by the ablation benchmarks; ``tag`` names the flag variant
-        in the cache key.
-        """
-        base = model(model_name)
-        custom = InterconnectModel(
-            name=model_name,
-            config=InterconnectConfig(wires=dict(base.config.wires),
-                                      flags=flags),
-        )
-        names: Iterable[str] = tuple(benchmarks or BENCHMARK_NAMES)
-        plans = [
-            ExperimentPlan(
-                model_name=model_name, benchmark=name,
-                num_clusters=num_clusters, instructions=instructions,
-                warmup=warmup, seed=seed, policy_tag=tag,
-            )
-            for name in names
-        ]
-        results = self.run_many(plans, workers=workers,
-                                models={p: custom for p in plans})
-        return ModelResult(model=f"{model_name}:{tag}",
-                           runs=tuple(results[p] for p in plans))
+        return ModelResult(
+            model=model_name if tag == "default" else f"{model_name}:{tag}",
+            runs=tuple(results[p] for p in plans))

@@ -25,11 +25,11 @@ if TYPE_CHECKING:
 def worker_loop(conn, execute: Callable) -> None:
     """Body of one worker process: run plans until told to stop.
 
-    Answers each ``(plan, interconnect_model)`` job with ``("ok", run,
-    duration)`` or ``("error", type, msg)`` until a ``None`` sentinel
-    or a closed pipe; a worker that dies mid-plan (segfault, OOM-kill,
-    SIGKILL) is detected by the parent via process exit.  ``execute``
-    is the runner's ``_execute_plan`` as it stood when the sweep began.
+    Answers each plan it receives with ``("ok", run, duration)`` or
+    ``("error", type, msg)`` until a ``None`` sentinel or a closed
+    pipe; a worker that dies mid-plan (segfault, OOM-kill, SIGKILL) is
+    detected by the parent via process exit.  ``execute`` is the
+    runner's ``_execute_plan`` as it stood when the sweep began.
 
     Memory stays that of one run: the annotated-trace and prewarm memos
     are dropped whenever the trace key (benchmark, seed) changes, and a
@@ -39,13 +39,13 @@ def worker_loop(conn, execute: Callable) -> None:
     gc.freeze()  # objects inherited from the parent are never garbage
     trace_key = None
     try:
-        for plan, interconnect_model in iter(conn.recv, None):
+        for plan in iter(conn.recv, None):
             if (plan.benchmark, plan.seed) != trace_key:
                 trace_key = (plan.benchmark, plan.seed)
                 clear_annotated_traces()
                 clear_prewarm_cache()
             try:
-                run, duration = execute(plan, interconnect_model)
+                run, duration = execute(plan)
                 payload = ("ok", run, duration)
             # Crash-isolation boundary: this worker must convert *any*
             # failure (simulator bug, MemoryError, KeyboardInterrupt)
@@ -78,12 +78,11 @@ class Worker:
         #: The in-flight (plan, attempt, start in profiler µs), or None.
         self.job: Optional[Tuple[ExperimentPlan, int, float]] = None
 
-    def start(self, plan: ExperimentPlan, attempt: int,
-              interconnect_model) -> None:
+    def start(self, plan: ExperimentPlan, attempt: int) -> None:
         self.job = (plan, attempt, self.prof.now())
         self.plans += 1
         try:
-            self.conn.send((plan, interconnect_model))
+            self.conn.send(plan)
         except OSError:
             pass  # a dead worker surfaces as a crash when polled
 

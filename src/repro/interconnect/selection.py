@@ -20,7 +20,7 @@ else PW-Wires).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from ..telemetry import NULL_TELEMETRY, EventKind, Telemetry
@@ -46,7 +46,9 @@ class PolicyFlags:
     """Which of the paper's mechanisms are enabled.
 
     The defaults enable everything a link's composition supports; the
-    ablation benchmarks toggle them individually.
+    ablation benchmarks toggle them individually.  :meth:`tag` spells a
+    set of flags as text (an experiment plan's ``policy_tag``) and
+    :meth:`from_tag` reads it back.
     """
 
     lwire_mispredict: bool = True
@@ -64,6 +66,41 @@ class PolicyFlags:
     def without_lwire_uses(self) -> "PolicyFlags":
         return replace(self, lwire_mispredict=False,
                        lwire_partial_address=False, lwire_narrow=False)
+
+    def tag(self) -> str:
+        """The canonical spelling: ``"default"``, or ``name=value`` for
+        each field that differs from the defaults, in declaration order
+        (booleans as ``0``/``1``), e.g. ``lwire_narrow=0,pw_store_data=0``.
+        """
+        return ",".join(
+            f"{f.name}={int(getattr(self, f.name))}" for f in fields(self)
+            if getattr(self, f.name) != f.default
+        ) or "default"
+
+    @classmethod
+    def from_tag(cls, text: str) -> "PolicyFlags":
+        """Parse a tag in any order, with spaces, ``""`` as the default;
+        an unknown or repeated name or a bad value raises ``ValueError``.
+        """
+        text = text.strip()
+        if text in ("", "default"):
+            return cls()
+        defaults = {f.name: f.default for f in fields(cls)}
+        values: Dict[str, object] = {}
+        for item in text.split(","):
+            name, _, value = (part.strip() for part in item.partition("="))
+            if name not in defaults:
+                raise ValueError(f"unknown policy flag {name!r}")
+            if name in values:
+                raise ValueError(f"policy flag {name!r} given twice")
+            if not (value.isascii() and value.isdigit()) or (
+                    isinstance(defaults[name], bool)
+                    and value not in ("0", "1")):
+                raise ValueError(f"bad value {value!r} for policy flag "
+                                 f"{name!r}")
+            values[name] = (value == "1" if isinstance(defaults[name], bool)
+                            else int(value))
+        return cls(**values)
 
 
 @dataclass(frozen=True)

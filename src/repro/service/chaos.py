@@ -125,7 +125,7 @@ class ChaosInjector:
         original = runner_mod._execute_plan
         chaos_dir = self.chaos_dir
 
-        def chaotic_execute(plan, interconnect_model=None):
+        def chaotic_execute(plan):
             mode = _claim(chaos_dir, plan)
             if mode == "kill":
                 # A real crash: no exception, no report, just death --
@@ -138,7 +138,7 @@ class ChaosInjector:
                     f"injected deterministic failure for "
                     f"{plan.describe()}"
                 )
-            return original(plan, interconnect_model)
+            return original(plan)
 
         self._original = original
         runner_mod._execute_plan = chaotic_execute

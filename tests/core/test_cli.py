@@ -62,7 +62,7 @@ class TestExperimentCommands:
                                      capsys):
         executed = []
 
-        def execute(plan, interconnect_model=None):
+        def execute(plan):
             executed.append(plan)
             return BenchmarkRun(
                 benchmark=plan.benchmark, instructions=plan.instructions,

@@ -30,9 +30,10 @@ from typing import Dict, NamedTuple, Optional, Tuple
 
 from repro.core.config import ProcessorConfig
 from repro.core.metrics import BenchmarkRun
-from repro.core.models import MODEL_NAMES, model
+from repro.core.models import MODEL_NAMES
 from repro.core.simulation import simulate_benchmark
 from repro.harness import ExperimentPlan
+from repro.interconnect.selection import PolicyFlags
 from repro.telemetry import RingBufferSink, Telemetry, TraceEvent
 
 CORPUS_PATH = Path(__file__).resolve().parent / "corpus.json"
@@ -99,6 +100,8 @@ def label_of(spec: Dict[str, object]) -> str:
         parts.append(f"seed{plan.seed}")
     parts += [text for text in (plan.fault_spec, plan.gating_policy)
               if text]
+    if plan.policy_tag != "default":
+        parts.append(plan.policy_tag)
     parts += sorted(spec.get("config", {}))
     if spec.get("traced"):
         parts.append("traced")
@@ -153,6 +156,9 @@ def entries() -> Dict[str, Dict[str, object]]:
                traced=True),
         _entry("dp@n45:B144+L36:cw1"),
         _entry("dp@n16:B144+L36:cw1"),
+        # The ablation benches' policy flags.
+        _entry("VII", policy_tag=PolicyFlags().without_lwire_uses().tag()),
+        _entry("V", policy_tag=PolicyFlags(pw_store_data=False).tag()),
     ]
     corpus = {label_of(spec): spec for spec in specs}
     assert len(corpus) == len(specs), "duplicate corpus labels"
@@ -168,7 +174,7 @@ def simulate(spec: Dict[str, object]) -> Measured:
     telemetry = (Telemetry(sink=RingBufferSink(capacity=None))
                  if spec.get("traced") else None)
     run = simulate_benchmark(
-        model(plan.model_name).config, plan.benchmark,
+        plan.interconnect(), plan.benchmark,
         instructions=plan.instructions, warmup=plan.warmup,
         seed=plan.seed, config=config,
         fault_spec=plan.fault_spec or None,

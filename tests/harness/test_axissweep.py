@@ -26,7 +26,7 @@ def executed(monkeypatch):
     """Every plan the stand-in simulator ran, in order."""
     plans = []
 
-    def execute(plan, interconnect_model=None):
+    def execute(plan):
         plans.append(plan)
         if plan.fault_spec == BROKEN:
             raise RuntimeError("simulated simulator bug")

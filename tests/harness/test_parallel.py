@@ -97,18 +97,18 @@ class TestParallelCacheIntegrity:
             json.loads(path.read_text())  # every file parses completely
 
     def test_flag_override_models_cross_process(self, tmp_path):
-        # Policy-flag ablations ship a custom model to the workers.
+        # Policy-flag ablations reach the workers inside the plan.
         from repro.interconnect.selection import PolicyFlags
 
         runner = ExperimentRunner(cache=ResultCache(tmp_path),
                                   verbose=False)
-        ablated = runner.run_model_with_flags(
-            "VII", PolicyFlags(lwire_narrow=False), "no_narrow",
-            benchmarks=("gzip", "mesa"), workers=2, **WINDOW,
+        ablated = runner.run_model(
+            "VII", benchmarks=("gzip", "mesa"), workers=2,
+            flags=PolicyFlags(lwire_narrow=False), **WINDOW,
         )
         stock = runner.run_model("VII", benchmarks=("gzip", "mesa"),
                                  workers=2, **WINDOW)
         assert runner.executed == 4
-        # The override must actually reach the worker processes: with
+        # The flags must actually reach the worker processes: with
         # narrow-operand steering off, VII behaves differently.
         assert ablated.runs != stock.runs

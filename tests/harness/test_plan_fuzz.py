@@ -1,5 +1,5 @@
-"""Fuzzing the plan boundary: ``ExperimentPlan.from_dict``, fault specs
-and gating policies (hypothesis).
+"""Fuzzing the plan boundary: ``ExperimentPlan.from_dict``, policy tags,
+fault specs and gating policies (hypothesis).
 
 A plan canonicalizes itself at construction, so four properties must
 hold for any input: the only error is ``ValueError``, a plan survives
@@ -8,12 +8,14 @@ compare equal share one cache key.
 """
 
 import json
+from dataclasses import fields
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from repro.faults import canonical_faults
 from repro.harness.runner import ExperimentPlan
+from repro.interconnect.selection import PolicyFlags
 from repro.power import canonical_gating
 
 FUZZ = settings(max_examples=300, deadline=None,
@@ -75,6 +77,26 @@ gating_texts = st.one_of(
     st.text(max_size=30),
 )
 
+_flag_values = {
+    f.name: (st.sampled_from(["0", "1", " 1", "2", "true"])
+             if isinstance(f.default, bool)
+             else st.sampled_from(["0", "5", "007", "12", "-1", "x"]))
+    for f in fields(PolicyFlags)
+}
+_flag_item = st.one_of(
+    st.sampled_from(sorted(_flag_values)).flatmap(
+        lambda name: _flag_values[name].map(lambda v: f"{name}={v}")),
+    st.sampled_from(["bogus=1", "lwire_narrow", ""]),
+)
+
+#: Random flag diffs in random order (repeats included), plus junk.
+policy_tags = st.one_of(
+    st.sampled_from(["", "default", " default ", "ablate"]),
+    st.tuples(_spaces, st.lists(_flag_item, max_size=4), _spaces).map(
+        lambda t: t[0] + ",".join(t[1]) + t[2]),
+    st.text(max_size=30),
+)
+
 # -- plan dicts -------------------------------------------------------------
 
 _json_scalar = st.one_of(st.none(), st.booleans(), st.integers(),
@@ -99,7 +121,7 @@ valid_plan_dicts = st.fixed_dictionaries(
         "instructions": _ints,
         "warmup": _ints,
         "seed": _ints,
-        "policy_tag": st.text(max_size=8),
+        "policy_tag": policy_tags,
         "fault_spec": fault_texts,
         "gating_policy": gating_texts,
     },
@@ -151,6 +173,14 @@ class TestOnlyValueError:
         except ValueError:
             pass
 
+    @FUZZ
+    @given(policy_tags)
+    def test_policy_tags_raise_only_value_error(self, text):
+        try:
+            PolicyFlags.from_tag(text)
+        except ValueError:
+            pass
+
 
 class TestRoundTrip:
     @FUZZ
@@ -187,6 +217,18 @@ class TestIdempotence:
         assert canonical_gating(once) == once
 
     @FUZZ
+    @given(policy_tags)
+    @example("pw_store_data=0, lwire_narrow=0")
+    @example("load_balance_window=007")
+    def test_policy_tag_canonical_is_a_fixed_point(self, text):
+        try:
+            once = PolicyFlags.from_tag(text).tag()
+        except ValueError:
+            return
+        assert PolicyFlags.from_tag(once).tag() == once
+        assert PolicyFlags.from_tag(once) == PolicyFlags.from_tag(text)
+
+    @FUZZ
     @given(valid_plan_dicts)
     def test_rebuilding_a_plan_changes_nothing(self, data):
         plan = _plan_or_none(data)
@@ -212,6 +254,9 @@ class TestEqualPlansShareOneKey:
         ("latency_scale", 1, 1.0),
         ("fault_spec", "ber=1e-6", "ber=1e-06"),
         ("gating_policy", "never", ""),
+        ("policy_tag", "pw_store_data=0,lwire_narrow=0",
+         "lwire_narrow=0,pw_store_data=0"),
+        ("policy_tag", "lwire_narrow=1", "default"),
     ])
     def test_equivalent_spellings_share_one_key(self, field, one, other):
         a = ExperimentPlan("X", "gzip", **{field: one})
@@ -232,6 +277,7 @@ class TestEqualPlansShareOneKey:
     @pytest.mark.parametrize("field, text", [
         ("fault_spec", "kill=L@c0"),
         ("gating_policy", "idle:bogus=1"),
+        ("policy_tag", "ablate"),
     ])
     def test_malformed_specs_are_value_errors(self, field, text):
         with pytest.raises(ValueError, match=f"bad {field}"):

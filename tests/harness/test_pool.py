@@ -38,7 +38,7 @@ def pid_execute(monkeypatch, tmp_path):
     """
     marker = tmp_path / "flaky-already-crashed"
 
-    def execute(plan, interconnect_model=None):
+    def execute(plan):
         if plan.model_name == "hang":
             time.sleep(60)
         if plan.model_name == "flaky" and not marker.exists():

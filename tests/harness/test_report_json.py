@@ -113,7 +113,7 @@ class TestResumeFromManifest:
         unfinished plans, and end with a clean merged report."""
         flaky = tmp_path / "flaky-crashed-once"
 
-        def execute(plan, interconnect_model=None):
+        def execute(plan):
             if plan.benchmark == "mesa" and not flaky.exists():
                 import os
 

@@ -43,7 +43,7 @@ def scripted_execute(monkeypatch, tmp_path):
     """
     marker = tmp_path / "flaky-already-crashed"
 
-    def execute(plan, interconnect_model=None):
+    def execute(plan):
         if plan.benchmark == "hang":
             time.sleep(60)
         if plan.benchmark == "die":
@@ -195,7 +195,7 @@ class TestExitRace:
         report = runner.run_many_report([plan], workers=2)
         assert report.failures == ()
         assert report.results[plan] == result
-        assert state["sent"] == [(plan, None), None]  # job, then sentinel
+        assert state["sent"] == [plan, None]  # job, then sentinel
 
 
 class TestErrors:
@@ -211,7 +211,7 @@ class TestErrors:
         assert "simulated simulator bug" in failure.detail
 
     def test_serial_path_reports_errors_too(self, tmp_path, monkeypatch):
-        def execute(plan, interconnect_model=None):
+        def execute(plan):
             raise RuntimeError("boom")
 
         monkeypatch.setattr("repro.harness.runner._execute_plan", execute)

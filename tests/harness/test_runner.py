@@ -13,6 +13,7 @@ from repro.harness.runner import (
     ExperimentRunner,
     ResultCache,
 )
+from repro.interconnect.selection import PolicyFlags
 
 
 def make_run(bench="gzip"):
@@ -39,7 +40,7 @@ class TestPlanKeys:
             ExperimentPlan("I", "gzip", instructions=999),
             ExperimentPlan("I", "gzip", warmup=7),
             ExperimentPlan("I", "gzip", seed=1),
-            ExperimentPlan("I", "gzip", policy_tag="ablate"),
+            ExperimentPlan("I", "gzip", policy_tag="lwire_narrow=0"),
         ]
         keys = {v.cache_key() for v in variants}
         assert base.cache_key() not in keys
@@ -215,7 +216,7 @@ class TestResultCache:
     def test_provenance_written(self, tmp_path):
         cache = ResultCache(tmp_path)
         plan = ExperimentPlan("VII", "mesa", num_clusters=16,
-                              policy_tag="ablate")
+                              policy_tag="pw_store_data=0")
         cache.store(plan, make_run("mesa"), duration=1.25)
         data = json.loads(cache._path(plan).read_text())
         prov = data["provenance"]
@@ -223,7 +224,7 @@ class TestResultCache:
         assert prov["duration_seconds"] == 1.25
         assert prov["plan"]["model_name"] == "VII"
         assert prov["plan"]["num_clusters"] == 16
-        assert prov["plan"]["policy_tag"] == "ablate"
+        assert prov["plan"]["policy_tag"] == "pw_store_data=0"
         assert isinstance(prov["simulator_commit"], str)
 
 
@@ -287,19 +288,66 @@ class TestRunner:
         assert runner.last_summary.cache_hits == 2
         assert warm == cold
 
-    def test_run_model_with_flags_distinct_cache(self, tmp_path):
-        from repro.interconnect.selection import PolicyFlags
+    def test_run_model_flags_distinct_cache(self, tmp_path):
         runner = ExperimentRunner(cache=ResultCache(tmp_path),
                                   verbose=False)
         ablated = PolicyFlags(lwire_narrow=False)
-        a = runner.run_model_with_flags(
-            "VII", PolicyFlags(), "default", benchmarks=("gzip",),
-            instructions=500, warmup=100,
+        a = runner.run_model(
+            "VII", benchmarks=("gzip",), instructions=500, warmup=100,
+            flags=PolicyFlags(),
         )
-        b = runner.run_model_with_flags(
-            "VII", ablated, "no_narrow", benchmarks=("gzip",),
-            instructions=500, warmup=100,
+        b = runner.run_model(
+            "VII", benchmarks=("gzip",), instructions=500, warmup=100,
+            flags=ablated,
         )
         assert runner.executed == 2  # distinct tags, no false sharing
-        assert a.model == "VII:default"
-        assert b.model == "VII:no_narrow"
+        assert a.model == "VII"
+        assert b.model == "VII:lwire_narrow=0"
+
+
+class TestPolicyFlagsInThePlan:
+    """A plan's ``policy_tag`` is the whole flag configuration: flags
+    that differ never share a cache entry, and flags run on the model's
+    own interconnect (node-scaled wires included)."""
+
+    WINDOW = dict(benchmarks=("gzip",), instructions=1500, warmup=300)
+
+    def test_ablation_after_a_stock_run_is_not_served_the_stock_run(
+            self, tmp_path):
+        runner = ExperimentRunner(cache=ResultCache(tmp_path),
+                                  verbose=False)
+        stock = runner.run_model("VII", **self.WINDOW)
+        ablated = runner.run_model(
+            "VII", flags=PolicyFlags().without_lwire_uses(), **self.WINDOW)
+        assert runner.executed == 2
+        assert runner.cache_hits == 0
+        assert ablated.runs[0].cycles != stock.runs[0].cycles
+
+    def test_default_flags_keep_the_design_points_wires(self, tmp_path):
+        name = "dp@n16:B144+L36:cw1"
+        runner = ExperimentRunner(cache=ResultCache(tmp_path),
+                                  verbose=False)
+        flagged = runner.run_model(name, flags=PolicyFlags(), **self.WINDOW)
+        stock = runner.run_model(name, **self.WINDOW)
+        assert runner.executed == 1
+        assert runner.cache_hits == 1
+        assert flagged == stock
+        # The executed run is the design point's own (16 nm energies),
+        # not the same wire counts under Table 2's 45 nm values.
+        uncached = runner_module.simulate_plan(
+            ExperimentPlan(name, "gzip", instructions=1500, warmup=300))
+        assert flagged.runs == (uncached,)
+
+    def test_plan_interconnect_applies_its_flags_to_its_model(self):
+        from repro.core.models import model
+
+        name = "dp@n16:B144+L36:cw1"
+        plan = ExperimentPlan(name, "gzip",
+                              policy_tag="pw_store_data=0")
+        config = plan.interconnect()
+        base = model(name).config
+        assert config.flags == PolicyFlags(pw_store_data=False)
+        assert config.wires == base.wires
+        assert config.cache_width_factor == base.cache_width_factor == 1
+        assert config.wire_specs == base.wire_specs
+        assert config.wire_specs is not None

@@ -40,7 +40,7 @@ def fake_execute(monkeypatch):
     any) chains to this fake and marker-file faults still fire.
     """
 
-    def execute(plan, interconnect_model=None):
+    def execute(plan):
         return fake_run(plan), 0.01
 
     monkeypatch.setattr("repro.harness.runner._execute_plan", execute)

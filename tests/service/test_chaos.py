@@ -278,9 +278,9 @@ class TestRestartResume:
 
         original = runner_mod._execute_plan
 
-        def slow_execute(plan, interconnect_model=None):
+        def slow_execute(plan):
             time.sleep(3.0)
-            return original(plan, interconnect_model)
+            return original(plan)
 
         monkeypatch.setattr(runner_mod, "_execute_plan", slow_execute)
         cache_dir = tmp_path / "cache"

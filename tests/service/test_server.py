@@ -128,6 +128,7 @@ class TestValidation:
     @pytest.mark.parametrize("field, text", [
         ("fault_spec", "kill=L@c0"),
         ("gating_policy", "idle:bogus=1"),
+        ("policy_tag", "ablate"),
     ])
     def test_malformed_spec_is_400(self, fake_execute, serve, field, text):
         client = serve().client()
