@@ -25,6 +25,11 @@ def test_corpus_is_not_vacuous():
     corpus = load()
     for name, entry in corpus.items():
         plan = entry["plan"]
+        if plan["policy_tag"] != "default":
+            # Policy flags reach the simulation.
+            twin = label_of({**entry,
+                             "plan": {**plan, "policy_tag": "default"}})
+            assert entry["run"] != corpus[twin]["run"], name
         if not plan["fault_spec"]:
             continue
         # Every fault changes the run; kills and bit errors also show in
