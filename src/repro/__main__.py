@@ -8,6 +8,7 @@ through the cached runner, so repeated invocations are cheap.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import fields
 from typing import List, Optional
@@ -57,6 +58,36 @@ def _positive_workers(text: str) -> int:
         raise argparse.ArgumentTypeError(
             f"--workers must be at least 1 (got {value}); use 1 for a "
             f"serial run"
+        )
+    return value
+
+
+def _clusters(text: str) -> int:
+    """argparse type: cluster count, a whole number >= 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"--clusters expects a whole number, got {text!r}"
+        ) from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(
+            f"--clusters must be at least 1 (got {value})"
+        )
+    return value
+
+
+def _latency_scale(text: str) -> float:
+    """argparse type: wire-latency multiplier, a finite number > 0."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"--latency-scale expects a number, got {text!r}"
+        ) from None
+    if not 0 < value < math.inf:
+        raise argparse.ArgumentTypeError(
+            f"--latency-scale must be finite and positive, got {text!r}"
         )
     return value
 
@@ -180,9 +211,10 @@ def _add_axis_args(parser: argparse.ArgumentParser) -> None:
 def _add_plan_args(parser: argparse.ArgumentParser) -> None:
     """Every flag that describes one plan; dests are plan field names
     so :func:`_plan_from_args` can read them back."""
-    parser.add_argument("--clusters", dest="num_clusters", type=int,
+    parser.add_argument("--clusters", dest="num_clusters", type=_clusters,
                         default=4)
-    parser.add_argument("--latency-scale", type=float, default=1.0)
+    parser.add_argument("--latency-scale", type=_latency_scale,
+                        default=1.0)
     _add_window_args(parser)
     _add_axis_args(parser)
 

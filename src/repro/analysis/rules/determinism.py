@@ -284,92 +284,3 @@ def check_id_ordering(ctx: FileContext) -> Iterator[Finding]:
                     "between processes, so this order is not "
                     "reproducible",
                 )
-
-
-#: numpy reductions whose float result depends on accumulation order.
-#: The backend is free to vectorize, pairwise-split or thread these, so
-#: the same inputs can sum to different ULPs across numpy builds and
-#: CPUs -- fatal for reproducible results (the steering heuristic's
-#: numpy and Python scorers accumulate elementwise in the same order;
-#: see the :mod:`repro.clusters.steering` docstring).
-_NP_ORDER_SENSITIVE = {
-    "numpy.sum", "numpy.nansum", "numpy.dot", "numpy.vdot",
-    "numpy.inner", "numpy.matmul", "numpy.einsum", "numpy.mean",
-    "numpy.nanmean", "numpy.average", "numpy.std", "numpy.var",
-    "numpy.prod", "numpy.nanprod", "numpy.trace",
-}
-
-#: numpy sorts that default to an *unstable* kind: equal keys land in
-#: input-dependent order, so downstream tie-breaks stop being
-#: reproducible across numpy versions.  ``kind="stable"`` is exempt.
-_NP_UNSTABLE_SORTS = {"numpy.sort", "numpy.argsort"}
-
-_STABLE_KINDS = {"stable", "mergesort"}
-
-
-def _sort_kind(node: ast.Call) -> Optional[str]:
-    for keyword in node.keywords:
-        if keyword.arg == "kind" and isinstance(keyword.value,
-                                                ast.Constant):
-            value = keyword.value.value
-            return value if isinstance(value, str) else None
-    return None
-
-
-@register("SIM106",
-          "no order-sensitive numpy reductions or unstable numpy "
-          "sorts in simulator scope")
-def check_numpy_nondeterminism(ctx: FileContext) -> Iterator[Finding]:
-    """Vectorized simulator code must replicate scalar float behaviour.
-
-    Simulated numbers are pinned bit for bit (the golden corpus), and
-    a hot path may take a numpy or a Python route depending on the
-    machine size (steering does, at ``NUMPY_MIN_CLUSTERS``); both must
-    produce the same floats.  Float summation is not associative:
-    ``np.sum``/``np.dot`` and friends reduce in whatever order the
-    build's SIMD/pairwise/threading heuristics pick, so the "same"
-    computation can differ in the last ULP between machines -- and a
-    one-ULP steering-score difference picks a different cluster.
-    Vectorized hot paths must accumulate elementwise (``scores += w *
-    row``, as :class:`~repro.clusters.steering.SteeringHeuristic` does)
-    or reduce in Python.
-    ``np.sort``/``np.argsort`` default to an unstable kind, so equal
-    keys tie-break irreproducibly; pass ``kind="stable"`` or sort in
-    Python.  Harness/analysis code (no reproduced numbers) is exempt.
-    """
-    if not ctx.in_src or ctx.in_harness:
-        return
-    imports = collect_imports(ctx.tree)
-    for node in ast.walk(ctx.tree):
-        if not isinstance(node, ast.Call):
-            continue
-        target = resolve_call_target(node.func, imports)
-        if target in _NP_ORDER_SENSITIVE:
-            yield _finding(
-                ctx, node, "SIM106",
-                f"{target}() reduces in backend-chosen order; float "
-                f"results can differ per numpy build/CPU, breaking "
-                f"the scalar-equality contract -- accumulate "
-                f"elementwise or reduce in Python",
-            )
-        elif (target in _NP_UNSTABLE_SORTS
-                and _sort_kind(node) not in _STABLE_KINDS):
-            yield _finding(
-                ctx, node, "SIM106",
-                f"{target}() without kind=\"stable\"; equal keys "
-                f"tie-break in input-dependent order under the "
-                f"default unstable sort",
-            )
-        elif (isinstance(node.func, ast.Attribute)
-                and node.func.attr == "argsort"
-                and "numpy" in imports.modules.values()
-                and _sort_kind(node) not in _STABLE_KINDS):
-            # Method form: ``arr.sum()`` could be any object's method,
-            # but nothing in scope except an ndarray grows .argsort()
-            # -- flag it whenever the module works with numpy at all.
-            yield _finding(
-                ctx, node, "SIM106",
-                ".argsort() without kind=\"stable\"; equal keys "
-                "tie-break in input-dependent order under the "
-                "default unstable sort",
-            )

@@ -12,15 +12,6 @@ While dispatching, the heuristic assigns each cluster a weight built from:
 
 The instruction goes to the heaviest cluster; if that cluster has no free
 register or issue-queue entry, to the nearest cluster that has both.
-
-Scoring is a flattened Python loop on small machines and numpy passes
-over precomputed affinity rows from
-:attr:`SteeringHeuristic.NUMPY_MIN_CLUSTERS` clusters up (the paper's
-16-cluster configurations).  Both paths produce every cluster's score
-by the same sequence of IEEE-754 operations -- per-element
-multiply-then-add, no reductions, no reassociation (simlint SIM106) --
-so the choice does not depend on which path ran.  numpy is imported on
-first use, so small machines never load it.
 """
 
 from __future__ import annotations
@@ -51,10 +42,6 @@ class SteeringWeights:
 
 class SteeringHeuristic:
     """Weight-based cluster assignment."""
-
-    #: Below this cluster count the flattened loop beats numpy's
-    #: per-call overhead; at or above it the numpy path wins.
-    NUMPY_MIN_CLUSTERS = 8
 
     def __init__(self, clusters: Sequence[Cluster], topology: Topology,
                  weights: SteeringWeights | None = None,
@@ -112,18 +99,6 @@ class SteeringHeuristic:
         # links; zero-cost on the healthy path.
         self._link_penalty = [0.0] * n
         self._any_degraded = False
-        self._np = None
-        if n >= self.NUMPY_MIN_CLUSTERS:
-            import numpy as np
-
-            self._np = np
-            self._aff_np = np.asarray(self._affinity, dtype=np.float64)
-            self._cache_aff_np = np.asarray(self._cache_affinity,
-                                            dtype=np.float64)
-            self._iq_np = np.asarray(
-                [c.iq_size for c in self.clusters], dtype=np.float64
-            )
-            self._penalty_np = np.zeros(n, dtype=np.float64)
 
     def note_degraded_link(self, cluster_index: int,
                            cycle: int = 0) -> None:
@@ -131,9 +106,6 @@ class SteeringHeuristic:
         if 0 <= cluster_index < self._n:
             self._link_penalty[cluster_index] += self.weights.degraded_link
             self._any_degraded = True
-            if self._np is not None:
-                self._penalty_np[cluster_index] = \
-                    self._link_penalty[cluster_index]
             tel = self.telemetry
             if tel.enabled:
                 tel.count("steering.degraded_penalties")
@@ -152,10 +124,7 @@ class SteeringHeuristic:
         """
         clusters = self.clusters
         op = instr.rec.op
-        if self._np is not None:
-            scores, free = self._score_np(producers, op)
-        else:
-            scores, free = self._score(producers, op)
+        scores, free = self._score(producers, op)
 
         # argmax over (score, free IQ entries, earliest index).
         best = 0
@@ -242,35 +211,6 @@ class SteeringHeuristic:
             for i in range(n):
                 scores[i] -= penalties[i]
         return scores, free
-
-    def _score_np(self, producers, op):
-        """Numpy scoring, the same operations as :meth:`_score`."""
-        np = self._np
-        n = self._n
-        w = self.weights
-        scores = np.zeros(n, dtype=np.float64)
-        for _, producer in producers:
-            home = producer.cluster
-            if 0 <= home < n:
-                scores += w.dependence * self._aff_np[home]
-        if len(producers) > 1:
-            pcs = [p.rec.pc for _, p in producers]
-            critical = self.criticality.pick_critical(pcs)
-            if critical is not None:
-                home = producers[critical][1].cluster
-                if 0 <= home < n:
-                    scores += w.critical_bonus * self._aff_np[home]
-        if op._fp:
-            free = [c.free_fp_iq for c in self.clusters]
-        else:
-            free = [c.free_int_iq for c in self.clusters]
-        free_np = np.asarray(free, dtype=np.float64)
-        scores += w.load_balance * (free_np / self._iq_np)
-        if op._mem:
-            scores += w.cache_proximity * self._cache_aff_np
-        if self._any_degraded:
-            scores -= self._penalty_np
-        return scores.tolist(), free
 
     def train_criticality(self, last_pc: int,
                           other_pcs: Sequence[int]) -> None:

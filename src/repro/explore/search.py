@@ -79,8 +79,6 @@ class SearchSpace:
     gating_policies: Tuple[str, ...] = ("",)
 
     def __post_init__(self) -> None:
-        if not self.nodes:
-            raise ValueError("search space needs at least one node")
         for topology in self.topologies:
             if topology not in TOPOLOGIES:
                 raise ValueError(
@@ -94,6 +92,11 @@ class SearchSpace:
             )
         for gating in self.gating_policies:
             check_canonical_gating(gating)
+        if not self.points():
+            raise ValueError(
+                "search space has no design point: it needs a node, a "
+                "topology and a wire mix with a B, PW or W plane"
+            )
 
     def _axes(self) -> Tuple[Tuple[WireClass, Tuple[int, ...]], ...]:
         return (

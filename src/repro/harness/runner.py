@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import subprocess
 import tempfile
@@ -102,7 +103,7 @@ class ExperimentPlan:
     ``fault_spec`` and ``gating_policy`` take their canonical spellings
     (``"never"`` becomes ``""``) and ``latency_scale`` becomes a float,
     so plans that compare equal always share one cache key.  A
-    malformed spec raises ``ValueError``.
+    malformed spec, or a number no run can use, raises ``ValueError``.
     """
 
     model_name: str
@@ -124,6 +125,17 @@ class ExperimentPlan:
 
     def __post_init__(self) -> None:
         try:
+            latency_scale = float(self.latency_scale)
+        except OverflowError:  # a JSON integer past the float range
+            latency_scale = math.inf
+        for name, bad in (
+                ("num_clusters", self.num_clusters < 1),
+                ("instructions", self.instructions < 1),
+                ("warmup", self.warmup < 0),
+                ("latency_scale", not 0 < latency_scale < math.inf)):
+            if bad:
+                raise ValueError(f"bad {name}: {getattr(self, name)!r}")
+        try:
             policy_tag = PolicyFlags.from_tag(self.policy_tag).tag()
         except ValueError as exc:
             raise ValueError(f"bad policy_tag: {exc}") from None
@@ -138,7 +150,7 @@ class ExperimentPlan:
         object.__setattr__(self, "policy_tag", policy_tag)
         object.__setattr__(self, "fault_spec", fault_spec)
         object.__setattr__(self, "gating_policy", gating_policy)
-        object.__setattr__(self, "latency_scale", float(self.latency_scale))
+        object.__setattr__(self, "latency_scale", latency_scale)
 
     def interconnect(self) -> InterconnectConfig:
         """The model's interconnect under this plan's policy flags."""

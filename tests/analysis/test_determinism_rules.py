@@ -202,102 +202,3 @@ class TestSIM105IdOrdering:
                 return sorted(objs, key=lambda o: o.rank)
             """}, select={"SIM105"})
         assert result.findings == []
-
-
-class TestSIM106NumpyNondeterminism:
-    def test_flags_order_sensitive_reductions(self, lint_tree, codes_of):
-        result = lint_tree({"src/repro/clusters/fast.py": """\
-            import numpy as np
-
-            def score(rows, weights):
-                total = np.sum(rows, axis=0)
-                return np.dot(total, weights)
-            """}, select={"SIM106"})
-        assert codes_of(result) == [("SIM106", 4), ("SIM106", 5)]
-        assert "backend-chosen order" in result.findings[0].message
-
-    def test_flags_from_import_alias(self, lint_tree):
-        result = lint_tree({"src/repro/core/fast.py": """\
-            from numpy import einsum as contract
-
-            def energy(a, b):
-                return contract("ij,j->i", a, b)
-            """}, select={"SIM106"})
-        assert [f.code for f in result.findings] == ["SIM106"]
-
-    def test_flags_unstable_sorts(self, lint_tree, codes_of):
-        result = lint_tree({"src/repro/interconnect/fast.py": """\
-            import numpy as np
-
-            def order(scores):
-                ranked = np.argsort(scores)
-                tied = scores.argsort()
-                return np.sort(scores), ranked, tied
-            """}, select={"SIM106"})
-        assert codes_of(result) == [("SIM106", 4), ("SIM106", 5),
-                                    ("SIM106", 6)]
-        assert 'kind="stable"' in result.findings[0].message
-
-    def test_stable_sorts_are_fine(self, lint_tree):
-        result = lint_tree({"src/repro/interconnect/fast.py": """\
-            import numpy as np
-
-            def order(scores):
-                ranked = np.argsort(scores, kind="stable")
-                legacy = scores.argsort(kind="mergesort")
-                return np.sort(scores, kind="stable"), ranked, legacy
-            """}, select={"SIM106"})
-        assert result.findings == []
-
-    def test_elementwise_accumulation_is_fine(self, lint_tree):
-        # The sanctioned SteeringHeuristic pattern: per-row fused
-        # multiply-add via broadcasting, no reduction call.
-        result = lint_tree({"src/repro/clusters/fast.py": """\
-            import numpy as np
-
-            def score(rows, weights, free, iq):
-                scores = np.zeros(len(free))
-                for weight, row in zip(weights, rows):
-                    scores += weight * row
-                scores += 0.5 * (free / iq)
-                return scores.tolist()
-            """}, select={"SIM106"})
-        assert result.findings == []
-
-    def test_harness_and_tests_are_exempt(self, lint_tree):
-        files = {
-            "src/repro/harness/report.py": """\
-                import numpy as np
-
-                def mean_ipc(values):
-                    return np.mean(values)
-                """,
-            "tests/test_scores.py": """\
-                import numpy as np
-
-                def test_total():
-                    assert np.sum([1.0, 2.0]) == 3.0
-                """,
-        }
-        result = lint_tree(files, select={"SIM106"})
-        assert result.findings == []
-
-    def test_plain_argsort_method_without_numpy_import_is_fine(
-            self, lint_tree):
-        # Without a numpy import the .argsort() heuristic stays quiet
-        # (no evidence the receiver is an ndarray).
-        result = lint_tree({"src/repro/core/x.py": """\
-            def order(frame):
-                return frame.argsort()
-            """}, select={"SIM106"})
-        assert result.findings == []
-
-    def test_inline_suppression_respected(self, lint_tree):
-        result = lint_tree({"src/repro/core/x.py": """\
-            import numpy as np
-
-            def checksum(arr):
-                # Integer-only reduction: order-insensitive by design.
-                return np.sum(arr)  # simlint: disable=SIM106
-            """}, select={"SIM106"})
-        assert result.findings == []

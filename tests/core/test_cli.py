@@ -130,6 +130,19 @@ class TestArgumentValidation:
         err = self._error_of(["run", "--max-retries", "-1"], capsys)
         assert "non-negative" in err
 
+    @pytest.mark.parametrize("argv, message", [
+        (["run", "--clusters", "0"], "at least 1"),
+        (["run", "--clusters", "four"], "whole number"),
+        (["run", "--latency-scale", "0"], "finite and positive"),
+        (["run", "--latency-scale", "inf"], "finite and positive"),
+        (["run", "--latency-scale", "nan"], "finite and positive"),
+        (["run", "--latency-scale", "x"], "expects a number"),
+    ])
+    def test_rejects_plan_numbers_no_run_can_use(self, argv, message,
+                                                 capsys):
+        err = self._error_of(argv, capsys)
+        assert message in err
+
     def test_rejects_malformed_fault_spec(self, capsys):
         err = self._error_of(["run", "--fault-spec", "kill=L@c0"], capsys)
         assert "CLASS@link@cycle" in err

@@ -5,11 +5,9 @@ were pinned while an independent scalar implementation of the same model
 agreed with this one bit for bit, so the corpus stands in for that
 reference.  The entries cover the dimensions where the simulator takes
 different internal paths: wire compositions (which planes exist drives
-selection), cluster counts (16 crosses
-``SteeringHeuristic.NUMPY_MIN_CLUSTERS``), fault injection (the
-network's kill, reroute and retransmission hooks), telemetry (event
-stream and metrics snapshot) and memory-dependence speculation (the
-LSQ's wake filtering).
+selection), cluster counts, fault injection (the network's kill,
+reroute and retransmission hooks), telemetry (event stream and metrics
+snapshot) and memory-dependence speculation (the LSQ's wake filtering).
 """
 
 import pytest

@@ -59,6 +59,12 @@ class TestSearchSpace:
             SearchSpace(nodes=())
         with pytest.raises(ValueError):
             SearchSpace(nodes=(45,), topologies=("torus",))
+        # Grids with no valid point: no bulk-capable plane, an empty
+        # wire axis, no topology.
+        for empty in (dict(b_options=(0,), pw_options=(0,)),
+                      dict(b_options=()), dict(topologies=())):
+            with pytest.raises(ValueError, match="no design point"):
+                SearchSpace(nodes=(45,), **empty)
 
 
 class TestExplore:

@@ -8,7 +8,6 @@ message names the digests that moved.
 import pytest
 
 from golden import assert_pinned, label_of, load
-from repro.clusters.steering import SteeringHeuristic
 from repro.faults import FaultSpec
 
 #: Extras that count fault-induced degradation.
@@ -40,8 +39,7 @@ def test_corpus_is_not_vacuous():
         if spec.kills or spec.ber:
             extra = entry["run"]["extra"]
             assert any(extra[key] > 0 for key in DEGRADATION), name
-    # Both steering scorers run: the loop below NUMPY_MIN_CLUSTERS and
-    # numpy at or above it.
+    # Both machine sizes stay pinned: the 4-cluster crossbar and the
+    # 16-cluster hierarchical topology.
     clusters = {entry["plan"]["num_clusters"] for entry in corpus.values()}
-    threshold = SteeringHeuristic.NUMPY_MIN_CLUSTERS
-    assert min(clusters) < threshold <= max(clusters)
+    assert {4, 16} <= clusters

@@ -118,8 +118,8 @@ valid_plan_dicts = st.fixed_dictionaries(
         "latency_scale": st.one_of(
             st.integers(1, 4),
             st.floats(min_value=0.25, max_value=4.0)),
-        "instructions": _ints,
-        "warmup": _ints,
+        "instructions": st.integers(1, 2 ** 40),
+        "warmup": st.integers(0, 2 ** 40),
         "seed": _ints,
         "policy_tag": policy_tags,
         "fault_spec": fault_texts,
@@ -278,6 +278,14 @@ class TestEqualPlansShareOneKey:
         ("fault_spec", "kill=L@c0"),
         ("gating_policy", "idle:bogus=1"),
         ("policy_tag", "ablate"),
+        ("num_clusters", 0),
+        ("instructions", 0),
+        ("warmup", -1),
+        ("latency_scale", 0),
+        ("latency_scale", -1.5),
+        ("latency_scale", float("inf")),
+        ("latency_scale", float("nan")),
+        ("latency_scale", 10 ** 400),
     ])
     def test_malformed_specs_are_value_errors(self, field, text):
         with pytest.raises(ValueError, match=f"bad {field}"):

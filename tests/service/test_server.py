@@ -129,6 +129,13 @@ class TestValidation:
         ("fault_spec", "kill=L@c0"),
         ("gating_policy", "idle:bogus=1"),
         ("policy_tag", "ablate"),
+        ("num_clusters", 0),
+        ("instructions", 0),
+        ("warmup", -1),
+        ("latency_scale", 0),
+        ("latency_scale", -1.5),
+        ("latency_scale", float("inf")),
+        ("latency_scale", float("nan")),
     ])
     def test_malformed_spec_is_400(self, fake_execute, serve, field, text):
         client = serve().client()
