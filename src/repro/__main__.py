@@ -40,7 +40,7 @@ from .harness import (
     run_table4,
     simulate_plan,
 )
-from .harness.axissweep import DEFAULT_BENCHMARKS
+from .harness.axissweep import DEFAULT_BENCHMARKS, AxisSweepResult
 from .power import GatingSpecError, canonical_gating
 from .wires import table2_rows
 from .workloads.spec2k import BENCHMARK_NAMES, PROFILES
@@ -101,6 +101,26 @@ def _seed(text: str) -> int:
             f"--seed expects an integer (the workload RNG seed), "
             f"got {text!r}"
         ) from None
+
+
+def _ranged(flag: str, convert, accepts, bounds: str):
+    """argparse type: a number (``convert``) that ``accepts`` admits."""
+    kind = "a whole number" if convert is int else "a number"
+
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"{flag} expects {kind}, got {text!r}"
+            ) from None
+        if not accepts(value):
+            raise argparse.ArgumentTypeError(
+                f"{flag} must be {bounds}, got {text!r}"
+            )
+        return value
+
+    return parse
 
 
 def _positive_seconds(text: str) -> float:
@@ -177,11 +197,13 @@ def _port(text: str) -> int:
 def _add_window_args(parser: argparse.ArgumentParser) -> None:
     """The measurement window and seed every simulating command takes."""
     parser.add_argument(
-        "--instructions", type=int, default=DEFAULT_INSTRUCTIONS,
+        "--instructions", default=DEFAULT_INSTRUCTIONS,
+        type=_ranged("--instructions", int, lambda n: n >= 1, "at least 1"),
         help="measured instructions per benchmark",
     )
     parser.add_argument(
-        "--warmup", type=int, default=DEFAULT_WARMUP,
+        "--warmup", default=DEFAULT_WARMUP,
+        type=_ranged("--warmup", int, lambda n: n >= 0, "non-negative"),
         help="warmup instructions per benchmark",
     )
     parser.add_argument(
@@ -222,6 +244,7 @@ def _add_plan_args(parser: argparse.ArgumentParser) -> None:
 def _add_benchmarks_arg(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--benchmarks", nargs="*", default=None, metavar="NAME",
+        choices=BENCHMARK_NAMES,
         help="benchmark subset (default: all 23)",
     )
 
@@ -315,7 +338,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("run", help="simulate one benchmark on one model")
     p.add_argument("--model", default="I", choices=MODEL_NAMES)
-    p.add_argument("--benchmark", default="gzip")
+    p.add_argument("--benchmark", default="gzip", choices=BENCHMARK_NAMES,
+                   metavar="NAME")
     _add_plan_args(p)
     _add_runner_args(p)
 
@@ -339,7 +363,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("model", choices=MODEL_NAMES,
                    help="interconnect model to simulate")
-    p.add_argument("--benchmark", default="gzip")
+    p.add_argument("--benchmark", default="gzip", choices=BENCHMARK_NAMES,
+                   metavar="NAME")
     _add_plan_args(p)
     p.add_argument(
         "--out", default=None, metavar="PATH",
@@ -392,7 +417,9 @@ def build_parser() -> argparse.ArgumentParser:
                    default=20, metavar="N",
                    help="run outcomes in the breaker's sliding window "
                         "(default: 20)")
-    p.add_argument("--breaker-threshold", type=float, default=0.5,
+    p.add_argument("--breaker-threshold", default=0.5,
+                   type=_ranged("--breaker-threshold", float,
+                                lambda f: 0 < f <= 1, "in (0, 1]"),
                    metavar="FRACTION",
                    help="crash fraction that trips the breaker into "
                         "cache-only mode (default: 0.5)")
@@ -466,7 +493,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="gating-policy axis, space-separated (e.g. "
                         "--gating never 'idle:drowsy=64,gate=256'); "
                         "default: ungated only")
-    p.add_argument("--fraction", type=float, default=0.2,
+    p.add_argument("--fraction", default=0.2,
+                   type=_ranged("--fraction", float, lambda f: 0 < f < 1,
+                                "strictly between 0 and 1"),
                    metavar="F",
                    help="interconnect share of baseline chip energy "
                         "(the paper's tables use 0.10/0.20; "
@@ -682,7 +711,7 @@ _SWEEP_AXES = {"faults": FAULT_AXIS, "power": GATING_AXIS}
 
 
 def _cmd_axis_sweep(args: argparse.Namespace,
-                    runner: ExperimentRunner) -> str:
+                    runner: ExperimentRunner) -> AxisSweepResult:
     """``faults``/``power``: the default rows of the subcommand's axis,
     plus a "custom" row when that axis's flag is set; the other axis's
     flag applies to every row."""
@@ -693,9 +722,8 @@ def _cmd_axis_sweep(args: argparse.Namespace,
     rows = list(axis.rows)
     if getattr(base, axis.field):
         rows.append(("custom", getattr(base, axis.field)))
-    result = run_axis_sweep(runner, axis, base, rows=rows,
-                            benchmarks=benchmarks, workers=args.workers)
-    return render_axis_sweep(result)
+    return run_axis_sweep(runner, axis, base, rows=rows,
+                          benchmarks=benchmarks, workers=args.workers)
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
@@ -924,8 +952,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     kwargs = dict(benchmarks=args.benchmarks,
                   instructions=args.instructions, warmup=args.warmup,
                   seed=args.seed)
+    failed = False
     if command in _SWEEP_AXES:
-        print(_cmd_axis_sweep(args, runner))
+        result = _cmd_axis_sweep(args, runner)
+        print(render_axis_sweep(result))
+        failed = bool(result.report.failures)
     elif command == "figure3":
         print(render_figure3(run_figure3(runner, **kwargs)))
     elif command == "table3":
@@ -936,7 +967,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(render_claims(run_claims(runner, **kwargs)))
     else:  # pragma: no cover - argparse guards this
         return 2
-    return _finish_profiled(args, profiler)
+    code = _finish_profiled(args, profiler)
+    return 1 if failed else code
 
 
 def _finish_profiled(args: argparse.Namespace, profiler) -> int:

@@ -4,7 +4,9 @@ The reproduction's headline numbers are only trustworthy if every run
 is bit-deterministic.  ``simlint`` machine-checks that and the
 simulator's other invariants on every commit instead of trusting
 convention.  (Cache keys need no rule: a plan's key serializes every
-field plus a digest of the simulator's source.)
+field plus a digest of the simulator's source.  Units need none
+either: every run checks its energy and plane-residency identities,
+and the golden corpus pins the node-scaling factors.)
 
 * **SIM1xx determinism** -- no global-RNG draws, no wall clock outside
   the harness timing paths, no hash-ordered set iteration or ``id()``
@@ -21,10 +23,6 @@ graph, symbol table, approximate call graph -- see
 
 * **SIM5xx seed provenance** -- every RNG construction must be seeded
   from a plan-derived value (taint chased across the call graph).
-* **SIM6xx physical units** -- wire/energy/stats API parameters carry
-  units (builtin registry + ``# simlint: units(...)`` declarations);
-  unit-incompatible arithmetic and unconverted cross-API handoffs are
-  findings.
 * **SIM8xx async blocking** -- blocking calls (``time.sleep``, sync
   file I/O, sweep fan-out) written in or reachable from ``async def``
   bodies via sync helpers.

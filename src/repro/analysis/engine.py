@@ -12,7 +12,7 @@ v2 of the engine runs whole-program analysis without giving up speed:
 * **Phase 2 (sequential):** the linker builds the import graph,
   project symbol table and approximate call graph
   (:class:`~repro.analysis.project.ProjectContext`).
-* **Phase 3:** project rules (SIM5xx/6xx/8xx) run over the linked
+* **Phase 3:** project rules (SIM5xx/8xx) run over the linked
   context; their findings are cached under a key covering *every*
   file, because an edit in module A can move findings in module B.
 
@@ -224,16 +224,14 @@ def _run_phase1(cold: List[Tuple[str, str]],
     return payloads
 
 
-def _run_project_rules(payloads: Dict[str, dict],
-                       sources: Dict[str, str]) -> List[dict]:
+def _run_project_rules(payloads: Dict[str, dict]) -> List[dict]:
     """Phases 2+3: link facts, run whole-program rules."""
     project = ProjectContext()
     for rel in sorted(payloads):
         payload = payloads[rel]
         if payload.get("facts") is None:
             continue
-        facts = ModuleFacts.from_json(payload["facts"])
-        project.add_module(facts, sources.get(rel, ""))
+        project.add_module(ModuleFacts.from_json(payload["facts"]))
     project.link()
     findings: List[dict] = []
     for rule in project_rules():
@@ -293,7 +291,6 @@ def lint_paths(
     # Read every file once; sort hits from cold work.
     phase1_start = time.perf_counter()
     payloads: Dict[str, dict] = {}
-    sources: Dict[str, str] = {}
     file_keys: Dict[str, str] = {}
     cold: List[Tuple[str, str]] = []
     for file_path in files:
@@ -311,7 +308,6 @@ def lint_paths(
                 "findings": [], "facts": None, "suppressions": {},
             }
             continue
-        sources[rel] = source
         key = source_key(source)
         file_keys[rel] = key
         cached = cache.load_file(rel, key) if cache else None
@@ -333,7 +329,7 @@ def lint_paths(
     if cache is not None:
         project_findings = cache.load_project(pkey)
     if project_findings is None:
-        project_findings = _run_project_rules(payloads, sources)
+        project_findings = _run_project_rules(payloads)
         if cache is not None:
             cache.store_project(pkey, project_findings)
     result.timings["project"] = time.perf_counter() - project_start

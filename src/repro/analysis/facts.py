@@ -4,10 +4,9 @@ The project analysis never holds every AST in memory at once: phase 1
 reduces each file to a :class:`ModuleFacts` record -- imports (relative
 ones resolved against the module's dotted name), defined
 functions/classes, an approximate list of call sites with receiver
-resolution hints, RNG construction sites with a local seed-taint
-verdict, and ``# simlint: units(...)`` declarations.  Facts are plain
-JSON-able data, which is what makes the ``.simlint-cache`` entries (and
-the process-pool hand-off) cheap.
+resolution hints, and RNG construction sites with a local seed-taint
+verdict.  Facts are plain JSON-able data, which is what makes the
+``.simlint-cache`` entries (and the process-pool hand-off) cheap.
 
 Taint verdicts here are *local*: an expression is ``T`` (tainted) when
 it syntactically mentions a seed-ish name/attribute or a seed-deriving
@@ -39,8 +38,6 @@ RNG_FACTORIES = {
 
 #: OS-entropy generators: never derivable from a plan seed at all.
 RNG_ENTROPY = {"random.SystemRandom"}
-
-_UNITS_DECL_RE = re.compile(r"#\s*simlint:\s*units\(([^)]*)\)")
 
 # Taint states.
 TAINTED = "T"
@@ -131,7 +128,6 @@ class ModuleFacts:
     self_attr_types: Dict[str, Dict[str, str]] = field(
         default_factory=dict)
     rng_sites: List[dict] = field(default_factory=list)
-    unit_decls: Dict[str, Dict[str, str]] = field(default_factory=dict)
 
     def to_json(self) -> dict:
         return asdict(self)
@@ -383,40 +379,9 @@ class _FactsVisitor(ast.NodeVisitor):
         )))
 
 
-def _collect_unit_decls(source: str, facts: ModuleFacts) -> None:
-    """Harvest ``# simlint: units(param=unit, return=unit)`` comments.
-
-    A declaration binds to the ``def`` on the same line or on the line
-    directly below the comment, and registers under the function's
-    module-qualified name so cross-module callers see it.
-    """
-    lines = source.splitlines()
-    decls: Dict[int, Dict[str, str]] = {}
-    for index, text in enumerate(lines, start=1):
-        match = _UNITS_DECL_RE.search(text)
-        if not match:
-            continue
-        mapping: Dict[str, str] = {}
-        for item in match.group(1).split(","):
-            name, _, unit = item.partition("=")
-            if name.strip() and unit.strip():
-                mapping[name.strip()] = unit.strip()
-        if mapping:
-            decls[index] = mapping
-    if not decls:
-        return
-    for func in facts.functions:
-        for offset in (0, -1):
-            mapping = decls.get(func["line"] + offset)
-            if mapping:
-                qual = f"{facts.module}.{func['qual']}"
-                facts.unit_decls[qual] = mapping
-
-
 def extract_facts(ctx: FileContext) -> ModuleFacts:
     """Reduce one parsed file to its :class:`ModuleFacts`."""
     facts = ModuleFacts(rel=ctx.rel, module=module_name_for(ctx.rel))
     visitor = _FactsVisitor(facts)
     visitor.visit(ctx.tree)
-    _collect_unit_decls(ctx.source, facts)
     return facts

@@ -11,8 +11,7 @@ cache-loaded) in phase 1 and builds:
   a qualified project symbol where the receiver is provable (plain
   names and dotted paths through the import maps, ``self.method()``,
   ``self.<attr>.method()`` through recorded attribute constructors,
-  and ``var.method()`` through local constructor assignments);
-* the merged **unit table** (builtins + harvested declarations).
+  and ``var.method()`` through local constructor assignments).
 
 Resolution is deliberately *under*-approximate -- an unresolvable
 receiver produces no edge rather than a guessed one -- so project
@@ -23,12 +22,10 @@ alone is evidence enough.
 
 from __future__ import annotations
 
-import ast
 from collections import deque
 from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from .facts import ModuleFacts
-from .units import UnitDeclError, UnitTable
 
 #: Modules whose members never resolve to project symbols (stdlib and
 #: third-party roots seen in this repo); calls into them keep their
@@ -52,20 +49,12 @@ class ProjectContext:
         self.import_graph: Dict[str, Set[str]] = {}
         #: caller qualified name -> resolved call edges
         self.call_graph: Dict[str, List[dict]] = {}
-        #: merged unit knowledge
-        self.unit_table = UnitTable()
-        #: unit-declaration errors surfaced as findings by the engine:
-        #: (rel, line, message)
-        self.unit_errors: List[Tuple[str, int, str]] = []
-        self._sources: Dict[str, str] = {}
-        self._trees: Dict[str, ast.AST] = {}
 
     # -- construction ----------------------------------------------------
 
-    def add_module(self, facts: ModuleFacts, source: str) -> None:
+    def add_module(self, facts: ModuleFacts) -> None:
         self.facts[facts.rel] = facts
         self.modules[facts.module] = facts.rel
-        self._sources[facts.rel] = source
         for func in facts.functions:
             self.symbols[f"{facts.module}.{func['qual']}"] = (
                 facts.rel, func)
@@ -91,15 +80,6 @@ class ProjectContext:
                 self.call_graph.setdefault(
                     call["caller"] and f"{facts.module}.{call['caller']}"
                     or facts.module, []).append(edge)
-            for qual, units in facts.unit_decls.items():
-                try:
-                    self.unit_table.declare(qual, units)
-                except UnitDeclError as exc:
-                    line = 1
-                    symbol = self.symbols.get(qual)
-                    if symbol is not None:
-                        line = symbol[1]["line"]
-                    self.unit_errors.append((facts.rel, line, str(exc)))
 
     def _project_module_prefixes(self, dotted: str) -> Iterator[str]:
         """Known project modules reachable from an import target.
@@ -210,27 +190,3 @@ class ProjectContext:
                 next_chain = chain + [target]
                 yield target, next_chain
                 queue.append((target, next_chain))
-
-    # -- lazy ASTs (units pass) ------------------------------------------
-
-    def source_of(self, rel: str) -> Optional[str]:
-        return self._sources.get(rel)
-
-    def ast_for(self, rel: str) -> Optional[ast.AST]:
-        """Re-parse one file on demand (memoized).
-
-        Only the units pass needs expression-level detail; everything
-        else runs off facts, so a warm run parses nothing and a cold
-        run re-parses only the handful of unit-scoped files.
-        """
-        tree = self._trees.get(rel)
-        if tree is None:
-            source = self._sources.get(rel)
-            if source is None:
-                return None
-            try:
-                tree = ast.parse(source)
-            except SyntaxError:
-                return None
-            self._trees[rel] = tree
-        return tree

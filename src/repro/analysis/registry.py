@@ -14,7 +14,7 @@ Registration happens at import time of :mod:`repro.analysis.rules`;
 the engine iterates :func:`file_rules` / :func:`project_rules`.  Codes
 group into families by their hundreds digit (SIM1xx determinism,
 SIM3xx exceptions, SIM4xx model hygiene, SIM5xx seed provenance,
-SIM6xx physical units, SIM8xx async blocking).
+SIM8xx async blocking).
 """
 
 from __future__ import annotations

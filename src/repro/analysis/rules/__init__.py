@@ -12,5 +12,4 @@ from . import (  # noqa: F401
     exceptions,
     hygiene,
     seedflow,
-    unitflow,
 )

@@ -41,7 +41,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="repro lint",
         description="simulator-invariant static analysis "
                     "(determinism, exception and model hygiene, seed "
-                    "provenance, units, async blocking)",
+                    "provenance, async blocking)",
     )
     parser.add_argument(
         "--version", action="version",

@@ -27,6 +27,7 @@ from .simulation import (
     DEFAULT_INSTRUCTIONS,
     DEFAULT_SEED,
     DEFAULT_WARMUP,
+    AccountingError,
     build_processor,
     simulate_benchmark,
     simulate_model,
@@ -55,6 +56,7 @@ __all__ = [
     "DEFAULT_INSTRUCTIONS",
     "DEFAULT_SEED",
     "DEFAULT_WARMUP",
+    "AccountingError",
     "build_processor",
     "simulate_benchmark",
     "simulate_model",

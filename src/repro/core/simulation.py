@@ -6,7 +6,9 @@ import os
 from typing import Iterable, Optional, Union
 
 from ..faults import FaultInjector, FaultSpec
+from ..interconnect.stats import leakage_energy
 from ..telemetry import EventKind, Telemetry
+from ..wires import CANONICAL_SPECS
 from ..workloads.annotate import annotated_trace
 from ..workloads.spec2k import BENCHMARK_NAMES
 from .config import InterconnectConfig, ProcessorConfig
@@ -22,6 +24,57 @@ DEFAULT_WARMUP = int(os.environ.get("REPRO_WARMUP", "3000"))
 DEFAULT_SEED = 42
 
 FaultSpecLike = Union[str, FaultSpec, None]
+
+
+class AccountingError(RuntimeError):
+    """A finished run's energy or residency bookkeeping is inconsistent.
+
+    Raised by :func:`simulate_benchmark` when an accounting identity
+    fails; the message names the identity, the benchmark and both
+    values.  A sweep records it as a failed plan (``reason="error"``),
+    so the wrong result is never cached.
+    """
+
+
+def _require(identity: str, benchmark: str, reported, expected) -> None:
+    if reported != expected:
+        raise AccountingError(
+            f"{identity} identity failed on {benchmark}: "
+            f"{reported!r} reported against {expected!r} expected"
+        )
+
+
+def check_accounting(interconnect: InterconnectConfig, network,
+                     benchmark: str, cycles: int) -> None:
+    """Check a finished run's energy and plane-state bookkeeping.
+
+    * Dynamic energy is the run's own per-bit energy (Table 2 overlaid
+      with ``interconnect.wire_specs``) times each plane's weighted
+      bits, summed in the same order, so the check is exact.
+    * Ungated leakage is the wire inventory times the same catalog's
+      leakage times ``cycles``.
+    * Gated runs instead account every plane's four power states, which
+      must cover the measured window exactly.
+    """
+    specs = dict(CANONICAL_SPECS)
+    specs.update(interconnect.wire_specs or {})
+    stats = network.stats
+    expected = 0.0
+    for wire_class, activity in stats.by_plane.items():
+        expected += (activity.weighted_bits
+                     * specs[wire_class].relative_dynamic_energy)
+    _require("dynamic-energy", benchmark, stats.dynamic_energy(), expected)
+    power = network.power
+    if power is None:
+        _require("leakage", benchmark, network.leakage_energy(cycles),
+                 leakage_energy(network.wire_inventory(), cycles, specs))
+        return
+    for plane in power.power_report(cycles):
+        _require(
+            f"residency ({plane.link} {plane.wire_class.value})", benchmark,
+            plane.active_cycles + plane.waking_cycles
+            + plane.drowsy_cycles + plane.gated_cycles, cycles,
+        )
 
 
 def _build_injector(fault_spec: FaultSpecLike, seed: int,
@@ -80,7 +133,9 @@ def simulate_benchmark(interconnect: InterconnectConfig, benchmark: str,
     any reproduced number -- traced and untraced runs are bit-identical.
     ``gating`` (a gating-policy string, see :mod:`repro.power`) enables
     dynamic plane power management; its counters join the extras and
-    the leakage figure becomes state-weighted.
+    the leakage figure becomes state-weighted.  Every run ends with
+    :func:`check_accounting`, which raises :class:`AccountingError` if
+    the run's energy or plane-state bookkeeping is inconsistent.
     """
     cpu = build_processor(interconnect, benchmark, num_clusters, seed,
                           latency_scale, config, fault_spec=fault_spec,
@@ -107,7 +162,7 @@ def simulate_benchmark(interconnect: InterconnectConfig, benchmark: str,
         ("gated_wire_cycle_share", power.gated_share(stats.cycles)),
         ("wake_energy", power.wake_energy()),
     )
-    return BenchmarkRun(
+    run = BenchmarkRun(
         benchmark=benchmark,
         instructions=stats.committed,
         cycles=stats.cycles,
@@ -137,6 +192,10 @@ def simulate_benchmark(interconnect: InterconnectConfig, benchmark: str,
             ("planes_killed", float(degradation.planes_killed)),
         ) + power_extra,
     )
+    # After the extras: settling the gating window (as the residency
+    # check does) may count gate entries the extras must not see.
+    check_accounting(interconnect, cpu.network, benchmark, stats.cycles)
+    return run
 
 
 def simulate_model(model: InterconnectModel,

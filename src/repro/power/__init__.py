@@ -22,7 +22,6 @@ from .manager import (
     PlanePowerManager,
     PlanePowerReport,
     PowerState,
-    leakage_power_watts,
 )
 from .policy import (
     DEFAULT_DROWSY_WAKE,
@@ -54,6 +53,5 @@ __all__ = [
     "PowerState",
     "TrafficEwma",
     "canonical_gating",
-    "leakage_power_watts",
     "parse_gating",
 ]

@@ -49,7 +49,7 @@ from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Mapping, Optional, Tuple
 
 from ..telemetry import NULL_TELEMETRY, EventKind, Telemetry
-from ..wires import CANONICAL_SPECS, WireClass
+from ..wires import WireClass
 from .policy import GatingPolicy
 
 #: Leakage of a DROWSY plane relative to ACTIVE (drowsy caches retain
@@ -390,7 +390,6 @@ class PlanePowerManager:
         for slot in self._slots:
             self._settle(slot, max(target, slot.settled), emit=False)
 
-    # simlint: units(cycles=cycles, return=rel_energy)
     def leakage_energy(self, cycles: int) -> float:
         """State-weighted leakage plus wake energy over the window.
 
@@ -409,7 +408,6 @@ class PlanePowerManager:
             total += slot.wires * slot.leak_rate * weighted
         return total + self.wake_energy()
 
-    # simlint: units(return=rel_energy)
     def wake_energy(self) -> float:
         """Total reactivation energy charged this window."""
         total = 0.0
@@ -482,30 +480,3 @@ def _channel_link(channel: str, links: Mapping[str, int]) -> str:
             return f"ring:{b}-{a}"
     raise ValueError(f"channel {channel!r} matches no physical link")
 
-
-# simlint: units(node=nm, return=W)
-def leakage_power_watts(wire_inventory: Mapping[WireClass, int],
-                        node: int) -> float:
-    """Absolute leakage power (W) of a wire inventory at a tech node.
-
-    Grounds the paper-relative leakage units: the node's repeated
-    W-Wire (minimum-pitch geometry, delay-optimal repeaters over one
-    link length) anchors 1.0 relative leakage, and each class scales by
-    its Table 2 ``relative_leakage``.
-    """
-    from ..wires.geometry import minimum_width_geometry
-    from ..wires.repeaters import (
-        optimal_repeater_config,
-        repeated_wire_leakage_power,
-    )
-    from ..wires.scaling import link_length_m
-
-    geometry = minimum_width_geometry(float(node))
-    config = optimal_repeater_config(geometry)
-    w_watts = repeated_wire_leakage_power(config, link_length_m(node))
-    total = 0.0
-    for wire_class, count in wire_inventory.items():
-        if count < 0:
-            raise ValueError(f"negative wire count for {wire_class}")
-        total += count * CANONICAL_SPECS[wire_class].relative_leakage
-    return total * w_watts

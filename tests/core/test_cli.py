@@ -137,6 +137,19 @@ class TestArgumentValidation:
         (["run", "--latency-scale", "inf"], "finite and positive"),
         (["run", "--latency-scale", "nan"], "finite and positive"),
         (["run", "--latency-scale", "x"], "expects a number"),
+        (["run", "--instructions", "0"], "at least 1"),
+        (["table3", "--warmup", "-1"], "non-negative"),
+        (["run", "--benchmark", "nope"], "invalid choice: 'nope'"),
+        (["trace", "X", "--benchmark", "nope"], "invalid choice: 'nope'"),
+        (["figure3", "--benchmarks", "gzip", "nope"],
+         "invalid choice: 'nope'"),
+        (["explore", "--benchmarks", "nope"], "invalid choice: 'nope'"),
+        (["faults", "--model", "X", "--benchmarks", "nope",
+          "--instructions", "100", "--warmup", "10"],
+         "invalid choice: 'nope'"),
+        (["explore", "--fraction", "2"], "strictly between 0 and 1"),
+        (["serve", "--breaker-threshold", "7"], "must be in (0, 1]"),
+        (["serve", "--breaker-threshold", "half"], "expects a number"),
     ])
     def test_rejects_plan_numbers_no_run_can_use(self, argv, message,
                                                  capsys):
@@ -202,6 +215,30 @@ class TestFaultCommands:
         row = next(line for line in out.splitlines()
                    if line.strip().startswith("ber 1e-6 |"))
         assert row.split("|")[1].strip() == "ber=1e-06"
+
+    def test_faults_exits_1_when_a_run_failed(self, capsys, monkeypatch,
+                                              tmp_path):
+        def execute(plan):
+            if plan.fault_spec == "kill=L@*@2000":
+                raise RuntimeError("simulator fell over")
+            return BenchmarkRun(
+                benchmark=plan.benchmark, instructions=plan.instructions,
+                cycles=plan.instructions * 2, interconnect_dynamic=1.0,
+                interconnect_leakage=1.0,
+            ), 0.01
+
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        monkeypatch.setattr("repro.harness.runner._execute_plan", execute)
+        code = main(["faults", "--model", "X", "--benchmarks", "gzip",
+                     "--instructions", "100", "--warmup", "10"])
+        assert code == 1
+        out = capsys.readouterr().out
+        failed_rows = [line for line in out.splitlines()
+                       if "|" in line and "FAILED" in line]
+        assert [row.split("|")[0].strip() for row in failed_rows] == [
+            "L-plane kill"]
+        assert "1 run(s) failed:" in out
+        assert "RuntimeError: simulator fell over" in out
 
     def test_power_subcommand_renders_table(self, capsys, monkeypatch,
                                             tmp_path):

@@ -7,12 +7,18 @@
 sha256 digests of its result: the run with every field and extra
 (floats by ``repr``, as ``perfbench/checks.py`` digests them) and, for
 traced entries, the telemetry event stream and the metrics snapshot.
+Its ``scaling`` section pins the explorer's node scaling the same way:
+for every technology node and profile, the digests of the ``repr`` of
+:func:`~repro.wires.scaling.node_scaling` and
+:func:`~repro.wires.scaling.scale_catalog`, next to the scale factors.
 
 ``test_golden.py`` re-runs every entry and compares.  Run this file to
 (re-)pin the corpus after an intended change of simulated results::
 
     PYTHONPATH=src python tests/golden/golden.py            # every entry
     PYTHONPATH=src python tests/golden/golden.py LABEL...   # just these
+
+A scaling label is ``n<node>/<profile>``, e.g. ``n16/itrs``.
 
 No cache bump goes with a re-pin: the simulator edit that moved the
 results has already changed ``repro.harness.runner.CACHE_VERSION``, a
@@ -21,6 +27,7 @@ digest of the simulator's source (DESIGN §7, §11).
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import hashlib
 import json
@@ -35,6 +42,12 @@ from repro.core.simulation import simulate_benchmark
 from repro.harness import ExperimentPlan
 from repro.interconnect.selection import PolicyFlags
 from repro.telemetry import RingBufferSink, Telemetry, TraceEvent
+from repro.wires.scaling import (
+    SCALING_PROFILES,
+    SUPPORTED_NODES,
+    node_scaling,
+    scale_catalog,
+)
 
 CORPUS_PATH = Path(__file__).resolve().parent / "corpus.json"
 
@@ -190,8 +203,29 @@ def simulate(spec: Dict[str, object]) -> Measured:
     return Measured(run, digests, events)
 
 
+@functools.lru_cache(maxsize=None)
+def scaling() -> Dict[str, Dict[str, object]]:
+    """Every node's scale factors and scaling digests, by label."""
+    pins = {}
+    for node in SUPPORTED_NODES:
+        for profile in SCALING_PROFILES:
+            factors = node_scaling(node, profile)
+            pins[f"n{node}/{profile}"] = {
+                "factors": dataclasses.asdict(factors),
+                "digests": {
+                    "node_scaling": _sha(repr(factors)),
+                    "scale_catalog": _sha(repr(scale_catalog(node, profile))),
+                },
+            }
+    return pins
+
+
 def load() -> Dict[str, Dict[str, object]]:
     return json.loads(CORPUS_PATH.read_text())["entries"]
+
+
+def load_scaling() -> Dict[str, Dict[str, object]]:
+    return json.loads(CORPUS_PATH.read_text())["scaling"]
 
 
 @functools.lru_cache(maxsize=None)
@@ -224,18 +258,41 @@ def assert_pinned(label: str) -> None:
                          + "".join(f"\n  {line}" for line in moved))
 
 
+def assert_scaling_pinned(label: str) -> None:
+    """A node's scaling digests are unchanged, with a readable diff."""
+    pinned, now = load_scaling()[label], scaling()[label]
+    if now["digests"] == pinned["digests"]:
+        return
+    was = pinned["factors"]
+    moved = [f"{name}: {was[name]!r} -> {value!r}"
+             for name, value in now["factors"].items()
+             if value != was[name]]
+    digests = [name for name in pinned["digests"]
+               if now["digests"][name] != pinned["digests"][name]]
+    raise AssertionError(f"{label}: {', '.join(digests)} digest(s) moved"
+                         + "".join(f"\n  {line}" for line in moved))
+
+
 def pin(labels=None) -> None:
-    """Run entries and write their digests."""
-    corpus = load() if CORPUS_PATH.exists() else {}
+    """Run entries (and scaling labels) and write their digests."""
+    data = (json.loads(CORPUS_PATH.read_text()) if CORPUS_PATH.exists()
+            else {})
+    corpus = data.get("entries", {})
+    pins = data.get("scaling", {})
     fresh = entries()
-    for label in labels or fresh:
-        spec = fresh[label]
-        result = simulate(spec)
-        corpus[label] = {**spec, "run": run_fields(result.run),
-                         "digests": result.digests}
+    for label in labels or [*fresh, *scaling()]:
+        if label in scaling():
+            pins[label] = scaling()[label]
+        else:
+            spec = fresh[label]
+            result = simulate(spec)
+            corpus[label] = {**spec, "run": run_fields(result.run),
+                             "digests": result.digests}
         print(f"pinned {label}")
     corpus = {label: corpus[label] for label in fresh if label in corpus}
-    CORPUS_PATH.write_text(json.dumps({"entries": corpus}, indent=1) + "\n")
+    pins = {label: pins[label] for label in scaling() if label in pins}
+    CORPUS_PATH.write_text(json.dumps({"entries": corpus, "scaling": pins},
+                                      indent=1) + "\n")
 
 
 if __name__ == "__main__":

@@ -1,13 +1,20 @@
 """Every golden-corpus entry still produces its pinned digests.
 
-A failure means a simulated number moved.  If the change was intended,
-re-pin with ``tests/golden/golden.py`` (DESIGN §11); otherwise the
-message names the digests that moved.
+A failure means a simulated number (or a node's scale factor) moved.
+If the change was intended, re-pin with ``tests/golden/golden.py``
+(DESIGN §11); otherwise the message names the digests that moved.
 """
 
 import pytest
 
-from golden import assert_pinned, label_of, load
+from golden import (
+    assert_pinned,
+    assert_scaling_pinned,
+    label_of,
+    load,
+    load_scaling,
+    scaling,
+)
 from repro.faults import FaultSpec
 
 #: Extras that count fault-induced degradation.
@@ -18,6 +25,15 @@ DEGRADATION = ("retransmissions", "corrupted_segments", "retry_escalations",
 @pytest.mark.parametrize("label", sorted(load()))
 def test_entry_matches_its_pin(label):
     assert_pinned(label)
+
+
+@pytest.mark.parametrize("label", sorted(load_scaling()))
+def test_node_scaling_matches_its_pin(label):
+    assert_scaling_pinned(label)
+
+
+def test_every_node_and_profile_is_pinned():
+    assert sorted(load_scaling()) == sorted(scaling())
 
 
 def test_corpus_is_not_vacuous():

@@ -14,6 +14,7 @@ from repro.harness.runner import (
     ResultCache,
 )
 from repro.interconnect.selection import PolicyFlags
+from repro.interconnect.stats import InterconnectStats
 
 
 def make_run(bench="gzip"):
@@ -303,6 +304,26 @@ class TestRunner:
         assert runner.executed == 2  # distinct tags, no false sharing
         assert a.model == "VII"
         assert b.model == "VII:lwire_narrow=0"
+
+
+    def test_accounting_error_is_a_failure_never_cached(self, tmp_path,
+                                                        monkeypatch):
+        # The warmup-reset defect: counters forget the 16 nm catalog.
+        monkeypatch.setattr(InterconnectStats, "reset",
+                            lambda self: self.__init__())
+        cache = ResultCache(tmp_path)
+        runner = ExperimentRunner(cache=cache, verbose=False)
+        plan = ExperimentPlan("dp@n16:B144+L36:cw1", "gzip",
+                              instructions=800, warmup=200)
+        report = runner.run_many_report([plan])
+        assert report.results == {}
+        [failure] = report.failures
+        assert failure.plan == plan and failure.reason == "error"
+        assert failure.detail.startswith(
+            "AccountingError: dynamic-energy identity failed on gzip")
+        assert "AccountingError" in report.manifest()
+        assert cache.load(plan) is None
+        assert not [p for p in tmp_path.rglob("*") if p.is_file()]
 
 
 class TestPolicyFlagsInThePlan:
