@@ -8,7 +8,7 @@ attributable to each.
 
 from dataclasses import replace
 
-from conftest import publish
+from conftest import publish, run_variants
 
 from repro.harness import ExperimentRunner, render_table
 from repro.interconnect.selection import PolicyFlags
@@ -26,13 +26,12 @@ VARIANTS = (
 def test_lwire_ablation(benchmark, runner: ExperimentRunner, bench_suite,
                         instructions, warmup, results_dir):
     def compute():
-        results = {}
-        for tag, flags in VARIANTS:
-            results[tag] = runner.run_model(
-                "VII", benchmarks=bench_suite, instructions=instructions,
-                warmup=warmup, flags=flags,
-            )
-        return results
+        return run_variants(
+            runner,
+            {tag: dict(model_name="VII", policy_tag=flags.tag())
+             for tag, flags in VARIANTS},
+            bench_suite, instructions=instructions, warmup=warmup,
+        )
 
     results = benchmark.pedantic(compute, rounds=1, iterations=1)
     off = results["all_off"].am_ipc

@@ -8,7 +8,7 @@ of the energy savings, and the IPC cost of each.
 
 from dataclasses import replace
 
-from conftest import publish
+from conftest import publish, run_variants
 
 from repro.harness import ExperimentRunner, render_table
 from repro.interconnect.selection import PolicyFlags
@@ -26,13 +26,12 @@ VARIANTS = (
 def test_pw_ablation(benchmark, runner: ExperimentRunner, bench_suite,
                      instructions, warmup, results_dir):
     def compute():
-        return {
-            tag: runner.run_model(
-                "V", benchmarks=bench_suite, instructions=instructions,
-                warmup=warmup, flags=flags,
-            )
-            for tag, flags in VARIANTS
-        }
+        return run_variants(
+            runner,
+            {tag: dict(model_name="V", policy_tag=flags.tag())
+             for tag, flags in VARIANTS},
+            bench_suite, instructions=instructions, warmup=warmup,
+        )
 
     results = benchmark.pedantic(compute, rounds=1, iterations=1)
     base = results["all_off"]

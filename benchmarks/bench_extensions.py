@@ -10,7 +10,7 @@
 
 from dataclasses import replace
 
-from conftest import publish
+from conftest import publish, run_variants
 
 from repro.core.config import ProcessorConfig
 from repro.core.models import model
@@ -26,10 +26,11 @@ def test_transmission_line_lwires(benchmark, runner: ExperimentRunner,
     suite = bench_suite[:8]
 
     def compute():
-        rows = {}
-        for tl in (False, True):
-            total = 0.0
-            for bench in suite:
+        totals = {False: 0.0, True: 0.0}
+        # Both implementations of one benchmark back to back, so they
+        # share its annotated trace.
+        for bench in suite:
+            for tl in totals:
                 cfg = ProcessorConfig(latency_scale=2.0,
                                       transmission_line_lwires=tl)
                 run = simulate_benchmark(
@@ -37,9 +38,8 @@ def test_transmission_line_lwires(benchmark, runner: ExperimentRunner,
                     instructions=instructions, warmup=warmup,
                     latency_scale=2.0, config=cfg,
                 )
-                total += run.ipc
-            rows[tl] = total / len(suite)
-        return rows
+                totals[tl] += run.ipc
+        return {tl: total / len(suite) for tl, total in totals.items()}
 
     rows = benchmark.pedantic(compute, rounds=1, iterations=1)
     gain = (rows[True] / rows[False] - 1) * 100
@@ -62,13 +62,14 @@ def test_frequent_value_compaction(benchmark, runner: ExperimentRunner,
                       "twolf", "vortex")] or list(bench_suite)[:4]
 
     def compute():
-        base = runner.run_model("VII", suite, instructions=instructions,
-                                warmup=warmup)
-        fv = runner.run_model(
-            "VII", suite, instructions=instructions, warmup=warmup,
-            flags=replace(PolicyFlags(), lwire_frequent_value=True),
+        fv_tag = replace(PolicyFlags(), lwire_frequent_value=True).tag()
+        results = run_variants(
+            runner,
+            {"base": dict(model_name="VII"),
+             "fv": dict(model_name="VII", policy_tag=fv_tag)},
+            suite, instructions=instructions, warmup=warmup,
         )
-        return base, fv
+        return results["base"], results["fv"]
 
     base, fv = benchmark.pedantic(compute, rounds=1, iterations=1)
     gain = (fv.am_ipc / base.am_ipc - 1) * 100

@@ -7,10 +7,9 @@ the baseline slowdown and the L-Wire gain at each point -- the gain must
 grow monotonically-ish with wire constraint.
 """
 
-from conftest import publish
+from conftest import publish, run_variants
 
 from repro.harness import ExperimentRunner, render_table
-from repro.harness.runner import ExperimentPlan
 
 SCALES = (1.0, 1.5, 2.0, 3.0)
 
@@ -19,18 +18,16 @@ def test_latency_sweep(benchmark, runner: ExperimentRunner, bench_suite,
                        instructions, warmup, results_dir):
     suite = bench_suite[:10]
 
-    def am(model_name, scale):
-        result = runner.run_model(
-            model_name, suite, latency_scale=scale,
-            instructions=instructions, warmup=warmup,
-        )
-        return result.am_ipc
-
     def compute():
-        table = {}
-        for scale in SCALES:
-            table[scale] = (am("I", scale), am("VII", scale))
-        return table
+        results = run_variants(
+            runner,
+            {(scale, name): dict(model_name=name, latency_scale=scale)
+             for scale in SCALES for name in ("I", "VII")},
+            suite, instructions=instructions, warmup=warmup,
+        )
+        return {scale: (results[scale, "I"].am_ipc,
+                        results[scale, "VII"].am_ipc)
+                for scale in SCALES}
 
     table = benchmark.pedantic(compute, rounds=1, iterations=1)
     base_1x = table[1.0][0]

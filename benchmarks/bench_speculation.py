@@ -19,26 +19,22 @@ def test_speculation_interaction(benchmark, bench_suite, instructions,
                                  warmup, results_dir):
     suite = bench_suite[:8]
 
-    def run(model_name, speculate):
-        total = violations = spec_loads = 0.0
-        for bench in suite:
-            cfg = ProcessorConfig(
-                memory_dependence_speculation=speculate
-            )
-            r = simulate_benchmark(
-                model(model_name).config, bench,
-                instructions=instructions, warmup=warmup, config=cfg,
-            )
-            total += r.ipc
-        return total / len(suite)
-
     def compute():
-        return {
-            ("I", False): run("I", False),
-            ("I", True): run("I", True),
-            ("VII", False): run("VII", False),
-            ("VII", True): run("VII", True),
-        }
+        totals = dict.fromkeys(
+            (("I", False), ("I", True), ("VII", False), ("VII", True)), 0.0)
+        # Every configuration of one benchmark back to back, so they
+        # share its annotated trace.
+        for bench in suite:
+            for model_name, speculate in totals:
+                cfg = ProcessorConfig(
+                    memory_dependence_speculation=speculate
+                )
+                r = simulate_benchmark(
+                    model(model_name).config, bench,
+                    instructions=instructions, warmup=warmup, config=cfg,
+                )
+                totals[model_name, speculate] += r.ipc
+        return {key: total / len(suite) for key, total in totals.items()}
 
     results = benchmark.pedantic(compute, rounds=1, iterations=1)
     base_gain = (results[("I", True)] / results[("I", False)] - 1) * 100

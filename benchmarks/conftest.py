@@ -20,8 +20,9 @@ from pathlib import Path
 
 import pytest
 
+from repro.core.metrics import ModelResult
 from repro.core.simulation import DEFAULT_INSTRUCTIONS, DEFAULT_WARMUP
-from repro.harness import ExperimentRunner
+from repro.harness import ExperimentPlan, ExperimentRunner
 from repro.wires import SUPPORTED_NODES
 from repro.workloads.spec2k import BENCHMARK_NAMES
 
@@ -85,3 +86,27 @@ def publish(results_dir: Path, name: str, text: str) -> None:
     """Print a rendered artifact and save it under results/."""
     print("\n" + text + "\n")
     (results_dir / f"{name}.txt").write_text(text + "\n")
+
+
+def run_variants(runner: ExperimentRunner, variants: dict, suite,
+                 **shared) -> dict:
+    """One :class:`ModelResult` per variant, from one ``run_many`` batch.
+
+    ``variants`` maps a key to the plan fields of that variant
+    (``model_name`` at least); ``shared`` fields apply to every plan.
+    Each result's runs follow ``suite``, as ``run_table3`` assembles
+    them.  One batch lets the runner run every variant of a benchmark
+    off one annotated trace, where a call per variant would re-annotate
+    every benchmark.
+    """
+    plans = {
+        key: [ExperimentPlan(benchmark=name, **shared, **own)
+              for name in suite]
+        for key, own in variants.items()
+    }
+    runs = runner.run_many([plan for per in plans.values() for plan in per])
+    return {
+        key: ModelResult(model=per[0].model_name,
+                         runs=tuple(runs[plan] for plan in per))
+        for key, per in plans.items()
+    }

@@ -45,8 +45,6 @@ class Cluster:
         # Ready instructions per FU pool, ordered oldest-first.
         self._ready: Dict[str, List[int]] = {p: [] for p in self.fu_counts}
         self._ready_instrs: Dict[int, DynInstr] = {}
-        self.issued_count = 0
-        self.dispatched_count = 0
 
     # -- dispatch-side resource accounting ---------------------------------
 
@@ -74,7 +72,6 @@ class Cluster:
             if has_dest:
                 self.free_int_regs -= 1
         instr.cluster = self.index
-        self.dispatched_count += 1
 
     def release_register(self, instr: DynInstr) -> None:
         """Free the destination register at commit."""
@@ -114,7 +111,6 @@ class Cluster:
                 instr.issued = True
                 selected.append(instr)
                 budget -= 1
-                self.issued_count += 1
                 if instr.rec.op._fp:
                     self.free_fp_iq = min(self.iq_size, self.free_fp_iq + 1)
                 else:

@@ -58,29 +58,6 @@ from .wheel import EventWheel
 #: Abort if commit makes no progress for this many cycles.
 DEADLOCK_HORIZON = 50_000
 
-#: Post-prewarm cache images (:meth:`SetAssocCache.image`), keyed by
-#: (region tuple, cache geometry).  A sweep rebuilds identical processors
-#: per benchmark; restoring the analytic warmup from a snapshot is much
-#: cheaper than recomputing it per cache set, and a restore shares the
-#: image's tag tuples instead of building one list per set.
-_PREWARM_CACHE: dict = {}
-
-
-def clear_prewarm_cache() -> None:
-    """Drop all cached prewarm images (memory pressure)."""
-    _PREWARM_CACHE.clear()
-
-
-def _prewarm_cached(cache, regions) -> None:
-    key = (regions, cache.num_sets, cache.assoc, cache.line_size)
-    image = _PREWARM_CACHE.get(key)
-    if image is None:
-        for base, size in regions:
-            cache.prewarm_region(base, size)
-        image = _PREWARM_CACHE[key] = cache.image()
-    cache.restore(image)
-
-
 @dataclass
 class ProcessorStats:
     """Counters accumulated during the measured window."""
@@ -94,7 +71,6 @@ class ProcessorStats:
     ordering_violations: int = 0
     cross_cluster_operands: int = 0
     local_operands: int = 0
-    dispatch_stalls: int = 0
     hit_levels: Dict[HitLevel, int] = field(default_factory=dict)
 
     @property
@@ -215,9 +191,21 @@ class ClusteredProcessor:
         if footprint is None:
             footprint = self._trace.footprint
         regions = tuple(footprint)
-        _prewarm_cached(self.hierarchy.l2, regions)
+        self._prewarm(self.hierarchy.l2, regions)
         if regions:
-            _prewarm_cached(self.hierarchy.l1, regions[-1:])
+            self._prewarm(self.hierarchy.l1, regions[-1:])
+
+    def _prewarm(self, cache, regions) -> None:
+        """Restore the trace's image of ``cache`` warmed over
+        ``regions``, computing it on first use."""
+        images = self._trace.prewarm_images
+        key = (regions, cache.num_sets, cache.assoc, cache.line_size)
+        image = images.get(key)
+        if image is None:
+            for base, size in regions:
+                cache.prewarm_region(base, size)
+            image = images[key] = cache.image()
+        cache.restore(image)
 
     def _plane_killed(self, channel: str, plane: WireClass,
                       cycle: int) -> None:
@@ -358,7 +346,6 @@ class ClusteredProcessor:
     def _dispatch(self, cycle: int) -> None:
         budget = self.config.dispatch_width
         queue = self.fetch.queue
-        stats = self.stats
         rob = self.rob
         rob_size = self.config.rob_size
         lsq = self.lsq
@@ -367,13 +354,11 @@ class ClusteredProcessor:
         fv = self.frequent_values
         while budget > 0 and queue:
             if len(rob) >= rob_size:
-                stats.dispatch_stalls += 1
                 return
             instr = queue[0]
             rec = instr.rec
             op = rec.op
             if op._mem and not lsq.has_room():
-                stats.dispatch_stalls += 1
                 return
             producers = []
             for reg in rec.srcs:
@@ -382,7 +367,6 @@ class ClusteredProcessor:
                     producers.append((reg, producer))
             cluster = self.steering.choose(instr, producers, cycle)
             if cluster is None:
-                stats.dispatch_stalls += 1
                 return
             queue.popleft()
             budget -= 1

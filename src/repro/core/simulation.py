@@ -27,7 +27,7 @@ FaultSpecLike = Union[str, FaultSpec, None]
 
 
 class AccountingError(RuntimeError):
-    """A finished run's energy or residency bookkeeping is inconsistent.
+    """A finished run's commit, energy or plane-state bookkeeping is off.
 
     Raised by :func:`simulate_benchmark` when an accounting identity
     fails; the message names the identity, the benchmark and both
@@ -135,7 +135,9 @@ def simulate_benchmark(interconnect: InterconnectConfig, benchmark: str,
     dynamic plane power management; its counters join the extras and
     the leakage figure becomes state-weighted.  Every run ends with
     :func:`check_accounting`, which raises :class:`AccountingError` if
-    the run's energy or plane-state bookkeeping is inconsistent.
+    the run's energy or plane-state bookkeeping is inconsistent, and
+    with the commit-window identity: ``instructions`` commit, plus less
+    than one commit group.
     """
     cpu = build_processor(interconnect, benchmark, num_clusters, seed,
                           latency_scale, config, fault_spec=fault_spec,
@@ -192,6 +194,12 @@ def simulate_benchmark(interconnect: InterconnectConfig, benchmark: str,
             ("planes_killed", float(degradation.planes_killed)),
         ) + power_extra,
     )
+    width = cpu.config.commit_width
+    if not instructions <= stats.committed < instructions + width:
+        raise AccountingError(
+            f"commit-window identity failed on {benchmark}: "
+            f"{stats.committed} committed against a window of "
+            f"{instructions} at commit width {width}")
     # After the extras: settling the gating window (as the residency
     # check does) may count gate entries the extras must not see.
     check_accounting(interconnect, cpu.network, benchmark, stats.cycles)

@@ -16,10 +16,10 @@ treated as misses, never returned as data.  Every entry carries a
 duration, simulator commit), and one whose cache version is not
 :data:`CACHE_VERSION` is a miss.
 
-:meth:`ExperimentRunner.run_many` fans cache misses out over
-*crash-isolated* worker processes that live for one sweep: each is
-forked once and runs plan after plan, dispatched in trace-key order so
-the runs of one (benchmark, seed) reuse one annotated trace.
+:meth:`ExperimentRunner.run_many` runs cache misses in trace-key
+order, serially or on *crash-isolated* worker processes that live for
+one sweep (each is forked once and runs plan after plan), so the runs
+of one (benchmark, seed) reuse one annotated trace.
 Simulations are deterministic for a fixed plan (seeded workload
 generation, no wall-clock coupling), so serial and parallel sweeps are
 bit-identical; ``tests/harness/test_parallel.py`` enforces this.  A
@@ -384,6 +384,17 @@ def simulate_plan(plan: ExperimentPlan,
     )
 
 
+def _in_trace_key_order(plans: Sequence[ExperimentPlan]
+                        ) -> List[ExperimentPlan]:
+    """``plans`` with every plan of one trace key (benchmark, seed) back
+    to back, keys in order of first appearance: with a one-key trace
+    memo, each key is annotated once."""
+    keys: Dict[Tuple[str, int], int] = {}
+    for plan in plans:
+        keys.setdefault((plan.benchmark, plan.seed), len(keys))
+    return sorted(plans, key=lambda p: keys[p.benchmark, p.seed])
+
+
 def _execute_plan(plan: ExperimentPlan) -> Tuple[BenchmarkRun, float]:
     """Simulate one plan, timed: what serial sweeps and workers run."""
     start = time.perf_counter()
@@ -655,9 +666,10 @@ class ExperimentRunner:
     ) -> Dict[ExperimentPlan, BenchmarkRun]:
         """Run a batch of plans, fanning cache misses across processes.
 
-        Duplicate plans are coalesced and simulated once.  Returns a
-        plan -> run mapping covering every distinct input plan; sets
-        :attr:`last_summary`.
+        Duplicate plans are coalesced and simulated once; misses run in
+        trace-key order (:func:`_in_trace_key_order`) whatever the order
+        of ``plans``.  Returns a plan -> run mapping covering every
+        distinct input plan; sets :attr:`last_summary`.
         Raises :class:`SweepError` (carrying the partial results and
         the failure manifest) if any run ultimately fails; use
         :meth:`run_many_report` to get partial results without raising.
@@ -727,7 +739,7 @@ class ExperimentRunner:
                     cancel=cancel)
             else:
                 outcomes = {}
-                for plan in misses:
+                for plan in _in_trace_key_order(misses):
                     if cancel is not None and cancel.is_set():
                         outcomes[plan] = RunFailure(
                             plan=plan, reason="cancelled",
@@ -794,10 +806,9 @@ class ExperimentRunner:
         """Execute plans on up to ``workers`` long-lived worker processes.
 
         Workers are forked for this call only and each runs plan after
-        plan.  Plans are dispatched in trace-key order -- every plan of
-        one (benchmark, seed) back to back, keys in order of first
-        appearance -- and an idle worker takes the next launchable one,
-        so a worker annotates each trace once.  A worker that dies
+        plan.  Plans are dispatched in trace-key order and an idle
+        worker takes the next launchable one, so a worker annotates
+        each trace once.  A worker that dies
         without reporting or exceeds ``run_timeout`` is terminated and
         replaced; only its in-flight plan is retried, with seeded
         decorrelated-jitter backoff, up to ``max_retries`` times.  A
@@ -805,12 +816,8 @@ class ExperimentRunner:
         Returns plan -> (run, duration) | RunFailure.
         """
         outcomes: Dict[ExperimentPlan, object] = {}
-        keys: Dict[Tuple[str, int], int] = {}
-        for plan in misses:
-            keys.setdefault((plan.benchmark, plan.seed), len(keys))
         # (plan, attempt, not-before-monotonic-time), in trace-key order
-        ready = deque((plan, 0, 0.0) for plan in sorted(
-            misses, key=lambda p: keys[p.benchmark, p.seed]))
+        ready = deque((plan, 0, 0.0) for plan in _in_trace_key_order(misses))
         pool: List[Worker] = []
         ending = "exit"
         # Per-plan retry schedules, seeded from the plan so replays

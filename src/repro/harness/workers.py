@@ -14,8 +14,6 @@ import multiprocessing
 import multiprocessing.connection
 from typing import TYPE_CHECKING, Callable, List, Optional, Tuple
 
-from ..core.processor import clear_prewarm_cache
-from ..workloads.annotate import clear_cache as clear_annotated_traces
 from .profiling import HarnessProfiler
 
 if TYPE_CHECKING:
@@ -31,19 +29,13 @@ def worker_loop(conn, execute: Callable) -> None:
     detected by the parent via process exit.  ``execute`` is the
     runner's ``_execute_plan`` as it stood when the sweep began.
 
-    Memory stays that of one run: the annotated-trace and prewarm memos
-    are dropped whenever the trace key (benchmark, seed) changes, and a
-    full collection after every plan frees the processor's reference
-    cycles.
+    Memory stays that of one run: the annotated-trace memo holds one
+    trace key (and that trace's prewarm images), and a full collection
+    after every plan frees the processor's reference cycles.
     """
     gc.freeze()  # objects inherited from the parent are never garbage
-    trace_key = None
     try:
         for plan in iter(conn.recv, None):
-            if (plan.benchmark, plan.seed) != trace_key:
-                trace_key = (plan.benchmark, plan.seed)
-                clear_annotated_traces()
-                clear_prewarm_cache()
             try:
                 run, duration = execute(plan)
                 payload = ("ok", run, duration)

@@ -13,9 +13,9 @@ timing:
 
 So the whole front end is evaluated once per stream and replayed by
 :class:`~repro.frontend.fetch.FetchUnit`; :func:`annotated_trace`
-caches it per (benchmark, seed, I-cache geometry), so an
-interconnect-model sweep pays the front-end cost once per benchmark
-instead of once per run.
+memoizes the latest (benchmark, seed, I-cache geometry), so a sweep
+that runs a benchmark's models back to back pays the front-end cost
+once per benchmark instead of once per run.
 
 The narrow predictor's end-of-run accuracy counters depend on *where*
 the run stops, which is timing-dependent -- so per-call prefix snapshots
@@ -86,6 +86,9 @@ class AnnotatedTrace:
         #:  predicted_narrow, predicted_narrow_but_wide).
         self.narrow_prefix: List[Tuple[int, int, int, int]] = [(0, 0, 0, 0)]
         self.footprint = tuple(footprint)
+        #: Post-prewarm cache images (:meth:`SetAssocCache.image`) by
+        #: (regions, sets, assoc, line size); they die with the trace.
+        self.prewarm_images: Dict[tuple, dict] = {}
         #: The record iterator ran out: ``records`` is the whole stream.
         self.finished = False
 
@@ -160,15 +163,17 @@ _CACHE: Dict[Tuple[str, int, int, int], AnnotatedTrace] = {}
 
 def annotated_trace(benchmark: str, seed: int, icache_size_kb: int,
                     icache_assoc: int) -> AnnotatedTrace:
-    """The (module-cached) annotated stream for one benchmark/seed.
+    """The (memoized) annotated stream for one benchmark/seed.
 
-    The cache key covers everything that shapes the annotations; every
-    run sharing it -- e.g. the ten interconnect models of a Table 3
-    sweep -- reuses one front-end evaluation.
+    The key covers everything that shapes the annotations; every run
+    sharing it -- e.g. the ten models of one Table 3 benchmark -- reuses
+    one front-end evaluation.  The memo holds one key: a new key drops
+    the previous trace and its prewarm images.
     """
     key = (benchmark, seed, icache_size_kb, icache_assoc)
     cached = _CACHE.get(key)
     if cached is None:
+        _CACHE.clear()
         generator = TraceGenerator(profile(benchmark), seed=seed)
         cached = _CACHE[key] = AnnotatedTrace(
             generator.stream_forever(), (icache_size_kb, icache_assoc),
@@ -178,5 +183,6 @@ def annotated_trace(benchmark: str, seed: int, icache_size_kb: int,
 
 
 def clear_cache() -> None:
-    """Drop all cached annotated traces (tests, memory pressure)."""
+    """Drop the memoized trace and its prewarm images, as a fresh
+    process starts."""
     _CACHE.clear()

@@ -9,6 +9,7 @@ import pytest
 
 from golden import label, load, simulate
 from repro.core.models import model
+from repro.core.processor import ClusteredProcessor
 from repro.core.simulation import (
     AccountingError,
     build_processor,
@@ -53,6 +54,24 @@ def test_unzeroed_gated_cycles_fail_the_residency_identity(monkeypatch):
                         keep_gated_cycles)
     with pytest.raises(AccountingError, match="residency"):
         simulate(load()[GATED])
+
+
+def test_unreset_commit_count_fails_the_commit_window_identity(
+        monkeypatch):
+    # The warmup's commits leak into the measured window.
+    reset_measurement = ClusteredProcessor.reset_measurement
+
+    def keep_committed(self):
+        committed = self.stats.committed
+        reset_measurement(self)
+        self.stats.committed = committed
+
+    monkeypatch.setattr(ClusteredProcessor, "reset_measurement",
+                        keep_committed)
+    with pytest.raises(AccountingError) as caught:
+        simulate(load()[label("I")])
+    assert str(caught.value).startswith(
+        "commit-window identity failed on gzip: ")
 
 
 def test_catalog_mismatch_fails_the_leakage_identity():

@@ -167,7 +167,8 @@ class TestShutdown:
 class TestTraceKeys:
     def test_interleaved_keys_equal_the_serial_sweep(self, tmp_path):
         # Real simulations: a worker that moves to a new trace key drops
-        # its memos and must still match in-process results exactly.
+        # its memoized trace and must still match in-process results
+        # exactly.
         plans = [
             ExperimentPlan(model, benchmark, seed=seed, **WINDOW)
             for model in ("I", "VII")

@@ -12,9 +12,11 @@ from repro.harness.runner import (
     ExperimentPlan,
     ExperimentRunner,
     ResultCache,
+    simulate_plan,
 )
 from repro.interconnect.selection import PolicyFlags
 from repro.interconnect.stats import InterconnectStats
+from repro.workloads import annotate
 
 
 def make_run(bench="gzip"):
@@ -324,6 +326,49 @@ class TestRunner:
         assert "AccountingError" in report.manifest()
         assert cache.load(plan) is None
         assert not [p for p in tmp_path.rglob("*") if p.is_file()]
+
+
+class TestTraceKeyOrder:
+    """A serial sweep runs its misses in trace-key order, so the
+    one-key annotated-trace memo annotates each benchmark once."""
+
+    MODEL_MAJOR = [ExperimentPlan(name, bench, instructions=400, warmup=100)
+                   for name in ("I", "VII")
+                   for bench in ("gzip", "mcf", "art")]
+    KEY_MAJOR = MODEL_MAJOR[0::3] + MODEL_MAJOR[1::3] + MODEL_MAJOR[2::3]
+
+    def test_model_major_sweep_annotates_each_benchmark_once(
+            self, tmp_path, monkeypatch):
+        built = []
+        init = annotate.AnnotatedTrace.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(annotate.AnnotatedTrace, "__init__", counted)
+        annotate.clear_cache()
+        runner = ExperimentRunner(cache=ResultCache(tmp_path),
+                                  verbose=False)
+        report = runner.run_many_report(self.MODEL_MAJOR)
+        assert not report.failures
+        assert set(report.results) == set(self.MODEL_MAJOR)
+        assert len(built) == 3
+        assert list(annotate._CACHE) == [("art", 42, 32, 2)]
+
+    def test_model_major_and_key_major_orders_agree(self, tmp_path):
+        def sweep(plans, name):
+            runner = ExperimentRunner(cache=ResultCache(tmp_path / name),
+                                      verbose=False)
+            return runner.run_many(plans)
+
+        model_major = sweep(self.MODEL_MAJOR, "model")
+        assert sweep(self.KEY_MAJOR, "key") == model_major
+        # A run that restored its key's trace and prewarm images equals
+        # one on a cold memo.
+        annotate.clear_cache()
+        last = self.MODEL_MAJOR[-1]
+        assert simulate_plan(last) == model_major[last]
 
 
 class TestPolicyFlagsInThePlan:

@@ -198,8 +198,8 @@ class TestImages:
         """The second run restores the first run's prewarm image; both
         runs, and a cold one, give the same BenchmarkRun."""
         from repro.core.models import model
-        from repro.core.processor import clear_prewarm_cache
         from repro.core.simulation import simulate_benchmark
+        from repro.workloads import annotate
 
         config = model("X").config
 
@@ -207,9 +207,9 @@ class TestImages:
             return simulate_benchmark(config, "mcf", instructions=400,
                                       warmup=100)
 
-        clear_prewarm_cache()
+        annotate.clear_cache()
         first = run()
         second = run()
-        clear_prewarm_cache()
+        annotate.clear_cache()
         cold = run()
         assert first == second == cold
