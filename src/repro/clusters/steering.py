@@ -124,6 +124,12 @@ class SteeringHeuristic:
         """
         clusters = self.clusters
         op = instr.rec.op
+        has_dest = instr.rec.dest >= 0
+        for cluster in clusters:
+            if cluster.can_accept(op, has_dest):
+                break
+        else:
+            return None
         scores, free = self._score(producers, op)
 
         # argmax over (score, free IQ entries, earliest index).
@@ -138,28 +144,25 @@ class SteeringHeuristic:
                 best_score = score
                 best_free = free[i]
 
-        has_dest = instr.rec.dest >= 0
         chosen = clusters[best]
         if chosen.can_accept(op, has_dest):
             self.steered += 1
             return chosen
-        fallback = None
+        # Some cluster has room (checked above): spill to the nearest.
         for j in self._orders[best]:
-            cluster = clusters[j]
-            if cluster.can_accept(op, has_dest):
-                fallback = cluster
+            fallback = clusters[j]
+            if fallback.can_accept(op, has_dest):
                 break
-        if fallback is not None:
-            self.overflowed += 1
-            tel = self.telemetry
-            if tel.enabled:
-                # The heaviest cluster was full: the instruction spilled
-                # to the nearest cluster with room.
-                tel.count("steering.overflow")
-                tel.emit(cycle, EventKind.STEER_OVERFLOW, {
-                    "preferred": best,
-                    "fallback": fallback.index,
-                })
+        self.overflowed += 1
+        tel = self.telemetry
+        if tel.enabled:
+            # The heaviest cluster was full: the instruction spilled
+            # to the nearest cluster with room.
+            tel.count("steering.overflow")
+            tel.emit(cycle, EventKind.STEER_OVERFLOW, {
+                "preferred": best,
+                "fallback": fallback.index,
+            })
         return fallback
 
     # -- scoring -----------------------------------------------------------

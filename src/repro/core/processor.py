@@ -191,21 +191,10 @@ class ClusteredProcessor:
         if footprint is None:
             footprint = self._trace.footprint
         regions = tuple(footprint)
-        self._prewarm(self.hierarchy.l2, regions)
+        for base, size in regions:
+            self.hierarchy.l2.prewarm_region(base, size)
         if regions:
-            self._prewarm(self.hierarchy.l1, regions[-1:])
-
-    def _prewarm(self, cache, regions) -> None:
-        """Restore the trace's image of ``cache`` warmed over
-        ``regions``, computing it on first use."""
-        images = self._trace.prewarm_images
-        key = (regions, cache.num_sets, cache.assoc, cache.line_size)
-        image = images.get(key)
-        if image is None:
-            for base, size in regions:
-                cache.prewarm_region(base, size)
-            image = images[key] = cache.image()
-        cache.restore(image)
+            self.hierarchy.l1.prewarm_region(*regions[-1])
 
     def _plane_killed(self, channel: str, plane: WireClass,
                       cycle: int) -> None:

@@ -30,8 +30,8 @@ def worker_loop(conn, execute: Callable) -> None:
     runner's ``_execute_plan`` as it stood when the sweep began.
 
     Memory stays that of one run: the annotated-trace memo holds one
-    trace key (and that trace's prewarm images), and a full collection
-    after every plan frees the processor's reference cycles.
+    trace key, and a full collection after every plan frees the
+    processor's reference cycles.
     """
     gc.freeze()  # objects inherited from the parent are never garbage
     try:

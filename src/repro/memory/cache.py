@@ -5,16 +5,16 @@ is stored.  Used for the L1 instruction cache, the centralized L1 data
 cache (Table 1: 32KB 4-way, 6 cycles, 4-way word-interleaved) and the
 unified L2 (8MB 8-way, 30 cycles).
 
-A cache's contents can be saved with :meth:`SetAssocCache.image` and
-installed in another cache of the same geometry with
-:meth:`SetAssocCache.restore`.  Restored sets are shared tag tuples,
-copied to a list only when an access first changes that set, so a
-restore allocates one dict and no per-set list.
+Prewarming is lazy: :meth:`SetAssocCache.prewarm_region` records the
+region, and a set that no lookup has touched yet takes its prewarmed
+tags from the recorded regions, in prewarm order, when a lookup first
+reaches it.  A run that touches a few hundred of the L2's 32,768 sets
+fills only those.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Sequence, Tuple
+from typing import Dict, List, Tuple
 
 
 class SetAssocCache:
@@ -40,15 +40,18 @@ class SetAssocCache:
             raise ValueError(f"{name}: set count must be a power of two")
         self._set_mask = self.num_sets - 1
         self._line_shift = line_size.bit_length() - 1
-        # Sparse: sets materialize on first touch, MRU-first tags.  A set
-        # restored from an image is a tuple until an access changes it.
-        self._sets: Dict[int, Sequence[int]] = {}
+        self._sets_bits = self.num_sets.bit_length() - 1
+        # Sparse: sets materialize on first touch, MRU-first tags.
+        self._sets: Dict[int, List[int]] = {}
+        #: Prewarmed (first line, last line) regions, in prewarm order,
+        #: that untouched sets have yet to take.
+        self._regions: List[Tuple[int, int]] = []
         self.accesses = 0
         self.misses = 0
 
     def _index_tag(self, addr: int) -> tuple:
         line = addr >> self._line_shift
-        return line & self._set_mask, line >> (self.num_sets.bit_length() - 1)
+        return line & self._set_mask, line >> self._sets_bits
 
     def access(self, addr: int, allocate: bool = True) -> bool:
         """Touch ``addr``; returns True on a hit.  Misses allocate (LRU
@@ -56,6 +59,8 @@ class SetAssocCache:
         self.accesses += 1
         index, tag = self._index_tag(addr)
         entries = self._sets.get(index)
+        if entries is None and self._regions:
+            entries = self._first_touch(index)
         if entries is not None:
             try:
                 pos = entries.index(tag)
@@ -63,8 +68,6 @@ class SetAssocCache:
                 pos = -1
             if pos >= 0:
                 if pos:
-                    if entries.__class__ is tuple:
-                        entries = self._sets[index] = list(entries)
                     entries.insert(0, entries.pop(pos))
                 return True
         self.misses += 1
@@ -72,33 +75,26 @@ class SetAssocCache:
             if entries is None:
                 self._sets[index] = [tag]
             else:
-                if entries.__class__ is tuple:
-                    entries = self._sets[index] = list(entries)
                 entries.insert(0, tag)
                 del entries[self.assoc:]
         return False
 
     def contains(self, addr: int) -> bool:
-        """Non-destructive presence check (no stats, no LRU update)."""
+        """Presence check: no stats, no LRU update.  It may materialize
+        an untouched set's prewarmed tags."""
         index, tag = self._index_tag(addr)
         entries = self._sets.get(index)
+        if entries is None and self._regions:
+            entries = self._first_touch(index)
         return entries is not None and tag in entries
 
-    def image(self) -> Dict[int, Tuple[int, ...]]:
-        """The resident tags of every touched set, MRU first, as tuples.
-
-        No statistics are included.  The image shares nothing mutable
-        with the cache: later accesses leave it unchanged.
-        """
-        return {index: tuple(tags) for index, tags in self._sets.items()}
-
-    def restore(self, image: Dict[int, Tuple[int, ...]]) -> None:
-        """Replace the contents with ``image`` (from :meth:`image` of a
-        cache of the same geometry); statistics are kept.
-
-        The sets stay the image's tuples until an access changes them, so
-        one image can back any number of caches."""
-        self._sets = dict(image)
+    def _first_touch(self, index: int) -> List[int]:
+        """Materialize an untouched set from the prewarmed regions."""
+        tags: List[int] = []
+        for first_line, last_line in self._regions:
+            tags = self._warm_set(index, first_line, last_line, tags)
+        self._sets[index] = tags
+        return tags
 
     @property
     def miss_rate(self) -> float:
@@ -112,32 +108,38 @@ class SetAssocCache:
         Analytic stand-in for a long cache-warmup phase (the paper warms
         structures over a million instructions before measuring): after a
         sequential walk of ``[base, base + size)``, each set holds the
-        *last* ``assoc`` lines that mapped to it.  O(sets) instead of
-        O(lines), so multi-megabyte working sets prewarm instantly.
+        *last* ``assoc`` lines that mapped to it.  Sets already touched
+        take the region now; the rest take it on first touch, so the
+        cost is O(touched sets) rather than O(lines) or O(sets).
         """
         if size <= 0:
             return
         first_line = base >> self._line_shift
         last_line = (base + size - 1) >> self._line_shift
-        sets_bits = self.num_sets.bit_length() - 1
-        for index in range(self.num_sets):
-            offset = (index - first_line) & self._set_mask
-            line = first_line + offset
-            if line > last_line:
-                continue
-            # Lines mapping to this set: line, line + num_sets, ... ; the
-            # most recent (largest) ones survive, youngest first.
-            count = (last_line - line) // self.num_sets + 1
-            resident = min(count, self.assoc)
-            newest = line + (count - 1) * self.num_sets
-            tags = [
-                (newest - k * self.num_sets) >> sets_bits
-                for k in range(resident)
-            ]
-            existing = self._sets.get(index)
-            if existing:
-                tags += [t for t in existing if t not in tags]
-            self._sets[index] = tags[:self.assoc]
+        sets = self._sets
+        for index, tags in sets.items():
+            sets[index] = self._warm_set(index, first_line, last_line, tags)
+        self._regions.append((first_line, last_line))
+
+    def _warm_set(self, index: int, first_line: int, last_line: int,
+                  tags: List[int]) -> List[int]:
+        """Set ``index``'s tags (MRU first) after a sequential pass over
+        lines ``[first_line, last_line]`` that found ``tags`` resident."""
+        num_sets = self.num_sets
+        line = first_line + ((index - first_line) & self._set_mask)
+        if line > last_line:
+            return tags
+        # Lines mapping to this set: line, line + num_sets, ... ; the
+        # most recent (largest) ones survive, youngest first.
+        count = (last_line - line) // num_sets + 1
+        newest = line + (count - 1) * num_sets
+        sets_bits = self._sets_bits
+        warmed = [
+            (newest - k * num_sets) >> sets_bits
+            for k in range(min(count, self.assoc))
+        ]
+        warmed += [t for t in tags if t not in warmed]
+        return warmed[:self.assoc]
 
     def set_index(self, addr: int) -> int:
         """The set-index bits of an address -- the bits the paper's

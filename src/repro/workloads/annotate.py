@@ -35,7 +35,7 @@ from .spec2k import profile
 from .trace import InstructionRecord, OpClass
 
 #: Records annotated per :meth:`AnnotatedTrace.ensure` refill.
-CHUNK = 4096
+CHUNK = 512
 
 #: I-cache line size used by the processor (bytes).
 ICACHE_LINE = 64
@@ -86,9 +86,6 @@ class AnnotatedTrace:
         #:  predicted_narrow, predicted_narrow_but_wide).
         self.narrow_prefix: List[Tuple[int, int, int, int]] = [(0, 0, 0, 0)]
         self.footprint = tuple(footprint)
-        #: Post-prewarm cache images (:meth:`SetAssocCache.image`) by
-        #: (regions, sets, assoc, line size); they die with the trace.
-        self.prewarm_images: Dict[tuple, dict] = {}
         #: The record iterator ran out: ``records`` is the whole stream.
         self.finished = False
 
@@ -168,7 +165,7 @@ def annotated_trace(benchmark: str, seed: int, icache_size_kb: int,
     The key covers everything that shapes the annotations; every run
     sharing it -- e.g. the ten models of one Table 3 benchmark -- reuses
     one front-end evaluation.  The memo holds one key: a new key drops
-    the previous trace and its prewarm images.
+    the previous trace.
     """
     key = (benchmark, seed, icache_size_kb, icache_assoc)
     cached = _CACHE.get(key)
@@ -183,6 +180,5 @@ def annotated_trace(benchmark: str, seed: int, icache_size_kb: int,
 
 
 def clear_cache() -> None:
-    """Drop the memoized trace and its prewarm images, as a fresh
-    process starts."""
+    """Drop the memoized trace, as a fresh process starts."""
     _CACHE.clear()

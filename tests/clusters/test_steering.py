@@ -82,6 +82,39 @@ class TestResourceFallback:
             cluster.admit(make_instr(10 + i))
         assert heur.choose(make_instr(0), []) is None
 
+    def test_no_room_scores_nothing(self, monkeypatch):
+        clusters = make_clusters(iq=1, regs=1)
+        heur = SteeringHeuristic(clusters, CrossbarTopology(4))
+        for i, cluster in enumerate(clusters):
+            cluster.admit(make_instr(10 + i))
+        monkeypatch.setattr(heur, "_score", None)  # a call would raise
+        assert heur.choose(make_instr(0), []) is None
+        assert (heur.steered, heur.overflowed) == (0, 0)
+
+    def test_a_run_scores_each_admitted_instruction_once(self, monkeypatch):
+        """Every ``choose`` that scores admits its instruction: scoring
+        calls equal ``Cluster.admit`` calls on a real 4-cluster run."""
+        from repro.core.models import model
+        from repro.core.simulation import build_processor
+
+        calls = {"score": 0, "admit": 0}
+        score, admit = SteeringHeuristic._score, Cluster.admit
+
+        def counted_score(self, producers, op):
+            calls["score"] += 1
+            return score(self, producers, op)
+
+        def counted_admit(self, instr):
+            calls["admit"] += 1
+            return admit(self, instr)
+
+        monkeypatch.setattr(SteeringHeuristic, "_score", counted_score)
+        monkeypatch.setattr(Cluster, "admit", counted_admit)
+        cpu = build_processor(model("I").config, "mcf")
+        cpu.run(800, warmup=200)
+        assert calls["admit"] > 800
+        assert calls["score"] == calls["admit"]
+
 
 class TestCacheProximity:
     def test_hierarchical_loads_prefer_cache_group(self):

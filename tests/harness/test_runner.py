@@ -364,7 +364,7 @@ class TestTraceKeyOrder:
 
         model_major = sweep(self.MODEL_MAJOR, "model")
         assert sweep(self.KEY_MAJOR, "key") == model_major
-        # A run that restored its key's trace and prewarm images equals
+        # A run that reused its key's memoized trace equals
         # one on a cold memo.
         annotate.clear_cache()
         last = self.MODEL_MAJOR[-1]

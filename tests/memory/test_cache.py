@@ -131,72 +131,9 @@ class TestPrewarm:
         for addr in range((base // 64) * 64, base + size, 64):
             assert analytic.contains(addr) == walked.contains(addr)
 
-
-class TestImages:
-    """Copy-on-write images: restored sets are shared tag tuples."""
-
-    def warmed(self):
-        """Sets 0-7 of a 16-set 2-way cache full, sets 8-15 empty."""
-        cache = make_cache(size=1024, assoc=2, line=32)
-        cache.prewarm_region(0x4000, 256)
-        cache.prewarm_region(0x8000, 256)
-        return cache
-
-    def test_image_is_tuples_of_the_resident_tags(self):
-        image = self.warmed().image()
-        assert sorted(image) == list(range(8))
-        assert all(isinstance(tags, tuple) and len(tags) == 2
-                   for tags in image.values())
-
-    def test_restored_caches_are_independent(self):
-        """A hit that reorders, a miss that evicts and a miss that fills a
-        new set in one restored cache change neither the other restored
-        cache nor the image."""
-        image = self.warmed().image()
-        frozen = dict(image)
-        a, b = make_cache(), make_cache()
-        a.restore(image)
-        b.restore(image)
-        # Set 0 holds 0x8000 (MRU) and 0x4000 (LRU).
-        assert a.access(0x4000)            # hit: reorders set 0
-        assert not a.access(0x100000)      # miss in set 0: evicts 0x8000
-        assert not a.access(0x4100)        # miss into empty set 8
-        assert a.contains(0x4000) and a.contains(0x100000)
-        assert a.contains(0x4100) and not a.contains(0x8000)
-        assert image == frozen
-        assert all(isinstance(tags, tuple) for tags in image.values())
-        assert b.image() == frozen
-        assert b.contains(0x8000) and b.contains(0x4000)
-        assert not b.contains(0x100000) and not b.contains(0x4100)
-        assert b.accesses == 0
-
-    def test_restored_cache_behaves_like_a_prewarmed_one(self):
-        direct = self.warmed()
-        restored = make_cache()
-        restored.restore(self.warmed().image())
-        probes = [base + 32 * k for base in (0x4000, 0x8000, 0x100000)
-                  for k in range(-4, 20, 3)]
-        probes += probes[::-1]
-        for addr in probes:
-            assert restored.contains(addr) == direct.contains(addr)
-            assert restored.access(addr) == direct.access(addr), hex(addr)
-        assert (restored.accesses, restored.misses) == (
-            direct.accesses, direct.misses)
-        assert restored.image() == direct.image()
-
-    def test_prewarm_region_over_restored_sets(self):
-        direct = self.warmed()
-        restored = make_cache()
-        restored.restore(self.warmed().image())
-        for cache in (direct, restored):
-            cache.prewarm_region(0x20000, 384)
-        assert restored.image() == direct.image()
-        assert restored.contains(0x20000) and restored.contains(0x8000)
-        assert not restored.contains(0x4000)
-
     def test_back_to_back_plans_are_identical(self):
-        """The second run restores the first run's prewarm image; both
-        runs, and a cold one, give the same BenchmarkRun."""
+        """Two runs back to back on one memoized trace, and a cold one,
+        give the same BenchmarkRun."""
         from repro.core.models import model
         from repro.core.simulation import simulate_benchmark
         from repro.workloads import annotate
@@ -213,3 +150,109 @@ class TestImages:
         annotate.clear_cache()
         cold = run()
         assert first == second == cold
+
+
+def prewarm_every_set(cache, base, size):
+    """The reference: every set of the cache takes the region at once,
+    as one sequential pass over it leaves them."""
+    if size <= 0:
+        return
+    first_line = base >> cache._line_shift
+    last_line = (base + size - 1) >> cache._line_shift
+    sets_bits = cache.num_sets.bit_length() - 1
+    for index in range(cache.num_sets):
+        offset = (index - first_line) & cache._set_mask
+        line = first_line + offset
+        if line > last_line:
+            continue
+        count = (last_line - line) // cache.num_sets + 1
+        resident = min(count, cache.assoc)
+        newest = line + (count - 1) * cache.num_sets
+        tags = [
+            (newest - k * cache.num_sets) >> sets_bits
+            for k in range(resident)
+        ]
+        existing = cache._sets.get(index)
+        if existing:
+            tags += [t for t in existing if t not in tags]
+        cache._sets[index] = tags[:cache.assoc]
+
+
+#: A lookup: (address, "access" | "no-allocate" | "contains").
+LOOKUP = st.tuples(st.integers(min_value=0, max_value=0x3000),
+                   st.sampled_from(("access", "no-allocate", "contains")))
+#: A region: 16-set 2-way 32B-line caches hold 1 KiB, so sizes up to
+#: 4 KiB include regions larger than the cache; bases up to 0x2000 make
+#: regions overlap.
+REGION = st.tuples(st.integers(min_value=0, max_value=0x2000),
+                   st.integers(min_value=1, max_value=4096))
+
+
+class TestLazyPrewarm:
+    """Lazy prewarm holds, lookup for lookup, what eager prewarm held."""
+
+    @staticmethod
+    def lookup(cache, addr, kind):
+        if kind == "contains":
+            return cache.contains(addr)
+        return cache.access(addr, allocate=kind == "access")
+
+    @given(before=st.lists(LOOKUP, max_size=12),
+           regions=st.lists(st.tuples(REGION, st.lists(LOOKUP, max_size=12)),
+                            min_size=1, max_size=3))
+    @settings(max_examples=60, deadline=None)
+    def test_lazy_equals_eager(self, before, regions):
+        lazy = make_cache(size=1024, assoc=2, line=32)
+        eager = make_cache(size=1024, assoc=2, line=32)
+        steps = list(before)
+        for region, after in regions:
+            steps.append((region, "prewarm"))
+            steps.extend(after)
+        for arg, kind in steps:
+            if kind == "prewarm":
+                lazy.prewarm_region(*arg)
+                prewarm_every_set(eager, *arg)
+                continue
+            assert (self.lookup(lazy, arg, kind)
+                    == self.lookup(eager, arg, kind)), (hex(arg), kind)
+        probes = range(0, 0x3000 + 4096, 32)
+        assert ([lazy.contains(a) for a in probes]
+                == [eager.contains(a) for a in probes])
+        assert (lazy.accesses, lazy.misses) == (eager.accesses, eager.misses)
+
+    def test_prewarm_touches_no_untouched_set(self):
+        cache = make_cache(size=4096, assoc=4, line=32)
+        cache.prewarm_region(0x10000, 8192)
+        assert cache._sets == {}
+        assert cache.contains(0x10000 + 8192 - 32)
+        assert list(cache._sets) == [cache.set_index(0x10000 + 8192 - 32)]
+
+    def test_first_touch_moves_no_statistic(self):
+        cache = make_cache()
+        cache.prewarm_region(0x4000, 512)
+        assert cache.contains(0x4000)
+        assert not cache.contains(0x8000)
+        assert (cache.accesses, cache.misses) == (0, 0)
+        assert cache.access(0x4020)
+        assert (cache.accesses, cache.misses) == (1, 0)
+
+    def test_a_touched_set_takes_a_later_region_at_once(self):
+        """A region prewarmed after a set's first touch lands on top of
+        the set's tags, MRU first, as an eager pass would put it."""
+        cache = make_cache(size=64, assoc=2, line=32)  # one set
+        cache.access(0x0)
+        cache.prewarm_region(0x1000, 32)
+        assert cache._sets[0] == [0x1000 >> 5, 0]
+        assert cache.access(0x0) and cache.access(0x1000)
+
+    def test_an_mcf_run_fills_few_l2_sets(self):
+        from repro.core.models import model
+        from repro.core.simulation import build_processor
+        from repro.workloads import annotate
+
+        annotate.clear_cache()
+        cpu = build_processor(model("X").config, "mcf")
+        cpu.run(1000, warmup=4000)
+        l2 = cpu.hierarchy.l2
+        assert l2.num_sets == 32768
+        assert 0 < len(l2._sets) < 1000

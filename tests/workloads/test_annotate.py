@@ -1,5 +1,6 @@
-"""The annotated-trace memo: one trace key at a time, and the prewarm
-images of a trace live on the trace."""
+"""The annotated-trace memo: one trace key at a time, annotated only as
+far as fetch reaches, and shared by processors that share no cache
+state."""
 
 import gc
 import weakref
@@ -8,7 +9,6 @@ import pytest
 
 from repro.core.models import model
 from repro.core.simulation import build_processor
-from repro.memory.cache import SetAssocCache
 from repro.workloads import annotate
 
 #: The default machine's I-cache (32 KB, 2-way) at the default seed.
@@ -21,24 +21,6 @@ def cold_memo():
     annotate.clear_cache()
     yield
     annotate.clear_cache()
-
-
-@pytest.fixture
-def prewarms(monkeypatch):
-    """The (base, size) of every ``SetAssocCache.prewarm_region`` call."""
-    calls = []
-    prewarm_region = SetAssocCache.prewarm_region
-
-    def counted(self, base, size):
-        calls.append((base, size))
-        return prewarm_region(self, base, size)
-
-    monkeypatch.setattr(SetAssocCache, "prewarm_region", counted)
-    return calls
-
-
-def trace_of(model_name, benchmark):
-    return build_processor(model(model_name).config, benchmark)._trace
 
 
 class TestOneKey:
@@ -59,34 +41,38 @@ class TestOneKey:
         assert annotate._CACHE == {}
         assert annotate.annotated_trace(*GZIP) is not trace
 
-
-class TestPrewarmImages:
-    def test_the_second_plan_of_a_key_restores_the_images(self, prewarms):
-        first = build_processor(model("I").config, "mcf")
-        assert prewarms  # the first run of a key computes the warmup
-        trace = first._trace
-        assert len(trace.prewarm_images) == 2  # the L2's and the L1's
-        prewarms.clear()
-        second = build_processor(model("VII").config, "mcf")
-        assert second._trace is trace
-        assert prewarms == []
-        for level in ("l1", "l2"):
-            assert (getattr(second.hierarchy, level).image()
-                    == getattr(first.hierarchy, level).image())
-
-    def test_a_new_key_drops_the_old_traces_images(self, prewarms):
-        old = weakref.ref(trace_of("I", "mcf"))
-        assert old().prewarm_images
-        prewarms.clear()
-        new = trace_of("I", "gzip")
-        assert prewarms  # nothing of mcf's warmup is reused for gzip
-        assert annotate._CACHE == {GZIP: new}
+    def test_a_new_key_frees_the_old_trace(self):
+        old = weakref.ref(annotate.annotated_trace(*MCF))
+        annotate.annotated_trace(*GZIP)
         gc.collect()
         assert old() is None
 
-    def test_clear_cache_drops_the_images(self, prewarms):
-        trace_of("I", "mcf")
-        annotate.clear_cache()
-        prewarms.clear()
-        trace_of("I", "mcf")
-        assert prewarms
+
+class TestOneTraceManyProcessors:
+    def test_processors_of_one_trace_share_no_set(self):
+        """Both processors prewarm lazily over one trace's footprint; a
+        miss that fills a set in one leaves the other's caches as
+        they were."""
+        first = build_processor(model("I").config, "mcf")
+        second = build_processor(model("VII").config, "mcf")
+        assert first._trace is second._trace
+        region_base = first._trace.footprint[0][0]
+        for level in ("l1", "l2"):
+            a = getattr(first.hierarchy, level)
+            b = getattr(second.hierarchy, level)
+            assert a.contains(region_base) == b.contains(region_base)
+            assert not a.access(0x7FFF0000)  # fills the set in a only
+            assert a.contains(0x7FFF0000)
+            assert not b.contains(0x7FFF0000)
+            assert (b.accesses, b.misses) == (0, 0)
+            assert all(a._sets[i] is not b._sets[i]
+                       for i in a._sets.keys() & b._sets.keys())
+
+    def test_annotation_stops_a_chunk_past_fetch(self):
+        """A 4000 + 1000 run annotates at most 511 records that fetch
+        never reached."""
+        cpu = build_processor(model("X").config, "mcf")
+        cpu.run(1000, warmup=4000)
+        fetched = cpu.fetch._seq
+        assert fetched <= len(cpu._trace) < fetched + annotate.CHUNK
+        assert annotate.CHUNK <= 512
