@@ -298,10 +298,8 @@ class ClusteredProcessor:
         deliveries = net._deliveries
         if deliveries and deliveries[0][0] <= cycle:
             net.deliver_due(cycle)
-        for entry in self._wheel.pop_due(cycle):
-            if entry is not None:
-                fn, arg = entry
-                fn(arg)
+        for fn, arg in self._wheel.pop_due(cycle):
+            fn(arg)
         rob = self.rob
         if rob and rob[0].completed:
             self._commit(cycle)
@@ -561,9 +559,9 @@ class ClusteredProcessor:
         stats.hit_levels[level] = stats.hit_levels.get(level, 0) + 1
         tel = self.telemetry
         if tel.enabled:
-            tel.count(f"cache.{level.value}")
+            tel.count(f"cache.{level._value_}")
             tel.emit(self.cycle, EventKind.CACHE_ACCESS,
-                     {"level": level.value, "seq": instr.seq})
+                     {"level": level._value_, "seq": instr.seq})
         if cycle <= self.cycle:
             cycle = self.cycle + 1
         self._wheel.schedule(cycle, self._send_load_data, instr)

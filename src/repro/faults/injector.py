@@ -58,6 +58,8 @@ class FaultInjector:
             wc: min(1.0, spec.ber * CANONICAL_SPECS[wc].relative_delay)
             for wc in WireClass
         }
+        #: Per (plane, kind): the draw key's text up to ``seq``.
+        self._key_prefix: Dict[Tuple[WireClass, str], str] = {}
 
     # -- plane kills -----------------------------------------------------
 
@@ -108,16 +110,22 @@ class FaultInjector:
 
         The segment exposes ``bits * hops`` bit-link crossings; each is
         corrupted independently with the plane's effective BER.  The
-        draw is a hash of (seed, plane, kind, seq, slice, attempt) --
-        stable across call order, retries get fresh draws.
+        draw is a hash of the text ``repr((seed, plane, kind, seq,
+        slice, attempt))`` -- stable across call order, retries get
+        fresh draws.  The text up to ``seq`` is built once per (plane,
+        kind).
         """
         rate = self._plane_ber[wire_class]
         if rate <= 0.0:
             return False
         exposure = bits * max(1, hops)
         probability = 1.0 - (1.0 - rate) ** exposure
-        corrupt = self._draw(wire_class.value, kind, seq, int(leading),
-                             attempt) < probability
+        prefix = self._key_prefix.get((wire_class, kind))
+        if prefix is None:
+            prefix = self._key_prefix[(wire_class, kind)] = \
+                repr((self.seed, wire_class.value, kind))[:-1] + ", "
+        corrupt = _unit(
+            f"{prefix}{seq}, {int(leading)}, {attempt})") < probability
         tel = self.telemetry
         if tel.enabled:
             tel.count("faults.draws")
@@ -125,8 +133,8 @@ class FaultInjector:
                 tel.count("faults.corruptions")
         return corrupt
 
-    def _draw(self, *key: object) -> float:
-        digest = hashlib.blake2b(
-            repr((self.seed, *key)).encode(), digest_size=8
-        ).digest()
-        return int.from_bytes(digest, "big") / 2.0 ** 64
+
+def _unit(key: str) -> float:
+    """A uniform draw in [0, 1) from the blake2b hash of ``key``."""
+    digest = hashlib.blake2b(key.encode(), digest_size=8).digest()
+    return int.from_bytes(digest, "big") / 2.0 ** 64

@@ -46,6 +46,20 @@ once per submit or tick into a local, so a healthy run pays only a few
 local tests for them.  Queue items are recycled, and transfers the
 processor recycles (``_pooled``) return to :attr:`Network.pool` once
 their last segment has arrived.
+
+A degraded run pays per submit only for what changed since the last
+one.  Each memo below is a pure function of state that rarely changes,
+and is dropped when that state changes:
+
+* the dead planes of a path (``_dead_on``, keyed by route channels):
+  cleared by every kill;
+* the power manager's gateable slots per path: fixed by the topology;
+  each slot's step-down cycles: dropped when a touch or wake moves its
+  last use or traffic estimate, recomputed at the next settle;
+* the selector's L-less flags and demand sets: fixed by the flags and
+  composition;
+* the fault injector's draw-key prefix per (plane, kind): fixed by the
+  seed.
 """
 
 from __future__ import annotations
@@ -200,6 +214,9 @@ class Network:
         # segments awaiting their retransmission cycle.
         self._pending_kills: List[Tuple[int, str, WireClass]] = []
         self._dead: Dict[Tuple[str, WireClass], int] = {}
+        #: Dead planes per path (route channels), built on first ask and
+        #: cleared by every kill.
+        self._dead_on: Dict[Tuple[str, ...], FrozenSet[WireClass]] = {}
         self._retries: List[Tuple[int, int, _Queued]] = []
         self._retry_seq = 0
         self._retry_budget = 4
@@ -271,8 +288,8 @@ class Network:
             if traced:
                 tel.count("network.segments_routed")
                 tel.emit(cycle, EventKind.TRANSFER_ROUTED, {
-                    "kind": transfer.kind.value,
-                    "plane": wire_class.value,
+                    "kind": transfer.kind._value_,
+                    "plane": wire_class._value_,
                     "bits": segment.bits,
                     "src": transfer.src,
                     "dst": transfer.dst,
@@ -363,22 +380,26 @@ class Network:
         if key in self._dead:
             return
         self._dead[key] = cycle
+        self._dead_on.clear()
         tel = self.telemetry
         if tel.enabled:
             tel.count("faults.plane_kills")
             tel.emit(cycle, EventKind.PLANE_KILL, {
                 "channel": channel,
-                "plane": plane.value,
+                "plane": plane._value_,
             })
         if self.on_plane_kill is not None:
             self.on_plane_kill(channel, plane, cycle)
 
     def _dead_planes_on(
             self, channels: Tuple[str, ...]) -> FrozenSet[WireClass]:
-        dead = self._dead
-        return frozenset(
-            plane for (channel, plane) in dead if channel in channels
-        )
+        planes = self._dead_on.get(channels)
+        if planes is None:
+            planes = self._dead_on[channels] = frozenset(
+                plane for (channel, plane) in self._dead
+                if channel in channels
+            )
+        return planes
 
     def _blocked_by_kill(self, item: _Queued, plane: WireClass) -> bool:
         dead = self._dead
@@ -401,8 +422,8 @@ class Network:
             tel.count("faults.reroutes")
             tel.emit(cycle, EventKind.REROUTE, {
                 "channel": channels[0],
-                "from": item.segment.wire_class.value,
-                "to": wire_class.value,
+                "from": item.segment.wire_class._value_,
+                "to": wire_class._value_,
                 "bits": item.segment.bits,
             })
         latency, peers = route.by_plane[wire_class._index]
@@ -461,7 +482,7 @@ class Network:
                     tel.count("faults.retry_escalations")
                     tel.emit(cycle, EventKind.RETRY_ESCALATION, {
                         "channel": channel,
-                        "plane": plane.value,
+                        "plane": plane._value_,
                         "attempts": item.attempt,
                     })
                 self._kill(channel, plane, cycle)
@@ -474,7 +495,7 @@ class Network:
                 tel.count("faults.retransmissions")
                 tel.emit(cycle, EventKind.NACK_RETRY, {
                     "channel": channel,
-                    "plane": plane.value,
+                    "plane": plane._value_,
                     "attempt": item.attempt,
                 })
             chan = item.peers[0]
@@ -492,7 +513,7 @@ class Network:
         """
         transfer = item.transfer
         if not self.injector.corrupts(
-                plane, transfer.kind.value, transfer.seq, bits,
+                plane, transfer.kind._value_, transfer.seq, bits,
                 len(item.route.channels), item.attempt,
                 item.segment.is_leading_slice):
             return False
@@ -501,8 +522,8 @@ class Network:
         if tel.enabled:
             tel.count("faults.corrupted_segments")
             tel.emit(cycle, EventKind.CORRUPTION, {
-                "kind": transfer.kind.value,
-                "plane": plane.value,
+                "kind": transfer.kind._value_,
+                "plane": plane._value_,
                 "seq": transfer.seq,
                 "attempt": item.attempt,
             })

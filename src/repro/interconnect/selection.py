@@ -145,6 +145,12 @@ class WireSelector:
         self._has_pw = composition.has_plane(WireClass.PW)
         self._has_b = composition.has_plane(WireClass.B)
         self._bulk = composition.bulk_plane()
+        #: The flags a selection uses once the L plane is avoided, and
+        #: the demand sets :meth:`demand_planes` answers with: built
+        #: once, since flags and composition never change.
+        self._flags_without_l = self.flags.without_lwire_uses()
+        self._demand_bulk = frozenset((self._bulk,))
+        self._demand_l_bulk = frozenset((WireClass.L, self._bulk))
         self._detector = ImbalanceDetector(
             window=self.flags.load_balance_window,
             threshold=self.flags.load_balance_threshold,
@@ -194,9 +200,9 @@ class WireSelector:
         if tel.enabled:
             tel.count(f"selection.{reason}")
             tel.emit(cycle, EventKind.WIRE_SELECTED, {
-                "kind": transfer.kind.value,
+                "kind": transfer.kind._value_,
                 "reason": reason,
-                "plane": segments[-1].wire_class.value,
+                "plane": segments[-1].wire_class._value_,
                 "split": len(segments) > 1,
                 "degraded": bool(avoid),
             })
@@ -212,7 +218,7 @@ class WireSelector:
         if avoid:
             self.degraded_selections += 1
             if WireClass.L in avoid:
-                flags = flags.without_lwire_uses()
+                flags = self._flags_without_l
                 has_l = False
             if WireClass.PW in avoid:
                 has_pw = False
@@ -289,15 +295,15 @@ class WireSelector:
         if kind is TransferKind.MISPREDICT:
             if flags.lwire_mispredict and self._has_l:
                 return _L_ONLY
-            return frozenset((self._bulk,))
+            return self._demand_bulk
         if kind.is_address and flags.lwire_partial_address and self._has_l:
-            return frozenset((WireClass.L, self._bulk))
+            return self._demand_l_bulk
         if (kind in (TransferKind.OPERAND, TransferKind.LOAD_DATA)
                 and flags.lwire_narrow and self._has_l
                 and transfer.narrow_predicted):
             if transfer.narrow_actual:
                 return _L_ONLY
-            return frozenset((WireClass.L, self._bulk))
+            return self._demand_l_bulk
         if (kind in (TransferKind.OPERAND, TransferKind.LOAD_DATA)
                 and flags.lwire_frequent_value and self._has_l
                 and transfer.fv_encodable):
@@ -308,7 +314,7 @@ class WireSelector:
         if (kind is TransferKind.STORE_DATA and flags.pw_store_data
                 and self._has_pw):
             return _PW_ONLY
-        return frozenset((self._bulk,))
+        return self._demand_bulk
 
     # -- helpers ---------------------------------------------------------
 
@@ -343,8 +349,8 @@ class WireSelector:
                         # the less congested plane.
                         tel.count("selection.lb_divert")
                         tel.emit(cycle, EventKind.LB_DIVERT, {
-                            "from": self._bulk.value,
-                            "to": diverted.value,
+                            "from": self._bulk._value_,
+                            "to": diverted._value_,
                         })
                 return diverted
         return self.bulk_for(avoid)

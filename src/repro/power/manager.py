@@ -81,7 +81,8 @@ class _PlaneSlot:
 
     __slots__ = (
         "link", "plane", "wires", "leak_rate", "gateable",
-        "state", "last_use", "ewma", "settled", "wake_ready", "hold_until",
+        "state", "last_use", "ewma", "transitions", "settled", "wake_ready",
+        "hold_until",
         "active_cycles", "waking_cycles", "drowsy_cycles", "gated_cycles",
         "drowsy_entries", "gate_entries", "drowsy_wakes", "gated_wakes",
     )
@@ -96,6 +97,10 @@ class _PlaneSlot:
         self.state = PowerState.ACTIVE
         self.last_use = 0
         self.ewma = 0.0
+        #: ``policy.transitions_after(last_use, ewma)``, or ``None`` when
+        #: a touch moved either input since it was computed.
+        self.transitions: Optional[Tuple[Optional[int], Optional[int]]] \
+            = None
         self.settled = 0
         self.wake_ready = 0
         self.hold_until = 0
@@ -170,6 +175,8 @@ class PlanePowerManager:
                 self._slots.append(slot)
             self._by_link[link] = per_link
         self._path_slots: Dict[Tuple[str, ...], List[_PlaneSlot]] = {}
+        self._bulk_capable = tuple(wc for wc in _BULK_ORDER
+                                   if composition.has_plane(wc))
 
     # -- routing-side interface ------------------------------------------
 
@@ -178,53 +185,55 @@ class PlanePowerManager:
                     dead: FrozenSet[WireClass]) -> FrozenSet[WireClass]:
         """Planes a transfer on ``channels`` must avoid at ``cycle``.
 
-        Settles every plane on the path, starts wake-ups for demanded
-        sleeping planes, and returns ``dead`` merged with every plane
-        that is not ACTIVE.  If the merged set would leave the path
-        without a live bulk-capable plane, one is force-woken so the
-        transfer stays routable (the wake is charged as usual).
+        Settles every gateable plane on the path, starts wake-ups for
+        demanded sleeping planes, and returns ``dead`` merged with every
+        plane that is not ACTIVE (``dead`` itself when all are).  If the
+        merged set would leave the path without a live bulk-capable
+        plane, one is force-woken so the transfer stays routable (the
+        wake is charged as usual).
         """
         slots = self._slots_on(channels)
+        asleep = False
         for slot in slots:
-            self._settle(slot, cycle)
+            if slot.settled < cycle:
+                self._settle(slot, cycle)
+            if slot.state is not PowerState.ACTIVE:
+                asleep = True
+        if not asleep:
+            return dead
         if demanded:
             for slot in slots:
                 if (slot.plane in demanded and slot.state in
                         (PowerState.DROWSY, PowerState.GATED)):
                     self._wake(slot, cycle)
-        blocked = frozenset(
-            slot.plane for slot in slots
-            if slot.state is not PowerState.ACTIVE
-        )
-        if not blocked:
-            return dead
-        avoid = dead | blocked
-        for wc in _BULK_ORDER:
-            if self.composition.has_plane(wc) and wc not in avoid:
+        avoid = dead.union([slot.plane for slot in slots
+                            if slot.state is not PowerState.ACTIVE])
+        for wc in self._bulk_capable:
+            if wc not in avoid:
                 return avoid
         # Faults killed the planes gating left alone: restore service.
-        for wc in _BULK_ORDER:
-            if self.composition.has_plane(wc) and wc not in dead:
+        for wc in self._bulk_capable:
+            if wc not in dead:
                 for slot in slots:
                     if slot.plane is wc:
                         self._force_wake(slot, cycle)
                 break
-        return dead | frozenset(
-            slot.plane for slot in slots
-            if slot.state is not PowerState.ACTIVE
-        )
+        return dead.union([slot.plane for slot in slots
+                           if slot.state is not PowerState.ACTIVE])
 
     def note_activity(self, channels: Tuple[str, ...], plane: WireClass,
                       cycle: int) -> None:
         """Record an injection on ``plane`` along ``channels``."""
-        policy = self.policy
+        touch = self.policy.touch
         for slot in self._slots_on(channels):
             if slot.plane is not plane:
                 continue
-            self._settle(slot, cycle)
+            if slot.settled < cycle:
+                self._settle(slot, cycle)
             if slot.state is PowerState.ACTIVE:
-                slot.ewma = policy.touch(slot.ewma, cycle - slot.last_use)
+                slot.ewma = touch(slot.ewma, cycle - slot.last_use)
                 slot.last_use = cycle
+                slot.transitions = None
 
     # -- lazy state machine ----------------------------------------------
 
@@ -242,8 +251,11 @@ class PlanePowerManager:
                     slot.active_cycles += to - pos
                     pos = to
                     break
-                drowsy_at, gate_at = policy.transitions_after(
-                    slot.last_use, slot.ewma)
+                transitions = slot.transitions
+                if transitions is None:
+                    transitions = slot.transitions = \
+                        policy.transitions_after(slot.last_use, slot.ewma)
+                drowsy_at, gate_at = transitions
                 if drowsy_at is None:
                     slot.active_cycles += to - pos
                     pos = to
@@ -265,8 +277,11 @@ class PlanePowerManager:
                     slot.drowsy_entries += 1
                 self._transition(slot, state, pos, to, emit)
             elif state is PowerState.DROWSY:
-                _, gate_at = policy.transitions_after(
-                    slot.last_use, slot.ewma)
+                transitions = slot.transitions
+                if transitions is None:
+                    transitions = slot.transitions = \
+                        policy.transitions_after(slot.last_use, slot.ewma)
+                gate_at = transitions[1]
                 if gate_at is None:
                     slot.drowsy_cycles += to - pos
                     pos = to
@@ -295,6 +310,7 @@ class PlanePowerManager:
                 state = PowerState.ACTIVE
                 slot.ewma = policy.touch(slot.ewma, pos - slot.last_use)
                 slot.last_use = pos
+                slot.transitions = None
         slot.state = state
         slot.settled = to
 
@@ -308,8 +324,8 @@ class PlanePowerManager:
             # carries the effective cycle in its attributes.
             tel.emit(stamp, EventKind.PLANE_GATED, {
                 "link": slot.link,
-                "plane": slot.plane.value,
-                "state": state.value,
+                "plane": slot.plane._value_,
+                "state": state._value_,
                 "cycle": effective,
             })
 
@@ -340,6 +356,7 @@ class PlanePowerManager:
         slot.state = PowerState.ACTIVE
         slot.ewma = self.policy.touch(slot.ewma, cycle - slot.last_use)
         slot.last_use = cycle
+        slot.transitions = None
         slot.hold_until = cycle + self.policy.hold_cycles
 
     def _emit_wake(self, slot: _PlaneSlot, cycle: int, from_gated: bool,
@@ -349,13 +366,19 @@ class PlanePowerManager:
             tel.count("power.plane_woken")
             tel.emit(cycle, EventKind.PLANE_WOKEN, {
                 "link": slot.link,
-                "plane": slot.plane.value,
+                "plane": slot.plane._value_,
                 "from": "gated" if from_gated else "drowsy",
                 "ready": slot.wake_ready if not forced else cycle,
                 "forced": forced,
             })
 
     def _slots_on(self, channels: Tuple[str, ...]) -> List[_PlaneSlot]:
+        """The gateable slots of every link on a path, memoized.
+
+        The pinned bulk plane never leaves ACTIVE, so routing has
+        nothing to ask it; the window and accounting settles still walk
+        its residency forward (they cover every slot).
+        """
         slots = self._path_slots.get(channels)
         if slots is None:
             seen = []
@@ -365,7 +388,8 @@ class PlanePowerManager:
                     seen.append(link)
             slots = []
             for link in seen:
-                slots.extend(self._by_link[link])
+                slots.extend(slot for slot in self._by_link[link]
+                             if slot.gateable)
             self._path_slots[channels] = slots
         return slots
 

@@ -41,7 +41,7 @@ def chrome_events(events: Iterable[TraceEvent]) -> List[Dict[str, object]]:
         elif event.kind is EventKind.RUN_END:
             run_end = event
         out.append({
-            "name": event.kind.value,
+            "name": event.kind._value_,
             "cat": event.category,
             "ph": "i",
             "ts": event.cycle,

@@ -21,7 +21,7 @@ trace's stamps are monotonically non-decreasing in emission order.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Mapping, Optional, Tuple
 
 
@@ -103,17 +103,24 @@ EVENT_CATEGORY: Dict[EventKind, str] = {
 ALL_CATEGORIES: Tuple[str, ...] = tuple(sorted(set(EVENT_CATEGORY.values())))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class TraceEvent:
     """One cycle-stamped, typed observation."""
 
     cycle: int
     kind: EventKind
-    attrs: Tuple[Tuple[str, object], ...] = field(default_factory=tuple)
+    attrs: Tuple[Tuple[str, object], ...] = ()
 
-    def __post_init__(self) -> None:
-        if self.cycle < 0:
+    def __init__(self, cycle: int, kind: EventKind,
+                 attrs: Tuple[Tuple[str, object], ...] = ()) -> None:
+        # Hand-written: one frame per event instead of the generated
+        # __init__ plus __post_init__.
+        if cycle < 0:
             raise ValueError("event cycle must be non-negative")
+        _set = object.__setattr__
+        _set(self, "cycle", cycle)
+        _set(self, "kind", kind)
+        _set(self, "attrs", attrs)
 
     @property
     def category(self) -> str:
@@ -129,7 +136,7 @@ class TraceEvent:
         """A JSON-ready dict (stable key order via sorted attrs)."""
         return {
             "cycle": self.cycle,
-            "kind": self.kind.value,
+            "kind": self.kind._value_,
             "category": self.category,
             "attrs": {k: v for k, v in self.attrs},
         }
@@ -139,6 +146,5 @@ def make_event(cycle: int, kind: EventKind,
                attrs: Optional[Mapping[str, object]] = None) -> TraceEvent:
     """Build an event with attributes in sorted (deterministic) order."""
     if not attrs:
-        return TraceEvent(cycle=cycle, kind=kind)
-    return TraceEvent(cycle=cycle, kind=kind,
-                      attrs=tuple(sorted(attrs.items())))
+        return TraceEvent(cycle, kind)
+    return TraceEvent(cycle, kind, tuple(sorted(attrs.items())))

@@ -1,8 +1,11 @@
 """Tests for the deterministic fault injector."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.faults import FaultInjector, FaultSpec, PlaneKill
+from repro.faults import injector as injector_module
 from repro.interconnect import ConfigError
 from repro.interconnect.topology import CrossbarTopology
 from repro.wires import CANONICAL_SPECS, WireClass
@@ -111,3 +114,34 @@ class TestCorruption:
             for s in range(trials)
         )
         assert hits / trials == pytest.approx(expected, rel=0.5)
+
+
+class TestDrawKey:
+    """``corrupts`` hashes its key text from a cached (plane, kind)
+    prefix; the text must stay byte-identical to the tuple's repr, or
+    every faulted run's draws move."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(min_value=-2**40, max_value=2**40),
+           plane=st.sampled_from(list(WireClass)),
+           kind=st.sampled_from(["operand", "load_address", "x'y"]),
+           seq=st.integers(min_value=-5, max_value=2**40),
+           leading=st.booleans(),
+           attempt=st.integers(min_value=0, max_value=9))
+    def test_key_is_the_repr_of_the_draw_tuple(self, seed, plane, kind,
+                                               seq, leading, attempt):
+        keys = []
+
+        def record(key):
+            keys.append(key)
+            return 0.5
+
+        injector = make_injector("ber=1e-3", seed=seed)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(injector_module, "_unit", record)
+            # Twice: the second call takes the cached prefix.
+            for _ in range(2):
+                injector.corrupts(plane, kind, seq, 72, 2, attempt, leading)
+        expected = repr((seed, plane.value, kind, seq, int(leading),
+                         attempt))
+        assert keys == [expected, expected]

@@ -156,6 +156,29 @@ class TestPermanentKills:
         assert sorted(ch for ch, _, _ in killed) == ["c0:in", "c0:out"]
         assert all(wc is WireClass.B and cy == 3 for _, wc, cy in killed)
 
+    def test_a_second_kill_reaches_a_path_already_planned_around_one(self):
+        # The first submit memoizes the path's dead planes ({L}); the
+        # PW kill must clear that memo, or store data keeps riding PW.
+        net = make_network(
+            {WireClass.B: 144, WireClass.PW: 288, WireClass.L: 36},
+            "kill=L@*@10;kill=PW@*@20")
+        channels = net._route("c0", "cache").channels
+
+        def planes_of(transfer):
+            return {chan.key[1] for chan in net._active
+                    for item in chan.queue[chan.head:]
+                    if item.transfer is transfer}
+
+        early = Transfer(kind=TransferKind.STORE_DATA, src="c0",
+                         dst="cache")
+        net.submit(early, 15)
+        assert planes_of(early) == {WireClass.PW}
+        assert net._dead_planes_on(channels) == {WireClass.L}
+        late = Transfer(kind=TransferKind.STORE_DATA, src="c0", dst="cache")
+        net.submit(late, 25)
+        assert net._dead_planes_on(channels) == {WireClass.L, WireClass.PW}
+        assert planes_of(late) == {WireClass.B}
+
 
 class TestTransientCorruption:
     def test_corrupted_segment_retransmitted_then_delivered(self):
