@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import ast
 import re
+from itertools import pairwise
 from typing import Iterator, Optional
 
 from ..context import FileContext
@@ -144,7 +145,8 @@ def check_float_equality(ctx: FileContext) -> Iterator[Finding]:
         if not isinstance(node, ast.Compare):
             continue
         operands = [node.left] + list(node.comparators)
-        for op, left, right in zip(node.ops, operands, operands[1:]):
+        for op, (left, right) in zip(node.ops, pairwise(operands),
+                                      strict=True):
             if not isinstance(op, (ast.Eq, ast.NotEq)):
                 continue
             for side in (left, right):

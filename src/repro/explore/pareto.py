@@ -59,8 +59,8 @@ def dominates(u: Sequence[float], v: Sequence[float]) -> bool:
     """
     if len(u) != len(v):
         raise ValueError("objective vectors must have equal length")
-    return all(a <= b for a, b in zip(u, v)) \
-        and any(a < b for a, b in zip(u, v))
+    return all(a <= b for a, b in zip(u, v, strict=True)) \
+        and any(a < b for a, b in zip(u, v, strict=True))
 
 
 def _canonical(items: Sequence[T], objectives: Sequence[Objective],

@@ -43,7 +43,7 @@ class Figure3Result:
         return {
             name: (b, l)
             for name, b, l in zip(self.benchmarks, self.baseline_ipc,
-                                  self.lwire_ipc)
+                                  self.lwire_ipc, strict=True)
         }
 
 

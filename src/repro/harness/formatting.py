@@ -17,10 +17,10 @@ def render_table(headers: Sequence[str], rows: Iterable[Sequence],
     if title:
         lines.append(title)
     sep = "-+-".join("-" * w for w in widths)
-    lines.append(" | ".join(h.ljust(w) for h, w in zip(headers, widths)))
+    lines.append(" | ".join(h.ljust(w) for h, w in zip(headers, widths, strict=True)))
     lines.append(sep)
     for row in str_rows:
-        lines.append(" | ".join(c.rjust(w) for c, w in zip(row, widths)))
+        lines.append(" | ".join(c.rjust(w) for c, w in zip(row, widths, strict=True)))
     return "\n".join(lines)
 
 

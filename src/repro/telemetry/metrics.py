@@ -13,6 +13,7 @@ adaptive bucketing would make the snapshot depend on arrival order.
 
 from __future__ import annotations
 
+from itertools import pairwise
 from typing import Dict, List, Optional, Sequence, Tuple
 
 
@@ -64,7 +65,7 @@ class Histogram:
                 f"histogram {name!r} needs at least one bucket bound"
             )
         if any(later <= earlier
-               for earlier, later in zip(edges, edges[1:])):
+               for earlier, later in pairwise(edges)):
             raise ValueError(
                 f"histogram {name!r} bounds must strictly increase: "
                 f"{edges}"

@@ -47,7 +47,7 @@ def test_unzeroed_gated_cycles_fail_the_residency_identity(monkeypatch):
             self._settle(slot, max(cycle, slot.settled), emit=False)
         warmup = [slot.gated_cycles for slot in self._slots]
         begin_window(self, cycle)
-        for slot, gated in zip(self._slots, warmup):
+        for slot, gated in zip(self._slots, warmup, strict=True):
             slot.gated_cycles = gated
 
     monkeypatch.setattr(PlanePowerManager, "begin_window",

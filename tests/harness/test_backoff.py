@@ -1,5 +1,7 @@
 """Seeded decorrelated-jitter backoff: reproducible, bounded, spread."""
 
+from itertools import pairwise
+
 import pytest
 
 from repro.harness.backoff import (
@@ -70,5 +72,5 @@ class TestDecorrelation:
         """Unlike base * 2**attempt, consecutive ratios vary."""
         delays = jitter_delays(6, base=0.25, cap=1000.0, seed=5,
                                key="k")
-        ratios = {round(b / a, 6) for a, b in zip(delays, delays[1:])}
+        ratios = {round(b / a, 6) for a, b in pairwise(delays)}
         assert len(ratios) > 1

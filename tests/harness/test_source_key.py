@@ -107,7 +107,7 @@ def test_simulator_edit_changes_every_key(package_copy):
     edited = _keys_of(package_copy)
     assert edited["version"] != CACHE_VERSION
     assert all(old != new for old, new in zip(pristine["keys"],
-                                              edited["keys"]))
+                                              edited["keys"], strict=True))
 
 
 def test_edits_outside_the_simulator_keep_every_key(package_copy):

@@ -1,6 +1,7 @@
 """Technology-node scaling: golden 45 nm identity and factor sanity."""
 
 import dataclasses
+from itertools import pairwise
 
 import pytest
 
@@ -91,7 +92,7 @@ class TestScalingTrends:
 
     def test_area_halves_per_generation(self):
         areas = [node_scaling(n).area_scale for n in SUPPORTED_NODES]
-        for prev, cur in zip(areas, areas[1:]):
+        for prev, cur in pairwise(areas):
             assert cur == pytest.approx(prev / 2)
 
     def test_link_length_shrinks_with_die(self):
