@@ -8,7 +8,6 @@ through the cached runner, so repeated invocations are cheap.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from dataclasses import fields
 from typing import List, Optional
@@ -20,7 +19,6 @@ from .core.simulation import (
     DEFAULT_SEED,
     DEFAULT_WARMUP,
 )
-from .faults import FaultSpecError, canonical_faults
 from .harness import (
     FAULT_AXIS,
     GATING_AXIS,
@@ -41,70 +39,16 @@ from .harness import (
     simulate_plan,
 )
 from .harness.axissweep import DEFAULT_BENCHMARKS, AxisSweepResult
-from .power import GatingSpecError, canonical_gating
 from .wires import table2_rows
 from .workloads.spec2k import BENCHMARK_NAMES, PROFILES
 
 
-def _positive_workers(text: str) -> int:
-    """argparse type: worker count, a whole number >= 1."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"--workers expects a whole number of processes, got {text!r}"
-        ) from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(
-            f"--workers must be at least 1 (got {value}); use 1 for a "
-            f"serial run"
-        )
-    return value
-
-
-def _clusters(text: str) -> int:
-    """argparse type: cluster count, a whole number >= 1."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"--clusters expects a whole number, got {text!r}"
-        ) from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(
-            f"--clusters must be at least 1 (got {value})"
-        )
-    return value
-
-
-def _latency_scale(text: str) -> float:
-    """argparse type: wire-latency multiplier, a finite number > 0."""
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"--latency-scale expects a number, got {text!r}"
-        ) from None
-    if not 0 < value < math.inf:
-        raise argparse.ArgumentTypeError(
-            f"--latency-scale must be finite and positive, got {text!r}"
-        )
-    return value
-
-
-def _seed(text: str) -> int:
-    """argparse type: simulation seed, any integer."""
-    try:
-        return int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"--seed expects an integer (the workload RNG seed), "
-            f"got {text!r}"
-        ) from None
-
-
 def _ranged(flag: str, convert, accepts, bounds: str):
-    """argparse type: a number (``convert``) that ``accepts`` admits."""
+    """argparse type: a number (``convert``) that ``accepts`` admits.
+
+    Both rejections name ``flag`` and state ``bounds``, so every
+    numeric flag gets a call of its own.
+    """
     kind = "a whole number" if convert is int else "a number"
 
     def parse(text: str):
@@ -112,7 +56,7 @@ def _ranged(flag: str, convert, accepts, bounds: str):
             value = convert(text)
         except ValueError:
             raise argparse.ArgumentTypeError(
-                f"{flag} expects {kind}, got {text!r}"
+                f"{flag} expects {kind} ({bounds}), got {text!r}"
             ) from None
         if not accepts(value):
             raise argparse.ArgumentTypeError(
@@ -123,50 +67,31 @@ def _ranged(flag: str, convert, accepts, bounds: str):
     return parse
 
 
-def _positive_seconds(text: str) -> float:
-    """argparse type: a positive wall-clock duration in seconds."""
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected a duration in seconds, got {text!r}"
-        ) from None
-    if value <= 0:
-        raise argparse.ArgumentTypeError(
-            f"duration must be positive seconds, got {value:g}"
-        )
-    return value
+def _plan_number(flag: str, field: str, convert, bounds: str):
+    """:func:`_ranged` for plan field ``field``: a number is accepted
+    exactly when a plan takes it, and a plan stores it unchanged."""
+
+    def accepts(value) -> bool:
+        try:
+            ExperimentPlan("I", "gzip", **{field: value})
+        except ValueError:
+            return False
+        return True
+
+    return _ranged(flag, convert, accepts, bounds)
 
 
-def _retries(text: str) -> int:
-    """argparse type: retry count, a whole number >= 0."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"--max-retries expects a whole number, got {text!r}"
-        ) from None
-    if value < 0:
-        raise argparse.ArgumentTypeError(
-            f"--max-retries must be non-negative (got {value})"
-        )
-    return value
+def _plan_spec(field: str):
+    """argparse type: a spec for plan field ``field``, accepted when a
+    plan takes it and parsed to the canonical form the plan stores."""
 
+    def parse(text: str) -> str:
+        try:
+            return getattr(ExperimentPlan("I", "gzip", **{field: text}), field)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
 
-def _fault_spec(text: str) -> str:
-    """argparse type: fault spec string, normalized to canonical form."""
-    try:
-        return canonical_faults(text)
-    except FaultSpecError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
-
-
-def _gating_spec(text: str) -> str:
-    """argparse type: gating-policy string, normalized to canonical form."""
-    try:
-        return canonical_gating(text)
-    except GatingSpecError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
+    return parse
 
 
 def _service_fault_spec(text: str) -> str:
@@ -179,35 +104,35 @@ def _service_fault_spec(text: str) -> str:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
-def _port(text: str) -> int:
-    """argparse type: TCP port (0 picks an ephemeral one)."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"--port expects a TCP port number, got {text!r}"
-        ) from None
-    if not 0 <= value <= 65535:
-        raise argparse.ArgumentTypeError(
-            f"--port must be in [0, 65535], got {value}"
-        )
-    return value
+# The types of flags that more than one subcommand takes.
+_WORKERS = _ranged("--workers", int, lambda n: n >= 1,
+                   "at least 1, where 1 runs serially")
+_RUN_TIMEOUT = _ranged("--run-timeout", float, lambda s: s > 0,
+                       "positive seconds")
+_MAX_RETRIES = _ranged("--max-retries", int, lambda n: n >= 0,
+                       "non-negative")
+_TIMEOUT = _ranged("--timeout", float, lambda s: s > 0, "positive seconds")
+_PORT = _ranged("--port", int, lambda n: 0 <= n <= 65535,
+                "a TCP port in [0, 65535]")
+_GATING = _plan_spec("gating_policy")
 
 
 def _add_window_args(parser: argparse.ArgumentParser) -> None:
     """The measurement window and seed every simulating command takes."""
     parser.add_argument(
         "--instructions", default=DEFAULT_INSTRUCTIONS,
-        type=_ranged("--instructions", int, lambda n: n >= 1, "at least 1"),
+        type=_plan_number("--instructions", "instructions", int,
+                          "at least 1"),
         help="measured instructions per benchmark",
     )
     parser.add_argument(
         "--warmup", default=DEFAULT_WARMUP,
-        type=_ranged("--warmup", int, lambda n: n >= 0, "non-negative"),
+        type=_plan_number("--warmup", "warmup", int, "non-negative"),
         help="warmup instructions per benchmark",
     )
     parser.add_argument(
-        "--seed", type=_seed, default=DEFAULT_SEED,
+        "--seed", default=DEFAULT_SEED,
+        type=_ranged("--seed", int, lambda n: True, "any integer"),
         help=f"workload RNG seed (default: {DEFAULT_SEED})",
     )
 
@@ -217,12 +142,13 @@ def _add_axis_args(parser: argparse.ArgumentParser) -> None:
     axis's flag appends a 'custom' row and the other applies to every
     row."""
     parser.add_argument(
-        "--fault-spec", type=_fault_spec, default="", metavar="SPEC",
+        "--fault-spec", type=_plan_spec("fault_spec"), default="",
+        metavar="SPEC",
         help="wire-fault injection spec, e.g. "
              "'ber=1e-6;kill=L@*@2000;derate=PW:1.5;retries=4'",
     )
     parser.add_argument(
-        "--gating", dest="gating_policy", type=_gating_spec, default="",
+        "--gating", dest="gating_policy", type=_GATING, default="",
         metavar="POLICY",
         help="plane gating policy: 'never', "
              "'idle:drowsy=64,gate=256' or "
@@ -233,10 +159,13 @@ def _add_axis_args(parser: argparse.ArgumentParser) -> None:
 def _add_plan_args(parser: argparse.ArgumentParser) -> None:
     """Every flag that describes one plan; dests are plan field names
     so :func:`_plan_from_args` can read them back."""
-    parser.add_argument("--clusters", dest="num_clusters", type=_clusters,
-                        default=4)
-    parser.add_argument("--latency-scale", type=_latency_scale,
-                        default=1.0)
+    parser.add_argument("--clusters", dest="num_clusters", default=4,
+                        type=_plan_number("--clusters", "num_clusters",
+                                          int, "at least 1"))
+    parser.add_argument("--latency-scale", default=1.0,
+                        type=_plan_number("--latency-scale",
+                                          "latency_scale", float,
+                                          "finite and positive"))
     _add_window_args(parser)
     _add_axis_args(parser)
 
@@ -252,17 +181,17 @@ def _add_benchmarks_arg(parser: argparse.ArgumentParser) -> None:
 def _add_runner_args(parser: argparse.ArgumentParser) -> None:
     """How a local runner executes: fan-out, isolation, cache, tracing."""
     parser.add_argument(
-        "--workers", type=_positive_workers, default=1, metavar="N",
+        "--workers", type=_WORKERS, default=1, metavar="N",
         help="processes to fan cache misses across (default: 1, serial)",
     )
     parser.add_argument(
-        "--run-timeout", type=_positive_seconds, default=None,
+        "--run-timeout", type=_RUN_TIMEOUT, default=None,
         metavar="SECONDS",
         help="kill any single run exceeding this wall clock "
              "(forces crash-isolated workers)",
     )
     parser.add_argument(
-        "--max-retries", type=_retries, default=0, metavar="N",
+        "--max-retries", type=_MAX_RETRIES, default=0, metavar="N",
         help="retries (with exponential backoff) for crashed or "
              "timed-out workers before a run is declared failed",
     )
@@ -290,22 +219,6 @@ def _int_tuple(text: str):
         raise argparse.ArgumentTypeError(
             f"expected comma-separated integers, got {text!r}"
         ) from None
-
-
-def _budget(text: str) -> int:
-    """argparse type: exploration point budget, >= 1."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"--budget expects a whole number of design points, "
-            f"got {text!r}"
-        ) from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(
-            f"--budget must be at least 1, got {value}"
-        )
-    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -388,33 +301,35 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--host", default="127.0.0.1",
                    help="bind address (default: 127.0.0.1)")
-    p.add_argument("--port", type=_port, default=8642,
+    p.add_argument("--port", type=_PORT, default=8642,
                    help="bind port; 0 picks an ephemeral port "
                         "(default: 8642)")
     p.add_argument("--cache-dir", default=None, metavar="PATH",
                    help="result cache directory (jobs and chaos state "
                         "live beside it); default: the shared cache")
-    p.add_argument("--queue-capacity", type=_positive_workers,
-                   default=16, metavar="N",
+    p.add_argument("--queue-capacity", default=16, metavar="N",
+                   type=_ranged("--queue-capacity", int,
+                                lambda n: n >= 1, "at least 1"),
                    help="admission queue bound; submissions past it "
                         "get 429 + Retry-After (default: 16)")
-    p.add_argument("--workers", type=_positive_workers, default=2,
-                   metavar="N",
+    p.add_argument("--workers", type=_WORKERS, default=2, metavar="N",
                    help="crash-isolated worker processes per job "
                         "(default: 2)")
-    p.add_argument("--run-timeout", type=_positive_seconds,
-                   default=300.0, metavar="SECONDS",
+    p.add_argument("--run-timeout", type=_RUN_TIMEOUT, default=300.0,
+                   metavar="SECONDS",
                    help="kill any single run past this wall clock "
                         "(default: 300)")
-    p.add_argument("--max-retries", type=_retries, default=2,
+    p.add_argument("--max-retries", type=_MAX_RETRIES, default=2,
                    metavar="N",
                    help="per-run retries inside a sweep (default: 2)")
-    p.add_argument("--job-retries", type=_retries, default=1,
-                   metavar="N",
+    p.add_argument("--job-retries", default=1, metavar="N",
+                   type=_ranged("--job-retries", int, lambda n: n >= 0,
+                                "non-negative"),
                    help="whole-job requeue budget after crash/timeout "
                         "failures (default: 1)")
-    p.add_argument("--breaker-window", type=_positive_workers,
-                   default=20, metavar="N",
+    p.add_argument("--breaker-window", default=20, metavar="N",
+                   type=_ranged("--breaker-window", int,
+                                lambda n: n >= 1, "at least 1"),
                    help="run outcomes in the breaker's sliding window "
                         "(default: 20)")
     p.add_argument("--breaker-threshold", default=0.5,
@@ -423,8 +338,9 @@ def build_parser() -> argparse.ArgumentParser:
                    metavar="FRACTION",
                    help="crash fraction that trips the breaker into "
                         "cache-only mode (default: 0.5)")
-    p.add_argument("--breaker-cooldown", type=_positive_seconds,
-                   default=30.0, metavar="SECONDS",
+    p.add_argument("--breaker-cooldown", default=30.0, metavar="SECONDS",
+                   type=_ranged("--breaker-cooldown", float,
+                                lambda s: s > 0, "positive seconds"),
                    help="OPEN dwell before a half-open probe "
                         "(default: 30)")
     p.add_argument("--service-faults", type=_service_fault_spec,
@@ -439,19 +355,20 @@ def build_parser() -> argparse.ArgumentParser:
         help="submit a model x benchmark sweep to a running server",
     )
     p.add_argument("--host", default="127.0.0.1")
-    p.add_argument("--port", type=_port, default=8642)
+    p.add_argument("--port", type=_PORT, default=8642)
     p.add_argument("--models", nargs="+", default=["I"],
                    choices=MODEL_NAMES, metavar="MODEL",
                    help="interconnect models to sweep (default: I)")
     p.add_argument("--priority", type=int, default=0,
                    help="admission priority (higher dequeues first)")
-    p.add_argument("--retry-budget", type=_retries, default=None,
-                   metavar="N",
+    p.add_argument("--retry-budget", default=None, metavar="N",
+                   type=_ranged("--retry-budget", int, lambda n: n >= 0,
+                                "non-negative"),
                    help="override the server's job requeue budget")
     p.add_argument("--no-wait", action="store_true",
                    help="return after admission instead of polling "
                         "the job to completion")
-    p.add_argument("--timeout", type=_positive_seconds, default=600.0,
+    p.add_argument("--timeout", type=_TIMEOUT, default=600.0,
                    metavar="SECONDS",
                    help="when waiting, give up after this long "
                         "(default: 600)")
@@ -468,7 +385,9 @@ def build_parser() -> argparse.ArgumentParser:
                    metavar="NM,NM,...",
                    help="technology nodes to search, in nm "
                         "(default: 45,32,22)")
-    p.add_argument("--budget", type=_budget, default=64, metavar="N",
+    p.add_argument("--budget", default=64, metavar="N",
+                   type=_ranged("--budget", int, lambda n: n >= 1,
+                                "at least 1"),
                    help="max design points to evaluate; larger spaces "
                         "fall back to seeded sampling + refinement "
                         "(default: 64)")
@@ -488,7 +407,7 @@ def build_parser() -> argparse.ArgumentParser:
                    metavar="N,N,...",
                    help="L-Wire count options; 0 = no plane "
                         "(default: 0,36)")
-    p.add_argument("--gating", type=_gating_spec, nargs="*",
+    p.add_argument("--gating", type=_GATING, nargs="*",
                    default=None, metavar="POLICY",
                    help="gating-policy axis, space-separated (e.g. "
                         "--gating never 'idle:drowsy=64,gate=256'); "
@@ -508,9 +427,9 @@ def build_parser() -> argparse.ArgumentParser:
                         "'repro serve' instead of simulating locally")
     p.add_argument("--host", default="127.0.0.1",
                    help="sweep-service host for --submit")
-    p.add_argument("--port", type=_port, default=8642,
+    p.add_argument("--port", type=_PORT, default=8642,
                    help="sweep-service port for --submit")
-    p.add_argument("--timeout", type=_positive_seconds, default=600.0,
+    p.add_argument("--timeout", type=_TIMEOUT, default=600.0,
                    metavar="SECONDS",
                    help="per-wave wait when submitting (default: 600)")
     _add_window_args(p)
@@ -525,7 +444,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="job to inspect (omit for server health + "
                         "job list)")
     p.add_argument("--host", default="127.0.0.1")
-    p.add_argument("--port", type=_port, default=8642)
+    p.add_argument("--port", type=_PORT, default=8642)
 
     # "lint" is dispatched before parsing (its arguments belong to the
     # simlint parser); registered here so it shows up in --help.
@@ -757,23 +676,21 @@ def _submit_plans(args: argparse.Namespace) -> List[ExperimentPlan]:
 
 
 def _service_failure(args: argparse.Namespace, exc: Exception,
-                     what: str) -> Optional[int]:
-    """Report a sweep-service failure and return its exit code; None
-    when ``exc`` is not one."""
-    from .service import Backpressure, ServiceError
+                     what: str) -> int:
+    """Report a sweep-service failure (a ``ServiceError`` or an
+    ``OSError``) and return its exit code."""
+    from .service import Backpressure
 
     if isinstance(exc, Backpressure):
         print(f"rejected: {exc.message} (Retry-After: "
               f"{exc.retry_after}s)", file=sys.stderr)
         return 3
-    if isinstance(exc, ServiceError):
-        print(f"{what}{exc}", file=sys.stderr)
-        return 2
-    if isinstance(exc, (ConnectionError, OSError)):
+    if isinstance(exc, OSError):
         print(f"cannot reach {args.host}:{args.port}: {exc} "
               f"(is 'repro serve' running?)", file=sys.stderr)
         return 2
-    return None
+    print(f"{what}{exc}", file=sys.stderr)
+    return 2
 
 
 def _print_job(job: dict, attempt: str) -> None:
@@ -789,7 +706,7 @@ def _print_job(job: dict, attempt: str) -> None:
 
 
 def _cmd_submit(args: argparse.Namespace) -> int:
-    from .service import ServiceClient
+    from .service import ServiceClient, ServiceError
 
     client = ServiceClient(host=args.host, port=args.port)
     plans = _submit_plans(args)
@@ -802,17 +719,14 @@ def _cmd_submit(args: argparse.Namespace) -> int:
                 plans, priority=args.priority,
                 retry_budget=args.retry_budget, timeout=args.timeout,
             )
-    except Exception as exc:
-        code = _service_failure(args, exc, "submission failed: ")
-        if code is not None:
-            return code
-        raise
+    except (ServiceError, OSError) as exc:
+        return _service_failure(args, exc, "submission failed: ")
     _print_job(job, f"{job['attempts']}")
     return 0 if job["state"] in ("queued", "running", "done") else 1
 
 
 def _cmd_status(args: argparse.Namespace) -> int:
-    from .service import ServiceClient
+    from .service import ServiceClient, ServiceError
 
     client = ServiceClient(host=args.host, port=args.port)
     try:
@@ -831,16 +745,12 @@ def _cmd_status(args: argparse.Namespace) -> int:
             print(f"  {job['job_id']}  {job['state']:<9s} "
                   f"{job['plans']} plan(s)")
         return 0
-    except Exception as exc:
-        code = _service_failure(args, exc, "")
-        if code is not None:
-            return code
-        raise
+    except (ServiceError, OSError) as exc:
+        return _service_failure(args, exc, "")
 
 
 def _cmd_explore(args: argparse.Namespace) -> int:
     from .explore import (
-        TOPOLOGIES,
         EvaluationSettings,
         SearchSpace,
         explore,
@@ -849,18 +759,9 @@ def _cmd_explore(args: argparse.Namespace) -> int:
     )
     from .explore.report import frontier_table, to_csv
 
-    topologies = tuple(
-        part for part in args.topologies.split(",") if part
-    )
-    unknown = [t for t in topologies if t not in TOPOLOGIES]
-    if unknown:
-        print(f"unknown topology {unknown[0]!r}; choose from "
-              f"{', '.join(sorted(TOPOLOGIES))}", file=sys.stderr)
-        return 2
-    gating_policies = ("",)
-    if args.gating is not None:
-        # Canonicalized by the argparse type; dedupe preserving order.
-        gating_policies = tuple(dict.fromkeys(args.gating)) or ("",)
+    topologies = tuple(part for part in args.topologies.split(",") if part)
+    # Canonicalized by the argparse type; dedupe preserving order.
+    gating_policies = tuple(dict.fromkeys(args.gating or ())) or ("",)
     try:
         space = SearchSpace(
             nodes=tuple(args.nodes),
@@ -886,24 +787,22 @@ def _cmd_explore(args: argparse.Namespace) -> int:
         profiler = HarnessProfiler()
 
     if args.submit:
-        from .service import ServiceClient
+        from .service import ServiceClient, ServiceError
 
         client = ServiceClient(host=args.host, port=args.port)
         execute = service_executor(client, timeout=args.timeout)
+        service_failures = (ServiceError, OSError)
     else:
         runner = _make_runner(args, profiler=profiler)
         execute = runner_executor(runner, workers=args.workers)
+        service_failures = ()
 
     try:
         result = explore(space, settings, execute,
                          budget=args.budget, seed=args.seed,
                          profiler=profiler)
-    except Exception as exc:
-        code = (_service_failure(args, exc, "exploration failed: ")
-                if args.submit else None)
-        if code is not None:
-            return code
-        raise
+    except service_failures as exc:
+        return _service_failure(args, exc, "exploration failed: ")
 
     print(frontier_table(result))
     if args.csv:
@@ -967,18 +866,17 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(render_claims(run_claims(runner, **kwargs)))
     else:  # pragma: no cover - argparse guards this
         return 2
-    code = _finish_profiled(args, profiler)
-    return 1 if failed else code
+    _finish_profiled(args, profiler)
+    return 1 if failed else 0
 
 
-def _finish_profiled(args: argparse.Namespace, profiler) -> int:
+def _finish_profiled(args: argparse.Namespace, profiler) -> None:
     if profiler is not None:
         print(profiler.summary())
         if args.trace_out:
             profiler.write(args.trace_out)
             print(f"harness trace written to {args.trace_out} "
                   f"(load in Perfetto or chrome://tracing)")
-    return 0
 
 
 if __name__ == "__main__":

@@ -91,18 +91,29 @@ def _build_injector(fault_spec: FaultSpecLike, seed: int,
 
 
 def build_processor(interconnect: InterconnectConfig, benchmark: str,
-                    num_clusters: int = 4, seed: int = DEFAULT_SEED,
-                    latency_scale: float = 1.0,
+                    num_clusters: Optional[int] = None,
+                    seed: int = DEFAULT_SEED,
+                    latency_scale: Optional[float] = None,
                     config: Optional[ProcessorConfig] = None,
                     fault_spec: FaultSpecLike = None,
                     telemetry: Optional[Telemetry] = None,
                     gating: Optional[str] = None
                     ) -> ClusteredProcessor:
-    """A processor wired to one synthetic SPEC2k benchmark."""
+    """A processor wired to one synthetic SPEC2k benchmark.
+
+    ``num_clusters`` and ``latency_scale`` size the machine (default: 4
+    clusters at 1x wire latency).  With ``config`` they may only repeat
+    its values; one that disagrees raises ``ValueError``.
+    """
+    machine = {name: value for name, value in (
+        ("num_clusters", num_clusters), ("latency_scale", latency_scale))
+        if value is not None}
     if config is None:
-        config = ProcessorConfig(
-            num_clusters=num_clusters, latency_scale=latency_scale
-        )
+        config = ProcessorConfig(**machine)
+    for name, value in machine.items():
+        if getattr(config, name) != value:
+            raise ValueError(f"{name}={value!r} disagrees with config "
+                             f"{name}={getattr(config, name)!r}")
     trace = annotated_trace(benchmark, seed, config.icache_size_kb,
                             config.icache_assoc)
     cpu = ClusteredProcessor(
@@ -117,8 +128,9 @@ def build_processor(interconnect: InterconnectConfig, benchmark: str,
 def simulate_benchmark(interconnect: InterconnectConfig, benchmark: str,
                        instructions: int = DEFAULT_INSTRUCTIONS,
                        warmup: int = DEFAULT_WARMUP,
-                       num_clusters: int = 4, seed: int = DEFAULT_SEED,
-                       latency_scale: float = 1.0,
+                       num_clusters: Optional[int] = None,
+                       seed: int = DEFAULT_SEED,
+                       latency_scale: Optional[float] = None,
                        config: Optional[ProcessorConfig] = None,
                        fault_spec: FaultSpecLike = None,
                        telemetry: Optional[Telemetry] = None,

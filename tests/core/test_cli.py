@@ -1,9 +1,12 @@
 """Tests for the ``python -m repro`` command-line interface."""
 
+from typing import get_type_hints
+
 import pytest
 
 from repro.__main__ import build_parser, main
 from repro.core.metrics import BenchmarkRun
+from repro.harness import ExperimentPlan
 
 
 class TestStaticCommands:
@@ -187,6 +190,107 @@ class TestArgumentValidation:
     def test_rejects_flags_nothing_reads(self, argv, capsys):
         err = self._error_of(argv, capsys)
         assert "unrecognized arguments" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["table3", "--workers", "0"],
+        ["serve", "--workers", "0"],
+        ["serve", "--queue-capacity", "0"],
+        ["serve", "--breaker-window", "0"],
+        ["run", "--run-timeout", "0"],
+        ["serve", "--run-timeout", "-1"],
+        ["serve", "--breaker-cooldown", "0"],
+        ["submit", "--timeout", "0"],
+        ["explore", "--timeout", "-5"],
+        ["run", "--max-retries", "-1"],
+        ["serve", "--max-retries", "-1"],
+        ["serve", "--job-retries", "-1"],
+        ["submit", "--retry-budget", "-1"],
+        ["serve", "--port", "70000"],
+        ["submit", "--port", "65536"],
+        ["explore", "--port", "-1"],
+        ["status", "--port", "99999"],
+        ["explore", "--budget", "0"],
+        ["run", "--clusters", "0"],
+        ["submit", "--clusters", "-4"],
+        ["run", "--latency-scale", "0"],
+        ["submit", "--latency-scale", "inf"],
+        ["run", "--instructions", "0"],
+        ["explore", "--instructions", "0"],
+        ["table3", "--warmup", "-1"],
+        ["explore", "--warmup", "-1"],
+    ])
+    def test_rejection_names_the_flag(self, argv, capsys):
+        flag = argv[1]
+        assert f"{flag} must be" in self._error_of(argv, capsys)
+
+
+#: Inputs every numeric plan-field flag is tried with.
+NUMBERS = ["0", "-1", "1", "4", "16", "1.5", "2.0", "1e400", "nan", "inf",
+           "four", ""]
+#: Spec inputs: malformed, "never", and spellings that differ only in
+#: spacing or clause order.
+SPECS = {
+    "fault_spec": ["", "never", "kill=L@c0", "zap=1", "ber=-1",
+                   "ber=1e-6", "ber=1e-06", " ber=1e-6 ; retries=4 ",
+                   "kill=L@c0@100; kill=B@c1@50",
+                   "kill=B@c1@50;kill=L@c0@100",
+                   "derate=PW:1.5;kill=L@*@2000",
+                   "kill=L@*@2000;derate=PW:1.5"],
+    "gating_policy": ["", "never", " never ", "bogus", "idle:drowsy=-1",
+                      "idle:drowsy=1.5,gate=256", "idle",
+                      "idle:drowsy=64,gate=256", "idle:gate=256,drowsy=64",
+                      "idle: drowsy=64, gate=256", "ewma",
+                      "ewma:thr=0.5,halflife=64"],
+}
+#: Plan-field flag -> the ExperimentPlan field it sets.
+PLAN_FLAGS = {"--clusters": "num_clusters",
+              "--latency-scale": "latency_scale",
+              "--instructions": "instructions", "--warmup": "warmup",
+              "--fault-spec": "fault_spec", "--gating": "gating_policy"}
+
+
+def _plan_value(field, text):
+    """What a plan stores for ``text`` in ``field``; None when no plan
+    takes it (a number converts by the field's annotation first)."""
+    kind = get_type_hints(ExperimentPlan)[field]
+    try:
+        plan = ExperimentPlan("I", "gzip", **{field: kind(text)})
+    except ValueError:
+        return None
+    return getattr(plan, field)
+
+
+class TestPlanFlagsAgreeWithPlan:
+    """A plan-field flag takes exactly the inputs an ExperimentPlan
+    (and so the sweep service) takes, and yields the plan's value."""
+
+    @pytest.mark.parametrize("flag, text", [
+        (flag, text) for flag, field in PLAN_FLAGS.items()
+        for text in SPECS.get(field, NUMBERS)
+    ])
+    def test_run_flag_matches_plan(self, flag, text, capsys):
+        field = PLAN_FLAGS[flag]
+        try:
+            parsed = getattr(
+                build_parser().parse_args(["run", flag, text]), field)
+        except SystemExit:
+            parsed = None
+        assert parsed == _plan_value(field, text)
+        if parsed is None:
+            assert flag in capsys.readouterr().err
+
+    def test_explore_gating_matches_plan(self):
+        texts = [t for t in SPECS["gating_policy"]
+                 if _plan_value("gating_policy", t) is not None]
+        args = build_parser().parse_args(["explore", "--gating", *texts])
+        assert args.gating == [_plan_value("gating_policy", t)
+                               for t in texts]
+
+    def test_explore_gating_rejects_what_plan_rejects(self, capsys):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["explore", "--gating", "idle",
+                                       "bogus"])
+        assert "unknown gating policy 'bogus'" in capsys.readouterr().err
 
 
 class TestFaultCommands:

@@ -2,6 +2,8 @@
 
 import itertools
 
+import pytest
+
 from repro.core.config import InterconnectConfig, ProcessorConfig, wire_counts
 from repro.core.models import model
 from repro.core.processor import ClusteredProcessor
@@ -68,6 +70,23 @@ class TestConfigOverride:
         stats = cpu.run(1200, warmup=300)
         assert stats.committed >= 1200
         assert len(cpu.clusters) == 16
+
+    @pytest.mark.parametrize("machine", [
+        {"num_clusters": 16},
+        {"latency_scale": 2.0},
+    ])
+    def test_machine_arguments_that_disagree_with_config_raise(self,
+                                                               machine):
+        (name, value), = machine.items()
+        with pytest.raises(ValueError, match=f"{name}={value!r} disagrees"):
+            build_processor(model("I").config, "gzip",
+                            config=ProcessorConfig(), **machine)
+
+    def test_machine_arguments_that_repeat_config_build_it(self):
+        cfg = ProcessorConfig(num_clusters=16, latency_scale=2.0)
+        cpu = build_processor(model("I").config, "gzip", num_clusters=16,
+                              latency_scale=2, config=cfg)
+        assert cpu.config is cfg and len(cpu.clusters) == 16
 
 
 class TestSelectorCounters:
