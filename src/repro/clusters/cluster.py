@@ -83,7 +83,9 @@ class Cluster:
             self.free_int_regs = min(self.regfile_size, self.free_int_regs + 1)
 
     def free_iq_entries(self, op: OpClass) -> int:
-        """Load-balance input to the steering heuristic."""
+        """Free entries in the issue queue ``op`` enters (int or fp).
+
+        Steering reads ``free_int_iq``/``free_fp_iq`` itself."""
         return self.free_fp_iq if op._fp else self.free_int_iq
 
     # -- issue-side ----------------------------------------------------------

@@ -16,8 +16,9 @@ register or issue-queue entry, to the nearest cluster that has both.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..core.instruction import DynInstr
 from ..interconnect.topology import CACHE_NODE, Topology, cluster_node
@@ -93,6 +94,21 @@ class SteeringHeuristic:
             ))
             for origin in range(n)
         )
+        w = self.weights
+        #: Score terms that never change: the load-balance term per
+        #: (cluster, free IQ entries) and the cache-proximity term.
+        self._balance = [
+            [w.load_balance * (free / c.iq_size)
+             for free in range(c.iq_size + 1)]
+            for c in self.clusters
+        ]
+        self._proximity = [w.cache_proximity * a
+                           for a in self._cache_affinity]
+        #: Dependence plus critical-bonus pull per (producer homes,
+        #: critical producer's home); a pure function of its key.
+        self._pull: Dict[Tuple[Tuple[int, ...], Optional[int]],
+                         List[float]] = {}
+        self._no_pull = [0.0] * n
         self.steered = 0
         self.overflowed = 0
         # Accumulated per-cluster penalties from degraded (faulted)
@@ -130,20 +146,7 @@ class SteeringHeuristic:
                 break
         else:
             return None
-        scores, free = self._score(producers, op)
-
-        # argmax over (score, free IQ entries, earliest index).
-        best = 0
-        best_score = scores[0]
-        best_free = free[0]
-        for i in range(1, self._n):
-            score = scores[i]
-            if score > best_score or (score == best_score
-                                      and free[i] > best_free):
-                best = i
-                best_score = score
-                best_free = free[i]
-
+        best = self._score(producers, op)
         chosen = clusters[best]
         if chosen.can_accept(op, has_dest):
             self.steered += 1
@@ -168,52 +171,67 @@ class SteeringHeuristic:
     # -- scoring -----------------------------------------------------------
 
     def _score(self, producers, op):
-        """Flattened scoring: (per-cluster scores, free IQ entries)."""
+        """Index of the heaviest cluster, ties to more free IQ entries,
+        then to the lower index.
+
+        Each score is ``((pull + balance) + proximity) - penalty``, the
+        float sequence of accumulating the criteria one at a time.
+        """
+        if producers:
+            homes = [p.cluster for _, p in producers]
+            critical_home = None
+            if len(producers) > 1:
+                critical = self.criticality.pick_critical(
+                    [p.rec.pc for _, p in producers])
+                if critical is not None:
+                    critical_home = homes[critical]
+            key = (tuple(homes), critical_home)
+            pull = self._pull.get(key)
+            if pull is None:
+                pull = self._pull[key] = self._build_pull(*key)
+        else:
+            pull = self._no_pull
+        fp = op._fp
+        proximity = self._proximity if op._mem else None
+        penalties = self._link_penalty if self._any_degraded else None
+        balance = self._balance
+        best = 0
+        best_score = -math.inf
+        best_free = -1
+        i = 0
+        for cluster in self.clusters:
+            free = cluster.free_fp_iq if fp else cluster.free_int_iq
+            score = pull[i] + balance[i][free]
+            if proximity is not None:
+                score += proximity[i]
+            if penalties is not None:
+                score -= penalties[i]
+            if score > best_score or (score == best_score
+                                      and free > best_free):
+                best = i
+                best_score = score
+                best_free = free
+            i += 1
+        return best
+
+    def _build_pull(self, homes, critical_home):
+        """Dependence and critical-bonus pull per cluster, accumulated
+        producer by producer, then the bonus."""
         n = self._n
-        clusters = self.clusters
         w = self.weights
-        scores = [0.0] * n
-        for _, producer in producers:
-            home = producer.cluster
+        pull = [0.0] * n
+        for home in homes:
             if 0 <= home < n:
                 affinity = self._affinity[home]
                 dep = w.dependence
                 for c in range(n):
-                    scores[c] += dep * affinity[c]
-        if len(producers) > 1:
-            pcs = [p.rec.pc for _, p in producers]
-            critical = self.criticality.pick_critical(pcs)
-            if critical is not None:
-                home = producers[critical][1].cluster
-                if 0 <= home < n:
-                    affinity = self._affinity[home]
-                    bonus = w.critical_bonus
-                    for c in range(n):
-                        scores[c] += bonus * affinity[c]
-        balance = w.load_balance
-        free = [0] * n
-        if op._fp:
-            for i in range(n):
-                cluster = clusters[i]
-                entries = cluster.free_fp_iq
-                free[i] = entries
-                scores[i] += balance * (entries / cluster.iq_size)
-        else:
-            for i in range(n):
-                cluster = clusters[i]
-                entries = cluster.free_int_iq
-                free[i] = entries
-                scores[i] += balance * (entries / cluster.iq_size)
-        if op._mem:
-            proximity_w = w.cache_proximity
-            cache_affinity = self._cache_affinity
-            for i in range(n):
-                scores[i] += proximity_w * cache_affinity[i]
-        if self._any_degraded:
-            penalties = self._link_penalty
-            for i in range(n):
-                scores[i] -= penalties[i]
-        return scores, free
+                    pull[c] += dep * affinity[c]
+        if critical_home is not None and 0 <= critical_home < n:
+            affinity = self._affinity[critical_home]
+            bonus = w.critical_bonus
+            for c in range(n):
+                pull[c] += bonus * affinity[c]
+        return pull
 
     def train_criticality(self, last_pc: int,
                           other_pcs: Sequence[int]) -> None:

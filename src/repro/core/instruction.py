@@ -26,6 +26,8 @@ class DynInstr:
         "complete_cycle", "committed", "avail_cycle",
         "waiters", "dispatch_cycle", "pred_taken",
         "addr_known_cycle", "lsq_index", "store_data_ready",
+        # Set at rename: ``producer_pcs``, the PCs of the in-flight
+        # producers (criticality training when the last operand arrives).
         "narrow_predicted", "producer_pcs", "transfer_started",
         "data_outstanding",
     )
@@ -62,9 +64,6 @@ class DynInstr:
         self.store_data_ready = False
         #: The width predictor flagged this result as narrow.
         self.narrow_predicted = False
-        #: PCs of this instruction's in-flight producers (for criticality
-        #: training when the last operand arrives).
-        self.producer_pcs: List[int] = []
         #: Clusters an operand copy has already been launched toward.
         self.transfer_started: set = set()
         #: Store-data operands not yet available in this store's cluster

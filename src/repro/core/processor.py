@@ -58,6 +58,14 @@ from .wheel import EventWheel
 #: Abort if commit makes no progress for this many cycles.
 DEADLOCK_HORIZON = 50_000
 
+# Enum members the per-instruction paths name, as module globals: a
+# global load is much cheaper than an enum-class attribute load.
+_STORE, _BRANCH = OpClass.STORE, OpClass.BRANCH
+_OPERAND, _MISPREDICT = TransferKind.OPERAND, TransferKind.MISPREDICT
+_LOAD_ADDRESS, _LOAD_DATA = TransferKind.LOAD_ADDRESS, TransferKind.LOAD_DATA
+_STORE_ADDRESS = TransferKind.STORE_ADDRESS
+_STORE_DATA = TransferKind.STORE_DATA
+
 @dataclass
 class ProcessorStats:
     """Counters accumulated during the measured window."""
@@ -261,7 +269,7 @@ class ClusteredProcessor:
             if rob:
                 head = rob[0]
                 if head.completed and (
-                        head.rec.op is not OpClass.STORE
+                        head.rec.op is not _STORE
                         or lsq.store_ready_to_commit(head)):
                     continue
             busy = False
@@ -362,7 +370,8 @@ class ClusteredProcessor:
             rob.append(instr)
             if op._mem:
                 lsq.allocate(instr)
-            if rec.writes_int_register:
+            dest = rec.dest
+            if 0 <= dest < NUM_ARCH_REGS:  # writes an integer register
                 # Replay the annotation's prediction: in-order dispatch
                 # makes this the (narrow_calls)-th predict_and_train call
                 # in stream order.
@@ -371,8 +380,8 @@ class ClusteredProcessor:
                 if fv is not None:
                     fv.observe(rec.value)
             self._rename(instr, producers, cluster, cycle)
-            if rec.dest >= 0:
-                rename[rec.dest] = instr
+            if dest >= 0:
+                rename[dest] = instr
 
     def _rename(self, instr: DynInstr, producers, cluster: Cluster,
                 cycle: int) -> None:
@@ -384,7 +393,7 @@ class ClusteredProcessor:
         # A store's first source is its address operand (gates AGEN and
         # issue); remaining sources are the data value, which ships to
         # the LSQ independently of issue.
-        is_store = instr.rec.op is OpClass.STORE
+        is_store = instr.rec.op is _STORE
         for idx, reg in enumerate(instr.rec.srcs):
             producer = rename[reg]
             if producer is None or producer.committed:
@@ -440,9 +449,9 @@ class ClusteredProcessor:
             if target != home and target not in instr.transfer_started:
                 self._start_operand_transfer(instr, target, cycle,
                                              ready_at_dispatch=False)
-        if instr.is_branch:
+        if instr.rec.op is _BRANCH:
             self.stats.branches += 1
-            if instr.needs_redirect:
+            if instr.mispredicted or instr.btb_miss:
                 self._send_redirect(instr, cycle)
 
     def _wake_cluster(self, producer: DynInstr, cluster_index: int,
@@ -493,7 +502,7 @@ class ClusteredProcessor:
                                 cycle: int, ready_at_dispatch: bool) -> None:
         producer.transfer_started.add(target)
         self.stats.cross_cluster_operands += 1
-        t = self._acquire(TransferKind.OPERAND,
+        t = self._acquire(_OPERAND,
                           self._node_of[producer.cluster],
                           self._node_of[target],
                           producer.seq, producer)
@@ -523,9 +532,8 @@ class ClusteredProcessor:
     def _send_address(self, instr: DynInstr) -> None:
         """AGEN finished: ship the effective address to the LSQ/cache."""
         cycle = self.cycle
-        is_store = instr.rec.op is OpClass.STORE
-        kind = (TransferKind.STORE_ADDRESS if is_store
-                else TransferKind.LOAD_ADDRESS)
+        is_store = instr.rec.op is _STORE
+        kind = _STORE_ADDRESS if is_store else _LOAD_ADDRESS
         t = self._acquire(kind, self._node_of[instr.cluster], CACHE_NODE,
                           instr.seq, instr)
         self.network.submit(t, cycle)
@@ -544,7 +552,7 @@ class ClusteredProcessor:
 
     def _send_store_data(self, instr: DynInstr) -> None:
         """The store's data value is in its cluster: ship it to the LSQ."""
-        t = self._acquire(TransferKind.STORE_DATA,
+        t = self._acquire(_STORE_DATA,
                           self._node_of[instr.cluster], CACHE_NODE,
                           instr.seq, instr)
         self.network.submit(t, self.cycle)
@@ -567,7 +575,7 @@ class ClusteredProcessor:
         self._wheel.schedule(cycle, self._send_load_data, instr)
 
     def _send_load_data(self, instr: DynInstr) -> None:
-        t = self._acquire(TransferKind.LOAD_DATA, CACHE_NODE,
+        t = self._acquire(_LOAD_DATA, CACHE_NODE,
                           self._node_of[instr.cluster],
                           instr.seq, instr)
         t.narrow_predicted = instr.narrow_predicted
@@ -602,7 +610,7 @@ class ClusteredProcessor:
 
     def _send_redirect(self, instr: DynInstr, cycle: int) -> None:
         self.stats.redirects += 1
-        t = self._acquire(TransferKind.MISPREDICT,
+        t = self._acquire(_MISPREDICT,
                           self._node_of[instr.cluster], CACHE_NODE,
                           instr.seq, instr)
         self.network.submit(t, cycle)
@@ -619,16 +627,17 @@ class ClusteredProcessor:
             head = rob[0]
             if not head.completed:
                 return
-            if head.is_store and not self.lsq.store_ready_to_commit(head):
+            op = head.rec.op
+            if op is _STORE and not self.lsq.store_ready_to_commit(head):
                 return
             rob.popleft()
             budget -= 1
             head.committed = True
             self._last_commit_cycle = cycle
             self.clusters[head.cluster].release_register(head)
-            if head.op.is_memory:
+            if op._mem:
                 self.lsq.release(head)
-                if head.is_store:
+                if op is _STORE:
                     self.hierarchy.store_commit(head.rec.addr, cycle)
                     self.stats.stores += 1
                 else:

@@ -16,11 +16,26 @@ from .metrics import BenchmarkRun, ModelResult
 from .models import InterconnectModel
 from .processor import ClusteredProcessor
 
+
+def _window_from_env(variable: str, default: int, field: str,
+                     minimum: int) -> int:
+    """``variable`` as an integer held to the plan's bound on ``field``."""
+    text = os.environ.get(variable, str(default))
+    try:
+        if int(text) >= minimum:
+            return int(text)
+    except ValueError:
+        pass
+    raise ValueError(f"{variable}={text!r}: {field} must be an integer "
+                     f">= {minimum}")
+
+
 #: Default measured window (instructions) and warmup; the paper used
 #: 100 M + 1 M on native hardware -- these defaults keep a pure-Python
 #: run tractable and are overridable via the environment.
-DEFAULT_INSTRUCTIONS = int(os.environ.get("REPRO_INSTRUCTIONS", "12000"))
-DEFAULT_WARMUP = int(os.environ.get("REPRO_WARMUP", "3000"))
+DEFAULT_INSTRUCTIONS = _window_from_env("REPRO_INSTRUCTIONS", 12000,
+                                        "instructions", 1)
+DEFAULT_WARMUP = _window_from_env("REPRO_WARMUP", 3000, "warmup", 0)
 DEFAULT_SEED = 42
 
 FaultSpecLike = Union[str, FaultSpec, None]

@@ -22,6 +22,8 @@ from typing import TYPE_CHECKING, Deque, Optional, Tuple
 from ..core.instruction import DynInstr
 from ..workloads.trace import OpClass
 
+_BRANCH = OpClass.BRANCH
+
 if TYPE_CHECKING:
     from ..workloads.annotate import AnnotatedTrace
 
@@ -132,7 +134,7 @@ class FetchUnit:
             seq += 1
             self.fetched += 1
             fetched += 1
-            if rec.op is OpClass.BRANCH:
+            if rec.op is _BRANCH:
                 index = instr.seq
                 instr.pred_taken = bool(trace.pred_taken[index])
                 instr.mispredicted = bool(trace.mispredicted[index])

@@ -70,8 +70,12 @@ DEFAULT_BITS = {
 }
 
 for _kind in TransferKind:
-    # Plain-attribute copy for the per-transfer hot path (no enum hash).
+    # Plain-attribute copies for the per-transfer hot path (no enum
+    # hash, no property frame): the default width, whether the kind is
+    # an effective address and whether it carries a register value.
     _kind._bits = DEFAULT_BITS[_kind]
+    _kind._address = _kind.is_address
+    _kind._result = _kind in (TransferKind.OPERAND, TransferKind.LOAD_DATA)
 del _kind
 
 

@@ -37,8 +37,14 @@ from .message import (
 )
 from .plane import LinkComposition
 
-_L_ONLY: FrozenSet[WireClass] = frozenset((WireClass.L,))
-_PW_ONLY: FrozenSet[WireClass] = frozenset((WireClass.PW,))
+# Module globals for the per-transfer paths (an enum-class attribute
+# load costs far more than a global load).
+_L, _PW, _B = WireClass.L, WireClass.PW, WireClass.B
+_OPERAND = TransferKind.OPERAND
+_STORE_DATA = TransferKind.STORE_DATA
+_MISPREDICT = TransferKind.MISPREDICT
+_L_ONLY: FrozenSet[WireClass] = frozenset((_L,))
+_PW_ONLY: FrozenSet[WireClass] = frozenset((_PW,))
 
 
 @dataclass(frozen=True)
@@ -217,13 +223,13 @@ class WireSelector:
         has_pw = self._has_pw
         if avoid:
             self.degraded_selections += 1
-            if WireClass.L in avoid:
+            if _L in avoid:
                 flags = self._flags_without_l
                 has_l = False
-            if WireClass.PW in avoid:
+            if _PW in avoid:
                 has_pw = False
 
-        if kind is TransferKind.OPERAND:
+        if kind is _OPERAND:
             self.operand_transfers += 1
             if transfer.narrow_actual:
                 self.operand_narrow += 1
@@ -231,22 +237,21 @@ class WireSelector:
         # Each rule picks a reason plus the plane and width of the final
         # (or only) segment; split reasons add a leading L-Wire slice.
         bits = transfer.bits
-        if kind is TransferKind.MISPREDICT:
+        if kind is _MISPREDICT:
             bits = MISPREDICT_BITS
             if flags.lwire_mispredict and has_l:
-                reason, plane = "mispredict_lwire", WireClass.L
+                reason, plane = "mispredict_lwire", _L
             else:
                 reason = "mispredict_bulk"
                 plane = self._bulk_choice(transfer, cycle, avoid)
-        elif kind.is_address and flags.lwire_partial_address and has_l:
+        elif kind._address and flags.lwire_partial_address and has_l:
             reason, bits = "partial_address", MS_ADDRESS_BITS
             plane = self._bulk_choice(transfer, cycle, avoid)
-        elif (kind in (TransferKind.OPERAND, TransferKind.LOAD_DATA)
-                and flags.lwire_narrow and has_l
+        elif (kind._result and flags.lwire_narrow and has_l
                 and transfer.narrow_predicted):
             self.narrow_transfers += 1
             if transfer.narrow_actual:
-                reason, plane, bits = "narrow_lwire", WireClass.L, LWIRE_BITS
+                reason, plane, bits = "narrow_lwire", _L, LWIRE_BITS
             else:
                 # Width mispredicted: the tag went out on L-Wires but the
                 # value does not fit; reissue full width after a
@@ -254,20 +259,19 @@ class WireSelector:
                 self.narrow_mispredicts += 1
                 reason = "narrow_mispredict"
                 plane = self._bulk_choice(transfer, cycle, avoid)
-        elif (kind in (TransferKind.OPERAND, TransferKind.LOAD_DATA)
-                and flags.lwire_frequent_value and has_l
+        elif (kind._result and flags.lwire_frequent_value and has_l
                 and transfer.fv_encodable):
             # Frequent-value index + tag fits the L-Wire plane.
             self.fv_transfers += 1
-            reason, plane, bits = "frequent_value", WireClass.L, LWIRE_BITS
-        elif (kind is TransferKind.OPERAND and transfer.ready_at_dispatch
+            reason, plane, bits = "frequent_value", _L, LWIRE_BITS
+        elif (kind is _OPERAND and transfer.ready_at_dispatch
                 and flags.pw_ready_operand and has_pw):
             self.pw_ready_transfers += 1
-            reason, plane = "pw_ready", WireClass.PW
-        elif (kind is TransferKind.STORE_DATA and flags.pw_store_data
+            reason, plane = "pw_ready", _PW
+        elif (kind is _STORE_DATA and flags.pw_store_data
                 and has_pw):
             self.pw_store_transfers += 1
-            reason, plane = "pw_store", WireClass.PW
+            reason, plane = "pw_store", _PW
         else:
             reason = "bulk"
             plane = self._bulk_choice(transfer, cycle, avoid)
@@ -292,26 +296,24 @@ class WireSelector:
         """
         kind = transfer.kind
         flags = self.flags
-        if kind is TransferKind.MISPREDICT:
+        if kind is _MISPREDICT:
             if flags.lwire_mispredict and self._has_l:
                 return _L_ONLY
             return self._demand_bulk
-        if kind.is_address and flags.lwire_partial_address and self._has_l:
+        if kind._address and flags.lwire_partial_address and self._has_l:
             return self._demand_l_bulk
-        if (kind in (TransferKind.OPERAND, TransferKind.LOAD_DATA)
-                and flags.lwire_narrow and self._has_l
+        if (kind._result and flags.lwire_narrow and self._has_l
                 and transfer.narrow_predicted):
             if transfer.narrow_actual:
                 return _L_ONLY
             return self._demand_l_bulk
-        if (kind in (TransferKind.OPERAND, TransferKind.LOAD_DATA)
-                and flags.lwire_frequent_value and self._has_l
+        if (kind._result and flags.lwire_frequent_value and self._has_l
                 and transfer.fv_encodable):
             return _L_ONLY
-        if (kind is TransferKind.OPERAND and transfer.ready_at_dispatch
+        if (kind is _OPERAND and transfer.ready_at_dispatch
                 and flags.pw_ready_operand and self._has_pw):
             return _PW_ONLY
-        if (kind is TransferKind.STORE_DATA and flags.pw_store_data
+        if (kind is _STORE_DATA and flags.pw_store_data
                 and self._has_pw):
             return _PW_ONLY
         return self._demand_bulk
@@ -334,11 +336,8 @@ class WireSelector:
     def _bulk_choice(self, transfer: Transfer, cycle: int,
                      avoid: FrozenSet[WireClass] = frozenset()) -> WireClass:
         """Bulk plane after the load-imbalance rule."""
-        if (self._dynamic_bulk and WireClass.B not in avoid
-                and WireClass.PW not in avoid):
-            diverted = self._detector.redirect(
-                cycle, WireClass.B, WireClass.PW
-            )
+        if self._dynamic_bulk and _B not in avoid and _PW not in avoid:
+            diverted = self._detector.redirect(cycle, _B, _PW)
             if diverted is not None:
                 if diverted is not self._bulk:
                     self.pw_diverted_transfers += 1

@@ -29,6 +29,9 @@ class HitLevel(enum.Enum):
     __hash__ = object.__hash__
 
 
+_L1, _L2, _MEMORY = HitLevel.L1, HitLevel.L2, HitLevel.MEMORY
+
+
 @dataclass(frozen=True)
 class HierarchyConfig:
     """Dimensions and latencies of the memory system (Table 1 defaults)."""
@@ -100,10 +103,10 @@ class MemoryHierarchy:
         """
         cfg = self.config
         if self.l1.access(addr):
-            return HitLevel.L1, 0
+            return _L1, 0
         if self.l2.access(addr):
-            return HitLevel.L2, cfg.l2_latency
-        return HitLevel.MEMORY, cfg.l2_latency + cfg.mem_latency
+            return _L2, cfg.l2_latency
+        return _MEMORY, cfg.l2_latency + cfg.mem_latency
 
     def translate(self, addr: int) -> int:
         """TLB lookup; returns added penalty cycles (0 on a hit)."""

@@ -33,8 +33,11 @@ from __future__ import annotations
 from typing import Callable, Dict, List, Optional
 
 from ..core.instruction import DynInstr
+from ..workloads.trace import OpClass
 from .hierarchy import HitLevel
 from .pipeline import CachePipeline
+
+_LOAD, _STORE, _FORWARD = OpClass.LOAD, OpClass.STORE, HitLevel.FORWARD
 
 #: Callback fired when a load's data is ready to leave the cache:
 #: (load instruction, cycle, hit level).
@@ -149,10 +152,12 @@ class LoadStoreQueue:
         if not self.has_room():
             return False
         # release() drops committed stores, so every listed one is live.
-        older = list(self._stores) if instr.is_load else []
-        entry = _Entry(instr, instr.is_store, older)
+        op = instr.rec.op
+        is_store = op is _STORE
+        older = list(self._stores) if op is _LOAD else []
+        entry = _Entry(instr, is_store, older)
         self._entries[instr.seq] = entry
-        if instr.is_store:
+        if is_store:
             self._stores.append(entry)
         else:
             self._waiting_loads.append(entry)
@@ -386,7 +391,7 @@ class LoadStoreQueue:
         done = max(cycle, store.data_cycle) + self.FORWARD_LATENCY
         self._waiting_loads.remove(entry)
         if self.load_done is not None:
-            self.load_done(entry.instr, done, HitLevel.FORWARD)
+            self.load_done(entry.instr, done, _FORWARD)
 
     def _finish_cache_access(self, entry: _Entry, cycle: int) -> None:
         entry.done = True

@@ -2,6 +2,7 @@
 
 import ast
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -248,3 +249,98 @@ def test_repro_needs_no_numpy():
                           capture_output=True, text=True, env=env,
                           timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+# -- one-pass scoring equals the accumulate-then-argmax scorer ---------------
+
+
+def reference_choice(heur, instr, producers):
+    """(index of the cluster ``choose`` must return, whether it spilled
+    from the heaviest one), or None when all are full.
+
+    The reference scorer accumulates each criterion into a score list,
+    then takes the argmax over (score, free IQ entries, lowest index).
+    """
+    clusters = heur.clusters
+    op = instr.rec.op
+    has_dest = instr.rec.dest >= 0
+    if not any(c.can_accept(op, has_dest) for c in clusters):
+        return None
+    n = len(clusters)
+    w = heur.weights
+    scores = [0.0] * n
+    for _, producer in producers:
+        home = producer.cluster
+        if 0 <= home < n:
+            for c in range(n):
+                scores[c] += w.dependence * heur._affinity[home][c]
+    if len(producers) > 1:
+        critical = heur.criticality.pick_critical(
+            [p.rec.pc for _, p in producers])
+        if critical is not None:
+            home = producers[critical][1].cluster
+            if 0 <= home < n:
+                for c in range(n):
+                    scores[c] += w.critical_bonus * heur._affinity[home][c]
+    free = [c.free_fp_iq if op._fp else c.free_int_iq for c in clusters]
+    for i in range(n):
+        scores[i] += w.load_balance * (free[i] / clusters[i].iq_size)
+    if op._mem:
+        for i in range(n):
+            scores[i] += w.cache_proximity * heur._cache_affinity[i]
+    if heur._any_degraded:
+        for i in range(n):
+            scores[i] -= heur._link_penalty[i]
+    best = 0
+    for i in range(1, n):
+        if scores[i] > scores[best] or (scores[i] == scores[best]
+                                        and free[i] > free[best]):
+            best = i
+    if clusters[best].can_accept(op, has_dest):
+        return best, False
+    return next(j for j in heur._orders[best]
+                if clusters[j].can_accept(op, has_dest)), True
+
+
+@pytest.mark.parametrize("n, topology", [(4, CrossbarTopology),
+                                         (16, HierarchicalTopology)])
+@pytest.mark.parametrize("seed", range(4))
+def test_one_pass_choice_equals_reference(n, topology, seed):
+    """Random cluster states, producer sets and a trained criticality
+    table: ``choose`` picks what the reference scorer picks, call after
+    call on one heuristic (so its memo is reused across states)."""
+    rng = random.Random(f"steer:{n}:{seed}")
+    pcs = [0x400000 + 4 * i for i in range(6)]
+    crit = CriticalityPredictor(64)
+    for _ in range(40):
+        crit.train(rng.choice(pcs), rng.sample(pcs, 2))
+    iq = rng.choice((2, 4, 15))
+    clusters = make_clusters(n, iq=iq, regs=rng.choice((2, 32)))
+    heur = SteeringHeuristic(clusters, topology(n), criticality=crit)
+    ops = (OpClass.IALU, OpClass.FPALU, OpClass.LOAD, OpClass.STORE)
+    spills = []
+    for step in range(600):
+        if seed % 2 and step in (200, 400):
+            heur.note_degraded_link(rng.randrange(n))
+        for cluster in clusters:
+            # Small ranges make ties and full clusters common.
+            cluster.free_int_iq = rng.randint(0, iq)
+            cluster.free_fp_iq = rng.randint(0, iq)
+            cluster.free_int_regs = rng.randint(0, 2)
+            cluster.free_fp_regs = rng.randint(0, 2)
+        producers = []
+        for k in range(rng.randint(0, 3)):
+            producer = make_instr(k, pc=rng.choice(pcs))
+            producer.cluster = rng.randrange(n)
+            producers.append((k + 1, producer))
+        instr = make_instr(10, op=rng.choice(ops), dest=rng.choice((-1, 5)))
+        expected = reference_choice(heur, instr, producers)
+        chosen = heur.choose(instr, producers)
+        if expected is None:
+            assert chosen is None, step
+        else:
+            assert chosen is not None and chosen.index == expected[0], step
+            spills.append(expected[1])
+    assert (heur.steered, heur.overflowed) == (
+        spills.count(False), spills.count(True))
+    assert len(spills) > 300

@@ -1,5 +1,10 @@
 """Tests for the simulation drivers."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.core.metrics import ModelResult
@@ -68,3 +73,46 @@ class TestSimulateModel:
         assert isinstance(result, ModelResult)
         assert {r.benchmark for r in result.runs} == {"gzip", "mesa"}
         assert result.am_ipc > 0
+
+
+SRC = str(Path(__file__).resolve().parents[2] / "src")
+
+
+def _python(script, **env_vars):
+    env = {k: v for k, v in os.environ.items()
+           if not k.startswith("REPRO_")}
+    env["PYTHONPATH"] = SRC
+    env.update(env_vars)
+    return subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+class TestWindowEnvironment:
+    """``REPRO_INSTRUCTIONS``/``REPRO_WARMUP`` set the default window; a
+    value no plan accepts fails at import and names its variable."""
+
+    @pytest.mark.parametrize("variable, value, message", [
+        ("REPRO_INSTRUCTIONS", "abc",
+         "REPRO_INSTRUCTIONS='abc': instructions must be an integer >= 1"),
+        ("REPRO_INSTRUCTIONS", "0",
+         "REPRO_INSTRUCTIONS='0': instructions must be an integer >= 1"),
+        ("REPRO_WARMUP", "-5",
+         "REPRO_WARMUP='-5': warmup must be an integer >= 0"),
+        ("REPRO_WARMUP", "1e3",
+         "REPRO_WARMUP='1e3': warmup must be an integer >= 0"),
+    ], ids=["instructions-abc", "instructions-0", "warmup-negative",
+            "warmup-float"])
+    def test_bad_value_names_its_variable(self, variable, value, message):
+        proc = _python("import repro", **{variable: value})
+        assert proc.returncode == 1
+        assert proc.stderr.strip().splitlines()[-1] == (
+            f"ValueError: {message}")
+
+    def test_good_values_set_the_plan_defaults(self):
+        proc = _python(
+            "from repro.harness import ExperimentPlan\n"
+            "plan = ExperimentPlan('I', 'gzip')\n"
+            "print(plan.instructions, plan.warmup)",
+            REPRO_INSTRUCTIONS="1500", REPRO_WARMUP="0")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["1500", "0"]
