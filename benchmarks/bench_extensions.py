@@ -12,9 +12,6 @@ from dataclasses import replace
 
 from conftest import publish, run_variants
 
-from repro.core.config import ProcessorConfig
-from repro.core.models import model
-from repro.core.simulation import simulate_benchmark
 from repro.harness import ExperimentRunner, render_table
 from repro.interconnect.selection import PolicyFlags
 
@@ -26,20 +23,15 @@ def test_transmission_line_lwires(benchmark, runner: ExperimentRunner,
     suite = bench_suite[:8]
 
     def compute():
-        totals = {False: 0.0, True: 0.0}
-        # Both implementations of one benchmark back to back, so they
-        # share its annotated trace.
-        for bench in suite:
-            for tl in totals:
-                cfg = ProcessorConfig(latency_scale=2.0,
-                                      transmission_line_lwires=tl)
-                run = simulate_benchmark(
-                    model("VII").config, bench,
-                    instructions=instructions, warmup=warmup,
-                    latency_scale=2.0, config=cfg,
-                )
-                totals[tl] += run.ipc
-        return {tl: total / len(suite) for tl, total in totals.items()}
+        tl_tag = PolicyFlags(transmission_line_lwires=True).tag()
+        results = run_variants(
+            runner,
+            {False: dict(model_name="VII"),
+             True: dict(model_name="VII", policy_tag=tl_tag)},
+            suite, instructions=instructions, warmup=warmup,
+            latency_scale=2.0,
+        )
+        return {tl: result.am_ipc for tl, result in results.items()}
 
     rows = benchmark.pedantic(compute, rounds=1, iterations=1)
     gain = (rows[True] / rows[False] - 1) * 100

@@ -7,34 +7,28 @@ off, confirming (a) speculation itself helps the baseline, and (b) the
 L-Wire partial-address gain survives it.
 """
 
-from conftest import publish
+from conftest import publish, run_variants
 
-from repro.core.config import ProcessorConfig
-from repro.core.models import model
-from repro.core.simulation import simulate_benchmark
-from repro.harness import render_table
+from repro.harness import ExperimentRunner, render_table
+from repro.interconnect.selection import PolicyFlags
 
 
-def test_speculation_interaction(benchmark, bench_suite, instructions,
-                                 warmup, results_dir):
+def test_speculation_interaction(benchmark, runner: ExperimentRunner,
+                                 bench_suite, instructions, warmup,
+                                 results_dir):
     suite = bench_suite[:8]
 
     def compute():
-        totals = dict.fromkeys(
-            (("I", False), ("I", True), ("VII", False), ("VII", True)), 0.0)
-        # Every configuration of one benchmark back to back, so they
-        # share its annotated trace.
-        for bench in suite:
-            for model_name, speculate in totals:
-                cfg = ProcessorConfig(
-                    memory_dependence_speculation=speculate
-                )
-                r = simulate_benchmark(
-                    model(model_name).config, bench,
-                    instructions=instructions, warmup=warmup, config=cfg,
-                )
-                totals[model_name, speculate] += r.ipc
-        return {key: total / len(suite) for key, total in totals.items()}
+        spec_tag = PolicyFlags(memory_dependence_speculation=True).tag()
+        results = run_variants(
+            runner,
+            {("I", False): dict(model_name="I"),
+             ("I", True): dict(model_name="I", policy_tag=spec_tag),
+             ("VII", False): dict(model_name="VII"),
+             ("VII", True): dict(model_name="VII", policy_tag=spec_tag)},
+            suite, instructions=instructions, warmup=warmup,
+        )
+        return {key: result.am_ipc for key, result in results.items()}
 
     results = benchmark.pedantic(compute, rounds=1, iterations=1)
     base_gain = (results[("I", True)] / results[("I", False)] - 1) * 100

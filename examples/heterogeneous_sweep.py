@@ -8,8 +8,8 @@ Run:  python examples/heterogeneous_sweep.py [benchmark ...]
 
 import sys
 
-from repro import all_models, relative_metrics, simulate_model
-from repro.harness import render_table
+from repro import ModelResult, all_models, relative_metrics
+from repro.harness import ExperimentPlan, ExperimentRunner, render_table
 
 BENCHMARKS = ("gzip", "mesa", "swim")
 INSTRUCTIONS = 4000
@@ -21,12 +21,19 @@ def main() -> None:
     print(f"Sweeping Models I..X over {', '.join(benchmarks)} "
           f"({INSTRUCTIONS} instructions each)...\n")
 
+    # One batch: the runner runs every model of a benchmark off one
+    # annotated trace and serves repeats from its result cache.
+    plans = {m.name: [ExperimentPlan(m.name, bench,
+                                     instructions=INSTRUCTIONS,
+                                     warmup=WARMUP)
+                      for bench in benchmarks]
+             for m in all_models()}
+    runs = ExperimentRunner(verbose=False).run_many(
+        [plan for per in plans.values() for plan in per])
     results = {}
     for m in all_models():
-        results[m.name] = simulate_model(
-            m, benchmarks=benchmarks,
-            instructions=INSTRUCTIONS, warmup=WARMUP,
-        )
+        results[m.name] = ModelResult(
+            model=m.name, runs=tuple(runs[plan] for plan in plans[m.name]))
         print(f"  Model {m.name:>4s} ({m.description}): "
               f"AM IPC {results[m.name].am_ipc:.3f}")
 

@@ -35,7 +35,6 @@ from .core import (
     model,
     relative_metrics,
     simulate_benchmark,
-    simulate_model,
     wire_counts,
 )
 from .interconnect import (
@@ -64,7 +63,6 @@ __all__ = [
     "model",
     "relative_metrics",
     "simulate_benchmark",
-    "simulate_model",
     "wire_counts",
     "CrossbarTopology",
     "HierarchicalTopology",

@@ -30,7 +30,6 @@ from .simulation import (
     AccountingError,
     build_processor,
     simulate_benchmark,
-    simulate_model,
 )
 
 __all__ = [
@@ -59,5 +58,4 @@ __all__ = [
     "AccountingError",
     "build_processor",
     "simulate_benchmark",
-    "simulate_model",
 ]

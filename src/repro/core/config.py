@@ -46,14 +46,7 @@ class ProcessorConfig:
     #: Global multiplier on inter-cluster latencies (the paper's
     #: "wire-constrained future technology" sensitivity study doubles it).
     latency_scale: float = 1.0
-    #: Implement L-Wires as transmission lines: their time-of-flight
-    #: latency is immune to ``latency_scale`` (the paper's future work).
-    transmission_line_lwires: bool = False
-    #: Predict memory dependences and let predicted-independent loads
-    #: bypass the wait for older store addresses (Section 4's remark);
-    #: ordering violations squash the front-end for
-    #: ``violation_penalty`` cycles.
-    memory_dependence_speculation: bool = False
+    #: Front-end squash after a memory-ordering violation.
     violation_penalty: int = 12
     ring_width_factor: int = 2
     hierarchy: HierarchyConfig = field(default_factory=HierarchyConfig)
@@ -69,17 +62,18 @@ class ProcessorConfig:
         if self.latency_scale <= 0:
             raise ValueError("latency scale must be positive")
 
-    def build_topology(self) -> Topology:
+    def build_topology(self, transmission_line_lwires: bool = False
+                       ) -> Topology:
         """Crossbar for small systems, hierarchical ring-of-crossbars when
         the cluster count exceeds one crossbar's reach (Figure 2)."""
         if self.num_clusters <= 4:
             return CrossbarTopology(
                 self.num_clusters, self.latency_scale,
-                self.transmission_line_lwires,
+                transmission_line_lwires,
             )
         return HierarchicalTopology(
             self.num_clusters, self.latency_scale, self.ring_width_factor,
-            self.transmission_line_lwires,
+            transmission_line_lwires,
         )
 
 

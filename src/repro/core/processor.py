@@ -110,7 +110,8 @@ class ClusteredProcessor:
         self.config = config
         self.telemetry = telemetry if telemetry is not None \
             else NULL_TELEMETRY
-        self.topology = config.build_topology()
+        self.topology = config.build_topology(
+            interconnect.flags.transmission_line_lwires)
         composition = interconnect.build_composition()
         self.network = Network(self.topology, composition,
                                interconnect.flags, injector=faults,
@@ -133,7 +134,7 @@ class ClusteredProcessor:
         )
         self.dependence_predictor = (
             MemoryDependencePredictor()
-            if config.memory_dependence_speculation else None
+            if interconnect.flags.memory_dependence_speculation else None
         )
         self.lsq = LoadStoreQueue(
             self.cache_pipeline, config.lsq_size,

@@ -3,17 +3,15 @@
 from __future__ import annotations
 
 import os
-from typing import Iterable, Optional, Union
+from typing import Optional, Union
 
 from ..faults import FaultInjector, FaultSpec
 from ..interconnect.stats import leakage_energy
 from ..telemetry import EventKind, Telemetry
 from ..wires import CANONICAL_SPECS
 from ..workloads.annotate import annotated_trace
-from ..workloads.spec2k import BENCHMARK_NAMES
 from .config import InterconnectConfig, ProcessorConfig
-from .metrics import BenchmarkRun, ModelResult
-from .models import InterconnectModel
+from .metrics import BenchmarkRun
 from .processor import ClusteredProcessor
 
 
@@ -106,29 +104,20 @@ def _build_injector(fault_spec: FaultSpecLike, seed: int,
 
 
 def build_processor(interconnect: InterconnectConfig, benchmark: str,
-                    num_clusters: Optional[int] = None,
+                    num_clusters: int = 4,
                     seed: int = DEFAULT_SEED,
-                    latency_scale: Optional[float] = None,
-                    config: Optional[ProcessorConfig] = None,
+                    latency_scale: float = 1.0,
                     fault_spec: FaultSpecLike = None,
                     telemetry: Optional[Telemetry] = None,
                     gating: Optional[str] = None
                     ) -> ClusteredProcessor:
     """A processor wired to one synthetic SPEC2k benchmark.
 
-    ``num_clusters`` and ``latency_scale`` size the machine (default: 4
-    clusters at 1x wire latency).  With ``config`` they may only repeat
-    its values; one that disagrees raises ``ValueError``.
+    ``num_clusters`` and ``latency_scale`` size the machine; every other
+    core parameter is Table 1's (:class:`ProcessorConfig`).
     """
-    machine = {name: value for name, value in (
-        ("num_clusters", num_clusters), ("latency_scale", latency_scale))
-        if value is not None}
-    if config is None:
-        config = ProcessorConfig(**machine)
-    for name, value in machine.items():
-        if getattr(config, name) != value:
-            raise ValueError(f"{name}={value!r} disagrees with config "
-                             f"{name}={getattr(config, name)!r}")
+    config = ProcessorConfig(num_clusters=num_clusters,
+                             latency_scale=latency_scale)
     trace = annotated_trace(benchmark, seed, config.icache_size_kb,
                             config.icache_assoc)
     cpu = ClusteredProcessor(
@@ -143,10 +132,9 @@ def build_processor(interconnect: InterconnectConfig, benchmark: str,
 def simulate_benchmark(interconnect: InterconnectConfig, benchmark: str,
                        instructions: int = DEFAULT_INSTRUCTIONS,
                        warmup: int = DEFAULT_WARMUP,
-                       num_clusters: Optional[int] = None,
+                       num_clusters: int = 4,
                        seed: int = DEFAULT_SEED,
-                       latency_scale: Optional[float] = None,
-                       config: Optional[ProcessorConfig] = None,
+                       latency_scale: float = 1.0,
                        fault_spec: FaultSpecLike = None,
                        telemetry: Optional[Telemetry] = None,
                        gating: Optional[str] = None
@@ -167,7 +155,7 @@ def simulate_benchmark(interconnect: InterconnectConfig, benchmark: str,
     than one commit group.
     """
     cpu = build_processor(interconnect, benchmark, num_clusters, seed,
-                          latency_scale, config, fault_spec=fault_spec,
+                          latency_scale, fault_spec=fault_spec,
                           telemetry=telemetry, gating=gating)
     if telemetry is not None and telemetry.enabled:
         telemetry.emit(cpu.cycle, EventKind.RUN_START, {
@@ -231,25 +219,3 @@ def simulate_benchmark(interconnect: InterconnectConfig, benchmark: str,
     # check does) may count gate entries the extras must not see.
     check_accounting(interconnect, cpu.network, benchmark, stats.cycles)
     return run
-
-
-def simulate_model(model: InterconnectModel,
-                   benchmarks: Optional[Iterable[str]] = None,
-                   instructions: int = DEFAULT_INSTRUCTIONS,
-                   warmup: int = DEFAULT_WARMUP,
-                   num_clusters: int = 4, seed: int = DEFAULT_SEED,
-                   latency_scale: float = 1.0,
-                   fault_spec: FaultSpecLike = None,
-                   telemetry: Optional[Telemetry] = None,
-                   gating: Optional[str] = None) -> ModelResult:
-    """Run a whole benchmark suite under one interconnect model."""
-    names = tuple(benchmarks) if benchmarks is not None else BENCHMARK_NAMES
-    runs = tuple(
-        simulate_benchmark(
-            model.config, name, instructions, warmup,
-            num_clusters, seed, latency_scale, fault_spec=fault_spec,
-            telemetry=telemetry, gating=gating,
-        )
-        for name in names
-    )
-    return ModelResult(model=model.name, runs=runs)

@@ -66,8 +66,22 @@ class PolicyFlags:
     #: Extension (off by default): wide values found in the replicated
     #: frequent-value table travel as an L-Wire index (Yang et al.).
     lwire_frequent_value: bool = False
+    #: Implement L-Wires as transmission lines: their time-of-flight
+    #: latency is immune to the plan's ``latency_scale`` (the paper's
+    #: future work).
+    transmission_line_lwires: bool = False
+    #: Predict memory dependences and let predicted-independent loads
+    #: bypass the wait for older store addresses (Section 4's remark);
+    #: ordering violations squash the front-end for the processor's
+    #: ``violation_penalty`` cycles.
+    memory_dependence_speculation: bool = False
     load_balance_window: int = 5
     load_balance_threshold: int = 10
+
+    def __post_init__(self) -> None:
+        if self.load_balance_window < 1:
+            raise ValueError("load_balance_window must be at least one "
+                             "cycle")
 
     def without_lwire_uses(self) -> "PolicyFlags":
         return replace(self, lwire_mispredict=False,

@@ -6,15 +6,16 @@ agreed with this one bit for bit, so the corpus stands in for that
 reference.  The entries cover the dimensions where the simulator takes
 different internal paths: wire compositions (which planes exist drives
 selection), cluster counts, fault injection (the network's kill,
-reroute and retransmission hooks), telemetry (event stream and metrics
-snapshot) and memory-dependence speculation (the LSQ's wake filtering).
+reroute and retransmission hooks) and memory-dependence speculation
+(the LSQ's wake filtering).  Traced entries are checked corpus-wide by
+``test_golden.py``.
 """
 
 import pytest
 
-from golden import (FAULT_SPECS, TRACED_FAULTS, assert_digest, assert_pinned,
-                    label, measured)
+from golden import FAULT_SPECS, assert_pinned, label
 from repro.core.models import MODEL_NAMES
+from repro.interconnect.selection import PolicyFlags
 
 
 class TestHealthyRuns:
@@ -34,7 +35,8 @@ class TestHealthyRuns:
         assert_pinned(label(seed=7))
 
     def test_memory_dependence_speculation_matches(self):
-        assert_pinned(label(config={"memory_dependence_speculation": True}))
+        assert_pinned(label(policy_tag=PolicyFlags(
+            memory_dependence_speculation=True).tag()))
 
 
 class TestFaultedRuns:
@@ -47,17 +49,3 @@ class TestFaultedRuns:
     def test_degraded_sixteen_clusters_match(self):
         assert_pinned(label(num_clusters=16, fault_spec="kill=PW@*@500"))
 
-
-class TestTelemetry:
-    def test_event_streams_identical(self):
-        assert_digest(label(traced=True), "events")
-
-    def test_metrics_snapshots_identical(self):
-        assert_digest(label(traced=True), "metrics")
-
-    def test_traced_run_equals_untraced_run(self):
-        # Telemetry observes without perturbing.
-        assert measured(label(traced=True)).run == measured(label()).run
-
-    def test_faulted_event_streams_identical(self):
-        assert_pinned(label(fault_spec=TRACED_FAULTS, traced=True))

@@ -1,14 +1,14 @@
 """Coverage for measurement control, config overrides, and counters."""
 
 import itertools
-
-import pytest
+from dataclasses import replace
 
 from repro.core.config import InterconnectConfig, ProcessorConfig, wire_counts
 from repro.core.models import model
 from repro.core.processor import ClusteredProcessor
 from repro.core.simulation import build_processor, simulate_benchmark
 from repro.frontend.fetch import FetchUnit
+from repro.interconnect.selection import PolicyFlags
 from repro.workloads.annotate import AnnotatedTrace
 from repro.workloads.trace import InstructionRecord, OpClass
 
@@ -59,10 +59,9 @@ class TestFetchStall:
 
 class TestConfigOverride:
     def test_simulate_benchmark_accepts_config(self):
-        cfg = ProcessorConfig(num_clusters=4,
-                              memory_dependence_speculation=True)
-        run = simulate_benchmark(model("I").config, "gzip",
-                                 instructions=600, warmup=150, config=cfg)
+        flags = PolicyFlags(memory_dependence_speculation=True)
+        run = simulate_benchmark(replace(model("I").config, flags=flags),
+                                 "gzip", instructions=600, warmup=150)
         assert run.ipc > 0
 
     def test_sixteen_cluster_processor_end_to_end(self):
@@ -70,23 +69,6 @@ class TestConfigOverride:
         stats = cpu.run(1200, warmup=300)
         assert stats.committed >= 1200
         assert len(cpu.clusters) == 16
-
-    @pytest.mark.parametrize("machine", [
-        {"num_clusters": 16},
-        {"latency_scale": 2.0},
-    ])
-    def test_machine_arguments_that_disagree_with_config_raise(self,
-                                                               machine):
-        (name, value), = machine.items()
-        with pytest.raises(ValueError, match=f"{name}={value!r} disagrees"):
-            build_processor(model("I").config, "gzip",
-                            config=ProcessorConfig(), **machine)
-
-    def test_machine_arguments_that_repeat_config_build_it(self):
-        cfg = ProcessorConfig(num_clusters=16, latency_scale=2.0)
-        cpu = build_processor(model("I").config, "gzip", num_clusters=16,
-                              latency_scale=2, config=cfg)
-        assert cpu.config is cfg and len(cpu.clusters) == 16
 
 
 class TestSelectorCounters:

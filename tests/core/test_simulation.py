@@ -9,11 +9,8 @@ import pytest
 
 from repro.core.metrics import ModelResult
 from repro.core.models import model
-from repro.core.simulation import (
-    build_processor,
-    simulate_benchmark,
-    simulate_model,
-)
+from repro.core.simulation import build_processor, simulate_benchmark
+from repro.harness import ExperimentRunner, ResultCache
 
 
 class TestBuildProcessor:
@@ -67,9 +64,10 @@ class TestSimulateBenchmark:
 
 
 class TestSimulateModel:
-    def test_subset_of_benchmarks(self):
-        result = simulate_model(model("I"), benchmarks=("gzip", "mesa"),
-                                instructions=800, warmup=200)
+    def test_subset_of_benchmarks(self, tmp_path):
+        runner = ExperimentRunner(cache=ResultCache(tmp_path), verbose=False)
+        result = runner.run_model("I", ("gzip", "mesa"), instructions=800,
+                                  warmup=200)
         assert isinstance(result, ModelResult)
         assert {r.benchmark for r in result.runs} == {"gzip", "mesa"}
         assert result.am_ipc > 0

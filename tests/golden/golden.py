@@ -1,8 +1,7 @@
 """The golden corpus: pinned digests of short simulator runs.
 
 ``corpus.json`` maps a label to the plan it runs (an
-:class:`~repro.harness.ExperimentPlan` as a dict, plus optional
-:class:`~repro.core.config.ProcessorConfig` overrides), its
+:class:`~repro.harness.ExperimentPlan` as a dict), its
 :class:`~repro.core.metrics.BenchmarkRun` (for readable diffs) and the
 sha256 digests of its result: the run with every field and extra
 (floats by ``repr``, as ``perfbench/checks.py`` digests them) and, for
@@ -35,11 +34,9 @@ import sys
 from pathlib import Path
 from typing import Dict, NamedTuple, Optional, Tuple
 
-from repro.core.config import ProcessorConfig
 from repro.core.metrics import BenchmarkRun
 from repro.core.models import MODEL_NAMES
-from repro.core.simulation import simulate_benchmark
-from repro.harness import ExperimentPlan
+from repro.harness import ExperimentPlan, simulate_plan
 from repro.interconnect.selection import PolicyFlags
 from repro.telemetry import RingBufferSink, Telemetry, TraceEvent
 from repro.wires.scaling import (
@@ -115,19 +112,16 @@ def label_of(spec: Dict[str, object]) -> str:
               if text]
     if plan.policy_tag != "default":
         parts.append(plan.policy_tag)
-    parts += sorted(spec.get("config", {}))
     if spec.get("traced"):
         parts.append("traced")
     return "/".join(parts)
 
 
-def _entry(model_name="X", benchmark="gzip", *, config=None,
-           traced=False, **plan) -> Dict[str, object]:
+def _entry(model_name="X", benchmark="gzip", *, traced=False,
+           **plan) -> Dict[str, object]:
     spec: Dict[str, object] = {"plan": ExperimentPlan(
         model_name, benchmark, instructions=INSTRUCTIONS, warmup=WARMUP,
         **plan).to_dict()}
-    if config:
-        spec["config"] = config
     if traced:
         spec["traced"] = True
     return spec
@@ -145,7 +139,8 @@ def entries() -> Dict[str, Dict[str, object]]:
     specs += [
         _entry(benchmark="gcc"),
         _entry(seed=7),
-        _entry(config={"memory_dependence_speculation": True}),
+        _entry(policy_tag=PolicyFlags(
+            memory_dependence_speculation=True).tag()),
         _entry("III", num_clusters=16),
         _entry(num_clusters=16),
         _entry(num_clusters=16, fault_spec="kill=PW@*@500"),
@@ -180,20 +175,9 @@ def entries() -> Dict[str, Dict[str, object]]:
 
 def simulate(spec: Dict[str, object]) -> Measured:
     """Run one entry and digest its result."""
-    plan = ExperimentPlan.from_dict(spec["plan"])
-    config = ProcessorConfig(num_clusters=plan.num_clusters,
-                             latency_scale=plan.latency_scale,
-                             **spec.get("config", {}))
     telemetry = (Telemetry(sink=RingBufferSink(capacity=None))
                  if spec.get("traced") else None)
-    run = simulate_benchmark(
-        plan.interconnect(), plan.benchmark,
-        instructions=plan.instructions, warmup=plan.warmup,
-        seed=plan.seed, config=config,
-        fault_spec=plan.fault_spec or None,
-        gating=plan.gating_policy or None,
-        telemetry=telemetry,
-    )
+    run = simulate_plan(ExperimentPlan.from_dict(spec["plan"]), telemetry)
     digests = {"run": run_digest(run)}
     if telemetry is None:
         return Measured(run, digests)

@@ -36,6 +36,19 @@ def test_every_node_and_profile_is_pinned():
     assert sorted(load_scaling()) == sorted(scaling())
 
 
+def test_traced_entries_pin_their_untraced_twins_run():
+    # Telemetry observes without perturbing: a traced entry's run
+    # digest is that of the same plan run untraced.
+    corpus = load()
+    twins = {name: label_of({**entry, "traced": False})
+             for name, entry in corpus.items() if entry.get("traced")}
+    twins = {name: twin for name, twin in twins.items() if twin in corpus}
+    assert len(twins) >= 2
+    for name, twin in twins.items():
+        assert (corpus[name]["digests"]["run"]
+                == corpus[twin]["digests"]["run"]), name
+
+
 def test_corpus_is_not_vacuous():
     corpus = load()
     for name, entry in corpus.items():

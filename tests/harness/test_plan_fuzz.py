@@ -278,6 +278,9 @@ class TestEqualPlansShareOneKey:
         ("fault_spec", "kill=L@c0"),
         ("gating_policy", "idle:bogus=1"),
         ("policy_tag", "ablate"),
+        # No run can use a load-balance window under one cycle.
+        ("policy_tag", "load_balance_window=0"),
+        ("policy_tag", "load_balance_window=00"),
         ("num_clusters", 0),
         ("instructions", 0),
         ("warmup", -1),

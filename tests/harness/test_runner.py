@@ -377,6 +377,7 @@ class TestPolicyFlagsInThePlan:
     own interconnect (node-scaled wires included)."""
 
     WINDOW = dict(benchmarks=("gzip",), instructions=1500, warmup=300)
+    CORE_FLAGS = ("transmission_line_lwires", "memory_dependence_speculation")
 
     def test_ablation_after_a_stock_run_is_not_served_the_stock_run(
             self, tmp_path):
@@ -417,3 +418,31 @@ class TestPolicyFlagsInThePlan:
         assert config.cache_width_factor == base.cache_width_factor == 1
         assert config.wire_specs == base.wire_specs
         assert config.wire_specs is not None
+
+    def test_core_flags_round_trip_through_their_tag(self):
+        for flags in (PolicyFlags(transmission_line_lwires=True),
+                      PolicyFlags(memory_dependence_speculation=True),
+                      PolicyFlags(transmission_line_lwires=True,
+                                  memory_dependence_speculation=True)):
+            assert PolicyFlags.from_tag(flags.tag()) == flags
+        assert (PolicyFlags(memory_dependence_speculation=True).tag()
+                == "memory_dependence_speculation=1")
+
+    def test_core_flags_reach_a_sixteen_cluster_run(self, tmp_path):
+        tags = [PolicyFlags().tag(),
+                *(PolicyFlags(**{name: True}).tag()
+                  for name in self.CORE_FLAGS),
+                PolicyFlags(**dict.fromkeys(self.CORE_FLAGS, True)).tag()]
+        plans = [ExperimentPlan("VII", "gzip", num_clusters=16,
+                                latency_scale=2.0, instructions=800,
+                                warmup=200, policy_tag=tag)
+                 for tag in tags]
+        assert len({plan.cache_key() for plan in plans}) == len(plans)
+        runner = ExperimentRunner(cache=ResultCache(tmp_path),
+                                  verbose=False)
+        runs = runner.run_many(plans)
+        assert runner.last_summary.executed == len(plans)
+        default, *flagged = (runs[plan].cycles for plan in plans)
+        assert all(cycles != default for cycles in flagged)
+        assert runner.run_many(plans) == runs
+        assert runner.last_summary.executed == 0

@@ -8,7 +8,8 @@ asserts a *direction* the paper's conclusions rest on, not a magnitude.
 import pytest
 
 from repro.core.models import model
-from repro.core.simulation import simulate_benchmark, simulate_model
+from repro.core.simulation import simulate_benchmark
+from repro.harness import ExperimentRunner, ResultCache
 from repro.interconnect.message import TransferKind
 from repro.wires import WireClass
 
@@ -17,19 +18,25 @@ INSN = 4000
 WARMUP = 1500
 
 
-def am_ipc(mname, **kw):
-    result = simulate_model(model(mname), benchmarks=BENCHES,
-                            instructions=INSN, warmup=WARMUP, **kw)
-    return result
+@pytest.fixture(scope="module")
+def am_ipc(tmp_path_factory):
+    """One model over ``BENCHES``, through a result cache of its own."""
+    runner = ExperimentRunner(
+        cache=ResultCache(tmp_path_factory.mktemp("cache")), verbose=False)
+
+    def run(mname, **kw):
+        return runner.run_model(mname, BENCHES, instructions=INSN,
+                                warmup=WARMUP, **kw)
+    return run
 
 
 @pytest.fixture(scope="module")
-def base():
+def base(am_ipc):
     return am_ipc("I")
 
 
 class TestLatencySensitivity:
-    def test_doubling_latency_degrades_performance(self, base):
+    def test_doubling_latency_degrades_performance(self, am_ipc, base):
         """Section 1: '...performance degrades by 12% when the
         inter-cluster latency is doubled.'"""
         slow = am_ipc("I", latency_scale=2.0)
@@ -41,12 +48,12 @@ class TestLatencySensitivity:
 
 
 class TestHeterogeneousWires:
-    def test_lwire_layer_improves_ipc(self, base):
+    def test_lwire_layer_improves_ipc(self, am_ipc, base):
         """Figure 3: adding an L-Wire layer helps performance."""
         vii = am_ipc("VII")
         assert vii.am_ipc > base.am_ipc
 
-    def test_pw_only_loses_ipc_but_saves_energy(self, base):
+    def test_pw_only_loses_ipc_but_saves_energy(self, am_ipc, base):
         """Table 3, Model II: roughly half the dynamic energy, and no
         real performance win (the full-suite slowdown is checked by the
         benchmark harness; on a 4-benchmark subset PW's doubled
@@ -55,7 +62,7 @@ class TestHeterogeneousWires:
         assert ii.am_ipc < base.am_ipc * 1.03
         assert ii.total_dynamic < 0.7 * base.total_dynamic
 
-    def test_wider_bwires_help(self, base):
+    def test_wider_bwires_help(self, am_ipc, base):
         """Model IV doubles B-Wire bandwidth: never slower."""
         iv = am_ipc("IV")
         assert iv.am_ipc >= base.am_ipc * 0.99
@@ -103,12 +110,12 @@ class TestWireUsage:
 
 
 class TestScaling:
-    def test_sixteen_clusters_do_not_collapse(self, base):
+    def test_sixteen_clusters_do_not_collapse(self, am_ipc, base):
         """Section 5.3: 16 clusters improve IPC for high-ILP programs."""
         big = am_ipc("I", num_clusters=16)
         assert big.am_ipc > 0.85 * base.am_ipc
 
-    def test_lwires_help_more_at_sixteen_clusters(self):
+    def test_lwires_help_more_at_sixteen_clusters(self, am_ipc):
         """The wire-delay-constrained 16-cluster system benefits more
         from L-Wires than the 4-cluster system does (7.4% vs 4.2%)."""
         base16 = am_ipc("I", num_clusters=16)

@@ -6,7 +6,7 @@
 
 from dataclasses import replace
 
-from repro.core.config import InterconnectConfig, ProcessorConfig, wire_counts
+from repro.core.config import InterconnectConfig, wire_counts
 from repro.core.models import model
 from repro.core.simulation import build_processor
 from repro.interconnect.selection import PolicyFlags
@@ -29,19 +29,19 @@ class TestTransmissionLineLWires:
         assert tl.path("c0", "c1").latency[WireClass.L] == 1
 
     def test_config_threads_the_flag(self):
-        cfg = ProcessorConfig(latency_scale=2.0,
-                              transmission_line_lwires=True)
-        topo = cfg.build_topology()
-        assert topo.path("c0", "c1").latency[WireClass.L] == 1
+        flags = PolicyFlags(transmission_line_lwires=True)
+        cpu = build_processor(replace(model("VII").config, flags=flags),
+                              "gzip", latency_scale=2.0)
+        assert cpu.topology.path("c0", "c1").latency[WireClass.L] == 1
 
     def test_tl_lwires_never_slower(self):
         """At doubled RC latencies, transmission-line L-Wires give at
         least the performance of RC L-Wires."""
         def run(tl):
+            flags = PolicyFlags(transmission_line_lwires=tl)
             cpu = build_processor(
-                model("VII").config, "gzip", latency_scale=2.0,
-                config=ProcessorConfig(latency_scale=2.0,
-                                       transmission_line_lwires=tl),
+                replace(model("VII").config, flags=flags), "gzip",
+                latency_scale=2.0,
             )
             return cpu.run(3000, warmup=1000).ipc
 

@@ -82,11 +82,6 @@ class TestGatedTelemetry:
     def test_metrics_snapshots_identical(self):
         assert_digest(self.TRACED, "metrics")
 
-    def test_traced_run_equals_untraced_run(self):
-        # Telemetry observes gating without perturbing it.
-        untraced = label(gating_policy=POLICIES[1])
-        assert measured(self.TRACED).run == measured(untraced).run
-
     def test_faulted_gated_event_streams_identical(self):
         assert_pinned(label(gating_policy=POLICIES[1],
                             fault_spec=TRACED_FAULTS, traced=True))

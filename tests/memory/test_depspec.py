@@ -157,11 +157,14 @@ class TestSpeculativeLSQ:
 
 class TestProcessorIntegration:
     def _run(self, speculate):
-        from repro.core.config import ProcessorConfig
+        from dataclasses import replace
+
         from repro.core.models import model
         from repro.core.simulation import build_processor
-        cfg = ProcessorConfig(memory_dependence_speculation=speculate)
-        cpu = build_processor(model("I").config, "gzip", config=cfg)
+        from repro.interconnect.selection import PolicyFlags
+        flags = PolicyFlags(memory_dependence_speculation=speculate)
+        cpu = build_processor(replace(model("I").config, flags=flags),
+                              "gzip")
         stats = cpu.run(3000, warmup=800)
         return cpu, stats
 

@@ -129,6 +129,7 @@ class TestValidation:
         ("fault_spec", "kill=L@c0"),
         ("gating_policy", "idle:bogus=1"),
         ("policy_tag", "ablate"),
+        ("policy_tag", "load_balance_window=0"),
         ("num_clusters", 0),
         ("instructions", 0),
         ("warmup", -1),
