@@ -8,9 +8,9 @@ attributable to each.
 
 from dataclasses import replace
 
-from conftest import publish, run_variants
+from conftest import publish
 
-from repro.harness import ExperimentRunner, render_table
+from repro.harness import ExperimentRunner, render_table, run_variants
 from repro.interconnect.selection import PolicyFlags
 
 VARIANTS = (
@@ -24,13 +24,13 @@ VARIANTS = (
 
 
 def test_lwire_ablation(benchmark, runner: ExperimentRunner, bench_suite,
-                        instructions, warmup, results_dir):
+                        base, results_dir):
     def compute():
         return run_variants(
-            runner,
+            runner, base,
             {tag: dict(model_name="VII", policy_tag=flags.tag())
              for tag, flags in VARIANTS},
-            bench_suite, instructions=instructions, warmup=warmup,
+            bench_suite,
         )
 
     results = benchmark.pedantic(compute, rounds=1, iterations=1)

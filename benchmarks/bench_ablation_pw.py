@@ -8,9 +8,9 @@ of the energy savings, and the IPC cost of each.
 
 from dataclasses import replace
 
-from conftest import publish, run_variants
+from conftest import publish
 
-from repro.harness import ExperimentRunner, render_table
+from repro.harness import ExperimentRunner, render_table, run_variants
 from repro.interconnect.selection import PolicyFlags
 
 VARIANTS = (
@@ -24,23 +24,23 @@ VARIANTS = (
 
 
 def test_pw_ablation(benchmark, runner: ExperimentRunner, bench_suite,
-                     instructions, warmup, results_dir):
+                     base, results_dir):
     def compute():
         return run_variants(
-            runner,
+            runner, base,
             {tag: dict(model_name="V", policy_tag=flags.tag())
              for tag, flags in VARIANTS},
-            bench_suite, instructions=instructions, warmup=warmup,
+            bench_suite,
         )
 
     results = benchmark.pedantic(compute, rounds=1, iterations=1)
-    base = results["all_off"]
+    off = results["all_off"]
     rows = []
     for tag, _ in VARIANTS:
         r = results[tag]
         rows.append([
             tag, f"{r.am_ipc:.3f}",
-            f"{100 * r.total_dynamic / base.total_dynamic:.0f}",
+            f"{100 * r.total_dynamic / off.total_dynamic:.0f}",
         ])
     publish(results_dir, "ablation_pw", render_table(
         ["PW steering variant", "AM IPC", "rel dyn energy"],
@@ -53,8 +53,8 @@ def test_pw_ablation(benchmark, runner: ExperimentRunner, bench_suite,
         return  # ordering checks need the full suite's averaging
     # Steering traffic to PW saves dynamic energy at minimal IPC cost.
     on = results["default"]
-    assert on.total_dynamic < base.total_dynamic * 0.95
-    assert on.am_ipc > base.am_ipc * 0.95
+    assert on.total_dynamic < off.total_dynamic * 0.95
+    assert on.am_ipc > off.am_ipc * 0.95
     # Store data is a large share of PW-eligible traffic.
     no_store = results["no_store_data"]
     assert no_store.total_dynamic > on.total_dynamic

@@ -5,12 +5,10 @@ from conftest import publish
 from repro.harness import render_claims, run_claims
 
 
-def test_claims(benchmark, runner, bench_suite, instructions, warmup,
-                results_dir):
+def test_claims(benchmark, runner, bench_suite, base, results_dir):
     claims = benchmark.pedantic(
         run_claims,
-        kwargs=dict(runner=runner, benchmarks=bench_suite,
-                    instructions=instructions, warmup=warmup),
+        args=(runner, base, bench_suite),
         rounds=1, iterations=1,
     )
     publish(results_dir, "claims", render_claims(claims))

@@ -10,26 +10,24 @@
 
 from dataclasses import replace
 
-from conftest import publish, run_variants
+from conftest import publish
 
-from repro.harness import ExperimentRunner, render_table
+from repro.harness import ExperimentRunner, render_table, run_variants
 from repro.interconnect.selection import PolicyFlags
 
 
 def test_transmission_line_lwires(benchmark, runner: ExperimentRunner,
-                                  bench_suite, instructions, warmup,
-                                  results_dir):
+                                  bench_suite, base, results_dir):
     """Model VII at 2x wire latencies, RC vs transmission-line L-Wires."""
     suite = bench_suite[:8]
 
     def compute():
         tl_tag = PolicyFlags(transmission_line_lwires=True).tag()
         results = run_variants(
-            runner,
+            runner, replace(base, latency_scale=2.0),
             {False: dict(model_name="VII"),
              True: dict(model_name="VII", policy_tag=tl_tag)},
-            suite, instructions=instructions, warmup=warmup,
-            latency_scale=2.0,
+            suite,
         )
         return {tl: result.am_ipc for tl, result in results.items()}
 
@@ -46,8 +44,7 @@ def test_transmission_line_lwires(benchmark, runner: ExperimentRunner,
 
 
 def test_frequent_value_compaction(benchmark, runner: ExperimentRunner,
-                                   bench_suite, instructions, warmup,
-                                   results_dir):
+                                   bench_suite, base, results_dir):
     """Model VII with and without frequent-value L-Wire encoding."""
     suite = [b for b in bench_suite
              if b in ("gzip", "crafty", "parser", "gap", "vpr", "bzip2",
@@ -56,10 +53,10 @@ def test_frequent_value_compaction(benchmark, runner: ExperimentRunner,
     def compute():
         fv_tag = replace(PolicyFlags(), lwire_frequent_value=True).tag()
         results = run_variants(
-            runner,
+            runner, base,
             {"base": dict(model_name="VII"),
              "fv": dict(model_name="VII", policy_tag=fv_tag)},
-            suite, instructions=instructions, warmup=warmup,
+            suite,
         )
         return results["base"], results["fv"]
 

@@ -10,12 +10,10 @@ from conftest import publish
 from repro.harness import render_figure3, run_figure3
 
 
-def test_figure3(benchmark, runner, bench_suite, instructions, warmup,
-                 results_dir):
+def test_figure3(benchmark, runner, bench_suite, base, results_dir):
     result = benchmark.pedantic(
         run_figure3,
-        kwargs=dict(runner=runner, benchmarks=bench_suite,
-                    instructions=instructions, warmup=warmup),
+        args=(runner, base, bench_suite),
         rounds=1, iterations=1,
     )
     publish(results_dir, "figure3", render_figure3(result))

@@ -7,23 +7,23 @@ the baseline slowdown and the L-Wire gain at each point -- the gain must
 grow monotonically-ish with wire constraint.
 """
 
-from conftest import publish, run_variants
+from conftest import publish
 
-from repro.harness import ExperimentRunner, render_table
+from repro.harness import ExperimentRunner, render_table, run_variants
 
 SCALES = (1.0, 1.5, 2.0, 3.0)
 
 
 def test_latency_sweep(benchmark, runner: ExperimentRunner, bench_suite,
-                       instructions, warmup, results_dir):
+                       base, results_dir):
     suite = bench_suite[:10]
 
     def compute():
         results = run_variants(
-            runner,
+            runner, base,
             {(scale, name): dict(model_name=name, latency_scale=scale)
              for scale in SCALES for name in ("I", "VII")},
-            suite, instructions=instructions, warmup=warmup,
+            suite,
         )
         return {scale: (results[scale, "I"].am_ipc,
                         results[scale, "VII"].am_ipc)
@@ -34,12 +34,12 @@ def test_latency_sweep(benchmark, runner: ExperimentRunner, bench_suite,
     rows = []
     gains = []
     for scale in SCALES:
-        base, lwire = table[scale]
-        gain = (lwire / base - 1) * 100
+        ipc, lwire = table[scale]
+        gain = (lwire / ipc - 1) * 100
         gains.append(gain)
         rows.append([
             f"{scale:.1f}x",
-            f"{base:.3f} ({(base / base_1x - 1) * 100:+.1f}%)",
+            f"{ipc:.3f} ({(ipc / base_1x - 1) * 100:+.1f}%)",
             f"{lwire:.3f}",
             f"{gain:+.1f}%",
         ])

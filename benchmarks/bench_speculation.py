@@ -7,26 +7,25 @@ off, confirming (a) speculation itself helps the baseline, and (b) the
 L-Wire partial-address gain survives it.
 """
 
-from conftest import publish, run_variants
+from conftest import publish
 
-from repro.harness import ExperimentRunner, render_table
+from repro.harness import ExperimentRunner, render_table, run_variants
 from repro.interconnect.selection import PolicyFlags
 
 
 def test_speculation_interaction(benchmark, runner: ExperimentRunner,
-                                 bench_suite, instructions, warmup,
-                                 results_dir):
+                                 bench_suite, base, results_dir):
     suite = bench_suite[:8]
 
     def compute():
         spec_tag = PolicyFlags(memory_dependence_speculation=True).tag()
         results = run_variants(
-            runner,
+            runner, base,
             {("I", False): dict(model_name="I"),
              ("I", True): dict(model_name="I", policy_tag=spec_tag),
              ("VII", False): dict(model_name="VII"),
              ("VII", True): dict(model_name="VII", policy_tag=spec_tag)},
-            suite, instructions=instructions, warmup=warmup,
+            suite,
         )
         return {key: result.am_ipc for key, result in results.items()}
 

@@ -11,12 +11,10 @@ from conftest import publish
 from repro.harness import render_table3, run_table3, shape_summary
 
 
-def test_table3(benchmark, runner, bench_suite, instructions, warmup,
-                results_dir):
+def test_table3(benchmark, runner, bench_suite, base, results_dir):
     result = benchmark.pedantic(
         run_table3,
-        kwargs=dict(runner=runner, benchmarks=bench_suite,
-                    instructions=instructions, warmup=warmup),
+        args=(runner, base, bench_suite),
         rounds=1, iterations=1,
     )
     publish(results_dir, "table3", render_table3(result))

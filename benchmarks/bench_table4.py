@@ -10,12 +10,10 @@ from conftest import publish
 from repro.harness import render_table4, run_table4
 
 
-def test_table4(benchmark, runner, bench_suite, instructions, warmup,
-                results_dir):
+def test_table4(benchmark, runner, bench_suite, base, results_dir):
     result = benchmark.pedantic(
         run_table4,
-        kwargs=dict(runner=runner, benchmarks=bench_suite,
-                    instructions=instructions, warmup=warmup),
+        args=(runner, base, bench_suite),
         rounds=1, iterations=1,
     )
     publish(results_dir, "table4", render_table4(result))

@@ -39,6 +39,7 @@ from .harness import (
     simulate_plan,
 )
 from .harness.axissweep import DEFAULT_BENCHMARKS, AxisSweepResult
+from .harness.profiling import make_profiler
 from .wires import table2_rows
 from .workloads.spec2k import BENCHMARK_NAMES, PROFILES
 
@@ -628,6 +629,14 @@ def _cmd_run(args: argparse.Namespace) -> str:
 #: The axis each sweep subcommand sweeps.
 _SWEEP_AXES = {"faults": FAULT_AXIS, "power": GATING_AXIS}
 
+#: The driver and renderer of each of the paper's sweep subcommands.
+_PAPER_SWEEPS = {
+    "figure3": (run_figure3, render_figure3),
+    "table3": (run_table3, render_table3),
+    "table4": (run_table4, render_table4),
+    "claims": (run_claims, render_claims),
+}
+
 
 def _cmd_axis_sweep(args: argparse.Namespace,
                     runner: ExperimentRunner) -> AxisSweepResult:
@@ -642,7 +651,7 @@ def _cmd_axis_sweep(args: argparse.Namespace,
     if getattr(base, axis.field):
         rows.append(("custom", getattr(base, axis.field)))
     return run_axis_sweep(runner, axis, base, rows=rows,
-                          benchmarks=benchmarks, workers=args.workers)
+                          benchmarks=benchmarks)
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
@@ -776,15 +785,10 @@ def _cmd_explore(args: argparse.Namespace) -> int:
         return 2
     settings = EvaluationSettings(
         benchmarks=tuple(args.benchmarks or BENCHMARK_NAMES),
-        instructions=args.instructions, warmup=args.warmup,
-        seed=args.seed, interconnect_fraction=args.fraction,
+        base=_plan_from_args(args, model_name="I", benchmark="gzip"),
+        interconnect_fraction=args.fraction,
     )
-
-    profiler = None
-    if _wants_telemetry(args):
-        from .harness.profiling import HarnessProfiler
-
-        profiler = HarnessProfiler()
+    profiler = make_profiler(_wants_telemetry(args))
 
     if args.submit:
         from .service import ServiceClient, ServiceError
@@ -794,7 +798,7 @@ def _cmd_explore(args: argparse.Namespace) -> int:
         service_failures = (ServiceError, OSError)
     else:
         runner = _make_runner(args, profiler=profiler)
-        execute = runner_executor(runner, workers=args.workers)
+        execute = runner_executor(runner)
         service_failures = ()
 
     try:
@@ -841,31 +845,18 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     # Sweep commands: --telemetry/--trace-out attach a wall-clock
     # harness profiler (cache probes, runs, workers) to the runner.
-    profiler = None
-    if _wants_telemetry(args):
-        from .harness.profiling import HarnessProfiler
-
-        profiler = HarnessProfiler()
+    profiler = make_profiler(_wants_telemetry(args))
     runner = _make_runner(args, profiler=profiler)
-
-    kwargs = dict(benchmarks=args.benchmarks,
-                  instructions=args.instructions, warmup=args.warmup,
-                  seed=args.seed)
     failed = False
     if command in _SWEEP_AXES:
         result = _cmd_axis_sweep(args, runner)
         print(render_axis_sweep(result))
         failed = bool(result.report.failures)
-    elif command == "figure3":
-        print(render_figure3(run_figure3(runner, **kwargs)))
-    elif command == "table3":
-        print(render_table3(run_table3(runner, **kwargs)))
-    elif command == "table4":
-        print(render_table4(run_table4(runner, **kwargs)))
-    elif command == "claims":
-        print(render_claims(run_claims(runner, **kwargs)))
-    else:  # pragma: no cover - argparse guards this
-        return 2
+    else:
+        # The driver replaces the base's placeholder model and benchmark.
+        run, render = _PAPER_SWEEPS[command]
+        base = _plan_from_args(args, model_name="I", benchmark="gzip")
+        print(render(run(runner, base, args.benchmarks)))
     _finish_profiled(args, profiler)
     return 1 if failed else 0
 

@@ -190,9 +190,9 @@ class EvaluationSettings:
     """Everything one point evaluation depends on besides the point."""
 
     benchmarks: Tuple[str, ...]
-    instructions: int
-    warmup: int
-    seed: int
+    #: The plan every point's plans start from: its window and seed
+    #: (and any field a point does not set) reach every run.
+    base: ExperimentPlan
     #: Share of chip energy the interconnect contributes in the
     #: baseline (the paper's tables use 0.10 and 0.20).
     interconnect_fraction: float = 0.2
@@ -251,9 +251,7 @@ def _aggregate(point: DesignPoint, settings: EvaluationSettings,
                ) -> Optional[_Aggregate]:
     """Fold the point's runs; None when any benchmark is missing."""
     total = _Aggregate()
-    for plan in point.compile_plans(settings.benchmarks,
-                                    settings.instructions,
-                                    settings.warmup, settings.seed):
+    for plan in point.compile_plans(settings.base, settings.benchmarks):
         run = results.get(plan)
         if run is None:
             return None
@@ -308,10 +306,10 @@ def _point_metrics(point: DesignPoint, total: _Aggregate,
     )
 
 
-def runner_executor(runner, workers: Optional[int] = None) -> Executor:
+def runner_executor(runner) -> Executor:
     """Execute plan waves through a local ExperimentRunner."""
     def execute(plans: Sequence[ExperimentPlan]) -> SweepReport:
-        return runner.run_many_report(list(plans), workers=workers)
+        return runner.run_many_report(list(plans))
     return execute
 
 
@@ -377,10 +375,8 @@ def explore(space: SearchSpace, settings: EvaluationSettings,
         if base is None and anchor not in wave_points:
             wave_points.append(anchor)
         for point in wave_points:
-            plans.extend(point.compile_plans(
-                settings.benchmarks, settings.instructions,
-                settings.warmup, settings.seed,
-            ))
+            plans.extend(point.compile_plans(settings.base,
+                                             settings.benchmarks))
         start = prof.now() if prof.enabled else 0.0
         report = execute(plans)
         if prof.enabled:

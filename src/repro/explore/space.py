@@ -10,7 +10,7 @@ share cache entries and two different points never do.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, Mapping, Tuple
 
 from ..core.models import (
@@ -163,25 +163,17 @@ class DesignPoint:
         """The node's wire-latency multiplier, exactly 1.0 at 45 nm."""
         return node_scaling(self.node).latency_factor
 
-    def compile_plans(self, benchmarks: Tuple[str, ...],
-                      instructions: int, warmup: int,
-                      seed: int) -> Tuple[ExperimentPlan, ...]:
-        """One :class:`ExperimentPlan` per benchmark for this point."""
-        name = self.model_name()
-        scale = self.latency_scale()
-        return tuple(
-            ExperimentPlan(
-                model_name=name,
-                benchmark=benchmark,
-                num_clusters=self.num_clusters,
-                latency_scale=scale,
-                instructions=instructions,
-                warmup=warmup,
-                seed=seed,
-                gating_policy=self.gating,
-            )
-            for benchmark in benchmarks
-        )
+    def compile_plans(self, base: ExperimentPlan,
+                      benchmarks: Tuple[str, ...]
+                      ) -> Tuple[ExperimentPlan, ...]:
+        """One plan per benchmark: ``base`` with this point's model,
+        clusters, latency scale and gating; its window and seed stay."""
+        point = replace(base, model_name=self.model_name(),
+                        num_clusters=self.num_clusters,
+                        latency_scale=self.latency_scale(),
+                        gating_policy=self.gating)
+        return tuple(replace(point, benchmark=benchmark)
+                     for benchmark in benchmarks)
 
 
 @dataclass(frozen=True)

@@ -29,6 +29,7 @@ from .runner import (
     SweepError,
     SweepReport,
     SweepSummary,
+    run_variants,
     simulate_plan,
 )
 from .table3 import TableResult, render_table3, run_table3, shape_summary
@@ -49,6 +50,7 @@ __all__ = [
     "SweepError",
     "SweepReport",
     "SweepSummary",
+    "run_variants",
     "simulate_plan",
     "FAULT_AXIS",
     "GATING_AXIS",

@@ -163,11 +163,11 @@ class AxisSweepResult:
         return None
 
 
-def run_axis_sweep(runner: Optional[ExperimentRunner],
+def run_axis_sweep(runner: ExperimentRunner,
                    axis: SweepAxis, base: ExperimentPlan,
                    rows: Optional[Sequence[Tuple[str, str]]] = None,
-                   benchmarks: Optional[Sequence[str]] = None,
-                   workers: Optional[int] = None) -> AxisSweepResult:
+                   benchmarks: Optional[Sequence[str]] = None
+                   ) -> AxisSweepResult:
     """Sweep ``base`` across ``rows`` of ``axis.field`` x benchmarks.
 
     Every other field -- model, window, seed, the other axis -- comes
@@ -176,7 +176,6 @@ def run_axis_sweep(runner: Optional[ExperimentRunner],
     crashes or times out drops into the report's failure manifest
     instead of sinking the whole sweep.
     """
-    runner = runner or ExperimentRunner()
     names = tuple(benchmarks or DEFAULT_BENCHMARKS)
     plans = [
         (label, [replace(base, benchmark=name, **{axis.field: value})
@@ -184,9 +183,7 @@ def run_axis_sweep(runner: Optional[ExperimentRunner],
         for label, value in (axis.rows if rows is None else rows)
     ]
     report = runner.run_many_report(
-        [plan for _label, per_row in plans for plan in per_row],
-        workers=workers,
-    )
+        [plan for _label, per_row in plans for plan in per_row])
     return AxisSweepResult(
         axis=axis, model_name=base.model_name, report=report,
         rows=tuple(

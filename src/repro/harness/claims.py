@@ -18,11 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
-from ..core.metrics import ModelResult
-from ..core.simulation import DEFAULT_INSTRUCTIONS, DEFAULT_SEED, DEFAULT_WARMUP
-from ..workloads.spec2k import BENCHMARK_NAMES
 from .paperdata import PAPER_CLAIMS
-from .runner import ExperimentPlan, ExperimentRunner
+from .runner import ExperimentPlan, ExperimentRunner, run_variants
 
 
 @dataclass(frozen=True)
@@ -39,54 +36,39 @@ class ClaimResult:
                 f"paper {self.paper:+.1f}{self.unit}")
 
 
-def run_claims(runner: Optional[ExperimentRunner] = None,
-               benchmarks: Optional[Sequence[str]] = None,
-               instructions: int = DEFAULT_INSTRUCTIONS,
-               warmup: int = DEFAULT_WARMUP,
-               workers: Optional[int] = None,
-               seed: int = DEFAULT_SEED) -> Tuple[ClaimResult, ...]:
+#: The six sweeps the claims compare: (model, clusters, latency scale).
+SWEEPS = {
+    "base4": ("I", 4, 1.0),
+    "slow4": ("I", 4, 2.0),
+    "vii4": ("VII", 4, 1.0),
+    "vii4_slow": ("VII", 4, 2.0),
+    "base16": ("I", 16, 1.0),
+    "vii16": ("VII", 16, 1.0),
+}
+
+
+def run_claims(runner: ExperimentRunner, base: ExperimentPlan,
+               benchmarks: Optional[Sequence[str]] = None
+               ) -> Tuple[ClaimResult, ...]:
     """Regenerate every scalar claim.
 
-    All six model sweeps (baseline/VII at 4 and 16 clusters, plus the
-    doubled-latency variants) are batched into one
-    :meth:`ExperimentRunner.run_many` call.
+    The six :data:`SWEEPS` vary ``base``'s model, cluster count and
+    latency scale; the window and seed come from ``base``.  All six
+    are one :func:`run_variants` batch.
     """
-    runner = runner or ExperimentRunner()
-    names = tuple(benchmarks or BENCHMARK_NAMES)
-
-    sweeps = {
-        "base4": ("I", 4, 1.0),
-        "slow4": ("I", 4, 2.0),
-        "vii4": ("VII", 4, 1.0),
-        "vii4_slow": ("VII", 4, 2.0),
-        "base16": ("I", 16, 1.0),
-        "vii16": ("VII", 16, 1.0),
-    }
-    plans = {
-        key: [
-            ExperimentPlan(model_name=model_name, benchmark=bench,
-                           num_clusters=clusters, latency_scale=scale,
-                           instructions=instructions, warmup=warmup,
-                           seed=seed)
-            for bench in names
-        ]
-        for key, (model_name, clusters, scale) in sweeps.items()
-    }
-    runs = runner.run_many(
-        [plan for per_sweep in plans.values() for plan in per_sweep],
-        workers=workers,
+    results = run_variants(
+        runner, base,
+        {key: dict(model_name=name, num_clusters=clusters,
+                   latency_scale=scale)
+         for key, (name, clusters, scale) in SWEEPS.items()},
+        benchmarks,
     )
-
-    def sweep(key: str) -> ModelResult:
-        return ModelResult(model=sweeps[key][0],
-                           runs=tuple(runs[p] for p in plans[key]))
-
-    base4 = sweep("base4")
-    slow4 = sweep("slow4")
-    vii4 = sweep("vii4")
-    vii4_slow = sweep("vii4_slow")
-    base16 = sweep("base16")
-    vii16 = sweep("vii16")
+    base4 = results["base4"]
+    slow4 = results["slow4"]
+    vii4 = results["vii4"]
+    vii4_slow = results["vii4_slow"]
+    base16 = results["base16"]
+    vii16 = results["vii16"]
 
     claims: List[ClaimResult] = [
         ClaimResult(
@@ -129,8 +111,8 @@ def run_claims(runner: Optional[ExperimentRunner] = None,
     false_deps = disamb = 0.0
     coverage = false_narrow = 0.0
     counted = 0
-    for name in names:
-        extra = vii4.run_for(name).extra_stats()
+    for run in vii4.runs:
+        extra = run.extra_stats()
         operand += extra["operand_transfers"]
         narrow += extra["operand_narrow"]
         false_deps += extra["false_dependences"]

@@ -9,13 +9,11 @@ signals.  The headline number is the arithmetic-mean IPC gain: 4.2%.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
-from ..core.simulation import DEFAULT_INSTRUCTIONS, DEFAULT_SEED, DEFAULT_WARMUP
-from ..workloads.spec2k import BENCHMARK_NAMES
 from .formatting import render_bar_chart, render_table
 from .paperdata import PAPER_CLAIMS
-from .runner import ExperimentPlan, ExperimentRunner
+from .runner import ExperimentPlan, ExperimentRunner, run_variants
 
 BASELINE_MODEL = "I"
 LWIRE_MODEL = "VII"
@@ -39,38 +37,23 @@ class Figure3Result:
     def am_gain_percent(self) -> float:
         return (self.lwire_am / self.baseline_am - 1) * 100
 
-    def per_benchmark(self) -> Dict[str, Tuple[float, float]]:
-        return {
-            name: (b, l)
-            for name, b, l in zip(self.benchmarks, self.baseline_ipc,
-                                  self.lwire_ipc, strict=True)
-        }
 
-
-def run_figure3(runner: Optional[ExperimentRunner] = None,
-                benchmarks: Optional[Sequence[str]] = None,
-                instructions: int = DEFAULT_INSTRUCTIONS,
-                warmup: int = DEFAULT_WARMUP,
-                workers: Optional[int] = None,
-                seed: int = DEFAULT_SEED) -> Figure3Result:
-    """Regenerate Figure 3's data (both models in one parallel batch)."""
-    runner = runner or ExperimentRunner()
-    names = tuple(benchmarks or BENCHMARK_NAMES)
-
-    def plan(model_name: str, bench: str) -> ExperimentPlan:
-        return ExperimentPlan(model_name=model_name, benchmark=bench,
-                              instructions=instructions, warmup=warmup,
-                              seed=seed)
-
-    runs = runner.run_many(
-        [plan(m, n) for m in (BASELINE_MODEL, LWIRE_MODEL) for n in names],
-        workers=workers,
+def run_figure3(runner: ExperimentRunner, base: ExperimentPlan,
+                benchmarks: Optional[Sequence[str]] = None
+                ) -> Figure3Result:
+    """Regenerate Figure 3's data: ``base`` as Model I and as Model VII,
+    in one :func:`run_variants` batch."""
+    results = run_variants(
+        runner, base,
+        {name: dict(model_name=name)
+         for name in (BASELINE_MODEL, LWIRE_MODEL)},
+        benchmarks,
     )
+    baseline = results[BASELINE_MODEL].runs
     return Figure3Result(
-        benchmarks=names,
-        baseline_ipc=tuple(runs[plan(BASELINE_MODEL, n)].ipc
-                           for n in names),
-        lwire_ipc=tuple(runs[plan(LWIRE_MODEL, n)].ipc for n in names),
+        benchmarks=tuple(run.benchmark for run in baseline),
+        baseline_ipc=tuple(run.ipc for run in baseline),
+        lwire_ipc=tuple(run.ipc for run in results[LWIRE_MODEL].runs),
     )
 
 

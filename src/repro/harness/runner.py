@@ -45,8 +45,9 @@ from dataclasses import MISSING, asdict, dataclass, fields, replace
 from pathlib import Path
 from typing import (
     Dict,
-    Iterable,
+    Hashable,
     List,
+    Mapping,
     Optional,
     Sequence,
     Tuple,
@@ -599,7 +600,8 @@ class SweepError(RuntimeError):
 class ExperimentRunner:
     """Executes experiment plans, consulting the cache first.
 
-    ``workers`` sets the default process fan-out for
+    The settings are the runner's own, fixed for every sweep it runs.
+    ``workers`` (at least 1) sets the process fan-out of
     :meth:`run_many`; 1 (the default) keeps everything in-process.
     ``run_timeout`` (seconds) bounds each run's wall clock;
     ``max_retries`` retries crashed/timed-out workers with seeded
@@ -620,6 +622,8 @@ class ExperimentRunner:
                  retry_backoff: float = 0.25,
                  retry_backoff_cap: float = 30.0,
                  profiler: Optional[HarnessProfiler] = None) -> None:
+        if workers < 1:
+            raise ValueError("workers must be at least 1")
         if run_timeout is not None and run_timeout <= 0:
             raise ValueError("run_timeout must be positive seconds")
         if max_retries < 0:
@@ -634,7 +638,7 @@ class ExperimentRunner:
             # An explicitly supplied cache joins the runner's timeline.
             self.cache.profiler = profiler
         self.verbose = verbose
-        self.workers = max(1, workers)
+        self.workers = workers
         self.run_timeout = run_timeout
         self.max_retries = max_retries
         self.retry_backoff = retry_backoff
@@ -657,13 +661,8 @@ class ExperimentRunner:
         """One plan, as a one-plan :meth:`run_many` sweep."""
         return self.run_many([plan])[plan]
 
-    def run_many(
-        self,
-        plans: Sequence[ExperimentPlan],
-        workers: Optional[int] = None,
-        run_timeout: Optional[float] = None,
-        max_retries: Optional[int] = None,
-    ) -> Dict[ExperimentPlan, BenchmarkRun]:
+    def run_many(self, plans: Sequence[ExperimentPlan]
+                 ) -> Dict[ExperimentPlan, BenchmarkRun]:
         """Run a batch of plans, fanning cache misses across processes.
 
         Duplicate plans are coalesced and simulated once; misses run in
@@ -674,22 +673,14 @@ class ExperimentRunner:
         the failure manifest) if any run ultimately fails; use
         :meth:`run_many_report` to get partial results without raising.
         """
-        report = self.run_many_report(
-            plans, workers=workers,
-            run_timeout=run_timeout, max_retries=max_retries,
-        )
+        report = self.run_many_report(plans)
         if report.failures:
             raise SweepError(report)
         return dict(report.results)
 
-    def run_many_report(
-        self,
-        plans: Sequence[ExperimentPlan],
-        workers: Optional[int] = None,
-        run_timeout: Optional[float] = None,
-        max_retries: Optional[int] = None,
-        cancel: Optional[threading.Event] = None,
-    ) -> SweepReport:
+    def run_many_report(self, plans: Sequence[ExperimentPlan],
+                        cancel: Optional[threading.Event] = None
+                        ) -> SweepReport:
         """Like :meth:`run_many`, but never raises on worker failure.
 
         Completed runs land in ``report.results``; crashed, timed-out
@@ -703,11 +694,6 @@ class ExperimentRunner:
         the manifest with reason ``"cancelled"``.  Completed results
         are kept -- a cancelled sweep is resumable, not lost.
         """
-        workers = self.workers if workers is None else max(1, workers)
-        run_timeout = (self.run_timeout if run_timeout is None
-                       else run_timeout)
-        max_retries = (self.max_retries if max_retries is None
-                       else max_retries)
         prof = self.profiler
         sweep_start = prof.now() if prof.enabled else 0.0
         unique: List[ExperimentPlan] = list(dict.fromkeys(plans))
@@ -733,10 +719,9 @@ class ExperimentRunner:
             # any timeout (or parallelism) routes through the
             # crash-isolated pool; the plain serial path stays
             # in-process and cheap.
-            if run_timeout is not None or (workers > 1 and len(misses) > 1):
-                outcomes = self._run_isolated(
-                    misses, workers, run_timeout, max_retries,
-                    cancel=cancel)
+            if self.run_timeout is not None or (self.workers > 1
+                                                and len(misses) > 1):
+                outcomes = self._run_isolated(misses, cancel)
             else:
                 outcomes = {}
                 for plan in _in_trace_key_order(misses):
@@ -795,14 +780,9 @@ class ExperimentRunner:
             print(f"  {self.last_summary.render()}", flush=True)
         return self.last_report
 
-    def _run_isolated(
-        self,
-        misses: Sequence[ExperimentPlan],
-        workers: int,
-        run_timeout: Optional[float],
-        max_retries: int,
-        cancel: Optional[threading.Event] = None,
-    ) -> Dict[ExperimentPlan, object]:
+    def _run_isolated(self, misses: Sequence[ExperimentPlan],
+                      cancel: Optional[threading.Event]
+                      ) -> Dict[ExperimentPlan, object]:
         """Execute plans on up to ``workers`` long-lived worker processes.
 
         Workers are forked for this call only and each runs plan after
@@ -825,7 +805,7 @@ class ExperimentRunner:
         backoffs: Dict[ExperimentPlan, DecorrelatedJitter] = {}
 
         def finish(plan, attempt, reason, detail):
-            if reason in ("timeout", "crash") and attempt < max_retries:
+            if reason in ("timeout", "crash") and attempt < self.max_retries:
                 schedule = backoffs.get(plan)
                 if schedule is None:
                     schedule = backoffs[plan] = DecorrelatedJitter(
@@ -870,7 +850,7 @@ class ExperimentRunner:
                 # ones) while there are plans for them; then idle
                 # workers take the next launchable plans in order.
                 busy = sum(w.job is not None for w in pool)
-                while len(pool) < min(workers, busy + len(ready)):
+                while len(pool) < min(self.workers, busy + len(ready)):
                     pool.append(Worker(_execute_plan, self.profiler))
                 idle = [w for w in pool if w.job is None]
                 now = time.monotonic()
@@ -885,7 +865,7 @@ class ExperimentRunner:
 
                 progressed = False
                 for worker in list(pool):
-                    message = worker.poll(run_timeout)
+                    message = worker.poll(self.run_timeout)
                     if message is None:
                         continue
                     progressed = True
@@ -907,7 +887,8 @@ class ExperimentRunner:
                                f"{message[1]}: {message[2]}")
                     elif reason == "timeout":
                         finish(plan, attempt, reason,
-                               f"exceeded run timeout of {run_timeout:g}s")
+                               "exceeded run timeout of "
+                               f"{self.run_timeout:g}s")
                     else:
                         finish(plan, attempt, reason,
                                f"worker died without a result "
@@ -919,31 +900,30 @@ class ExperimentRunner:
                 worker.stop(ending)
         return outcomes
 
-    def run_model(self, model_name: str,
-                  benchmarks: Optional[Sequence[str]] = None,
-                  num_clusters: int = 4, latency_scale: float = 1.0,
-                  instructions: int = DEFAULT_INSTRUCTIONS,
-                  warmup: int = DEFAULT_WARMUP,
-                  seed: int = DEFAULT_SEED,
-                  workers: Optional[int] = None,
-                  flags: Optional[PolicyFlags] = None) -> ModelResult:
-        """One model over ``benchmarks`` (all by default).
 
-        Non-default ``flags`` (the ablations) name the result
-        ``"<model>:<policy tag>"``.
-        """
-        tag = (flags or PolicyFlags()).tag()
-        names: Iterable[str] = tuple(benchmarks or BENCHMARK_NAMES)
-        plans = [
-            ExperimentPlan(
-                model_name=model_name, benchmark=name,
-                num_clusters=num_clusters, latency_scale=latency_scale,
-                instructions=instructions, warmup=warmup, seed=seed,
-                policy_tag=tag,
-            )
-            for name in names
-        ]
-        results = self.run_many(plans, workers=workers)
-        return ModelResult(
-            model=model_name if tag == "default" else f"{model_name}:{tag}",
-            runs=tuple(results[p] for p in plans))
+def run_variants(runner: ExperimentRunner, base: ExperimentPlan,
+                 variants: Mapping[Hashable, Mapping[str, object]],
+                 benchmarks: Optional[Sequence[str]] = None,
+                 ) -> Dict[Hashable, ModelResult]:
+    """One :class:`ModelResult` per variant of ``base``, from one batch.
+
+    ``variants`` maps a key to the plan fields that variant changes;
+    each plan is ``replace(base, benchmark=name, **variant)`` for every
+    name in ``benchmarks`` (all of them by default), so every field a
+    variant does not name -- window, seed, policy, faults, gating --
+    comes from ``base``.  A result is named after its plans' model and
+    its runs follow ``benchmarks``.  All variants go through one
+    :meth:`ExperimentRunner.run_many` call, so the runner runs every
+    variant of a benchmark off one annotated trace.
+    """
+    names = tuple(benchmarks or BENCHMARK_NAMES)
+    plans = {
+        key: [replace(base, benchmark=name, **variant) for name in names]
+        for key, variant in variants.items()
+    }
+    runs = runner.run_many([plan for per in plans.values() for plan in per])
+    return {
+        key: ModelResult(model=per[0].model_name,
+                         runs=tuple(runs[plan] for plan in per))
+        for key, per in plans.items()
+    }

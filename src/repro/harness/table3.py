@@ -11,13 +11,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..core.metrics import ModelResult, RelativeMetrics, relative_metrics
+from ..core.metrics import RelativeMetrics, relative_metrics
 from ..core.models import MODEL_NAMES, model
-from ..core.simulation import DEFAULT_INSTRUCTIONS, DEFAULT_SEED, DEFAULT_WARMUP
-from ..workloads.spec2k import BENCHMARK_NAMES
 from .formatting import render_table
 from .paperdata import PAPER_TABLE3
-from .runner import ExperimentPlan, ExperimentRunner
+from .runner import ExperimentPlan, ExperimentRunner, run_variants
 
 
 @dataclass(frozen=True)
@@ -37,43 +35,19 @@ class TableResult:
         return min(self.rows, key=lambda r: r.ed2(fraction))
 
 
-def run_table3(runner: Optional[ExperimentRunner] = None,
+def run_table3(runner: ExperimentRunner, base: ExperimentPlan,
                benchmarks: Optional[Sequence[str]] = None,
-               models: Sequence[str] = MODEL_NAMES,
-               num_clusters: int = 4,
-               instructions: int = DEFAULT_INSTRUCTIONS,
-               warmup: int = DEFAULT_WARMUP,
-               latency_scale: float = 1.0,
-               workers: Optional[int] = None,
-               seed: int = DEFAULT_SEED) -> TableResult:
-    """Regenerate Table 3 (or, with num_clusters=16, Table 4's runs).
+               models: Sequence[str] = MODEL_NAMES) -> TableResult:
+    """Regenerate Table 3: ``base`` under every model in ``models``.
 
-    The whole models x benchmarks cross product goes through
-    :meth:`ExperimentRunner.run_many` as one batch, so cache misses of
-    every model fan out across ``workers`` processes together.
+    Only the model varies; the machine (``num_clusters=16`` gives
+    Table 4's runs), window and seed come from ``base``.  The whole
+    models x benchmarks cross product is one :func:`run_variants`
+    batch, so cache misses of every model fan out together.
     """
-    runner = runner or ExperimentRunner()
-    names = tuple(benchmarks or BENCHMARK_NAMES)
-    plans = {
-        name: [
-            ExperimentPlan(
-                model_name=name, benchmark=bench,
-                num_clusters=num_clusters, latency_scale=latency_scale,
-                instructions=instructions, warmup=warmup, seed=seed,
-            )
-            for bench in names
-        ]
-        for name in models
-    }
-    runs = runner.run_many(
-        [plan for per_model in plans.values() for plan in per_model],
-        workers=workers,
-    )
-    results = {
-        name: ModelResult(model=name,
-                          runs=tuple(runs[p] for p in plans[name]))
-        for name in models
-    }
+    results = run_variants(runner, base,
+                           {name: dict(model_name=name) for name in models},
+                           benchmarks)
     baseline = results["I"]
     rows = tuple(
         relative_metrics(
@@ -83,7 +57,7 @@ def run_table3(runner: Optional[ExperimentRunner] = None,
         )
         for name in models
     )
-    return TableResult(num_clusters=num_clusters, rows=rows)
+    return TableResult(num_clusters=base.num_clusters, rows=rows)
 
 
 def render_table3(result: TableResult,

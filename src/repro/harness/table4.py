@@ -8,27 +8,22 @@ paper's headline -- up to 11% ED^2 reduction -- comes from this table
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import List, Optional, Sequence
 
 from ..core.models import MODEL_NAMES
-from ..core.simulation import DEFAULT_INSTRUCTIONS, DEFAULT_SEED, DEFAULT_WARMUP
 from .formatting import render_table
 from .paperdata import PAPER_TABLE4
-from .runner import ExperimentRunner
+from .runner import ExperimentPlan, ExperimentRunner
 from .table3 import TableResult, run_table3
 
 
-def run_table4(runner: Optional[ExperimentRunner] = None,
+def run_table4(runner: ExperimentRunner, base: ExperimentPlan,
                benchmarks: Optional[Sequence[str]] = None,
-               models: Sequence[str] = MODEL_NAMES,
-               instructions: int = DEFAULT_INSTRUCTIONS,
-               warmup: int = DEFAULT_WARMUP,
-               workers: Optional[int] = None,
-               seed: int = DEFAULT_SEED) -> TableResult:
-    """Regenerate Table 4 (16 clusters, hierarchical interconnect)."""
-    return run_table3(runner=runner, benchmarks=benchmarks, models=models,
-                      num_clusters=16, instructions=instructions,
-                      warmup=warmup, workers=workers, seed=seed)
+               models: Sequence[str] = MODEL_NAMES) -> TableResult:
+    """Regenerate Table 4: :func:`run_table3` on 16 clusters."""
+    return run_table3(runner, replace(base, num_clusters=16), benchmarks,
+                      models)
 
 
 def render_table4(result: TableResult, include_paper: bool = True) -> str:

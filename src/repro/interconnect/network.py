@@ -163,12 +163,6 @@ class DegradationReport:
     planes_killed: int
     retry_budget: int
 
-    @property
-    def any_degradation(self) -> bool:
-        return bool(self.corrupted_segments or self.retransmissions
-                    or self.retry_escalations or self.degraded_reroutes
-                    or self.degraded_selections or self.planes_killed)
-
 
 class Network:
     """Cycle-driven heterogeneous inter-cluster network."""

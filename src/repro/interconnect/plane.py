@@ -9,7 +9,7 @@ latency and energy characteristics.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Mapping
+from typing import Dict, Mapping
 
 from ..wires import CANONICAL_SPECS, WireClass, WireSpec
 from .errors import ConfigError
@@ -95,10 +95,6 @@ class LinkComposition:
         for wire_class, plane in self._planes.items():
             merged[wire_class] = plane.spec
         return merged
-
-    @property
-    def wire_classes(self) -> Iterable[WireClass]:
-        return self._planes.keys()
 
     def has_plane(self, wire_class: WireClass) -> bool:
         return wire_class in self._planes

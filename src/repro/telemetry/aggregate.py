@@ -15,7 +15,7 @@ package to the harness package.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 from .events import EventKind, TraceEvent
 
@@ -139,14 +139,3 @@ def render_summary(summary: TraceSummary,
         lines.append(f"fault events: {faults}")
     return "\n".join(lines)
 
-
-def summarize_counters(snapshots: Sequence[Mapping[str, object]]
-                       ) -> Tuple[Tuple[str, int], ...]:
-    """Merge integer counters from several metric snapshots, sorted."""
-    totals: Dict[str, int] = {}
-    for snapshot in snapshots:
-        for name, value in snapshot.items():
-            if isinstance(value, bool) or not isinstance(value, int):
-                continue
-            totals[name] = totals.get(name, 0) + value
-    return tuple(sorted(totals.items()))

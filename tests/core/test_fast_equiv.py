@@ -5,17 +5,16 @@ were pinned while an independent scalar implementation of the same model
 agreed with this one bit for bit, so the corpus stands in for that
 reference.  The entries cover the dimensions where the simulator takes
 different internal paths: wire compositions (which planes exist drives
-selection), cluster counts, fault injection (the network's kill,
-reroute and retransmission hooks) and memory-dependence speculation
-(the LSQ's wake filtering).  Traced entries are checked corpus-wide by
-``test_golden.py``.
+selection), cluster counts and fault injection (the network's kill,
+reroute and retransmission hooks).  ``test_golden.py`` checks every
+entry, and that the corpus keeps its benchmark, seed and speculation
+entries.
 """
 
 import pytest
 
 from golden import FAULT_SPECS, assert_pinned, label
 from repro.core.models import MODEL_NAMES
-from repro.interconnect.selection import PolicyFlags
 
 
 class TestHealthyRuns:
@@ -23,20 +22,9 @@ class TestHealthyRuns:
     def test_every_model_matches(self, name):
         assert_pinned(label(name))
 
-    @pytest.mark.parametrize("bench", ["gzip", "art", "mcf", "gcc"])
-    def test_benchmarks_match(self, bench):
-        assert_pinned(label(benchmark=bench))
-
     @pytest.mark.parametrize("name", ["III", "X"])
     def test_sixteen_clusters_match(self, name):
         assert_pinned(label(name, num_clusters=16))
-
-    def test_different_seed_matches(self):
-        assert_pinned(label(seed=7))
-
-    def test_memory_dependence_speculation_matches(self):
-        assert_pinned(label(policy_tag=PolicyFlags(
-            memory_dependence_speculation=True).tag()))
 
 
 class TestFaultedRuns:

@@ -10,7 +10,12 @@ import pytest
 from repro.core.metrics import ModelResult
 from repro.core.models import model
 from repro.core.simulation import build_processor, simulate_benchmark
-from repro.harness import ExperimentRunner, ResultCache
+from repro.harness import (
+    ExperimentPlan,
+    ExperimentRunner,
+    ResultCache,
+    run_variants,
+)
 
 
 class TestBuildProcessor:
@@ -66,8 +71,9 @@ class TestSimulateBenchmark:
 class TestSimulateModel:
     def test_subset_of_benchmarks(self, tmp_path):
         runner = ExperimentRunner(cache=ResultCache(tmp_path), verbose=False)
-        result = runner.run_model("I", ("gzip", "mesa"), instructions=800,
-                                  warmup=200)
+        base = ExperimentPlan("I", "gzip", instructions=800, warmup=200)
+        result = run_variants(runner, base, {"I": {}},
+                              ("gzip", "mesa"))["I"]
         assert isinstance(result, ModelResult)
         assert {r.benchmark for r in result.runs} == {"gzip", "mesa"}
         assert result.am_ipc > 0

@@ -23,7 +23,7 @@ from repro.explore import (
 )
 from repro.explore.report import CSV_FIELDS, frontier_table, leakage_share, to_csv
 from repro.explore.search import _safe_ratio
-from repro.harness.runner import ExperimentRunner, ResultCache
+from repro.harness.runner import ExperimentPlan, ExperimentRunner, ResultCache
 from repro.wires import WireClass
 
 GATED = "idle:drowsy=16,gate=64"
@@ -58,9 +58,11 @@ class TestDesignPointGating:
             DesignPoint.decode("dp@n45:B144+L36:cw2|xbar4|idle")
 
     def test_plans_carry_the_policy(self):
-        plans = point(GATED).compile_plans(("gzip",), 800, 200, 42)
+        base = ExperimentPlan("I", "gzip", instructions=800, warmup=200,
+                              seed=42)
+        plans = point(GATED).compile_plans(base, ("gzip",))
         assert all(p.gating_policy == GATED for p in plans)
-        ungated = point().compile_plans(("gzip",), 800, 200, 42)
+        ungated = point().compile_plans(base, ("gzip",))
         assert all(p.gating_policy == "" for p in ungated)
 
 
@@ -156,9 +158,10 @@ class TestGatedExploreEndToEnd:
         space = SearchSpace(nodes=(45,), b_options=(144,),
                             pw_options=(288,), l_options=(36,),
                             gating_policies=("", GATED))
-        settings = EvaluationSettings(benchmarks=("gzip",),
-                                      instructions=800, warmup=200,
-                                      seed=42)
+        settings = EvaluationSettings(
+            benchmarks=("gzip",),
+            base=ExperimentPlan("I", "gzip", instructions=800, warmup=200,
+                                seed=42))
         runner = ExperimentRunner(cache=ResultCache(tmp_path),
                                   verbose=False)
         result = explore(space, settings, runner_executor(runner),

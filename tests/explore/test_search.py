@@ -11,11 +11,12 @@ from repro.explore import (
     runner_executor,
 )
 from repro.explore.report import CSV_FIELDS, frontier_table, to_csv
-from repro.harness.runner import ExperimentRunner, ResultCache
+from repro.harness.runner import ExperimentPlan, ExperimentRunner, ResultCache
 from repro.wires import WireClass
 
 SETTINGS = EvaluationSettings(
-    benchmarks=("bzip2",), instructions=2000, warmup=200, seed=0,
+    benchmarks=("bzip2",),
+    base=ExperimentPlan("I", "gzip", instructions=2000, warmup=200, seed=0),
 )
 
 

@@ -5,6 +5,7 @@ import pytest
 from repro.core.models import model, parse_design_point
 from repro.explore import DesignPoint, baseline_point
 from repro.explore.space import TOPOLOGIES
+from repro.harness import ExperimentPlan
 from repro.wires import WireClass
 
 
@@ -83,10 +84,9 @@ class TestDesignPoint:
         point = DesignPoint.from_mix(
             32, {WireClass.B: 144, WireClass.L: 36}, "ring16",
         )
-        plans = point.compile_plans(
-            benchmarks=("gzip", "mesa"), instructions=5000,
-            warmup=500, seed=7,
-        )
+        base = ExperimentPlan("I", "gzip", instructions=5000, warmup=500,
+                              seed=7)
+        plans = point.compile_plans(base, ("gzip", "mesa"))
         assert [p.benchmark for p in plans] == ["gzip", "mesa"]
         for plan in plans:
             assert plan.model_name == point.model_name()
@@ -96,13 +96,9 @@ class TestDesignPoint:
             assert plan.warmup == 500
             assert plan.seed == 7
         # Distinct points produce distinct cache keys.
-        other = point.compile_plans(
-            benchmarks=("gzip",), instructions=5000, warmup=500, seed=7,
-        )[0]
+        other = point.compile_plans(base, ("gzip",))[0]
         assert other.cache_key() == plans[0].cache_key()
         different = DesignPoint.from_mix(
             22, {WireClass.B: 144, WireClass.L: 36}, "ring16",
-        ).compile_plans(
-            benchmarks=("gzip",), instructions=5000, warmup=500, seed=7,
-        )[0]
+        ).compile_plans(base, ("gzip",))[0]
         assert different.cache_key() != plans[0].cache_key()

@@ -10,12 +10,14 @@ import pytest
 from golden import (
     assert_pinned,
     assert_scaling_pinned,
+    label,
     label_of,
     load,
     load_scaling,
     scaling,
 )
 from repro.faults import FaultSpec
+from repro.interconnect.selection import PolicyFlags
 
 #: Extras that count fault-induced degradation.
 DEGRADATION = ("retransmissions", "corrupted_segments", "retry_escalations",
@@ -72,3 +74,17 @@ def test_corpus_is_not_vacuous():
     # 16-cluster hierarchical topology.
     clusters = {entry["plan"]["num_clusters"] for entry in corpus.values()}
     assert {4, 16} <= clusters
+
+
+def test_corpus_covers_the_engine_paths():
+    # Entries whose inputs take their own paths through the simulator:
+    # Model X on traffic mixes from cache-heavy to ILP-heavy, a second
+    # workload seed, and memory-dependence speculation (the LSQ's wake
+    # filtering).
+    required = [label(benchmark=name)
+                for name in ("gzip", "art", "mcf", "gcc")]
+    required.append(label(seed=7))
+    required.append(label(policy_tag=PolicyFlags(
+        memory_dependence_speculation=True).tag()))
+    missing = [name for name in required if name not in load()]
+    assert not missing, f"corpus lost entries: {missing}"

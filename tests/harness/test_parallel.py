@@ -24,8 +24,9 @@ PLANS = [
 
 
 def run_all(tmp_path, workers):
-    runner = ExperimentRunner(cache=ResultCache(tmp_path), verbose=False)
-    return runner, runner.run_many(PLANS, workers=workers)
+    runner = ExperimentRunner(cache=ResultCache(tmp_path), verbose=False,
+                              workers=workers)
+    return runner, runner.run_many(PLANS)
 
 
 class TestDeterminism:
@@ -70,13 +71,15 @@ class TestTable3Sweep:
         # Table 3 sweep with workers=4 is byte-identical to serial.
         from repro.harness.table3 import run_table3
 
-        kw = dict(benchmarks=("gzip", "art"), instructions=400, warmup=100)
+        base = ExperimentPlan("I", "gzip", instructions=400, warmup=100)
+        benchmarks = ("gzip", "art")
         serial_runner = ExperimentRunner(
             cache=ResultCache(tmp_path / "serial"), verbose=False)
-        serial = run_table3(runner=serial_runner, workers=1, **kw)
+        serial = run_table3(serial_runner, base, benchmarks)
         parallel_runner = ExperimentRunner(
-            cache=ResultCache(tmp_path / "parallel"), verbose=False)
-        parallel = run_table3(runner=parallel_runner, workers=4, **kw)
+            cache=ResultCache(tmp_path / "parallel"), verbose=False,
+            workers=4)
+        parallel = run_table3(parallel_runner, base, benchmarks)
         assert parallel_runner.last_summary.executed == 20  # 10 models x 2
         assert serial.rows == parallel.rows
 
@@ -98,16 +101,18 @@ class TestParallelCacheIntegrity:
 
     def test_flag_override_models_cross_process(self, tmp_path):
         # Policy-flag ablations reach the workers inside the plan.
+        from repro.harness import run_variants
         from repro.interconnect.selection import PolicyFlags
 
         runner = ExperimentRunner(cache=ResultCache(tmp_path),
-                                  verbose=False)
-        ablated = runner.run_model(
-            "VII", benchmarks=("gzip", "mesa"), workers=2,
-            flags=PolicyFlags(lwire_narrow=False), **WINDOW,
+                                  verbose=False, workers=2)
+        narrow_off = PolicyFlags(lwire_narrow=False).tag()
+        results = run_variants(
+            runner, ExperimentPlan("VII", "gzip", **WINDOW),
+            {"ablated": dict(policy_tag=narrow_off), "stock": {}},
+            ("gzip", "mesa"),
         )
-        stock = runner.run_model("VII", benchmarks=("gzip", "mesa"),
-                                 workers=2, **WINDOW)
+        ablated, stock = results["ablated"], results["stock"]
         assert runner.executed == 4
         # The flags must actually reach the worker processes: with
         # narrow-operand steering off, VII behaves differently.

@@ -77,9 +77,9 @@ def plans_of(models, benchmark="gzip"):
 class TestReuse:
     def test_one_key_runs_on_exactly_the_pool_size(self, tmp_path,
                                                      pid_execute):
-        runner = make_runner(tmp_path)
+        runner = make_runner(tmp_path, workers=2)
         plans = plans_of(("I", "II", "III", "IV", "V", "VI"))
-        report = runner.run_many_report(plans, workers=2)
+        report = runner.run_many_report(plans)
         assert report.ok
         assert len(report.results) == 6
         assert len(pids(report)) == 2
@@ -89,8 +89,7 @@ class TestReuse:
 
     def test_one_worker_runs_every_plan(self, tmp_path, pid_execute):
         runner = make_runner(tmp_path, run_timeout=30)
-        report = runner.run_many_report(plans_of(("I", "II", "III")),
-                                        workers=1)
+        report = runner.run_many_report(plans_of(("I", "II", "III")))
         assert report.ok
         assert len(pids(report)) == 1
         assert pids(report) != {os.getpid()}
@@ -99,9 +98,10 @@ class TestReuse:
 class TestReplaceOnCrash:
     def test_dead_worker_is_replaced_and_only_its_plan_retried(
             self, tmp_path, pid_execute):
-        runner = make_runner(tmp_path, max_retries=1, retry_backoff=0.01)
+        runner = make_runner(tmp_path, workers=2, max_retries=1,
+                             retry_backoff=0.01)
         plans = plans_of(("flaky", "II", "III", "IV", "V", "VI"))
-        report = runner.run_many_report(plans, workers=2)
+        report = runner.run_many_report(plans)
         assert report.ok
         assert set(report.results) == set(plans)
         workers = spans(runner, "worker")
@@ -118,9 +118,9 @@ class TestReplaceOnCrash:
 
     def test_hung_plan_kills_only_its_own_worker(self, tmp_path,
                                                  pid_execute):
-        runner = make_runner(tmp_path, run_timeout=0.5)
+        runner = make_runner(tmp_path, workers=2, run_timeout=0.5)
         plans = plans_of(("I", "hang", "III", "IV"))
-        report = runner.run_many_report(plans, workers=2)
+        report = runner.run_many_report(plans)
         (failure,) = report.failures
         assert failure.plan.model_name == "hang"
         assert failure.reason == "timeout"
@@ -134,7 +134,7 @@ class TestReplaceOnCrash:
 class TestShutdown:
     def test_cancel_mid_sweep_terminates_every_worker(self, tmp_path,
                                                       pid_execute):
-        runner = make_runner(tmp_path, run_timeout=60)
+        runner = make_runner(tmp_path, workers=2, run_timeout=60)
         plans = (plans_of(("I", "hang"), "gzip")
                  + plans_of(("hang", "V"), "mesa")
                  + plans_of(("hang",), "art"))
@@ -143,8 +143,7 @@ class TestShutdown:
         timer.start()
         try:
             start = time.monotonic()
-            report = runner.run_many_report(plans, workers=2,
-                                            cancel=cancel)
+            report = runner.run_many_report(plans, cancel=cancel)
         finally:
             timer.cancel()
         assert time.monotonic() - start < 30
@@ -155,11 +154,10 @@ class TestShutdown:
             "cancelled"}
 
     def test_sweeps_do_not_share_workers(self, tmp_path, pid_execute):
-        runner = make_runner(tmp_path)
-        first = runner.run_many_report(plans_of(("I", "II")), workers=2)
+        runner = make_runner(tmp_path, workers=2)
+        first = runner.run_many_report(plans_of(("I", "II")))
         assert multiprocessing.active_children() == []
-        second = runner.run_many_report(plans_of(("III", "IV")),
-                                        workers=2)
+        second = runner.run_many_report(plans_of(("III", "IV")))
         assert multiprocessing.active_children() == []
         assert not pids(first) & pids(second)
 
@@ -175,11 +173,11 @@ class TestTraceKeys:
             for benchmark, seed in (("gzip", 1), ("mesa", 1), ("gzip", 2))
         ]
         serial = ExperimentRunner(cache=ResultCache(tmp_path / "serial"),
-                                  verbose=False).run_many(plans, workers=1)
-        pooled = make_runner(tmp_path / "pool")
-        assert pooled.run_many(plans, workers=2) == serial
+                                  verbose=False).run_many(plans)
+        pooled = make_runner(tmp_path / "pool", workers=2)
+        assert pooled.run_many(plans) == serial
         single = make_runner(tmp_path / "single", run_timeout=300)
-        assert single.run_many(plans, workers=1) == serial
+        assert single.run_many(plans) == serial
         # One worker runs the keys back to back, in first-seen order.
         order = [e["args"]["plan"] for e in spans(single, "run")]
         assert order == [p.describe() for p in plans[0::3] + plans[1::3]

@@ -125,8 +125,8 @@ class TestResumeFromManifest:
                             execute)
         plans = [plan_for("gzip"), plan_for("mesa")]
         runner = ExperimentRunner(cache=ResultCache(tmp_path / "c"),
-                                  verbose=False, run_timeout=10.0)
-        first = runner.run_many_report(plans, workers=2)
+                                  verbose=False, workers=2, run_timeout=10.0)
+        first = runner.run_many_report(plans)
         assert not first.ok
         assert [p.benchmark for p in first.unfinished_plans] == ["mesa"]
 
@@ -136,9 +136,8 @@ class TestResumeFromManifest:
         assert reloaded.unfinished_plans == first.unfinished_plans
 
         second = ExperimentRunner(cache=ResultCache(tmp_path / "c"),
-                                  verbose=False, run_timeout=10.0)
-        resumed = second.run_many_report(list(reloaded.unfinished_plans),
-                                         workers=2)
+                                  verbose=False, workers=2, run_timeout=10.0)
+        resumed = second.run_many_report(list(reloaded.unfinished_plans))
         assert resumed.ok
         assert resumed.summary.executed == 1  # only the missing plan
         merged = dict(reloaded.results)

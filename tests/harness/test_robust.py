@@ -62,13 +62,13 @@ def scripted_execute(monkeypatch, tmp_path):
 class TestTimeouts:
     def test_hung_worker_killed_others_survive(self, tmp_path,
                                                scripted_execute):
-        runner = make_runner(tmp_path, run_timeout=0.5)
+        runner = make_runner(tmp_path, workers=2, run_timeout=0.5)
         plans = [
             ExperimentPlan("I", "gzip", **WINDOW),
             ExperimentPlan("I", "hang", **WINDOW),
             ExperimentPlan("I", "mesa", **WINDOW),
         ]
-        report = runner.run_many_report(plans, workers=2)
+        report = runner.run_many_report(plans)
         assert not report.ok
         assert sorted(r.benchmark for r in report.results.values()) == [
             "gzip", "mesa"]
@@ -83,13 +83,13 @@ class TestTimeouts:
 
     def test_run_many_raises_sweep_error_with_partial_results(
             self, tmp_path, scripted_execute):
-        runner = make_runner(tmp_path, run_timeout=0.5)
+        runner = make_runner(tmp_path, workers=2, run_timeout=0.5)
         plans = [
             ExperimentPlan("I", "gzip", **WINDOW),
             ExperimentPlan("I", "hang", **WINDOW),
         ]
         with pytest.raises(SweepError) as excinfo:
-            runner.run_many(plans, workers=2)
+            runner.run_many(plans)
         report = excinfo.value.report
         assert isinstance(report, SweepReport)
         assert [r.benchmark for r in report.results.values()] == ["gzip"]
@@ -98,31 +98,31 @@ class TestTimeouts:
 
 class TestCrashes:
     def test_dead_worker_detected(self, tmp_path, scripted_execute):
-        runner = make_runner(tmp_path, run_timeout=10)
+        runner = make_runner(tmp_path, workers=2, run_timeout=10)
         plans = [
             ExperimentPlan("I", "die", **WINDOW),
             ExperimentPlan("I", "gzip", **WINDOW),
         ]
-        report = runner.run_many_report(plans, workers=2)
+        report = runner.run_many_report(plans)
         (failure,) = report.failures
         assert failure.reason == "crash"
         assert "exit code 3" in failure.detail
         assert [r.benchmark for r in report.results.values()] == ["gzip"]
 
     def test_crash_retried_until_success(self, tmp_path, scripted_execute):
-        runner = make_runner(tmp_path, run_timeout=10, max_retries=2,
-                             retry_backoff=0.01)
+        runner = make_runner(tmp_path, workers=2, run_timeout=10,
+                             max_retries=2, retry_backoff=0.01)
         plan = ExperimentPlan("I", "flaky", **WINDOW)
-        report = runner.run_many_report([plan], workers=2)
+        report = runner.run_many_report([plan])
         assert report.ok
         assert report.results[plan].benchmark == "flaky"
 
     def test_retries_exhausted_reports_attempts(self, tmp_path,
                                                 scripted_execute):
-        runner = make_runner(tmp_path, run_timeout=10, max_retries=2,
-                             retry_backoff=0.01)
+        runner = make_runner(tmp_path, workers=2, run_timeout=10,
+                             max_retries=2, retry_backoff=0.01)
         plan = ExperimentPlan("I", "die", **WINDOW)
-        report = runner.run_many_report([plan], workers=2)
+        report = runner.run_many_report([plan])
         (failure,) = report.failures
         assert failure.reason == "crash"
         assert failure.attempts == 3  # initial + 2 retries
@@ -191,8 +191,8 @@ class TestExitRace:
                                 get_context=Context,
                                 connection=types.SimpleNamespace(
                                     wait=lambda conns, timeout: [])))
-        runner = make_runner(tmp_path, run_timeout=10)
-        report = runner.run_many_report([plan], workers=2)
+        runner = make_runner(tmp_path, workers=2, run_timeout=10)
+        report = runner.run_many_report([plan])
         assert report.failures == ()
         assert report.results[plan] == result
         assert state["sent"] == [plan, None]  # job, then sentinel
@@ -201,10 +201,10 @@ class TestExitRace:
 class TestErrors:
     def test_simulator_exception_not_retried(self, tmp_path,
                                              scripted_execute):
-        runner = make_runner(tmp_path, run_timeout=10, max_retries=3,
-                             retry_backoff=0.01)
+        runner = make_runner(tmp_path, workers=2, run_timeout=10,
+                             max_retries=3, retry_backoff=0.01)
         plan = ExperimentPlan("I", "raise", **WINDOW)
-        report = runner.run_many_report([plan], workers=2)
+        report = runner.run_many_report([plan])
         (failure,) = report.failures
         assert failure.reason == "error"
         assert failure.attempts == 1  # exceptions are deterministic
@@ -217,7 +217,7 @@ class TestErrors:
         monkeypatch.setattr("repro.harness.runner._execute_plan", execute)
         runner = make_runner(tmp_path)
         plan = ExperimentPlan("I", "gzip", **WINDOW)
-        report = runner.run_many_report([plan], workers=1)
+        report = runner.run_many_report([plan])
         (failure,) = report.failures
         assert failure.reason == "error"
         assert "boom" in failure.detail
@@ -225,24 +225,28 @@ class TestErrors:
 
 class TestBookkeeping:
     def test_failed_runs_never_cached(self, tmp_path, scripted_execute):
-        runner = make_runner(tmp_path, run_timeout=0.5)
+        runner = make_runner(tmp_path, workers=2, run_timeout=0.5)
         plans = [
             ExperimentPlan("I", "hang", **WINDOW),
             ExperimentPlan("I", "gzip", **WINDOW),
         ]
-        runner.run_many_report(plans, workers=2)
+        runner.run_many_report(plans)
         cached = [p for p in plans if runner.cache.load(p) is not None]
         assert [p.benchmark for p in cached] == ["gzip"]
 
     def test_last_report_set(self, tmp_path, scripted_execute):
-        runner = make_runner(tmp_path, run_timeout=10)
+        runner = make_runner(tmp_path, workers=2, run_timeout=10)
         plan = ExperimentPlan("I", "gzip", **WINDOW)
-        result = runner.run_many([plan], workers=2)
+        result = runner.run_many([plan])
         assert runner.last_report is not None
         assert runner.last_report.ok
         assert runner.last_report.results[plan] == result[plan]
 
     def test_constructor_validation(self, tmp_path):
+        with pytest.raises(ValueError, match="workers must be at least 1"):
+            make_runner(tmp_path, workers=0)
+        with pytest.raises(ValueError, match="workers"):
+            make_runner(tmp_path, workers=-3)
         with pytest.raises(ValueError, match="run_timeout"):
             make_runner(tmp_path, run_timeout=0)
         with pytest.raises(ValueError, match="max_retries"):
@@ -256,7 +260,7 @@ class TestBookkeeping:
         runner = make_runner(tmp_path, run_timeout=0.5)
         plan = ExperimentPlan("I", "hang", **WINDOW)
         start = time.monotonic()
-        report = runner.run_many_report([plan], workers=1)
+        report = runner.run_many_report([plan])
         assert time.monotonic() - start < 30
         assert not report.ok
         assert report.failures[0].reason == "timeout"

@@ -12,6 +12,7 @@ from repro.harness.runner import (
     ExperimentPlan,
     ExperimentRunner,
     ResultCache,
+    run_variants,
     simulate_plan,
 )
 from repro.interconnect.selection import PolicyFlags
@@ -255,10 +256,12 @@ class TestRunner:
     def test_run_model_aggregates(self, tmp_path):
         runner = ExperimentRunner(cache=ResultCache(tmp_path),
                                   verbose=False)
-        result = runner.run_model("I", benchmarks=("gzip", "mesa"),
-                                  instructions=500, warmup=100)
+        base = ExperimentPlan("I", "art", instructions=500, warmup=100)
+        result = run_variants(runner, base, {"I": {}},
+                              ("gzip", "mesa"))["I"]
         assert result.model == "I"
-        assert {r.benchmark for r in result.runs} == {"gzip", "mesa"}
+        assert [r.benchmark for r in result.runs] == ["gzip", "mesa"]
+        assert runner.last_summary.requested == 2
 
     def test_run_many_dedupes_and_summarizes(self, tmp_path):
         cache = ResultCache(tmp_path)
@@ -295,17 +298,19 @@ class TestRunner:
         runner = ExperimentRunner(cache=ResultCache(tmp_path),
                                   verbose=False)
         ablated = PolicyFlags(lwire_narrow=False)
-        a = runner.run_model(
-            "VII", benchmarks=("gzip",), instructions=500, warmup=100,
-            flags=PolicyFlags(),
-        )
-        b = runner.run_model(
-            "VII", benchmarks=("gzip",), instructions=500, warmup=100,
-            flags=ablated,
+        base = ExperimentPlan("VII", "gzip", instructions=500, warmup=100)
+        results = run_variants(
+            runner, base,
+            {"stock": dict(policy_tag=PolicyFlags().tag()),
+             "ablated": dict(policy_tag=ablated.tag())},
+            ("gzip",),
         )
         assert runner.executed == 2  # distinct tags, no false sharing
-        assert a.model == "VII"
-        assert b.model == "VII:lwire_narrow=0"
+        plans = runner.last_report.results
+        assert len({plan.cache_key() for plan in plans}) == 2
+        assert {plan.policy_tag for plan in plans} == {
+            "default", "lwire_narrow=0"}
+        assert {r.model for r in results.values()} == {"VII"}
 
 
     def test_accounting_error_is_a_failure_never_cached(self, tmp_path,
@@ -376,16 +381,22 @@ class TestPolicyFlagsInThePlan:
     that differ never share a cache entry, and flags run on the model's
     own interconnect (node-scaled wires included)."""
 
-    WINDOW = dict(benchmarks=("gzip",), instructions=1500, warmup=300)
+    BASE = ExperimentPlan("I", "gzip", instructions=1500, warmup=300)
     CORE_FLAGS = ("transmission_line_lwires", "memory_dependence_speculation")
+
+    def run(self, runner, name, flags=PolicyFlags()):
+        """``name`` on gzip under ``flags``, as a one-variant batch."""
+        variant = dict(model_name=name, policy_tag=flags.tag())
+        return run_variants(runner, self.BASE, {name: variant},
+                            ("gzip",))[name]
 
     def test_ablation_after_a_stock_run_is_not_served_the_stock_run(
             self, tmp_path):
         runner = ExperimentRunner(cache=ResultCache(tmp_path),
                                   verbose=False)
-        stock = runner.run_model("VII", **self.WINDOW)
-        ablated = runner.run_model(
-            "VII", flags=PolicyFlags().without_lwire_uses(), **self.WINDOW)
+        stock = self.run(runner, "VII")
+        ablated = self.run(runner, "VII",
+                           PolicyFlags().without_lwire_uses())
         assert runner.executed == 2
         assert runner.cache_hits == 0
         assert ablated.runs[0].cycles != stock.runs[0].cycles
@@ -394,8 +405,8 @@ class TestPolicyFlagsInThePlan:
         name = "dp@n16:B144+L36:cw1"
         runner = ExperimentRunner(cache=ResultCache(tmp_path),
                                   verbose=False)
-        flagged = runner.run_model(name, flags=PolicyFlags(), **self.WINDOW)
-        stock = runner.run_model(name, **self.WINDOW)
+        flagged = self.run(runner, name, PolicyFlags())
+        stock = self.run(runner, name)
         assert runner.executed == 1
         assert runner.cache_hits == 1
         assert flagged == stock

@@ -81,10 +81,11 @@ class TestWorkerCountDeterminism:
         ]
         serial_runner = ExperimentRunner(
             cache=ResultCache(tmp_path / "serial"), verbose=False)
-        serial = serial_runner.run_many(plans, workers=1)
+        serial = serial_runner.run_many(plans)
         parallel_runner = ExperimentRunner(
-            cache=ResultCache(tmp_path / "parallel"), verbose=False)
-        parallel = parallel_runner.run_many(plans, workers=4)
+            cache=ResultCache(tmp_path / "parallel"), verbose=False,
+            workers=4)
+        parallel = parallel_runner.run_many(plans)
         assert parallel_runner.last_summary.executed == len(plans)
         for plan in plans:
             assert serial[plan] == parallel[plan], plan.describe()

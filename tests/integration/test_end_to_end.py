@@ -9,7 +9,12 @@ import pytest
 
 from repro.core.models import model
 from repro.core.simulation import simulate_benchmark
-from repro.harness import ExperimentRunner, ResultCache
+from repro.harness import (
+    ExperimentPlan,
+    ExperimentRunner,
+    ResultCache,
+    run_variants,
+)
 from repro.interconnect.message import TransferKind
 from repro.wires import WireClass
 
@@ -24,9 +29,12 @@ def am_ipc(tmp_path_factory):
     runner = ExperimentRunner(
         cache=ResultCache(tmp_path_factory.mktemp("cache")), verbose=False)
 
+    window = ExperimentPlan("I", BENCHES[0], instructions=INSN,
+                            warmup=WARMUP)
+
     def run(mname, **kw):
-        return runner.run_model(mname, BENCHES, instructions=INSN,
-                                warmup=WARMUP, **kw)
+        variant = dict(model_name=mname, **kw)
+        return run_variants(runner, window, {mname: variant}, BENCHES)[mname]
     return run
 
 
