@@ -1,28 +1,26 @@
 """simlint: simulator-invariant static analysis.
 
-The reproduction's headline numbers are only trustworthy if every run
-is bit-deterministic.  ``simlint`` machine-checks that and the
-simulator's other invariants on every commit instead of trusting
-convention.  (Cache keys need no rule: a plan's key serializes every
-field plus a digest of the simulator's source.  Units need none
-either: every run checks its energy and plane-residency identities,
-and the golden corpus pins the node-scaling factors.)
+``simlint`` checks the code hazards that no run can catch, on every
+commit.  Properties a run *can* check are checked by running:
+determinism by the golden corpus (``tests/golden/``), whose every pin
+must also reproduce in two fresh interpreters under different
+``PYTHONHASHSEED`` values; cache keys by the simulator-source digest
+every key carries; units by the energy and plane-residency identities
+every run checks.
 
-* **SIM1xx determinism** -- no global-RNG draws, no wall clock outside
-  the harness timing paths, no hash-ordered set iteration or ``id()``
-  ordering feeding results.
+* **SIM104 output ordering** -- no unsorted dict iteration feeding
+  reports, rendered tables or digests.
+* **SIM107 async hygiene** -- no discarded tasks, no swallowed
+  cancellation.
 * **SIM3xx exception hygiene** -- broad ``except`` only at annotated
   crash-isolation boundaries; ``ConfigError``, not ``KeyError``, for
   configuration lookups.
 * **SIM4xx model hygiene** -- spec/plan/report dataclasses frozen, no
   mutable default arguments, no float-literal equality in metrics.
 
-v2 adds whole-program passes over a linked project context (import
-graph, symbol table, approximate call graph -- see
-:mod:`repro.analysis.project`):
+Whole-program passes run over a linked project context (symbol table
+and approximate call graph -- see :mod:`repro.analysis.project`):
 
-* **SIM5xx seed provenance** -- every RNG construction must be seeded
-  from a plan-derived value (taint chased across the call graph).
 * **SIM8xx async blocking** -- blocking calls (``time.sleep``, sync
   file I/O, sweep fan-out) written in or reachable from ``async def``
   bodies via sync helpers.

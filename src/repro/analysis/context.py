@@ -1,9 +1,9 @@
 """Per-file context handed to every rule.
 
-Holds the parsed AST, the repo-relative path (rules scope themselves by
-package: ``src/repro/`` vs ``src/repro/harness/`` vs ``tests/``) and
-the inline ``# simlint: disable=CODE`` suppressions extracted from the
-token stream.
+Holds the parsed AST, the repo-relative path (rules that guard
+simulator code scope themselves to ``src/repro/``) and the inline
+``# simlint: disable=CODE`` suppressions extracted from the token
+stream.
 
 Suppression comments follow the convention stated in the package doc:
 
@@ -13,9 +13,10 @@ Suppression comments follow the convention stated in the package doc:
 
 Codes are comma-separated and may end in ``x`` wildcards to cover a
 family (``SIM3xx`` suppresses every SIM3 rule); ``all`` suppresses
-everything.  Suppressing a whole family or ``all`` is meant for
-annotated boundaries like the crash-isolation worker, not for routine
-use -- prefer the exact code.
+everything.  A rationale may follow the last code after a space.
+Suppressing a whole family or ``all`` is meant for annotated
+boundaries like the crash-isolation worker, not for routine use --
+prefer the exact code.
 """
 
 from __future__ import annotations
@@ -28,8 +29,12 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Optional, Set, Tuple
 
+#: ``disable=`` then a comma-separated list of code tokens.  The list
+#: ends at the first word that follows a code after plain whitespace,
+#: so a rationale on the same line (``disable=SIM302 crash boundary``)
+#: never merges into the last code.
 _DISABLE_RE = re.compile(
-    r"#\s*simlint:\s*disable=([A-Za-z0-9x,\s]+)"
+    r"#\s*simlint:\s*disable=\s*(\w+(?:\s*,\s*\w+)*)"
 )
 
 
@@ -37,7 +42,7 @@ def parse_suppressions(source: str
                        ) -> Tuple[Dict[int, Set[str]], Optional[str]]:
     """Map line number -> suppression patterns, plus a tokenize error.
 
-    Patterns are uppercased verbatim tokens (``SIM101``, ``SIM3XX``,
+    Patterns are uppercased verbatim tokens (``SIM301``, ``SIM3XX``,
     ``ALL``); wildcard matching happens in :func:`suppressed`.
 
     Returns ``(suppressions, error)``.  When the token stream cannot
@@ -72,13 +77,7 @@ def parse_suppressions(source: str
         match = _DISABLE_RE.search(tok.string)
         if not match:
             continue
-        codes = {
-            c.strip().upper()
-            for c in match.group(1).split(",")
-            if c.strip()
-        }
-        if not codes:
-            continue
+        codes = {c.strip().upper() for c in match.group(1).split(",")}
         line = tok.start[0]
         if line not in code_lines:
             # Standalone comment: applies to the next code line.
@@ -122,25 +121,6 @@ class FileContext:
     def in_src(self) -> bool:
         """Inside the simulator package proper."""
         return self.rel.startswith("src/repro/")
-
-    @property
-    def in_harness(self) -> bool:
-        """Inside the experiment harness (timing paths are legitimate)."""
-        return self.rel.startswith("src/repro/harness/")
-
-    @property
-    def in_service(self) -> bool:
-        """Inside the sweep service (wall-clock timeouts are its job)."""
-        return self.rel.startswith("src/repro/service/")
-
-    @property
-    def in_analysis(self) -> bool:
-        """Inside the analyzer itself (no simulated numbers here)."""
-        return self.rel.startswith("src/repro/analysis/")
-
-    @property
-    def in_tests(self) -> bool:
-        return self.rel.startswith("tests/")
 
     # -- AST helpers -----------------------------------------------------
 

@@ -9,10 +9,10 @@ v2 of the engine runs whole-program analysis without giving up speed:
   process-pool friendly (``jobs > 1`` fans files out over a
   ``ProcessPoolExecutor``) and cacheable (``.simlint-cache/`` keyed by
   content hash + analyzer signature; see :mod:`repro.analysis.cache`).
-* **Phase 2 (sequential):** the linker builds the import graph,
-  project symbol table and approximate call graph
+* **Phase 2 (sequential):** the linker builds the project symbol
+  table and approximate call graph
   (:class:`~repro.analysis.project.ProjectContext`).
-* **Phase 3:** project rules (SIM5xx/8xx) run over the linked
+* **Phase 3:** project rules (SIM8xx) run over the linked
   context; their findings are cached under a key covering *every*
   file, because an edit in module A can move findings in module B.
 

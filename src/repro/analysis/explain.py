@@ -5,7 +5,7 @@ A lint finding is only as good as the reviewer's ability to judge it;
 in this codebase (the checker's docstring), and a minimal bad/good
 pair.  The examples are not prose: they are the fixture files under
 ``tests/analysis/fixtures/`` that the test suite actually lints
-(``sim101_bad.py`` must produce SIM101, ``sim101_good.py`` must not),
+(``sim301_bad.py`` must produce SIM301, ``sim301_good.py`` must not),
 so the explanation cannot drift from the analyzer's behaviour.
 """
 

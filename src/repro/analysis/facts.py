@@ -3,58 +3,18 @@
 The project analysis never holds every AST in memory at once: phase 1
 reduces each file to a :class:`ModuleFacts` record -- imports (relative
 ones resolved against the module's dotted name), defined
-functions/classes, an approximate list of call sites with receiver
-resolution hints, and RNG construction sites with a local seed-taint
-verdict.  Facts are plain JSON-able data, which is what makes the
-``.simlint-cache`` entries (and the process-pool hand-off) cheap.
-
-Taint verdicts here are *local*: an expression is ``T`` (tainted) when
-it syntactically mentions a seed-ish name/attribute or a seed-deriving
-call, ``P:<name>`` when it flows from a parameter of the enclosing
-function (the project pass chases callers), and ``U`` otherwise.
+functions/classes and an approximate list of call sites with receiver
+resolution hints.  Facts are plain JSON-able data, which is what makes
+the ``.simlint-cache`` entries (and the process-pool hand-off) cheap.
 """
 
 from __future__ import annotations
 
 import ast
-import re
 from dataclasses import asdict, dataclass, field
 from typing import Dict, List, Optional
 
 from .context import FileContext
-
-#: Identifier shapes treated as seed-carrying by the SIM5xx taint pass.
-SEEDISH_RE = re.compile(r"(^|_)seeds?(_|$)")
-
-#: RNG factory calls whose seed argument SIM501 audits.  Maps the
-#: resolved dotted callee to the keyword name of its seed argument
-#: (the first positional argument always counts).
-RNG_FACTORIES = {
-    "random.Random": "seed",
-    "numpy.random.default_rng": "seed",
-    "numpy.random.RandomState": "seed",
-    "numpy.random.SeedSequence": "entropy",
-}
-
-#: OS-entropy generators: never derivable from a plan seed at all.
-RNG_ENTROPY = {"random.SystemRandom"}
-
-# Taint states.
-TAINTED = "T"
-UNTAINTED = "U"
-_PARAM_PREFIX = "P:"
-
-
-def seedish(name: str) -> bool:
-    return bool(SEEDISH_RE.search(name.lower()))
-
-
-def param_of(state: str) -> Optional[str]:
-    """The parameter name of a ``P:<name>`` taint state, else None."""
-    if state.startswith(_PARAM_PREFIX):
-        return state[len(_PARAM_PREFIX):]
-    return None
-
 
 # The records below are working data for the linker, not simulator
 # value types; they stay plain and mutable on purpose.
@@ -62,7 +22,7 @@ def param_of(state: str) -> Optional[str]:
 
 @dataclass
 class FunctionInfo:
-    """One def: enough signature to map call arguments to parameters."""
+    """One def: its qualified name, location and whether it is async."""
 
     qual: str  # "Class.method" / "func" / "outer.inner"
     name: str
@@ -70,7 +30,6 @@ class FunctionInfo:
     line: int = 0
     col: int = 0
     is_async: bool = False
-    params: List[str] = field(default_factory=list)
 
 
 @dataclass
@@ -99,19 +58,6 @@ class CallSite:
     obj: str  # self attribute name for selfattr
     line: int = 0
     col: int = 0
-    pos_taints: List[str] = field(default_factory=list)
-    kw_taints: Dict[str, str] = field(default_factory=dict)
-
-
-@dataclass
-class RngSite:
-    """One RNG-factory construction and its local seed verdict."""
-
-    factory: str
-    state: str  # T / U / P:<name> / "missing" / "entropy"
-    caller: str
-    line: int = 0
-    col: int = 0
 
 
 @dataclass
@@ -127,7 +73,6 @@ class ModuleFacts:
     calls: List[dict] = field(default_factory=list)
     self_attr_types: Dict[str, Dict[str, str]] = field(
         default_factory=dict)
-    rng_sites: List[dict] = field(default_factory=list)
 
     def to_json(self) -> dict:
         return asdict(self)
@@ -209,15 +154,10 @@ class _FactsVisitor(ast.NodeVisitor):
         cls = self._class_stack[-1] if self._class_stack else ""
         prefix = ".".join(info.name for info in self._func_stack)
         qual_parts = [p for p in (cls, prefix, node.name) if p]
-        params = [a.arg for a in (
-            list(getattr(node.args, "posonlyargs", []))
-            + node.args.args + node.args.kwonlyargs
-        ) if a.arg != "self"]
         info = FunctionInfo(
             qual=".".join(qual_parts), name=node.name, cls=cls,
             line=node.lineno, col=node.col_offset,
             is_async=isinstance(node, ast.AsyncFunctionDef),
-            params=params,
         )
         self.facts.functions.append(asdict(info))
         self._func_stack.append(info)
@@ -274,13 +214,7 @@ class _FactsVisitor(ast.NodeVisitor):
         caller = self._func_stack[-1].qual if self._func_stack else ""
         site = self._classify_call(node, caller)
         if site is not None:
-            site.pos_taints = [self._taint(arg) for arg in node.args]
-            site.kw_taints = {
-                kw.arg: self._taint(kw.value)
-                for kw in node.keywords if kw.arg is not None
-            }
             self.facts.calls.append(asdict(site))
-            self._maybe_rng(node, site)
         self.generic_visit(node)
 
     def _classify_call(self, node: ast.Call,
@@ -334,49 +268,6 @@ class _FactsVisitor(ast.NodeVisitor):
             resolved = self.facts.import_modules[head]
             return f"{resolved}.{rest}" if rest else resolved
         return dotted
-
-    # -- seed taint ------------------------------------------------------
-
-    def _taint(self, expr: ast.AST) -> str:
-        param_hit: Optional[str] = None
-        params = (set(self._func_stack[-1].params)
-                  if self._func_stack else set())
-        for node in ast.walk(expr):
-            if isinstance(node, ast.Name):
-                if seedish(node.id):
-                    return TAINTED
-                if param_hit is None and node.id in params:
-                    param_hit = node.id
-            elif isinstance(node, ast.Attribute):
-                if seedish(node.attr):
-                    return TAINTED
-            elif isinstance(node, ast.Call):
-                dotted = self._dotted(node.func)
-                if dotted and seedish(dotted.split(".")[-1]):
-                    return TAINTED
-        if param_hit is not None:
-            return _PARAM_PREFIX + param_hit
-        return UNTAINTED
-
-    def _maybe_rng(self, node: ast.Call, site: CallSite) -> None:
-        if site.kind != "dotted":
-            return
-        if site.target in RNG_ENTROPY:
-            state = "entropy"
-        elif site.target in RNG_FACTORIES:
-            seed_kw = RNG_FACTORIES[site.target]
-            if node.args:
-                state = site.pos_taints[0]
-            elif seed_kw in site.kw_taints:
-                state = site.kw_taints[seed_kw]
-            else:
-                state = "missing"
-        else:
-            return
-        self.facts.rng_sites.append(asdict(RngSite(
-            factory=site.target, state=state, caller=site.caller,
-            line=node.lineno, col=node.col_offset,
-        )))
 
 
 def extract_facts(ctx: FileContext) -> ModuleFacts:

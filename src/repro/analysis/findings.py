@@ -18,7 +18,7 @@ from typing import Dict
 class Finding:
     """One rule violation at one source location."""
 
-    code: str  # e.g. "SIM101"
+    code: str  # e.g. "SIM301"
     message: str  # human sentence; stable across unrelated edits
     path: str  # repo-relative posix path
     line: int  # 1-based

@@ -1,9 +1,8 @@
-"""Whole-program context: linking per-module facts into graphs.
+"""Whole-program context: linking per-module facts into a call graph.
 
 Phase 2 of the engine.  Takes every :class:`ModuleFacts` produced (or
 cache-loaded) in phase 1 and builds:
 
-* the **import graph** (module -> modules it imports);
 * a **project symbol table** mapping qualified names
   (``repro.service.jobs.JobStore.save``) to their defining file and
   :class:`FunctionInfo` record;
@@ -27,9 +26,7 @@ from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from .facts import ModuleFacts
 
-#: Modules whose members never resolve to project symbols (stdlib and
-#: third-party roots seen in this repo); calls into them keep their
-#: dotted spelling for sink matching but grow no call-graph edge.
+#: :meth:`ProjectContext.reachable_sync` extends no chain longer than this.
 _MAX_CHASE_DEPTH = 12
 
 
@@ -39,14 +36,10 @@ class ProjectContext:
     def __init__(self) -> None:
         #: rel path -> facts
         self.facts: Dict[str, ModuleFacts] = {}
-        #: dotted module -> rel path
-        self.modules: Dict[str, str] = {}
         #: qualified function name -> (rel, function record)
         self.symbols: Dict[str, Tuple[str, dict]] = {}
         #: qualified class name -> rel
         self.class_symbols: Dict[str, str] = {}
-        #: module -> set of imported modules (project-internal only)
-        self.import_graph: Dict[str, Set[str]] = {}
         #: caller qualified name -> resolved call edges
         self.call_graph: Dict[str, List[dict]] = {}
 
@@ -54,7 +47,6 @@ class ProjectContext:
 
     def add_module(self, facts: ModuleFacts) -> None:
         self.facts[facts.rel] = facts
-        self.modules[facts.module] = facts.rel
         for func in facts.functions:
             self.symbols[f"{facts.module}.{func['qual']}"] = (
                 facts.rel, func)
@@ -62,15 +54,8 @@ class ProjectContext:
             self.class_symbols[f"{facts.module}.{cls}"] = facts.rel
 
     def link(self) -> None:
-        """Build the graphs; call after every module is added."""
+        """Build the call graph; call after every module is added."""
         for facts in self.facts.values():
-            deps: Set[str] = set()
-            for target in facts.import_modules.values():
-                deps.update(self._project_module_prefixes(target))
-            for target in facts.import_members.values():
-                module = target.rsplit(".", 1)[0]
-                deps.update(self._project_module_prefixes(module))
-            self.import_graph[facts.module] = deps
             for call in facts.calls:
                 resolved = self.resolve_call(facts, call)
                 if resolved is None:
@@ -80,19 +65,6 @@ class ProjectContext:
                 self.call_graph.setdefault(
                     call["caller"] and f"{facts.module}.{call['caller']}"
                     or facts.module, []).append(edge)
-
-    def _project_module_prefixes(self, dotted: str) -> Iterator[str]:
-        """Known project modules reachable from an import target.
-
-        ``repro.service.jobs.JobStore`` matches the ``repro.service.
-        jobs`` module; plain ``os`` matches nothing.
-        """
-        parts = dotted.split(".")
-        for end in range(len(parts), 0, -1):
-            candidate = ".".join(parts[:end])
-            if candidate in self.modules:
-                yield candidate
-                return
 
     # -- resolution ------------------------------------------------------
 
@@ -157,15 +129,6 @@ class ProjectContext:
 
     def calls_from(self, qual: str) -> List[dict]:
         return self.call_graph.get(qual, [])
-
-    def callers_of(self, qual: str) -> List[Tuple[str, dict]]:
-        """(caller qualified name, edge) pairs targeting ``qual``."""
-        found = []
-        for caller, edges in self.call_graph.items():
-            for edge in edges:
-                if edge["resolved"] == qual:
-                    found.append((caller, edge))
-        return found
 
     def reachable_sync(self, start: str) -> Iterator[Tuple[str, List[str]]]:
         """(function, chain) pairs reachable via sync project calls.

@@ -12,9 +12,9 @@ Two kinds of rule register here:
 
 Registration happens at import time of :mod:`repro.analysis.rules`;
 the engine iterates :func:`file_rules` / :func:`project_rules`.  Codes
-group into families by their hundreds digit (SIM1xx determinism,
-SIM3xx exceptions, SIM4xx model hygiene, SIM5xx seed provenance,
-SIM8xx async blocking).
+group into families by their hundreds digit (SIM1xx ordering and async
+hygiene, SIM3xx exceptions, SIM4xx model hygiene, SIM8xx async
+blocking).
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ class Rule:
 
     @property
     def family(self) -> str:
-        """"SIM1xx" for SIM101 etc."""
+        """"SIM3xx" for SIM301 etc."""
         return f"{self.code[:4]}xx"
 
 

@@ -11,5 +11,4 @@ from . import (  # noqa: F401
     determinism,
     exceptions,
     hygiene,
-    seedflow,
 )

@@ -40,8 +40,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro lint",
         description="simulator-invariant static analysis "
-                    "(determinism, exception and model hygiene, seed "
-                    "provenance, async blocking)",
+                    "(output ordering, exception and model hygiene, "
+                    "async hygiene and blocking)",
     )
     parser.add_argument(
         "--version", action="version",

@@ -1,12 +1,13 @@
 """Wall-clock profiling of the harness itself (Chrome-trace export).
 
 The simulator-scope telemetry package is cycle-stamped and wall-clock
-free (SIM102); *this* module is the harness-side complement: it times
-cache probes, simulation runs, worker-pool launches and whole sweeps
-with ``time.perf_counter`` and renders them in the same Chrome Trace
-Event Format (:mod:`repro.telemetry.chrometrace` schema), so a sweep's
-timeline loads in Perfetto / ``chrome://tracing`` next to simulator
-traces.
+free (``tests/golden/test_cross_process.py`` checks that its traces
+reproduce in fresh interpreters); *this* module is the harness-side
+complement: it times cache probes, simulation runs, worker-pool
+launches and whole sweeps with ``time.perf_counter`` and renders them
+in the same Chrome Trace Event Format
+(:mod:`repro.telemetry.chrometrace` schema), so a sweep's timeline
+loads in Perfetto / ``chrome://tracing`` next to simulator traces.
 
 Timestamps are microseconds since the profiler was created; durations
 are microseconds.  The :data:`NULL_PROFILER` singleton keeps every

@@ -24,7 +24,7 @@ interconnect literature (PAPERS.md):
   below ``thr`` (drowsy) and ``gthr`` (gated), and a ``hold`` window
   after each wake-up prevents oscillation.  The estimate is a pure
   function of (touch cycles) -- no RNG is consulted anywhere, which the
-  SIM501 seed-provenance fixtures pin.
+  golden corpus's EWMA entries pin.
 
 Policies round-trip through a compact canonical string
 (``"idle:drowsy=64,gate=256"``) so they can ride in CLI flags,

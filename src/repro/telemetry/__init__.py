@@ -7,7 +7,8 @@ Three pillars (DESIGN.md section 10):
   (:class:`RingBufferSink`) or streaming (:class:`JsonlSink`) sinks.
 * **Metrics registry** -- deterministic counters, gauges and
   fixed-bucket histograms (:class:`MetricsRegistry`); no wall clock
-  anywhere in this package (SIM102 covers it -- simulator scope).
+  anywhere in this package (``tests/golden/test_cross_process.py``
+  checks that traces reproduce in fresh interpreters).
 * **Trace export** -- Chrome-trace / Perfetto JSON
   (:func:`write_chrome_trace`, :func:`validate_chrome_trace`) and
   sweep-level aggregation (:func:`summarize`, :func:`render_summary`).

@@ -9,7 +9,8 @@ disabled, null sink, its own (never-read) registry.
 
 The handle deliberately has no notion of time: callers stamp events
 with their own cycle counter, keeping the subsystem wall-clock-free in
-simulator scope (SIM102 enforces this; harness wall-clock profiling
+simulator scope (``tests/golden/test_cross_process.py`` checks that
+traces reproduce in fresh interpreters; harness wall-clock profiling
 lives in :mod:`repro.harness.profiling`).
 """
 

@@ -3,8 +3,9 @@
 The registry subsumes the ad-hoc counter attributes scattered across
 ``interconnect/stats.py`` and the selector/steering objects: one named
 namespace, snapshot-able in sorted order, with *no* wall-clock anywhere
-(SIM1xx applies to this package in full -- timestamps in simulator
-scope are cycles, and rates are the harness's job).
+(timestamps in simulator scope are cycles, and rates are the harness's
+job; ``tests/golden/test_cross_process.py`` checks that snapshots
+reproduce in fresh interpreters).
 
 Histograms use fixed, caller-declared bucket upper bounds so two runs
 of the same plan always land observations in the same buckets --

@@ -13,26 +13,24 @@ from repro.analysis import lint_paths
 from repro.analysis.cache import CACHE_DIR_NAME
 
 CROSS_MODULE_CLEAN = {
-    "src/repro/core/streams.py": """\
-        import random
-
-        def make_stream(n):
-            return random.Random(n)
+    "src/repro/service/store.py": """\
+        def save(record):
+            return dict(record)
         """,
-    "src/repro/core/driver.py": """\
-        from repro.core.streams import make_stream
+    "src/repro/service/server.py": """\
+        from repro.service.store import save
 
-        def run(plan):
-            return make_stream(plan.seed)
+        async def admit(record):
+            return save(record)
         """,
 }
 
 SINGLE_FINDING = {
     "src/repro/core/a.py": """\
-        import random
+        import time
 
-        def roll():
-            return random.Random(42)
+        async def throttle(delay):
+            time.sleep(delay)
         """,
     "src/repro/core/b.py": """\
         def double(n):
@@ -72,7 +70,7 @@ class TestWarmCache:
         assert warm.cache_hits == 2 and warm.cache_misses == 0
         assert warm.project_cache_hit
         assert summary(warm) == summary(cold)
-        assert [f.code for f in cold.findings] == ["SIM501"]
+        assert [f.code for f in cold.findings] == ["SIM801"]
 
     def test_edit_invalidates_only_the_changed_file(self, tmp_path):
         tops = build(tmp_path, SINGLE_FINDING)
@@ -84,21 +82,21 @@ class TestWarmCache:
         assert not warm.project_cache_hit
 
     def test_dependency_edit_recomputes_project_findings(self, tmp_path):
-        # streams.make_stream(n) is fine while driver feeds plan.seed;
-        # editing *driver* must resurface the finding in *streams*.
+        # server.admit() is fine while store.save() stays in memory;
+        # editing *store* must surface a finding in *server*.
         tops = build(tmp_path, CROSS_MODULE_CLEAN)
         clean = run(tmp_path, tops)
         assert clean.findings == []
-        driver = tmp_path / "src/repro/core/driver.py"
-        driver.write_text(textwrap.dedent("""\
-            from repro.core.streams import make_stream
+        store = tmp_path / "src/repro/service/store.py"
+        store.write_text(textwrap.dedent("""\
+            import os
 
-            def run():
-                return make_stream(1234)
+            def save(record):
+                os.replace(record, record + ".bak")
             """))
         warm = run(tmp_path, tops)
-        assert [f.code for f in warm.findings] == ["SIM501"]
-        assert warm.findings[0].path == "src/repro/core/streams.py"
+        assert [f.code for f in warm.findings] == ["SIM802"]
+        assert warm.findings[0].path == "src/repro/service/server.py"
         # The untouched file itself still came from cache.
         assert warm.cache_hits == 1
 
@@ -108,14 +106,14 @@ class TestWarmCache:
         tops = build(tmp_path, SINGLE_FINDING)
         cold = run(tmp_path, tops, select={"SIM104"})
         assert cold.findings == []
-        warm = run(tmp_path, tops, select={"SIM501"})
+        warm = run(tmp_path, tops, select={"SIM801"})
         assert warm.cache_hits == 2
-        assert [f.code for f in warm.findings] == ["SIM501"]
+        assert [f.code for f in warm.findings] == ["SIM801"]
 
     def test_no_cache_mode_writes_nothing(self, tmp_path):
         tops = build(tmp_path, SINGLE_FINDING)
         result = run(tmp_path, tops, use_cache=False)
-        assert [f.code for f in result.findings] == ["SIM501"]
+        assert [f.code for f in result.findings] == ["SIM801"]
         assert not (tmp_path / CACHE_DIR_NAME).exists()
 
     def test_corrupt_cache_entry_is_recomputed(self, tmp_path):
@@ -127,7 +125,7 @@ class TestWarmCache:
         for entry in entries:
             entry.write_text("{not json")
         warm = run(tmp_path, tops)
-        assert [f.code for f in warm.findings] == ["SIM501"]
+        assert [f.code for f in warm.findings] == ["SIM801"]
         assert warm.cache_hits == 0
 
     def test_custom_cache_dir_is_honored(self, tmp_path):
@@ -147,8 +145,11 @@ class TestParallelJobs:
         files["src/repro/service/x.py"] = """\
             import time
 
-            async def throttle(delay):
+            def _nap(delay):
                 time.sleep(delay)
+
+            async def pause(delay):
+                _nap(delay)
             """
         tops = build(tmp_path, files)
         serial = run(tmp_path, tops, jobs=1, use_cache=False)
@@ -156,7 +157,7 @@ class TestParallelJobs:
         assert summary(parallel) == summary(serial)
         assert parallel.jobs == 2
         codes = {f.code for f in serial.findings}
-        assert {"SIM501", "SIM801"} <= codes
+        assert {"SIM801", "SIM802"} <= codes
 
     def test_parallel_cold_run_populates_cache(self, tmp_path):
         tops = build(tmp_path, SINGLE_FINDING)

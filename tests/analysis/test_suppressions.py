@@ -1,27 +1,24 @@
 """Inline ``# simlint: disable=...`` suppression semantics."""
 
 from repro.analysis import lint_paths
+from repro.analysis.context import parse_suppressions
 
 
 class TestInlineSuppression:
     def test_same_line_suppression(self, lint_tree):
         result = lint_tree({"src/repro/core/x.py": """\
-            import random
-
-            def draw():
-                return random.random()  # simlint: disable=SIM101
-            """}, select={"SIM101"})
+            def collect(item, bucket=[]):  # simlint: disable=SIM402
+                return bucket
+            """}, select={"SIM402"})
         assert result.findings == []
         assert result.suppressed == 1
 
     def test_standalone_comment_covers_next_code_line(self, lint_tree):
         result = lint_tree({"src/repro/core/x.py": """\
-            import random
-
-            def draw():
-                # simlint: disable=SIM101
-                return random.random()
-            """}, select={"SIM101"})
+            # simlint: disable=SIM402
+            def collect(item, bucket=[]):
+                return bucket
+            """}, select={"SIM402"})
         assert result.findings == []
         assert result.suppressed == 1
 
@@ -38,97 +35,115 @@ class TestInlineSuppression:
 
     def test_disable_all(self, lint_tree):
         result = lint_tree({"src/repro/core/x.py": """\
-            import random
-
-            def draw():
-                return random.random()  # simlint: disable=all
+            def collect(item, bucket=[]):  # simlint: disable=all
+                return bucket
             """})
         assert result.findings == []
         assert result.suppressed >= 1
 
     def test_non_matching_code_still_reports(self, lint_tree):
         result = lint_tree({"src/repro/core/x.py": """\
-            import random
-
-            def draw():
-                return random.random()  # simlint: disable=SIM301
-            """}, select={"SIM101"})
-        assert [f.code for f in result.findings] == ["SIM101"]
+            def collect(item, bucket=[]):  # simlint: disable=SIM301
+                return bucket
+            """}, select={"SIM402"})
+        assert [f.code for f in result.findings] == ["SIM402"]
         assert result.suppressed == 0
 
     def test_suppression_on_other_line_has_no_effect(self, lint_tree):
         result = lint_tree({"src/repro/core/x.py": """\
-            import random
+            def keep(item, bucket=[]):  # simlint: disable=SIM402
+                return bucket
 
-            def seed_it():
-                random.seed(0)  # simlint: disable=SIM101
-
-            def draw():
-                return random.random()
-            """}, select={"SIM101"})
-        assert [f.code for f in result.findings] == ["SIM101"]
+            def collect(item, bucket=[]):
+                return bucket
+            """}, select={"SIM402"})
+        assert [f.code for f in result.findings] == ["SIM402"]
         assert result.suppressed == 1
 
     def test_comma_separated_codes(self, lint_tree):
         result = lint_tree({"src/repro/core/x.py": """\
-            import random
-            import time
-
-            def draw():
-                # simlint: disable=SIM101, SIM102
-                return random.random() + time.time()
-            """}, select={"SIM101", "SIM102"})
+            # simlint: disable=SIM402, SIM403
+            def is_peak(ipc, seen=[]): return ipc == 0.95
+            """}, select={"SIM402", "SIM403"})
         assert result.findings == []
         assert result.suppressed == 2
 
 
-class TestWildcardScopes:
-    """SIM5xx (family) vs SIMxxx (everything) vs all."""
+class TestRationaleAfterCodes:
+    """A rationale may follow the codes; it never merges into them."""
 
-    def test_sim5xx_covers_the_seedflow_family(self, lint_tree):
+    def test_rationale_after_the_code_keeps_the_suppression(
+            self, lint_tree):
         result = lint_tree({"src/repro/core/x.py": """\
-            import random
-
-            def make_stream():
-                return random.Random(42)  # simlint: disable=SIM5xx
-            """}, select={"SIM501"})
+            def run(step):
+                try:
+                    step()
+                except Exception:  # simlint: disable=SIM302 crash boundary
+                    return None
+            """}, select={"SIM302"})
         assert result.findings == []
         assert result.suppressed == 1
 
-    def test_sim5xx_does_not_leak_into_other_families(self, lint_tree):
-        result = lint_tree({"src/repro/core/x.py": """\
-            import random
+    def test_rationale_after_a_code_list_keeps_every_code(self):
+        suppressions, error = parse_suppressions(
+            "step()  # simlint: disable=SIM302, SIM301 reason\n")
+        assert error is None
+        assert suppressions == {1: {"SIM302", "SIM301"}}
 
-            def draw():
-                return random.random()  # simlint: disable=SIM5xx
-            """}, select={"SIM101"})
-        assert [f.code for f in result.findings] == ["SIM101"]
+    def test_rationale_word_is_never_a_wildcard(self, lint_tree):
+        result = lint_tree({"src/repro/core/x.py": """\
+            def collect(item, bucket=[]):  # simlint: disable=SIM302 all reviewed
+                return bucket
+            """}, select={"SIM402"})
+        assert [f.code for f in result.findings] == ["SIM402"]
+        assert result.suppressed == 0
+
+
+class TestWildcardScopes:
+    """SIM8xx (family) vs SIMxxx (everything) vs all."""
+
+    def test_sim8xx_covers_the_blocking_family(self, lint_tree):
+        result = lint_tree({"src/repro/service/x.py": """\
+            import time
+
+            async def throttle(delay):
+                time.sleep(delay)  # simlint: disable=SIM8xx
+            """}, select={"SIM801"})
+        assert result.findings == []
+        assert result.suppressed == 1
+
+    def test_sim8xx_does_not_leak_into_other_families(self, lint_tree):
+        result = lint_tree({"src/repro/core/x.py": """\
+            def collect(item, bucket=[]):  # simlint: disable=SIM8xx
+                return bucket
+            """}, select={"SIM402"})
+        assert [f.code for f in result.findings] == ["SIM402"]
         assert result.suppressed == 0
 
     def test_simxxx_covers_every_family(self, lint_tree):
-        result = lint_tree({"src/repro/core/x.py": """\
-            import random
+        result = lint_tree({"src/repro/service/x.py": """\
+            import time
 
-            def draw():
-                return random.random()  # simlint: disable=SIMxxx
+            def collect(item, bucket=[]):  # simlint: disable=SIMxxx
+                return bucket
 
-            def make_stream():
-                return random.Random(42)  # simlint: disable=SIMxxx
-            """}, select={"SIM101", "SIM501"})
+            async def throttle(delay):
+                time.sleep(delay)  # simlint: disable=SIMxxx
+            """}, select={"SIM402", "SIM801"})
         assert result.findings == []
         assert result.suppressed == 2
 
     def test_project_rule_findings_honor_inline_disables(self,
                                                          lint_tree):
-        # SIM501 is computed in the whole-program pass, long after the
+        # SIM801 is computed in the whole-program pass, long after the
         # per-file suppression scan; the engine must still apply the
         # line's disable comment to it.
-        result = lint_tree({"src/repro/core/x.py": """\
-            import random
+        result = lint_tree({"src/repro/service/x.py": """\
+            import time
 
-            def make_stream():
-                return random.Random(42)  # simlint: disable=SIM501
-            """}, select={"SIM501"})
+            async def throttle(delay):
+                time.sleep(delay)  # simlint: disable=SIM801
+            """}, select={"SIM801"})
         assert result.findings == []
         assert result.suppressed == 1
 
@@ -137,31 +152,28 @@ class TestMultiLineStatements:
     def test_comment_inside_multiline_expression_covers_next_line(
             self, lint_tree):
         result = lint_tree({"src/repro/core/x.py": """\
-            import random
-
-            def draw():
-                return (
-                    # simlint: disable=SIM101
-                    random.random()
-                )
-            """}, select={"SIM101"})
+            def collect(
+                item,
+                # simlint: disable=SIM402
+                bucket=[],
+            ):
+                return bucket
+            """}, select={"SIM402"})
         assert result.findings == []
         assert result.suppressed == 1
 
     def test_trailing_comment_on_last_line_misses_the_finding(
             self, lint_tree):
         # The disable rides the closing-paren line; the finding is
-        # anchored at the call two lines up, so it must still report.
+        # anchored at the default one line up, so it must still report.
         result = lint_tree({"src/repro/core/x.py": """\
-            import random
-
-            def draw():
-                value = (
-                    random.random()
-                )  # simlint: disable=SIM101
-                return value
-            """}, select={"SIM101"})
-        assert [f.code for f in result.findings] == ["SIM101"]
+            def collect(
+                item,
+                bucket=[],
+            ):  # simlint: disable=SIM402
+                return bucket
+            """}, select={"SIM402"})
+        assert [f.code for f in result.findings] == ["SIM402"]
         assert result.suppressed == 0
 
 
@@ -177,24 +189,20 @@ class TestCRLFSources:
 
     def test_crlf_disable_comment_still_suppresses(self, tmp_path):
         tops = self._write_crlf(tmp_path, "src/repro/core/x.py", [
-            "import random",
-            "",
-            "def draw():",
-            "    return random.random()  # simlint: disable=SIM101",
+            "def collect(item, bucket=[]):  # simlint: disable=SIM402",
+            "    return bucket",
         ])
-        result = lint_paths(tops, root=tmp_path, select={"SIM101"},
+        result = lint_paths(tops, root=tmp_path, select={"SIM402"},
                             use_cache=False)
         assert result.findings == []
         assert result.suppressed == 1
 
     def test_crlf_source_lints_without_pseudo_codes(self, tmp_path):
         tops = self._write_crlf(tmp_path, "src/repro/core/x.py", [
-            "import random",
-            "",
-            "def draw():",
-            "    return random.random()",
+            "def collect(item, bucket=[]):",
+            "    return bucket",
         ])
         result = lint_paths(tops, root=tmp_path, use_cache=False)
         codes = [f.code for f in result.findings]
         assert "SIM000" not in codes and "SIM002" not in codes
-        assert "SIM101" in codes
+        assert "SIM402" in codes

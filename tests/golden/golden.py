@@ -141,6 +141,8 @@ def entries() -> Dict[str, Dict[str, object]]:
         _entry(seed=7),
         _entry(policy_tag=PolicyFlags(
             memory_dependence_speculation=True).tag()),
+        # The only flag that reads the workload's value stream.
+        _entry(policy_tag=PolicyFlags(lwire_frequent_value=True).tag()),
         _entry("III", num_clusters=16),
         _entry(num_clusters=16),
         _entry(num_clusters=16, fault_spec="kill=PW@*@500"),

@@ -21,6 +21,31 @@ class TestDeterminism:
         b = list(make_gen(seed=8).stream(500))
         assert a != b
 
+    # The static program, the dynamic walk and the value stream each
+    # draw from their own RNG, so each must follow the seed on its own:
+    # a whole-stream comparison still differs when only one does.  Each
+    # test below holds the other streams fixed.
+
+    def test_different_seed_different_static_program(self):
+        assert make_gen(seed=7)._blocks != make_gen(seed=8)._blocks
+
+    def test_different_seed_different_walk(self):
+        a, b = make_gen(seed=7), make_gen(seed=8)
+        b._blocks = a._blocks
+
+        def walk(gen):
+            return [(r.pc, r.taken, r.addr) for r in gen.stream(500)]
+
+        assert walk(a) != walk(b)
+
+    def test_different_seed_different_values(self):
+        a, b = make_gen(seed=7), make_gen(seed=8)
+        b._blocks = a._blocks
+        b._walk_rng.setstate(a._walk_rng.getstate())
+        records_a, records_b = list(a.stream(500)), list(b.stream(500))
+        assert [r.pc for r in records_a] == [r.pc for r in records_b]
+        assert [r.value for r in records_a] != [r.value for r in records_b]
+
     def test_stream_is_resumable(self):
         gen = make_gen(seed=7)
         first = list(gen.stream(100))
