@@ -6,7 +6,11 @@ determinism by the golden corpus (``tests/golden/``), whose every pin
 must also reproduce in two fresh interpreters under different
 ``PYTHONHASHSEED`` values; cache keys by the simulator-source digest
 every key carries; units by the energy and plane-residency identities
-every run checks.
+every run checks; a non-blocking event loop by the service suite
+(``tests/service/conftest.py`` fails any test in which a blocking
+call runs on the loop's thread).
+
+simlint is a per-file analyzer; every rule sees one parsed file:
 
 * **SIM104 output ordering** -- no unsorted dict iteration feeding
   reports, rendered tables or digests.
@@ -17,13 +21,6 @@ every run checks.
   configuration lookups.
 * **SIM4xx model hygiene** -- spec/plan/report dataclasses frozen, no
   mutable default arguments, no float-literal equality in metrics.
-
-Whole-program passes run over a linked project context (symbol table
-and approximate call graph -- see :mod:`repro.analysis.project`):
-
-* **SIM8xx async blocking** -- blocking calls (``time.sleep``, sync
-  file I/O, sweep fan-out) written in or reachable from ``async def``
-  bodies via sync helpers.
 
 Run it as ``python -m repro.analysis.simlint src tests`` or via the
 CLI as ``repro lint``.  Findings are suppressed inline with

@@ -1,22 +1,16 @@
 """The incremental lint cache (``.simlint-cache/``).
 
 Warm runs must not re-parse the world.  The cache stores, per source
-file, everything phase 1 produces: the per-file findings, the
-:class:`~repro.analysis.facts.ModuleFacts` reduction the project
-passes consume, the suppression map, and any parse/suppression error
--- all JSON, so a hit costs one small file read and zero AST work.
+file, everything the per-file pass produces: the rule findings, the
+suppression map, and any parse/suppression error -- all JSON, so a
+hit costs one small file read and zero AST work.
 
-Keys are content hashes, never mtimes:
-
-* a **file entry** is valid iff ``sha256(source)`` matches *and* the
-  analyzer itself is unchanged (:func:`analysis_signature` hashes
-  every ``repro.analysis`` source file, so editing a rule invalidates
-  everything it might now judge differently);
-* the **project entry** (findings of the whole-program passes) is
-  keyed over the sorted ``(rel, file key)`` list -- any file changing,
-  appearing or disappearing re-links the project, because a one-line
-  edit in module A can create or destroy findings reported against
-  module B.
+Keys are content hashes, never mtimes: an entry is valid iff
+``sha256(source)`` matches *and* the analyzer itself is unchanged
+(:func:`analysis_signature` hashes every ``repro.analysis`` source
+file, so editing a rule invalidates everything it might now judge
+differently).  Every rule sees one file only, so no edit elsewhere
+can move a file's findings.
 
 Entries are select-independent: every rule always runs, and the
 engine filters findings afterwards, so one cache serves every
@@ -33,7 +27,7 @@ import json
 import os
 import tempfile
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import Optional
 
 from .._version import source_digest
 
@@ -67,17 +61,6 @@ def source_key(source: str) -> str:
     return digest.hexdigest()[:24]
 
 
-def project_key(file_keys: Dict[str, str]) -> str:
-    """Cache key of the whole-program pass over a set of files."""
-    digest = hashlib.sha256()
-    for rel in sorted(file_keys):
-        digest.update(rel.encode("utf-8"))
-        digest.update(b"\0")
-        digest.update(file_keys[rel].encode("ascii"))
-        digest.update(b"\0")
-    return digest.hexdigest()[:24]
-
-
 class LintCache:
     """One cache directory; all methods treat failure as a miss."""
 
@@ -85,7 +68,6 @@ class LintCache:
         self.directory = directory
         self.hits = 0
         self.misses = 0
-        self.project_hit = False
 
     # -- layout ----------------------------------------------------------
 
@@ -93,13 +75,10 @@ class LintCache:
         name = hashlib.sha256(rel.encode("utf-8")).hexdigest()[:24]
         return self.directory / f"{name}.json"
 
-    def _project_path(self) -> Path:
-        return self.directory / "project.json"
-
     # -- file entries ----------------------------------------------------
 
     def load_file(self, rel: str, key: str) -> Optional[dict]:
-        """The cached phase-1 payload for ``rel``, if still valid."""
+        """The cached payload for ``rel``, if still valid."""
         entry = self._read(self._entry_path(rel))
         if (entry is None or entry.get("key") != key
                 or entry.get("rel") != rel):
@@ -118,25 +97,6 @@ class LintCache:
             "rel": rel,
             "key": key,
             "payload": payload,
-        })
-
-    # -- the project entry -----------------------------------------------
-
-    def load_project(self, key: str) -> Optional[List[dict]]:
-        entry = self._read(self._project_path())
-        if entry is None or entry.get("key") != key:
-            return None
-        findings = entry.get("findings")
-        if not isinstance(findings, list):
-            return None
-        self.project_hit = True
-        return findings
-
-    def store_project(self, key: str, findings: List[dict]) -> None:
-        self._write(self._project_path(), {
-            "version": _FORMAT_VERSION,
-            "key": key,
-            "findings": findings,
         })
 
     # -- I/O -------------------------------------------------------------

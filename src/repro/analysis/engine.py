@@ -1,20 +1,12 @@
-"""File discovery and the three-phase lint schedule.
+"""File discovery and the per-file lint schedule.
 
-v2 of the engine runs whole-program analysis without giving up speed:
-
-* **Phase 1 (parallel):** each file is parsed once and reduced to a
-  payload -- per-file rule findings, the :class:`ModuleFacts` record
-  the project passes consume, the suppression map, and any
-  parse/suppression error.  Payloads are plain JSON, which makes them
-  process-pool friendly (``jobs > 1`` fans files out over a
-  ``ProcessPoolExecutor``) and cacheable (``.simlint-cache/`` keyed by
-  content hash + analyzer signature; see :mod:`repro.analysis.cache`).
-* **Phase 2 (sequential):** the linker builds the project symbol
-  table and approximate call graph
-  (:class:`~repro.analysis.project.ProjectContext`).
-* **Phase 3:** project rules (SIM8xx) run over the linked
-  context; their findings are cached under a key covering *every*
-  file, because an edit in module A can move findings in module B.
+simlint is a per-file analyzer: every rule sees one parsed file at a
+time, so each file is parsed once and reduced to a payload -- its rule
+findings, its suppression map, and any parse/suppression error.
+Payloads are plain JSON, which makes them process-pool friendly
+(``jobs > 1`` fans files out over a ``ProcessPoolExecutor``) and
+cacheable (``.simlint-cache/`` keyed by content hash + analyzer
+signature; see :mod:`repro.analysis.cache`).
 
 Every rule always runs; ``--select`` filters findings afterwards, so
 cache entries serve any select combination.  Ordering stays fully
@@ -33,13 +25,10 @@ from typing import (Dict, Iterable, List, Optional, Sequence, Set,
                     Tuple)
 
 from .baseline import Baseline
-from .cache import (CACHE_DIR_NAME, LintCache, project_key,
-                    source_key)
+from .cache import CACHE_DIR_NAME, LintCache, source_key
 from .context import FileContext, parse_suppressions, suppressed
-from .facts import ModuleFacts, extract_facts
 from .findings import Finding
-from .project import ProjectContext
-from .registry import file_rules, project_rules
+from .registry import all_rules
 
 #: Directory names never descended into.
 _SKIP_DIRS = {
@@ -135,11 +124,10 @@ class LintResult:
     baselined: List[Finding] = field(default_factory=list)
     suppressed: int = 0
     files_checked: int = 0
-    #: Phase wall-times in seconds: discover/phase1/link/project/total.
+    #: Phase wall-times in seconds: discover/analyze/total.
     timings: Dict[str, float] = field(default_factory=dict)
     cache_hits: int = 0
     cache_misses: int = 0
-    project_cache_hit: bool = False
     jobs: int = 1
 
     @property
@@ -166,7 +154,7 @@ def _finding_from_json(data: dict) -> Finding:
 
 
 def analyze_source(rel: str, source: str) -> dict:
-    """Phase-1 reduction of one file to a JSON-able payload.
+    """Reduction of one file to a JSON-able payload.
 
     Runs as the process-pool worker under ``--jobs``, so everything in
     and out must pickle cheaply: strings in, plain dicts out.
@@ -178,7 +166,6 @@ def analyze_source(rel: str, source: str) -> dict:
             "error": f"syntax error: {exc.msg} (line {exc.lineno})",
             "suppression_error": None,
             "findings": [],
-            "facts": None,
             "suppressions": {},
         }
     suppressions, supp_error = parse_suppressions(source)
@@ -187,15 +174,13 @@ def analyze_source(rel: str, source: str) -> dict:
         suppressions=suppressions, suppression_error=supp_error,
     )
     findings: List[dict] = []
-    for rule in file_rules():
+    for rule in all_rules():
         for finding in rule.check(ctx):
             findings.append(_finding_json(finding))
-    facts = extract_facts(ctx)
     return {
         "error": None,
         "suppression_error": supp_error,
         "findings": findings,
-        "facts": facts.to_json(),
         "suppressions": {
             str(line): sorted(patterns)
             for line, patterns in suppressions.items()
@@ -208,8 +193,7 @@ def _worker(item: Tuple[str, str]) -> Tuple[str, dict]:
     return rel, analyze_source(rel, source)
 
 
-def _run_phase1(cold: List[Tuple[str, str]],
-                jobs: int) -> Dict[str, dict]:
+def _analyze(cold: List[Tuple[str, str]], jobs: int) -> Dict[str, dict]:
     """Analyze every cold file, fanning out when it pays off."""
     payloads: Dict[str, dict] = {}
     if jobs > 1 and len(cold) > 1:
@@ -222,22 +206,6 @@ def _run_phase1(cold: List[Tuple[str, str]],
         for rel, source in cold:
             payloads[rel] = analyze_source(rel, source)
     return payloads
-
-
-def _run_project_rules(payloads: Dict[str, dict]) -> List[dict]:
-    """Phases 2+3: link facts, run whole-program rules."""
-    project = ProjectContext()
-    for rel in sorted(payloads):
-        payload = payloads[rel]
-        if payload.get("facts") is None:
-            continue
-        project.add_module(ModuleFacts.from_json(payload["facts"]))
-    project.link()
-    findings: List[dict] = []
-    for rule in project_rules():
-        for finding in rule.check(project):
-            findings.append(_finding_json(finding))
-    return findings
 
 
 def _pseudo_findings(rel: str, payload: dict) -> List[Finding]:
@@ -271,7 +239,7 @@ def lint_paths(
     ``select`` restricts *reported* findings to the given codes (all
     rules still execute so cache entries stay select-independent;
     pseudo codes SIM000/SIM002 always report).  ``root`` overrides
-    repo-root detection (tests use this).  ``jobs`` fans phase 1 out
+    repo-root detection (tests use this).  ``jobs`` fans the files out
     over processes; ``use_cache=False`` disables the on-disk cache.
     """
     if not paths:
@@ -289,7 +257,7 @@ def lint_paths(
         cache = LintCache(cache_dir or (root / CACHE_DIR_NAME))
 
     # Read every file once; sort hits from cold work.
-    phase1_start = time.perf_counter()
+    analyze_start = time.perf_counter()
     payloads: Dict[str, dict] = {}
     file_keys: Dict[str, str] = {}
     cold: List[Tuple[str, str]] = []
@@ -305,7 +273,7 @@ def lint_paths(
             payloads[rel] = {
                 "error": f"unreadable: {exc}",
                 "suppression_error": None,
-                "findings": [], "facts": None, "suppressions": {},
+                "findings": [], "suppressions": {},
             }
             continue
         key = source_key(source)
@@ -316,49 +284,30 @@ def lint_paths(
         else:
             cold.append((rel, source))
 
-    for rel, payload in _run_phase1(cold, jobs).items():
+    for rel, payload in _analyze(cold, jobs).items():
         payloads[rel] = payload
         if cache is not None:
             cache.store_file(rel, file_keys[rel], payload)
-    result.timings["phase1"] = time.perf_counter() - phase1_start
-
-    # Whole-program passes, cached over the complete file set.
-    project_start = time.perf_counter()
-    pkey = project_key(file_keys)
-    project_findings: Optional[List[dict]] = None
-    if cache is not None:
-        project_findings = cache.load_project(pkey)
-    if project_findings is None:
-        project_findings = _run_project_rules(payloads)
-        if cache is not None:
-            cache.store_project(pkey, project_findings)
-    result.timings["project"] = time.perf_counter() - project_start
+    result.timings["analyze"] = time.perf_counter() - analyze_start
 
     if cache is not None:
         result.cache_hits = cache.hits
         result.cache_misses = cache.misses
-        result.project_cache_hit = cache.project_hit
 
     # Filter (select, then suppressions), order, partition.
     raw: List[Finding] = []
-    candidates: List[Finding] = []
     for rel in sorted(payloads):
         payload = payloads[rel]
         raw.extend(_pseudo_findings(rel, payload))
-        candidates.extend(_finding_from_json(data)
-                          for data in payload["findings"])
-    candidates.extend(_finding_from_json(data)
-                      for data in project_findings)
-    for finding in candidates:
-        if select and finding.code not in select:
-            continue
-        payload = payloads.get(finding.path)
-        patterns = (payload or {}).get("suppressions", {}).get(
-            str(finding.line))
-        if patterns and suppressed(finding.code, set(patterns)):
-            result.suppressed += 1
-            continue
-        raw.append(finding)
+        for data in payload["findings"]:
+            finding = _finding_from_json(data)
+            if select and finding.code not in select:
+                continue
+            patterns = payload["suppressions"].get(str(finding.line))
+            if patterns and suppressed(finding.code, set(patterns)):
+                result.suppressed += 1
+                continue
+            raw.append(finding)
     raw.sort(key=lambda f: (f.path, f.line, f.col, f.code))
     if baseline is not None:
         result.findings, result.baselined = baseline.partition(raw)

@@ -88,8 +88,7 @@ def explain(code: str, root: Path) -> Optional[str]:
     rule = get_rule(code)
     if rule is None:
         return None
-    lines: List[str] = [f"{rule.code}: {rule.summary}",
-                        f"kind: {rule.kind} rule", ""]
+    lines: List[str] = [f"{rule.code}: {rule.summary}", ""]
     doc = textwrap.dedent(" " * 4 + (rule.check.__doc__ or "")).strip()
     if doc:
         lines.extend([doc, ""])

@@ -7,7 +7,6 @@ hazard in *this* codebase that motivated its family.
 
 from . import (  # noqa: F401
     asynchygiene,
-    blocking,
     determinism,
     exceptions,
     hygiene,

@@ -41,7 +41,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="repro lint",
         description="simulator-invariant static analysis "
                     "(output ordering, exception and model hygiene, "
-                    "async hygiene and blocking)",
+                    "async hygiene)",
     )
     parser.add_argument(
         "--version", action="version",
@@ -197,7 +197,6 @@ def _write_timings(result: LintResult, destination: str) -> None:
         "files_checked": result.files_checked,
         "cache_hits": result.cache_hits,
         "cache_misses": result.cache_misses,
-        "project_cache_hit": result.project_cache_hit,
         "jobs": result.jobs,
     }, indent=2, sort_keys=True)
     if destination == "-":

@@ -11,8 +11,10 @@ failure manifest with reason ``"breaker-open"``.
 
 After ``cooldown`` seconds the breaker lets exactly one job through
 as a **HALF_OPEN** probe: a clean probe closes the breaker and clears
-the window, a crashing probe re-opens it for another cooldown.  The
-classic three-state machine::
+the window, a crashing probe re-opens it for another cooldown, and a
+probe that runs nothing (all cache hits, errors or a cancel) abstains
+and hands the probe slot to the next job.  The classic three-state
+machine::
 
     CLOSED --(crash rate >= threshold)--> OPEN
     OPEN --(cooldown elapsed)--> HALF_OPEN
@@ -121,6 +123,15 @@ class CircuitBreaker:
             self._probing = True
             return True
         return False
+
+    def abstain(self) -> None:
+        """The probe ran nothing: the next job probes instead.
+
+        Without this a probe served wholly from the cache would hold
+        the slot forever and wedge the service in cache-only mode.
+        """
+        if self._state is BreakerState.HALF_OPEN:
+            self._probing = False
 
     def record(self, crashed: bool) -> None:
         """Fold one executed run's outcome into the window."""

@@ -364,11 +364,14 @@ class SweepService:
     def _feed_breaker(self, report: SweepReport) -> None:
         # Crashes first: a crashing half-open probe must re-open the
         # breaker before its clean runs feed the window.
-        for failure in report.failures:
-            if failure.reason in RETRYABLE_REASONS:
-                self.breaker.record(True)
+        crashes = [failure for failure in report.failures
+                   if failure.reason in RETRYABLE_REASONS]
+        for _ in crashes:
+            self.breaker.record(True)
         for _ in range(report.summary.executed):
             self.breaker.record(False)
+        if not crashes and not report.summary.executed:
+            self.breaker.abstain()
 
     def _job_backoff(self, job_id: str) -> DecorrelatedJitter:
         schedule = self._job_backoffs.get(job_id)

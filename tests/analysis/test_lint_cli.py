@@ -99,7 +99,7 @@ class TestFormats:
         cli_tree({"src/repro/core/x.py": CLEAN})
         assert simlint_main(["--list-rules"]) == 0
         out = capsys.readouterr().out
-        for code in ("SIM104", "SIM301", "SIM401", "SIM801"):
+        for code in ("SIM104", "SIM107", "SIM301", "SIM401"):
             assert code in out
 
 
@@ -183,8 +183,8 @@ class TestExplain:
         import pathlib
         repo_root = pathlib.Path(__file__).resolve().parents[2]
         monkeypatch.chdir(repo_root)
-        assert simlint_main(["--explain", "sim801"]) == 0
-        assert "SIM801" in capsys.readouterr().out
+        assert simlint_main(["--explain", "sim402"]) == 0
+        assert "SIM402" in capsys.readouterr().out
 
     def test_explain_unknown_code_exits_two(self, cli_tree, capsys):
         cli_tree({"src/repro/core/x.py": CLEAN})

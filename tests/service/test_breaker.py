@@ -92,6 +92,22 @@ class TestRecovery:
             ("half-open", "closed"),
         ]
 
+    def test_probe_that_runs_nothing_hands_the_slot_on(self):
+        """A probe with no outcome (all cache hits, errors, cancel)
+        must not hold the probe slot forever."""
+        breaker, clock = make_breaker(min_samples=2)
+        breaker.record(True)
+        breaker.record(True)
+        clock.advance(31.0)
+        assert breaker.allow_execution()
+        assert not breaker.allow_execution()
+        breaker.abstain()
+        assert breaker.state is BreakerState.HALF_OPEN
+        assert breaker.allow_execution()
+        assert not breaker.allow_execution()
+        breaker.record(False)
+        assert breaker.state is BreakerState.CLOSED
+
     def test_crashing_probe_reopens_for_another_cooldown(self):
         breaker, clock = make_breaker(min_samples=2)
         breaker.record(True)

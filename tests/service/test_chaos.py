@@ -207,6 +207,35 @@ class TestCircuitBreaker:
         metrics = client.metrics()
         assert metrics["service.breaker_opens"] == 1
 
+    def test_all_cache_hit_probe_does_not_wedge_the_breaker(
+            self, fake_execute, serve, tmp_path):
+        """A half-open probe that executes nothing hands the probe
+        slot on: the next job with misses launches workers again."""
+        clock = [0.0]
+        breaker = CircuitBreaker(window=4, threshold=0.5,
+                                 min_samples=2, cooldown=10.0,
+                                 clock=lambda: clock[0])
+        breaker.record(True)
+        breaker.record(True)
+        clock[0] = 11.0  # cooled down: the next job is the probe
+        cache_dir = tmp_path / "cache"
+        hit = plan_for("gzip")
+        ResultCache(cache_dir).store(hit, fake_run(hit), duration=0.01)
+        live = serve(cache_dir=cache_dir, breaker=breaker)
+        client = live.client()
+
+        probe = client.submit([hit])
+        final = client.wait(probe["job_id"], timeout=30, poll=0.05)
+        assert final["state"] == "done"
+        assert final["summary"]["executed"] == 0
+        assert client.health()["breaker"] == "half-open"
+
+        miss = client.submit([plan_for("mesa")])
+        final = client.wait(miss["job_id"], timeout=30, poll=0.05)
+        assert final["state"] == "done"
+        assert final["summary"]["executed"] == 1
+        assert client.health()["breaker"] == "closed"
+
 
 class TestConnectionFaults:
     def test_client_disconnect_mid_stream_harms_nobody(

@@ -226,6 +226,25 @@ class TestHealthAndMetrics:
         assert snapshot["service.jobs_admitted"] == 1
         assert snapshot["service.jobs_completed"] == 1
 
+    def test_handler_bug_is_a_500_and_the_server_keeps_serving(
+            self, fake_execute, serve, monkeypatch):
+        from repro.service import SweepService
+
+        def broken(self):
+            raise RuntimeError("planted handler bug")
+
+        monkeypatch.setattr(SweepService, "health_json", broken)
+        client = serve().client()
+        with pytest.raises(ServiceError) as excinfo:
+            client.health()
+        assert excinfo.value.status == 500
+        assert "RuntimeError: planted handler bug" in str(excinfo.value)
+        ready, _ = client.ready()
+        assert ready
+        job = client.submit([plan_for("gzip")])
+        assert client.wait(job["job_id"], timeout=20,
+                           poll=0.05)["state"] == "done"
+
 
 class TestCancellation:
     def test_cancel_queued_job(self, fake_execute, serve):
@@ -240,6 +259,29 @@ class TestCancellation:
         # The blocker is unaffected.
         assert client.wait(blocker["job_id"], timeout=20,
                            poll=0.05)["state"] == "done"
+
+    def test_cancel_running_job_is_cooperative(self, fake_execute,
+                                               serve, monkeypatch):
+        """DELETE of a running job sets the sweep's cancel event; the
+        worker is stopped and the job ends cancelled."""
+        import repro.harness.runner as runner_mod
+
+        def slow_execute(plan):
+            time.sleep(30.0)
+            return fake_execute(plan)
+
+        monkeypatch.setattr(runner_mod, "_execute_plan", slow_execute)
+        client = serve(run_timeout=60.0).client()
+        job = client.submit([plan_for("gzip")])
+        deadline = time.monotonic() + 10.0
+        while (client.job(job["job_id"])["state"] != "running"
+               and time.monotonic() < deadline):
+            time.sleep(0.05)
+        assert client.cancel(job["job_id"])["state"] == "running"
+        final = client.wait(job["job_id"], timeout=20, poll=0.05)
+        assert final["state"] == "cancelled"
+        (failure,) = client.report(job["job_id"])["failures"]
+        assert failure["reason"] == "cancelled"
 
     def test_cancel_terminal_job_is_idempotent(self, fake_execute,
                                                serve):
