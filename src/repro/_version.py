@@ -5,9 +5,9 @@ Prefers installed-distribution metadata; falls back to parsing
 for this repository: ``PYTHONPATH=src python -m repro``).
 
 :func:`source_digest` hashes a package's own source.  The result cache
-(``harness/runner.py``) and the lint cache (``analysis/cache.py``) key
-their entries by it, so any edit to the code that produced an entry
-makes it unreachable -- no version is kept by hand.
+(``harness/runner.py``) keys its entries by it, so any edit to the
+simulator code that produced an entry makes it unreachable -- no
+version is kept by hand.
 """
 
 from __future__ import annotations

@@ -26,8 +26,8 @@ Run it as ``python -m repro.analysis.simlint src tests`` or via the
 CLI as ``repro lint``.  Findings are suppressed inline with
 ``# simlint: disable=CODE`` (rationale comment expected) or allowlisted
 in the committed ``simlint-baseline.json`` (``--check-baseline`` keeps
-it free of stale entries).  Warm runs are incremental via the
-content-hashed ``.simlint-cache/`` and parallel via ``--jobs``;
+it free of stale entries).  The lint is one pass: each file is read,
+parsed and walked once, in one process, with no cache;
 ``--explain SIMxxx`` prints a rule's rationale with its test-backed
 bad/good examples.
 """

@@ -5,7 +5,8 @@ deliberately-accepted violations stay green.  It is a JSON file mapping
 line-independent fingerprints (:meth:`Finding.fingerprint`) to an
 allowed count plus a human note explaining *why* the violation is
 acceptable -- an entry without a rationale is a code smell, so
-``--write-baseline`` stamps every new entry with ``"TODO: justify"``.
+``--write-baseline`` keeps the note of every entry already in the file
+and stamps every new entry with ``"TODO: justify"``.
 
 Counts, not sets: two identical violations in one file share a
 fingerprint, and the baseline must not silently cover a third copy.
@@ -16,7 +17,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .findings import Finding
 
@@ -68,12 +69,18 @@ class Baseline:
 
     @classmethod
     def from_findings(cls, findings: List[Finding],
-                      note: str = "TODO: justify") -> "Baseline":
+                      notes: Optional[Dict[str, str]] = None
+                      ) -> "Baseline":
+        """Entries for ``findings``; ``notes`` (fingerprint -> note)
+        carries rationales over, every other entry is ``TODO: justify``.
+        """
+        notes = notes or {}
         entries: Dict[str, dict] = {}
         for finding in findings:
-            entry = entries.setdefault(finding.fingerprint(), {
+            fingerprint = finding.fingerprint()
+            entry = entries.setdefault(fingerprint, {
                 "count": 0,
-                "note": note,
+                "note": notes.get(fingerprint, "TODO: justify"),
                 "path": finding.path,
                 "code": finding.code,
                 "message": finding.message,

@@ -1,9 +1,10 @@
 """Per-file context handed to every rule.
 
-Holds the parsed AST, the repo-relative path (rules that guard
-simulator code scope themselves to ``src/repro/``) and the inline
-``# simlint: disable=CODE`` suppressions extracted from the token
-stream.
+Holds the parsed AST, walked once, and the repo-relative path (rules
+that guard simulator code scope themselves to ``src/repro/``).  The
+inline ``# simlint: disable=CODE`` suppressions are read from the
+token stream here too; the engine applies them to what the rules
+report.
 
 Suppression comments follow the convention stated in the package doc:
 
@@ -26,8 +27,7 @@ import io
 import re
 import tokenize
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Dict, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 #: ``disable=`` then a comma-separated list of code tokens.  The list
 #: ends at the first word that follows a code after plain whitespace,
@@ -36,6 +36,11 @@ from typing import Dict, Optional, Set, Tuple
 _DISABLE_RE = re.compile(
     r"#\s*simlint:\s*disable=\s*(\w+(?:\s*,\s*\w+)*)"
 )
+
+#: Tokens that carry no code: a line holding only these is not a code
+#: line.
+_LAYOUT = frozenset((tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE,
+                     tokenize.INDENT, tokenize.DEDENT, tokenize.ENDMARKER))
 
 
 def parse_suppressions(source: str
@@ -53,39 +58,35 @@ def parse_suppressions(source: str
     thought was suppressed for a *reason* that no longer parses).
     """
     suppressions: Dict[int, Set[str]] = {}
+    # Standalone comments still waiting for the next code line.
+    pending: List[Set[str]] = []
+    last_code_line = 0
     try:
-        tokens = list(tokenize.generate_tokens(io.StringIO(source).readline))
+        for tok in tokenize.generate_tokens(io.StringIO(source).readline):
+            if tok.type == tokenize.COMMENT:
+                match = _DISABLE_RE.search(tok.string)
+                if match is None:
+                    continue
+                codes = {c.strip().upper()
+                         for c in match.group(1).split(",")}
+                if tok.start[0] == last_code_line:
+                    suppressions.setdefault(last_code_line,
+                                            set()).update(codes)
+                else:
+                    pending.append(codes)
+            elif tok.type not in _LAYOUT:
+                for codes in pending:
+                    suppressions.setdefault(tok.start[0],
+                                            set()).update(codes)
+                pending.clear()
+                last_code_line = tok.end[0]
     except (tokenize.TokenError, SyntaxError,
             IndentationError) as exc:
-        return suppressions, (
+        return {}, (
             f"suppression comments unreadable "
             f"({type(exc).__name__}: {exc}); inline disables in this "
             f"file are being ignored"
         )
-    # Lines that hold nothing but a comment (plus whitespace/NL).
-    code_lines: Set[int] = set()
-    for tok in tokens:
-        if tok.type in (tokenize.COMMENT, tokenize.NL,
-                        tokenize.NEWLINE, tokenize.INDENT,
-                        tokenize.DEDENT, tokenize.ENDMARKER):
-            continue
-        for ln in range(tok.start[0], tok.end[0] + 1):
-            code_lines.add(ln)
-    for tok in tokens:
-        if tok.type != tokenize.COMMENT:
-            continue
-        match = _DISABLE_RE.search(tok.string)
-        if not match:
-            continue
-        codes = {c.strip().upper() for c in match.group(1).split(",")}
-        line = tok.start[0]
-        if line not in code_lines:
-            # Standalone comment: applies to the next code line.
-            line = min(
-                (ln for ln in sorted(code_lines) if ln > line),
-                default=line,
-            )
-        suppressions.setdefault(line, set()).update(codes)
     return suppressions, None
 
 
@@ -104,16 +105,21 @@ def suppressed(code: str, patterns: Set[str]) -> bool:
 
 @dataclass
 class FileContext:
-    """Everything a rule may inspect about one file."""
+    """Everything a rule may inspect about one file.
 
-    path: Path  # absolute
+    ``nodes`` holds every node of the tree, walked once in breadth-first
+    order; rules and :meth:`parents` iterate it instead of walking the
+    tree again.
+    """
+
     rel: str  # posix path relative to the detected root
-    source: str
     tree: ast.AST
-    suppressions: Dict[int, Set[str]] = field(default_factory=dict)
-    #: Why suppressions could not be read (SIM002), if they couldn't.
-    suppression_error: Optional[str] = None
-    _parents: Optional[Dict[ast.AST, ast.AST]] = None
+    nodes: List[ast.AST] = field(init=False)
+    _parents: Optional[Dict[ast.AST, ast.AST]] = field(default=None,
+                                                       init=False)
+
+    def __post_init__(self) -> None:
+        self.nodes = list(ast.walk(self.tree))
 
     # -- path scoping ----------------------------------------------------
 
@@ -128,7 +134,7 @@ class FileContext:
         """Child -> parent map over the whole tree (built lazily)."""
         if self._parents is None:
             parents: Dict[ast.AST, ast.AST] = {}
-            for node in ast.walk(self.tree):
+            for node in self.nodes:
                 for child in ast.iter_child_nodes(node):
                     parents[child] = node
             self._parents = parents
@@ -144,25 +150,3 @@ class FileContext:
                 return current
             current = parents.get(current)
         return None
-
-
-def load_context(path: Path, rel: str) -> Tuple[Optional[FileContext],
-                                                Optional[str]]:
-    """Parse ``path`` into a context, or return an error description."""
-    try:
-        source = path.read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
-        return None, f"unreadable: {exc}"
-    try:
-        tree = ast.parse(source, filename=str(path))
-    except SyntaxError as exc:
-        return None, f"syntax error: {exc.msg} (line {exc.lineno})"
-    suppressions, supp_error = parse_suppressions(source)
-    return FileContext(
-        path=path,
-        rel=rel,
-        source=source,
-        tree=tree,
-        suppressions=suppressions,
-        suppression_error=supp_error,
-    ), None

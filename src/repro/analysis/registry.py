@@ -1,8 +1,8 @@
 """The rule registry.
 
 A rule is a callable ``(FileContext) -> Iterable[Finding]`` registered
-with :func:`register`; it sees one file at a time and runs inside the
-(possibly parallel) per-file pass.
+with :func:`register`; it sees one file at a time and iterates the
+file's node list (``ctx.nodes``) rather than walking the tree again.
 
 Registration happens at import time of :mod:`repro.analysis.rules`;
 the engine iterates :func:`all_rules`.  Codes group into families by

@@ -37,7 +37,7 @@ def check_dict_iteration_in_output(ctx: FileContext) -> Iterator[Finding]:
     ``utilization_report`` ordering bug).  Sort explicitly so output
     survives refactors of the producing code.
     """
-    for iter_node, anchor, _comp in iteration_targets(ctx.tree):
+    for iter_node, anchor, _comp in iteration_targets(ctx.nodes):
         if not (isinstance(iter_node, ast.Call)
                 and isinstance(iter_node.func, ast.Attribute)
                 and iter_node.func.attr in ("items", "keys", "values")

@@ -47,7 +47,7 @@ def _reraises(handler: ast.ExceptHandler) -> bool:
 @register("SIM301", "no bare except clauses")
 def check_bare_except(ctx: FileContext) -> Iterator[Finding]:
     """``except:`` also catches KeyboardInterrupt and SystemExit."""
-    for node in ast.walk(ctx.tree):
+    for node in ctx.nodes:
         if isinstance(node, ast.ExceptHandler) and node.type is None:
             yield Finding(
                 code="SIM301",
@@ -68,7 +68,7 @@ def check_broad_except(ctx: FileContext) -> Iterator[Finding]:
     Handlers that re-raise (cleanup-then-propagate) are exempt; true
     isolation boundaries suppress this rule inline with a rationale.
     """
-    for node in ast.walk(ctx.tree):
+    for node in ctx.nodes:
         if not isinstance(node, ast.ExceptHandler) or node.type is None:
             continue
         if _reraises(node):
@@ -101,7 +101,7 @@ def check_raise_keyerror(ctx: FileContext) -> Iterator[Finding]:
     """
     if not ctx.in_src:
         return
-    for node in ast.walk(ctx.tree):
+    for node in ctx.nodes:
         if not isinstance(node, ast.Raise) or node.exc is None:
             continue
         exc = node.exc

@@ -60,7 +60,7 @@ def check_frozen_specs(ctx: FileContext) -> Iterator[Finding]:
     """
     if not ctx.in_src:
         return
-    for node in ast.walk(ctx.tree):
+    for node in ctx.nodes:
         if not isinstance(node, ast.ClassDef):
             continue
         if not _VALUE_SUFFIX.search(node.name):
@@ -97,7 +97,7 @@ def _is_mutable_literal(node: ast.AST) -> bool:
 @register("SIM402", "no mutable default arguments")
 def check_mutable_defaults(ctx: FileContext) -> Iterator[Finding]:
     """A mutable default is shared by every call of the function."""
-    for node in ast.walk(ctx.tree):
+    for node in ctx.nodes:
         if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             continue
         defaults = list(node.args.defaults) + [
@@ -141,7 +141,7 @@ def check_float_equality(ctx: FileContext) -> Iterator[Finding]:
     """
     if not ctx.in_src:
         return
-    for node in ast.walk(ctx.tree):
+    for node in ctx.nodes:
         if not isinstance(node, ast.Compare):
             continue
         operands = [node.left] + list(node.comparators)

@@ -8,15 +8,15 @@ baseline file).
 
 The default baseline is ``simlint-baseline.json`` at the detected repo
 root; it is only an allowlist -- ``--write-baseline`` regenerates it
-from the current findings (new entries are stamped ``TODO: justify``
-so un-rationalized entries stand out in review) and
-``--check-baseline`` fails on entries no current finding uses, so
-fixed violations cannot keep an open allowlist slot.
+from the current findings (an entry already in the file keeps its
+note; new entries are stamped ``TODO: justify`` so un-rationalized
+entries stand out in review) and ``--check-baseline`` fails on
+entries no current finding uses, so fixed violations cannot keep an
+open allowlist slot.  Both refuse ``--select``: a scoped run cannot
+see the entries of the rules it left out.
 
-Performance knobs: ``--jobs N`` fans the per-file phase out over
-processes, and the content-hashed cache under ``.simlint-cache/``
-makes warm re-runs skip parsing entirely (``--no-cache`` /
-``--cache-dir`` control it; ``--timings FILE`` records phase times).
+``--timings FILE`` records phase times as JSON (``-`` writes them to
+stderr, so ``--format json`` keeps stdout one document).
 """
 
 from __future__ import annotations
@@ -58,7 +58,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--select", default=None, metavar="CODES",
         help="comma-separated rule codes to report (default: all; "
-             "every rule still runs so the cache stays shared)",
+             "every rule still runs, the rest are filtered out)",
     )
     parser.add_argument(
         "--baseline", default=None, metavar="FILE",
@@ -89,23 +89,9 @@ def build_parser() -> argparse.ArgumentParser:
              "entries that no current finding uses",
     )
     parser.add_argument(
-        "--jobs", type=int, default=1, metavar="N",
-        help="fan per-file analysis out over N processes "
-             "(default: 1)",
-    )
-    parser.add_argument(
-        "--no-cache", action="store_true",
-        help="disable the on-disk incremental cache",
-    )
-    parser.add_argument(
-        "--cache-dir", default=None, metavar="DIR",
-        help="cache directory (default: .simlint-cache at the repo "
-             "root)",
-    )
-    parser.add_argument(
         "--timings", default=None, metavar="FILE",
         help="write a JSON phase-timing summary to FILE "
-             "('-' for stdout)",
+             "('-' for stderr)",
     )
     return parser
 
@@ -195,12 +181,9 @@ def _write_timings(result: LintResult, destination: str) -> None:
         "timings_s": {name: round(value, 4)
                       for name, value in sorted(result.timings.items())},
         "files_checked": result.files_checked,
-        "cache_hits": result.cache_hits,
-        "cache_misses": result.cache_misses,
-        "jobs": result.jobs,
     }, indent=2, sort_keys=True)
     if destination == "-":
-        print(payload)
+        print(payload, file=sys.stderr)
     else:
         Path(destination).write_text(payload + "\n", encoding="utf-8")
 
@@ -249,25 +232,21 @@ def main(argv: Optional[List[str]] = None) -> int:
             print(f"repro lint: {exc}", file=sys.stderr)
             return 2
 
-    if args.jobs < 1:
-        print("repro lint: --jobs must be >= 1", file=sys.stderr)
-        return 2
     if args.check_baseline and baseline is None:
         print("repro lint: --check-baseline needs a baseline file "
               "(none found and --no-baseline not applicable)",
               file=sys.stderr)
         return 2
-    if args.check_baseline and select:
-        print("repro lint: --check-baseline needs the full rule set; "
-              "drop --select (a scoped run would call every "
-              "out-of-scope entry stale)", file=sys.stderr)
+    if select and (args.check_baseline or args.write_baseline):
+        flag = ("--check-baseline" if args.check_baseline
+                else "--write-baseline")
+        print(f"repro lint: {flag} needs the full rule set; drop "
+              f"--select (a scoped run cannot see the entries of the "
+              f"rules it leaves out)", file=sys.stderr)
         return 2
 
-    result = lint_paths(
-        paths, baseline=baseline, select=select, root=root,
-        jobs=args.jobs, use_cache=not args.no_cache,
-        cache_dir=Path(args.cache_dir) if args.cache_dir else None,
-    )
+    result = lint_paths(paths, baseline=baseline, select=select,
+                        root=root)
 
     if args.timings is not None:
         _write_timings(result, args.timings)
@@ -275,7 +254,13 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.write_baseline:
         if baseline_path is None:
             baseline_path = root / BASELINE_NAME
-        Baseline.from_findings(result.findings).save(baseline_path)
+        try:
+            notes = {fingerprint: entry["note"] for fingerprint, entry
+                     in Baseline.load(baseline_path).entries.items()}
+        except BaselineError:
+            notes = {}
+        Baseline.from_findings(result.findings, notes).save(
+            baseline_path)
         print(f"simlint: wrote {len(result.findings)} finding(s) to "
               f"{baseline_path}")
         return 0
@@ -297,7 +282,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     if stale:
         print(f"simlint: {len(stale)} stale baseline entr"
               f"{'y' if len(stale) == 1 else 'ies'}; regenerate with "
-              f"--write-baseline (keep the notes)", file=sys.stderr)
+              f"--write-baseline, which keeps every entry's note",
+              file=sys.stderr)
     return 0 if result.ok and not stale else 1
 
 

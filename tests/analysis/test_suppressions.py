@@ -177,8 +177,7 @@ class TestCRLFSources:
             "def collect(item, bucket=[]):  # simlint: disable=SIM402",
             "    return bucket",
         ])
-        result = lint_paths(tops, root=tmp_path, select={"SIM402"},
-                            use_cache=False)
+        result = lint_paths(tops, root=tmp_path, select={"SIM402"})
         assert result.findings == []
         assert result.suppressed == 1
 
@@ -187,7 +186,7 @@ class TestCRLFSources:
             "def collect(item, bucket=[]):",
             "    return bucket",
         ])
-        result = lint_paths(tops, root=tmp_path, use_cache=False)
+        result = lint_paths(tops, root=tmp_path)
         codes = [f.code for f in result.findings]
         assert "SIM000" not in codes and "SIM002" not in codes
         assert "SIM402" in codes
