@@ -22,9 +22,14 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..core.instruction import DynInstr
 from ..interconnect.topology import CACHE_NODE, Topology, cluster_node
-from ..telemetry import NULL_TELEMETRY, EventKind, Telemetry
+from ..telemetry import NULL_TELEMETRY, EventKind, Telemetry, event_names
 from .cluster import Cluster
 from .criticality import CriticalityPredictor
+
+#: Attribute names of the ``steering_penalty`` and ``steer_overflow``
+#: events.
+_PENALTY_ATTRS = event_names("cluster", "penalty")
+_OVERFLOW_ATTRS = event_names("fallback", "preferred")
 
 
 @dataclass(frozen=True)
@@ -125,10 +130,8 @@ class SteeringHeuristic:
             tel = self.telemetry
             if tel.enabled:
                 tel.count("steering.degraded_penalties")
-                tel.emit(cycle, EventKind.STEERING_PENALTY, {
-                    "cluster": cluster_index,
-                    "penalty": self._link_penalty[cluster_index],
-                })
+                tel.emit(cycle, EventKind.STEERING_PENALTY, _PENALTY_ATTRS,
+                         (cluster_index, self._link_penalty[cluster_index]))
 
     def choose(self, instr: DynInstr,
                producers: Sequence[Tuple[int, DynInstr]],
@@ -162,10 +165,8 @@ class SteeringHeuristic:
             # The heaviest cluster was full: the instruction spilled
             # to the nearest cluster with room.
             tel.count("steering.overflow")
-            tel.emit(cycle, EventKind.STEER_OVERFLOW, {
-                "preferred": best,
-                "fallback": fallback.index,
-            })
+            tel.emit(cycle, EventKind.STEER_OVERFLOW, _OVERFLOW_ATTRS,
+                     (fallback.index, best))
         return fallback
 
     # -- scoring -----------------------------------------------------------

@@ -47,7 +47,7 @@ from ..memory.lsq import LoadStoreQueue
 from ..memory.pipeline import CachePipeline
 from ..operands.frequent import FrequentValueTable
 from ..operands.narrow import NarrowWidthPredictor
-from ..telemetry import NULL_TELEMETRY, EventKind, Telemetry
+from ..telemetry import NULL_TELEMETRY, EventKind, Telemetry, event_names
 from ..wires import WireClass
 from ..workloads.annotate import AnnotatedTrace
 from ..workloads.trace import NUM_ARCH_REGS, InstructionRecord, OpClass
@@ -65,6 +65,10 @@ _OPERAND, _MISPREDICT = TransferKind.OPERAND, TransferKind.MISPREDICT
 _LOAD_ADDRESS, _LOAD_DATA = TransferKind.LOAD_ADDRESS, TransferKind.LOAD_DATA
 _STORE_ADDRESS = TransferKind.STORE_ADDRESS
 _STORE_DATA = TransferKind.STORE_DATA
+
+#: Attribute names of the ``cache_access`` event.
+_CACHE_ATTRS = event_names("level", "seq")
+
 
 @dataclass
 class ProcessorStats:
@@ -569,8 +573,8 @@ class ClusteredProcessor:
         tel = self.telemetry
         if tel.enabled:
             tel.count(f"cache.{level._value_}")
-            tel.emit(self.cycle, EventKind.CACHE_ACCESS,
-                     {"level": level._value_, "seq": instr.seq})
+            tel.emit(self.cycle, EventKind.CACHE_ACCESS, _CACHE_ATTRS,
+                     (level._value_, instr.seq))
         if cycle <= self.cycle:
             cycle = self.cycle + 1
         self._wheel.schedule(cycle, self._send_load_data, instr)

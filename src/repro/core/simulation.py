@@ -7,7 +7,7 @@ from typing import Optional, Union
 
 from ..faults import FaultInjector, FaultSpec
 from ..interconnect.stats import leakage_energy
-from ..telemetry import EventKind, Telemetry
+from ..telemetry import EventKind, Telemetry, event_names
 from ..wires import CANONICAL_SPECS
 from ..workloads.annotate import annotated_trace
 from .config import InterconnectConfig, ProcessorConfig
@@ -37,6 +37,10 @@ DEFAULT_WARMUP = _window_from_env("REPRO_WARMUP", 3000, "warmup", 0)
 DEFAULT_SEED = 42
 
 FaultSpecLike = Union[str, FaultSpec, None]
+
+#: Attribute names of the ``run_start`` and ``run_end`` events.
+_START_ATTRS = event_names("benchmark", "instructions", "seed", "warmup")
+_END_ATTRS = event_names("benchmark", "committed", "cycles")
 
 
 class AccountingError(RuntimeError):
@@ -158,19 +162,12 @@ def simulate_benchmark(interconnect: InterconnectConfig, benchmark: str,
                           latency_scale, fault_spec=fault_spec,
                           telemetry=telemetry, gating=gating)
     if telemetry is not None and telemetry.enabled:
-        telemetry.emit(cpu.cycle, EventKind.RUN_START, {
-            "benchmark": benchmark,
-            "instructions": instructions,
-            "warmup": warmup,
-            "seed": seed,
-        })
+        telemetry.emit(cpu.cycle, EventKind.RUN_START, _START_ATTRS,
+                       (benchmark, instructions, seed, warmup))
     stats = cpu.run(instructions, warmup=warmup)
     if telemetry is not None and telemetry.enabled:
-        telemetry.emit(cpu.cycle, EventKind.RUN_END, {
-            "benchmark": benchmark,
-            "committed": stats.committed,
-            "cycles": stats.cycles,
-        })
+        telemetry.emit(cpu.cycle, EventKind.RUN_END, _END_ATTRS,
+                       (benchmark, stats.committed, stats.cycles))
     degradation = cpu.network.degradation_report()
     power = cpu.network.power
     power_extra = () if power is None else (

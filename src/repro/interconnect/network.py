@@ -69,7 +69,7 @@ from dataclasses import dataclass, replace
 from typing import Callable, Dict, FrozenSet, List, Optional, Tuple
 
 from ..power import GatingPolicy, PlanePowerManager, parse_gating
-from ..telemetry import NULL_TELEMETRY, EventKind, Telemetry
+from ..telemetry import NULL_TELEMETRY, EventKind, Telemetry, event_names
 from ..wires import WireClass
 from .errors import ConfigError, UnroutableError
 from .message import Transfer, TransferKind
@@ -80,6 +80,14 @@ from .topology import Topology
 
 _NO_AVOID: FrozenSet[WireClass] = frozenset()
 _NUM_PLANES = len(WireClass)
+
+#: Attribute names of the events this module emits, one tuple per site.
+_ROUTED_ATTRS = event_names("bits", "channel", "dst", "kind", "plane", "src")
+_KILL_ATTRS = event_names("channel", "plane")
+_REROUTE_ATTRS = event_names("bits", "channel", "from", "to")
+_ESCALATION_ATTRS = event_names("attempts", "channel", "plane")
+_RETRY_ATTRS = event_names("attempt", "channel", "plane")
+_CORRUPTION_ATTRS = event_names("attempt", "kind", "plane", "seq")
 
 #: Arrival handler for recycled transfers: (transfer, arrival cycle).
 Handler = Callable[[Transfer, int], None]
@@ -281,14 +289,10 @@ class Network:
                 power.note_activity(channels, wire_class, cycle)
             if traced:
                 tel.count("network.segments_routed")
-                tel.emit(cycle, EventKind.TRANSFER_ROUTED, {
-                    "kind": transfer.kind._value_,
-                    "plane": wire_class._value_,
-                    "bits": segment.bits,
-                    "src": transfer.src,
-                    "dst": transfer.dst,
-                    "channel": channels[0],
-                })
+                tel.emit(cycle, EventKind.TRANSFER_ROUTED, _ROUTED_ATTRS, (
+                    segment.bits, channels[0], transfer.dst,
+                    transfer.kind._value_, wire_class._value_, transfer.src,
+                ))
             if latency is None:
                 self._missing_latency(transfer, wire_class)
             if qpool:
@@ -378,10 +382,8 @@ class Network:
         tel = self.telemetry
         if tel.enabled:
             tel.count("faults.plane_kills")
-            tel.emit(cycle, EventKind.PLANE_KILL, {
-                "channel": channel,
-                "plane": plane._value_,
-            })
+            tel.emit(cycle, EventKind.PLANE_KILL, _KILL_ATTRS,
+                     (channel, plane._value_))
         if self.on_plane_kill is not None:
             self.on_plane_kill(channel, plane, cycle)
 
@@ -414,12 +416,10 @@ class Network:
         tel = self.telemetry
         if tel.enabled:
             tel.count("faults.reroutes")
-            tel.emit(cycle, EventKind.REROUTE, {
-                "channel": channels[0],
-                "from": item.segment.wire_class._value_,
-                "to": wire_class._value_,
-                "bits": item.segment.bits,
-            })
+            tel.emit(cycle, EventKind.REROUTE, _REROUTE_ATTRS, (
+                item.segment.bits, channels[0],
+                item.segment.wire_class._value_, wire_class._value_,
+            ))
         latency, peers = route.by_plane[wire_class._index]
         if latency is None:
             self._missing_latency(item.transfer, wire_class)
@@ -474,11 +474,9 @@ class Network:
                 stats.retry_escalations += 1
                 if tel.enabled:
                     tel.count("faults.retry_escalations")
-                    tel.emit(cycle, EventKind.RETRY_ESCALATION, {
-                        "channel": channel,
-                        "plane": plane._value_,
-                        "attempts": item.attempt,
-                    })
+                    tel.emit(cycle, EventKind.RETRY_ESCALATION,
+                             _ESCALATION_ATTRS,
+                             (item.attempt, channel, plane._value_))
                 self._kill(channel, plane, cycle)
                 self._reroute(item, cycle)
                 continue
@@ -487,11 +485,8 @@ class Network:
             stats.retransmissions += 1
             if tel.enabled:
                 tel.count("faults.retransmissions")
-                tel.emit(cycle, EventKind.NACK_RETRY, {
-                    "channel": channel,
-                    "plane": plane._value_,
-                    "attempt": item.attempt,
-                })
+                tel.emit(cycle, EventKind.NACK_RETRY, _RETRY_ATTRS,
+                         (item.attempt, channel, plane._value_))
             chan = item.peers[0]
             chan.retx += 1
             chan.queue.append(item)
@@ -515,12 +510,10 @@ class Network:
         tel = self.telemetry
         if tel.enabled:
             tel.count("faults.corrupted_segments")
-            tel.emit(cycle, EventKind.CORRUPTION, {
-                "kind": transfer.kind._value_,
-                "plane": plane._value_,
-                "seq": transfer.seq,
-                "attempt": item.attempt,
-            })
+            tel.emit(cycle, EventKind.CORRUPTION, _CORRUPTION_ATTRS, (
+                item.attempt, transfer.kind._value_, plane._value_,
+                transfer.seq,
+            ))
         self._retry_seq += 1
         heapq.heappush(
             self._retries,

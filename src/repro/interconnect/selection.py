@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, fields, replace
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
-from ..telemetry import NULL_TELEMETRY, EventKind, Telemetry
+from ..telemetry import NULL_TELEMETRY, EventKind, Telemetry, event_names
 from ..wires import WireClass
 from .errors import UnroutableError
 from .loadbalance import ImbalanceDetector
@@ -45,6 +45,10 @@ _STORE_DATA = TransferKind.STORE_DATA
 _MISPREDICT = TransferKind.MISPREDICT
 _L_ONLY: FrozenSet[WireClass] = frozenset((_L,))
 _PW_ONLY: FrozenSet[WireClass] = frozenset((_PW,))
+
+#: Attribute names of the ``wire_selected`` and ``lb_divert`` events.
+_SELECTED_ATTRS = event_names("degraded", "kind", "plane", "reason", "split")
+_DIVERT_ATTRS = event_names("from", "to")
 
 
 @dataclass(frozen=True)
@@ -219,13 +223,10 @@ class WireSelector:
         tel = self.telemetry
         if tel.enabled:
             tel.count(f"selection.{reason}")
-            tel.emit(cycle, EventKind.WIRE_SELECTED, {
-                "kind": transfer.kind._value_,
-                "reason": reason,
-                "plane": segments[-1].wire_class._value_,
-                "split": len(segments) > 1,
-                "degraded": bool(avoid),
-            })
+            tel.emit(cycle, EventKind.WIRE_SELECTED, _SELECTED_ATTRS, (
+                bool(avoid), transfer.kind._value_,
+                segments[-1].wire_class._value_, reason, len(segments) > 1,
+            ))
         return segments
 
     def _plan(self, transfer: Transfer, cycle: int,
@@ -361,10 +362,8 @@ class WireSelector:
                         # traffic imbalance steered bulk traffic onto
                         # the less congested plane.
                         tel.count("selection.lb_divert")
-                        tel.emit(cycle, EventKind.LB_DIVERT, {
-                            "from": self._bulk._value_,
-                            "to": diverted._value_,
-                        })
+                        tel.emit(cycle, EventKind.LB_DIVERT, _DIVERT_ATTRS,
+                                 (self._bulk._value_, diverted._value_))
                 return diverted
         return self.bulk_for(avoid)
 

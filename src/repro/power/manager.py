@@ -48,7 +48,7 @@ import enum
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Mapping, Optional, Tuple
 
-from ..telemetry import NULL_TELEMETRY, EventKind, Telemetry
+from ..telemetry import NULL_TELEMETRY, EventKind, Telemetry, event_names
 from ..wires import WireClass
 from .policy import GatingPolicy
 
@@ -65,6 +65,10 @@ DROWSY_WAKE_ENERGY_PER_WIRE = 0.05
 GATED_WAKE_ENERGY_PER_WIRE = 0.2
 
 _BULK_ORDER = (WireClass.B, WireClass.PW, WireClass.W)
+
+#: Attribute names of the ``plane_gated`` and ``plane_woken`` events.
+_GATED_ATTRS = event_names("cycle", "link", "plane", "state")
+_WOKEN_ATTRS = event_names("forced", "from", "link", "plane", "ready")
 
 
 class PowerState(enum.Enum):
@@ -322,12 +326,9 @@ class PlanePowerManager:
             # Transitions are discovered lazily: the event is stamped
             # at the discovery cycle (stamps must be monotonic) and
             # carries the effective cycle in its attributes.
-            tel.emit(stamp, EventKind.PLANE_GATED, {
-                "link": slot.link,
-                "plane": slot.plane._value_,
-                "state": state._value_,
-                "cycle": effective,
-            })
+            tel.emit(stamp, EventKind.PLANE_GATED, _GATED_ATTRS, (
+                effective, slot.link, slot.plane._value_, state._value_,
+            ))
 
     def _wake(self, slot: _PlaneSlot, cycle: int) -> None:
         from_gated = slot.state is PowerState.GATED
@@ -364,13 +365,10 @@ class PlanePowerManager:
         tel = self.telemetry
         if tel.enabled:
             tel.count("power.plane_woken")
-            tel.emit(cycle, EventKind.PLANE_WOKEN, {
-                "link": slot.link,
-                "plane": slot.plane._value_,
-                "from": "gated" if from_gated else "drowsy",
-                "ready": slot.wake_ready if not forced else cycle,
-                "forced": forced,
-            })
+            tel.emit(cycle, EventKind.PLANE_WOKEN, _WOKEN_ATTRS, (
+                forced, "gated" if from_gated else "drowsy", slot.link,
+                slot.plane._value_, slot.wake_ready if not forced else cycle,
+            ))
 
     def _slots_on(self, channels: Tuple[str, ...]) -> List[_PlaneSlot]:
         """The gateable slots of every link on a path, memoized.

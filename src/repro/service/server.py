@@ -56,7 +56,7 @@ from ..harness.runner import (
     SweepReport,
     SweepSummary,
 )
-from ..telemetry import EventKind, RingBufferSink, Telemetry
+from ..telemetry import EventKind, RingBufferSink, Telemetry, make_event
 from ..workloads.spec2k import BENCHMARK_NAMES
 from .breaker import BreakerState, CircuitBreaker
 from .chaos import ChaosInjector, arm_job
@@ -209,7 +209,7 @@ class SweepService:
 
     def _emit(self, kind: EventKind, **attrs: object) -> None:
         if self.telemetry.enabled:
-            self.telemetry.emit(self._next_tick(), kind, attrs)
+            self.telemetry.emit(*make_event(self._next_tick(), kind, attrs))
 
     def _breaker_moved(self, old: BreakerState, new: BreakerState,
                        crash_rate: float) -> None:

@@ -36,6 +36,7 @@ from .events import (
     EVENT_CATEGORY,
     EventKind,
     TraceEvent,
+    event_names,
     make_event,
 )
 from .handle import NULL_TELEMETRY, Telemetry
@@ -59,6 +60,7 @@ __all__ = [
     "EVENT_CATEGORY",
     "EventKind",
     "TraceEvent",
+    "event_names",
     "make_event",
     "NULL_TELEMETRY",
     "Telemetry",

@@ -105,8 +105,8 @@ def render_summary(summary: TraceSummary,
                    cycles: int = 0) -> str:
     """The per-plane/per-link + decision-reason breakdown tables."""
     lines: List[str] = [
-        f"trace summary: {summary.total_events} events"
-        + (f" over {cycles} measured cycles" if cycles else "")
+        f"trace summary: {summary.total_events} events over the whole run"
+        + (f", {cycles} cycles measured" if cycles else "")
     ]
     if summary.selection_reasons:
         total = sum(n for _, n in summary.selection_reasons)

@@ -3,10 +3,11 @@
 Converts a simulator event stream into the JSON object format that
 ``chrome://tracing`` and Perfetto (https://ui.perfetto.dev) load
 directly: a ``traceEvents`` array of instant (``ph: "i"``) events plus
-one synthetic complete (``ph: "X"``) span covering the measured window
-when the trace carries run boundaries.  Timestamps are simulator
-*cycles* written into the ``ts`` microsecond field (1 cycle == 1 us in
-the viewer); ``otherData.time_unit`` records that convention.
+one synthetic complete (``ph: "X"``) span covering the whole run, from
+``run_start`` (cycle 0, before warm-up) to ``run_end``, when the trace
+carries run boundaries.  Timestamps are simulator *cycles* written
+into the ``ts`` microsecond field (1 cycle == 1 us in the viewer);
+``otherData.time_unit`` records that convention.
 
 :func:`validate_chrome_trace` is the schema check shared by the test
 suite and the CI fault-smoke job -- it returns a list of problems
@@ -48,7 +49,7 @@ def chrome_events(events: Iterable[TraceEvent]) -> List[Dict[str, object]]:
             "pid": TRACE_PID,
             "tid": TRACE_TID,
             "s": "t",
-            "args": {k: v for k, v in event.attrs},
+            "args": dict(zip(event.names, event.values, strict=True)),
         })
     if run_start is not None and run_end is not None:
         out.append({
@@ -59,7 +60,7 @@ def chrome_events(events: Iterable[TraceEvent]) -> List[Dict[str, object]]:
             "dur": max(0, run_end.cycle - run_start.cycle),
             "pid": TRACE_PID,
             "tid": TRACE_TID,
-            "args": {k: v for k, v in run_end.attrs},
+            "args": dict(zip(run_end.names, run_end.values, strict=True)),
         })
     out.sort(key=lambda e: (e["ts"], e["name"]))
     return out

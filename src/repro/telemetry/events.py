@@ -3,14 +3,15 @@
 Every observable decision the simulator makes -- which wire plane a
 transfer rides and why, a load-balance divert onto the PW plane, a
 NACK/retransmission, a plane kill, a cache hit level -- is one
-:class:`TraceEvent`: a cycle stamp, an :class:`EventKind` and a sorted
-tuple of attributes.  Events are immutable and JSON-serializable; the
-category mapping groups kinds into the buckets the Chrome-trace export
-and the sweep aggregation report on (``wire-selection``, ``overflow``,
-``fault``, ``power``, ``cache``, ``network``, ``steering``, ``run``,
-``service``).  The ``service`` kinds are emitted by the sweep job
-server (:mod:`repro.service`), which stamps them with a logical
-admission tick instead of a simulator cycle.
+:class:`TraceEvent`: a cycle stamp, an :class:`EventKind`, a sorted
+tuple of attribute names and the matching values.  Events are immutable
+and JSON-serializable; the category mapping groups kinds into the
+buckets the Chrome-trace export and the sweep aggregation report on
+(``wire-selection``, ``overflow``, ``fault``, ``power``, ``cache``,
+``network``, ``steering``, ``run``, ``service``).  The ``service``
+kinds are emitted by the sweep job server (:mod:`repro.service`),
+which stamps them with a logical admission tick instead of a
+simulator cycle.
 
 Determinism: an event is a pure function of simulator state -- no wall
 clock, no process identity.  Timestamps are *cycles*, and a correctly
@@ -21,16 +22,18 @@ trace's stamps are monotonically non-decreasing in emission order.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from operator import itemgetter
 from typing import Dict, Mapping, Optional, Tuple
 
 
 class EventKind(enum.Enum):
     """What happened.  The value is the stable on-disk name."""
 
-    #: Measured window opened (attrs: benchmark, instructions, warmup).
+    #: Whole run opened, before warm-up (attrs: benchmark,
+    #: instructions, seed, warmup).
     RUN_START = "run_start"
-    #: Measured window closed (attrs: committed, cycles).
+    #: Whole run closed (attrs: benchmark, and the measured window's
+    #: committed and cycles).
     RUN_END = "run_end"
     #: A transfer segment was planned onto a wire plane and queued.
     TRANSFER_ROUTED = "transfer_routed"
@@ -102,49 +105,98 @@ EVENT_CATEGORY: Dict[EventKind, str] = {
 #: The categories every simulator trace may contain.
 ALL_CATEGORIES: Tuple[str, ...] = tuple(sorted(set(EVENT_CATEGORY.values())))
 
+# Each kind's category as a plain attribute on the member: an enum
+# member's hash is a Python-level call, which an EVENT_CATEGORY lookup
+# per exported event would pay.
+for _kind, _category in EVENT_CATEGORY.items():
+    _kind._category = _category
+del _kind, _category
 
-@dataclass(frozen=True, init=False)
-class TraceEvent:
-    """One cycle-stamped, typed observation."""
 
-    cycle: int
-    kind: EventKind
-    attrs: Tuple[Tuple[str, object], ...] = ()
+def event_names(*names: str) -> Tuple[str, ...]:
+    """The attribute names of one emit site, checked once at import.
 
-    def __init__(self, cycle: int, kind: EventKind,
-                 attrs: Tuple[Tuple[str, object], ...] = ()) -> None:
-        # Hand-written: one frame per event instead of the generated
-        # __init__ plus __post_init__.
+    An event's ``names`` must be sorted and duplicate-free: equality,
+    hashing and every export read them in that order.  Each emit site
+    defines its tuple once as a module constant through this helper, so
+    no event pays for the check.
+    """
+    if names != tuple(sorted(set(names))):
+        raise ValueError(
+            f"event attribute names must be sorted and unique: {names}"
+        )
+    return names
+
+
+class TraceEvent(tuple):
+    """One cycle-stamped, typed observation: the immutable record
+    ``(cycle, kind, names, values)``.
+
+    ``names`` is a sorted, duplicate-free tuple of attribute names
+    (an emit site's :func:`event_names` constant) and ``values`` the
+    matching values, so an event costs one values tuple and this record.
+    Every construction checks that the cycle is non-negative and that
+    ``names`` and ``values`` have the same length.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, cycle: int, kind: EventKind,
+                names: Tuple[str, ...] = (),
+                values: Tuple[object, ...] = ()) -> "TraceEvent":
         if cycle < 0:
             raise ValueError("event cycle must be non-negative")
-        _set = object.__setattr__
-        _set(self, "cycle", cycle)
-        _set(self, "kind", kind)
-        _set(self, "attrs", attrs)
+        if len(names) != len(values):
+            raise ValueError(
+                f"event {kind._value_!r} has {len(names)} attribute "
+                f"names but {len(values)} values"
+            )
+        return tuple.__new__(cls, (cycle, kind, names, values))
+
+    def __getnewargs__(self) -> Tuple[object, ...]:
+        return tuple(self)
+
+    cycle = property(itemgetter(0))
+    kind = property(itemgetter(1))
+    names = property(itemgetter(2))
+    values = property(itemgetter(3))
+
+    @property
+    def attrs(self) -> Tuple[Tuple[str, object], ...]:
+        """The sorted ``(name, value)`` pairs."""
+        return tuple(zip(self[2], self[3], strict=True))
 
     @property
     def category(self) -> str:
-        return EVENT_CATEGORY[self.kind]
+        return self[1]._category
 
     def attr(self, name: str, default: object = None) -> object:
-        for key, value in self.attrs:
-            if key == name:
-                return value
+        names = self[2]
+        if name in names:
+            return self[3][names.index(name)]
         return default
 
     def to_json(self) -> Dict[str, object]:
-        """A JSON-ready dict (stable key order via sorted attrs)."""
+        """A JSON-ready dict (stable key order via sorted names)."""
+        kind = self[1]
         return {
-            "cycle": self.cycle,
-            "kind": self.kind._value_,
-            "category": self.category,
-            "attrs": {k: v for k, v in self.attrs},
+            "cycle": self[0],
+            "kind": kind._value_,
+            "category": kind._category,
+            "attrs": dict(zip(self[2], self[3], strict=True)),
         }
+
+    def __repr__(self) -> str:
+        return (f"TraceEvent(cycle={self[0]}, kind={self[1]._value_}, "
+                f"attrs={self.attrs!r})")
 
 
 def make_event(cycle: int, kind: EventKind,
                attrs: Optional[Mapping[str, object]] = None) -> TraceEvent:
-    """Build an event with attributes in sorted (deterministic) order."""
+    """The event for an attribute mapping (names sorted), for callers
+    whose attributes vary; emit sites with fixed names pass their
+    :func:`event_names` constant and a values tuple instead."""
     if not attrs:
         return TraceEvent(cycle, kind)
-    return TraceEvent(cycle, kind, tuple(sorted(attrs.items())))
+    names = tuple(sorted(attrs))
+    return TraceEvent(cycle, kind, names, tuple(attrs[n] for n in names))

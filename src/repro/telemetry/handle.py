@@ -2,7 +2,7 @@
 
 Design rule (the "zero-cost-when-disabled" contract): instrumented hot
 paths hold a handle -- never ``None`` -- and guard every emission with
-``if tel.enabled:`` *before* building attribute dicts, so a disabled
+``if tel.enabled:`` *before* building attribute values, so a disabled
 handle costs one attribute load and one branch per site.  The module
 singleton :data:`NULL_TELEMETRY` is the default handle: permanently
 disabled, null sink, its own (never-read) registry.
@@ -16,9 +16,9 @@ lives in :mod:`repro.harness.profiling`).
 
 from __future__ import annotations
 
-from typing import Mapping, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
-from .events import EventKind, TraceEvent, make_event
+from .events import EventKind, TraceEvent
 from .metrics import MetricsRegistry
 from .sinks import EventSink, NullSink, RingBufferSink
 
@@ -43,10 +43,15 @@ class Telemetry:
     # -- emission --------------------------------------------------------
 
     def emit(self, cycle: int, kind: EventKind,
-             attrs: Optional[Mapping[str, object]] = None) -> None:
-        """Emit one cycle-stamped event (no-op when disabled)."""
+             names: Tuple[str, ...] = (),
+             values: Tuple[object, ...] = ()) -> None:
+        """Emit one cycle-stamped event (no-op when disabled).
+
+        ``names`` is the site's :func:`~repro.telemetry.events.event_names`
+        constant and ``values`` the matching values.
+        """
         if self.enabled:
-            self.sink.emit(make_event(cycle, kind, attrs))
+            self.sink.emit(TraceEvent(cycle, kind, names, values))
 
     def count(self, name: str, amount: int = 1) -> None:
         if self.enabled:

@@ -14,6 +14,7 @@ adaptive bucketing would make the snapshot depend on arrival order.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from itertools import pairwise
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -83,12 +84,8 @@ class Histogram:
                 f"histogram {self.name!r} observations must be "
                 f"non-negative (got {value})"
             )
-        index = len(self.bounds)
-        for i, bound in enumerate(self.bounds):
-            if value <= bound:
-                index = i
-                break
-        self.counts[index] += 1
+        # The first bound >= value; past the last, the overflow bucket.
+        self.counts[bisect_left(self.bounds, value)] += 1
         self.total += 1
         self.sum += value
 

@@ -14,6 +14,7 @@ from golden import (
     label_of,
     load,
     load_scaling,
+    measured,
     scaling,
 )
 from repro.faults import FaultSpec
@@ -36,6 +37,24 @@ def test_node_scaling_matches_its_pin(label):
 
 def test_every_node_and_profile_is_pinned():
     assert sorted(load_scaling()) == sorted(scaling())
+
+
+TRACED = sorted(name for name, entry in load().items() if entry.get("traced"))
+
+
+def test_four_traced_entries():
+    assert len(TRACED) == 4
+
+
+@pytest.mark.parametrize("label", TRACED)
+def test_traced_events_have_sorted_unique_names(label):
+    # The emit path checks names once per site and pairs values with
+    # them on every event; a traced entry's stream shows both held.
+    events = measured(label).events
+    assert events
+    for event in events:
+        assert event.names == tuple(sorted(set(event.names))), event
+        assert len(event.names) == len(event.values), event
 
 
 def test_traced_entries_pin_their_untraced_twins_run():

@@ -56,7 +56,7 @@ class TestSummarize:
 class TestRenderSummary:
     def test_renders_all_tables(self):
         text = render_summary(summarize(_stream()), cycles=100)
-        assert "12 events over 100 measured cycles" in text
+        assert "12 events over the whole run, 100 cycles measured" in text
         assert "wire-selection decisions by reason:" in text
         assert "bulk" in text and "66.7%" in text
         assert "traffic by link and plane:" in text

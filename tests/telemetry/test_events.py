@@ -1,12 +1,17 @@
 """Trace-event model: kinds, categories, attribute handling."""
 
+import pickle
+
 import pytest
 
 from repro.telemetry import (
     ALL_CATEGORIES,
     EVENT_CATEGORY,
     EventKind,
+    RingBufferSink,
+    Telemetry,
     TraceEvent,
+    event_names,
     make_event,
 )
 
@@ -47,6 +52,34 @@ class TestTraceEvent:
         with pytest.raises(ValueError):
             make_event(-1, EventKind.RUN_START)
 
+    @pytest.mark.parametrize("build", [
+        lambda: TraceEvent(-1, EventKind.RUN_START),
+        lambda: make_event(-1, EventKind.RUN_START, {"seed": 1}),
+        lambda: Telemetry(sink=RingBufferSink()).emit(
+            -1, EventKind.RUN_START, ("seed",), (1,)),
+    ], ids=["TraceEvent", "make_event", "Telemetry.emit"])
+    def test_negative_cycle_rejected_on_every_path(self, build):
+        with pytest.raises(ValueError, match="non-negative"):
+            build()
+
+    def test_names_and_values_must_pair_up(self):
+        with pytest.raises(ValueError, match="2 attribute names but 1"):
+            TraceEvent(1, EventKind.PLANE_KILL, ("channel", "plane"), ("L",))
+        with pytest.raises(ValueError, match="1 attribute names but 0"):
+            Telemetry(sink=RingBufferSink()).emit(
+                1, EventKind.PLANE_KILL, ("plane",))
+
+    def test_make_event_equals_the_record(self):
+        adapted = make_event(7, EventKind.LB_DIVERT, {"to": "PW", "from": "B"})
+        record = TraceEvent(7, EventKind.LB_DIVERT, ("from", "to"),
+                            ("B", "PW"))
+        assert adapted == record
+        assert hash(adapted) == hash(record)
+        assert type(adapted) is TraceEvent
+        assert adapted.names == ("from", "to")
+        assert adapted.values == ("B", "PW")
+        assert pickle.loads(pickle.dumps(record)) == record
+
     def test_category_property(self):
         assert make_event(1, EventKind.PLANE_KILL).category == "fault"
         assert make_event(1, EventKind.CACHE_ACCESS).category == "cache"
@@ -66,3 +99,22 @@ class TestTraceEvent:
         event = make_event(1, EventKind.RUN_START)
         with pytest.raises(AttributeError):
             event.cycle = 2
+        with pytest.raises(AttributeError):
+            event.extra = 2
+
+
+class TestEventNames:
+    def test_sorted_unique_names_pass_through(self):
+        assert event_names("bits", "channel", "dst") == ("bits", "channel",
+                                                         "dst")
+        assert event_names() == ()
+
+    @pytest.mark.parametrize("names", [
+        ("plane", "channel"),
+        ("channel", "channel"),
+        ("bits", "dst", "channel"),
+        ("bits", "bits", "channel"),
+    ])
+    def test_unsorted_or_duplicate_names_rejected(self, names):
+        with pytest.raises(ValueError, match="sorted and unique"):
+            event_names(*names)

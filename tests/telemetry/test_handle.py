@@ -16,7 +16,7 @@ class TestNullTelemetry:
         assert NULL_TELEMETRY.enabled is False
 
     def test_disabled_handle_records_nothing(self):
-        NULL_TELEMETRY.emit(5, EventKind.PLANE_KILL, {"plane": "L"})
+        NULL_TELEMETRY.emit(5, EventKind.PLANE_KILL, ("plane",), ("L",))
         NULL_TELEMETRY.count("x")
         NULL_TELEMETRY.observe("h", 1, bounds=(10,))
         NULL_TELEMETRY.set_gauge("g", 2.0)
@@ -48,7 +48,7 @@ class TestNullTelemetry:
 class TestEnabledTelemetry:
     def test_emit_and_count(self):
         tel = Telemetry(sink=RingBufferSink())
-        tel.emit(3, EventKind.WIRE_SELECTED, {"reason": "bulk"})
+        tel.emit(3, EventKind.WIRE_SELECTED, ("reason",), ("bulk",))
         tel.count("selection.bulk")
         tel.count("selection.bulk", 2)
         (event,) = tel.events()

@@ -41,6 +41,19 @@ class TestHistogram:
         assert hist.total == 6
         assert hist.sum == 112.0
 
+    def test_bucket_is_the_first_bound_at_or_above_the_value(self):
+        bounds = (1, 4, 16)
+        hist = Histogram("lat", bounds=bounds)
+        expected = [0] * (len(bounds) + 1)
+        for value in (0, 0.5, 1, 1.0, 1.5, 3.999, 4, 4.001, 16, 16.0,
+                      16.5, 1e9):
+            hist.observe(value)
+            # The linear scan the bisection replaced, as the reference.
+            index = next((i for i, bound in enumerate(bounds)
+                          if value <= bound), len(bounds))
+            expected[index] += 1
+        assert hist.counts == expected
+
     def test_valid_increasing_bounds_accepted(self):
         Histogram("bits", bounds=(18, 54, 72, 144, 288))
 
