@@ -78,9 +78,17 @@ class Cluster:
         if instr.rec.dest < 0:
             return
         if instr.rec.op._fp:
-            self.free_fp_regs = min(self.regfile_size, self.free_fp_regs + 1)
+            if self.free_fp_regs == self.regfile_size:
+                self._over_release("fp register")
+            self.free_fp_regs += 1
         else:
-            self.free_int_regs = min(self.regfile_size, self.free_int_regs + 1)
+            if self.free_int_regs == self.regfile_size:
+                self._over_release("int register")
+            self.free_int_regs += 1
+
+    def _over_release(self, resource: str) -> None:
+        raise RuntimeError(
+            f"cluster {self.index} releases a {resource} it never took")
 
     def free_iq_entries(self, op: OpClass) -> int:
         """Free entries in the issue queue ``op`` enters (int or fp).
@@ -114,9 +122,13 @@ class Cluster:
                 selected.append(instr)
                 budget -= 1
                 if instr.rec.op._fp:
-                    self.free_fp_iq = min(self.iq_size, self.free_fp_iq + 1)
+                    if self.free_fp_iq == self.iq_size:
+                        self._over_release("fp issue-queue entry")
+                    self.free_fp_iq += 1
                 else:
-                    self.free_int_iq = min(self.iq_size, self.free_int_iq + 1)
+                    if self.free_int_iq == self.iq_size:
+                        self._over_release("int issue-queue entry")
+                    self.free_int_iq += 1
         return selected
 
     def occupancy(self) -> int:

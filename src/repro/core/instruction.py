@@ -9,7 +9,7 @@ between them.
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict, List, Optional
 
 from ..workloads.trace import InstructionRecord, OpClass
 
@@ -18,7 +18,13 @@ NEVER = -1
 
 
 class DynInstr:
-    """One in-flight dynamic instruction."""
+    """One in-flight dynamic instruction.
+
+    ``__init__`` builds no container: most instructions never get a
+    waiter or a remote operand copy, so ``waiters`` and ``avail_cycle``
+    stay ``None`` until the first one, and ``transfer_started`` is an
+    int bitmask.
+    """
 
     __slots__ = (
         "seq", "rec", "cluster", "mispredicted", "btb_miss",
@@ -48,13 +54,15 @@ class DynInstr:
         self.completed = False
         self.complete_cycle = NEVER
         self.committed = False
-        #: Cycle the result became available, per cluster index.  The
-        #: producing cluster gets an entry at completion; remote clusters
-        #: when their operand copy arrives over the network.
-        self.avail_cycle: Dict[int, int] = {}
+        #: Cycle the result reached each *remote* cluster, by cluster
+        #: index; created by the first operand copy to arrive.  The home
+        #: cluster's availability is ``complete_cycle``, written with
+        #: ``completed``.
+        self.avail_cycle: Optional[Dict[int, int]] = None
         #: Consumers waiting for this result, per cluster index; each
-        #: entry is (consumer, is_store_data).
-        self.waiters: Dict[int, List[tuple]] = {}
+        #: entry is (consumer, is_store_data).  Created by the first
+        #: waiter.
+        self.waiters: Optional[Dict[int, List[tuple]]] = None
         self.dispatch_cycle = NEVER
         self.pred_taken = False
         #: Cycle the effective address was computed (loads/stores).
@@ -64,8 +72,9 @@ class DynInstr:
         self.store_data_ready = False
         #: The width predictor flagged this result as narrow.
         self.narrow_predicted = False
-        #: Clusters an operand copy has already been launched toward.
-        self.transfer_started: set = set()
+        #: Clusters an operand copy has already been launched toward,
+        #: as a bitmask: bit ``1 << cluster``.
+        self.transfer_started = 0
         #: Store-data operands not yet available in this store's cluster
         #: (stores compute their address as soon as the address operand is
         #: ready; the data value ships to the LSQ independently).

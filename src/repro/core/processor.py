@@ -243,6 +243,21 @@ class ClusteredProcessor:
         self.network.stats.flush()
         return self.stats
 
+    def release(self) -> None:
+        """Break this finished processor's reference cycles; it cannot
+        run again.  The network's handler tables and kill hook, the LSQ's
+        callbacks and the wheel's entries hold its bound methods, and a
+        queued segment's ``peers`` hold the channel queueing it."""
+        net = self.network
+        net.final_handlers = {}
+        net.partial_handlers = {}
+        net.on_plane_kill = None
+        self.lsq.load_done = None
+        self.lsq.on_violation = None
+        self._wheel = None
+        for chan in net._chans.values():
+            chan.queue.clear()
+
     def _run_until(self, target_committed: int,
                    max_cycles: Optional[int]) -> None:
         stats = self.stats
@@ -308,8 +323,8 @@ class ClusteredProcessor:
         """Advance one cycle."""
         cycle = self.cycle
         net = self.network
-        deliveries = net._deliveries
-        if deliveries and deliveries[0][0] <= cycle:
+        due = net._delivery_cycles
+        if due and due[0] <= cycle:
             net.deliver_due(cycle)
         for fn, arg in self._wheel.pop_due(cycle):
             fn(arg)
@@ -405,16 +420,22 @@ class ClusteredProcessor:
                 continue
             pcs.append(producer.rec.pc)
             is_data = is_store and idx >= 1
-            avail = producer.avail_cycle.get(home, -1)
+            if home == producer.cluster:
+                avail = producer.complete_cycle
+            else:
+                remote = producer.avail_cycle
+                avail = -1 if remote is None else remote.get(home, -1)
             if avail != -1 and avail <= cycle:
                 continue
             if is_data:
                 data_outstanding += 1
             else:
                 outstanding += 1
+            if producer.waiters is None:
+                producer.waiters = {}
             producer.waiters.setdefault(home, []).append((instr, is_data))
             if (producer.completed and home != producer.cluster
-                    and home not in producer.transfer_started):
+                    and not producer.transfer_started >> home & 1):
                 # Value already sitting in a remote register file at
                 # dispatch time: the paper's first PW-Wire criterion.
                 self._start_operand_transfer(
@@ -445,23 +466,30 @@ class ClusteredProcessor:
     def _complete(self, instr: DynInstr) -> None:
         """A non-memory instruction finished executing."""
         cycle = self.cycle
-        instr.completed = True
-        instr.complete_cycle = cycle
-        home = instr.cluster
-        instr.avail_cycle[home] = cycle
-        self._wake_cluster(instr, home, cycle)
-        for target in list(instr.waiters):
-            if target != home and target not in instr.transfer_started:
-                self._start_operand_transfer(instr, target, cycle,
-                                             ready_at_dispatch=False)
+        self._result_ready(instr, cycle)
         if instr.rec.op is _BRANCH:
             self.stats.branches += 1
             if instr.mispredicted or instr.btb_miss:
                 self._send_redirect(instr, cycle)
 
+    def _result_ready(self, instr: DynInstr, cycle: int) -> None:
+        """The result exists in its home cluster at ``cycle``: wake the
+        consumers there and ship a copy toward every other waiting one."""
+        instr.completed = True
+        instr.complete_cycle = cycle
+        self._wake_cluster(instr, instr.cluster, cycle)
+        if instr.waiters:
+            for target in instr.waiters:
+                if not instr.transfer_started >> target & 1:
+                    self._start_operand_transfer(instr, target, cycle,
+                                                 ready_at_dispatch=False)
+
     def _wake_cluster(self, producer: DynInstr, cluster_index: int,
                       cycle: int) -> None:
-        waiters = producer.waiters.pop(cluster_index, None)
+        waiters = producer.waiters
+        if waiters is None:
+            return
+        waiters = waiters.pop(cluster_index, None)
         if not waiters:
             return
         for consumer, is_data in waiters:
@@ -505,7 +533,7 @@ class ClusteredProcessor:
 
     def _start_operand_transfer(self, producer: DynInstr, target: int,
                                 cycle: int, ready_at_dispatch: bool) -> None:
-        producer.transfer_started.add(target)
+        producer.transfer_started |= 1 << target
         self.stats.cross_cluster_operands += 1
         t = self._acquire(_OPERAND,
                           self._node_of[producer.cluster],
@@ -529,6 +557,8 @@ class ClusteredProcessor:
     def _arrive_operand(self, transfer: Transfer, arrival: int) -> None:
         producer = transfer.payload
         target = transfer._target
+        if producer.avail_cycle is None:
+            producer.avail_cycle = {}
         producer.avail_cycle[target] = arrival
         self._wake_cluster(producer, target, arrival)
 
@@ -590,16 +620,7 @@ class ClusteredProcessor:
         self.network.submit(t, self.cycle)
 
     def _arrive_load_data(self, transfer: Transfer, arrival: int) -> None:
-        instr = transfer.payload
-        instr.completed = True
-        instr.complete_cycle = arrival
-        home = instr.cluster
-        instr.avail_cycle[home] = arrival
-        self._wake_cluster(instr, home, arrival)
-        for target in list(instr.waiters):
-            if target != home and target not in instr.transfer_started:
-                self._start_operand_transfer(instr, target, arrival,
-                                             ready_at_dispatch=False)
+        self._result_ready(transfer.payload, arrival)
 
     def _ordering_violation(self, instr: DynInstr, cycle: int) -> None:
         """A speculated load turned out to conflict with an older store.

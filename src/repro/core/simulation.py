@@ -161,58 +161,61 @@ def simulate_benchmark(interconnect: InterconnectConfig, benchmark: str,
     cpu = build_processor(interconnect, benchmark, num_clusters, seed,
                           latency_scale, fault_spec=fault_spec,
                           telemetry=telemetry, gating=gating)
-    if telemetry is not None and telemetry.enabled:
-        telemetry.emit(cpu.cycle, EventKind.RUN_START, _START_ATTRS,
-                       (benchmark, instructions, seed, warmup))
-    stats = cpu.run(instructions, warmup=warmup)
-    if telemetry is not None and telemetry.enabled:
-        telemetry.emit(cpu.cycle, EventKind.RUN_END, _END_ATTRS,
-                       (benchmark, stats.committed, stats.cycles))
-    degradation = cpu.network.degradation_report()
-    power = cpu.network.power
-    power_extra = () if power is None else (
-        ("plane_wakes", float(power.total_wakes())),
-        ("plane_gate_events", float(power.total_gate_entries())),
-        ("gated_wire_cycle_share", power.gated_share(stats.cycles)),
-        ("wake_energy", power.wake_energy()),
-    )
-    run = BenchmarkRun(
-        benchmark=benchmark,
-        instructions=stats.committed,
-        cycles=stats.cycles,
-        interconnect_dynamic=cpu.network.stats.dynamic_energy(),
-        interconnect_leakage=cpu.network.leakage_energy(stats.cycles),
-        extra=(
-            ("redirects", float(stats.redirects)),
-            ("loads", float(stats.loads)),
-            ("stores", float(stats.stores)),
-            ("cross_cluster_operands",
-             float(stats.cross_cluster_operands)),
-            ("false_dependences", float(cpu.lsq.false_dependences)),
-            ("loads_disambiguated", float(cpu.lsq.loads_disambiguated)),
-            ("early_ram_starts", float(cpu.lsq.early_ram_starts)),
-            ("narrow_coverage", cpu.narrow_predictor.coverage),
-            ("narrow_false_rate", cpu.narrow_predictor.false_narrow_rate),
-            ("operand_transfers",
-             float(cpu.network.selector.operand_transfers)),
-            ("operand_narrow", float(cpu.network.selector.operand_narrow)),
-            ("retransmissions", float(degradation.retransmissions)),
-            ("corrupted_segments",
-             float(degradation.corrupted_segments)),
-            ("retry_escalations", float(degradation.retry_escalations)),
-            ("degraded_reroutes", float(degradation.degraded_reroutes)),
-            ("degraded_selections",
-             float(degradation.degraded_selections)),
-            ("planes_killed", float(degradation.planes_killed)),
-        ) + power_extra,
-    )
-    width = cpu.config.commit_width
-    if not instructions <= stats.committed < instructions + width:
-        raise AccountingError(
-            f"commit-window identity failed on {benchmark}: "
-            f"{stats.committed} committed against a window of "
-            f"{instructions} at commit width {width}")
-    # After the extras: settling the gating window (as the residency
-    # check does) may count gate entries the extras must not see.
-    check_accounting(interconnect, cpu.network, benchmark, stats.cycles)
-    return run
+    try:
+        if telemetry is not None and telemetry.enabled:
+            telemetry.emit(cpu.cycle, EventKind.RUN_START, _START_ATTRS,
+                           (benchmark, instructions, seed, warmup))
+        stats = cpu.run(instructions, warmup=warmup)
+        if telemetry is not None and telemetry.enabled:
+            telemetry.emit(cpu.cycle, EventKind.RUN_END, _END_ATTRS,
+                           (benchmark, stats.committed, stats.cycles))
+        degradation = cpu.network.degradation_report()
+        power = cpu.network.power
+        power_extra = () if power is None else (
+            ("plane_wakes", float(power.total_wakes())),
+            ("plane_gate_events", float(power.total_gate_entries())),
+            ("gated_wire_cycle_share", power.gated_share(stats.cycles)),
+            ("wake_energy", power.wake_energy()),
+        )
+        run = BenchmarkRun(
+            benchmark=benchmark,
+            instructions=stats.committed,
+            cycles=stats.cycles,
+            interconnect_dynamic=cpu.network.stats.dynamic_energy(),
+            interconnect_leakage=cpu.network.leakage_energy(stats.cycles),
+            extra=(
+                ("redirects", float(stats.redirects)),
+                ("loads", float(stats.loads)),
+                ("stores", float(stats.stores)),
+                ("cross_cluster_operands",
+                 float(stats.cross_cluster_operands)),
+                ("false_dependences", float(cpu.lsq.false_dependences)),
+                ("loads_disambiguated", float(cpu.lsq.loads_disambiguated)),
+                ("early_ram_starts", float(cpu.lsq.early_ram_starts)),
+                ("narrow_coverage", cpu.narrow_predictor.coverage),
+                ("narrow_false_rate", cpu.narrow_predictor.false_narrow_rate),
+                ("operand_transfers",
+                 float(cpu.network.selector.operand_transfers)),
+                ("operand_narrow", float(cpu.network.selector.operand_narrow)),
+                ("retransmissions", float(degradation.retransmissions)),
+                ("corrupted_segments",
+                 float(degradation.corrupted_segments)),
+                ("retry_escalations", float(degradation.retry_escalations)),
+                ("degraded_reroutes", float(degradation.degraded_reroutes)),
+                ("degraded_selections",
+                 float(degradation.degraded_selections)),
+                ("planes_killed", float(degradation.planes_killed)),
+            ) + power_extra,
+        )
+        width = cpu.config.commit_width
+        if not instructions <= stats.committed < instructions + width:
+            raise AccountingError(
+                f"commit-window identity failed on {benchmark}: "
+                f"{stats.committed} committed against a window of "
+                f"{instructions} at commit width {width}")
+        # After the extras: settling the gating window (as the residency
+        # check does) may count gate entries the extras must not see.
+        check_accounting(interconnect, cpu.network, benchmark, stats.cycles)
+        return run
+    finally:
+        cpu.release()

@@ -30,8 +30,8 @@ def worker_loop(conn, execute: Callable) -> None:
     runner's ``_execute_plan`` as it stood when the sweep began.
 
     Memory stays that of one run: the annotated-trace memo holds one
-    trace key, and a full collection after every plan frees the
-    processor's reference cycles.
+    trace key, and a finished run releases its processor's reference
+    cycles, so reference counting frees it without a collection.
     """
     gc.freeze()  # objects inherited from the parent are never garbage
     try:
@@ -46,7 +46,6 @@ def worker_loop(conn, execute: Callable) -> None:
             except BaseException as exc:  # simlint: disable=SIM302
                 payload = ("error", type(exc).__name__, str(exc))
             conn.send(payload)
-            gc.collect()
     except EOFError:
         pass  # the parent is gone
 

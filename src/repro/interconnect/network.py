@@ -66,6 +66,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, replace
+from operator import attrgetter
 from typing import Callable, Dict, FrozenSet, List, Optional, Tuple
 
 from ..power import GatingPolicy, PlanePowerManager, parse_gating
@@ -142,8 +143,8 @@ class _Chan:
         self.retx = 0
 
 
-def _chan_order(chan: _Chan) -> Tuple[str, str]:
-    return chan.order
+#: Sort key of a :class:`_Chan`: its arbitration and report order.
+_chan_order = attrgetter("order")
 
 
 @dataclass(frozen=True)
@@ -208,8 +209,11 @@ class Network:
         self._routes: Dict[Tuple[str, str], _Route] = {}
         #: Recycled queue items (a delivery is a _Queued's last act).
         self._qpool: List[_Queued] = []
-        self._deliveries: List[Tuple[int, int, _Queued]] = []
-        self._delivery_seq = 0
+        #: Granted segments by arrival cycle, each list in grant order,
+        #: and a heap of those cycles: the arrival order is (cycle,
+        #: grant order).
+        self._deliveries: Dict[int, List[_Queued]] = {}
+        self._delivery_cycles: List[int] = []
         self._first_grant_cycle: Optional[int] = None
         self._last_grant_cycle = 0
         # Fault state: scheduled and activated plane kills, NACKed
@@ -534,6 +538,7 @@ class Network:
             return
         stats = self.stats
         deliveries = self._deliveries
+        delivery_cycles = self._delivery_cycles
         tally = stats._tally
         faulty = bool(self._dead)
         ber = self._ber_active
@@ -589,11 +594,13 @@ class Network:
                                 self.GRANT_WAIT_BUCKETS)
                 if ber and self._corrupted(item, plane, bits, cycle):
                     continue
-                self._delivery_seq += 1
-                heapq.heappush(
-                    deliveries,
-                    (cycle + item.latency, self._delivery_seq, item),
-                )
+                arrival = cycle + item.latency
+                bucket = deliveries.get(arrival)
+                if bucket is None:
+                    deliveries[arrival] = [item]
+                    heapq.heappush(delivery_cycles, arrival)
+                else:
+                    bucket.append(item)
             stats.buffered_cycles += length - head
             if head >= length:
                 queue.clear()
@@ -618,34 +625,36 @@ class Network:
 
     def deliver_due(self, cycle: int) -> None:
         """Fire arrivals for every segment due by ``cycle``."""
-        deliveries = self._deliveries
-        if not deliveries or deliveries[0][0] > cycle:
+        due = self._delivery_cycles
+        if not due or due[0] > cycle:
             return
         heappop = heapq.heappop
+        deliveries = self._deliveries
         finals = self.final_handlers
         partials = self.partial_handlers
         pool = self.pool
         qpool = self._qpool
-        while deliveries and deliveries[0][0] <= cycle:
-            arrival, _, item = heappop(deliveries)
-            transfer = item.transfer
-            segment = item.segment
-            if segment.is_leading_slice:
-                handler = partials.get(transfer.kind)
-                if handler is not None:
-                    handler(transfer, arrival)
-            if segment.is_final_slice:
-                handler = finals.get(transfer.kind)
-                if handler is not None:
-                    handler(transfer, arrival)
-            if transfer._pooled:
-                transfer._segs_left -= 1
-                if transfer._segs_left <= 0 and pool is not None:
-                    transfer.payload = None
-                    pool.append(transfer)
-            # A delivery is the queue item's last act: recycle it.
-            item.transfer = None
-            qpool.append(item)
+        while due and due[0] <= cycle:
+            arrival = heappop(due)
+            for item in deliveries.pop(arrival):
+                transfer = item.transfer
+                segment = item.segment
+                if segment.is_leading_slice:
+                    handler = partials.get(transfer.kind)
+                    if handler is not None:
+                        handler(transfer, arrival)
+                if segment.is_final_slice:
+                    handler = finals.get(transfer.kind)
+                    if handler is not None:
+                        handler(transfer, arrival)
+                if transfer._pooled:
+                    transfer._segs_left -= 1
+                    if transfer._segs_left <= 0 and pool is not None:
+                        transfer.payload = None
+                        pool.append(transfer)
+                # A delivery is the queue item's last act: recycle it.
+                item.transfer = None
+                qpool.append(item)
 
     # -- introspection ----------------------------------------------------
 
@@ -662,8 +671,8 @@ class Network:
     def next_event_cycle(self) -> Optional[int]:
         """Earliest future delivery/retry, for event-skipping cores."""
         candidates = []
-        if self._deliveries:
-            candidates.append(self._deliveries[0][0])
+        if self._delivery_cycles:
+            candidates.append(self._delivery_cycles[0])
         if self._retries:
             candidates.append(self._retries[0][0])
         if self._pending_kills:

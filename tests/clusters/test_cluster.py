@@ -65,12 +65,15 @@ class TestResources:
         cluster.release_register(instr)
         assert cluster.free_int_regs == 4
 
-    def test_release_never_exceeds_capacity(self, cluster):
-        instr = make_instr(0)
-        cluster.admit(instr)
-        cluster.release_register(instr)
-        cluster.release_register(instr)
-        assert cluster.free_int_regs == 4
+    def test_double_release_raises(self, cluster):
+        for instr, kind in ((make_instr(0), "int"),
+                            (make_instr(1, OpClass.FPALU, 40), "fp")):
+            cluster.admit(instr)
+            cluster.release_register(instr)
+            with pytest.raises(RuntimeError,
+                               match=f"cluster 0 .*{kind} register"):
+                cluster.release_register(instr)
+        assert (cluster.free_int_regs, cluster.free_fp_regs) == (4, 4)
 
     def test_free_iq_entries_by_op(self, cluster):
         cluster.admit(make_instr(0))
@@ -111,6 +114,17 @@ class TestSelect:
         cluster.make_ready(instr)
         cluster.select()
         assert cluster.free_int_iq == 4
+
+    def test_releasing_iq_entry_past_iq_size_raises(self, cluster):
+        # Made ready without being admitted: its selection would free an
+        # issue-queue entry the full queue never gave out.
+        for instr, kind in ((make_instr(0), "int"),
+                            (make_instr(1, OpClass.FPALU, 40), "fp")):
+            cluster.make_ready(instr)
+            with pytest.raises(RuntimeError,
+                               match=f"cluster 0 .*{kind} issue-queue entry"):
+                cluster.select()
+        assert (cluster.free_int_iq, cluster.free_fp_iq) == (4, 4)
 
     def test_loads_stores_branches_share_ialu(self, cluster):
         for op in (OpClass.LOAD, OpClass.STORE, OpClass.BRANCH):

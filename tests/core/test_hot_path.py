@@ -24,7 +24,7 @@ SRC = Path(__file__).resolve().parents[2] / "src" / "repro"
 HOT = {
     ("core/processor.py", "ClusteredProcessor"): (
         "_run_until", "_dispatch", "_rename", "_complete",
-        "_send_address", "_start_operand_transfer", "_send_store_data",
+        "_result_ready", "_send_address", "_start_operand_transfer", "_send_store_data",
         "_send_load_data", "_send_redirect", "_commit",
     ),
     ("frontend/fetch.py", "FetchUnit"): ("tick",),

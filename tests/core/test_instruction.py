@@ -1,6 +1,7 @@
 """Tests for the shared dynamic-instruction record and how rename reads
 its availability and waiter fields."""
 
+from repro.clusters.cluster import Cluster
 from repro.core.config import InterconnectConfig, ProcessorConfig, wire_counts
 from repro.core.instruction import NEVER, DynInstr
 from repro.core.processor import ClusteredProcessor
@@ -13,11 +14,11 @@ def make(seq=0, op=OpClass.IALU, dest=5, srcs=(1, 2)):
     return DynInstr(seq, rec)
 
 
-def rename(producer, consumer=None, home=0, cycle=100):
+def rename(producer, consumer=None, home=0, cycle=100, clusters=4):
     """Rename ``consumer`` (default: an ALU op reading r5) into cluster
-    ``home`` at ``cycle`` while the rename table maps r5 to
-    ``producer``; returns the consumer."""
-    cpu = ClusteredProcessor(ProcessorConfig(num_clusters=4),
+    ``home`` of ``clusters`` at ``cycle`` while the rename table maps r5
+    to ``producer``; returns the consumer."""
+    cpu = ClusteredProcessor(ProcessorConfig(num_clusters=clusters),
                              InterconnectConfig(wires=wire_counts(B=144)),
                              iter(()))
     cpu.rename[5] = producer
@@ -56,12 +57,20 @@ class TestLifecycleFlags:
 class TestAvailability:
     def test_not_available_until_recorded(self):
         producer = make()
+        Cluster(0, "c0").admit(producer)
         assert rename(producer).outstanding == 1
-        producer.avail_cycle[0] = 50
+        # Home availability is the completed producer's complete_cycle.
+        producer.completed = True
+        producer.complete_cycle = 50
         assert rename(producer, cycle=50).outstanding == 0
         assert rename(producer, cycle=100).outstanding == 0
         assert rename(producer, cycle=49).outstanding == 1
         assert rename(producer, home=1, cycle=100).outstanding == 1
+        # A remote cluster's is the arrival its copy recorded.
+        producer.avail_cycle = {1: 60}
+        assert rename(producer, home=1, cycle=60).outstanding == 0
+        assert rename(producer, home=1, cycle=59).outstanding == 1
+        assert rename(producer, home=2, cycle=100).outstanding == 1
 
     def test_waiters_partitioned_by_cluster(self):
         producer = make(0)
@@ -72,6 +81,15 @@ class TestAvailability:
         assert producer.waiters[0] == [(a, False)]
         assert producer.waiters[2] == [(b, True)]
         assert (b.outstanding, b.data_outstanding) == (0, 1)
+
+    def test_transfer_started_marks_the_last_of_sixteen_clusters(self):
+        producer = make()
+        Cluster(0, "c0").admit(producer)
+        producer.completed = True
+        producer.complete_cycle = 50
+        assert producer.transfer_started == 0
+        rename(producer, home=15, clusters=16)
+        assert producer.transfer_started == 1 << 15
 
 
 class TestIsProducer:
@@ -92,4 +110,4 @@ class TestIsProducer:
         consumer = rename(instr)
         assert consumer.outstanding == 0
         assert consumer.producer_pcs == []
-        assert instr.waiters == {}
+        assert instr.waiters is None
