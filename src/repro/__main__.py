@@ -202,8 +202,9 @@ def _add_runner_args(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--telemetry", action="store_true",
-        help="collect and print telemetry for this invocation "
-             "(simulator events for 'run', harness profiling for sweeps)",
+        help="profile this invocation's harness (cache probes, runs, "
+             "workers) and print a summary; 'repro trace' records "
+             "simulator events",
     )
     parser.add_argument(
         "--trace-out", default=None, metavar="PATH",
@@ -297,7 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "serve",
         help="run the sweep-as-a-service job server (DESIGN.md "
-             "section 12): bounded admission, retry budgets, circuit "
+             "section 12): bounded admission, run retries, circuit "
              "breaker, resumable jobs",
     )
     p.add_argument("--host", default="127.0.0.1",
@@ -323,11 +324,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-retries", type=_MAX_RETRIES, default=2,
                    metavar="N",
                    help="per-run retries inside a sweep (default: 2)")
-    p.add_argument("--job-retries", default=1, metavar="N",
-                   type=_ranged("--job-retries", int, lambda n: n >= 0,
-                                "non-negative"),
-                   help="whole-job requeue budget after crash/timeout "
-                        "failures (default: 1)")
     p.add_argument("--breaker-window", default=20, metavar="N",
                    type=_ranged("--breaker-window", int,
                                 lambda n: n >= 1, "at least 1"),
@@ -362,10 +358,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="interconnect models to sweep (default: I)")
     p.add_argument("--priority", type=int, default=0,
                    help="admission priority (higher dequeues first)")
-    p.add_argument("--retry-budget", default=None, metavar="N",
-                   type=_ranged("--retry-budget", int, lambda n: n >= 0,
-                                "non-negative"),
-                   help="override the server's job requeue budget")
     p.add_argument("--no-wait", action="store_true",
                    help="return after admission instead of polling "
                         "the job to completion")
@@ -513,32 +505,18 @@ def _plan_from_args(args: argparse.Namespace,
     return ExperimentPlan(**values)
 
 
-def _new_telemetry():
-    from .telemetry import RingBufferSink, Telemetry
-
-    return Telemetry(enabled=True, sink=RingBufferSink(capacity=None))
-
-
-def _trace_metadata(plan: ExperimentPlan) -> dict:
-    return {
-        "model": plan.model_name,
-        "benchmark": plan.benchmark,
-        "seed": plan.seed,
-        "fault_spec": plan.fault_spec,
-        "gating": plan.gating_policy,
-    }
-
-
 def _cmd_trace(args: argparse.Namespace) -> str:
     from .telemetry import (
         JsonlSink,
+        RingBufferSink,
+        Telemetry,
         render_summary,
         summarize,
         write_chrome_trace,
     )
 
     plan = _plan_from_args(args, model_name=args.model)
-    telemetry = _new_telemetry()
+    telemetry = Telemetry(enabled=True, sink=RingBufferSink(capacity=None))
     run = simulate_plan(plan, telemetry=telemetry)
     events = list(telemetry.events())
     lines = [
@@ -549,8 +527,13 @@ def _cmd_trace(args: argparse.Namespace) -> str:
         render_summary(summarize(events), cycles=run.cycles),
     ]
     if args.out:
-        write_chrome_trace(args.out, events,
-                           metadata=_trace_metadata(plan))
+        write_chrome_trace(args.out, events, metadata={
+            "model": plan.model_name,
+            "benchmark": plan.benchmark,
+            "seed": plan.seed,
+            "fault_spec": plan.fault_spec,
+            "gating": plan.gating_policy,
+        })
         lines.append("")
         lines.append(f"chrome trace written to {args.out} "
                      f"(load in Perfetto or chrome://tracing)")
@@ -565,19 +548,11 @@ def _cmd_trace(args: argparse.Namespace) -> str:
     return "\n".join(lines)
 
 
-def _cmd_run(args: argparse.Namespace) -> str:
-    """One plan: through the cached runner, or with ``--telemetry``
-    simulated live (uncached) with a tracer.
-
-    Telemetry never changes a reproduced number, so both paths print
-    the same figures for the same plan.
-    """
+def _cmd_run(args: argparse.Namespace, runner: ExperimentRunner) -> str:
+    """One plan through the cached runner (``repro trace`` is the
+    simulator tracer)."""
     plan = _plan_from_args(args, model_name=args.model)
-    telemetry = _new_telemetry() if _wants_telemetry(args) else None
-    if telemetry is None:
-        run = _make_runner(args).run_many([plan])[plan]
-    else:
-        run = simulate_plan(plan, telemetry=telemetry)
+    run = runner.run_many([plan])[plan]
     lines = [
         f"model {args.model} ({model(args.model).description}), "
         f"{plan.num_clusters} clusters, benchmark {args.benchmark}",
@@ -612,17 +587,6 @@ def _cmd_run(args: argparse.Namespace) -> str:
             f"{extra.get('gated_wire_cycle_share', 0):.1%}, "
             f"wake energy {extra.get('wake_energy', 0):.1f}"
         )
-    if telemetry is not None:
-        from .telemetry import render_summary, summarize, write_chrome_trace
-
-        lines.append("")
-        lines.append(render_summary(summarize(telemetry.events()),
-                                    cycles=run.cycles))
-        if args.trace_out:
-            write_chrome_trace(args.trace_out, telemetry.events(),
-                               metadata=_trace_metadata(plan))
-            lines.append("")
-            lines.append(f"chrome trace written to {args.trace_out}")
     return "\n".join(lines)
 
 
@@ -664,7 +628,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         cache_dir=cache_dir, host=args.host, port=args.port,
         queue_capacity=args.queue_capacity, workers=args.workers,
         run_timeout=args.run_timeout, max_retries=args.max_retries,
-        job_retry_budget=args.job_retries,
         breaker=CircuitBreaker(window=args.breaker_window,
                                threshold=args.breaker_threshold,
                                cooldown=args.breaker_cooldown),
@@ -702,9 +665,9 @@ def _service_failure(args: argparse.Namespace, exc: Exception,
     return 2
 
 
-def _print_job(job: dict, attempt: str) -> None:
+def _print_job(job: dict) -> None:
     print(f"job {job['job_id']}: {job['state']} "
-          f"({job['plans']} plan(s), attempt {attempt})")
+          f"({job['plans']} plan(s), attempt {job['attempts']})")
     summary = job.get("summary")
     if summary:
         print(f"  executed {summary['executed']}, "
@@ -721,16 +684,13 @@ def _cmd_submit(args: argparse.Namespace) -> int:
     plans = _submit_plans(args)
     try:
         if args.no_wait:
-            job = client.submit(plans, priority=args.priority,
-                                retry_budget=args.retry_budget)
+            job = client.submit(plans, priority=args.priority)
         else:
-            job = client.submit_and_wait(
-                plans, priority=args.priority,
-                retry_budget=args.retry_budget, timeout=args.timeout,
-            )
+            job = client.submit_and_wait(plans, priority=args.priority,
+                                         timeout=args.timeout)
     except (ServiceError, OSError) as exc:
         return _service_failure(args, exc, "submission failed: ")
-    _print_job(job, f"{job['attempts']}")
+    _print_job(job)
     return 0 if job["state"] in ("queued", "running", "done") else 1
 
 
@@ -741,7 +701,7 @@ def _cmd_status(args: argparse.Namespace) -> int:
     try:
         if args.job_id:
             job = client.job(args.job_id)
-            _print_job(job, f"{job['attempts']}/{job['retry_budget'] + 1}")
+            _print_job(job)
             return 0 if job["state"] != "failed" else 1
         health = client.health()
         print(f"server {args.host}:{args.port}: "
@@ -835,20 +795,23 @@ def main(argv: Optional[List[str]] = None) -> int:
     if command in listings:
         print(listings[command]())
         return 0
-    if command in ("run", "trace"):
-        print(_cmd_run(args) if command == "run" else _cmd_trace(args))
+    if command == "trace":
+        print(_cmd_trace(args))
         return 0
     services = {"serve": _cmd_serve, "submit": _cmd_submit,
                 "status": _cmd_status, "explore": _cmd_explore}
     if command in services:
         return services[command](args)
 
-    # Sweep commands: --telemetry/--trace-out attach a wall-clock
-    # harness profiler (cache probes, runs, workers) to the runner.
+    # Run and sweep commands: --telemetry/--trace-out attach a
+    # wall-clock harness profiler (cache probes, runs, workers) to the
+    # runner.
     profiler = make_profiler(_wants_telemetry(args))
     runner = _make_runner(args, profiler=profiler)
     failed = False
-    if command in _SWEEP_AXES:
+    if command == "run":
+        print(_cmd_run(args, runner))
+    elif command in _SWEEP_AXES:
         result = _cmd_axis_sweep(args, runner)
         print(render_axis_sweep(result))
         failed = bool(result.report.failures)

@@ -7,8 +7,8 @@ does not diagnose:
 * a task created with ``asyncio.create_task(...)`` whose return value
   is discarded is only weakly referenced by the event loop -- the GC
   may collect it *mid-flight*, and its exceptions vanish with it.  The
-  service keeps every background task in a tracked set
-  (``SweepService._track``); everything else must too.
+  service holds the one task it creates (``SweepService._dispatcher``);
+  everything else must keep a reference too.
 * a handler that catches ``asyncio.CancelledError`` without
   re-raising swallows cancellation: ``await task`` in ``stop()`` then
   never returns the control flow the loop expects, and graceful

@@ -89,8 +89,7 @@ class ServiceClient:
     # -- the service API -------------------------------------------------
 
     def submit(self, plans: Sequence[ExperimentPlan],
-               priority: int = 0,
-               retry_budget: Optional[int] = None) -> Dict[str, object]:
+               priority: int = 0) -> Dict[str, object]:
         """POST a plan batch; returns the job's public JSON.
 
         Raises :class:`Backpressure` when the admission queue is full.
@@ -99,8 +98,6 @@ class ServiceClient:
             "plans": [plan.to_dict() for plan in plans],
             "priority": priority,
         }
-        if retry_budget is not None:
-            payload["retry_budget"] = retry_budget
         _status, decoded = self._request("POST", "/jobs", payload)
         return decoded["job"]
 
@@ -157,7 +154,6 @@ class ServiceClient:
 
     def submit_and_wait(self, plans: Sequence[ExperimentPlan],
                         priority: int = 0,
-                        retry_budget: Optional[int] = None,
                         timeout: float = 300.0,
                         max_submit_attempts: int = 5
                         ) -> Dict[str, object]:
@@ -169,8 +165,7 @@ class ServiceClient:
         last: Optional[Backpressure] = None
         for _attempt in range(max_submit_attempts):
             try:
-                job = self.submit(plans, priority=priority,
-                                  retry_budget=retry_budget)
+                job = self.submit(plans, priority=priority)
                 break
             except Backpressure as exc:
                 last = exc

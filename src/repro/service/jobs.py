@@ -7,14 +7,15 @@ contract:
 * **Idempotent identity** -- ``job_id`` is a digest of the sorted plan
   cache keys, so resubmitting the same batch (a reconnecting client,
   a retried HTTP POST) addresses the same job instead of duplicating
-  work.  Priority and retry budget are admission parameters, not
-  identity.
+  work.  Priority is an admission parameter, not identity.
 * **Durable state** -- every record is persisted as schema-versioned
   JSON under ``<cache_dir>/jobs/`` with the same atomic-rename
   discipline as the result cache.  A restarted server re-enqueues
   every non-terminal record; because completed plans already live in
   the shared :class:`ResultCache`, the resumed job re-executes only
-  what is actually missing.
+  what is actually missing.  A record carries no retry state: failed
+  plans are retried inside the runner, and ``attempts`` only counts
+  how often the job was dispatched (a restart-resume is one more).
 """
 
 from __future__ import annotations
@@ -59,9 +60,6 @@ class JobRecord:
     job_id: str
     plans: Tuple[ExperimentPlan, ...]
     priority: int = 0
-    #: Job-level requeue budget for crash/timeout failures (on top of
-    #: the runner's per-run retries).
-    retry_budget: int = 1
     attempts: int = 0
     state: str = QUEUED
     #: Serialized :meth:`SweepReport.to_json`, set on completion.
@@ -75,8 +73,6 @@ class JobRecord:
     def __post_init__(self) -> None:
         if not self.plans:
             raise ValueError("a job needs at least one plan")
-        if self.retry_budget < 0:
-            raise ValueError("retry budget must be non-negative")
         if self.state not in ALL_STATES:
             raise ValueError(f"unknown job state {self.state!r}")
 
@@ -90,7 +86,6 @@ class JobRecord:
             "job_id": self.job_id,
             "plans": [plan.to_dict() for plan in self.plans],
             "priority": self.priority,
-            "retry_budget": self.retry_budget,
             "attempts": self.attempts,
             "state": self.state,
             "report": self.report,
@@ -122,7 +117,6 @@ class JobRecord:
             job_id=job_id,
             plans=plans,
             priority=int(data.get("priority", 0)),
-            retry_budget=int(data.get("retry_budget", 0)),
             attempts=int(data.get("attempts", 0)),
             state=str(data.get("state", QUEUED)),
             report=report,
@@ -148,7 +142,6 @@ class JobRecord:
             "plans": len(self.plans),
             "priority": self.priority,
             "attempts": self.attempts,
-            "retry_budget": self.retry_budget,
             "summary": summary,
             "manifest": self.manifest,
         }

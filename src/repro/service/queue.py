@@ -9,8 +9,8 @@ asyncio server: producers call :meth:`put` from request handlers, the
 one dispatcher consumer awaits :meth:`get`.
 
 The ``Retry-After`` hint scales with queue depth and an EWMA of
-recent job service times (seeded with ``drain_hint`` seconds), so a
-client that honours it comes back roughly when its slot would clear
+recent job service times (seeded with :data:`DRAIN_HINT` seconds), so
+a client that honours it comes back roughly when its slot would clear
 rather than hammering a saturated server.
 """
 
@@ -22,6 +22,9 @@ import math
 from typing import List, Optional, Tuple
 
 from ..telemetry import NULL_TELEMETRY, Telemetry
+
+#: The assumed job duration, in seconds, before any job has finished.
+DRAIN_HINT = 2.0
 
 
 class QueueFullError(Exception):
@@ -45,16 +48,14 @@ class QueueFullError(Exception):
 class AdmissionQueue:
     """A bounded priority queue for job ids (or any hashable items)."""
 
-    def __init__(self, capacity: int, drain_hint: float = 2.0,
+    def __init__(self, capacity: int,
                  telemetry: Optional[Telemetry] = None) -> None:
         if capacity < 1:
             raise ValueError("queue capacity must be at least 1")
-        if drain_hint <= 0:
-            raise ValueError("drain_hint must be positive seconds")
         self.capacity = capacity
         self._heap: List[Tuple[int, int, object]] = []
         self._seq = 0
-        self._service_time = drain_hint  # EWMA of job durations
+        self._service_time = DRAIN_HINT  # EWMA of job durations
         self._not_empty = asyncio.Event()
         self.telemetry = telemetry if telemetry is not None \
             else NULL_TELEMETRY
@@ -83,9 +84,9 @@ class AdmissionQueue:
 
         Rejection happens *before* anything is stored, so sustained
         over-admission costs O(1) memory per attempt.  ``force``
-        bypasses the capacity check -- reserved for items that already
-        hold an admission slot (restart resume, job-level requeues),
-        never for new submissions.
+        bypasses the capacity check -- reserved for jobs a restarted
+        server resumes, which were admitted before the restart; never
+        for new submissions.
         """
         if not force and len(self._heap) >= self.capacity:
             self.rejected += 1

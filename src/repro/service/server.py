@@ -7,10 +7,10 @@ the robustness layer around them:
 * **Backpressure** -- a bounded :class:`AdmissionQueue`; a submission
   past capacity gets ``429`` with a ``Retry-After`` header, never a
   buffer (sustained over-admission costs O(1) memory per attempt).
-* **Retry budgets** -- the runner retries crashed/timed-out workers
-  with seeded decorrelated-jitter backoff; on top of that, each *job*
-  has a requeue budget, and exhausted budgets escalate into the job's
-  :class:`SweepReport` failure manifest.
+* **Retries** -- the runner retries crashed/timed-out workers with
+  seeded decorrelated-jitter backoff; a plan that exhausts its retries
+  lands in the job's :class:`SweepReport` failure manifest and the
+  job ends FAILED.
 * **Circuit breaker** -- a crash-rate window trips the service into
   cache-only (read-through) mode instead of dying; a half-open probe
   recovers it without a restart.
@@ -44,10 +44,9 @@ import json
 import threading
 import time
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from ..core.models import MODEL_NAMES, is_design_point, parse_design_point
-from ..harness.backoff import DecorrelatedJitter, backoff_seed
 from ..harness.runner import (
     ExperimentPlan,
     ExperimentRunner,
@@ -76,8 +75,12 @@ from .queue import AdmissionQueue, QueueFullError
 #: Request bodies past this size are rejected (bounded memory).
 MAX_BODY_BYTES = 4 * 1024 * 1024
 
-#: Failure reasons a job-level requeue may still fix.
+#: Failure reasons the runner retries; the circuit breaker counts them
+#: as worker crashes.
 RETRYABLE_REASONS = ("crash", "timeout")
+
+#: The keys a submission may carry.
+SUBMISSION_KEYS = ("plans", "priority")
 
 _STATUS_TEXT = {
     200: "OK", 202: "Accepted", 400: "Bad Request", 404: "Not Found",
@@ -151,19 +154,14 @@ class SweepService:
 
     def __init__(self, cache_dir: Optional[Path] = None,
                  host: str = "127.0.0.1", port: int = 0,
-                 queue_capacity: int = 16, drain_hint: float = 2.0,
-                 workers: int = 2,
+                 queue_capacity: int = 16, workers: int = 2,
                  run_timeout: Optional[float] = 300.0,
-                 max_retries: int = 2, retry_backoff: float = 0.25,
-                 job_retry_budget: int = 1,
-                 job_retry_backoff: float = 0.5,
+                 max_retries: int = 2,
                  breaker: Optional[CircuitBreaker] = None,
                  faults: Union[ServiceFaultSpec, str,
                                None] = None,
                  telemetry: Optional[Telemetry] = None,
                  verbose: bool = False) -> None:
-        if job_retry_budget < 0:
-            raise ValueError("job_retry_budget must be non-negative")
         if isinstance(faults, str):
             faults = ServiceFaultSpec.parse(faults)
         self.faults = faults if faults is not None else NULL_SERVICE_FAULTS
@@ -176,29 +174,23 @@ class SweepService:
         self.runner = ExperimentRunner(
             cache=self.cache, verbose=verbose, workers=workers,
             run_timeout=run_timeout, max_retries=max_retries,
-            retry_backoff=retry_backoff,
         )
         self.store = JobStore(self.cache.directory / "jobs")
         self.queue = AdmissionQueue(queue_capacity,
-                                    drain_hint=drain_hint,
                                     telemetry=self.telemetry)
         if breaker is None:
             breaker = CircuitBreaker()
         breaker._on_transition = self._breaker_moved
         self.breaker = breaker
         self.chaos = ChaosInjector(self.cache.directory / "chaos")
-        self.job_retry_budget = job_retry_budget
-        self.job_retry_backoff = job_retry_backoff
         self._jobs: Dict[str, JobRecord] = {}
         self._cancel_events: Dict[str, threading.Event] = {}
-        self._job_backoffs: Dict[str, DecorrelatedJitter] = {}
         self._tick = 0
         self._conn_seq = 0
         self.dropped_conns = 0
         self._server: Optional[asyncio.AbstractServer] = None
         self._dispatcher: Optional[asyncio.Task] = None
         self._stop_event: Optional[asyncio.Event] = None
-        self._tasks: Set[asyncio.Task] = set()
         self._closing = False
 
     # -- telemetry -------------------------------------------------------
@@ -273,10 +265,6 @@ class SweepService:
             # makes that prompt) so its interruption record is saved.
             await self._dispatcher
             self._dispatcher = None
-        for task in list(self._tasks):
-            task.cancel()
-        await asyncio.gather(*self._tasks, return_exceptions=True)
-        self._tasks.clear()
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
@@ -356,8 +344,8 @@ class SweepService:
                  cancel: threading.Event) -> SweepReport:
         """Executor-thread body: chaos arming + the actual sweep."""
         if not self.faults.is_null and record.attempts == 1:
-            # Chaos targets the first job attempt only; a requeued job
-            # must be able to converge.
+            # Chaos targets the first job attempt only; a job resumed
+            # after a restart must be able to converge.
             arm_job(self.chaos.chaos_dir, self.faults, record.plans)
         return self.runner.run_many_report(record.plans, cancel=cancel)
 
@@ -373,21 +361,10 @@ class SweepService:
         if not crashes and not report.summary.executed:
             self.breaker.abstain()
 
-    def _job_backoff(self, job_id: str) -> DecorrelatedJitter:
-        schedule = self._job_backoffs.get(job_id)
-        if schedule is None:
-            schedule = self._job_backoffs[job_id] = DecorrelatedJitter(
-                self.job_retry_backoff,
-                seed=backoff_seed(0, job_id),
-            )
-        return schedule
-
     def _finalize(self, record: JobRecord, report: SweepReport) -> None:
         record.report = report.to_json()
         record.manifest = report.manifest()
         cancelled = any(f.reason == "cancelled" for f in report.failures)
-        retryable = any(f.reason in RETRYABLE_REASONS
-                        for f in report.failures)
         if cancelled and record.cancel_requested:
             record.state = CANCELLED
             self.telemetry.count("service.jobs_cancelled")
@@ -395,18 +372,6 @@ class SweepService:
             # Shutdown interruption, not a client cancel: persist as
             # QUEUED so the next start resumes from cached results.
             record.state = QUEUED
-        elif retryable and record.attempts <= record.retry_budget:
-            record.state = QUEUED
-            delay = self._job_backoff(record.job_id).next()
-            self.telemetry.count("service.job_retries")
-            self._emit(EventKind.JOB_RETRY, job_id=record.job_id,
-                       attempt=record.attempts,
-                       delay=round(delay, 4))
-            self._log(f"job {record.job_id} requeued after failures "
-                      f"(attempt {record.attempts}, backoff "
-                      f"{delay:.2f}s)")
-            self._track(asyncio.create_task(
-                self._requeue_later(record.job_id, delay)))
         elif report.failures:
             record.state = FAILED
             self.telemetry.count("service.jobs_failed")
@@ -417,20 +382,6 @@ class SweepService:
         self._log(f"job {record.job_id} -> {record.state}"
                   + (f" ({record.manifest.splitlines()[0]})"
                      if record.manifest else ""))
-
-    async def _requeue_later(self, job_id: str, delay: float) -> None:
-        await asyncio.sleep(delay)
-        if self._closing:
-            return
-        record = self._jobs.get(job_id)
-        if record is None or record.cancel_requested:
-            return
-        # A retrying job keeps the admission slot it already earned.
-        self.queue.put(job_id, record.priority, force=True)
-
-    def _track(self, task: asyncio.Task) -> None:
-        self._tasks.add(task)
-        task.add_done_callback(self._tasks.discard)
 
     def _finish_cache_only(self, record: JobRecord) -> None:
         """Degraded read-through: serve cache hits, manifest the rest."""
@@ -489,6 +440,12 @@ class SweepService:
                ) -> Tuple[int, object, Tuple[Tuple[str, str], ...]]:
         if not isinstance(payload, dict):
             raise HttpError(400, "submission must be a JSON object")
+        unknown = sorted(str(key) for key in payload
+                         if key not in SUBMISSION_KEYS)
+        if unknown:
+            raise HttpError(400, f"unknown submission key(s): "
+                                 f"{', '.join(unknown)} (expected "
+                                 f"{', '.join(SUBMISSION_KEYS)})")
         raw_plans = payload.get("plans")
         if not isinstance(raw_plans, list) or not raw_plans:
             raise HttpError(400, "submission needs a non-empty "
@@ -496,12 +453,6 @@ class SweepService:
         priority = payload.get("priority", 0)
         if isinstance(priority, bool) or not isinstance(priority, int):
             raise HttpError(400, "'priority' must be an integer")
-        retry_budget = payload.get("retry_budget", self.job_retry_budget)
-        if (isinstance(retry_budget, bool)
-                or not isinstance(retry_budget, int)
-                or retry_budget < 0):
-            raise HttpError(400, "'retry_budget' must be a "
-                                 "non-negative integer")
         try:
             plans = tuple(self._normalize_plan(raw) for raw in raw_plans)
         except ValueError as exc:
@@ -528,8 +479,7 @@ class SweepService:
                 headers=(("Retry-After", str(exc.retry_after)),),
             ) from None
         record = JobRecord(job_id=job_id, plans=plans,
-                           priority=priority,
-                           retry_budget=retry_budget)
+                           priority=priority)
         self._jobs[job_id] = record
         self._cancel_events[job_id] = threading.Event()
         self.store.save(record)

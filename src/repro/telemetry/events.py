@@ -69,8 +69,6 @@ class EventKind(enum.Enum):
     CACHE_ACCESS = "cache_access"
     #: Sweep service: a job passed admission control onto the queue.
     JOB_ADMITTED = "job_admitted"
-    #: Sweep service: a job with retryable failures was requeued.
-    JOB_RETRY = "job_retry"
     #: Sweep service: worker crash rate tripped the circuit breaker
     #: (degraded to cache-only mode).
     BREAKER_OPEN = "breaker_open"
@@ -97,7 +95,6 @@ EVENT_CATEGORY: Dict[EventKind, str] = {
     EventKind.PLANE_WOKEN: "power",
     EventKind.CACHE_ACCESS: "cache",
     EventKind.JOB_ADMITTED: "service",
-    EventKind.JOB_RETRY: "service",
     EventKind.BREAKER_OPEN: "service",
     EventKind.BREAKER_CLOSE: "service",
 }

@@ -186,6 +186,9 @@ class TestArgumentValidation:
         ["submit", "--no-cache"],
         ["submit", "--telemetry"],
         ["submit", "--trace-out", "t.json"],
+        # A failed plan is retried only inside the runner.
+        ["serve", "--job-retries", "1"],
+        ["submit", "--retry-budget", "1"],
     ])
     def test_rejects_flags_nothing_reads(self, argv, capsys):
         err = self._error_of(argv, capsys)
@@ -203,8 +206,8 @@ class TestArgumentValidation:
         ["explore", "--timeout", "-5"],
         ["run", "--max-retries", "-1"],
         ["serve", "--max-retries", "-1"],
-        ["serve", "--job-retries", "-1"],
-        ["submit", "--retry-budget", "-1"],
+        ["serve", "--breaker-threshold", "0"],
+        ["explore", "--fraction", "1"],
         ["serve", "--port", "70000"],
         ["submit", "--port", "65536"],
         ["explore", "--port", "-1"],

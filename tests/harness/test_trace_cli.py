@@ -82,7 +82,7 @@ class TestRunTelemetryFlags:
         assert code == 0
         out = capsys.readouterr().out
         assert "IPC" in out
-        assert "trace summary:" in out
+        assert "profiler:" in out
 
     def test_run_trace_out_implies_telemetry(self, tmp_path, capsys,
                                              monkeypatch):

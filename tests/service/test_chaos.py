@@ -14,6 +14,7 @@ over real sockets and real (crash-isolated) worker processes:
   uncached plans.
 """
 
+import json
 import socket
 import time
 
@@ -69,34 +70,35 @@ class TestWorkerKill:
         assert final["summary"]["executed"] == 2
         assert_cache_intact(tmp_path / "cache", plans)
 
-    def test_kill_without_run_retries_uses_job_budget(
+    def test_kill_without_run_retries_fails_the_job(
             self, fake_execute, serve, tmp_path):
-        """With per-run retries off, the crash escalates to a job-level
-        requeue; chaos arms only the first attempt, so attempt 2 is
-        clean."""
-        live = serve(faults="kill-run=1", max_retries=0,
-                     job_retry_budget=1, job_retry_backoff=0.05)
+        """With per-run retries off, the crash is final: the runner is
+        the only place a plan is retried, so the job is not requeued."""
+        live = serve(faults="kill-run=1", max_retries=0)
         client = live.client()
         plans = [plan_for("gzip"), plan_for("mesa")]
         job = client.submit(plans)
         final = client.wait(job["job_id"], timeout=30, poll=0.05)
-        assert final["state"] == "done"
-        assert final["attempts"] == 2
-        assert_cache_intact(tmp_path / "cache", plans)
-        metrics = client.metrics()
-        assert metrics["service.job_retries"] == 1
+        assert final["state"] == "failed"
+        assert final["attempts"] == 1
+        report = client.report(job["job_id"])
+        (failure,) = report["failures"]
+        assert failure["reason"] == "crash"
+        # The plan that did not crash completed and is cached.
+        assert len(report["results"]) == 1
+        assert_cache_intact(tmp_path / "cache", plans[1:])
+        assert "service.job_retries" not in client.metrics()
 
     def test_exhausted_budgets_land_in_the_manifest(
             self, fake_execute, serve):
         """fail-run raises on *every* attempt: a deterministic bug is
-        not retried at the job level and the manifest names it."""
-        live = serve(faults="fail-run=1", max_retries=1,
-                     job_retry_budget=3)
+        never retried and the manifest names it."""
+        live = serve(faults="fail-run=1", max_retries=1)
         client = live.client()
         job = client.submit([plan_for("gzip"), plan_for("mesa")])
         final = client.wait(job["job_id"], timeout=30, poll=0.05)
         assert final["state"] == "failed"
-        assert final["attempts"] == 1  # deterministic -> no requeue
+        assert final["attempts"] == 1  # deterministic -> no retry
         assert "gzip" in final["manifest"]
         report = client.report(job["job_id"])
         (failure,) = report["failures"]
@@ -169,7 +171,7 @@ class TestCircuitBreaker:
         breaker = CircuitBreaker(window=4, threshold=0.5,
                                  min_samples=2, cooldown=0.5)
         live = serve(faults="kill-run=1,2", max_retries=0,
-                     job_retry_budget=0, breaker=breaker)
+                     breaker=breaker)
         client = live.client()
 
         # Phase 1: both plans crash; the breaker trips OPEN.
@@ -283,6 +285,37 @@ class TestRestartResume:
         assert final["summary"]["cache_hits"] == 1
         assert final["summary"]["executed"] == 1
         assert_cache_intact(cache_dir, plans)
+
+    def test_record_with_a_retry_budget_key_resumes(
+            self, fake_execute, serve, tmp_path):
+        """Records written before the job-level retry went away carry
+        a ``retry_budget`` key; they still load and resume to DONE."""
+        cache_dir = tmp_path / "cache"
+        plans = (plan_for("gzip"),)
+        store = JobStore(cache_dir / "jobs")
+        store.directory.mkdir(parents=True)
+        job_id = job_id_for(plans)
+        (store.directory / f"{job_id}.json").write_text(json.dumps({
+            "schema_version": 1,
+            "job_id": job_id,
+            "plans": [plan.to_dict() for plan in plans],
+            "priority": 0,
+            "retry_budget": 1,
+            "attempts": 0,
+            "state": "queued",
+            "report": None,
+            "manifest": "",
+            "cancel_requested": False,
+        }))
+        loaded = store.load(job_id)
+        assert loaded is not None
+        assert loaded.state == QUEUED
+        assert loaded.plans == plans
+
+        live = serve(cache_dir=cache_dir)
+        final = live.client().wait(job_id, timeout=30, poll=0.05)
+        assert final["state"] == "done"
+        assert final["summary"]["executed"] == 1
 
     def test_running_records_resume_too(self, fake_execute, serve,
                                         tmp_path):

@@ -41,7 +41,7 @@ class TestJobIdentity:
 class TestRecordRoundTrip:
     def test_round_trips_through_json(self):
         record = make_record("gzip", "mesa", priority=3,
-                             retry_budget=2, attempts=1, state=RUNNING)
+                             attempts=1, state=RUNNING)
         clone = JobRecord.from_json(
             json.loads(json.dumps(record.to_json())))
         assert clone == record
@@ -118,5 +118,3 @@ class TestJobStore:
     def test_validation_at_construction(self):
         with pytest.raises(ValueError):
             JobRecord(job_id="x", plans=())
-        with pytest.raises(ValueError):
-            make_record(retry_budget=-1)

@@ -63,7 +63,7 @@ class TestBackpressure:
         assert queue.rejected == 100
 
     def test_retry_after_scales_with_service_time(self):
-        queue = AdmissionQueue(capacity=4, drain_hint=1.0)
+        queue = AdmissionQueue(capacity=4)
         baseline = queue.retry_after()
         for _ in range(10):
             queue.observe_service_time(30.0)
@@ -80,8 +80,6 @@ class TestBackpressure:
     def test_invalid_construction(self):
         with pytest.raises(ValueError):
             AdmissionQueue(capacity=0)
-        with pytest.raises(ValueError):
-            AdmissionQueue(capacity=1, drain_hint=0)
 
 
 class TestRemove:

@@ -146,6 +146,22 @@ class TestValidation:
         assert excinfo.value.status == 400
         assert f"bad {field}" in excinfo.value.message
 
+    @pytest.mark.parametrize("key, value", [
+        ("priorty", 9),       # a typo must not admit at priority 0
+        ("retry_budget", 1),  # an old client's job-level budget
+    ])
+    def test_unknown_submission_key_is_400(self, fake_execute, serve,
+                                           key, value):
+        live = serve()
+        client = live.client()
+        body = {"plans": [plan_for("gzip").to_dict()], key: value}
+        with pytest.raises(ServiceError) as excinfo:
+            client._request("POST", "/jobs", body)
+        assert excinfo.value.status == 400
+        assert f"unknown submission key(s): {key}" in \
+            excinfo.value.message
+        assert client.health()["jobs"] == 0  # nothing was admitted
+
     def test_unknown_benchmark_is_400(self, fake_execute, serve):
         client = serve().client()
         with pytest.raises(ServiceError) as excinfo:
