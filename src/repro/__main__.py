@@ -95,16 +95,6 @@ def _plan_spec(field: str):
     return parse
 
 
-def _service_fault_spec(text: str) -> str:
-    """argparse type: service-level chaos spec, canonicalized."""
-    from .service import ServiceFaultSpec, ServiceFaultSpecError
-
-    try:
-        return ServiceFaultSpec.parse(text).canonical()
-    except ServiceFaultSpecError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
-
-
 # The types of flags that more than one subcommand takes.
 _WORKERS = _ranged("--workers", int, lambda n: n >= 1,
                    "at least 1, where 1 runs serially")
@@ -307,8 +297,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="bind port; 0 picks an ephemeral port "
                         "(default: 8642)")
     p.add_argument("--cache-dir", default=None, metavar="PATH",
-                   help="result cache directory (jobs and chaos state "
-                        "live beside it); default: the shared cache")
+                   help="result cache directory (job records live "
+                        "beside it); default: the shared cache")
     p.add_argument("--queue-capacity", default=16, metavar="N",
                    type=_ranged("--queue-capacity", int,
                                 lambda n: n >= 1, "at least 1"),
@@ -340,10 +330,6 @@ def build_parser() -> argparse.ArgumentParser:
                                 lambda s: s > 0, "positive seconds"),
                    help="OPEN dwell before a half-open probe "
                         "(default: 30)")
-    p.add_argument("--service-faults", type=_service_fault_spec,
-                   default="", metavar="SPEC",
-                   help="chaos injection spec, e.g. "
-                        "'kill-run=1;stall-dispatch=0.5;drop-conn=2'")
     p.add_argument("--quiet", action="store_true",
                    help="suppress per-job log lines")
 
@@ -631,7 +617,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         breaker=CircuitBreaker(window=args.breaker_window,
                                threshold=args.breaker_threshold,
                                cooldown=args.breaker_cooldown),
-        faults=args.service_faults or None,
         verbose=not args.quiet,
     )
     run_service(service)

@@ -100,12 +100,24 @@ def format_design_point(node: int,
     bidirectional totals exactly as the paper's tables quote them.  The
     encoding is injective, so equal names mean equal configurations --
     which is what makes it safe inside ``ExperimentPlan.cache_key()``.
+    Only buildable links get a name: every count is positive and even
+    and the cache width factor is at least 1, as
+    :class:`~repro.interconnect.plane.LinkComposition` demands.
     """
     if not wires:
         raise ValueError("a design point needs at least one wire plane")
     unknown = set(wires) - set(DESIGN_POINT_CLASS_ORDER)
     if unknown:
         raise ValueError(f"unknown wire classes in design point: {unknown}")
+    for wc in DESIGN_POINT_CLASS_ORDER:
+        if wc in wires and (wires[wc] <= 0 or wires[wc] % 2):
+            raise ValueError(
+                f"{wc.value} wire count {wires[wc]} must be positive "
+                f"and even (bidirectional total)"
+            )
+    if cache_width_factor < 1:
+        raise ValueError(
+            f"cache width factor {cache_width_factor} must be >= 1")
     mix = "+".join(
         f"{wc.value}{wires[wc]}"
         for wc in DESIGN_POINT_CLASS_ORDER if wc in wires

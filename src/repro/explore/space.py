@@ -80,17 +80,9 @@ class DesignPoint:
                 f"wire pairs {self.wires!r} must be unique and in "
                 f"canonical class order; use DesignPoint.from_mix()"
             )
-        if self.cache_width_factor < 1:
-            raise ValueError("cache width factor must be >= 1")
-        # Counts are validated for positivity/evenness by the link
-        # composition; validate here too so a bad point fails at
-        # construction, not at simulation time.
-        for _, count in self.wires:
-            if count <= 0 or count % 2:
-                raise ValueError(
-                    f"wire counts must be positive and even "
-                    f"(bidirectional totals), got {self.wires!r}"
-                )
+        # The name carries the link rules, so a point no run can
+        # build fails here, not at simulation time.
+        self.model_name()
 
     @classmethod
     def from_mix(cls, node: int, wires: Mapping[WireClass, int],

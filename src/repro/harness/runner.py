@@ -86,6 +86,9 @@ CACHE_VERSION = source_digest(Path(__file__).resolve().parents[1],
 #: Bump when the :meth:`SweepReport.to_json` wire format changes.
 REPORT_SCHEMA_VERSION = 1
 
+#: Longest retry backoff, in seconds (see :mod:`repro.harness.backoff`).
+RETRY_BACKOFF_CAP = 30.0
+
 #: Required result fields and their acceptable JSON types.
 _RESULT_SCHEMA: Dict[str, tuple] = {
     "benchmark": (str,),
@@ -606,7 +609,7 @@ class ExperimentRunner:
     ``run_timeout`` (seconds) bounds each run's wall clock;
     ``max_retries`` retries crashed/timed-out workers with seeded
     decorrelated-jitter backoff (base ``retry_backoff`` seconds,
-    capped at ``retry_backoff_cap``; see
+    capped at :data:`RETRY_BACKOFF_CAP`; see
     :mod:`repro.harness.backoff`) before declaring the run failed.
     Jitter keeps herds of retrying workers from synchronizing while
     staying a pure function of each plan, so replayed sweeps retry on
@@ -620,7 +623,6 @@ class ExperimentRunner:
                  run_timeout: Optional[float] = None,
                  max_retries: int = 0,
                  retry_backoff: float = 0.25,
-                 retry_backoff_cap: float = 30.0,
                  profiler: Optional[HarnessProfiler] = None) -> None:
         if workers < 1:
             raise ValueError("workers must be at least 1")
@@ -630,8 +632,9 @@ class ExperimentRunner:
             raise ValueError("max_retries must be non-negative")
         if retry_backoff < 0:
             raise ValueError("retry_backoff must be non-negative")
-        if retry_backoff_cap < retry_backoff:
-            raise ValueError("retry_backoff_cap must be >= retry_backoff")
+        if retry_backoff > RETRY_BACKOFF_CAP:
+            raise ValueError(f"retry_backoff must be at most "
+                             f"{RETRY_BACKOFF_CAP:g} seconds")
         self.profiler = profiler if profiler is not None else NULL_PROFILER
         self.cache = cache or ResultCache(profiler=self.profiler)
         if profiler is not None and self.cache.profiler is NULL_PROFILER:
@@ -642,7 +645,6 @@ class ExperimentRunner:
         self.run_timeout = run_timeout
         self.max_retries = max_retries
         self.retry_backoff = retry_backoff
-        self.retry_backoff_cap = retry_backoff_cap
         self.executed = 0
         self.cache_hits = 0
         self.total_duration = 0.0
@@ -809,7 +811,7 @@ class ExperimentRunner:
                 schedule = backoffs.get(plan)
                 if schedule is None:
                     schedule = backoffs[plan] = DecorrelatedJitter(
-                        self.retry_backoff, cap=self.retry_backoff_cap,
+                        self.retry_backoff, cap=RETRY_BACKOFF_CAP,
                         seed=plan.seed, key=plan.cache_key(),
                     )
                 delay = schedule.next()

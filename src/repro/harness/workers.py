@@ -12,6 +12,7 @@ from __future__ import annotations
 import gc
 import multiprocessing
 import multiprocessing.connection
+import signal
 from typing import TYPE_CHECKING, Callable, List, Optional, Tuple
 
 from .profiling import HarnessProfiler
@@ -34,6 +35,11 @@ def worker_loop(conn, execute: Callable) -> None:
     cycles, so reference counting frees it without a collection.
     """
     gc.freeze()  # objects inherited from the parent are never garbage
+    # ``repro serve``'s loop catches SIGTERM via a wakeup fd; a child
+    # inheriting both would shrug off the SIGTERM that ends a timed-out
+    # or cancelled run and wake the parent's loop instead.
+    signal.set_wakeup_fd(-1)
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
     try:
         for plan in iter(conn.recv, None):
             try:

@@ -8,8 +8,6 @@ DESIGN.md section 12.  The package splits along failure-domain lines:
   (degrade to cache-only, recover via half-open probe);
 * :mod:`~repro.service.jobs` -- idempotent job identity + durable
   store (restart resume);
-* :mod:`~repro.service.faultspec` / :mod:`~repro.service.chaos` --
-  deterministic service-level fault injection;
 * :mod:`~repro.service.server` -- the asyncio HTTP surface wiring
   them together;
 * :mod:`~repro.service.client` -- the stdlib client
@@ -17,13 +15,7 @@ DESIGN.md section 12.  The package splits along failure-domain lines:
 """
 
 from .breaker import BreakerState, CircuitBreaker
-from .chaos import ChaosFault, ChaosInjector, arm_job, disarm_all
 from .client import Backpressure, ServiceClient, ServiceError
-from .faultspec import (
-    NULL_SERVICE_FAULTS,
-    ServiceFaultSpec,
-    ServiceFaultSpecError,
-)
 from .jobs import (
     JOB_SCHEMA_VERSION,
     JobRecord,
@@ -37,23 +29,16 @@ __all__ = [
     "AdmissionQueue",
     "Backpressure",
     "BreakerState",
-    "ChaosFault",
-    "ChaosInjector",
     "CircuitBreaker",
     "HttpError",
     "JOB_SCHEMA_VERSION",
     "JobRecord",
     "JobStore",
     "MAX_BODY_BYTES",
-    "NULL_SERVICE_FAULTS",
     "QueueFullError",
     "ServiceClient",
     "ServiceError",
-    "ServiceFaultSpec",
-    "ServiceFaultSpecError",
     "SweepService",
-    "arm_job",
-    "disarm_all",
     "job_id_for",
     "run_service",
 ]

@@ -48,7 +48,7 @@ class CircuitBreaker:
     once ``min_samples`` outcomes are in the window, so one early
     crash cannot trip it); ``cooldown`` the OPEN dwell in seconds.
     ``on_transition(old, new, crash_rate)`` fires on every state
-    change -- the service uses it to emit breaker_open/close events.
+    change -- the service uses it to count breaker opens.
     """
 
     def __init__(self, window: int = 20, threshold: float = 0.5,

@@ -18,9 +18,6 @@ the robustness layer around them:
   cache keys; records persist next to the cache, so a restarted
   server (or a reconnecting client resubmitting the same batch) picks
   up exactly where it left off, re-executing only uncached plans.
-* **Chaos hooks** -- a :class:`ServiceFaultSpec` lets tests and the CI
-  smoke job kill workers, stall the dispatcher and drop connections
-  deterministically.
 
 The HTTP surface is deliberately tiny (stdlib-only HTTP/1.1, one
 request per connection, ``Connection: close``)::
@@ -44,7 +41,7 @@ import json
 import threading
 import time
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..core.models import MODEL_NAMES, is_design_point, parse_design_point
 from ..harness.runner import (
@@ -55,11 +52,9 @@ from ..harness.runner import (
     SweepReport,
     SweepSummary,
 )
-from ..telemetry import EventKind, RingBufferSink, Telemetry, make_event
+from ..telemetry import NullSink, Telemetry
 from ..workloads.spec2k import BENCHMARK_NAMES
 from .breaker import BreakerState, CircuitBreaker
-from .chaos import ChaosInjector, arm_job
-from .faultspec import NULL_SERVICE_FAULTS, ServiceFaultSpec
 from .jobs import (
     CANCELLED,
     DONE,
@@ -158,18 +153,12 @@ class SweepService:
                  run_timeout: Optional[float] = 300.0,
                  max_retries: int = 2,
                  breaker: Optional[CircuitBreaker] = None,
-                 faults: Union[ServiceFaultSpec, str,
-                               None] = None,
-                 telemetry: Optional[Telemetry] = None,
                  verbose: bool = False) -> None:
-        if isinstance(faults, str):
-            faults = ServiceFaultSpec.parse(faults)
-        self.faults = faults if faults is not None else NULL_SERVICE_FAULTS
         self.host = host
         self._requested_port = port
         self.verbose = verbose
-        self.telemetry = telemetry if telemetry is not None else Telemetry(
-            enabled=True, sink=RingBufferSink())
+        # Counters and gauges only (served on /metrics); no events.
+        self.telemetry = Telemetry(sink=NullSink())
         self.cache = ResultCache(cache_dir)
         self.runner = ExperimentRunner(
             cache=self.cache, verbose=verbose, workers=workers,
@@ -182,12 +171,8 @@ class SweepService:
             breaker = CircuitBreaker()
         breaker._on_transition = self._breaker_moved
         self.breaker = breaker
-        self.chaos = ChaosInjector(self.cache.directory / "chaos")
         self._jobs: Dict[str, JobRecord] = {}
         self._cancel_events: Dict[str, threading.Event] = {}
-        self._tick = 0
-        self._conn_seq = 0
-        self.dropped_conns = 0
         self._server: Optional[asyncio.AbstractServer] = None
         self._dispatcher: Optional[asyncio.Task] = None
         self._stop_event: Optional[asyncio.Event] = None
@@ -195,23 +180,10 @@ class SweepService:
 
     # -- telemetry -------------------------------------------------------
 
-    def _next_tick(self) -> int:
-        self._tick += 1
-        return self._tick
-
-    def _emit(self, kind: EventKind, **attrs: object) -> None:
-        if self.telemetry.enabled:
-            self.telemetry.emit(*make_event(self._next_tick(), kind, attrs))
-
     def _breaker_moved(self, old: BreakerState, new: BreakerState,
                        crash_rate: float) -> None:
         if new is BreakerState.OPEN:
             self.telemetry.count("service.breaker_opens")
-            self._emit(EventKind.BREAKER_OPEN,
-                       crash_rate=round(crash_rate, 3),
-                       previous=old.value)
-        elif new is BreakerState.CLOSED:
-            self._emit(EventKind.BREAKER_CLOSE, previous=old.value)
 
     def _log(self, message: str) -> None:
         if self.verbose:
@@ -229,8 +201,6 @@ class SweepService:
     async def start(self) -> None:
         """Bind, resume persisted jobs, start the dispatcher."""
         self._stop_event = asyncio.Event()
-        if not self.faults.is_null:
-            self.chaos.install()
         resumed = 0
         for record in self.store.resumable():
             record.state = QUEUED
@@ -269,7 +239,6 @@ class SweepService:
             self._server.close()
             await self._server.wait_closed()
             self._server = None
-        self.chaos.uninstall()
         self._log("stopped")
 
     # -- dispatcher ------------------------------------------------------
@@ -320,8 +289,6 @@ class SweepService:
             self.store.save(record)
             self.telemetry.count("service.jobs_cancelled")
             return
-        if self.faults.stall_dispatch:
-            await asyncio.sleep(self.faults.stall_dispatch)
         if not self.breaker.allow_execution():
             self._finish_cache_only(record)
             return
@@ -335,19 +302,10 @@ class SweepService:
         loop = asyncio.get_running_loop()
         started = time.perf_counter()
         report = await loop.run_in_executor(
-            None, self._run_job, record, cancel)
+            None, self.runner.run_many_report, record.plans, cancel)
         self.queue.observe_service_time(time.perf_counter() - started)
         self._feed_breaker(report)
         self._finalize(record, report)
-
-    def _run_job(self, record: JobRecord,
-                 cancel: threading.Event) -> SweepReport:
-        """Executor-thread body: chaos arming + the actual sweep."""
-        if not self.faults.is_null and record.attempts == 1:
-            # Chaos targets the first job attempt only; a job resumed
-            # after a restart must be able to converge.
-            arm_job(self.chaos.chaos_dir, self.faults, record.plans)
-        return self.runner.run_many_report(record.plans, cancel=cancel)
 
     def _feed_breaker(self, report: SweepReport) -> None:
         # Crashes first: a crashing half-open probe must re-open the
@@ -484,8 +442,6 @@ class SweepService:
         self._cancel_events[job_id] = threading.Event()
         self.store.save(record)
         self.telemetry.count("service.jobs_admitted")
-        self._emit(EventKind.JOB_ADMITTED, job_id=job_id,
-                   plans=len(plans), priority=priority)
         self._log(f"admitted job {job_id} ({len(plans)} plan(s), "
                   f"priority {priority})")
         return 202, {"job": record.public_json()}, ()
@@ -517,7 +473,6 @@ class SweepService:
             "queue_depth": self.queue.depth,
             "queue_capacity": self.queue.capacity,
             "jobs": len(self._jobs),
-            "dropped_conns": self.dropped_conns,
         }
 
     def ready_json(self) -> Tuple[bool, Dict[str, object]]:
@@ -534,8 +489,6 @@ class SweepService:
 
     async def _handle_conn(self, reader: asyncio.StreamReader,
                            writer: asyncio.StreamWriter) -> None:
-        self._conn_seq += 1
-        conn_index = self._conn_seq
         try:
             try:
                 request = await asyncio.wait_for(_read_request(reader),
@@ -550,11 +503,6 @@ class SweepService:
                     ConnectionError):
                 return
             if request is None:
-                return
-            if conn_index in self.faults.drop_conns:
-                # Injected fault: vanish mid-request, no response.
-                self.dropped_conns += 1
-                self.telemetry.count("service.conns_dropped")
                 return
             await self._respond(request, writer)
         except (ConnectionError, BrokenPipeError):

@@ -8,10 +8,7 @@ tuple of attribute names and the matching values.  Events are immutable
 and JSON-serializable; the category mapping groups kinds into the
 buckets the Chrome-trace export and the sweep aggregation report on
 (``wire-selection``, ``overflow``, ``fault``, ``power``, ``cache``,
-``network``, ``steering``, ``run``, ``service``).  The ``service``
-kinds are emitted by the sweep job server (:mod:`repro.service`),
-which stamps them with a logical admission tick instead of a
-simulator cycle.
+``network``, ``steering``, ``run``).
 
 Determinism: an event is a pure function of simulator state -- no wall
 clock, no process identity.  Timestamps are *cycles*, and a correctly
@@ -67,14 +64,6 @@ class EventKind(enum.Enum):
     PLANE_WOKEN = "plane_woken"
     #: A load was satisfied at some level of the memory hierarchy.
     CACHE_ACCESS = "cache_access"
-    #: Sweep service: a job passed admission control onto the queue.
-    JOB_ADMITTED = "job_admitted"
-    #: Sweep service: worker crash rate tripped the circuit breaker
-    #: (degraded to cache-only mode).
-    BREAKER_OPEN = "breaker_open"
-    #: Sweep service: a half-open probe succeeded; normal execution
-    #: resumed.
-    BREAKER_CLOSE = "breaker_close"
 
 
 #: Category each kind reports under (Chrome-trace ``cat`` field).
@@ -94,9 +83,6 @@ EVENT_CATEGORY: Dict[EventKind, str] = {
     EventKind.PLANE_GATED: "power",
     EventKind.PLANE_WOKEN: "power",
     EventKind.CACHE_ACCESS: "cache",
-    EventKind.JOB_ADMITTED: "service",
-    EventKind.BREAKER_OPEN: "service",
-    EventKind.BREAKER_CLOSE: "service",
 }
 
 #: The categories every simulator trace may contain.

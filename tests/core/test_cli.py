@@ -189,6 +189,8 @@ class TestArgumentValidation:
         # A failed plan is retried only inside the runner.
         ["serve", "--job-retries", "1"],
         ["submit", "--retry-budget", "1"],
+        # Worker faults are armed by the tests, not by the server.
+        ["serve", "--service-faults", "kill-run=1"],
     ])
     def test_rejects_flags_nothing_reads(self, argv, capsys):
         err = self._error_of(argv, capsys)

@@ -67,6 +67,15 @@ class TestDesignPoint:
         assert wires == point.wire_mapping()
         assert cwf == 2
 
+    @pytest.mark.parametrize("name", [
+        "dp@n45:B3:cw2",      # odd count: no bidirectional split
+        "dp@n45:B0:cw2",      # empty plane
+        "dp@n45:B144:cw0",    # cache links narrower than nothing
+    ])
+    def test_parser_rejects_links_no_run_can_build(self, name):
+        with pytest.raises(ValueError):
+            parse_design_point(name)
+
     def test_model_resolves_with_scaled_specs(self):
         scaled = model("dp@n22:B144+L36:cw2")
         anchor = model("dp@n45:B144+L36:cw2")

@@ -6,8 +6,10 @@ order.  The stand-in simulator below reports the pid of the worker that
 ran each plan, so the tests can see which process did what.
 """
 
+import asyncio
 import multiprocessing
 import os
+import signal
 import threading
 import time
 
@@ -152,6 +154,30 @@ class TestShutdown:
         assert len(report.failures) + len(report.results) == len(plans)
         assert {e["args"]["outcome"] for e in spans(runner, "worker")} == {
             "cancelled"}
+
+    def test_workers_forked_beside_a_serving_loop_obey_sigterm(
+            self, tmp_path, monkeypatch):
+        """``repro serve``'s loop catches SIGTERM and owns the signal
+        wakeup fd; a worker that inherited either would swallow the
+        SIGTERM ending its timed-out run and wake the server's loop."""
+
+        def report_signals(plan):
+            raise RuntimeError(f"{signal.getsignal(signal.SIGTERM)!r}, "
+                               f"wakeup fd {signal.set_wakeup_fd(-1)}")
+
+        monkeypatch.setattr("repro.harness.runner._execute_plan",
+                            report_signals)
+        runner = make_runner(tmp_path, run_timeout=30)
+
+        async def sweep_beside_a_signal_handler():
+            loop = asyncio.get_running_loop()
+            loop.add_signal_handler(signal.SIGTERM, lambda: None)
+            return await loop.run_in_executor(
+                None, runner.run_many_report, plans_of(("I",)))
+
+        (failure,) = asyncio.run(sweep_beside_a_signal_handler()).failures
+        assert failure.detail == (
+            "RuntimeError: <Handlers.SIG_DFL: 0>, wakeup fd -1")
 
     def test_sweeps_do_not_share_workers(self, tmp_path, pid_execute):
         runner = make_runner(tmp_path, workers=2)

@@ -9,6 +9,7 @@ import pytest
 from repro.core.metrics import BenchmarkRun
 from repro.harness.runner import (
     ExperimentPlan,
+    RETRY_BACKOFF_CAP,
     ExperimentRunner,
     ResultCache,
     SweepError,
@@ -253,6 +254,8 @@ class TestBookkeeping:
             make_runner(tmp_path, max_retries=-1)
         with pytest.raises(ValueError, match="retry_backoff"):
             make_runner(tmp_path, retry_backoff=-0.5)
+        with pytest.raises(ValueError, match="at most 30 seconds"):
+            make_runner(tmp_path, retry_backoff=RETRY_BACKOFF_CAP + 1)
 
     def test_timeout_forces_isolation_even_single_worker(
             self, tmp_path, scripted_execute):

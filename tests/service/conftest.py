@@ -1,30 +1,31 @@
 """Fixtures for the sweep-service suite.
 
 The heavy pieces are shared here: a scriptable instant simulator (so
-jobs finish in milliseconds), :class:`ServiceThread`, which runs a
-real :class:`SweepService` -- real sockets, real worker processes --
-on a background event loop with deterministic startup/shutdown, and
-the loop guard, which fails any test in which a blocking call runs on
-a thread that has a running event loop.
+jobs finish in milliseconds), worker faults armed per plan on top of
+it, :class:`ServiceThread`, which runs a real :class:`SweepService` --
+real sockets, real worker processes -- on a background event loop with
+deterministic startup/shutdown, and the loop guard, which fails any
+test in which a blocking call runs on a thread that has a running
+event loop.
 """
 
 import asyncio
 import functools
 import importlib
+import os
 import pathlib
 import sys
 import threading
+import time
 from dataclasses import dataclass
 from typing import List, Tuple
 
 import pytest
 
 from repro.core.metrics import BenchmarkRun
-from repro.harness.runner import ExperimentPlan, ExperimentRunner, ResultCache
+from repro.harness.runner import ExperimentRunner, ResultCache
 from repro.service import ServiceClient, SweepService
 from repro.service.jobs import JobStore
-
-WINDOW = dict(instructions=300, warmup=80)
 
 # -- the loop guard ----------------------------------------------------------
 
@@ -156,33 +157,74 @@ def loop_guard():
             for call in guard.violations), pytrace=False)
 
 
-def fake_run(plan):
-    return BenchmarkRun(
-        benchmark=plan.benchmark, instructions=plan.instructions,
-        cycles=plan.instructions * 2, interconnect_dynamic=1.0,
-        interconnect_leakage=1.0,
-    )
-
-
-def plan_for(benchmark, model="I", **overrides):
-    kwargs = dict(WINDOW)
-    kwargs.update(overrides)
-    return ExperimentPlan(model, benchmark, **kwargs)
-
-
 @pytest.fixture
 def fake_execute(monkeypatch):
-    """Replace the simulator with an instant stand-in.
-
-    Installed *before* the service starts, so the chaos wrapper (if
-    any) chains to this fake and marker-file faults still fire.
-    """
+    """Replace the simulator with an instant stand-in."""
 
     def execute(plan):
-        return fake_run(plan), 0.01
+        run = BenchmarkRun(
+            benchmark=plan.benchmark, instructions=plan.instructions,
+            cycles=plan.instructions * 2, interconnect_dynamic=1.0,
+            interconnect_leakage=1.0,
+        )
+        return run, 0.01
 
     monkeypatch.setattr("repro.harness.runner._execute_plan", execute)
     return execute
+
+
+class WorkerFaults:
+    """Faults armed per plan, fired inside the worker that runs it.
+
+    ``kill(*plans)`` and ``wedge(*plans)`` fire on a plan's first
+    attempt only, ``fail(*plans)`` on every attempt; ``slow(seconds)``
+    delays every plan.  An armed plan has a marker file named by its
+    cache key (files reach every forked worker), and a worker claims a
+    kill or wedge marker with ``os.rename``, so exactly one attempt of
+    one worker fires it and the retry runs clean.
+    """
+
+    def __init__(self, directory: pathlib.Path, execute) -> None:
+        directory.mkdir()
+        self.directory = directory
+        self._execute = execute
+        self.delay = 0.0
+
+    def _arm(self, mode: str, *plans) -> None:
+        for plan in plans:
+            (self.directory / f"{plan.cache_key()}.{mode}").touch()
+
+    kill = functools.partialmethod(_arm, "kill")
+    wedge = functools.partialmethod(_arm, "wedge")
+    fail = functools.partialmethod(_arm, "fail")
+
+    def slow(self, seconds: float) -> None:
+        self.delay = seconds
+
+    def execute(self, plan):
+        key = plan.cache_key()
+        if (self.directory / f"{key}.fail").exists():
+            raise RuntimeError(f"injected failure of {plan.describe()}")
+        for mode in ("kill", "wedge"):
+            try:
+                os.rename(self.directory / f"{key}.{mode}",
+                          self.directory / f"{key}.{mode}.done")
+            except OSError:
+                continue
+            if mode == "kill":
+                os._exit(3)  # a real crash: no exception, no report
+            time.sleep(3600)  # wedged past any run timeout
+        time.sleep(self.delay)
+        return self._execute(plan)
+
+
+@pytest.fixture
+def faults(fake_execute, monkeypatch, tmp_path):
+    """:class:`WorkerFaults` on the instant simulator; arm, then submit."""
+    armed = WorkerFaults(tmp_path / "faults", fake_execute)
+    monkeypatch.setattr("repro.harness.runner._execute_plan",
+                        armed.execute)
+    return armed
 
 
 class ServiceThread:

@@ -1,4 +1,4 @@
-"""Chaos-path tests: deterministic ServiceFaultSpec scenarios.
+"""Chaos-path tests: worker faults armed per plan (``conftest.faults``).
 
 The acceptance criteria of the robustness layer, asserted end to end
 over real sockets and real (crash-isolated) worker processes:
@@ -9,7 +9,7 @@ over real sockets and real (crash-isolated) worker processes:
   Retry-After, no per-rejection state);
 * the circuit breaker trips to cache-only mode and recovers via a
   half-open probe *without a restart*;
-* a client disconnecting mid-stream harms nobody;
+* a client disconnecting mid-request or mid-stream harms nobody;
 * a restarted server resumes persisted jobs, re-executing only
   uncached plans.
 """
@@ -25,19 +25,9 @@ from repro.service import (
     Backpressure,
     CircuitBreaker,
     JobStore,
-    NULL_SERVICE_FAULTS,
     job_id_for,
 )
-from repro.core.metrics import BenchmarkRun
 from repro.service.jobs import QUEUED, RUNNING, JobRecord
-
-
-def fake_run(plan):
-    return BenchmarkRun(
-        benchmark=plan.benchmark, instructions=plan.instructions,
-        cycles=plan.instructions * 2, interconnect_dynamic=1.0,
-        interconnect_leakage=1.0,
-    )
 
 
 def plan_for(benchmark, model="I", **overrides):
@@ -57,12 +47,13 @@ def assert_cache_intact(cache_dir, plans):
 
 class TestWorkerKill:
     def test_kill_mid_job_retries_to_clean_completion(
-            self, fake_execute, serve, tmp_path):
-        """kill-run=1 crashes the first plan's first attempt; the
-        runner's retry brings the job home with an empty manifest."""
-        live = serve(faults="kill-run=1", max_retries=2)
+            self, faults, serve, tmp_path):
+        """A kill crashes the first plan's first attempt; the runner's
+        retry brings the job home with an empty manifest."""
+        live = serve(max_retries=2)
         client = live.client()
         plans = [plan_for("gzip"), plan_for("mesa")]
+        faults.kill(plans[0])
         job = client.submit(plans)
         final = client.wait(job["job_id"], timeout=30, poll=0.05)
         assert final["state"] == "done"
@@ -71,12 +62,13 @@ class TestWorkerKill:
         assert_cache_intact(tmp_path / "cache", plans)
 
     def test_kill_without_run_retries_fails_the_job(
-            self, fake_execute, serve, tmp_path):
+            self, faults, serve, tmp_path):
         """With per-run retries off, the crash is final: the runner is
         the only place a plan is retried, so the job is not requeued."""
-        live = serve(faults="kill-run=1", max_retries=0)
+        live = serve(max_retries=0)
         client = live.client()
         plans = [plan_for("gzip"), plan_for("mesa")]
+        faults.kill(plans[0])
         job = client.submit(plans)
         final = client.wait(job["job_id"], timeout=30, poll=0.05)
         assert final["state"] == "failed"
@@ -90,12 +82,14 @@ class TestWorkerKill:
         assert "service.job_retries" not in client.metrics()
 
     def test_exhausted_budgets_land_in_the_manifest(
-            self, fake_execute, serve):
-        """fail-run raises on *every* attempt: a deterministic bug is
-        never retried and the manifest names it."""
-        live = serve(faults="fail-run=1", max_retries=1)
+            self, faults, serve):
+        """A failing plan raises on *every* attempt: a deterministic bug
+        is never retried and the manifest names it."""
+        live = serve(max_retries=1)
         client = live.client()
-        job = client.submit([plan_for("gzip"), plan_for("mesa")])
+        plans = [plan_for("gzip"), plan_for("mesa")]
+        faults.fail(plans[0])
+        job = client.submit(plans)
         final = client.wait(job["job_id"], timeout=30, poll=0.05)
         assert final["state"] == "failed"
         assert final["attempts"] == 1  # deterministic -> no retry
@@ -103,16 +97,16 @@ class TestWorkerKill:
         report = client.report(job["job_id"])
         (failure,) = report["failures"]
         assert failure["reason"] == "error"
-        assert "injected deterministic failure" in failure["detail"]
+        assert "injected failure" in failure["detail"]
         # The healthy plan still completed and is served.
         assert len(report["results"]) == 1
 
     def test_wedged_worker_is_timed_out_and_retried(
-            self, fake_execute, serve, tmp_path):
-        live = serve(faults="wedge-run=1", run_timeout=1.0,
-                     max_retries=1)
+            self, faults, serve, tmp_path):
+        live = serve(run_timeout=1.0, max_retries=1)
         client = live.client()
         plans = [plan_for("gzip")]
+        faults.wedge(plans[0])
         job = client.submit(plans)
         final = client.wait(job["job_id"], timeout=30, poll=0.05)
         assert final["state"] == "done"
@@ -120,12 +114,12 @@ class TestWorkerKill:
 
 
 class TestQueueSaturation:
-    def test_saturation_is_rejected_and_bounded(self, fake_execute,
-                                                serve):
+    def test_saturation_is_rejected_and_bounded(self, faults, serve):
         """Past capacity the server answers 429 + Retry-After and
         keeps NO per-rejection state: job map, job store and queue
         depth stay flat no matter how hard a client hammers."""
-        live = serve(queue_capacity=2, faults="stall-dispatch=5.0")
+        faults.slow(5.0)
+        live = serve(queue_capacity=2)
         client = live.client()
         admitted = [client.submit([plan_for("gzip")])]
         deadline = time.monotonic() + 5.0
@@ -155,8 +149,9 @@ class TestQueueSaturation:
         assert live.service.queue.rejected >= 50
 
     def test_rejected_client_honouring_retry_after_gets_in(
-            self, fake_execute, serve):
-        live = serve(queue_capacity=1, faults="stall-dispatch=0.3")
+            self, faults, serve):
+        faults.slow(0.3)
+        live = serve(queue_capacity=1)
         client = live.client()
         client.submit([plan_for("gzip")])
         final = client.submit_and_wait([plan_for("mesa")],
@@ -167,15 +162,16 @@ class TestQueueSaturation:
 
 class TestCircuitBreaker:
     def test_trips_to_cache_only_and_recovers_without_restart(
-            self, fake_execute, serve, tmp_path):
+            self, faults, serve, tmp_path):
         breaker = CircuitBreaker(window=4, threshold=0.5,
                                  min_samples=2, cooldown=0.5)
-        live = serve(faults="kill-run=1,2", max_retries=0,
-                     breaker=breaker)
+        live = serve(max_retries=0, breaker=breaker)
         client = live.client()
 
         # Phase 1: both plans crash; the breaker trips OPEN.
-        crashing = client.submit([plan_for("gzip"), plan_for("mesa")])
+        plans = [plan_for("gzip"), plan_for("mesa")]
+        faults.kill(*plans)
+        crashing = client.submit(plans)
         final = client.wait(crashing["job_id"], timeout=30, poll=0.05)
         assert final["state"] == "failed"
         assert client.health()["breaker"] == "open"
@@ -192,10 +188,8 @@ class TestCircuitBreaker:
         (failure,) = report["failures"]
         assert failure["reason"] == "breaker-open"
 
-        # Phase 3: after the cooldown a clean probe closes the breaker
-        # -- same process, no restart.  Chaos is disarmed first so the
-        # probe can succeed.
-        live.service.faults = NULL_SERVICE_FAULTS
+        # Phase 3: after the cooldown a clean probe (its plan is not
+        # armed) closes the breaker -- same process, no restart.
         time.sleep(0.6)
         probe = client.submit([plan_for("bzip2")])
         final = client.wait(probe["job_id"], timeout=30, poll=0.05)
@@ -222,7 +216,7 @@ class TestCircuitBreaker:
         clock[0] = 11.0  # cooled down: the next job is the probe
         cache_dir = tmp_path / "cache"
         hit = plan_for("gzip")
-        ResultCache(cache_dir).store(hit, fake_run(hit), duration=0.01)
+        ResultCache(cache_dir).store(hit, *fake_execute(hit))
         live = serve(cache_dir=cache_dir, breaker=breaker)
         client = live.client()
 
@@ -241,8 +235,9 @@ class TestCircuitBreaker:
 
 class TestConnectionFaults:
     def test_client_disconnect_mid_stream_harms_nobody(
-            self, fake_execute, serve):
-        live = serve(faults="stall-dispatch=0.5")
+            self, faults, serve):
+        faults.slow(0.5)
+        live = serve()
         client = live.client()
         job = client.submit([plan_for("gzip")])
         with socket.create_connection(("127.0.0.1", live.port),
@@ -254,15 +249,26 @@ class TestConnectionFaults:
         assert final["state"] == "done"
         assert client.health()["ok"] is True
 
-    def test_injected_connection_drop_then_recovery(self, fake_execute,
-                                                    serve):
-        live = serve(faults="drop-conn=1")
+    @pytest.mark.parametrize("sent", [
+        b"",
+        b"GET /heal",
+        b"POST /jobs HTTP/1.1\r\nContent-Le",
+        b"POST /jobs HTTP/1.1\r\nContent-Length: 64\r\n\r\n{\"plans\"",
+    ], ids=["no-bytes", "mid-request-line", "mid-headers", "mid-body"])
+    def test_client_vanishing_mid_request_harms_nobody(
+            self, fake_execute, serve, sent):
+        """A client that closes its socket part-way through a request
+        gets no response and costs the server nothing: the next
+        client is answered and a job still runs to completion."""
+        live = serve()
+        with socket.create_connection(("127.0.0.1", live.port),
+                                      timeout=5) as sock:
+            sock.sendall(sent)
         client = live.client()
-        with pytest.raises((ConnectionError, OSError)):
-            client.health()
-        health = client.health()  # connection 2 is served normally
-        assert health["ok"] is True
-        assert health["dropped_conns"] == 1
+        assert client.health()["ok"] is True
+        job = client.submit([plan_for("gzip")])
+        final = client.wait(job["job_id"], timeout=30, poll=0.05)
+        assert final["state"] == "done"
 
 
 class TestRestartResume:
@@ -272,8 +278,7 @@ class TestRestartResume:
         on start; plans already in the cache are not re-executed."""
         cache_dir = tmp_path / "cache"
         plans = (plan_for("gzip"), plan_for("mesa"))
-        ResultCache(cache_dir).store(plans[0], fake_run(plans[0]),
-                                     duration=0.01)
+        ResultCache(cache_dir).store(plans[0], *fake_execute(plans[0]))
         record = JobRecord(job_id=job_id_for(plans), plans=plans,
                            state=QUEUED)
         JobStore(cache_dir / "jobs").save(record)

@@ -115,6 +115,19 @@ class TestValidation:
             client.submit([plan_for("gzip", model="dp@n90:B144:cw2")])
         assert excinfo.value.status == 400
 
+    @pytest.mark.parametrize("name", [
+        "dp@n45:B3:cw2", "dp@n45:B0:cw2", "dp@n45:B144:cw0",
+    ])
+    def test_unbuildable_design_point_is_400(self, fake_execute, serve,
+                                             name):
+        """A link no run can build is refused at admission, not
+        admitted to fail in a worker."""
+        client = serve().client()
+        with pytest.raises(ServiceError) as excinfo:
+            client.submit([plan_for("gzip", model=name)])
+        assert excinfo.value.status == 400
+        assert client.health()["jobs"] == 0
+
     def test_spec_spellings_share_one_job(self, fake_execute, serve):
         client = serve().client()
         plan = plan_for("gzip", model="X", fault_spec="ber=1e-06")
@@ -196,8 +209,9 @@ class TestValidation:
             client._request("PUT", "/jobs/abc123/report")
         assert excinfo.value.status in (404, 405)
 
-    def test_report_before_completion_is_409(self, fake_execute, serve):
-        live = serve(faults="stall-dispatch=0.5")
+    def test_report_before_completion_is_409(self, faults, serve):
+        faults.slow(0.5)
+        live = serve()
         client = live.client()
         job = client.submit([plan_for("gzip")])
         with pytest.raises(ServiceError) as excinfo:
@@ -221,14 +235,15 @@ class TestHealthAndMetrics:
         assert health["breaker"] == "closed"
         assert health["queue_capacity"] == 16
 
-    def test_readyz_reflects_saturation(self, fake_execute, serve):
-        live = serve(queue_capacity=1, faults="stall-dispatch=1.0")
+    def test_readyz_reflects_saturation(self, faults, serve):
+        faults.slow(1.0)
+        live = serve(queue_capacity=1)
         client = live.client()
         ready, _ = client.ready()
         assert ready
         client.submit([plan_for("gzip")])
-        # Queued behind the stalled dispatcher; retried in case the
-        # first job has not been dequeued yet.
+        # Queued behind the slow first job; retried in case it has
+        # not been dequeued yet.
         submit_when_dispatched(client, [plan_for("mesa")])
         ready, payload = client.ready()
         assert not ready
@@ -263,8 +278,9 @@ class TestHealthAndMetrics:
 
 
 class TestCancellation:
-    def test_cancel_queued_job(self, fake_execute, serve):
-        live = serve(faults="stall-dispatch=1.0")
+    def test_cancel_queued_job(self, faults, serve):
+        faults.slow(1.0)
+        live = serve()
         client = live.client()
         blocker = client.submit([plan_for("gzip")])
         victim = submit_when_dispatched(client, [plan_for("mesa")])
@@ -332,8 +348,9 @@ class TestStreaming:
 
 
 class TestBackpressureHTTP:
-    def test_429_carries_retry_after_header(self, fake_execute, serve):
-        live = serve(queue_capacity=1, faults="stall-dispatch=2.0")
+    def test_429_carries_retry_after_header(self, faults, serve):
+        faults.slow(2.0)
+        live = serve(queue_capacity=1)
         client = live.client()
         client.submit([plan_for("gzip")])
         submit_when_dispatched(client, [plan_for("mesa")])
