@@ -40,6 +40,7 @@ from .harness import (
 )
 from .harness.axissweep import DEFAULT_BENCHMARKS, AxisSweepResult
 from .harness.profiling import make_profiler
+from .harness.runner import RETRY_BACKOFF_CAP
 from .wires import table2_rows
 from .workloads.spec2k import BENCHMARK_NAMES, PROFILES
 
@@ -183,8 +184,9 @@ def _add_runner_args(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--max-retries", type=_MAX_RETRIES, default=0, metavar="N",
-        help="retries (with exponential backoff) for crashed or "
-             "timed-out workers before a run is declared failed",
+        help="retries for crashed or timed-out workers before a run "
+             "is declared failed (seeded decorrelated-jitter backoff, "
+             f"capped at {RETRY_BACKOFF_CAP:g}s)",
     )
     parser.add_argument(
         "--no-cache", action="store_true",
@@ -288,8 +290,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "serve",
         help="run the sweep-as-a-service job server (DESIGN.md "
-             "section 12): bounded admission, run retries, circuit "
-             "breaker, resumable jobs",
+             "section 12): bounded admission, run retries, resumable "
+             "jobs",
     )
     p.add_argument("--host", default="127.0.0.1",
                    help="bind address (default: 127.0.0.1)")
@@ -314,22 +316,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-retries", type=_MAX_RETRIES, default=2,
                    metavar="N",
                    help="per-run retries inside a sweep (default: 2)")
-    p.add_argument("--breaker-window", default=20, metavar="N",
-                   type=_ranged("--breaker-window", int,
-                                lambda n: n >= 1, "at least 1"),
-                   help="run outcomes in the breaker's sliding window "
-                        "(default: 20)")
-    p.add_argument("--breaker-threshold", default=0.5,
-                   type=_ranged("--breaker-threshold", float,
-                                lambda f: 0 < f <= 1, "in (0, 1]"),
-                   metavar="FRACTION",
-                   help="crash fraction that trips the breaker into "
-                        "cache-only mode (default: 0.5)")
-    p.add_argument("--breaker-cooldown", default=30.0, metavar="SECONDS",
-                   type=_ranged("--breaker-cooldown", float,
-                                lambda s: s > 0, "positive seconds"),
-                   help="OPEN dwell before a half-open probe "
-                        "(default: 30)")
     p.add_argument("--quiet", action="store_true",
                    help="suppress per-job log lines")
 
@@ -607,16 +593,13 @@ def _cmd_axis_sweep(args: argparse.Namespace,
 def _cmd_serve(args: argparse.Namespace) -> int:
     from pathlib import Path
 
-    from .service import CircuitBreaker, SweepService, run_service
+    from .service import SweepService, run_service
 
     cache_dir = Path(args.cache_dir) if args.cache_dir else None
     service = SweepService(
         cache_dir=cache_dir, host=args.host, port=args.port,
         queue_capacity=args.queue_capacity, workers=args.workers,
         run_timeout=args.run_timeout, max_retries=args.max_retries,
-        breaker=CircuitBreaker(window=args.breaker_window,
-                               threshold=args.breaker_threshold,
-                               cooldown=args.breaker_cooldown),
         verbose=not args.quiet,
     )
     run_service(service)
@@ -636,13 +619,13 @@ def _service_failure(args: argparse.Namespace, exc: Exception,
                      what: str) -> int:
     """Report a sweep-service failure (a ``ServiceError`` or an
     ``OSError``) and return its exit code."""
-    from .service import Backpressure
+    from .service import Backpressure, JobTimeout
 
     if isinstance(exc, Backpressure):
         print(f"rejected: {exc.message} (Retry-After: "
               f"{exc.retry_after}s)", file=sys.stderr)
         return 3
-    if isinstance(exc, OSError):
+    if isinstance(exc, OSError) and not isinstance(exc, JobTimeout):
         print(f"cannot reach {args.host}:{args.port}: {exc} "
               f"(is 'repro serve' running?)", file=sys.stderr)
         return 2
@@ -690,8 +673,6 @@ def _cmd_status(args: argparse.Namespace) -> int:
             return 0 if job["state"] != "failed" else 1
         health = client.health()
         print(f"server {args.host}:{args.port}: "
-              f"breaker {health['breaker']} "
-              f"(crash rate {health['crash_rate']:.0%}), "
               f"queue {health['queue_depth']}/"
               f"{health['queue_capacity']}, "
               f"{health['jobs']} job(s) known")

@@ -412,9 +412,8 @@ class RunFailure:
 
     plan: ExperimentPlan
     #: "timeout" (killed past run_timeout), "crash" (worker died without
-    #: reporting), "error" (the simulator raised), "cancelled" (the
-    #: sweep's cancel event fired) or "breaker-open" (the sweep service
-    #: was degraded to cache-only mode).
+    #: reporting), "error" (the simulator raised) or "cancelled" (the
+    #: sweep's cancel event fired).
     reason: str
     detail: str
     attempts: int

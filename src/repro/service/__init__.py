@@ -4,8 +4,6 @@ DESIGN.md section 12.  The package splits along failure-domain lines:
 
 * :mod:`~repro.service.queue` -- bounded priority admission
   (backpressure, never unbounded memory);
-* :mod:`~repro.service.breaker` -- crash-rate circuit breaker
-  (degrade to cache-only, recover via half-open probe);
 * :mod:`~repro.service.jobs` -- idempotent job identity + durable
   store (restart resume);
 * :mod:`~repro.service.server` -- the asyncio HTTP surface wiring
@@ -14,8 +12,7 @@ DESIGN.md section 12.  The package splits along failure-domain lines:
   (``repro submit`` / ``repro status``).
 """
 
-from .breaker import BreakerState, CircuitBreaker
-from .client import Backpressure, ServiceClient, ServiceError
+from .client import Backpressure, JobTimeout, ServiceClient, ServiceError
 from .jobs import (
     JOB_SCHEMA_VERSION,
     JobRecord,
@@ -28,11 +25,10 @@ from .server import MAX_BODY_BYTES, HttpError, SweepService, run_service
 __all__ = [
     "AdmissionQueue",
     "Backpressure",
-    "BreakerState",
-    "CircuitBreaker",
     "HttpError",
     "JOB_SCHEMA_VERSION",
     "JobRecord",
+    "JobTimeout",
     "JobStore",
     "MAX_BODY_BYTES",
     "QueueFullError",

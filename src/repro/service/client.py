@@ -6,7 +6,9 @@ exceptions:
 
 * :class:`Backpressure` for 429 rejections, carrying the server's
   ``Retry-After`` hint so callers can honour it;
-* :class:`ServiceError` for every other non-2xx response.
+* :class:`ServiceError` for every other non-2xx response;
+* :class:`JobTimeout` when :meth:`ServiceClient.wait` gives up on a
+  job the server is still working on.
 
 :meth:`ServiceClient.wait` polls a job to a terminal state, honouring
 backpressure-free GETs, and :meth:`ServiceClient.submit_and_wait`
@@ -42,6 +44,20 @@ class Backpressure(ServiceError):
     def __init__(self, message: str, retry_after: int) -> None:
         super().__init__(429, message)
         self.retry_after = retry_after
+
+
+class JobTimeout(TimeoutError):
+    """:meth:`ServiceClient.wait` ran out of time; the server answered.
+
+    A ``TimeoutError`` like a socket timeout, but raised only by the
+    wait itself, so callers can tell a slow job from a dead server.
+    """
+
+    def __init__(self, job_id: str, state: str, timeout: float) -> None:
+        super().__init__(f"job {job_id} still {state} after "
+                         f"{timeout:g}s")
+        self.job_id = job_id
+        self.state = state
 
 
 class ServiceClient:
@@ -146,10 +162,7 @@ class ServiceClient:
             if job["state"] in ("done", "failed", "cancelled"):
                 return job
             if time.monotonic() >= deadline:
-                raise TimeoutError(
-                    f"job {job_id} still {job['state']} after "
-                    f"{timeout:g}s"
-                )
+                raise JobTimeout(job_id, job["state"], timeout)
             time.sleep(poll)
 
     def submit_and_wait(self, plans: Sequence[ExperimentPlan],

@@ -116,12 +116,13 @@ class JobRecord:
         record = cls(
             job_id=job_id,
             plans=plans,
-            priority=int(data.get("priority", 0)),
-            attempts=int(data.get("attempts", 0)),
-            state=str(data.get("state", QUEUED)),
+            priority=_typed(data, "priority", int, 0),
+            attempts=_typed(data, "attempts", int, 0),
+            state=_typed(data, "state", str, QUEUED),
             report=report,
-            manifest=str(data.get("manifest", "")),
-            cancel_requested=bool(data.get("cancel_requested", False)),
+            manifest=_typed(data, "manifest", str, ""),
+            cancel_requested=_typed(data, "cancel_requested", bool,
+                                    False),
         )
         if record.job_id != job_id_for(plans):
             raise ValueError(
@@ -145,6 +146,17 @@ class JobRecord:
             "summary": summary,
             "manifest": self.manifest,
         }
+
+
+def _typed(data: Dict[str, object], key: str, kind: type,
+           default: object) -> object:
+    """``data[key]`` if it is exactly a ``kind`` (a bool is no int),
+    ``default`` when absent; anything else is a corrupt record."""
+    value = data.get(key, default)
+    if type(value) is not kind:
+        raise ValueError(f"job record {key} must be {kind.__name__}, "
+                         f"got {value!r}")
+    return value
 
 
 class JobStore:

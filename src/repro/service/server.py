@@ -11,26 +11,23 @@ the robustness layer around them:
   seeded decorrelated-jitter backoff; a plan that exhausts its retries
   lands in the job's :class:`SweepReport` failure manifest and the
   job ends FAILED.
-* **Circuit breaker** -- a crash-rate window trips the service into
-  cache-only (read-through) mode instead of dying; a half-open probe
-  recovers it without a restart.
 * **Idempotent, resumable jobs** -- job ids are digests of the plan
   cache keys; records persist next to the cache, so a restarted
   server (or a reconnecting client resubmitting the same batch) picks
   up exactly where it left off, re-executing only uncached plans.
 
 The HTTP surface is deliberately tiny (stdlib-only HTTP/1.1, one
-request per connection, ``Connection: close``)::
+request per connection, ``Connection: close``, every response one
+JSON body with a ``Content-Length``)::
 
     POST   /jobs               submit a plan batch  -> 202 / 200 / 429
     GET    /jobs               list known jobs
     GET    /jobs/<id>          job status + summary + manifest
     GET    /jobs/<id>/report   full SweepReport JSON (when finished)
-    GET    /jobs/<id>/stream   JSONL status stream until terminal
     DELETE /jobs/<id>          cancel (queued: immediate; running:
                                cooperative via the sweep cancel event)
     GET    /healthz            liveness (always 200 while the loop runs)
-    GET    /readyz             readiness (503 when saturated/breaker open)
+    GET    /readyz             readiness (503 when saturated or stopping)
     GET    /metrics            telemetry counters/gauges snapshot
 """
 
@@ -41,20 +38,17 @@ import json
 import threading
 import time
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from ..core.models import MODEL_NAMES, is_design_point, parse_design_point
 from ..harness.runner import (
     ExperimentPlan,
     ExperimentRunner,
     ResultCache,
-    RunFailure,
     SweepReport,
-    SweepSummary,
 )
 from ..telemetry import NullSink, Telemetry
 from ..workloads.spec2k import BENCHMARK_NAMES
-from .breaker import BreakerState, CircuitBreaker
 from .jobs import (
     CANCELLED,
     DONE,
@@ -69,10 +63,6 @@ from .queue import AdmissionQueue, QueueFullError
 
 #: Request bodies past this size are rejected (bounded memory).
 MAX_BODY_BYTES = 4 * 1024 * 1024
-
-#: Failure reasons the runner retries; the circuit breaker counts them
-#: as worker crashes.
-RETRYABLE_REASONS = ("crash", "timeout")
 
 #: The keys a submission may carry.
 SUBMISSION_KEYS = ("plans", "priority")
@@ -145,14 +135,13 @@ async def _read_request(reader: asyncio.StreamReader
 
 
 class SweepService:
-    """The job server: admission, dispatch, degradation, persistence."""
+    """The job server: admission, dispatch, persistence."""
 
     def __init__(self, cache_dir: Optional[Path] = None,
                  host: str = "127.0.0.1", port: int = 0,
                  queue_capacity: int = 16, workers: int = 2,
                  run_timeout: Optional[float] = 300.0,
                  max_retries: int = 2,
-                 breaker: Optional[CircuitBreaker] = None,
                  verbose: bool = False) -> None:
         self.host = host
         self._requested_port = port
@@ -167,10 +156,6 @@ class SweepService:
         self.store = JobStore(self.cache.directory / "jobs")
         self.queue = AdmissionQueue(queue_capacity,
                                     telemetry=self.telemetry)
-        if breaker is None:
-            breaker = CircuitBreaker()
-        breaker._on_transition = self._breaker_moved
-        self.breaker = breaker
         self._jobs: Dict[str, JobRecord] = {}
         self._cancel_events: Dict[str, threading.Event] = {}
         self._server: Optional[asyncio.AbstractServer] = None
@@ -178,12 +163,7 @@ class SweepService:
         self._stop_event: Optional[asyncio.Event] = None
         self._closing = False
 
-    # -- telemetry -------------------------------------------------------
-
-    def _breaker_moved(self, old: BreakerState, new: BreakerState,
-                       crash_rate: float) -> None:
-        if new is BreakerState.OPEN:
-            self.telemetry.count("service.breaker_opens")
+    # -- logging ---------------------------------------------------------
 
     def _log(self, message: str) -> None:
         if self.verbose:
@@ -289,9 +269,6 @@ class SweepService:
             self.store.save(record)
             self.telemetry.count("service.jobs_cancelled")
             return
-        if not self.breaker.allow_execution():
-            self._finish_cache_only(record)
-            return
         record.state = RUNNING
         record.attempts += 1
         self.store.save(record)
@@ -304,20 +281,7 @@ class SweepService:
         report = await loop.run_in_executor(
             None, self.runner.run_many_report, record.plans, cancel)
         self.queue.observe_service_time(time.perf_counter() - started)
-        self._feed_breaker(report)
         self._finalize(record, report)
-
-    def _feed_breaker(self, report: SweepReport) -> None:
-        # Crashes first: a crashing half-open probe must re-open the
-        # breaker before its clean runs feed the window.
-        crashes = [failure for failure in report.failures
-                   if failure.reason in RETRYABLE_REASONS]
-        for _ in crashes:
-            self.breaker.record(True)
-        for _ in range(report.summary.executed):
-            self.breaker.record(False)
-        if not crashes and not report.summary.executed:
-            self.breaker.abstain()
 
     def _finalize(self, record: JobRecord, report: SweepReport) -> None:
         record.report = report.to_json()
@@ -340,39 +304,6 @@ class SweepService:
         self._log(f"job {record.job_id} -> {record.state}"
                   + (f" ({record.manifest.splitlines()[0]})"
                      if record.manifest else ""))
-
-    def _finish_cache_only(self, record: JobRecord) -> None:
-        """Degraded read-through: serve cache hits, manifest the rest."""
-        unique: List[ExperimentPlan] = list(dict.fromkeys(record.plans))
-        results: Dict[ExperimentPlan, object] = {}
-        failures = []
-        for plan in unique:
-            run = self.cache.load(plan)
-            if run is not None:
-                results[plan] = run
-            else:
-                failures.append(RunFailure(
-                    plan=plan, reason="breaker-open",
-                    detail="circuit breaker open: worker execution "
-                           "disabled, serving cached results only",
-                    attempts=0,
-                ))
-        summary = SweepSummary(
-            requested=len(record.plans), unique=len(unique),
-            executed=0, cache_hits=len(results),
-            total_duration=0.0, max_duration=0.0,
-            failed=len(failures),
-        )
-        report = SweepReport(results=results, failures=tuple(failures),
-                             summary=summary)
-        record.report = report.to_json()
-        record.manifest = report.manifest()
-        record.state = DONE if not failures else FAILED
-        if failures:
-            self.telemetry.count("service.jobs_degraded")
-        self.store.save(record)
-        self._log(f"job {record.job_id} served cache-only "
-                  f"({len(results)} hit(s), {len(failures)} refused)")
 
     # -- admission -------------------------------------------------------
 
@@ -468,8 +399,6 @@ class SweepService:
     def health_json(self) -> Dict[str, object]:
         return {
             "ok": True,
-            "breaker": self.breaker.state.value,
-            "crash_rate": round(self.breaker.crash_rate(), 3),
             "queue_depth": self.queue.depth,
             "queue_capacity": self.queue.capacity,
             "jobs": len(self._jobs),
@@ -481,8 +410,6 @@ class SweepService:
             reasons.append("shutting down")
         if self.queue.depth >= self.queue.capacity:
             reasons.append("admission queue full")
-        if self.breaker.state is BreakerState.OPEN:
-            reasons.append("circuit breaker open (cache-only mode)")
         return not reasons, {"ready": not reasons, "reasons": reasons}
 
     # -- HTTP ------------------------------------------------------------
@@ -547,9 +474,6 @@ class SweepService:
                 record = self._record_for(job_id)
                 if record is None:
                     raise HttpError(404, f"no such job {job_id!r}")
-                if sub == "stream" and method == "GET":
-                    await self._stream_job(record, writer)
-                    return
                 if sub == "report" and method == "GET":
                     if record.report is None:
                         raise HttpError(
@@ -581,29 +505,6 @@ class SweepService:
             headers = exc.headers
         writer.write(_encode_response(status, response, headers))
         await writer.drain()
-
-    async def _stream_job(self, record: JobRecord,
-                          writer: asyncio.StreamWriter) -> None:
-        """JSONL status snapshots until the job is terminal.
-
-        No Content-Length: the stream ends when the connection
-        closes.  A client that disconnects mid-stream just ends the
-        loop via the write failing -- the job itself is unaffected.
-        """
-        writer.write(b"HTTP/1.1 200 OK\r\n"
-                     b"Content-Type: application/x-ndjson\r\n"
-                     b"Connection: close\r\n\r\n")
-        while True:
-            snapshot = json.dumps(record.public_json(),
-                                  sort_keys=True).encode()
-            writer.write(snapshot + b"\n")
-            await writer.drain()
-            if record.terminal or self._closing:
-                return
-            await asyncio.sleep(0.1)
-            refreshed = self._jobs.get(record.job_id)
-            if refreshed is not None:
-                record = refreshed
 
 
 def run_service(service: SweepService) -> None:

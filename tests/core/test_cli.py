@@ -151,8 +151,8 @@ class TestArgumentValidation:
           "--instructions", "100", "--warmup", "10"],
          "invalid choice: 'nope'"),
         (["explore", "--fraction", "2"], "strictly between 0 and 1"),
-        (["serve", "--breaker-threshold", "7"], "must be in (0, 1]"),
-        (["serve", "--breaker-threshold", "half"], "expects a number"),
+        (["serve", "--queue-capacity", "0"], "must be at least 1"),
+        (["serve", "--queue-capacity", "many"], "expects a whole number"),
     ])
     def test_rejects_plan_numbers_no_run_can_use(self, argv, message,
                                                  capsys):
@@ -191,6 +191,11 @@ class TestArgumentValidation:
         ["submit", "--retry-budget", "1"],
         # Worker faults are armed by the tests, not by the server.
         ["serve", "--service-faults", "kill-run=1"],
+        # A crashed plan is retried by the runner and then manifested;
+        # the server has no second crash policy.
+        ["serve", "--breaker-window", "5"],
+        ["serve", "--breaker-threshold", "0.5"],
+        ["serve", "--breaker-cooldown", "30"],
     ])
     def test_rejects_flags_nothing_reads(self, argv, capsys):
         err = self._error_of(argv, capsys)
@@ -200,15 +205,15 @@ class TestArgumentValidation:
         ["table3", "--workers", "0"],
         ["serve", "--workers", "0"],
         ["serve", "--queue-capacity", "0"],
-        ["serve", "--breaker-window", "0"],
+        ["explore", "--workers", "0"],
         ["run", "--run-timeout", "0"],
         ["serve", "--run-timeout", "-1"],
-        ["serve", "--breaker-cooldown", "0"],
+        ["explore", "--run-timeout", "0"],
         ["submit", "--timeout", "0"],
         ["explore", "--timeout", "-5"],
         ["run", "--max-retries", "-1"],
         ["serve", "--max-retries", "-1"],
-        ["serve", "--breaker-threshold", "0"],
+        ["explore", "--max-retries", "-1"],
         ["explore", "--fraction", "1"],
         ["serve", "--port", "70000"],
         ["submit", "--port", "65536"],

@@ -23,7 +23,7 @@ from typing import List, Tuple
 import pytest
 
 from repro.core.metrics import BenchmarkRun
-from repro.harness.runner import ExperimentRunner, ResultCache
+from repro.harness.runner import ExperimentRunner
 from repro.service import ServiceClient, SweepService
 from repro.service.jobs import JobStore
 
@@ -70,11 +70,6 @@ ACCEPTED = {
     # connections: nothing is waiting on the loop yet, and doing it
     # synchronously keeps the resume/accept ordering trivially correct.
     JobStore.scan.__code__: "JobStore.scan",
-    # The breaker's cache-only fast path reads one small result file
-    # (and quarantines a corrupt one, where stalling the loop briefly
-    # beats serving the corrupt result); jobs that miss the cache go
-    # through the executor.
-    ResultCache.load.__code__: "ResultCache.load",
 }
 
 

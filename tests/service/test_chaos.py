@@ -5,13 +5,13 @@ over real sockets and real (crash-isolated) worker processes:
 
 * injected worker kills and wedges never corrupt the cache and never
   lose a job -- retries converge, manifests stay truthful;
+* a crash burst fails its own job and nothing else: the next job
+  launches workers and the server stays ready;
 * the admission queue stays bounded under saturation (429 +
   Retry-After, no per-rejection state);
-* the circuit breaker trips to cache-only mode and recovers via a
-  half-open probe *without a restart*;
-* a client disconnecting mid-request or mid-stream harms nobody;
+* a client disconnecting mid-request harms nobody;
 * a restarted server resumes persisted jobs, re-executing only
-  uncached plans.
+  uncached plans, and skips a corrupt record.
 """
 
 import json
@@ -21,12 +21,7 @@ import time
 import pytest
 
 from repro.harness.runner import ExperimentPlan, ResultCache
-from repro.service import (
-    Backpressure,
-    CircuitBreaker,
-    JobStore,
-    job_id_for,
-)
+from repro.service import Backpressure, JobStore, job_id_for
 from repro.service.jobs import QUEUED, RUNNING, JobRecord
 
 
@@ -160,95 +155,41 @@ class TestQueueSaturation:
         assert final["state"] == "done"
 
 
-class TestCircuitBreaker:
-    def test_trips_to_cache_only_and_recovers_without_restart(
+class TestCrashBurst:
+    def test_crash_burst_fails_its_job_and_the_next_job_executes(
             self, faults, serve, tmp_path):
-        breaker = CircuitBreaker(window=4, threshold=0.5,
-                                 min_samples=2, cooldown=0.5)
-        live = serve(max_retries=0, breaker=breaker)
+        """Every plan of a job crashes with no retries left: the job
+        ends FAILED with one ``crash`` per plan, the server stays
+        ready, the next job's clean plan runs in a worker, and a
+        resubmission re-executes the plans that are not cached."""
+        live = serve(max_retries=0)
         client = live.client()
-
-        # Phase 1: both plans crash; the breaker trips OPEN.
-        plans = [plan_for("gzip"), plan_for("mesa")]
+        plans = [plan_for(name)
+                 for name in ("gzip", "mesa", "art", "bzip2")]
         faults.kill(*plans)
         crashing = client.submit(plans)
         final = client.wait(crashing["job_id"], timeout=30, poll=0.05)
         assert final["state"] == "failed"
-        assert client.health()["breaker"] == "open"
-        ready, _ = client.ready()
-        assert not ready
+        report = client.report(crashing["job_id"])
+        assert [failure["reason"] for failure in report["failures"]] \
+            == ["crash"] * 4
+        assert report["results"] == []
 
-        # Phase 2: degraded mode -- no workers launch; cache misses
-        # land in the manifest as breaker-open, instantly.
-        degraded = client.submit([plan_for("art")])
-        final = client.wait(degraded["job_id"], timeout=30, poll=0.05)
-        assert final["state"] == "failed"
-        assert final["attempts"] == 0  # nothing executed
-        report = client.report(degraded["job_id"])
-        (failure,) = report["failures"]
-        assert failure["reason"] == "breaker-open"
-
-        # Phase 3: after the cooldown a clean probe (its plan is not
-        # armed) closes the breaker -- same process, no restart.
-        time.sleep(0.6)
-        probe = client.submit([plan_for("bzip2")])
-        final = client.wait(probe["job_id"], timeout=30, poll=0.05)
-        assert final["state"] == "done"
-        assert client.health()["breaker"] == "closed"
-        assert live.service.breaker.transitions == [
-            ("closed", "open"),
-            ("open", "half-open"),
-            ("half-open", "closed"),
-        ]
-        metrics = client.metrics()
-        assert metrics["service.breaker_opens"] == 1
-
-    def test_all_cache_hit_probe_does_not_wedge_the_breaker(
-            self, fake_execute, serve, tmp_path):
-        """A half-open probe that executes nothing hands the probe
-        slot on: the next job with misses launches workers again."""
-        clock = [0.0]
-        breaker = CircuitBreaker(window=4, threshold=0.5,
-                                 min_samples=2, cooldown=10.0,
-                                 clock=lambda: clock[0])
-        breaker.record(True)
-        breaker.record(True)
-        clock[0] = 11.0  # cooled down: the next job is the probe
-        cache_dir = tmp_path / "cache"
-        hit = plan_for("gzip")
-        ResultCache(cache_dir).store(hit, *fake_execute(hit))
-        live = serve(cache_dir=cache_dir, breaker=breaker)
-        client = live.client()
-
-        probe = client.submit([hit])
-        final = client.wait(probe["job_id"], timeout=30, poll=0.05)
-        assert final["state"] == "done"
-        assert final["summary"]["executed"] == 0
-        assert client.health()["breaker"] == "half-open"
-
-        miss = client.submit([plan_for("mesa")])
-        final = client.wait(miss["job_id"], timeout=30, poll=0.05)
+        clean = client.submit([plan_for("gcc")])
+        final = client.wait(clean["job_id"], timeout=30, poll=0.05)
         assert final["state"] == "done"
         assert final["summary"]["executed"] == 1
-        assert client.health()["breaker"] == "closed"
+        ready, payload = client.ready()
+        assert ready, payload
+
+        again = client.submit(plans)  # the kills fired once; now clean
+        final = client.wait(again["job_id"], timeout=30, poll=0.05)
+        assert final["state"] == "done"
+        assert final["summary"]["executed"] == 4
+        assert_cache_intact(tmp_path / "cache", plans)
 
 
 class TestConnectionFaults:
-    def test_client_disconnect_mid_stream_harms_nobody(
-            self, faults, serve):
-        faults.slow(0.5)
-        live = serve()
-        client = live.client()
-        job = client.submit([plan_for("gzip")])
-        with socket.create_connection(("127.0.0.1", live.port),
-                                      timeout=5) as sock:
-            sock.sendall(f"GET /jobs/{job['job_id']}/stream "
-                         f"HTTP/1.1\r\n\r\n".encode())
-            sock.recv(256)  # read a little, then vanish mid-stream
-        final = client.wait(job["job_id"], timeout=30, poll=0.05)
-        assert final["state"] == "done"
-        assert client.health()["ok"] is True
-
     @pytest.mark.parametrize("sent", [
         b"",
         b"GET /heal",
@@ -321,6 +262,28 @@ class TestRestartResume:
         final = live.client().wait(job_id, timeout=30, poll=0.05)
         assert final["state"] == "done"
         assert final["summary"]["executed"] == 1
+
+    def test_mistyped_record_is_skipped_and_the_rest_resume(
+            self, fake_execute, serve, tmp_path):
+        """One record with a field of the wrong type is treated as
+        absent; the service still starts and resumes its other QUEUED
+        job."""
+        cache_dir = tmp_path / "cache"
+        store = JobStore(cache_dir / "jobs")
+        good = JobRecord(job_id=job_id_for((plan_for("gzip"),)),
+                         plans=(plan_for("gzip"),), state=QUEUED)
+        store.save(good)
+        bad_plans = (plan_for("mesa"),)
+        bad = JobRecord(job_id=job_id_for(bad_plans), plans=bad_plans,
+                        state=QUEUED).to_json()
+        bad["priority"] = None
+        (store.directory / f"{bad['job_id']}.json").write_text(
+            json.dumps(bad))
+
+        live = serve(cache_dir=cache_dir)
+        final = live.client().wait(good.job_id, timeout=30, poll=0.05)
+        assert final["state"] == "done"
+        assert live.client().health()["jobs"] == 1
 
     def test_running_records_resume_too(self, fake_execute, serve,
                                         tmp_path):

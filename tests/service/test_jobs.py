@@ -67,12 +67,29 @@ class TestRecordRoundTrip:
         lambda d: d.update(job_id=""),
         lambda d: d.update(report="not-a-dict"),
         lambda d: d.update(state="exploded"),
+        # A field of the wrong JSON type is refused, never coerced.
+        lambda d: d.update(priority=None),
+        lambda d: d.update(priority="7"),
+        lambda d: d.update(priority=True),
+        lambda d: d.update(attempts=[1]),
+        lambda d: d.update(attempts=1.0),
+        lambda d: d.update(state=3),
+        lambda d: d.update(manifest=None),
+        lambda d: d.update(cancel_requested="no"),
+        lambda d: d.update(cancel_requested=0),
     ])
-    def test_malformed_records_are_refused(self, mutate):
+    def test_malformed_records_are_refused(self, mutate, tmp_path):
+        """Refused by the parser, and so absent from the store: a
+        corrupt record never raises out of ``load`` or ``scan``."""
         data = make_record().to_json()
         mutate(data)
         with pytest.raises(ValueError):
             JobRecord.from_json(data)
+        store = JobStore(tmp_path / "jobs")
+        store.directory.mkdir(parents=True)
+        (store.directory / "corrupt.json").write_text(json.dumps(data))
+        assert store.load("corrupt") is None
+        assert store.scan() == []
 
     def test_public_json_carries_summary_not_plans(self):
         record = make_record("gzip", state=DONE)

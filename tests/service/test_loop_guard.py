@@ -7,6 +7,7 @@ loop, and its accepted set still names live code.
 """
 
 import asyncio
+import sys
 import time
 
 from repro.harness.runner import ExperimentPlan
@@ -49,3 +50,10 @@ def test_submit_round_trip_exercises_the_accepted_set(
                 for frame in call.frames)
     ]
     assert admit_saves
+
+
+def test_only_job_records_are_accepted_on_the_loop(loop_guard):
+    """The loop reads and writes job records and nothing else."""
+    accepted = sys.modules[type(loop_guard).__module__].ACCEPTED
+    assert sorted(accepted.values()) == [
+        "JobStore.load", "JobStore.save", "JobStore.scan"]
