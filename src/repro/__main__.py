@@ -411,13 +411,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--host", default="127.0.0.1")
     p.add_argument("--port", type=_PORT, default=8642)
 
-    # "lint" is dispatched before parsing (its arguments belong to the
-    # simlint parser); registered here so it shows up in --help.
-    sub.add_parser(
-        "lint",
-        help="simlint: simulator-invariant static analysis "
-             "(see 'repro lint --list-rules')",
-    )
     return parser
 
 
@@ -745,15 +738,6 @@ def _cmd_explore(args: argparse.Namespace) -> int:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
-    if argv and argv[0] == "lint":
-        # The linter owns its argument surface (paths, --format,
-        # --baseline, ...); forward everything after "lint" verbatim
-        # instead of teaching argparse to ignore it.
-        from .analysis.simlint import main as simlint_main
-
-        return simlint_main(list(argv[1:]))
     args = build_parser().parse_args(argv)
     command = args.command
     listings = {"models": _cmd_models, "benchmarks": _cmd_benchmarks,

@@ -73,9 +73,9 @@ from .backoff import DecorrelatedJitter
 from .profiling import NULL_PROFILER, HarnessProfiler
 from .workers import Worker, wait_any
 
-#: Top-level ``repro`` entries no simulation imports: the analyzer, the
-#: sweep service, the explorer and the CLI.
-_UNKEYED_SOURCES = ("analysis", "service", "explore", "__main__.py")
+#: Top-level ``repro`` entries no simulation imports: the sweep
+#: service, the explorer and the CLI.
+_UNKEYED_SOURCES = ("service", "explore", "__main__.py")
 
 #: Digest of the source of every other ``repro`` module, taken once per
 #: process.  It leads every cache key, so any edit to the simulator
@@ -741,7 +741,7 @@ class ExperimentRunner:
                     # the worker-pool contract -- an erroring plan
                     # becomes a RunFailure in the sweep manifest, it
                     # must not abort the remaining plans.
-                    except Exception as exc:  # simlint: disable=SIM302
+                    except Exception as exc:
                         outcomes[plan] = RunFailure(
                             plan=plan, reason="error",
                             detail=f"{type(exc).__name__}: {exc}",

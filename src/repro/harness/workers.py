@@ -49,7 +49,7 @@ def worker_loop(conn, execute: Callable) -> None:
             # failure (simulator bug, MemoryError, KeyboardInterrupt)
             # into a structured ("error", ...) message so one bad run
             # cannot kill the sweep; the parent decides retry-vs-manifest.
-            except BaseException as exc:  # simlint: disable=SIM302
+            except BaseException as exc:
                 payload = ("error", type(exc).__name__, str(exc))
             conn.send(payload)
     except EOFError:

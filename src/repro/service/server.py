@@ -437,7 +437,7 @@ class SweepService:
             pass
         # Robustness boundary: a bug in one request handler must
         # become a 500 for that client, never kill the accept loop.
-        except Exception as exc:  # simlint: disable=SIM302
+        except Exception as exc:
             try:
                 writer.write(_encode_response(
                     500, {"error": f"{type(exc).__name__}: {exc}"}))

@@ -209,8 +209,8 @@ class TestValidation:
 
 def test_repro_needs_no_numpy():
     # The package has no runtime dependency.  Static leg: no module
-    # imports numpy (simlint resolves names only through a module's
-    # import statements, so this covers every numpy call it could see).
+    # imports numpy (a numpy call needs one of these import statements;
+    # tests/test_code_hazards.py reads the source the same way).
     for path in sorted(Path(SRC, "repro").rglob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
         for node in ast.walk(tree):

@@ -111,7 +111,7 @@ def test_simulator_edit_changes_every_key(package_copy):
 
 
 def test_edits_outside_the_simulator_keep_every_key(package_copy):
-    for rel in ("analysis/engine.py", "service/server.py",
+    for rel in ("explore/pareto.py", "service/server.py",
                 "explore/space.py", "__main__.py"):
         _append_comment(package_copy, rel)
     edited = _keys_of(package_copy)

@@ -23,13 +23,6 @@ class TestVersionFlags:
         out = capsys.readouterr().out
         assert out.strip() == f"repro {package_version()}"
 
-    def test_lint_version(self, capsys):
-        with pytest.raises(SystemExit) as excinfo:
-            main(["lint", "--version"])
-        assert excinfo.value.code == 0
-        out = capsys.readouterr().out
-        assert out.strip() == f"repro lint {package_version()}"
-
     def test_version_matches_pyproject(self):
         version = package_version()
         assert version

@@ -137,10 +137,11 @@ class TestUtilizationReport:
         assert net.power.leakage_energy(0) == 0.0
 
     def test_tie_order_independent_of_traffic_order(self):
-        # Regression (simlint SIM104): equal-utilization rows used to
-        # tie-break by dict insertion order, i.e. by which channel saw
-        # traffic first.  Two mirrored networks whose only difference
-        # is submission order must render identical reports.
+        # Regression (tests/test_code_hazards.py's SIM104 check):
+        # equal-utilization rows used to tie-break by dict insertion
+        # order, i.e. by which channel saw traffic first.  Two mirrored
+        # networks whose only difference is submission order must
+        # render identical reports.
         first = make_network()
         drive(first, [("c0", "c1", 0), ("c3", "c2", 0)])
         second = make_network()
