@@ -12,6 +12,8 @@ from repro.core.processor import ClusteredProcessor
 from repro.harness import render_table
 from repro.workloads import TraceGenerator, WorkloadProfile
 
+INSTRUCTIONS, WARMUP = 4000, 1200
+
 #: A pointer-chasing, branchy "database-like" workload.
 DATABASE = WorkloadProfile(
     name="dbwalk",
@@ -41,7 +43,7 @@ def run(profile: WorkloadProfile, clusters: int, model_name: str) -> float:
         gen.stream_forever(),
     )
     cpu.prewarm(gen.data_footprint())
-    stats = cpu.run(4000, warmup=1200)
+    stats = cpu.run(INSTRUCTIONS, warmup=WARMUP)
     return stats.ipc
 
 

@@ -17,10 +17,14 @@ from repro.interconnect.selection import PolicyFlags
 from repro.operands import FrequentValueTable, frequent_value_coverage
 from repro.workloads import TraceGenerator, profile
 
+#: Trace records of the offline locality study; timed window and warmup.
+STREAM = 20000
+INSTRUCTIONS, WARMUP = 5000, 1500
+
 
 def offline(bench: str):
     gen = TraceGenerator(profile(bench), seed=42)
-    wide = [rec.value for rec in gen.stream(20000)
+    wide = [rec.value for rec in gen.stream(STREAM)
             if rec.writes_int_register and rec.value_width > 10]
     table = FrequentValueTable()
     hits = 0
@@ -52,7 +56,7 @@ def main() -> None:
         icfg = InterconnectConfig(wires=wire_counts(B=144, L=36),
                                   flags=flags)
         cpu = build_processor(icfg, "gzip")
-        stats = cpu.run(5000, warmup=1500)
+        stats = cpu.run(INSTRUCTIONS, warmup=WARMUP)
         fv = cpu.network.selector.fv_transfers
         print(f"  {label:26s} IPC {stats.ipc:.3f}   "
               f"fv transfers {fv}")

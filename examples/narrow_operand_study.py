@@ -15,6 +15,8 @@ from repro.workloads import TraceGenerator, profile
 
 INSTRUCTIONS = 5000
 WARMUP = 1500
+#: Trace records the offline width-predictor study walks.
+STREAM = 30000
 
 
 def offline_predictor_study(benchmark: str) -> tuple:
@@ -22,7 +24,7 @@ def offline_predictor_study(benchmark: str) -> tuple:
     gen = TraceGenerator(profile(benchmark), seed=42)
     predictor = NarrowWidthPredictor()
     narrow = total = 0
-    for rec in gen.stream(30000):
+    for rec in gen.stream(STREAM):
         if rec.writes_int_register:
             total += 1
             narrow += rec.is_narrow

@@ -11,10 +11,12 @@ from repro import model
 from repro.core.simulation import build_processor
 from repro.harness import render_table
 
+INSTRUCTIONS, WARMUP = 5000, 1500
+
 
 def report_for(model_name: str, benchmark: str = "gzip"):
     cpu = build_processor(model(model_name).config, benchmark)
-    stats = cpu.run(5000, warmup=1500)
+    stats = cpu.run(INSTRUCTIONS, warmup=WARMUP)
     return cpu, stats
 
 

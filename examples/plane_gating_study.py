@@ -10,17 +10,19 @@ Run:  python examples/plane_gating_study.py
 
 from repro.core.models import model
 from repro.core.simulation import build_processor, simulate_benchmark
+from repro.power import GatingPolicy
 from repro.telemetry import EventKind, RingBufferSink, Telemetry
 
 MODEL = "X"           # 144 B + 288 PW + 36 L: three gateable-ish planes
 BENCHMARK = "gzip"
 INSTRUCTIONS, WARMUP = 4000, 1000
 
+AGGRESSIVE = GatingPolicy.parse("idle:drowsy=32,gate=128")
 POLICIES = (
     ("always-on", None),
-    ("drowsy late", "idle:drowsy=128,gate=512"),
-    ("drowsy early", "idle:drowsy=32,gate=128"),
-    ("ewma", "ewma:halflife=64,thr=0.5"),
+    ("drowsy late", GatingPolicy.parse("idle:drowsy=128,gate=512")),
+    ("drowsy early", AGGRESSIVE),
+    ("ewma", GatingPolicy.parse("ewma:halflife=64,thr=0.5")),
 )
 
 
@@ -49,9 +51,8 @@ def main() -> None:
     # Per-plane residency under the aggressive policy: B (the bulk
     # plane) must stay active; PW and L cycle through drowsy/gated.
     print()
-    print("per-plane power-state residency (idle:drowsy=32,gate=128):")
-    cpu = build_processor(config, BENCHMARK,
-                          gating="idle:drowsy=32,gate=128")
+    print(f"per-plane power-state residency ({AGGRESSIVE.canonical()}):")
+    cpu = build_processor(config, BENCHMARK, gating=AGGRESSIVE)
     stats = cpu.run(INSTRUCTIONS, warmup=WARMUP)
     for row in cpu.network.power.power_report(stats.cycles):
         total = max(stats.cycles, 1)
@@ -67,8 +68,7 @@ def main() -> None:
     telemetry = Telemetry(enabled=True,
                           sink=RingBufferSink(capacity=None))
     simulate_benchmark(config, BENCHMARK, instructions=INSTRUCTIONS,
-                       warmup=WARMUP, gating="idle:drowsy=32,gate=128",
-                       telemetry=telemetry)
+                       warmup=WARMUP, gating=AGGRESSIVE, telemetry=telemetry)
     events = [e for e in telemetry.events()
               if e.kind in (EventKind.PLANE_GATED,
                             EventKind.PLANE_WOKEN)]

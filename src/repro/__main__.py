@@ -40,7 +40,6 @@ from .harness import (
 )
 from .harness.axissweep import DEFAULT_BENCHMARKS, AxisSweepResult
 from .harness.profiling import make_profiler
-from .harness.runner import RETRY_BACKOFF_CAP
 from .wires import table2_rows
 from .workloads.spec2k import BENCHMARK_NAMES, PROFILES
 
@@ -184,9 +183,8 @@ def _add_runner_args(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--max-retries", type=_MAX_RETRIES, default=0, metavar="N",
-        help="retries for crashed or timed-out workers before a run "
-             "is declared failed (seeded decorrelated-jitter backoff, "
-             f"capped at {RETRY_BACKOFF_CAP:g}s)",
+        help="immediate retries for crashed or timed-out workers "
+             "before a run is declared failed",
     )
     parser.add_argument(
         "--no-cache", action="store_true",

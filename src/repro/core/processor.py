@@ -47,6 +47,7 @@ from ..memory.lsq import LoadStoreQueue
 from ..memory.pipeline import CachePipeline
 from ..operands.frequent import FrequentValueTable
 from ..operands.narrow import NarrowWidthPredictor
+from ..power import GatingPolicy
 from ..telemetry import NULL_TELEMETRY, EventKind, Telemetry, event_names
 from ..wires import WireClass
 from ..workloads.annotate import AnnotatedTrace
@@ -106,7 +107,7 @@ class ClusteredProcessor:
                  trace: Union[AnnotatedTrace, Iterable[InstructionRecord]],
                  faults: Optional["FaultInjector"] = None,
                  telemetry: Optional[Telemetry] = None,
-                 gating=None) -> None:
+                 gating: Optional[GatingPolicy] = None) -> None:
         if not isinstance(trace, AnnotatedTrace):
             trace = AnnotatedTrace(
                 trace, (config.icache_size_kb, config.icache_assoc))

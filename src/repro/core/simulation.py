@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 import os
-from typing import Optional, Union
+from typing import Optional
 
 from ..faults import FaultInjector, FaultSpec
 from ..interconnect.stats import leakage_energy
+from ..power import GatingPolicy
 from ..telemetry import EventKind, Telemetry, event_names
 from ..wires import CANONICAL_SPECS
 from ..workloads.annotate import annotated_trace
@@ -35,8 +36,6 @@ DEFAULT_INSTRUCTIONS = _window_from_env("REPRO_INSTRUCTIONS", 12000,
                                         "instructions", 1)
 DEFAULT_WARMUP = _window_from_env("REPRO_WARMUP", 3000, "warmup", 0)
 DEFAULT_SEED = 42
-
-FaultSpecLike = Union[str, FaultSpec, None]
 
 #: Attribute names of the ``run_start`` and ``run_end`` events.
 _START_ATTRS = event_names("benchmark", "instructions", "seed", "warmup")
@@ -94,41 +93,29 @@ def check_accounting(interconnect: InterconnectConfig, network,
         )
 
 
-def _build_injector(fault_spec: FaultSpecLike, seed: int,
-                    telemetry: Optional[Telemetry] = None
-                    ) -> Optional[FaultInjector]:
-    """An injector for a spec (string or object), or None when null."""
-    if fault_spec is None:
-        return None
-    spec = (FaultSpec.parse(fault_spec)
-            if isinstance(fault_spec, str) else fault_spec)
-    if spec.is_null:
-        return None
-    return FaultInjector(spec, seed=seed, telemetry=telemetry)
-
-
 def build_processor(interconnect: InterconnectConfig, benchmark: str,
                     num_clusters: int = 4,
                     seed: int = DEFAULT_SEED,
                     latency_scale: float = 1.0,
-                    fault_spec: FaultSpecLike = None,
+                    fault_spec: Optional[FaultSpec] = None,
                     telemetry: Optional[Telemetry] = None,
-                    gating: Optional[str] = None
+                    gating: Optional[GatingPolicy] = None
                     ) -> ClusteredProcessor:
     """A processor wired to one synthetic SPEC2k benchmark.
 
     ``num_clusters`` and ``latency_scale`` size the machine; every other
-    core parameter is Table 1's (:class:`ProcessorConfig`).
+    core parameter is Table 1's (:class:`ProcessorConfig`).  A null
+    ``fault_spec`` builds no injector.
     """
     config = ProcessorConfig(num_clusters=num_clusters,
                              latency_scale=latency_scale)
     trace = annotated_trace(benchmark, seed, config.icache_size_kb,
                             config.icache_assoc)
-    cpu = ClusteredProcessor(
-        config, interconnect, trace,
-        faults=_build_injector(fault_spec, seed, telemetry),
-        telemetry=telemetry, gating=gating,
-    )
+    faults = None
+    if fault_spec is not None and not fault_spec.is_null:
+        faults = FaultInjector(fault_spec, seed=seed, telemetry=telemetry)
+    cpu = ClusteredProcessor(config, interconnect, trace, faults=faults,
+                             telemetry=telemetry, gating=gating)
     cpu.prewarm()
     return cpu
 
@@ -139,18 +126,18 @@ def simulate_benchmark(interconnect: InterconnectConfig, benchmark: str,
                        num_clusters: int = 4,
                        seed: int = DEFAULT_SEED,
                        latency_scale: float = 1.0,
-                       fault_spec: FaultSpecLike = None,
+                       fault_spec: Optional[FaultSpec] = None,
                        telemetry: Optional[Telemetry] = None,
-                       gating: Optional[str] = None
+                       gating: Optional[GatingPolicy] = None
                        ) -> BenchmarkRun:
     """Run one benchmark under one interconnect; returns measured numbers.
 
-    ``fault_spec`` (a :class:`FaultSpec` or its string form) injects
-    wire-plane faults; the run is still fully deterministic for a fixed
-    seed, and the degradation counters land in the run's extra stats.
+    ``fault_spec`` (a :class:`FaultSpec`) injects wire-plane faults;
+    the run is still fully deterministic for a fixed seed, and the
+    degradation counters land in the run's extra stats.
     ``telemetry`` observes the run (events + metrics) without changing
     any reproduced number -- traced and untraced runs are bit-identical.
-    ``gating`` (a gating-policy string, see :mod:`repro.power`) enables
+    ``gating`` (a :class:`GatingPolicy`, see :mod:`repro.power`) enables
     dynamic plane power management; its counters join the extras and
     the leakage figure becomes state-weighted.  Every run ends with
     :func:`check_accounting`, which raises :class:`AccountingError` if

@@ -10,7 +10,7 @@ machinery to inject them.  Degraded-mode routing itself lives in
 """
 
 from .injector import FaultInjector
-from .spec import NULL_FAULTS, FaultSpec, FaultSpecError, PlaneKill, canonical_faults
+from .spec import NULL_FAULTS, FaultSpec, FaultSpecError, PlaneKill
 
 __all__ = [
     "NULL_FAULTS",
@@ -18,5 +18,4 @@ __all__ = [
     "FaultSpecError",
     "PlaneKill",
     "FaultInjector",
-    "canonical_faults",
 ]

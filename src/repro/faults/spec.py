@@ -239,9 +239,3 @@ def _parse_retries(value: str) -> int:
 
 #: The no-fault spec, for callers that want an explicit default.
 NULL_FAULTS = FaultSpec()
-
-
-def canonical_faults(text: str) -> str:
-    """The canonical spelling of a fault-spec string ("" = healthy
-    wires); raises :class:`FaultSpecError`."""
-    return FaultSpec.parse(text).canonical()

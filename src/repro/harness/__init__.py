@@ -16,7 +16,6 @@ from .formatting import (
     render_table,
     shape_check,
 )
-from .backoff import DecorrelatedJitter, backoff_seed, jitter_delays
 from .paperdata import PAPER_CLAIMS, PAPER_TABLE3, PAPER_TABLE4
 from .profiling import NULL_PROFILER, HarnessProfiler
 from .runner import (
@@ -40,9 +39,6 @@ __all__ = [
     "HarnessProfiler",
     "CACHE_VERSION",
     "REPORT_SCHEMA_VERSION",
-    "DecorrelatedJitter",
-    "backoff_seed",
-    "jitter_delays",
     "ExperimentPlan",
     "ExperimentRunner",
     "ResultCache",

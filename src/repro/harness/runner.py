@@ -24,10 +24,10 @@ Simulations are deterministic for a fixed plan (seeded workload
 generation, no wall-clock coupling), so serial and parallel sweeps are
 bit-identical; ``tests/harness/test_parallel.py`` enforces this.  A
 worker that crashes or wedges past ``run_timeout`` is replaced, and
-only its in-flight plan is retried with seeded decorrelated-jitter
-backoff up to ``max_retries`` times; a plan that raises is not
-retried.  Whatever still fails lands in a structured failure manifest
-(:class:`SweepReport`) next to every completed result.
+only its in-flight plan is retried, at once, up to ``max_retries``
+times; a plan that raises is not retried.  Whatever still fails lands
+in a structured failure manifest (:class:`SweepReport`) next to every
+completed result.
 """
 
 from __future__ import annotations
@@ -64,12 +64,11 @@ from ..core.simulation import (
     DEFAULT_WARMUP,
     simulate_benchmark,
 )
-from ..faults import FaultSpecError, canonical_faults
+from ..faults import FaultSpec, FaultSpecError
 from ..interconnect.selection import PolicyFlags
-from ..power import GatingSpecError, canonical_gating
+from ..power import GatingSpecError, parse_gating
 from ..telemetry import Telemetry
 from ..workloads.spec2k import BENCHMARK_NAMES
-from .backoff import DecorrelatedJitter
 from .profiling import NULL_PROFILER, HarnessProfiler
 from .workers import Worker, wait_any
 
@@ -85,9 +84,6 @@ CACHE_VERSION = source_digest(Path(__file__).resolve().parents[1],
 
 #: Bump when the :meth:`SweepReport.to_json` wire format changes.
 REPORT_SCHEMA_VERSION = 1
-
-#: Longest retry backoff, in seconds (see :mod:`repro.harness.backoff`).
-RETRY_BACKOFF_CAP = 30.0
 
 #: Required result fields and their acceptable JSON types.
 _RESULT_SCHEMA: Dict[str, tuple] = {
@@ -108,6 +104,12 @@ class ExperimentPlan:
     (``"never"`` becomes ``""``) and ``latency_scale`` becomes a float,
     so plans that compare equal always share one cache key.  A
     malformed spec, or a number no run can use, raises ``ValueError``.
+
+    The parsed specs ride along as plain attributes, not fields (keys,
+    equality and JSON see only the strings): ``flags`` (the
+    :class:`PolicyFlags`), ``faults`` (the :class:`FaultSpec`, ``None``
+    for healthy wires) and ``gating`` (the :class:`GatingPolicy`,
+    ``None`` for always-on planes).  The simulator takes those.
     """
 
     model_name: str
@@ -140,26 +142,31 @@ class ExperimentPlan:
             if bad:
                 raise ValueError(f"bad {name}: {getattr(self, name)!r}")
         try:
-            policy_tag = PolicyFlags.from_tag(self.policy_tag).tag()
+            flags = PolicyFlags.from_tag(self.policy_tag)
         except ValueError as exc:
             raise ValueError(f"bad policy_tag: {exc}") from None
         try:
-            fault_spec = canonical_faults(self.fault_spec)
+            faults = FaultSpec.parse(self.fault_spec)
         except FaultSpecError as exc:
             raise ValueError(f"bad fault_spec: {exc}") from None
         try:
-            gating_policy = canonical_gating(self.gating_policy)
+            gating = parse_gating(self.gating_policy)
         except GatingSpecError as exc:
             raise ValueError(f"bad gating_policy: {exc}") from None
-        object.__setattr__(self, "policy_tag", policy_tag)
-        object.__setattr__(self, "fault_spec", fault_spec)
-        object.__setattr__(self, "gating_policy", gating_policy)
-        object.__setattr__(self, "latency_scale", latency_scale)
+        for name, value in (
+                ("policy_tag", flags.tag()),
+                ("fault_spec", faults.canonical()),
+                ("gating_policy",
+                 "" if gating is None else gating.canonical()),
+                ("latency_scale", latency_scale),
+                ("flags", flags),
+                ("faults", None if faults.is_null else faults),
+                ("gating", gating)):
+            object.__setattr__(self, name, value)
 
     def interconnect(self) -> InterconnectConfig:
         """The model's interconnect under this plan's policy flags."""
-        return replace(model(self.model_name).config,
-                       flags=PolicyFlags.from_tag(self.policy_tag))
+        return replace(model(self.model_name).config, flags=self.flags)
 
     def cache_key(self) -> str:
         payload = json.dumps(
@@ -382,9 +389,7 @@ def simulate_plan(plan: ExperimentPlan,
         instructions=plan.instructions, warmup=plan.warmup,
         num_clusters=plan.num_clusters, seed=plan.seed,
         latency_scale=plan.latency_scale,
-        fault_spec=plan.fault_spec or None,
-        telemetry=telemetry,
-        gating=plan.gating_policy or None,
+        fault_spec=plan.faults, telemetry=telemetry, gating=plan.gating,
     )
 
 
@@ -606,22 +611,16 @@ class ExperimentRunner:
     ``workers`` (at least 1) sets the process fan-out of
     :meth:`run_many`; 1 (the default) keeps everything in-process.
     ``run_timeout`` (seconds) bounds each run's wall clock;
-    ``max_retries`` retries crashed/timed-out workers with seeded
-    decorrelated-jitter backoff (base ``retry_backoff`` seconds,
-    capped at :data:`RETRY_BACKOFF_CAP`; see
-    :mod:`repro.harness.backoff`) before declaring the run failed.
-    Jitter keeps herds of retrying workers from synchronizing while
-    staying a pure function of each plan, so replayed sweeps retry on
-    identical schedules.  Setting a timeout routes even a one-worker
-    sweep through a worker process, so a wedged simulation can
-    actually be killed.
+    ``max_retries`` re-runs the plan of a crashed or timed-out worker
+    at once, on a fresh worker, before declaring the run failed.
+    Setting a timeout routes even a one-worker sweep through a worker
+    process, so a wedged simulation can actually be killed.
     """
 
     def __init__(self, cache: Optional[ResultCache] = None,
                  verbose: bool = True, workers: int = 1,
                  run_timeout: Optional[float] = None,
                  max_retries: int = 0,
-                 retry_backoff: float = 0.25,
                  profiler: Optional[HarnessProfiler] = None) -> None:
         if workers < 1:
             raise ValueError("workers must be at least 1")
@@ -629,11 +628,6 @@ class ExperimentRunner:
             raise ValueError("run_timeout must be positive seconds")
         if max_retries < 0:
             raise ValueError("max_retries must be non-negative")
-        if retry_backoff < 0:
-            raise ValueError("retry_backoff must be non-negative")
-        if retry_backoff > RETRY_BACKOFF_CAP:
-            raise ValueError(f"retry_backoff must be at most "
-                             f"{RETRY_BACKOFF_CAP:g} seconds")
         self.profiler = profiler if profiler is not None else NULL_PROFILER
         self.cache = cache or ResultCache(profiler=self.profiler)
         if profiler is not None and self.cache.profiler is NULL_PROFILER:
@@ -643,20 +637,7 @@ class ExperimentRunner:
         self.workers = workers
         self.run_timeout = run_timeout
         self.max_retries = max_retries
-        self.retry_backoff = retry_backoff
-        self.executed = 0
-        self.cache_hits = 0
-        self.total_duration = 0.0
-        self.max_duration = 0.0
-        self.last_summary: Optional[SweepSummary] = None
         self.last_report: Optional[SweepReport] = None
-
-    def _record(self, plan: ExperimentPlan, run: BenchmarkRun,
-                duration: float) -> None:
-        self.executed += 1
-        self.total_duration += duration
-        self.max_duration = max(self.max_duration, duration)
-        self.cache.store(plan, run, duration=duration)
 
     def run(self, plan: ExperimentPlan) -> BenchmarkRun:
         """One plan, as a one-plan :meth:`run_many` sweep."""
@@ -669,7 +650,7 @@ class ExperimentRunner:
         Duplicate plans are coalesced and simulated once; misses run in
         trace-key order (:func:`_in_trace_key_order`) whatever the order
         of ``plans``.  Returns a plan -> run mapping covering every
-        distinct input plan; sets :attr:`last_summary`.
+        distinct input plan; sets :attr:`last_report`.
         Raises :class:`SweepError` (carrying the partial results and
         the failure manifest) if any run ultimately fails; use
         :meth:`run_many_report` to get partial results without raising.
@@ -686,8 +667,7 @@ class ExperimentRunner:
 
         Completed runs land in ``report.results``; crashed, timed-out
         and erroring plans land in ``report.failures`` after
-        ``max_retries`` retry rounds.  Sets :attr:`last_summary` and
-        :attr:`last_report`.
+        ``max_retries`` retry rounds.  Sets :attr:`last_report`.
 
         ``cancel`` (a :class:`threading.Event`, settable from another
         thread) aborts the sweep cooperatively: active worker
@@ -703,7 +683,6 @@ class ExperimentRunner:
         for plan in unique:
             cached = self.cache.load(plan)
             if cached is not None:
-                self.cache_hits += 1
                 results[plan] = cached
             else:
                 misses.append(plan)
@@ -755,21 +734,20 @@ class ExperimentRunner:
                         print(f"  FAILED {outcome.describe()}", flush=True)
                     continue
                 run, duration = outcome
-                self._record(plan, run, duration)
+                self.cache.store(plan, run, duration=duration)
                 results[plan] = run
                 executed += 1
                 total += duration
                 peak = max(peak, duration)
 
-        self.last_summary = SweepSummary(
+        summary = SweepSummary(
             requested=len(plans), unique=len(unique), executed=executed,
             cache_hits=len(unique) - len(misses),
             total_duration=total, max_duration=peak,
             failed=len(failures),
         )
         self.last_report = SweepReport(
-            results=results, failures=tuple(failures),
-            summary=self.last_summary,
+            results=results, failures=tuple(failures), summary=summary,
         )
         if prof.enabled:
             prof.complete("sweep", sweep_start, prof.now() - sweep_start,
@@ -778,7 +756,7 @@ class ExperimentRunner:
                           cache_hits=len(unique) - len(misses),
                           failed=len(failures))
         if self.verbose:
-            print(f"  {self.last_summary.render()}", flush=True)
+            print(f"  {summary.render()}", flush=True)
         return self.last_report
 
     def _run_isolated(self, misses: Sequence[ExperimentPlan],
@@ -788,37 +766,26 @@ class ExperimentRunner:
 
         Workers are forked for this call only and each runs plan after
         plan.  Plans are dispatched in trace-key order and an idle
-        worker takes the next launchable one, so a worker annotates
+        worker takes the next one, so a worker annotates
         each trace once.  A worker that dies
         without reporting or exceeds ``run_timeout`` is terminated and
-        replaced; only its in-flight plan is retried, with seeded
-        decorrelated-jitter backoff, up to ``max_retries`` times.  A
-        plan that raises is not retried.  No worker outlives the call.
+        replaced; only its in-flight plan is retried, at once, up to
+        ``max_retries`` times.  A plan that raises is not retried.  No
+        worker outlives the call.
         Returns plan -> (run, duration) | RunFailure.
         """
         outcomes: Dict[ExperimentPlan, object] = {}
-        # (plan, attempt, not-before-monotonic-time), in trace-key order
-        ready = deque((plan, 0, 0.0) for plan in _in_trace_key_order(misses))
+        # (plan, attempt), in trace-key order
+        ready = deque((plan, 0) for plan in _in_trace_key_order(misses))
         pool: List[Worker] = []
         ending = "exit"
-        # Per-plan retry schedules, seeded from the plan so replays
-        # back off identically while distinct plans stay decorrelated.
-        backoffs: Dict[ExperimentPlan, DecorrelatedJitter] = {}
 
         def finish(plan, attempt, reason, detail):
             if reason in ("timeout", "crash") and attempt < self.max_retries:
-                schedule = backoffs.get(plan)
-                if schedule is None:
-                    schedule = backoffs[plan] = DecorrelatedJitter(
-                        self.retry_backoff, cap=RETRY_BACKOFF_CAP,
-                        seed=plan.seed, key=plan.cache_key(),
-                    )
-                delay = schedule.next()
                 if self.verbose:
                     print(f"  retrying {plan.describe()} after {reason} "
-                          f"(attempt {attempt + 2}, backoff {delay:.2f}s)",
-                          flush=True)
-                ready.append((plan, attempt + 1, time.monotonic() + delay))
+                          f"(attempt {attempt + 2})", flush=True)
+                ready.append((plan, attempt + 1))
             else:
                 outcomes[plan] = RunFailure(
                     plan=plan, reason=reason, detail=detail,
@@ -840,7 +807,7 @@ class ExperimentRunner:
                                 detail="sweep cancelled while running",
                                 attempts=attempt + 1,
                             )
-                    for plan, attempt, _not_before in ready:
+                    for plan, attempt in ready:
                         outcomes[plan] = RunFailure(
                             plan=plan, reason="cancelled",
                             detail="sweep cancelled before launch",
@@ -849,20 +816,13 @@ class ExperimentRunner:
                     break
                 # Fork workers (at the start, and to replace retired
                 # ones) while there are plans for them; then idle
-                # workers take the next launchable plans in order.
+                # workers take the next plans in order.
                 busy = sum(w.job is not None for w in pool)
                 while len(pool) < min(self.workers, busy + len(ready)):
                     pool.append(Worker(_execute_plan, self.profiler))
                 idle = [w for w in pool if w.job is None]
-                now = time.monotonic()
-                for _ in range(len(ready)):
-                    if not idle:
-                        break
-                    plan, attempt, not_before = ready.popleft()
-                    if not_before > now:
-                        ready.append((plan, attempt, not_before))
-                        continue
-                    idle.pop().start(plan, attempt)
+                while ready and idle:
+                    idle.pop().start(*ready.popleft())
 
                 progressed = False
                 for worker in list(pool):

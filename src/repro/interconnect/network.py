@@ -69,7 +69,7 @@ from dataclasses import dataclass, replace
 from operator import attrgetter
 from typing import Callable, Dict, FrozenSet, List, Optional, Tuple
 
-from ..power import GatingPolicy, PlanePowerManager, parse_gating
+from ..power import GatingPolicy, PlanePowerManager
 from ..telemetry import NULL_TELEMETRY, EventKind, Telemetry, event_names
 from ..wires import WireClass
 from .errors import ConfigError, UnroutableError
@@ -185,7 +185,7 @@ class Network:
                  flags: Optional[PolicyFlags] = None,
                  injector: Optional["FaultInjector"] = None,
                  telemetry: Optional[Telemetry] = None,
-                 gating: "str | GatingPolicy | None" = None) -> None:
+                 gating: Optional[GatingPolicy] = None) -> None:
         self.topology = topology
         self.composition = composition
         self.telemetry = telemetry if telemetry is not None \
@@ -194,12 +194,11 @@ class Network:
                                      telemetry=self.telemetry)
         self.stats = InterconnectStats(specs=composition.specs_map())
         self.injector = injector
-        # Gating: ``None``/""/"never" build no manager at all, keeping
-        # ungated runs on the exact pre-gating code path.
-        policy = parse_gating(gating)
+        # Gating: ``None`` and the never-gate policy build no manager at
+        # all, keeping ungated runs on the exact pre-gating code path.
         self.power: Optional[PlanePowerManager] = None
-        if policy is not None:
-            self.power = PlanePowerManager(topology, composition, policy,
+        if gating is not None and not gating.is_never:
+            self.power = PlanePowerManager(topology, composition, gating,
                                            telemetry=self.telemetry)
         # Every (channel, plane) seen so far, and the ones with queued
         # segments: only those are arbitrated, so an idle network costs

@@ -343,17 +343,13 @@ def _pick(fields: Dict[str, str], context: str,
     return picked
 
 
-def parse_gating(text: Optional[str]) -> Optional[GatingPolicy]:
+def parse_gating(text: str) -> Optional[GatingPolicy]:
     """A policy for a spec string, or ``None`` for the never-gate ones.
 
-    The convenience entry point the simulation drivers use: ``None``,
-    ``""`` and ``"never"`` all mean "no power manager at all", which
+    ``""`` and ``"never"`` both mean "no power manager at all", which
     keeps ungated runs on the exact pre-gating code path.
     """
-    if text is None:
-        return None
-    policy = text if isinstance(text, GatingPolicy) \
-        else GatingPolicy.parse(text)
+    policy = GatingPolicy.parse(text)
     return None if policy.is_never else policy
 
 

@@ -7,10 +7,9 @@ the robustness layer around them:
 * **Backpressure** -- a bounded :class:`AdmissionQueue`; a submission
   past capacity gets ``429`` with a ``Retry-After`` header, never a
   buffer (sustained over-admission costs O(1) memory per attempt).
-* **Retries** -- the runner retries crashed/timed-out workers with
-  seeded decorrelated-jitter backoff; a plan that exhausts its retries
-  lands in the job's :class:`SweepReport` failure manifest and the
-  job ends FAILED.
+* **Retries** -- the runner re-runs the plan of a crashed or timed-out
+  worker at once; a plan that exhausts its retries lands in the job's
+  :class:`SweepReport` failure manifest and the job ends FAILED.
 * **Idempotent, resumable jobs** -- job ids are digests of the plan
   cache keys; records persist next to the cache, so a restarted
   server (or a reconnecting client resubmitting the same batch) picks

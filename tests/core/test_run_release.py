@@ -14,10 +14,14 @@ import pytest
 from repro.core import simulation
 from repro.core.models import model
 from repro.core.simulation import AccountingError, simulate_benchmark
+from repro.faults import FaultSpec
+from repro.power import GatingPolicy
 from repro.telemetry import RingBufferSink, Telemetry
 
 #: Long enough for the kill at cycle 2000 to take effect.
 WINDOW = dict(instructions=3000, warmup=1000)
+KILL = FaultSpec.parse("ber=1e-5;kill=L@*@2000")
+EWMA = GatingPolicy.parse("ewma")
 
 
 def collected_after(**kwargs) -> int:
@@ -36,9 +40,9 @@ def collected_after(**kwargs) -> int:
 @pytest.mark.parametrize("kwargs", [
     {},
     {"num_clusters": 16},
-    {"fault_spec": "ber=1e-4"},
-    {"gating": "idle"},
-    {"fault_spec": "ber=1e-5;kill=L@*@2000", "gating": "ewma"},
+    {"fault_spec": FaultSpec.parse("ber=1e-4")},
+    {"gating": GatingPolicy.parse("idle")},
+    {"fault_spec": KILL, "gating": EWMA},
     {"telemetry": Telemetry(enabled=True, sink=RingBufferSink())},
 ], ids=["plain4", "plain16", "ber", "idle", "kill-ewma", "traced"])
 def test_a_finished_run_leaves_no_cyclic_garbage(kwargs):
@@ -47,8 +51,7 @@ def test_a_finished_run_leaves_no_cyclic_garbage(kwargs):
 
 def test_the_kill_case_kills_a_plane():
     run = simulate_benchmark(model("X").config, "gzip", **WINDOW,
-                             fault_spec="ber=1e-5;kill=L@*@2000",
-                             gating="ewma")
+                             fault_spec=KILL, gating=EWMA)
     assert dict(run.extra)["planes_killed"] > 0
 
 

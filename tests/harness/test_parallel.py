@@ -33,7 +33,7 @@ class TestDeterminism:
     def test_serial_equals_parallel(self, tmp_path):
         _, serial = run_all(tmp_path / "serial", workers=1)
         runner, parallel = run_all(tmp_path / "parallel", workers=4)
-        assert runner.last_summary.executed == len(PLANS)
+        assert runner.last_report.summary.executed == len(PLANS)
         for plan in PLANS:
             # Frozen-dataclass equality covers every field, including
             # the full extra stats tuple -- bit-identical, not "close".
@@ -41,10 +41,10 @@ class TestDeterminism:
 
     def test_cold_equals_warm_cache(self, tmp_path):
         runner, cold = run_all(tmp_path, workers=4)
-        assert runner.executed == len(PLANS)
+        assert runner.last_report.summary.executed == len(PLANS)
         rerun, warm = run_all(tmp_path, workers=4)
-        assert rerun.executed == 0
-        assert rerun.cache_hits == len(PLANS)
+        assert rerun.last_report.summary.executed == 0
+        assert rerun.last_report.summary.cache_hits == len(PLANS)
         for plan in PLANS:
             assert cold[plan] == warm[plan], plan.describe()
 
@@ -61,8 +61,10 @@ class TestDeterminism:
         runner = ExperimentRunner(
             cache=ResultCache(tmp_path, enabled=False), verbose=False)
         plan = ExperimentPlan("VII", "gzip", **WINDOW)
-        assert runner.run(plan) == runner.run(plan)
-        assert runner.executed == 2
+        first = runner.run(plan)
+        assert runner.last_report.summary.executed == 1
+        assert runner.run(plan) == first
+        assert runner.last_report.summary.executed == 1
 
 
 class TestTable3Sweep:
@@ -80,7 +82,7 @@ class TestTable3Sweep:
             cache=ResultCache(tmp_path / "parallel"), verbose=False,
             workers=4)
         parallel = run_table3(parallel_runner, base, benchmarks)
-        assert parallel_runner.last_summary.executed == 20  # 10 models x 2
+        assert parallel_runner.last_report.summary.executed == 20  # 10 models x 2
         assert serial.rows == parallel.rows
 
 
@@ -113,7 +115,7 @@ class TestParallelCacheIntegrity:
             ("gzip", "mesa"),
         )
         ablated, stock = results["ablated"], results["stock"]
-        assert runner.executed == 4
+        assert runner.last_report.summary.executed == 4
         # The flags must actually reach the worker processes: with
         # narrow-operand steering off, VII behaves differently.
         assert ablated.runs != stock.runs

@@ -13,10 +13,14 @@ from dataclasses import fields
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from repro.faults import canonical_faults
 from repro.harness.runner import ExperimentPlan
 from repro.interconnect.selection import PolicyFlags
 from repro.power import canonical_gating
+
+def plan_fault_spec(text):
+    """``text``'s canonical spelling, as a plan stores it."""
+    return ExperimentPlan("I", "gzip", fault_spec=text).fault_spec
+
 
 FUZZ = settings(max_examples=300, deadline=None,
                 suppress_health_check=[HealthCheck.too_slow])
@@ -161,7 +165,7 @@ class TestOnlyValueError:
     @given(fault_texts)
     def test_fault_specs_raise_only_value_error(self, text):
         try:
-            canonical_faults(text)
+            plan_fault_spec(text)
         except ValueError:
             pass
 
@@ -201,10 +205,10 @@ class TestIdempotence:
     @example("derate=PW:1.0000001")
     def test_fault_canonical_is_a_fixed_point(self, text):
         try:
-            once = canonical_faults(text)
+            once = plan_fault_spec(text)
         except ValueError:
             return
-        assert canonical_faults(once) == once
+        assert plan_fault_spec(once) == once
 
     @FUZZ
     @given(gating_texts)

@@ -100,8 +100,7 @@ class TestReuse:
 class TestReplaceOnCrash:
     def test_dead_worker_is_replaced_and_only_its_plan_retried(
             self, tmp_path, pid_execute):
-        runner = make_runner(tmp_path, workers=2, max_retries=1,
-                             retry_backoff=0.01)
+        runner = make_runner(tmp_path, workers=2, max_retries=1)
         plans = plans_of(("flaky", "II", "III", "IV", "V", "VI"))
         report = runner.run_many_report(plans)
         assert report.ok

@@ -9,7 +9,6 @@ import pytest
 from repro.core.metrics import BenchmarkRun
 from repro.harness.runner import (
     ExperimentPlan,
-    RETRY_BACKOFF_CAP,
     ExperimentRunner,
     ResultCache,
     SweepError,
@@ -112,7 +111,7 @@ class TestCrashes:
 
     def test_crash_retried_until_success(self, tmp_path, scripted_execute):
         runner = make_runner(tmp_path, workers=2, run_timeout=10,
-                             max_retries=2, retry_backoff=0.01)
+                             max_retries=2)
         plan = ExperimentPlan("I", "flaky", **WINDOW)
         report = runner.run_many_report([plan])
         assert report.ok
@@ -121,7 +120,7 @@ class TestCrashes:
     def test_retries_exhausted_reports_attempts(self, tmp_path,
                                                 scripted_execute):
         runner = make_runner(tmp_path, workers=2, run_timeout=10,
-                             max_retries=2, retry_backoff=0.01)
+                             max_retries=2)
         plan = ExperimentPlan("I", "die", **WINDOW)
         report = runner.run_many_report([plan])
         (failure,) = report.failures
@@ -203,7 +202,7 @@ class TestErrors:
     def test_simulator_exception_not_retried(self, tmp_path,
                                              scripted_execute):
         runner = make_runner(tmp_path, workers=2, run_timeout=10,
-                             max_retries=3, retry_backoff=0.01)
+                             max_retries=3)
         plan = ExperimentPlan("I", "raise", **WINDOW)
         report = runner.run_many_report([plan])
         (failure,) = report.failures
@@ -252,10 +251,6 @@ class TestBookkeeping:
             make_runner(tmp_path, run_timeout=0)
         with pytest.raises(ValueError, match="max_retries"):
             make_runner(tmp_path, max_retries=-1)
-        with pytest.raises(ValueError, match="retry_backoff"):
-            make_runner(tmp_path, retry_backoff=-0.5)
-        with pytest.raises(ValueError, match="at most 30 seconds"):
-            make_runner(tmp_path, retry_backoff=RETRY_BACKOFF_CAP + 1)
 
     def test_timeout_forces_isolation_even_single_worker(
             self, tmp_path, scripted_execute):

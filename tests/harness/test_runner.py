@@ -1,11 +1,14 @@
 """Tests for the experiment runner and its result cache."""
 
 import json
+import pickle
 import threading
+from dataclasses import fields
 
 import pytest
 
 from repro.core.metrics import BenchmarkRun
+from repro.faults import FaultSpec
 from repro.harness import runner as runner_module
 from repro.harness.runner import (
     CACHE_VERSION,
@@ -17,6 +20,7 @@ from repro.harness.runner import (
 )
 from repro.interconnect.selection import PolicyFlags
 from repro.interconnect.stats import InterconnectStats
+from repro.power import GatingPolicy
 from repro.workloads import annotate
 
 
@@ -68,6 +72,60 @@ class TestPlanKeys:
         monkeypatch.setattr(runner_module, "CACHE_VERSION",
                             "c0ffee0123456789")
         assert plan.cache_key() == key
+
+
+class TestParseOnce:
+    """A plan parses its three specs at construction; runs reuse them."""
+
+    PLAN = ExperimentPlan("X", "gzip", instructions=300, warmup=60,
+                          policy_tag="lwire_narrow=0",
+                          fault_spec="ber=1e-4",
+                          gating_policy="idle:drowsy=16,gate=64")
+    PARSERS = ((PolicyFlags, "from_tag"), (FaultSpec, "parse"),
+               (GatingPolicy, "parse"))
+
+    def count_parses(self, monkeypatch):
+        calls = []
+        for owner, name in self.PARSERS:
+            def counting(*args, _parse=getattr(owner, name),
+                         _name=f"{owner.__name__}.{name}"):
+                calls.append(_name)
+                return _parse(*args)
+            monkeypatch.setattr(owner, name, staticmethod(counting))
+        return calls
+
+    def test_parsed_specs_ride_on_the_plan(self):
+        plan = self.PLAN
+        assert plan.flags == PolicyFlags(lwire_narrow=False)
+        assert plan.faults == FaultSpec.parse("ber=1e-4")
+        assert plan.gating == GatingPolicy.parse("idle:drowsy=16,gate=64")
+        healthy = ExperimentPlan("X", "gzip", gating_policy="never")
+        assert healthy.faults is None and healthy.gating is None
+        # Not fields: keys, equality and JSON see only the strings.
+        assert [f.name for f in fields(ExperimentPlan)] == list(
+            plan.to_dict()) == [
+                "model_name", "benchmark", "num_clusters", "latency_scale",
+                "instructions", "warmup", "seed", "policy_tag",
+                "fault_spec", "gating_policy"]
+
+    def test_a_run_parses_nothing(self, monkeypatch):
+        calls = self.count_parses(monkeypatch)
+        run = simulate_plan(self.PLAN)
+        assert calls == []
+        # The specs took effect: faults injected, planes gated.
+        extra = dict(run.extra)
+        assert extra["corrupted_segments"] > 0
+        assert "plane_wakes" in extra
+
+    def test_a_pickled_plan_keeps_its_parsed_specs(self, monkeypatch):
+        calls = self.count_parses(monkeypatch)
+        plan = self.PLAN
+        clone = pickle.loads(pickle.dumps(plan))
+        assert calls == []
+        assert clone == plan and hash(clone) == hash(plan)
+        assert clone.cache_key() == plan.cache_key()
+        assert (clone.flags, clone.faults, clone.gating) == (
+            plan.flags, plan.faults, plan.gating)
 
 
 class TestResultCache:
@@ -155,7 +213,7 @@ class TestResultCache:
         cache._path(plan).write_text("garbage garbage")
         runner = ExperimentRunner(cache=cache, verbose=False)
         run = runner.run(plan)
-        assert runner.executed == 1
+        assert runner.last_report.summary.executed == 1
         assert run.instructions >= 400
         # The re-execution replaced the bad entry with a good one.
         assert cache.load(plan) == run
@@ -239,8 +297,8 @@ class TestRunner:
         cache.store(plan, make_run())
         runner = ExperimentRunner(cache=cache, verbose=False)
         run = runner.run(plan)
-        assert runner.cache_hits == 1
-        assert runner.executed == 0
+        assert runner.last_report.summary.cache_hits == 1
+        assert runner.last_report.summary.executed == 0
         assert run.cycles == 1200
 
     def test_executes_and_caches_on_miss(self, tmp_path):
@@ -248,9 +306,9 @@ class TestRunner:
         runner = ExperimentRunner(cache=cache, verbose=False)
         plan = ExperimentPlan("I", "gzip", instructions=600, warmup=150)
         first = runner.run(plan)
-        assert runner.executed == 1
+        assert runner.last_report.summary.executed == 1
         second = runner.run(plan)
-        assert runner.cache_hits == 1
+        assert runner.last_report.summary.cache_hits == 1
         assert second == first
 
     def test_run_model_aggregates(self, tmp_path):
@@ -261,7 +319,7 @@ class TestRunner:
                               ("gzip", "mesa"))["I"]
         assert result.model == "I"
         assert [r.benchmark for r in result.runs] == ["gzip", "mesa"]
-        assert runner.last_summary.requested == 2
+        assert runner.last_report.summary.requested == 2
 
     def test_run_many_dedupes_and_summarizes(self, tmp_path):
         cache = ResultCache(tmp_path)
@@ -271,9 +329,7 @@ class TestRunner:
         cache.store(b, make_run("mesa"))
         results = runner.run_many([a, b, a, a])
         assert set(results) == {a, b}
-        assert runner.executed == 1
-        assert runner.cache_hits == 1
-        summary = runner.last_summary
+        summary = runner.last_report.summary
         assert summary.requested == 4
         assert summary.unique == 2
         assert summary.executed == 1
@@ -288,10 +344,10 @@ class TestRunner:
         plans = [ExperimentPlan("I", b, instructions=400, warmup=100)
                  for b in ("gzip", "mesa")]
         cold = runner.run_many(plans)
-        assert runner.last_summary.executed == 2
+        assert runner.last_report.summary.executed == 2
         warm = runner.run_many(plans)
-        assert runner.last_summary.executed == 0
-        assert runner.last_summary.cache_hits == 2
+        assert runner.last_report.summary.executed == 0
+        assert runner.last_report.summary.cache_hits == 2
         assert warm == cold
 
     def test_run_model_flags_distinct_cache(self, tmp_path):
@@ -305,7 +361,8 @@ class TestRunner:
              "ablated": dict(policy_tag=ablated.tag())},
             ("gzip",),
         )
-        assert runner.executed == 2  # distinct tags, no false sharing
+        # distinct tags, no false sharing
+        assert runner.last_report.summary.executed == 2
         plans = runner.last_report.results
         assert len({plan.cache_key() for plan in plans}) == 2
         assert {plan.policy_tag for plan in plans} == {
@@ -397,8 +454,8 @@ class TestPolicyFlagsInThePlan:
         stock = self.run(runner, "VII")
         ablated = self.run(runner, "VII",
                            PolicyFlags().without_lwire_uses())
-        assert runner.executed == 2
-        assert runner.cache_hits == 0
+        assert runner.last_report.summary.executed == 1
+        assert runner.last_report.summary.cache_hits == 0
         assert ablated.runs[0].cycles != stock.runs[0].cycles
 
     def test_default_flags_keep_the_design_points_wires(self, tmp_path):
@@ -406,9 +463,9 @@ class TestPolicyFlagsInThePlan:
         runner = ExperimentRunner(cache=ResultCache(tmp_path),
                                   verbose=False)
         flagged = self.run(runner, name, PolicyFlags())
+        assert runner.last_report.summary.executed == 1
         stock = self.run(runner, name)
-        assert runner.executed == 1
-        assert runner.cache_hits == 1
+        assert runner.last_report.summary.cache_hits == 1
         assert flagged == stock
         # The executed run is the design point's own (16 nm energies),
         # not the same wire counts under Table 2's 45 nm values.
@@ -452,8 +509,8 @@ class TestPolicyFlagsInThePlan:
         runner = ExperimentRunner(cache=ResultCache(tmp_path),
                                   verbose=False)
         runs = runner.run_many(plans)
-        assert runner.last_summary.executed == len(plans)
+        assert runner.last_report.summary.executed == len(plans)
         default, *flagged = (runs[plan].cycles for plan in plans)
         assert all(cycles != default for cycles in flagged)
         assert runner.run_many(plans) == runs
-        assert runner.last_summary.executed == 0
+        assert runner.last_report.summary.executed == 0

@@ -10,9 +10,17 @@ import pytest
 
 from repro.core.models import model
 from repro.core.simulation import simulate_benchmark
+from repro.faults import FaultSpec
 from repro.harness.runner import ExperimentPlan, ExperimentRunner, ResultCache
 
 WINDOW = dict(instructions=500, warmup=120)
+
+
+def simulate(fault_spec="", **kwargs):
+    """Model X on gzip under ``fault_spec``, parsed as a plan parses it."""
+    return simulate_benchmark(model("X").config, "gzip",
+                              fault_spec=FaultSpec.parse(fault_spec),
+                              **WINDOW, **kwargs)
 
 
 @pytest.fixture(scope="module")
@@ -22,9 +30,7 @@ def faultfree_run():
 
 class TestLWireKill:
     def test_completes_with_degradation_and_no_speedup(self, faultfree_run):
-        degraded = simulate_benchmark(
-            model("X").config, "gzip", fault_spec="kill=L@*@200", **WINDOW,
-        )
+        degraded = simulate("kill=L@*@200")
         extra = degraded.extra_stats()
         assert extra["planes_killed"] > 0
         assert extra["degraded_selections"] > 0
@@ -39,34 +45,22 @@ class TestLWireKill:
             assert extra[key] == 0.0
 
     def test_null_fault_spec_equals_no_fault_spec(self, faultfree_run):
-        explicit = simulate_benchmark(model("X").config, "gzip",
-                                      fault_spec="", **WINDOW)
-        assert explicit == faultfree_run
+        assert simulate("") == faultfree_run
 
 
 class TestTransientErrors:
     def test_ber_produces_retransmissions(self):
-        run = simulate_benchmark(
-            model("X").config, "gzip", fault_spec="ber=1e-4", **WINDOW,
-        )
+        run = simulate("ber=1e-4")
         extra = run.extra_stats()
         assert extra["corrupted_segments"] > 0
         assert extra["retransmissions"] > 0
         assert extra["planes_killed"] == 0
 
     def test_same_seed_is_bit_deterministic(self):
-        a = simulate_benchmark(model("X").config, "gzip",
-                               fault_spec="ber=1e-5", **WINDOW)
-        b = simulate_benchmark(model("X").config, "gzip",
-                               fault_spec="ber=1e-5", **WINDOW)
-        assert a == b
+        assert simulate("ber=1e-5") == simulate("ber=1e-5")
 
     def test_seed_changes_fault_pattern(self):
-        a = simulate_benchmark(model("X").config, "gzip", seed=1,
-                               fault_spec="ber=1e-4", **WINDOW)
-        b = simulate_benchmark(model("X").config, "gzip", seed=2,
-                               fault_spec="ber=1e-4", **WINDOW)
-        assert a != b
+        assert simulate("ber=1e-4", seed=1) != simulate("ber=1e-4", seed=2)
 
 
 class TestWorkerCountDeterminism:
@@ -86,7 +80,7 @@ class TestWorkerCountDeterminism:
             cache=ResultCache(tmp_path / "parallel"), verbose=False,
             workers=4)
         parallel = parallel_runner.run_many(plans)
-        assert parallel_runner.last_summary.executed == len(plans)
+        assert parallel_runner.last_report.summary.executed == len(plans)
         for plan in plans:
             assert serial[plan] == parallel[plan], plan.describe()
 
@@ -98,7 +92,7 @@ class TestWorkerCountDeterminism:
                                  **WINDOW)
         assert healthy.cache_key() != faulted.cache_key()
         runs = runner.run_many([healthy, faulted])
-        assert runner.executed == 2
+        assert runner.last_report.summary.executed == 2
         assert runs[healthy] != runs[faulted]
         assert "fault_spec=kill=L@*@200" in faulted.describe()
 

@@ -11,8 +11,9 @@ injection (dead planes and gated planes merge into one avoid set) and
 telemetry (the gate/wake events are part of the pinned stream).
 
 Also pinned: the never-gate policy builds no power manager at all, so
-``gating="never"`` is bit-identical to a run with no gating argument,
-whether the processor skips idle cycles or steps through every one.
+a plan with ``gating_policy="never"`` (or ``""``, or none) is
+bit-identical to a run with no gating argument, whether the processor
+skips idle cycles or steps through every one.
 """
 
 import pytest
@@ -23,7 +24,8 @@ from golden import (FAULT_SPECS, INSTRUCTIONS, POLICIES, TRACED_FAULTS,
 from repro.core.models import model
 from repro.core.processor import ClusteredProcessor
 from repro.core.simulation import build_processor, simulate_benchmark
-from repro.power import PlanePowerManager
+from repro.harness.runner import ExperimentPlan, simulate_plan
+from repro.power import NEVER_GATE, GatingPolicy, PlanePowerManager
 from repro.telemetry import EventKind
 
 
@@ -110,18 +112,21 @@ class TestNeverGate:
             model("X").config, "gzip", instructions=INSTRUCTIONS,
             warmup=WARMUP,
         )
-        never = simulate_benchmark(
-            model("X").config, "gzip", instructions=INSTRUCTIONS,
-            warmup=WARMUP, gating=spelling,
-        )
+        # None: the plan omits the field.
+        spelt = {} if spelling is None else {"gating_policy": spelling}
+        plan = ExperimentPlan("X", "gzip", instructions=INSTRUCTIONS,
+                              warmup=WARMUP, **spelt)
+        assert plan.gating is None
+        never = simulate_plan(plan)
         assert base == never
         assert run_digest(never) == load()[label()]["digests"]["run"]
         # No power extras: the manager is never even constructed.
         assert "plane_wakes" not in dict(never.extra)
 
     def test_never_builds_no_manager(self):
-        cpu = build_processor(model("X").config, "gzip", gating="never")
+        cpu = build_processor(model("X").config, "gzip", gating=NEVER_GATE)
         assert cpu.network.power is None
-        gated = build_processor(model("X").config, "gzip",
-                                gating="idle:drowsy=16,gate=64")
+        gated = build_processor(
+            model("X").config, "gzip",
+            gating=GatingPolicy.parse("idle:drowsy=16,gate=64"))
         assert isinstance(gated.network.power, PlanePowerManager)

@@ -62,7 +62,7 @@ class TestNoTrafficOnSleepingPlanes:
     @given(policy=policies, subs=submissions)
     def test_granted_plane_is_always_active(self, policy, subs):
         net = Network(CrossbarTopology(4), LinkComposition(MIX),
-                      gating=policy)
+                      gating=GatingPolicy.parse(policy))
         power = net.power
         violations = []
         original = power.note_activity

@@ -13,6 +13,7 @@ import pytest
 
 from repro.core.models import model
 from repro.core.simulation import simulate_benchmark
+from repro.faults import FaultSpec
 from repro.telemetry import (
     RingBufferSink,
     Telemetry,
@@ -23,9 +24,10 @@ from repro.telemetry import (
 )
 
 WINDOW = dict(instructions=2000, warmup=500)
+KILL_L = FaultSpec.parse("kill=L@*@200")
 
 
-def _traced(model_name="X", fault_spec="kill=L@*@200", **kwargs):
+def _traced(model_name="X", fault_spec=KILL_L, **kwargs):
     telemetry = Telemetry(sink=RingBufferSink(capacity=None))
     run = simulate_benchmark(
         model(model_name).config, "gzip", fault_spec=fault_spec,
@@ -38,8 +40,7 @@ class TestObserveOnly:
     def test_traced_equals_untraced(self):
         traced, _ = _traced()
         untraced = simulate_benchmark(
-            model("X").config, "gzip", fault_spec="kill=L@*@200",
-            **WINDOW,
+            model("X").config, "gzip", fault_spec=KILL_L, **WINDOW,
         )
         assert traced == untraced
 

@@ -9,6 +9,7 @@ attributes, and the resulting trace always validates.
 
 from repro.core.models import model
 from repro.core.simulation import simulate_benchmark
+from repro.power import GatingPolicy
 from repro.telemetry import (
     EventKind,
     RingBufferSink,
@@ -23,13 +24,14 @@ from repro.telemetry import (
 from repro.telemetry.events import EVENT_CATEGORY
 
 GATING = "idle:drowsy=16,gate=64"
+POLICY = GatingPolicy.parse(GATING)
 
 
 def gated_trace_events():
     telemetry = Telemetry(enabled=True,
                           sink=RingBufferSink(capacity=None))
     simulate_benchmark(model("X").config, "gzip", instructions=800,
-                      warmup=200, gating=GATING, telemetry=telemetry)
+                      warmup=200, gating=POLICY, telemetry=telemetry)
     return list(telemetry.events()), telemetry
 
 
@@ -103,10 +105,10 @@ class TestObserverEffect:
         # power manager consults telemetry.enabled, never the reverse.
         untraced = simulate_benchmark(model("X").config, "gzip",
                                       instructions=800, warmup=200,
-                                      gating=GATING)
+                                      gating=POLICY)
         telemetry = Telemetry(enabled=True,
                               sink=RingBufferSink(capacity=None))
         traced = simulate_benchmark(model("X").config, "gzip",
                                     instructions=800, warmup=200,
-                                    gating=GATING, telemetry=telemetry)
+                                    gating=POLICY, telemetry=telemetry)
         assert traced == untraced
