@@ -8,8 +8,10 @@ through the cached runner, so repeated invocations are cheap.
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 from dataclasses import fields
+from pathlib import Path
 from typing import List, Optional
 
 from ._version import package_version
@@ -470,7 +472,6 @@ def _plan_from_args(args: argparse.Namespace,
 
 def _cmd_trace(args: argparse.Namespace) -> str:
     from .telemetry import (
-        JsonlSink,
         RingBufferSink,
         Telemetry,
         render_summary,
@@ -501,9 +502,11 @@ def _cmd_trace(args: argparse.Namespace) -> str:
         lines.append(f"chrome trace written to {args.out} "
                      f"(load in Perfetto or chrome://tracing)")
     if args.events_out:
-        with JsonlSink(args.events_out) as sink:
-            for event in events:
-                sink.emit(event)
+        path = Path(args.events_out)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        with path.open("w", encoding="utf-8") as handle:
+            handle.writelines(json.dumps(event.to_json(), sort_keys=True)
+                              + "\n" for event in events)
         lines.append(f"raw events written to {args.events_out} (JSONL)")
     if args.metrics:
         lines.append("")
@@ -582,8 +585,6 @@ def _cmd_axis_sweep(args: argparse.Namespace,
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    from pathlib import Path
-
     from .service import SweepService, run_service
 
     cache_dir = Path(args.cache_dir) if args.cache_dir else None
@@ -727,8 +728,9 @@ def _cmd_explore(args: argparse.Namespace) -> int:
 
     print(frontier_table(result))
     if args.csv:
-        with open(args.csv, "w", encoding="utf-8") as handle:
-            handle.write(to_csv(result))
+        path = Path(args.csv)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(to_csv(result), encoding="utf-8")
         print(f"wrote {len(result.evaluated)} evaluated point(s) "
               f"to {args.csv}")
     _finish_profiled(args, profiler)

@@ -13,11 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Dict, Mapping, Tuple
 
-from ..core.models import (
-    DESIGN_POINT_CLASS_ORDER,
-    format_design_point,
-    parse_design_point,
-)
+from ..core.models import DESIGN_POINT_CLASS_ORDER, format_design_point
 from ..harness.runner import ExperimentPlan
 from ..power import GatingSpecError, canonical_gating
 from ..wires import WireClass, node_scaling
@@ -128,28 +124,6 @@ class DesignPoint:
         if self.gating:
             return f"{base}|g={self.gating}"
         return base
-
-    @classmethod
-    def decode(cls, text: str) -> "DesignPoint":
-        """Inverse of :meth:`encode`; rejects non-canonical spellings."""
-        model_part, sep, rest = text.partition("|")
-        if not sep:
-            raise ValueError(
-                f"malformed design-point encoding {text!r}; expected "
-                f"'<model-name>|<topology>[|g=<gating>]'"
-            )
-        topology, sep, gating_part = rest.partition("|")
-        gating = ""
-        if sep:
-            if not gating_part.startswith("g="):
-                raise ValueError(
-                    f"malformed design-point encoding {text!r}; the "
-                    f"third segment must be 'g=<gating-policy>'"
-                )
-            gating = gating_part[2:]
-        node, wires, cache_width_factor = parse_design_point(model_part)
-        return cls.from_mix(node, wires, topology, cache_width_factor,
-                            gating=gating)
 
     def latency_scale(self) -> float:
         """The node's wire-latency multiplier, exactly 1.0 at 45 nm."""

@@ -105,34 +105,6 @@ class InterconnectStats:
         """Zero every counter, pending tallies included; keep ``specs``."""
         self.__init__(specs=self.specs)
 
-    def merge(self, other: "InterconnectStats") -> "InterconnectStats":
-        """Fold ``other``'s counters into this one; returns ``self``.
-
-        All counters are integers, so merging is exact and associative.
-        Planes and kinds unseen here are appended in ``other``'s
-        insertion order, preserving the first-touch ordering that
-        :meth:`dynamic_energy` sums in.
-        """
-        planes = self.by_plane
-        for wire_class, activity in other.by_plane.items():
-            mine = planes.get(wire_class)
-            if mine is None:
-                mine = planes.setdefault(wire_class, PlaneActivity())
-            mine.transfers += activity.transfers
-            mine.bits += activity.bits
-            mine.weighted_bits += activity.weighted_bits
-        kinds = self.by_kind
-        for kind, count in other.by_kind.items():
-            kinds[kind] = kinds.get(kind, 0) + count
-        self.buffered_cycles += other.buffered_cycles
-        self.split_transfers += other.split_transfers
-        self.diverted_transfers += other.diverted_transfers
-        self.corrupted_segments += other.corrupted_segments
-        self.retransmissions += other.retransmissions
-        self.retry_escalations += other.retry_escalations
-        self.degraded_reroutes += other.degraded_reroutes
-        return self
-
     def dynamic_energy(self) -> float:
         """Relative dynamic energy of all recorded traffic."""
         specs = self.specs if self.specs is not None else CANONICAL_SPECS

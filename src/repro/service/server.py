@@ -46,7 +46,7 @@ from ..harness.runner import (
     ResultCache,
     SweepReport,
 )
-from ..telemetry import NullSink, Telemetry
+from ..telemetry import Telemetry
 from ..workloads.spec2k import BENCHMARK_NAMES
 from .jobs import (
     CANCELLED,
@@ -146,7 +146,7 @@ class SweepService:
         self._requested_port = port
         self.verbose = verbose
         # Counters and gauges only (served on /metrics); no events.
-        self.telemetry = Telemetry(sink=NullSink())
+        self.telemetry = Telemetry()
         self.cache = ResultCache(cache_dir)
         self.runner = ExperimentRunner(
             cache=self.cache, verbose=verbose, workers=workers,

@@ -3,8 +3,8 @@
 Three pillars (DESIGN.md section 10):
 
 * **Structured event tracer** -- :class:`TraceEvent`/:class:`EventKind`
-  cycle-stamped typed events, captured by bounded
-  (:class:`RingBufferSink`) or streaming (:class:`JsonlSink`) sinks.
+  cycle-stamped typed events, kept by the one sink,
+  :class:`RingBufferSink` (bounded, or unbounded for a whole run).
 * **Metrics registry** -- deterministic counters, gauges and
   fixed-bucket histograms (:class:`MetricsRegistry`); no wall clock
   anywhere in this package (``tests/golden/test_cross_process.py``
@@ -25,8 +25,6 @@ from .chrometrace import (
     assert_valid_chrome_trace,
     chrome_events,
     chrome_trace,
-    instant_timestamps,
-    load_chrome_trace,
     trace_categories,
     validate_chrome_trace,
     write_chrome_trace,
@@ -40,20 +38,8 @@ from .events import (
     make_event,
 )
 from .handle import NULL_TELEMETRY, Telemetry
-from .metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    merge_counters,
-)
-from .sinks import (
-    EventSink,
-    JsonlSink,
-    NullSink,
-    RingBufferSink,
-    read_jsonl_events,
-)
+from .metrics import Counter, Gauge, Histogram, MetricsRegistry
+from .sinks import RingBufferSink
 
 __all__ = [
     "ALL_CATEGORIES",
@@ -68,20 +54,13 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "merge_counters",
-    "EventSink",
-    "JsonlSink",
-    "NullSink",
     "RingBufferSink",
-    "read_jsonl_events",
     "TraceSummary",
     "render_summary",
     "summarize",
     "assert_valid_chrome_trace",
     "chrome_events",
     "chrome_trace",
-    "instant_timestamps",
-    "load_chrome_trace",
     "trace_categories",
     "validate_chrome_trace",
     "write_chrome_trace",

@@ -84,15 +84,13 @@ def write_chrome_trace(path: Union[str, Path],
                        events: Iterable[TraceEvent],
                        metadata: Optional[Dict[str, object]] = None
                        ) -> Path:
-    """Serialize a trace to ``path``; returns the path written."""
+    """Serialize a trace to ``path``, creating its directory; returns
+    the path written."""
     path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
     trace = chrome_trace(events, metadata)
     path.write_text(json.dumps(trace, sort_keys=True), encoding="utf-8")
     return path
-
-
-def load_chrome_trace(path: Union[str, Path]) -> Dict[str, object]:
-    return json.loads(Path(path).read_text(encoding="utf-8"))
 
 
 def validate_chrome_trace(data: object) -> List[str]:
@@ -152,18 +150,6 @@ def trace_categories(data: Dict[str, object]) -> List[str]:
         event["cat"] for event in events
         if isinstance(event, dict) and isinstance(event.get("cat"), str)
     })
-
-
-def instant_timestamps(data: Dict[str, object]) -> List[float]:
-    """The ``ts`` stamps of instant events, in file order."""
-    events = data.get("traceEvents")
-    if not isinstance(events, list):
-        return []
-    return [
-        event["ts"] for event in events
-        if isinstance(event, dict) and event.get("ph") == "i"
-        and isinstance(event.get("ts"), (int, float))
-    ]
 
 
 def assert_valid_chrome_trace(data: object) -> None:

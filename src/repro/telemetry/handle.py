@@ -5,7 +5,7 @@ paths hold a handle -- never ``None`` -- and guard every emission with
 ``if tel.enabled:`` *before* building attribute values, so a disabled
 handle costs one attribute load and one branch per site.  The module
 singleton :data:`NULL_TELEMETRY` is the default handle: permanently
-disabled, null sink, its own (never-read) registry.
+disabled, so its sink and registry are never written.
 
 The handle deliberately has no notion of time: callers stamp events
 with their own cycle counter, keeping the subsystem wall-clock-free in
@@ -20,7 +20,7 @@ from typing import Optional, Sequence, Tuple
 
 from .events import EventKind, TraceEvent
 from .metrics import MetricsRegistry
-from .sinks import EventSink, NullSink, RingBufferSink
+from .sinks import RingBufferSink
 
 
 class Telemetry:
@@ -28,17 +28,11 @@ class Telemetry:
 
     __slots__ = ("enabled", "sink", "metrics")
 
-    def __init__(self, sink: Optional[EventSink] = None,
-                 metrics: Optional[MetricsRegistry] = None,
+    def __init__(self, sink: Optional[RingBufferSink] = None,
                  enabled: bool = True) -> None:
         self.sink = sink if sink is not None else RingBufferSink()
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
+        self.metrics = MetricsRegistry()
         self.enabled = enabled
-
-    @staticmethod
-    def null() -> "Telemetry":
-        """The shared disabled handle (identity-comparable)."""
-        return NULL_TELEMETRY
 
     # -- emission --------------------------------------------------------
 
@@ -69,21 +63,10 @@ class Telemetry:
     # -- introspection ---------------------------------------------------
 
     def events(self) -> Tuple[TraceEvent, ...]:
-        """Buffered events, when the sink keeps any (else empty)."""
-        events = getattr(self.sink, "events", None)
-        if callable(events):
-            return events()
-        return ()
-
-    def close(self) -> None:
-        self.sink.close()
-
-
-def _make_null() -> Telemetry:
-    return Telemetry(sink=NullSink(), metrics=MetricsRegistry(),
-                     enabled=False)
+        """The events the sink has buffered."""
+        return self.sink.events()
 
 
 #: Shared always-off handle; instrumented code defaults to this so the
 #: hot path never needs a None check.
-NULL_TELEMETRY: Telemetry = _make_null()
+NULL_TELEMETRY: Telemetry = Telemetry(enabled=False)

@@ -183,15 +183,3 @@ class MetricsRegistry:
                              if isinstance(value, float)
                              else f"{name}: {value}")
         return "\n".join(lines)
-
-
-def merge_counters(snapshots: Sequence[Dict[str, object]]
-                   ) -> Dict[str, int]:
-    """Sum the integer counters of several snapshots (sweep roll-up)."""
-    totals: Dict[str, int] = {}
-    for snapshot in snapshots:
-        for name, value in snapshot.items():
-            if isinstance(value, bool) or not isinstance(value, int):
-                continue
-            totals[name] = totals.get(name, 0) + value
-    return dict(sorted(totals.items()))

@@ -1,46 +1,24 @@
-"""Event sinks: where emitted :class:`TraceEvent` objects go.
+"""The event store: :class:`RingBufferSink` keeps emitted events.
 
-* :class:`NullSink` -- swallows everything (the zero-cost default).
-* :class:`RingBufferSink` -- bounded in-memory buffer that keeps the
-  most recent ``capacity`` events and counts what it dropped; pass
-  ``capacity=None`` for an unbounded buffer (the ``repro trace``
-  exporter needs the whole run).
-* :class:`JsonlSink` -- streams each event as one JSON line, so a trace
-  larger than memory can still be captured.
+It is the only sink.  A bounded buffer keeps the most recent
+``capacity`` events and counts what it dropped; ``capacity=None``
+keeps the whole run (``repro trace`` exports every event, as Chrome
+JSON and as JSON Lines, after the run ends).
 
-Sinks never mutate events and never feed anything back into the
+The sink never mutates events and never feeds anything back into the
 simulator, so attaching one cannot change simulated results (the
 determinism test in ``tests/telemetry/test_determinism.py`` pins this).
 """
 
 from __future__ import annotations
 
-import json
 from collections import deque
-from pathlib import Path
-from typing import IO, List, Optional, Tuple, Union
+from typing import Optional, Tuple
 
 from .events import TraceEvent
 
 
-class EventSink:
-    """Interface: receives every emitted event."""
-
-    def emit(self, event: TraceEvent) -> None:
-        raise NotImplementedError
-
-    def close(self) -> None:
-        """Flush/release resources (idempotent)."""
-
-
-class NullSink(EventSink):
-    """Discards every event."""
-
-    def emit(self, event: TraceEvent) -> None:
-        pass
-
-
-class RingBufferSink(EventSink):
+class RingBufferSink:
     """Keeps the most recent ``capacity`` events in memory.
 
     ``capacity=None`` means unbounded.  ``dropped`` counts events that
@@ -71,58 +49,3 @@ class RingBufferSink(EventSink):
 
     def events(self) -> Tuple[TraceEvent, ...]:
         return tuple(self._buffer)
-
-    def clear(self) -> None:
-        self._buffer.clear()
-        self._emitted = 0
-
-
-class JsonlSink(EventSink):
-    """Streams events as JSON Lines (one object per event).
-
-    Accepts a path (opened lazily, closed by :meth:`close`) or an
-    already-open text handle (left open -- the caller owns it).
-    """
-
-    def __init__(self, target: Union[str, Path, IO[str]]) -> None:
-        if isinstance(target, (str, Path)):
-            self._handle: Optional[IO[str]] = None
-            self._path: Optional[Path] = Path(target)
-            self._owns_handle = True
-        else:
-            self._handle = target
-            self._path = None
-            self._owns_handle = False
-        self.emitted = 0
-
-    def emit(self, event: TraceEvent) -> None:
-        if self._handle is None:
-            if self._path is None:
-                raise ValueError("sink is closed")
-            self._handle = self._path.open("w", encoding="utf-8")
-        self._handle.write(json.dumps(event.to_json(), sort_keys=True))
-        self._handle.write("\n")
-        self.emitted += 1
-
-    def close(self) -> None:
-        if self._owns_handle and self._handle is not None:
-            self._handle.close()
-            self._handle = None
-            self._path = None
-
-    def __enter__(self) -> "JsonlSink":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
-
-
-def read_jsonl_events(path: Union[str, Path]) -> List[dict]:
-    """Parse a JSONL event stream back into dicts (for tests/tools)."""
-    events = []
-    with Path(path).open("r", encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if line:
-                events.append(json.loads(line))
-    return events

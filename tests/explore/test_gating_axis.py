@@ -38,14 +38,16 @@ def point(gating=""):
 class TestDesignPointGating:
     def test_encode_decode_round_trip(self):
         p = point(GATED)
-        assert p.encode().endswith(f"|g={GATED}")
-        assert DesignPoint.decode(p.encode()) == p
+        assert p.encode() == f"dp@n45:B144+L36:cw2|xbar4|g={GATED}"
+        assert p.encode() != point().encode()
+        assert p.encode() != point("idle:drowsy=16,gate=128").encode()
 
     def test_ungated_encoding_is_unchanged(self):
         # Pre-gating encodings are cache keys; they must not move.
         p = point()
         assert p.encode() == "dp@n45:B144+L36:cw2|xbar4"
-        assert DesignPoint.decode(p.encode()) == p
+        assert p.encode() != DesignPoint.from_mix(
+            45, {WireClass.B: 144, WireClass.L: 36}, "ring16").encode()
 
     def test_non_canonical_gating_rejected(self):
         with pytest.raises(ValueError, match="not canonical"):
@@ -54,8 +56,11 @@ class TestDesignPointGating:
             point("never")
 
     def test_malformed_suffix_rejected(self):
-        with pytest.raises(ValueError, match="g="):
-            DesignPoint.decode("dp@n45:B144+L36:cw2|xbar4|idle")
+        # A policy that would spell a malformed ``|g=`` suffix never
+        # makes a point.
+        for gating in ("g=idle", "idle|xbar4", "|g=idle"):
+            with pytest.raises(ValueError, match="unknown gating policy"):
+                point(gating)
 
     def test_plans_carry_the_policy(self):
         base = ExperimentPlan("I", "gzip", instructions=800, warmup=200,

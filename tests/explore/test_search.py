@@ -159,3 +159,17 @@ class TestReport:
             on_frontier = row["design_point"] in frontier
             assert row["on_frontier"] == str(int(on_frontier))
             assert (row["dominance_rank"] == "0") == on_frontier
+
+    def test_cli_csv_creates_its_directory(self, tmp_path, monkeypatch,
+                                           capsys):
+        from repro.__main__ import main
+
+        monkeypatch.setenv("REPRO_NO_CACHE", "1")
+        csv_path = tmp_path / "reports" / "nested" / "points.csv"
+        code = main(["explore", "--nodes", "45", "--b-wires", "144",
+                     "--pw-wires", "0", "--l-wires", "0",
+                     "--benchmarks", "gzip", "--instructions", "300",
+                     "--warmup", "100", "--csv", str(csv_path)])
+        assert code == 0
+        header = csv_path.read_text().splitlines()[0]
+        assert tuple(header.split(",")) == CSV_FIELDS

@@ -6,8 +6,10 @@ import pytest
 
 from repro._version import package_version
 from repro.__main__ import main
+from repro.harness import ExperimentPlan, simulate_plan
 from repro.telemetry import (
-    read_jsonl_events,
+    RingBufferSink,
+    Telemetry,
     trace_categories,
     validate_chrome_trace,
 )
@@ -31,7 +33,7 @@ class TestVersionFlags:
 
 class TestTraceCommand:
     def test_trace_writes_valid_chrome_json(self, tmp_path, capsys):
-        out_path = tmp_path / "trace.json"
+        out_path = tmp_path / "missing" / "dir" / "trace.json"
         code = main(["trace", "X", "--benchmark", "gzip", *WINDOW,
                      "--fault-spec", "kill=L@*@200",
                      "--out", str(out_path)])
@@ -50,14 +52,21 @@ class TestTraceCommand:
         assert "traffic by link and plane:" in out
 
     def test_trace_events_out_jsonl(self, tmp_path, capsys):
-        events_path = tmp_path / "events.jsonl"
+        """One sorted-key JSON object per buffered event, in order."""
+        events_path = tmp_path / "missing" / "events.jsonl"
         code = main(["trace", "I", "--benchmark", "gzip", *WINDOW,
                      "--events-out", str(events_path)])
         assert code == 0
-        rows = read_jsonl_events(events_path)
-        assert rows
-        assert rows[0]["kind"] == "run_start"
-        assert rows[-1]["kind"] == "run_end"
+        telemetry = Telemetry(sink=RingBufferSink(capacity=None))
+        simulate_plan(ExperimentPlan(model_name="I", benchmark="gzip",
+                                     instructions=1500, warmup=400),
+                      telemetry=telemetry)
+        events = telemetry.events()
+        assert events[0].kind.value == "run_start"
+        assert events[-1].kind.value == "run_end"
+        expected = "".join(json.dumps(event.to_json(), sort_keys=True)
+                           + "\n" for event in events)
+        assert events_path.read_bytes() == expected.encode("utf-8")
 
     def test_trace_metrics_flag(self, capsys):
         code = main(["trace", "I", "--benchmark", "gzip", *WINDOW,

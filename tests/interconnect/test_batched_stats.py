@@ -5,9 +5,7 @@ kind) shape and folds them into its counters on first read.  These
 tests pin the fold: tallied stats must agree with stats folded after
 every single grant on *every* observable -- counters, insertion order
 (which fixes the float summation order of ``dynamic_energy``) and energy
-totals -- and :meth:`InterconnectStats.merge` must round-trip across
-splits of the grant stream, which is exactly what warmup resets and
-sweep roll-ups rely on.
+totals -- and a traced run must report what an untraced one does.
 """
 
 import pytest
@@ -16,8 +14,7 @@ from repro.core.models import model
 from repro.core.simulation import build_processor
 from repro.interconnect.message import TransferKind
 from repro.interconnect.stats import InterconnectStats
-from repro.telemetry import (MetricsRegistry, RingBufferSink, Telemetry,
-                             merge_counters)
+from repro.telemetry import RingBufferSink, Telemetry
 from repro.wires import WireClass
 
 #: A grant stream touching several planes/kinds in interleaved order,
@@ -103,38 +100,6 @@ class TestBatchedStatsFold:
                 WireClass.B, -1, 1, TransferKind.OPERAND)
 
 
-class TestMergeRoundTrip:
-    @pytest.mark.parametrize("split", [0, 1, 4, len(GRANTS)])
-    def test_split_streams_merge_to_the_whole(self, split):
-        whole = record_all(InterconnectStats(), GRANTS)
-        head = record_all(InterconnectStats(), GRANTS[:split]).flush()
-        tail = record_all(InterconnectStats(), GRANTS[split:]).flush()
-        combined = InterconnectStats()
-        combined.merge(head).merge(tail)
-        assert_same_counters(combined, whole)
-
-    def test_merge_preserves_first_touch_order(self):
-        # The fold must append unseen planes in the *other* stats'
-        # insertion order -- dynamic_energy sums floats in that order,
-        # and pinned energy totals depend on it.
-        first = record_all(InterconnectStats(), GRANTS[:2])
-        second = record_all(InterconnectStats(), GRANTS[2:])
-        first.merge(second)
-        assert list(first.by_plane) == [WireClass.B, WireClass.L,
-                                        WireClass.PW]
-
-    def test_merge_sums_scalar_counters(self):
-        left = InterconnectStats(buffered_cycles=3, split_transfers=1,
-                                 retransmissions=2)
-        right = InterconnectStats(buffered_cycles=4, split_transfers=2,
-                                  corrupted_segments=5)
-        left.merge(right)
-        assert left.buffered_cycles == 7
-        assert left.split_transfers == 3
-        assert left.retransmissions == 2
-        assert left.corrupted_segments == 5
-
-
 class TestEngineReportsAgree:
     """Telemetry does not change what the network reports.
 
@@ -170,30 +135,3 @@ class TestEngineReportsAgree:
         assert_same_counters(untraced, traced)
         assert untraced.buffered_cycles == traced.buffered_cycles
         assert untraced.split_transfers == traced.split_transfers
-
-
-class TestMetricsRegistryMerge:
-    def test_counter_snapshots_round_trip(self):
-        left = MetricsRegistry()
-        right = MetricsRegistry()
-        whole = MetricsRegistry()
-        for name, splits in [("net.grants", (3, 4)),
-                             ("steer.overflow", (0, 2)),
-                             ("cache.l1", (7, 0))]:
-            left.counter(name).inc(splits[0])
-            right.counter(name).inc(splits[1])
-            whole.counter(name).inc(sum(splits))
-        merged = merge_counters([left.snapshot(), right.snapshot()])
-        expected = {name: value
-                    for name, value in whole.snapshot().items()
-                    if isinstance(value, int)}
-        assert merged == expected
-
-    def test_merge_skips_non_integer_instruments(self):
-        registry = MetricsRegistry()
-        registry.counter("net.grants").inc(2)
-        registry.gauge("net.depth").set(3.5)
-        registry.histogram("net.lat", (1.0, 2.0)).observe(1.5)
-        merged = merge_counters([registry.snapshot(),
-                                 registry.snapshot()])
-        assert merged == {"net.grants": 4}

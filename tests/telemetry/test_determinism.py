@@ -18,7 +18,6 @@ from repro.telemetry import (
     RingBufferSink,
     Telemetry,
     chrome_trace,
-    instant_timestamps,
     trace_categories,
     validate_chrome_trace,
 )
@@ -79,7 +78,8 @@ class TestTraceContents:
         cycles = [e.cycle for e in events]
         assert cycles == sorted(cycles)
         assert all(c >= 0 for c in cycles)
-        stamps = instant_timestamps(chrome_trace(events))
+        stamps = [e["ts"] for e in chrome_trace(events)["traceEvents"]
+                  if e["ph"] == "i"]
         assert stamps == sorted(stamps)
 
     def test_counters_match_event_stream(self, traced):

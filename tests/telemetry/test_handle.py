@@ -12,7 +12,6 @@ from repro.telemetry import (
 
 class TestNullTelemetry:
     def test_shared_singleton(self):
-        assert Telemetry.null() is NULL_TELEMETRY
         assert NULL_TELEMETRY.enabled is False
 
     def test_disabled_handle_records_nothing(self):
@@ -63,14 +62,6 @@ class TestEnabledTelemetry:
         snapshot = tel.metrics.snapshot()
         assert snapshot["bits"]["total"] == 1
         assert snapshot["depth"] == 4.0
-
-    def test_events_empty_for_unbuffered_sink(self, tmp_path):
-        from repro.telemetry import JsonlSink
-
-        tel = Telemetry(sink=JsonlSink(tmp_path / "e.jsonl"))
-        tel.emit(1, EventKind.RUN_START)
-        assert tel.events() == ()
-        tel.close()
 
     def test_disabled_flag_suppresses_everything(self):
         sink = RingBufferSink()

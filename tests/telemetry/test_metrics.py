@@ -2,13 +2,7 @@
 
 import pytest
 
-from repro.telemetry import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    merge_counters,
-)
+from repro.telemetry import Counter, Gauge, Histogram, MetricsRegistry
 
 
 class TestCounter:
@@ -124,12 +118,3 @@ class TestMetricsRegistry:
         registry.gauge("load").set(0.5)
         text = registry.render()
         assert "runs" in text and "load" in text
-
-
-class TestMergeCounters:
-    def test_sums_integer_counters_only(self):
-        merged = merge_counters([
-            {"a": 1, "b": 2, "g": 1.5},
-            {"a": 3, "c": 4, "flag": True},
-        ])
-        assert merged == {"a": 4, "b": 2, "c": 4}

@@ -7,6 +7,8 @@ export stamp is the discovery cycle, the effective cycle rides in the
 attributes, and the resulting trace always validates.
 """
 
+import json
+
 from repro.core.models import model
 from repro.core.simulation import simulate_benchmark
 from repro.power import GatingPolicy
@@ -15,7 +17,6 @@ from repro.telemetry import (
     RingBufferSink,
     Telemetry,
     chrome_trace,
-    load_chrome_trace,
     make_event,
     trace_categories,
     validate_chrome_trace,
@@ -55,7 +56,7 @@ class TestChromeRoundTrip:
         events, _ = gated_trace_events()
         path = write_chrome_trace(tmp_path / "gated.json", events,
                                   metadata={"gating": GATING})
-        trace = load_chrome_trace(path)
+        trace = json.loads(path.read_text(encoding="utf-8"))
         assert validate_chrome_trace(trace) == []
         assert "power" in trace_categories(trace)
         assert trace["otherData"]["gating"] == GATING
@@ -63,7 +64,7 @@ class TestChromeRoundTrip:
     def test_power_attrs_survive_the_round_trip(self, tmp_path):
         events, _ = gated_trace_events()
         path = write_chrome_trace(tmp_path / "gated.json", events)
-        trace = load_chrome_trace(path)
+        trace = json.loads(path.read_text(encoding="utf-8"))
         exported = [e for e in trace["traceEvents"]
                     if e.get("cat") == "power"]
         assert exported

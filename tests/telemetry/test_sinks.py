@@ -1,15 +1,8 @@
-"""Sinks: ring buffer bounds/drop accounting, JSONL streaming."""
+"""The ring-buffer sink: bounds and drop accounting."""
 
 import pytest
 
-from repro.telemetry import (
-    EventKind,
-    JsonlSink,
-    NullSink,
-    RingBufferSink,
-    make_event,
-    read_jsonl_events,
-)
+from repro.telemetry import EventKind, RingBufferSink, make_event
 
 
 def _events(n, kind=EventKind.WIRE_SELECTED):
@@ -36,44 +29,3 @@ class TestRingBufferSink:
     def test_rejects_zero_capacity(self):
         with pytest.raises(ValueError):
             RingBufferSink(capacity=0)
-
-    def test_clear(self):
-        sink = RingBufferSink()
-        sink.emit(make_event(1, EventKind.RUN_START))
-        sink.clear()
-        assert sink.events() == ()
-        assert sink.emitted == 0
-
-
-class TestJsonlSink:
-    def test_round_trip_via_path(self, tmp_path):
-        path = tmp_path / "events.jsonl"
-        with JsonlSink(path) as sink:
-            for event in _events(4, EventKind.TRANSFER_ROUTED):
-                sink.emit(event)
-        rows = read_jsonl_events(path)
-        assert len(rows) == 4
-        assert rows[0]["kind"] == "transfer_routed"
-        assert [r["cycle"] for r in rows] == [0, 1, 2, 3]
-
-    def test_caller_owned_handle_left_open(self, tmp_path):
-        path = tmp_path / "stream.jsonl"
-        with path.open("w") as handle:
-            sink = JsonlSink(handle)
-            sink.emit(make_event(9, EventKind.PLANE_KILL))
-            sink.close()  # must not close the caller's handle
-            assert not handle.closed
-
-    def test_emit_after_close_raises(self, tmp_path):
-        sink = JsonlSink(tmp_path / "x.jsonl")
-        sink.emit(make_event(1, EventKind.RUN_START))
-        sink.close()
-        with pytest.raises(ValueError):
-            sink.emit(make_event(2, EventKind.RUN_END))
-
-
-class TestNullSink:
-    def test_swallows_everything(self):
-        sink = NullSink()
-        sink.emit(make_event(1, EventKind.RUN_START))
-        sink.close()  # idempotent no-op
