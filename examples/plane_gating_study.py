@@ -10,19 +10,19 @@ Run:  python examples/plane_gating_study.py
 
 from repro.core.models import model
 from repro.core.simulation import build_processor, simulate_benchmark
-from repro.power import GatingPolicy
+from repro.power import parse_gating
 from repro.telemetry import EventKind, RingBufferSink, Telemetry
 
 MODEL = "X"           # 144 B + 288 PW + 36 L: three gateable-ish planes
 BENCHMARK = "gzip"
 INSTRUCTIONS, WARMUP = 4000, 1000
 
-AGGRESSIVE = GatingPolicy.parse("idle:drowsy=32,gate=128")
+AGGRESSIVE = parse_gating("idle:drowsy=32,gate=128")
 POLICIES = (
     ("always-on", None),
-    ("drowsy late", GatingPolicy.parse("idle:drowsy=128,gate=512")),
+    ("drowsy late", parse_gating("idle:drowsy=128,gate=512")),
     ("drowsy early", AGGRESSIVE),
-    ("ewma", GatingPolicy.parse("ewma:halflife=64,thr=0.5")),
+    ("ewma", parse_gating("ewma:halflife=64,thr=0.5")),
 )
 
 

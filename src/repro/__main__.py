@@ -328,8 +328,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--models", nargs="+", default=["I"],
                    choices=MODEL_NAMES, metavar="MODEL",
                    help="interconnect models to sweep (default: I)")
-    p.add_argument("--priority", type=int, default=0,
-                   help="admission priority (higher dequeues first)")
     p.add_argument("--no-wait", action="store_true",
                    help="return after admission instead of polling "
                         "the job to completion")
@@ -644,10 +642,9 @@ def _cmd_submit(args: argparse.Namespace) -> int:
     plans = _submit_plans(args)
     try:
         if args.no_wait:
-            job = client.submit(plans, priority=args.priority)
+            job = client.submit(plans)
         else:
-            job = client.submit_and_wait(plans, priority=args.priority,
-                                         timeout=args.timeout)
+            job = client.submit_and_wait(plans, timeout=args.timeout)
     except (ServiceError, OSError) as exc:
         return _service_failure(args, exc, "submission failed: ")
     _print_job(job)

@@ -104,15 +104,16 @@ def build_processor(interconnect: InterconnectConfig, benchmark: str,
     """A processor wired to one synthetic SPEC2k benchmark.
 
     ``num_clusters`` and ``latency_scale`` size the machine; every other
-    core parameter is Table 1's (:class:`ProcessorConfig`).  A null
-    ``fault_spec`` builds no injector.
+    core parameter is Table 1's (:class:`ProcessorConfig`).  A ``None``
+    ``fault_spec`` (a plan's ``faults`` for healthy wires) builds no
+    injector.
     """
     config = ProcessorConfig(num_clusters=num_clusters,
                              latency_scale=latency_scale)
     trace = annotated_trace(benchmark, seed, config.icache_size_kb,
                             config.icache_assoc)
     faults = None
-    if fault_spec is not None and not fault_spec.is_null:
+    if fault_spec is not None:
         faults = FaultInjector(fault_spec, seed=seed, telemetry=telemetry)
     cpu = ClusteredProcessor(config, interconnect, trace, faults=faults,
                              telemetry=telemetry, gating=gating)

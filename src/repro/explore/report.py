@@ -7,7 +7,7 @@ import io
 from typing import Dict, Tuple
 
 from ..core.metrics import DYNAMIC_SHARE, LEAKAGE_SHARE
-from .pareto import dominance_ranks
+from .pareto import DEFAULT_OBJECTIVES, dominance_ranks
 from .search import ExploreResult
 from .space import PointMetrics
 
@@ -42,7 +42,7 @@ def _ranks(result: ExploreResult) -> Dict[PointMetrics, int]:
     return {
         metric: rank
         for rank, metric in dominance_ranks(
-            result.evaluated, result.objectives,
+            result.evaluated, DEFAULT_OBJECTIVES,
             sort_key=lambda m: m.point.encode(),
         )
     }

@@ -40,7 +40,7 @@ from ..wires import (
     link_metal_area_mm2,
     node_scaling,
 )
-from .pareto import DEFAULT_OBJECTIVES, Objective, pareto_frontier
+from .pareto import DEFAULT_OBJECTIVES, pareto_frontier
 from .space import (
     TOPOLOGIES,
     DesignPoint,
@@ -214,7 +214,6 @@ class ExploreResult:
     space_size: int
     executed: int
     cache_hits: int
-    objectives: Tuple[Objective, ...] = DEFAULT_OBJECTIVES
     baseline: Optional[PointMetrics] = None
 
     def render_summary(self) -> str:
@@ -313,8 +312,7 @@ def runner_executor(runner) -> Executor:
     return execute
 
 
-def service_executor(client, priority: int = 0,
-                     timeout: float = 600.0) -> Executor:
+def service_executor(client, timeout: float = 600.0) -> Executor:
     """Execute plan waves by submitting jobs to a sweep service.
 
     Each wave becomes one idempotent job; the finished job's report is
@@ -322,8 +320,7 @@ def service_executor(client, priority: int = 0,
     the server.
     """
     def execute(plans: Sequence[ExperimentPlan]) -> SweepReport:
-        job = client.submit_and_wait(list(plans), priority=priority,
-                                     timeout=timeout)
+        job = client.submit_and_wait(list(plans), timeout=timeout)
         if job["state"] == "cancelled":
             raise RuntimeError(
                 f"explore job {job['job_id']} was cancelled server-side"
@@ -335,7 +332,6 @@ def service_executor(client, priority: int = 0,
 def explore(space: SearchSpace, settings: EvaluationSettings,
             execute: Executor, budget: int = 64,
             seed: int = 0,
-            objectives: Tuple[Objective, ...] = DEFAULT_OBJECTIVES,
             profiler: Optional[HarnessProfiler] = None,
             ) -> ExploreResult:
     """Search ``space`` and return its evaluated Pareto frontier.
@@ -419,7 +415,7 @@ def explore(space: SearchSpace, settings: EvaluationSettings,
         evaluated_points: Set[DesignPoint] = set(first_wave)
         while remaining > 0:
             frontier_now = pareto_frontier(
-                tuple(metrics_by_point.values()), objectives,
+                tuple(metrics_by_point.values()), DEFAULT_OBJECTIVES,
                 sort_key=lambda m: m.point.encode(),
             )
             candidates = sorted(
@@ -441,7 +437,7 @@ def explore(space: SearchSpace, settings: EvaluationSettings,
 
     evaluated = tuple(sorted(metrics_by_point.values(),
                              key=lambda m: m.point.encode()))
-    frontier = pareto_frontier(evaluated, objectives,
+    frontier = pareto_frontier(evaluated, DEFAULT_OBJECTIVES,
                                sort_key=lambda m: m.point.encode())
     baseline_metrics = None
     if base is not None:
@@ -456,6 +452,5 @@ def explore(space: SearchSpace, settings: EvaluationSettings,
         space_size=len(all_points),
         executed=executed,
         cache_hits=cache_hits,
-        objectives=tuple(objectives),
         baseline=baseline_metrics,
     )

@@ -479,11 +479,14 @@ class SweepSummary:
         kwargs = {}
         for field_def in fields(cls):
             value = data.get(field_def.name)
-            if isinstance(value, bool) or not isinstance(value,
-                                                         (int, float)):
+            # Counts take an int; durations an int or a float.
+            count = field_def.type in (int, "int")
+            if isinstance(value, bool) or not isinstance(
+                    value, int if count else (int, float)):
                 raise ValueError(
                     f"sweep summary field {field_def.name!r} must be "
-                    f"numeric, got {value!r}"
+                    f"{'an integer' if count else 'numeric'}, "
+                    f"got {value!r}"
                 )
             kwargs[field_def.name] = value
         return cls(**kwargs)

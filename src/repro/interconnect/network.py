@@ -194,10 +194,10 @@ class Network:
                                      telemetry=self.telemetry)
         self.stats = InterconnectStats(specs=composition.specs_map())
         self.injector = injector
-        # Gating: ``None`` and the never-gate policy build no manager at
-        # all, keeping ungated runs on the exact pre-gating code path.
+        # Gating: ``None`` (always-on) builds no manager at all, keeping
+        # ungated runs on the exact pre-gating code path.
         self.power: Optional[PlanePowerManager] = None
-        if gating is not None and not gating.is_never:
+        if gating is not None:
             self.power = PlanePowerManager(topology, composition, gating,
                                            telemetry=self.telemetry)
         # Every (channel, plane) seen so far, and the ones with queued

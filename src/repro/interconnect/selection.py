@@ -79,13 +79,6 @@ class PolicyFlags:
     #: ordering violations squash the front-end for the processor's
     #: ``violation_penalty`` cycles.
     memory_dependence_speculation: bool = False
-    load_balance_window: int = 5
-    load_balance_threshold: int = 10
-
-    def __post_init__(self) -> None:
-        if self.load_balance_window < 1:
-            raise ValueError("load_balance_window must be at least one "
-                             "cycle")
 
     def without_lwire_uses(self) -> "PolicyFlags":
         return replace(self, lwire_mispredict=False,
@@ -94,7 +87,7 @@ class PolicyFlags:
     def tag(self) -> str:
         """The canonical spelling: ``"default"``, or ``name=value`` for
         each field that differs from the defaults, in declaration order
-        (booleans as ``0``/``1``), e.g. ``lwire_narrow=0,pw_store_data=0``.
+        (as ``0``/``1``), e.g. ``lwire_narrow=0,pw_store_data=0``.
         """
         return ",".join(
             f"{f.name}={int(getattr(self, f.name))}" for f in fields(self)
@@ -109,21 +102,18 @@ class PolicyFlags:
         text = text.strip()
         if text in ("", "default"):
             return cls()
-        defaults = {f.name: f.default for f in fields(cls)}
-        values: Dict[str, object] = {}
+        names = {f.name for f in fields(cls)}
+        values: Dict[str, bool] = {}
         for item in text.split(","):
             name, _, value = (part.strip() for part in item.partition("="))
-            if name not in defaults:
+            if name not in names:
                 raise ValueError(f"unknown policy flag {name!r}")
             if name in values:
                 raise ValueError(f"policy flag {name!r} given twice")
-            if not (value.isascii() and value.isdigit()) or (
-                    isinstance(defaults[name], bool)
-                    and value not in ("0", "1")):
+            if value not in ("0", "1"):
                 raise ValueError(f"bad value {value!r} for policy flag "
                                  f"{name!r}")
-            values[name] = (value == "1" if isinstance(defaults[name], bool)
-                            else int(value))
+            values[name] = value == "1"
         return cls(**values)
 
 
@@ -175,10 +165,7 @@ class WireSelector:
         self._flags_without_l = self.flags.without_lwire_uses()
         self._demand_bulk = frozenset((self._bulk,))
         self._demand_l_bulk = frozenset((WireClass.L, self._bulk))
-        self._detector = ImbalanceDetector(
-            window=self.flags.load_balance_window,
-            threshold=self.flags.load_balance_threshold,
-        )
+        self._detector = ImbalanceDetector()
         #: The imbalance detector is consulted only when the rule is on
         #: and both bulk-capable planes exist; otherwise feeding its
         #: traffic window is unobservable work.

@@ -4,8 +4,8 @@ ROADMAP item 5: idle wire planes cost first-order leakage at small
 technology nodes; this package gates them at runtime.  The pieces:
 
 * :mod:`repro.power.policy` -- when a plane may step down
-  (never / idle-countdown / traffic-EWMA hysteresis), as pure,
-  string-round-trippable rules.
+  (idle-countdown / traffic-EWMA hysteresis), as pure,
+  string-round-trippable rules; always-on is ``None``, no policy.
 * :mod:`repro.power.manager` -- the per-(link, plane) ACTIVE / WAKING /
   DROWSY / GATED machines, settled lazily from the injection stream so
   a processor that skips idle cycles reconstructs the same histories.
@@ -26,11 +26,9 @@ from .manager import (
 from .policy import (
     DEFAULT_DROWSY_WAKE,
     DEFAULT_GATED_WAKE,
-    NEVER_GATE,
     GatingPolicy,
     GatingSpecError,
     IdleThreshold,
-    NeverGate,
     TrafficEwma,
     canonical_gating,
     parse_gating,
@@ -43,11 +41,9 @@ __all__ = [
     "DROWSY_WAKE_ENERGY_PER_WIRE",
     "GATED_LEAKAGE_FRACTION",
     "GATED_WAKE_ENERGY_PER_WIRE",
-    "NEVER_GATE",
     "GatingPolicy",
     "GatingSpecError",
     "IdleThreshold",
-    "NeverGate",
     "PlanePowerManager",
     "PlanePowerReport",
     "PowerState",

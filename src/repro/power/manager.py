@@ -103,8 +103,7 @@ class _PlaneSlot:
         self.ewma = 0.0
         #: ``policy.transitions_after(last_use, ewma)``, or ``None`` when
         #: a touch moved either input since it was computed.
-        self.transitions: Optional[Tuple[Optional[int], Optional[int]]] \
-            = None
+        self.transitions: Optional[Tuple[int, int]] = None
         self.settled = 0
         self.wake_ready = 0
         self.hold_until = 0
@@ -260,10 +259,6 @@ class PlanePowerManager:
                     transitions = slot.transitions = \
                         policy.transitions_after(slot.last_use, slot.ewma)
                 drowsy_at, gate_at = transitions
-                if drowsy_at is None:
-                    slot.active_cycles += to - pos
-                    pos = to
-                    break
                 down = max(drowsy_at, slot.hold_until)
                 if down > to:
                     slot.active_cycles += to - pos
@@ -271,9 +266,7 @@ class PlanePowerManager:
                     break
                 slot.active_cycles += down - pos
                 pos = down
-                gate_down = None if gate_at is None \
-                    else max(gate_at, slot.hold_until)
-                if gate_down is not None and gate_down <= down:
+                if max(gate_at, slot.hold_until) <= down:
                     state = PowerState.GATED
                     slot.gate_entries += 1
                 else:
@@ -285,12 +278,7 @@ class PlanePowerManager:
                 if transitions is None:
                     transitions = slot.transitions = \
                         policy.transitions_after(slot.last_use, slot.ewma)
-                gate_at = transitions[1]
-                if gate_at is None:
-                    slot.drowsy_cycles += to - pos
-                    pos = to
-                    break
-                down = max(gate_at, slot.hold_until)
+                down = max(transitions[1], slot.hold_until)
                 if down > to:
                     slot.drowsy_cycles += to - pos
                     pos = to

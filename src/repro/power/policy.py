@@ -10,12 +10,9 @@ pure function.  That purity is what lets the processor skip idle
 cycles under gating: settling the closed-form machine late gives the
 same states as stepping it every cycle.
 
-Three policies reproduce the design space of the leakage-aware
+Two policies reproduce the design space of the leakage-aware
 interconnect literature (PAPERS.md):
 
-* :class:`NeverGate` -- the always-on baseline.  Planes stay ACTIVE
-  forever; the network does not even build a power manager for it, so
-  never-gate runs are bit-identical to pre-gating builds.
 * :class:`IdleThreshold` -- a countdown: a plane unused for ``drowsy``
   cycles drops to DROWSY, and for ``gate`` cycles to GATED.
 * :class:`TrafficEwma` -- hysteresis on an exponentially-weighted
@@ -25,6 +22,11 @@ interconnect literature (PAPERS.md):
   after each wake-up prevents oscillation.  The estimate is a pure
   function of (touch cycles) -- no RNG is consulted anywhere, which the
   golden corpus's EWMA entries pin.
+
+The always-on baseline is no policy at all: :func:`parse_gating`, the
+one parser, returns ``None`` for ``""`` and ``"never"``, and the
+network builds no power manager, so never-gate runs are bit-identical
+to pre-gating builds.
 
 Policies round-trip through a compact canonical string
 (``"idle:drowsy=64,gate=256"``) so they can ride in CLI flags,
@@ -36,6 +38,7 @@ explorer's design-point encodings, exactly like
 from __future__ import annotations
 
 import math
+from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
@@ -52,16 +55,14 @@ DEFAULT_GATED_WAKE = 8
 
 
 @dataclass(frozen=True)
-class GatingPolicy:
-    """Base policy: shared wake-up penalties, never steps down.
+class GatingPolicy(ABC):
+    """Base policy: the wake-up penalties every policy shares.
 
     ``wake``/``gwake`` are the cycles a plane spends WAKING after a
-    demand touches it in the DROWSY/GATED state.  Subclasses override
-    :meth:`transitions_after` to schedule the step-downs.
+    demand touches it in the DROWSY/GATED state.  Subclasses implement
+    :meth:`transitions_after` to schedule the step-downs, and
+    :meth:`canonical`.
     """
-
-    #: Stable clause name; the first token of the canonical string.
-    KIND = "never"
 
     wake: int = DEFAULT_DROWSY_WAKE
     gwake: int = DEFAULT_GATED_WAKE
@@ -76,11 +77,6 @@ class GatingPolicy:
                 f"gated wake latency ({self.gwake}) must be >= drowsy "
                 f"wake latency ({self.wake})"
             )
-
-    @property
-    def is_never(self) -> bool:
-        """True when the policy can never leave ACTIVE."""
-        return True
 
     #: Post-wake hold-down: no step-down before wake_ready + hold.
     @property
@@ -100,70 +96,24 @@ class GatingPolicy:
         """The traffic estimate after ``idle`` cycles with no touch."""
         return 0.0
 
+    @abstractmethod
     def transitions_after(self, last_use: int, ewma: float
-                          ) -> Tuple[Optional[int], Optional[int]]:
+                          ) -> Tuple[int, int]:
         """Absolute (drowsy-entry, gate-entry) cycles after a touch.
 
-        ``None`` means "never".  When both are returned, the gate entry
-        is always at or after the drowsy entry.  Both are strictly
-        after ``last_use`` -- the touch cycle itself is ACTIVE.
+        The gate entry is always at or after the drowsy entry.  Both
+        are strictly after ``last_use`` -- the touch cycle itself is
+        ACTIVE.
         """
-        return (None, None)
 
+    @abstractmethod
     def canonical(self) -> str:
         """Normalized string; equal policies render identically."""
-        return "never"
-
-    @classmethod
-    def parse(cls, text: str) -> "GatingPolicy":
-        """Parse ``kind:key=value,...``; raises :class:`GatingSpecError`.
-
-        Accepted forms::
-
-            never                         always-on baseline ("" works too)
-            idle:drowsy=64,gate=256       idle-countdown thresholds (cycles)
-            ewma:halflife=64,thr=0.5      traffic-EWMA hysteresis
-            ewma:halflife=64,thr=0.5,gthr=0.125,hold=32
-
-        Every policy also accepts ``wake=``/``gwake=`` wake latencies.
-        """
-        text = text.strip()
-        kind, sep, body = text.partition(":")
-        kind = kind.strip().lower()
-        if not kind or kind == "never":
-            if sep or body:
-                raise GatingSpecError(
-                    "the never-gate policy takes no parameters"
-                )
-            return NEVER_GATE
-        fields = _parse_fields(body if sep else "", text)
-        if kind == "idle":
-            return IdleThreshold(**_pick(fields, text, {
-                "drowsy": int, "gate": int, "wake": int, "gwake": int,
-            }))
-        if kind == "ewma":
-            return TrafficEwma(**_pick(fields, text, {
-                "halflife": int, "thr": float, "gthr": float,
-                "hold": int, "wake": int, "gwake": int,
-            }))
-        raise GatingSpecError(
-            f"unknown gating policy {kind!r}; expected one of "
-            "never, idle, ewma"
-        )
-
-
-@dataclass(frozen=True)
-class NeverGate(GatingPolicy):
-    """The always-on baseline: planes never leave ACTIVE."""
-
-    KIND = "never"
 
 
 @dataclass(frozen=True)
 class IdleThreshold(GatingPolicy):
     """Countdown policy: step down after fixed idle thresholds."""
-
-    KIND = "idle"
 
     drowsy: int = 64
     gate: int = 256
@@ -181,12 +131,8 @@ class IdleThreshold(GatingPolicy):
                 f"drowsy threshold ({self.drowsy})"
             )
 
-    @property
-    def is_never(self) -> bool:
-        return False
-
     def transitions_after(self, last_use: int, ewma: float
-                          ) -> Tuple[Optional[int], Optional[int]]:
+                          ) -> Tuple[int, int]:
         return (last_use + self.drowsy, last_use + self.gate)
 
     def canonical(self) -> str:
@@ -210,8 +156,6 @@ class TrafficEwma(GatingPolicy):
     oscillating).  Entry cycles are solved in closed form -- the
     estimate is RNG-free and purely a function of the touch stream.
     """
-
-    KIND = "ewma"
 
     halflife: int = 64
     thr: float = 0.5
@@ -237,10 +181,6 @@ class TrafficEwma(GatingPolicy):
             raise GatingSpecError(
                 f"EWMA hold-down must be non-negative, got {self.hold}"
             )
-
-    @property
-    def is_never(self) -> bool:
-        return False
 
     @property
     def hold_cycles(self) -> int:
@@ -273,7 +213,7 @@ class TrafficEwma(GatingPolicy):
         return dt
 
     def transitions_after(self, last_use: int, ewma: float
-                          ) -> Tuple[Optional[int], Optional[int]]:
+                          ) -> Tuple[int, int]:
         drowsy_at = last_use + self._entry_delay(ewma, self.thr)
         gate_at = last_use + self._entry_delay(ewma, self.gthr)
         if gate_at < drowsy_at:
@@ -293,10 +233,6 @@ class TrafficEwma(GatingPolicy):
         if self.gwake != DEFAULT_GATED_WAKE:
             parts.append(f"gwake={self.gwake}")
         return "ewma:" + ",".join(parts)
-
-
-#: The always-on policy, for callers that want an explicit default.
-NEVER_GATE = NeverGate()
 
 
 def _parse_fields(body: str, context: str) -> Dict[str, str]:
@@ -344,13 +280,42 @@ def _pick(fields: Dict[str, str], context: str,
 
 
 def parse_gating(text: str) -> Optional[GatingPolicy]:
-    """A policy for a spec string, or ``None`` for the never-gate ones.
+    """Parse ``kind:key=value,...``; raises :class:`GatingSpecError`.
 
-    ``""`` and ``"never"`` both mean "no power manager at all", which
-    keeps ungated runs on the exact pre-gating code path.
+    Accepted forms::
+
+        never                         always-on baseline ("" works too)
+        idle:drowsy=64,gate=256       idle-countdown thresholds (cycles)
+        ewma:halflife=64,thr=0.5      traffic-EWMA hysteresis
+        ewma:halflife=64,thr=0.5,gthr=0.125,hold=32
+
+    Every policy also accepts ``wake=``/``gwake=`` wake latencies.
+    The always-on spellings return ``None``: "no power manager at
+    all", which keeps ungated runs on the exact pre-gating code path.
     """
-    policy = GatingPolicy.parse(text)
-    return None if policy.is_never else policy
+    text = text.strip()
+    kind, sep, body = text.partition(":")
+    kind = kind.strip().lower()
+    if not kind or kind == "never":
+        if sep or body:
+            raise GatingSpecError(
+                "the never-gate policy takes no parameters"
+            )
+        return None
+    fields = _parse_fields(body if sep else "", text)
+    if kind == "idle":
+        return IdleThreshold(**_pick(fields, text, {
+            "drowsy": int, "gate": int, "wake": int, "gwake": int,
+        }))
+    if kind == "ewma":
+        return TrafficEwma(**_pick(fields, text, {
+            "halflife": int, "thr": float, "gthr": float,
+            "hold": int, "wake": int, "gwake": int,
+        }))
+    raise GatingSpecError(
+        f"unknown gating policy {kind!r}; expected one of "
+        "never, idle, ewma"
+    )
 
 
 def canonical_gating(text: str) -> str:

@@ -2,7 +2,7 @@
 
 DESIGN.md section 12.  The package splits along failure-domain lines:
 
-* :mod:`~repro.service.queue` -- bounded priority admission
+* :mod:`~repro.service.queue` -- bounded FIFO admission
   (backpressure, never unbounded memory);
 * :mod:`~repro.service.jobs` -- idempotent job identity + durable
   store (restart resume);

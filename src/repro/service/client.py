@@ -104,16 +104,12 @@ class ServiceClient:
 
     # -- the service API -------------------------------------------------
 
-    def submit(self, plans: Sequence[ExperimentPlan],
-               priority: int = 0) -> Dict[str, object]:
+    def submit(self, plans: Sequence[ExperimentPlan]) -> Dict[str, object]:
         """POST a plan batch; returns the job's public JSON.
 
         Raises :class:`Backpressure` when the admission queue is full.
         """
-        payload: Dict[str, object] = {
-            "plans": [plan.to_dict() for plan in plans],
-            "priority": priority,
-        }
+        payload = {"plans": [plan.to_dict() for plan in plans]}
         _status, decoded = self._request("POST", "/jobs", payload)
         return decoded["job"]
 
@@ -166,7 +162,6 @@ class ServiceClient:
             time.sleep(poll)
 
     def submit_and_wait(self, plans: Sequence[ExperimentPlan],
-                        priority: int = 0,
                         timeout: float = 300.0,
                         max_submit_attempts: int = 5
                         ) -> Dict[str, object]:
@@ -178,7 +173,7 @@ class ServiceClient:
         last: Optional[Backpressure] = None
         for _attempt in range(max_submit_attempts):
             try:
-                job = self.submit(plans, priority=priority)
+                job = self.submit(plans)
                 break
             except Backpressure as exc:
                 last = exc

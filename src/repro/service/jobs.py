@@ -7,7 +7,7 @@ contract:
 * **Idempotent identity** -- ``job_id`` is a digest of the sorted plan
   cache keys, so resubmitting the same batch (a reconnecting client,
   a retried HTTP POST) addresses the same job instead of duplicating
-  work.  Priority is an admission parameter, not identity.
+  work.
 * **Durable state** -- every record is persisted as schema-versioned
   JSON under ``<cache_dir>/jobs/`` with the same atomic-rename
   discipline as the result cache.  A restarted server re-enqueues
@@ -31,7 +31,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from ..harness.runner import ExperimentPlan
 
 #: Bump when the persisted job record format changes.
-JOB_SCHEMA_VERSION = 1
+JOB_SCHEMA_VERSION = 2
 
 # Job lifecycle states.  QUEUED and RUNNING are resumable; the rest
 # are terminal.
@@ -59,7 +59,6 @@ class JobRecord:
 
     job_id: str
     plans: Tuple[ExperimentPlan, ...]
-    priority: int = 0
     attempts: int = 0
     state: str = QUEUED
     #: Serialized :meth:`SweepReport.to_json`, set on completion.
@@ -85,7 +84,6 @@ class JobRecord:
             "schema_version": JOB_SCHEMA_VERSION,
             "job_id": self.job_id,
             "plans": [plan.to_dict() for plan in self.plans],
-            "priority": self.priority,
             "attempts": self.attempts,
             "state": self.state,
             "report": self.report,
@@ -116,7 +114,6 @@ class JobRecord:
         record = cls(
             job_id=job_id,
             plans=plans,
-            priority=_typed(data, "priority", int, 0),
             attempts=_typed(data, "attempts", int, 0),
             state=_typed(data, "state", str, QUEUED),
             report=report,
@@ -141,7 +138,6 @@ class JobRecord:
             "job_id": self.job_id,
             "state": self.state,
             "plans": len(self.plans),
-            "priority": self.priority,
             "attempts": self.attempts,
             "summary": summary,
             "manifest": self.manifest,

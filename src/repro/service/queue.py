@@ -1,12 +1,11 @@
-"""Bounded, prioritised admission queue with explicit backpressure.
+"""Bounded FIFO admission queue with explicit backpressure.
 
 The service's first robustness rule is "never unbounded memory": a
 burst of submissions past ``capacity`` is *rejected at admission* with
-a ``Retry-After`` hint, not buffered.  The queue is a binary heap of
-``(-priority, admission_seq)`` entries -- higher priority dequeues
-first, FIFO within a priority level -- designed for the single-loop
-asyncio server: producers call :meth:`put` from request handlers, the
-one dispatcher consumer awaits :meth:`get`.
+a ``Retry-After`` hint, not buffered.  Jobs dequeue in admission order.
+The queue is designed for the single-loop asyncio server: producers
+call :meth:`put` from request handlers, the one dispatcher consumer
+awaits :meth:`get`.
 
 The ``Retry-After`` hint scales with queue depth and an EWMA of
 recent job service times (seeded with :data:`DRAIN_HINT` seconds), so
@@ -17,9 +16,9 @@ rather than hammering a saturated server.
 from __future__ import annotations
 
 import asyncio
-import heapq
 import math
-from typing import List, Optional, Tuple
+from collections import deque
+from typing import Deque, Optional
 
 from ..telemetry import NULL_TELEMETRY, Telemetry
 
@@ -46,15 +45,14 @@ class QueueFullError(Exception):
 
 
 class AdmissionQueue:
-    """A bounded priority queue for job ids (or any hashable items)."""
+    """A bounded FIFO queue for job ids (or any hashable items)."""
 
     def __init__(self, capacity: int,
                  telemetry: Optional[Telemetry] = None) -> None:
         if capacity < 1:
             raise ValueError("queue capacity must be at least 1")
         self.capacity = capacity
-        self._heap: List[Tuple[int, int, object]] = []
-        self._seq = 0
+        self._items: Deque[object] = deque()
         self._service_time = DRAIN_HINT  # EWMA of job durations
         self._not_empty = asyncio.Event()
         self.telemetry = telemetry if telemetry is not None \
@@ -63,10 +61,10 @@ class AdmissionQueue:
 
     @property
     def depth(self) -> int:
-        return len(self._heap)
+        return len(self._items)
 
     def __len__(self) -> int:
-        return len(self._heap)
+        return len(self._items)
 
     def retry_after(self) -> int:
         """Suggested client wait, in whole seconds, at current depth."""
@@ -78,8 +76,7 @@ class AdmissionQueue:
         if seconds > 0:
             self._service_time += 0.3 * (seconds - self._service_time)
 
-    def put(self, item: object, priority: int = 0,
-            force: bool = False) -> None:
+    def put(self, item: object, force: bool = False) -> None:
         """Admit ``item``, or raise :class:`QueueFullError`.
 
         Rejection happens *before* anything is stored, so sustained
@@ -88,36 +85,33 @@ class AdmissionQueue:
         server resumes, which were admitted before the restart; never
         for new submissions.
         """
-        if not force and len(self._heap) >= self.capacity:
+        if not force and len(self._items) >= self.capacity:
             self.rejected += 1
             self.telemetry.count("service.jobs_rejected")
             raise QueueFullError(self.depth, self.capacity,
                                  self.retry_after())
-        self._seq += 1
-        heapq.heappush(self._heap, (-priority, self._seq, item))
+        self._items.append(item)
         self._not_empty.set()
         self._gauge()
 
     def remove(self, item: object) -> bool:
         """Withdraw a queued item (job cancellation); True if found."""
-        for index, (_neg, _seq, queued) in enumerate(self._heap):
-            if queued == item:
-                self._heap[index] = self._heap[-1]
-                self._heap.pop()
-                heapq.heapify(self._heap)
-                if not self._heap:
-                    self._not_empty.clear()
-                self._gauge()
-                return True
-        return False
+        try:
+            self._items.remove(item)
+        except ValueError:
+            return False
+        if not self._items:
+            self._not_empty.clear()
+        self._gauge()
+        return True
 
     async def get(self) -> object:
-        """Await the highest-priority item (FIFO within a priority)."""
-        while not self._heap:
+        """Await the oldest admitted item."""
+        while not self._items:
             self._not_empty.clear()
             await self._not_empty.wait()
-        _neg, _seq, item = heapq.heappop(self._heap)
-        if not self._heap:
+        item = self._items.popleft()
+        if not self._items:
             self._not_empty.clear()
         self._gauge()
         return item

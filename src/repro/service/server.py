@@ -64,7 +64,7 @@ from .queue import AdmissionQueue, QueueFullError
 MAX_BODY_BYTES = 4 * 1024 * 1024
 
 #: The keys a submission may carry.
-SUBMISSION_KEYS = ("plans", "priority")
+SUBMISSION_KEYS = ("plans",)
 
 _STATUS_TEXT = {
     200: "OK", 202: "Accepted", 400: "Bad Request", 404: "Not Found",
@@ -188,7 +188,7 @@ class SweepService:
             self.store.save(record)
             # Resumed jobs were admitted before the restart; they
             # bypass the capacity check rather than being dropped.
-            self.queue.put(record.job_id, record.priority, force=True)
+            self.queue.put(record.job_id, force=True)
             resumed += 1
         if resumed:
             self._log(f"resumed {resumed} persisted job(s)")
@@ -338,9 +338,6 @@ class SweepService:
         if not isinstance(raw_plans, list) or not raw_plans:
             raise HttpError(400, "submission needs a non-empty "
                                  "'plans' list")
-        priority = payload.get("priority", 0)
-        if isinstance(priority, bool) or not isinstance(priority, int):
-            raise HttpError(400, "'priority' must be an integer")
         try:
             plans = tuple(self._normalize_plan(raw) for raw in raw_plans)
         except ValueError as exc:
@@ -358,7 +355,7 @@ class SweepService:
                             "deduplicated": True}, ()
 
         try:
-            self.queue.put(job_id, priority)
+            self.queue.put(job_id)
         except QueueFullError as exc:
             raise HttpError(
                 429,
@@ -366,14 +363,12 @@ class SweepService:
                 f"retry in {exc.retry_after}s",
                 headers=(("Retry-After", str(exc.retry_after)),),
             ) from None
-        record = JobRecord(job_id=job_id, plans=plans,
-                           priority=priority)
+        record = JobRecord(job_id=job_id, plans=plans)
         self._jobs[job_id] = record
         self._cancel_events[job_id] = threading.Event()
         self.store.save(record)
         self.telemetry.count("service.jobs_admitted")
-        self._log(f"admitted job {job_id} ({len(plans)} plan(s), "
-                  f"priority {priority})")
+        self._log(f"admitted job {job_id} ({len(plans)} plan(s))")
         return 202, {"job": record.public_json()}, ()
 
     def _cancel(self, record: JobRecord

@@ -3,7 +3,8 @@
 Collapses a cycle-level event stream into the tables a sweep wants to
 print: how many transfers each wire-selection rule claimed (the
 paper's Section 4 policy, reason by reason), how many bits each
-(link, plane) pair carried, and how much fault machinery fired.  Works
+(link, plane) pair carried, and how often the fault, power-gating and
+steering-penalty machinery fired, kind by kind.  Works
 from the events alone so it can aggregate traces loaded back from disk
 as easily as live ring buffers.
 
@@ -28,8 +29,11 @@ class TraceSummary:
     selection_reasons: Tuple[Tuple[str, int], ...]
     #: (channel, plane, segments, bits) per routed link/plane pair.
     link_traffic: Tuple[Tuple[str, str, int, int], ...]
-    #: (event kind, count) for every fault-category event.
+    #: (event kind, count) for every fault-, power- and
+    #: steering-category event.
     fault_counts: Tuple[Tuple[str, int], ...]
+    power_counts: Tuple[Tuple[str, int], ...]
+    steering_counts: Tuple[Tuple[str, int], ...]
     #: (hit level, count) of memory-hierarchy accesses.
     cache_levels: Tuple[Tuple[str, int], ...]
     #: Overflow events: load-balance diverts + steering spills.
@@ -42,7 +46,10 @@ def summarize(events: Iterable[TraceEvent]) -> TraceSummary:
     """Aggregate an event stream (sorted, deterministic output)."""
     reasons: Dict[str, int] = {}
     links: Dict[Tuple[str, str], List[int]] = {}
-    faults: Dict[str, int] = {}
+    # Fault, power and steering events are counted kind by kind.
+    counted: Dict[str, Dict[str, int]] = {
+        "fault": {}, "power": {}, "steering": {},
+    }
     cache: Dict[str, int] = {}
     lb_diverts = 0
     steer_overflows = 0
@@ -66,9 +73,9 @@ def summarize(events: Iterable[TraceEvent]) -> TraceSummary:
         elif kind is EventKind.CACHE_ACCESS:
             level = str(event.attr("level", "?"))
             cache[level] = cache.get(level, 0) + 1
-        elif event.category == "fault":
-            name = kind.value
-            faults[name] = faults.get(name, 0) + 1
+        elif event.category in counted:
+            per_kind = counted[event.category]
+            per_kind[kind.value] = per_kind.get(kind.value, 0) + 1
     return TraceSummary(
         selection_reasons=tuple(sorted(reasons.items(),
                                        key=lambda kv: (-kv[1], kv[0]))),
@@ -77,7 +84,9 @@ def summarize(events: Iterable[TraceEvent]) -> TraceSummary:
             for (channel, plane), (segments, bits)
             in sorted(links.items(), key=lambda kv: (-kv[1][1], kv[0]))
         ),
-        fault_counts=tuple(sorted(faults.items())),
+        fault_counts=tuple(sorted(counted["fault"].items())),
+        power_counts=tuple(sorted(counted["power"].items())),
+        steering_counts=tuple(sorted(counted["steering"].items())),
         cache_levels=tuple(sorted(cache.items())),
         lb_diverts=lb_diverts,
         steer_overflows=steer_overflows,
@@ -133,9 +142,11 @@ def render_summary(summary: TraceSummary,
         levels = ", ".join(f"{level}={count}"
                            for level, count in summary.cache_levels)
         lines.append(f"cache accesses by level: {levels}")
-    if summary.fault_counts:
-        faults = ", ".join(f"{name}={count}"
-                           for name, count in summary.fault_counts)
-        lines.append(f"fault events: {faults}")
+    for category, counts in (("fault", summary.fault_counts),
+                             ("power", summary.power_counts),
+                             ("steering", summary.steering_counts)):
+        if counts:
+            kinds = ", ".join(f"{name}={count}" for name, count in counts)
+            lines.append(f"{category} events: {kinds}")
     return "\n".join(lines)
 

@@ -15,13 +15,13 @@ from repro.core import simulation
 from repro.core.models import model
 from repro.core.simulation import AccountingError, simulate_benchmark
 from repro.faults import FaultSpec
-from repro.power import GatingPolicy
+from repro.power import parse_gating
 from repro.telemetry import RingBufferSink, Telemetry
 
 #: Long enough for the kill at cycle 2000 to take effect.
 WINDOW = dict(instructions=3000, warmup=1000)
 KILL = FaultSpec.parse("ber=1e-5;kill=L@*@2000")
-EWMA = GatingPolicy.parse("ewma")
+EWMA = parse_gating("ewma")
 
 
 def collected_after(**kwargs) -> int:
@@ -41,7 +41,7 @@ def collected_after(**kwargs) -> int:
     {},
     {"num_clusters": 16},
     {"fault_spec": FaultSpec.parse("ber=1e-4")},
-    {"gating": GatingPolicy.parse("idle")},
+    {"gating": parse_gating("idle")},
     {"fault_spec": KILL, "gating": EWMA},
     {"telemetry": Telemetry(enabled=True, sink=RingBufferSink())},
 ], ids=["plain4", "plain16", "ber", "idle", "kill-ewma", "traced"])

@@ -118,15 +118,16 @@ class TestExplore:
         assert second.frontier == first.frontier
 
     def test_frontier_members_are_non_dominated(self, tmp_path):
-        from repro.explore.pareto import dominates, objective_vector
+        from repro.explore.pareto import (
+            DEFAULT_OBJECTIVES, dominates, objective_vector)
 
         space = SearchSpace(nodes=(45, 22))
         result = explore(space, SETTINGS, make_executor(tmp_path),
                          budget=100, seed=0)
-        vectors = [objective_vector(m, result.objectives)
+        vectors = [objective_vector(m, DEFAULT_OBJECTIVES)
                    for m in result.evaluated]
         for member in result.frontier:
-            mv = objective_vector(member, result.objectives)
+            mv = objective_vector(member, DEFAULT_OBJECTIVES)
             assert not any(dominates(v, mv) for v in vectors)
 
 

@@ -8,6 +8,7 @@ If the change was intended, re-pin with ``tests/golden/golden.py``
 import pytest
 
 from golden import (
+    FAULT_SPECS,
     assert_pinned,
     assert_scaling_pinned,
     label,
@@ -17,6 +18,7 @@ from golden import (
     measured,
     scaling,
 )
+from repro.core.models import MODEL_NAMES
 from repro.faults import FaultSpec
 from repro.interconnect.selection import PolicyFlags
 
@@ -98,12 +100,18 @@ def test_corpus_is_not_vacuous():
 def test_corpus_covers_the_engine_paths():
     # Entries whose inputs take their own paths through the simulator:
     # Model X on traffic mixes from cache-heavy to ILP-heavy, a second
-    # workload seed, and memory-dependence speculation (the LSQ's wake
-    # filtering).
+    # workload seed, memory-dependence speculation (the LSQ's wake
+    # filtering), every wire composition (which planes exist drives
+    # selection), both machine sizes, and each fault spec (the
+    # network's kill, reroute and retransmission hooks).
     required = [label(benchmark=name)
                 for name in ("gzip", "art", "mcf", "gcc")]
     required.append(label(seed=7))
     required.append(label(policy_tag=PolicyFlags(
         memory_dependence_speculation=True).tag()))
+    required += [label(name) for name in MODEL_NAMES]
+    required += [label(name, num_clusters=16) for name in ("III", "X")]
+    required += [label(fault_spec=spec) for spec in FAULT_SPECS]
+    required.append(label(num_clusters=16, fault_spec="kill=PW@*@500"))
     missing = [name for name in required if name not in load()]
     assert not missing, f"corpus lost entries: {missing}"

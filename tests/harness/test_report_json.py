@@ -92,6 +92,7 @@ class TestRejection:
         lambda d: d["failures"][0].pop("reason"),
         lambda d: d["failures"][0]["plan"].update(model_name=7),
         lambda d: d["summary"].update(executed="lots"),
+        lambda d: d["summary"].update(executed=1.5),
     ])
     def test_malformed_payloads_are_rejected(self, mutate):
         data = make_report().to_json()

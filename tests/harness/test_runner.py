@@ -20,7 +20,7 @@ from repro.harness.runner import (
 )
 from repro.interconnect.selection import PolicyFlags
 from repro.interconnect.stats import InterconnectStats
-from repro.power import GatingPolicy
+from repro.power import parse_gating, policy as policy_module
 from repro.workloads import annotate
 
 
@@ -81,8 +81,10 @@ class TestParseOnce:
                           policy_tag="lwire_narrow=0",
                           fault_spec="ber=1e-4",
                           gating_policy="idle:drowsy=16,gate=64")
+    #: The parsers, and each module that holds ``parse_gating`` by name.
     PARSERS = ((PolicyFlags, "from_tag"), (FaultSpec, "parse"),
-               (GatingPolicy, "parse"))
+               (policy_module, "parse_gating"),
+               (runner_module, "parse_gating"))
 
     def count_parses(self, monkeypatch):
         calls = []
@@ -91,14 +93,15 @@ class TestParseOnce:
                          _name=f"{owner.__name__}.{name}"):
                 calls.append(_name)
                 return _parse(*args)
-            monkeypatch.setattr(owner, name, staticmethod(counting))
+            monkeypatch.setattr(owner, name, staticmethod(counting)
+                                if isinstance(owner, type) else counting)
         return calls
 
     def test_parsed_specs_ride_on_the_plan(self):
         plan = self.PLAN
         assert plan.flags == PolicyFlags(lwire_narrow=False)
         assert plan.faults == FaultSpec.parse("ber=1e-4")
-        assert plan.gating == GatingPolicy.parse("idle:drowsy=16,gate=64")
+        assert plan.gating == parse_gating("idle:drowsy=16,gate=64")
         healthy = ExperimentPlan("X", "gzip", gating_policy="never")
         assert healthy.faults is None and healthy.gating is None
         # Not fields: keys, equality and JSON see only the strings.

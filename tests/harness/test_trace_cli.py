@@ -68,6 +68,19 @@ class TestTraceCommand:
                            + "\n" for event in events)
         assert events_path.read_bytes() == expected.encode("utf-8")
 
+    def test_trace_summary_counts_power_and_steering_events(self, capsys):
+        """Gate/wake and steering-penalty events are counted kind by
+        kind, next to the fault events."""
+        code = main(["trace", "X", "--benchmark", "gzip",
+                     "--instructions", "2000", "--warmup", "500",
+                     "--gating", "idle:drowsy=16,gate=64",
+                     "--fault-spec", "kill=L@*@200"])
+        assert code == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert "fault events: plane_kill=10" in lines
+        assert "power events: plane_gated=618, plane_woken=538" in lines
+        assert "steering events: steering_penalty=8" in lines
+
     def test_trace_metrics_flag(self, capsys):
         code = main(["trace", "I", "--benchmark", "gzip", *WINDOW,
                      "--metrics"])

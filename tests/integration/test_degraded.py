@@ -10,17 +10,17 @@ import pytest
 
 from repro.core.models import model
 from repro.core.simulation import simulate_benchmark
-from repro.faults import FaultSpec
 from repro.harness.runner import ExperimentPlan, ExperimentRunner, ResultCache
 
 WINDOW = dict(instructions=500, warmup=120)
 
 
 def simulate(fault_spec="", **kwargs):
-    """Model X on gzip under ``fault_spec``, parsed as a plan parses it."""
+    """Model X on gzip under ``fault_spec``, parsed as a plan parses it
+    (``None`` for healthy wires)."""
+    faults = ExperimentPlan("X", "gzip", fault_spec=fault_spec).faults
     return simulate_benchmark(model("X").config, "gzip",
-                              fault_spec=FaultSpec.parse(fault_spec),
-                              **WINDOW, **kwargs)
+                              fault_spec=faults, **WINDOW, **kwargs)
 
 
 @pytest.fixture(scope="module")

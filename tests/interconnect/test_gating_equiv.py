@@ -25,7 +25,7 @@ from repro.core.models import model
 from repro.core.processor import ClusteredProcessor
 from repro.core.simulation import build_processor, simulate_benchmark
 from repro.harness.runner import ExperimentPlan, simulate_plan
-from repro.power import NEVER_GATE, GatingPolicy, PlanePowerManager
+from repro.power import GatingSpecError, PlanePowerManager, parse_gating
 from repro.telemetry import EventKind
 
 
@@ -124,9 +124,19 @@ class TestNeverGate:
         assert "plane_wakes" not in dict(never.extra)
 
     def test_never_builds_no_manager(self):
-        cpu = build_processor(model("X").config, "gzip", gating=NEVER_GATE)
-        assert cpu.network.power is None
+        for spelling in ("never", "", None):
+            spelt = {} if spelling is None else {"gating_policy": spelling}
+            plan = ExperimentPlan("X", "gzip", **spelt)
+            cpu = build_processor(plan.interconnect(), "gzip",
+                                  gating=plan.gating)
+            assert cpu.network.power is None, spelling
         gated = build_processor(
             model("X").config, "gzip",
-            gating=GatingPolicy.parse("idle:drowsy=16,gate=64"))
+            gating=parse_gating("idle:drowsy=16,gate=64"))
         assert isinstance(gated.network.power, PlanePowerManager)
+
+    def test_never_parses_to_none(self):
+        for spelling in ("never", "", " never "):
+            assert parse_gating(spelling) is None, spelling
+        with pytest.raises(GatingSpecError, match="takes no parameters"):
+            parse_gating("never:x=1")

@@ -24,7 +24,7 @@ from repro.interconnect.message import Transfer, TransferKind
 from repro.interconnect.network import Network
 from repro.interconnect.plane import LinkComposition
 from repro.interconnect.topology import CrossbarTopology
-from repro.power import GatingPolicy, PlanePowerManager, PowerState
+from repro.power import PlanePowerManager, PowerState, parse_gating
 from repro.wires import WireClass
 
 #: Aggressive policies so short random schedules actually sleep planes.
@@ -43,7 +43,7 @@ policies = st.sampled_from(POLICY_STRINGS)
 
 def make_manager(policy_text):
     return PlanePowerManager(CrossbarTopology(4), LinkComposition(MIX),
-                             GatingPolicy.parse(policy_text))
+                             parse_gating(policy_text))
 
 
 transfer_kinds = st.sampled_from(
@@ -62,7 +62,7 @@ class TestNoTrafficOnSleepingPlanes:
     @given(policy=policies, subs=submissions)
     def test_granted_plane_is_always_active(self, policy, subs):
         net = Network(CrossbarTopology(4), LinkComposition(MIX),
-                      gating=GatingPolicy.parse(policy))
+                      gating=parse_gating(policy))
         power = net.power
         violations = []
         original = power.note_activity

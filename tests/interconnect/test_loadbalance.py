@@ -180,12 +180,11 @@ class TestTracerOverflowEvents:
     tracer's LB_DIVERT overflow events rather than the detector's
     return value."""
 
-    def _selector(self, telemetry, window=5, threshold=10):
+    def _selector(self, telemetry):
+        # The paper's rule: a 5-cycle window and a threshold of 10.
         return WireSelector(
             LinkComposition({WireClass.B: 144, WireClass.PW: 288}),
-            PolicyFlags(load_balance_window=window,
-                        load_balance_threshold=threshold),
-            telemetry=telemetry,
+            PolicyFlags(), telemetry=telemetry,
         )
 
     @staticmethod

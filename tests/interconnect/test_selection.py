@@ -180,5 +180,12 @@ class TestPolicyFlags:
         assert flags.lwire_mispredict and flags.lwire_partial_address
         assert flags.lwire_narrow and flags.pw_ready_operand
         assert flags.pw_store_data and flags.pw_load_balance
-        assert flags.load_balance_window == 5
-        assert flags.load_balance_threshold == 10
+
+    def test_load_balance_rule_is_the_papers_constant(self):
+        # Section 4's 5-cycle window and threshold of 10 are not flags.
+        with pytest.raises(ValueError, match="unknown policy flag"):
+            PolicyFlags.from_tag("load_balance_window=5")
+        sel = WireSelector(LinkComposition({WireClass.B: 144,
+                                            WireClass.PW: 288}))
+        assert sel._detector.traffic.window == 5
+        assert sel._detector.threshold == 10

@@ -6,7 +6,7 @@ from repro.interconnect.message import Transfer, TransferKind
 from repro.interconnect.network import Network
 from repro.interconnect.plane import LinkComposition
 from repro.interconnect.topology import CrossbarTopology
-from repro.power import GatingPolicy
+from repro.power import parse_gating
 from repro.telemetry import RingBufferSink, Telemetry
 from repro.wires import WireClass
 
@@ -132,7 +132,7 @@ class TestUtilizationReport:
         # Gating enabled but no traffic ever submitted: the power
         # manager has nothing to settle and the report stays empty.
         net = make_network({WireClass.B: 144, WireClass.L: 36},
-                           gating=GatingPolicy.parse("idle:drowsy=8,gate=32"))
+                           gating=parse_gating("idle:drowsy=8,gate=32"))
         assert net.utilization_report(cycles=100) == []
         assert net.power.gated_share(0) == 0.0
         assert net.power.leakage_energy(0) == 0.0

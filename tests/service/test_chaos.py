@@ -232,10 +232,11 @@ class TestRestartResume:
         assert final["summary"]["executed"] == 1
         assert_cache_intact(cache_dir, plans)
 
-    def test_record_with_a_retry_budget_key_resumes(
+    def test_record_at_the_old_schema_version_is_absent(
             self, fake_execute, serve, tmp_path):
-        """Records written before the job-level retry went away carry
-        a ``retry_budget`` key; they still load and resume to DONE."""
+        """A record written before the priority went away is at schema
+        version 1: it is treated as absent, the service starts without
+        it, and resubmitting its plans runs them as a new job."""
         cache_dir = tmp_path / "cache"
         plans = (plan_for("gzip"),)
         store = JobStore(cache_dir / "jobs")
@@ -253,13 +254,13 @@ class TestRestartResume:
             "manifest": "",
             "cancel_requested": False,
         }))
-        loaded = store.load(job_id)
-        assert loaded is not None
-        assert loaded.state == QUEUED
-        assert loaded.plans == plans
+        assert store.load(job_id) is None
 
         live = serve(cache_dir=cache_dir)
-        final = live.client().wait(job_id, timeout=30, poll=0.05)
+        client = live.client()
+        assert client.health()["jobs"] == 0
+        final = client.submit_and_wait(list(plans), timeout=30)
+        assert final["job_id"] == job_id
         assert final["state"] == "done"
         assert final["summary"]["executed"] == 1
 
@@ -276,7 +277,7 @@ class TestRestartResume:
         bad_plans = (plan_for("mesa"),)
         bad = JobRecord(job_id=job_id_for(bad_plans), plans=bad_plans,
                         state=QUEUED).to_json()
-        bad["priority"] = None
+        bad["attempts"] = None
         (store.directory / f"{bad['job_id']}.json").write_text(
             json.dumps(bad))
 

@@ -31,17 +31,10 @@ class TestJobIdentity:
         assert job_id_for((plan_for("gzip"),)) != \
             job_id_for((plan_for("gzip", seed=7),))
 
-    def test_priority_is_not_identity(self):
-        plans = (plan_for("gzip"),)
-        low = JobRecord(job_id=job_id_for(plans), plans=plans, priority=0)
-        high = JobRecord(job_id=job_id_for(plans), plans=plans, priority=9)
-        assert low.job_id == high.job_id
-
 
 class TestRecordRoundTrip:
     def test_round_trips_through_json(self):
-        record = make_record("gzip", "mesa", priority=3,
-                             attempts=1, state=RUNNING)
+        record = make_record("gzip", "mesa", attempts=1, state=RUNNING)
         clone = JobRecord.from_json(
             json.loads(json.dumps(record.to_json())))
         assert clone == record
@@ -67,10 +60,12 @@ class TestRecordRoundTrip:
         lambda d: d.update(job_id=""),
         lambda d: d.update(report="not-a-dict"),
         lambda d: d.update(state="exploded"),
+        # A record at the old schema version (it carried a priority).
+        lambda d: d.update(schema_version=JOB_SCHEMA_VERSION - 1,
+                           priority=0),
         # A field of the wrong JSON type is refused, never coerced.
-        lambda d: d.update(priority=None),
-        lambda d: d.update(priority="7"),
-        lambda d: d.update(priority=True),
+        lambda d: d.update(attempts="7"),
+        lambda d: d.update(attempts=True),
         lambda d: d.update(attempts=[1]),
         lambda d: d.update(attempts=1.0),
         lambda d: d.update(state=3),

@@ -1,4 +1,4 @@
-"""AdmissionQueue: bounds, priorities, backpressure hints."""
+"""AdmissionQueue: bounds, FIFO order, backpressure hints."""
 
 import asyncio
 
@@ -15,18 +15,11 @@ def drain(queue, count):
 
 
 class TestOrdering:
-    def test_fifo_within_a_priority(self):
+    def test_dequeues_in_admission_order(self):
         queue = AdmissionQueue(capacity=8)
         for item in ("a", "b", "c"):
             queue.put(item)
         assert drain(queue, 3) == ["a", "b", "c"]
-
-    def test_higher_priority_dequeues_first(self):
-        queue = AdmissionQueue(capacity=8)
-        queue.put("low", priority=0)
-        queue.put("high", priority=5)
-        queue.put("mid", priority=2)
-        assert drain(queue, 3) == ["high", "mid", "low"]
 
     def test_get_waits_for_a_put(self):
         queue = AdmissionQueue(capacity=2)

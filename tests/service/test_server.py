@@ -141,7 +141,7 @@ class TestValidation:
         ("fault_spec", "kill=L@c0"),
         ("gating_policy", "idle:bogus=1"),
         ("policy_tag", "ablate"),
-        ("policy_tag", "load_balance_window=0"),
+        ("policy_tag", "lwire_narrow=2"),
         ("num_clusters", 0),
         ("instructions", 0),
         ("warmup", -1),
@@ -159,7 +159,8 @@ class TestValidation:
         assert f"bad {field}" in excinfo.value.message
 
     @pytest.mark.parametrize("key, value", [
-        ("priorty", 9),       # a typo must not admit at priority 0
+        ("priorty", 9),       # a typo of the removed priority key
+        ("priority", 0),      # admission is FIFO; there is no priority
         ("retry_budget", 1),  # an old client's job-level budget
     ])
     def test_unknown_submission_key_is_400(self, fake_execute, serve,

@@ -11,7 +11,7 @@ import json
 
 from repro.core.models import model
 from repro.core.simulation import simulate_benchmark
-from repro.power import GatingPolicy
+from repro.power import parse_gating
 from repro.telemetry import (
     EventKind,
     RingBufferSink,
@@ -25,7 +25,7 @@ from repro.telemetry import (
 from repro.telemetry.events import EVENT_CATEGORY
 
 GATING = "idle:drowsy=16,gate=64"
-POLICY = GatingPolicy.parse(GATING)
+POLICY = parse_gating(GATING)
 
 
 def gated_trace_events():
