@@ -10,7 +10,8 @@ from dataclasses import replace
 
 from conftest import publish
 
-from repro.harness import ExperimentRunner, render_table, run_variants
+from repro.harness import ExperimentRunner, run_variants
+from repro.harness.formatting import render_table
 from repro.interconnect.selection import PolicyFlags
 
 VARIANTS = (

@@ -2,7 +2,7 @@
 
 from conftest import publish
 
-from repro.harness import render_claims, run_claims
+from repro.harness.claims import render_claims, run_claims
 
 
 def test_claims(benchmark, runner, bench_suite, base, results_dir):

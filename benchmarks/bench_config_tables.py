@@ -3,7 +3,7 @@
 from conftest import publish
 
 from repro.core.config import ProcessorConfig
-from repro.harness import render_table
+from repro.harness.formatting import render_table
 
 
 def test_table1(benchmark, results_dir):

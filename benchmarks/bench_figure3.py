@@ -7,7 +7,7 @@ uses contributing roughly equally.
 
 from conftest import publish
 
-from repro.harness import render_figure3, run_figure3
+from repro.harness.figure3 import render_figure3, run_figure3
 
 
 def test_figure3(benchmark, runner, bench_suite, base, results_dir):

@@ -9,7 +9,8 @@ grow monotonically-ish with wire constraint.
 
 from conftest import publish
 
-from repro.harness import ExperimentRunner, render_table, run_variants
+from repro.harness import ExperimentRunner, run_variants
+from repro.harness.formatting import render_table
 
 SCALES = (1.0, 1.5, 2.0, 3.0)
 

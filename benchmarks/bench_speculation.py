@@ -9,7 +9,8 @@ L-Wire partial-address gain survives it.
 
 from conftest import publish
 
-from repro.harness import ExperimentRunner, render_table, run_variants
+from repro.harness import ExperimentRunner, run_variants
+from repro.harness.formatting import render_table
 from repro.interconnect.selection import PolicyFlags
 
 

@@ -8,7 +8,7 @@ does not pay.
 
 from conftest import publish
 
-from repro.harness import render_table3, run_table3, shape_summary
+from repro.harness.table3 import render_table3, run_table3, shape_summary
 
 
 def test_table3(benchmark, runner, bench_suite, base, results_dir):

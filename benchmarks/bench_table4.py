@@ -7,7 +7,7 @@ ED^2 (paper: VII/IX at 88.7, an 11% reduction).
 
 from conftest import publish
 
-from repro.harness import render_table4, run_table4
+from repro.harness.table4 import render_table4, run_table4
 
 
 def test_table4(benchmark, runner, bench_suite, base, results_dir):

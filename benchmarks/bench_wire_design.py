@@ -7,7 +7,7 @@ transmission-line comparison the paper cites (Chang et al.).
 
 from conftest import publish
 
-from repro.harness import render_table
+from repro.harness.formatting import render_table
 from repro.wires import (
     CANONICAL_SPECS,
     TransmissionLineSpec,

@@ -9,7 +9,7 @@ Run:  python examples/custom_workload.py
 
 from repro import ProcessorConfig, model
 from repro.core.processor import ClusteredProcessor
-from repro.harness import render_table
+from repro.harness.formatting import render_table
 from repro.workloads import TraceGenerator, WorkloadProfile
 
 INSTRUCTIONS, WARMUP = 4000, 1200

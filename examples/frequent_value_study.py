@@ -12,7 +12,7 @@ from dataclasses import replace
 
 from repro.core.config import InterconnectConfig, wire_counts
 from repro.core.simulation import build_processor
-from repro.harness import render_table
+from repro.harness.formatting import render_table
 from repro.interconnect.selection import PolicyFlags
 from repro.operands import FrequentValueTable, frequent_value_coverage
 from repro.workloads import TraceGenerator, profile

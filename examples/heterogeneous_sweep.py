@@ -9,7 +9,8 @@ Run:  python examples/heterogeneous_sweep.py [benchmark ...]
 import sys
 
 from repro import ModelResult, all_models, relative_metrics
-from repro.harness import ExperimentPlan, ExperimentRunner, render_table
+from repro.harness import ExperimentPlan, ExperimentRunner
+from repro.harness.formatting import render_table
 
 BENCHMARKS = ("gzip", "mesa", "swim")
 INSTRUCTIONS = 4000

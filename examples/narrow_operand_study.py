@@ -9,7 +9,7 @@ Run:  python examples/narrow_operand_study.py
 """
 
 from repro import model, simulate_benchmark
-from repro.harness import render_table
+from repro.harness.formatting import render_table
 from repro.operands import NarrowWidthPredictor
 from repro.workloads import TraceGenerator, profile
 

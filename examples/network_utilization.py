@@ -9,7 +9,7 @@ Run:  python examples/network_utilization.py
 
 from repro import model
 from repro.core.simulation import build_processor
-from repro.harness import render_table
+from repro.harness.formatting import render_table
 
 INSTRUCTIONS, WARMUP = 5000, 1500
 

@@ -13,7 +13,7 @@ length scales with the die (see repro.wires.scaling).
 
 import argparse
 
-from repro.harness import render_table
+from repro.harness.formatting import render_table
 from repro.wires import (
     SUPPORTED_NODES,
     TransmissionLineSpec,

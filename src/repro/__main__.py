@@ -21,27 +21,29 @@ from .core.simulation import (
     DEFAULT_SEED,
     DEFAULT_WARMUP,
 )
-from .harness import (
+from .harness.axissweep import (
+    DEFAULT_BENCHMARKS,
     FAULT_AXIS,
     GATING_AXIS,
+    AxisSweepResult,
+    render_axis_sweep,
+    run_axis_sweep,
+)
+from .harness.claims import render_claims, run_claims
+from .harness.figure3 import render_figure3, run_figure3
+from .harness.formatting import render_table
+from .harness.profiling import make_profiler
+from .harness.runner import (
     ExperimentPlan,
     ExperimentRunner,
     ResultCache,
-    render_axis_sweep,
-    render_claims,
-    render_figure3,
-    render_table,
-    render_table3,
-    render_table4,
-    run_axis_sweep,
-    run_claims,
-    run_figure3,
-    run_table3,
-    run_table4,
+    SweepError,
     simulate_plan,
 )
-from .harness.axissweep import DEFAULT_BENCHMARKS, AxisSweepResult
-from .harness.profiling import make_profiler
+from .harness.table3 import render_table3, run_table3
+from .harness.table4 import render_table4, run_table4
+from .interconnect.errors import ConfigError
+from .interconnect.topology import CLUSTER_COUNTS
 from .wires import table2_rows
 from .workloads.spec2k import BENCHMARK_NAMES, PROFILES
 
@@ -154,7 +156,7 @@ def _add_plan_args(parser: argparse.ArgumentParser) -> None:
     so :func:`_plan_from_args` can read them back."""
     parser.add_argument("--clusters", dest="num_clusters", default=4,
                         type=_plan_number("--clusters", "num_clusters",
-                                          int, "at least 1"))
+                                          int, CLUSTER_COUNTS))
     parser.add_argument("--latency-scale", default=1.0,
                         type=_plan_number("--latency-scale",
                                           "latency_scale", float,
@@ -743,7 +745,11 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(listings[command]())
         return 0
     if command == "trace":
-        print(_cmd_trace(args))
+        try:
+            print(_cmd_trace(args))
+        except ConfigError as exc:
+            print(f"trace failed: {exc}", file=sys.stderr)
+            return 1
         return 0
     services = {"serve": _cmd_serve, "submit": _cmd_submit,
                 "status": _cmd_status, "explore": _cmd_explore}
@@ -757,7 +763,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     runner = _make_runner(args, profiler=profiler)
     failed = False
     if command == "run":
-        print(_cmd_run(args, runner))
+        try:
+            print(_cmd_run(args, runner))
+        except SweepError as exc:
+            print(exc, file=sys.stderr)
+            failed = True
     elif command in _SWEEP_AXES:
         result = _cmd_axis_sweep(args, runner)
         print(render_axis_sweep(result))

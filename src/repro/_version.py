@@ -1,8 +1,10 @@
 """Single source of the package version, and of source-tree digests.
 
-Prefers installed-distribution metadata; falls back to parsing
-``pyproject.toml`` when running from a source checkout (the common case
-for this repository: ``PYTHONPATH=src python -m repro``).
+Reads ``pyproject.toml`` when running from a source checkout (the
+common case for this repository: ``PYTHONPATH=src python -m repro``).
+Only when no source-tree ``pyproject.toml`` is found -- an installed
+wheel -- does it ask ``importlib.metadata``, whose import costs a plain
+run some 34 modules.
 
 :func:`source_digest` hashes a package's own source.  The result cache
 (``harness/runner.py``) keys its entries by it, so any edit to the
@@ -48,10 +50,8 @@ def source_digest(package_dir: Path, exclude: Iterable[str] = ()) -> str:
 
 
 def _from_metadata() -> str:
-    try:
-        from importlib.metadata import PackageNotFoundError, version
-    except ImportError:  # pragma: no cover - py<3.8
-        return ""
+    from importlib.metadata import PackageNotFoundError, version
+
     try:
         return version("repro")
     except PackageNotFoundError:
@@ -72,4 +72,4 @@ def _from_pyproject() -> str:
 
 def package_version() -> str:
     """The repro package version string."""
-    return _from_metadata() or _from_pyproject() or _FALLBACK
+    return _from_pyproject() or _from_metadata() or _FALLBACK

@@ -66,11 +66,11 @@ from ..core.simulation import (
 )
 from ..faults import FaultSpec, FaultSpecError
 from ..interconnect.selection import PolicyFlags
+from ..interconnect.topology import check_cluster_count
 from ..power import GatingSpecError, parse_gating
 from ..telemetry import Telemetry
 from ..workloads.spec2k import BENCHMARK_NAMES
 from .profiling import NULL_PROFILER, HarnessProfiler
-from .workers import Worker, wait_any
 
 #: Top-level ``repro`` entries no simulation imports: the sweep
 #: service, the explorer and the CLI.
@@ -134,8 +134,11 @@ class ExperimentPlan:
             latency_scale = float(self.latency_scale)
         except OverflowError:  # a JSON integer past the float range
             latency_scale = math.inf
+        try:
+            check_cluster_count(self.num_clusters)
+        except ValueError as exc:
+            raise ValueError(f"bad num_clusters: {exc}") from None
         for name, bad in (
-                ("num_clusters", self.num_clusters < 1),
                 ("instructions", self.instructions < 1),
                 ("warmup", self.warmup < 0),
                 ("latency_scale", not 0 < latency_scale < math.inf)):
@@ -777,6 +780,10 @@ class ExperimentRunner:
         worker outlives the call.
         Returns plan -> (run, duration) | RunFailure.
         """
+        # The only path that forks: a serial sweep never loads the pool
+        # or ``multiprocessing``.
+        from .workers import Worker, wait_any
+
         outcomes: Dict[ExperimentPlan, object] = {}
         # (plan, attempt), in trace-key order
         ready = deque((plan, 0) for plan in _in_trace_key_order(misses))

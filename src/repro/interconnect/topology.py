@@ -26,6 +26,22 @@ from ..wires import CROSSBAR_LATENCY, RING_HOP_LATENCY, WireClass
 CACHE_NODE = "cache"
 
 
+#: The cluster counts a topology can connect: one crossbar joins two to
+#: four clusters (Figure 2a), and beyond that the ring joins whole
+#: groups of four (Figure 2b).
+CLUSTER_COUNTS = "at least 2, and a multiple of 4 above 4"
+
+
+def check_cluster_count(num_clusters: int) -> None:
+    """Raise ``ValueError`` unless a topology can connect ``num_clusters``
+    clusters: 2, 3, 4 or a multiple of 4 from 8 up."""
+    if not (num_clusters >= 2
+            and (num_clusters <= 4 or num_clusters % 4 == 0)):
+        raise ValueError(
+            f"cluster count must be {CLUSTER_COUNTS}, got {num_clusters!r}"
+        )
+
+
 def cluster_node(index: int) -> str:
     """Canonical node name of cluster ``index``."""
     if index < 0:
@@ -61,8 +77,7 @@ class Topology:
 
     def __init__(self, num_clusters: int, latency_scale: float = 1.0,
                  transmission_line_lwires: bool = False) -> None:
-        if num_clusters < 2:
-            raise ValueError("need at least two clusters")
+        check_cluster_count(num_clusters)
         if latency_scale <= 0:
             raise ValueError("latency scale must be positive")
         self.num_clusters = num_clusters

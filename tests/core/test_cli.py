@@ -42,6 +42,36 @@ class TestRunCommand:
         with pytest.raises(SystemExit):
             main(["run", "--model", "XI"])
 
+    def test_cluster_count_no_topology_builds_exits_2(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["run", "--model", "X", "--benchmark", "gzip",
+                  "--clusters", "6", "--instructions", "300",
+                  "--warmup", "50"])
+        assert excinfo.value.code == 2
+        assert "--clusters must be" in capsys.readouterr().err
+
+
+class TestPlanThatCannotRun:
+    """Model I has only B-Wires, so killing its L plane is a
+    configuration error: reported on stderr with exit 1, not a
+    traceback."""
+
+    ARGS = ["--benchmark", "gzip", "--instructions", "300",
+            "--warmup", "50", "--fault-spec", "kill=L@*@200"]
+
+    def test_run_prints_the_manifest_and_exits_1(self, capsys,
+                                                 monkeypatch, tmp_path):
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        assert main(["run", "--model", "I", *self.ARGS]) == 1
+        err = capsys.readouterr().err
+        assert "1 run(s) failed:" in err
+        assert "ConfigError: fault spec kills L-Wires" in err
+
+    def test_trace_prints_the_error_and_exits_1(self, capsys):
+        assert main(["trace", "I", *self.ARGS]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("trace failed: fault spec kills L-Wires")
+
 
 class TestExperimentCommands:
     def test_figure3_subset(self, capsys, monkeypatch, tmp_path):
@@ -134,7 +164,7 @@ class TestArgumentValidation:
         assert "non-negative" in err
 
     @pytest.mark.parametrize("argv, message", [
-        (["run", "--clusters", "0"], "at least 1"),
+        (["run", "--clusters", "0"], "at least 2"),
         (["run", "--clusters", "four"], "whole number"),
         (["run", "--latency-scale", "0"], "finite and positive"),
         (["run", "--latency-scale", "inf"], "finite and positive"),

@@ -8,19 +8,11 @@ from dataclasses import replace
 
 import pytest
 
-from repro.harness import (
-    ExperimentPlan,
-    ExperimentRunner,
-    ResultCache,
-    render_claims,
-    render_figure3,
-    render_table3,
-    render_table4,
-    run_claims,
-    run_figure3,
-    run_table3,
-    run_table4,
-)
+from repro.harness import ExperimentPlan, ExperimentRunner, ResultCache
+from repro.harness.claims import render_claims, run_claims
+from repro.harness.figure3 import render_figure3, run_figure3
+from repro.harness.table3 import render_table3, run_table3
+from repro.harness.table4 import render_table4, run_table4
 
 BENCHES = ("gzip", "mesa")
 BASE = ExperimentPlan("I", "gzip", instructions=700, warmup=200)

@@ -7,6 +7,7 @@ from dataclasses import fields
 
 import pytest
 
+from repro.core.config import ProcessorConfig
 from repro.core.metrics import BenchmarkRun
 from repro.faults import FaultSpec
 from repro.harness import runner as runner_module
@@ -72,6 +73,21 @@ class TestPlanKeys:
         monkeypatch.setattr(runner_module, "CACHE_VERSION",
                             "c0ffee0123456789")
         assert plan.cache_key() == key
+
+
+class TestClusterCounts:
+    """A plan takes exactly the cluster counts a topology can build."""
+
+    @pytest.mark.parametrize("count", [1, 5, 6, 7, 9, 10])
+    def test_rejects_counts_no_topology_builds(self, count):
+        with pytest.raises(ValueError, match="bad num_clusters"):
+            ExperimentPlan("X", "gzip", num_clusters=count)
+
+    @pytest.mark.parametrize("count", [2, 3, 4, 8, 12, 16])
+    def test_accepts_counts_a_topology_builds(self, count):
+        plan = ExperimentPlan("X", "gzip", num_clusters=count)
+        topology = ProcessorConfig(num_clusters=count).build_topology()
+        assert topology.num_clusters == plan.num_clusters
 
 
 class TestParseOnce:

@@ -1,9 +1,15 @@
 """CLI: ``repro trace``, ``--telemetry``/``--trace-out``, ``--version``."""
 
+import importlib.metadata
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from repro import _version as version_module
 from repro._version import package_version
 from repro.__main__ import main
 from repro.harness import ExperimentPlan, simulate_plan
@@ -15,6 +21,19 @@ from repro.telemetry import (
 )
 
 WINDOW = ["--instructions", "1500", "--warmup", "400"]
+ROOT = Path(__file__).resolve().parents[2]
+SRC = ROOT / "src"
+
+
+def _project_version() -> str:
+    """``[project] version`` from the checkout's ``pyproject.toml``."""
+    section = None
+    for line in (ROOT / "pyproject.toml").read_text().splitlines():
+        if line.startswith("["):
+            section = line.strip()
+        elif section == "[project]" and line.startswith("version"):
+            return line.split("=", 1)[1].strip().strip('"')
+    raise AssertionError("pyproject.toml has no [project] version")
 
 
 class TestVersionFlags:
@@ -29,6 +48,33 @@ class TestVersionFlags:
         version = package_version()
         assert version
         assert version != "0.0.0+unknown"
+
+    def test_checkout_reads_pyproject_without_package_metadata(self):
+        # A fresh interpreter: pytest itself imports importlib.metadata.
+        script = ("import sys\n"
+                  "from repro._version import package_version\n"
+                  "print(package_version())\n"
+                  "print('importlib.metadata' in sys.modules)\n")
+        out = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True,
+            text=True, check=True, timeout=60,
+            env=dict(os.environ, PYTHONPATH=str(SRC)),
+        ).stdout.split()
+        assert out == [_project_version(), "False"]
+
+    def test_installed_wheel_asks_package_metadata(self, monkeypatch):
+        monkeypatch.setattr(importlib.metadata, "version",
+                            lambda name: "9.8.7")
+        # A source tree's pyproject.toml wins over any metadata.
+        assert package_version() == _project_version()
+        monkeypatch.setattr(version_module, "_from_pyproject", lambda: "")
+        assert package_version() == "9.8.7"
+
+        def missing(name):
+            raise importlib.metadata.PackageNotFoundError(name)
+
+        monkeypatch.setattr(importlib.metadata, "version", missing)
+        assert package_version() == "0.0.0+unknown"
 
 
 class TestTraceCommand:

@@ -143,6 +143,8 @@ class TestValidation:
         ("policy_tag", "ablate"),
         ("policy_tag", "lwire_narrow=2"),
         ("num_clusters", 0),
+        ("num_clusters", 5),
+        ("num_clusters", 1),
         ("instructions", 0),
         ("warmup", -1),
         ("latency_scale", 0),
