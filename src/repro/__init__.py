@@ -38,8 +38,6 @@ from .core import (
     wire_counts,
 )
 from .interconnect import (
-    CrossbarTopology,
-    HierarchicalTopology,
     LinkComposition,
     Network,
     PolicyFlags,
@@ -64,8 +62,6 @@ __all__ = [
     "relative_metrics",
     "simulate_benchmark",
     "wire_counts",
-    "CrossbarTopology",
-    "HierarchicalTopology",
     "LinkComposition",
     "Network",
     "PolicyFlags",

@@ -13,11 +13,6 @@ from typing import Dict, Mapping
 
 from ..interconnect.plane import LinkComposition
 from ..interconnect.selection import PolicyFlags
-from ..interconnect.topology import (
-    CrossbarTopology,
-    HierarchicalTopology,
-    Topology,
-)
 from ..memory.hierarchy import HierarchyConfig
 from ..wires import WireClass, WireSpec
 
@@ -48,7 +43,6 @@ class ProcessorConfig:
     latency_scale: float = 1.0
     #: Front-end squash after a memory-ordering violation.
     violation_penalty: int = 12
-    ring_width_factor: int = 2
     hierarchy: HierarchyConfig = field(default_factory=HierarchyConfig)
 
     def __post_init__(self) -> None:
@@ -61,20 +55,6 @@ class ProcessorConfig:
                 raise ValueError(f"{name} must be positive")
         if self.latency_scale <= 0:
             raise ValueError("latency scale must be positive")
-
-    def build_topology(self, transmission_line_lwires: bool = False
-                       ) -> Topology:
-        """Crossbar for small systems, hierarchical ring-of-crossbars when
-        the cluster count exceeds one crossbar's reach (Figure 2)."""
-        if self.num_clusters <= 4:
-            return CrossbarTopology(
-                self.num_clusters, self.latency_scale,
-                transmission_line_lwires,
-            )
-        return HierarchicalTopology(
-            self.num_clusters, self.latency_scale, self.ring_width_factor,
-            transmission_line_lwires,
-        )
 
 
 @dataclass(frozen=True)

@@ -40,7 +40,7 @@ from ..clusters.steering import SteeringHeuristic, SteeringWeights
 from ..frontend.fetch import FetchUnit
 from ..interconnect.message import Transfer, TransferKind
 from ..interconnect.network import Network
-from ..interconnect.topology import CACHE_NODE, cluster_node
+from ..interconnect.topology import CACHE_NODE, Topology, cluster_node
 from ..memory.depspec import MemoryDependencePredictor
 from ..memory.hierarchy import HitLevel, MemoryHierarchy
 from ..memory.lsq import LoadStoreQueue
@@ -115,7 +115,8 @@ class ClusteredProcessor:
         self.config = config
         self.telemetry = telemetry if telemetry is not None \
             else NULL_TELEMETRY
-        self.topology = config.build_topology(
+        self.topology = Topology(
+            config.num_clusters, config.latency_scale,
             interconnect.flags.transmission_line_lwires)
         composition = interconnect.build_composition()
         self.network = Network(self.topology, composition,
@@ -213,9 +214,9 @@ class ClusteredProcessor:
     def _plane_killed(self, channel: str, plane: WireClass,
                       cycle: int) -> None:
         """A wire plane died: bias steering away from the crippled link."""
-        node = channel.split(":", 1)[0]
-        if node.startswith("c") and node[1:].isdigit():
-            self.steering.note_degraded_link(int(node[1:]), cycle)
+        cluster = self.topology.cluster_of(channel)
+        if cluster is not None:
+            self.steering.note_degraded_link(cluster, cycle)
 
     # -- top-level driver -----------------------------------------------------
 

@@ -2,8 +2,8 @@
 
 The injector answers three questions for the network:
 
-* *Which planes die, where, and when?* -- ``scheduled_kills`` resolves
-  the spec's link names against a topology's channel list.
+* *Which planes die, where, and when?* -- ``scheduled_kills`` asks a
+  topology for the channels of each link the spec names.
 * *Does this segment arrive corrupted?* -- ``corrupts`` draws from a
   counter-based hash keyed on (seed, transfer identity, attempt), so the
   decision is a pure function of the segment, independent of call order,
@@ -21,24 +21,15 @@ from __future__ import annotations
 
 import hashlib
 import math
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from ..interconnect.errors import ConfigError
 from ..telemetry import NULL_TELEMETRY, Telemetry
 from ..wires import CANONICAL_SPECS, WireClass
 from .spec import FaultSpec
 
-
-def _link_channels(link: str, channels: Sequence[str]) -> List[str]:
-    """The directional channels belonging to a link name."""
-    if link == "*":
-        return list(channels)
-    if link.startswith("ring:"):
-        a, _, b = link[5:].partition("-")
-        targets = {f"ring:{a}>{b}", f"ring:{b}>{a}"}
-    else:
-        targets = {f"{link}:out", f"{link}:in"}
-    return [ch for ch in channels if ch in targets]
+if TYPE_CHECKING:
+    from ..interconnect.topology import Topology
 
 
 class FaultInjector:
@@ -64,24 +55,27 @@ class FaultInjector:
     # -- plane kills -----------------------------------------------------
 
     def scheduled_kills(
-        self, channels: Sequence[str]
+        self, topology: Topology
     ) -> List[Tuple[int, str, WireClass]]:
         """(cycle, channel, wire class) for every spec'd kill.
 
-        Raises :class:`ConfigError` when a kill names a link absent from
-        the topology, so typos fail loudly at construction instead of
+        A kill names a link of ``topology.link_inventory()`` (a ring link
+        either way round) or ``*`` for every channel.  Raises
+        :class:`ConfigError` when it names a link absent from the
+        topology, so typos fail loudly at construction instead of
         silently injecting nothing.
         """
         kills: List[Tuple[int, str, WireClass]] = []
         for kill in self.spec.kills:
-            matched = _link_channels(kill.link, channels)
+            matched = (topology.channels if kill.link == "*"
+                       else topology.channels_of(kill.link))
             if not matched:
-                known = sorted({ch.split(":")[0] for ch in channels
-                                if not ch.startswith("ring:")})
+                known = ", ".join(
+                    link for link, _ in topology.link_inventory())
                 raise ConfigError(
                     f"fault spec kills {kill.wire_class.value}-Wires on "
                     f"link {kill.link!r}, but the topology has no such "
-                    f"link (links: {', '.join(known)}, or '*')"
+                    f"link (links: {known}, or '*')"
                 )
             for channel in matched:
                 kills.append((kill.cycle, channel, kill.wire_class))

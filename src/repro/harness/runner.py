@@ -57,7 +57,12 @@ from typing import (
 from .._version import source_digest
 from ..core.config import InterconnectConfig
 from ..core.metrics import BenchmarkRun, ModelResult
-from ..core.models import model
+from ..core.models import (
+    MODEL_NAMES,
+    is_design_point,
+    model,
+    parse_design_point,
+)
 from ..core.simulation import (
     DEFAULT_INSTRUCTIONS,
     DEFAULT_SEED,
@@ -102,8 +107,10 @@ class ExperimentPlan:
     A plan canonicalizes itself at construction: ``policy_tag``,
     ``fault_spec`` and ``gating_policy`` take their canonical spellings
     (``"never"`` becomes ``""``) and ``latency_scale`` becomes a float,
-    so plans that compare equal always share one cache key.  A
-    malformed spec, or a number no run can use, raises ``ValueError``.
+    so plans that compare equal always share one cache key.  A model
+    no run can build (neither a Roman numeral of ``MODEL_NAMES`` nor a
+    well-formed design point), a malformed spec, or a number no run can
+    use, raises ``ValueError``.
 
     The parsed specs ride along as plain attributes, not fields (keys,
     equality and JSON see only the strings): ``flags`` (the
@@ -130,6 +137,16 @@ class ExperimentPlan:
     gating_policy: str = ""
 
     def __post_init__(self) -> None:
+        if is_design_point(self.model_name):
+            try:
+                parse_design_point(self.model_name)
+            except ValueError as exc:
+                raise ValueError(f"bad model_name: {exc}") from None
+        elif self.model_name not in MODEL_NAMES:
+            raise ValueError(
+                f"bad model_name: unknown model {self.model_name!r}; "
+                f"expected one of {', '.join(MODEL_NAMES)} or a 'dp@...' "
+                f"design point")
         try:
             latency_scale = float(self.latency_scale)
         except OverflowError:  # a JSON integer past the float range
@@ -365,23 +382,27 @@ class ResultCache:
             "duration_seconds": duration,
             "simulator_commit": _simulator_commit(),
         })
-        path = self._path(plan)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        # Atomic publish: a same-directory temp file renamed over the
-        # target, so readers only ever see complete JSON.
-        fd, tmp_name = tempfile.mkstemp(
-            prefix=path.name + ".", suffix=".tmp", dir=path.parent
-        )
+        write_json_atomic(self._path(plan), payload)
+
+
+def write_json_atomic(path: Path, payload: object) -> None:
+    """Publish ``payload`` as JSON at ``path`` atomically: a
+    same-directory temp file renamed over the target, so readers only
+    ever see complete JSON.  Creates the parent directory."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    fd, tmp_name = tempfile.mkstemp(
+        prefix=path.name + ".", suffix=".tmp", dir=path.parent
+    )
+    try:
+        with os.fdopen(fd, "w") as handle:
+            handle.write(json.dumps(payload))
+        os.replace(tmp_name, path)
+    except BaseException:
         try:
-            with os.fdopen(fd, "w") as handle:
-                handle.write(json.dumps(payload))
-            os.replace(tmp_name, path)
-        except BaseException:
-            try:
-                os.unlink(tmp_name)
-            except OSError:
-                pass
-            raise
+            os.unlink(tmp_name)
+        except OSError:
+            pass
+        raise
 
 
 def simulate_plan(plan: ExperimentPlan,

@@ -29,8 +29,6 @@ from .selection import PlannedSegment, PolicyFlags, WireSelector
 from .stats import InterconnectStats, PlaneActivity, leakage_energy
 from .topology import (
     CACHE_NODE,
-    CrossbarTopology,
-    HierarchicalTopology,
     Path,
     Topology,
     cluster_node,
@@ -55,8 +53,6 @@ __all__ = [
     "LinkComposition",
     "PlaneSpec",
     "CACHE_NODE",
-    "CrossbarTopology",
-    "HierarchicalTopology",
     "Path",
     "Topology",
     "cluster_node",

@@ -233,8 +233,7 @@ class Network:
         if injector is not None:
             self._retry_budget = injector.spec.retry_budget
             self._ber_active = injector.spec.ber > 0.0
-            for cycle, channel, plane in injector.scheduled_kills(
-                    topology.channels):
+            for cycle, channel, plane in injector.scheduled_kills(topology):
                 if not composition.has_plane(plane):
                     raise ConfigError(
                         f"fault spec kills {plane.value}-Wires, but the "

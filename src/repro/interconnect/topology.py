@@ -1,29 +1,39 @@
-"""Network topologies of the paper's Figure 2.
+"""The network topology of the paper's Figure 2.
 
-* :class:`CrossbarTopology` -- four clusters and the centralized L1 data
-  cache connected through a crossbar (Figure 2a).  Every transfer crosses
-  one link-length; per-class latencies come from Table 2's crossbar row.
-* :class:`HierarchicalTopology` -- sixteen clusters in four groups of
-  four; each group shares a crossbar and the crossbars are joined in a
-  ring (Figure 2b, after Aggarwal & Franklin).  Inter-group transfers add
-  Table 2's per-hop ring latency for each ring segment crossed.
+Clusters sit in groups of four around a crossbar (Figure 2a: four
+clusters and the centralized L1 data cache).  With more than one group a
+ring joins the crossbars (Figure 2b, after Aggarwal & Franklin): one
+ring link for two groups, one link per group from three groups up.
+Every transfer crosses one crossbar link-length; an inter-group transfer
+adds Table 2's per-hop ring latency for each ring segment crossed.  The
+cache hangs off group 0's crossbar.
 
-Every node has a unidirectional *channel* in each direction ("c3:out",
-"cache:in", ...), and the ring contributes per-direction segment channels
-("ring:0>1", ...).  A :class:`Path` lists the channels a transfer must win
-in its grant cycle, its latency per wire class, and the number of
-link-lengths it spans (the energy weight).
+Every node has a physical link to its crossbar ("c3", "cache") with a
+unidirectional *channel* in each direction ("c3:out", "c3:in"); a ring
+link "ring:0-1" has one channel per direction ("ring:0>1", "ring:1>0").
+This module is the only one that knows these names: other modules ask
+:meth:`Topology.link_of`, :meth:`Topology.channels_of` and
+:meth:`Topology.cluster_of`.  A :class:`Path` lists the channels a
+transfer must win in its grant cycle, its latency per wire class, and
+the number of link-lengths it spans (the energy weight).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..wires import CROSSBAR_LATENCY, RING_HOP_LATENCY, WireClass
 
 #: Node name of the centralized L1 data cache (and colocated front-end).
 CACHE_NODE = "cache"
+
+#: Clusters per crossbar.
+GROUP_SIZE = 4
+
+#: Width factor of the cache link and of every ring link (each carries a
+#: whole group's traffic).
+WIDE_LINK_FACTOR = 2
 
 
 #: The cluster counts a topology can connect: one crossbar joins two to
@@ -66,7 +76,9 @@ class Path:
 
 
 class Topology:
-    """Base class: node/channel naming and path lookup.
+    """Groups of four clusters on crossbars, the crossbars on a ring.
+
+    Ring routing takes the shorter way round, clockwise on ties.
 
     ``transmission_line_lwires`` models the paper's future-work design
     point: L-Wires implemented as transmission lines signal at a fraction
@@ -83,15 +95,84 @@ class Topology:
         self.num_clusters = num_clusters
         self.latency_scale = latency_scale
         self.transmission_line_lwires = transmission_line_lwires
+        self.num_groups = -(-num_clusters // GROUP_SIZE)
+        #: Link -> width factor, in inventory order.
+        self._factor: Dict[str, int] = {}
+        #: Link name, either way round for a ring link -> its channels.
+        self._channels_of: Dict[str, Tuple[str, ...]] = {}
+        self._link_of: Dict[str, str] = {}
+        self._cluster_of: Dict[str, int] = {}
+        for i in range(num_clusters):
+            node = cluster_node(i)
+            self._add_link(node, 1, f"{node}:out", f"{node}:in")
+            for channel in self._channels_of[node]:
+                self._cluster_of[channel] = i
+        self._add_link(CACHE_NODE, WIDE_LINK_FACTOR,
+                       f"{CACHE_NODE}:out", f"{CACHE_NODE}:in")
+        n = self.num_groups
+        for g in range(n if n > 2 else n - 1):
+            nxt = (g + 1) % n
+            self._add_link(f"ring:{g}-{nxt}", WIDE_LINK_FACTOR,
+                           f"ring:{g}>{nxt}", f"ring:{nxt}>{g}")
+            self._channels_of[f"ring:{nxt}-{g}"] = \
+                self._channels_of[f"ring:{g}-{nxt}"]
+        latency = [self._latency_map(hops) for hops in range(n // 2 + 1)]
         self._paths: Dict[Tuple[str, str], Path] = {}
-        self._channel_factors: Dict[str, int] = {}
-        self._build()
+        for src in self.nodes:
+            for dst in self.nodes:
+                if src == dst:
+                    continue
+                segments = self._ring_route(self.group_of(src),
+                                            self.group_of(dst))
+                hops = len(segments)
+                self._paths[(src, dst)] = Path(
+                    channels=(f"{src}:out", *segments, f"{dst}:in"),
+                    latency=latency[hops],
+                    energy_weight=1 + hops,
+                )
 
-    # -- interface -------------------------------------------------------
+    def _add_link(self, link: str, factor: int, *channels: str) -> None:
+        self._factor[link] = factor
+        self._channels_of[link] = channels
+        for channel in channels:
+            self._link_of[channel] = link
+
+    # -- names -----------------------------------------------------------
 
     @property
     def nodes(self) -> List[str]:
         return [cluster_node(i) for i in range(self.num_clusters)] + [CACHE_NODE]
+
+    @property
+    def channels(self) -> List[str]:
+        return sorted(self._link_of)
+
+    def link_inventory(self) -> List[Tuple[str, int]]:
+        """(link name, width factor) for every physical link, for leakage:
+        clusters, cache, then ring.  Each bidirectional link appears once;
+        its two channels share the factor."""
+        return list(self._factor.items())
+
+    def link_of(self, channel: str) -> str:
+        """The physical link a channel belongs to."""
+        return self._link_of[channel]
+
+    def channels_of(self, link: str) -> Tuple[str, ...]:
+        """The channels of a link (a ring link named either way round);
+        ``()`` for a name that is no link."""
+        return self._channels_of.get(link, ())
+
+    def cluster_of(self, channel: str) -> Optional[int]:
+        """The cluster whose link a channel is on; ``None`` for cache and
+        ring channels."""
+        return self._cluster_of.get(channel)
+
+    def group_of(self, node: str) -> int:
+        if node == CACHE_NODE:
+            return 0
+        return int(node[1:]) // GROUP_SIZE
+
+    # -- paths -----------------------------------------------------------
 
     def path(self, src: str, dst: str) -> Path:
         try:
@@ -101,37 +182,29 @@ class Topology:
 
     def channel_width_factor(self, channel: str) -> int:
         """Width multiplier of a channel (cache and ring links are wider)."""
-        return self._channel_factors[channel]
-
-    @property
-    def channels(self) -> List[str]:
-        return sorted(self._channel_factors)
-
-    def link_inventory(self) -> List[Tuple[str, int]]:
-        """(link name, width factor) for every physical link, for leakage.
-
-        Each bidirectional link appears once; its two channels share the
-        factor.
-        """
-        raise NotImplementedError
+        return self._factor[self._link_of[channel]]
 
     def scaled_latency(self, base: int) -> int:
         """Apply the wire-constraint latency scale, minimum one cycle."""
         return max(1, round(base * self.latency_scale))
 
-    def _build(self) -> None:
-        raise NotImplementedError
+    def _ring_route(self, src_group: int, dst_group: int) -> List[str]:
+        """Ring segment channels between two groups."""
+        n = self.num_groups
+        forward = (dst_group - src_group) % n
+        backward = (src_group - dst_group) % n
+        step, hops = (1, forward) if forward <= backward else (-1, backward)
+        segments: List[str] = []
+        g = src_group
+        for _ in range(hops):
+            nxt = (g + step) % n
+            segments.append(f"ring:{g}>{nxt}")
+            g = nxt
+        return segments
 
-    # -- helpers ---------------------------------------------------------
-
-    def _register_node_channels(self, node: str, factor: int) -> None:
-        self._channel_factors[f"{node}:out"] = factor
-        self._channel_factors[f"{node}:in"] = factor
-
-    def _latency_map(self, base: Dict[WireClass, int],
-                     hops: int = 0) -> Dict[WireClass, int]:
+    def _latency_map(self, hops: int) -> Dict[WireClass, int]:
         result = {}
-        for wc, crossbar in base.items():
+        for wc, crossbar in CROSSBAR_LATENCY.items():
             total = crossbar + hops * RING_HOP_LATENCY[wc]
             if wc is WireClass.L and self.transmission_line_lwires:
                 # Time-of-flight: unaffected by RC wire scaling.
@@ -141,114 +214,8 @@ class Topology:
         # W-Wires, when present, are modelled at PW latency rounded from
         # their relative delay (1.0 vs 1.2); one cycle faster than PW.
         w_total = max(
-            1, round(base[WireClass.PW] / 1.2) + hops * RING_HOP_LATENCY[WireClass.PW]
+            1, round(CROSSBAR_LATENCY[WireClass.PW] / 1.2)
+            + hops * RING_HOP_LATENCY[WireClass.PW]
         )
         result[WireClass.W] = self.scaled_latency(w_total)
         return result
-
-
-class CrossbarTopology(Topology):
-    """Figure 2(a): clusters and the cache around one crossbar."""
-
-    def __init__(self, num_clusters: int = 4, latency_scale: float = 1.0,
-                 transmission_line_lwires: bool = False) -> None:
-        super().__init__(num_clusters, latency_scale,
-                         transmission_line_lwires)
-
-    def _build(self) -> None:
-        for i in range(self.num_clusters):
-            self._register_node_channels(cluster_node(i), factor=1)
-        self._register_node_channels(CACHE_NODE, factor=2)
-        latency = self._latency_map(dict(CROSSBAR_LATENCY))
-        for src in self.nodes:
-            for dst in self.nodes:
-                if src == dst:
-                    continue
-                self._paths[(src, dst)] = Path(
-                    channels=(f"{src}:out", f"{dst}:in"),
-                    latency=latency,
-                    energy_weight=1,
-                )
-
-    def link_inventory(self) -> List[Tuple[str, int]]:
-        links = [(cluster_node(i), 1) for i in range(self.num_clusters)]
-        links.append((CACHE_NODE, 2))
-        return links
-
-
-class HierarchicalTopology(Topology):
-    """Figure 2(b): groups of four clusters, crossbars joined in a ring.
-
-    The cache hangs off group 0's crossbar.  Ring segments have the same
-    width factor as the cache link (they aggregate a whole group's
-    traffic).  Minimal-distance ring routing, clockwise on ties.
-    """
-
-    GROUP_SIZE = 4
-
-    def __init__(self, num_clusters: int = 16, latency_scale: float = 1.0,
-                 ring_width_factor: int = 2,
-                 transmission_line_lwires: bool = False) -> None:
-        if num_clusters % self.GROUP_SIZE:
-            raise ValueError(
-                f"cluster count must be a multiple of {self.GROUP_SIZE}"
-            )
-        if ring_width_factor < 1:
-            raise ValueError("ring width factor must be >= 1")
-        self.ring_width_factor = ring_width_factor
-        self.num_groups = num_clusters // self.GROUP_SIZE
-        super().__init__(num_clusters, latency_scale,
-                         transmission_line_lwires)
-
-    def group_of(self, node: str) -> int:
-        if node == CACHE_NODE:
-            return 0
-        return int(node[1:]) // self.GROUP_SIZE
-
-    def _ring_route(self, src_group: int,
-                    dst_group: int) -> Tuple[List[str], int]:
-        """Ring segment channels and hop count between two groups."""
-        n = self.num_groups
-        forward = (dst_group - src_group) % n
-        backward = (src_group - dst_group) % n
-        segments: List[str] = []
-        if forward <= backward:
-            step, hops = 1, forward
-        else:
-            step, hops = -1, backward
-        g = src_group
-        for _ in range(hops):
-            nxt = (g + step) % n
-            segments.append(f"ring:{g}>{nxt}")
-            g = nxt
-        return segments, hops
-
-    def _build(self) -> None:
-        for i in range(self.num_clusters):
-            self._register_node_channels(cluster_node(i), factor=1)
-        self._register_node_channels(CACHE_NODE, factor=2)
-        for g in range(self.num_groups):
-            nxt = (g + 1) % self.num_groups
-            self._channel_factors[f"ring:{g}>{nxt}"] = self.ring_width_factor
-            self._channel_factors[f"ring:{nxt}>{g}"] = self.ring_width_factor
-        for src in self.nodes:
-            for dst in self.nodes:
-                if src == dst:
-                    continue
-                segments, hops = self._ring_route(
-                    self.group_of(src), self.group_of(dst)
-                )
-                channels = (f"{src}:out", *segments, f"{dst}:in")
-                self._paths[(src, dst)] = Path(
-                    channels=channels,
-                    latency=self._latency_map(dict(CROSSBAR_LATENCY), hops),
-                    energy_weight=1 + hops,
-                )
-
-    def link_inventory(self) -> List[Tuple[str, int]]:
-        links = [(cluster_node(i), 1) for i in range(self.num_clusters)]
-        links.append((CACHE_NODE, 2))
-        for g in range(self.num_groups):
-            nxt = (g + 1) % self.num_groups
-            links.append((f"ring:{g}-{nxt}", self.ring_width_factor))
-        return links

@@ -46,7 +46,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Mapping, Optional, Tuple
+from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from ..telemetry import NULL_TELEMETRY, EventKind, Telemetry, event_names
 from ..wires import WireClass
@@ -153,11 +153,6 @@ class PlanePowerManager:
         self.telemetry = telemetry if telemetry is not None \
             else NULL_TELEMETRY
         self.window_start = 0
-        links = dict(topology.link_inventory())
-        self._link_of: Dict[str, str] = {
-            channel: _channel_link(channel, links)
-            for channel in topology.channels
-        }
         specs = composition.specs_map()
         wires = composition.total_wires(False)
         bulk = composition.bulk_plane()
@@ -369,7 +364,7 @@ class PlanePowerManager:
         if slots is None:
             seen = []
             for channel in channels:
-                link = self._link_of[channel]
+                link = self.topology.link_of(channel)
                 if link not in seen:
                     seen.append(link)
             slots = []
@@ -474,19 +469,3 @@ class PlanePowerManager:
             key=lambda r: (-r.gated_cycles, -r.drowsy_cycles,
                            r.link, r.wire_class.value),
         )
-
-
-def _channel_link(channel: str, links: Mapping[str, int]) -> str:
-    """Map a directed channel name onto its physical link name."""
-    base, sep, _ = channel.rpartition(":")
-    if sep and not channel.startswith("ring:"):
-        return base  # "c0:out" / "cache:in" -> "c0" / "cache"
-    if channel.startswith("ring:"):
-        a, sep, b = channel[len("ring:"):].partition(">")
-        if sep:
-            forward = f"ring:{a}-{b}"
-            if forward in links:
-                return forward
-            return f"ring:{b}-{a}"
-    raise ValueError(f"channel {channel!r} matches no physical link")
-

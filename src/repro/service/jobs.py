@@ -22,13 +22,11 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
-import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..harness.runner import ExperimentPlan
+from ..harness.runner import ExperimentPlan, write_json_atomic
 
 #: Bump when the persisted job record format changes.
 JOB_SCHEMA_VERSION = 2
@@ -165,21 +163,7 @@ class JobStore:
         return self.directory / f"{job_id}.json"
 
     def save(self, record: JobRecord) -> None:
-        self.directory.mkdir(parents=True, exist_ok=True)
-        path = self._path(record.job_id)
-        fd, tmp_name = tempfile.mkstemp(
-            prefix=path.name + ".", suffix=".tmp", dir=self.directory
-        )
-        try:
-            with os.fdopen(fd, "w") as handle:
-                handle.write(json.dumps(record.to_json()))
-            os.replace(tmp_name, path)
-        except BaseException:
-            try:
-                os.unlink(tmp_name)
-            except OSError:
-                pass
-            raise
+        write_json_atomic(self._path(record.job_id), record.to_json())
 
     def load(self, job_id: str) -> Optional[JobRecord]:
         """The stored record, or None for missing/unreadable ids.

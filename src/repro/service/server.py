@@ -39,7 +39,6 @@ import time
 from pathlib import Path
 from typing import Dict, Optional, Sequence, Tuple
 
-from ..core.models import MODEL_NAMES, is_design_point, parse_design_point
 from ..harness.runner import (
     ExperimentPlan,
     ExperimentRunner,
@@ -310,16 +309,6 @@ class SweepService:
         """A validated plan; its specs are canonical by construction,
         so every spelling of one plan maps to one job id."""
         plan = ExperimentPlan.from_dict(raw)
-        if is_design_point(plan.model_name):
-            # Explorer-minted design points validate structurally: the
-            # parser enforces canonical spelling, a supported node and
-            # sane wire counts.
-            parse_design_point(plan.model_name)
-        elif plan.model_name not in MODEL_NAMES:
-            raise ValueError(
-                f"unknown model {plan.model_name!r}; expected one of "
-                f"{', '.join(MODEL_NAMES)} or a 'dp@...' design point"
-            )
         if plan.benchmark not in BENCHMARK_NAMES:
             raise ValueError(f"unknown benchmark {plan.benchmark!r}")
         return plan

@@ -8,7 +8,7 @@ from repro.core.config import (
     baseline_interconnect,
     wire_counts,
 )
-from repro.interconnect.topology import CrossbarTopology, HierarchicalTopology
+from repro.core.simulation import build_processor
 from repro.wires import WireClass
 
 
@@ -52,17 +52,23 @@ class TestTable1Defaults:
 
 
 class TestTopologySelection:
+    """The processor sizes its topology from the machine it models."""
+
     def test_four_clusters_use_crossbar(self):
-        topo = ProcessorConfig(num_clusters=4).build_topology()
-        assert isinstance(topo, CrossbarTopology)
+        topo = build_processor(baseline_interconnect(), "gzip").topology
+        assert topo.num_groups == 1
+        assert [link for link, _ in topo.link_inventory()] == [
+            "c0", "c1", "c2", "c3", "cache"]
 
     def test_sixteen_clusters_use_hierarchy(self):
-        topo = ProcessorConfig(num_clusters=16).build_topology()
-        assert isinstance(topo, HierarchicalTopology)
+        topo = build_processor(baseline_interconnect(), "gzip",
+                               num_clusters=16).topology
         assert topo.num_groups == 4
+        assert topo.path("c0", "c8").energy_weight == 3
 
     def test_latency_scale_propagates(self):
-        topo = ProcessorConfig(latency_scale=2.0).build_topology()
+        topo = build_processor(baseline_interconnect(), "gzip",
+                               latency_scale=2.0).topology
         assert topo.path("c0", "c1").latency[WireClass.B] == 4
 
 

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from repro.faults import FaultInjector, FaultSpec, PlaneKill
 from repro.faults import injector as injector_module
 from repro.interconnect import ConfigError
-from repro.interconnect.topology import CrossbarTopology
+from repro.interconnect.topology import Topology
 from repro.wires import CANONICAL_SPECS, WireClass
 
 
@@ -17,29 +17,40 @@ def make_injector(spec_text, seed=0):
 
 class TestScheduledKills:
     def test_wildcard_covers_every_channel(self):
-        topology = CrossbarTopology(4)
+        topology = Topology(4)
         injector = make_injector("kill=L@*@100")
-        kills = injector.scheduled_kills(topology.channels)
+        kills = injector.scheduled_kills(topology)
         assert len(kills) == len(topology.channels)
         assert all(cycle == 100 and wc is WireClass.L
                    for cycle, _, wc in kills)
 
     def test_named_link_covers_both_directions(self):
-        topology = CrossbarTopology(4)
+        topology = Topology(4)
         injector = make_injector("kill=B@c0@5")
-        kills = injector.scheduled_kills(topology.channels)
+        kills = injector.scheduled_kills(topology)
         assert sorted(ch for _, ch, _ in kills) == ["c0:in", "c0:out"]
 
     def test_unknown_link_raises_config_error(self):
-        topology = CrossbarTopology(4)
+        topology = Topology(4)
         injector = make_injector("kill=L@c9@0")
         with pytest.raises(ConfigError, match="no such link"):
-            injector.scheduled_kills(topology.channels)
+            injector.scheduled_kills(topology)
+
+    def test_unknown_link_error_lists_ring_links(self):
+        injector = make_injector("kill=B@ring:0-2@0")
+        with pytest.raises(ConfigError, match="ring:0-1"):
+            injector.scheduled_kills(Topology(8))
+
+    @pytest.mark.parametrize("link", ["ring:0-1", "ring:1-0"])
+    def test_ring_link_named_either_way_round(self, link):
+        injector = make_injector(f"kill=B@{link}@5")
+        kills = injector.scheduled_kills(Topology(8))
+        assert sorted(ch for _, ch, _ in kills) == ["ring:0>1", "ring:1>0"]
 
     def test_kills_sorted_by_cycle(self):
-        topology = CrossbarTopology(2)
+        topology = Topology(2)
         injector = make_injector("kill=L@c1@200;kill=B@c0@100")
-        kills = injector.scheduled_kills(topology.channels)
+        kills = injector.scheduled_kills(topology)
         assert [cycle for cycle, _, _ in kills] == sorted(
             cycle for cycle, _, _ in kills
         )

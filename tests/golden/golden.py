@@ -220,11 +220,6 @@ def measured(label: str) -> Measured:
     return simulate(load()[label])
 
 
-def assert_digest(label: str, name: str) -> None:
-    """One of the entry's digests (run, events, metrics) is unchanged."""
-    assert measured(label).digests[name] == load()[label]["digests"][name]
-
-
 def assert_pinned(label: str) -> None:
     """The entry's digests equal the pinned ones, with a readable diff."""
     pinned = load()[label]["digests"]

@@ -9,6 +9,7 @@ import pytest
 
 from golden import (
     FAULT_SPECS,
+    POLICIES,
     assert_pinned,
     assert_scaling_pinned,
     label,
@@ -21,6 +22,7 @@ from golden import (
 from repro.core.models import MODEL_NAMES
 from repro.faults import FaultSpec
 from repro.interconnect.selection import PolicyFlags
+from repro.telemetry import EventKind
 
 #: Extras that count fault-induced degradation.
 DEGRADATION = ("retransmissions", "corrupted_segments", "retry_escalations",
@@ -70,6 +72,21 @@ def test_traced_entries_pin_their_untraced_twins_run():
     for name, twin in twins.items():
         assert (corpus[name]["digests"]["run"]
                 == corpus[twin]["digests"]["run"]), name
+
+
+def test_gating_engages_in_window():
+    # Guard against vacuous gated entries: the aggressive policy must
+    # actually gate and wake planes inside the window.
+    extra = load()[label(gating_policy=POLICIES[1])]["run"]["extra"]
+    assert extra["plane_wakes"] > 0
+    assert extra["gated_wire_cycle_share"] > 0.0
+
+
+def test_traced_gated_entry_has_power_events():
+    traced = label(gating_policy=POLICIES[1], traced=True)
+    kinds = {event.kind for event in measured(traced).events}
+    assert {EventKind.PLANE_GATED, EventKind.PLANE_WOKEN} <= kinds, \
+        "no gate/wake events in the window"
 
 
 def test_corpus_is_not_vacuous():

@@ -20,6 +20,8 @@ from repro.harness.profiling import HarnessProfiler
 from repro.harness.runner import ExperimentPlan, ExperimentRunner, ResultCache
 
 WINDOW = dict(instructions=300, warmup=80)
+#: The models the stand-in simulator hangs on and crashes once on.
+HANG, FLAKY = "IX", "X"
 
 
 @pytest.fixture(autouse=True)
@@ -32,7 +34,7 @@ def no_worker_outlives_a_test():
 def pid_execute(monkeypatch, tmp_path):
     """A stand-in simulator keyed on the plan's model name.
 
-    ``hang`` sleeps forever, ``flaky`` kills its worker on the first
+    ``HANG`` sleeps forever, ``FLAKY`` kills its worker on the first
     attempt only (a marker file carries state across processes), and
     anything else takes 50 ms -- long enough that a crash is noticed
     while plans are still queued -- and reports the worker's pid in
@@ -41,9 +43,9 @@ def pid_execute(monkeypatch, tmp_path):
     marker = tmp_path / "flaky-already-crashed"
 
     def execute(plan):
-        if plan.model_name == "hang":
+        if plan.model_name == HANG:
             time.sleep(60)
-        if plan.model_name == "flaky" and not marker.exists():
+        if plan.model_name == FLAKY and not marker.exists():
             marker.write_text("crashed once")
             os._exit(3)
         time.sleep(0.05)
@@ -101,7 +103,7 @@ class TestReplaceOnCrash:
     def test_dead_worker_is_replaced_and_only_its_plan_retried(
             self, tmp_path, pid_execute):
         runner = make_runner(tmp_path, workers=2, max_retries=1)
-        plans = plans_of(("flaky", "II", "III", "IV", "V", "VI"))
+        plans = plans_of((FLAKY, "II", "III", "IV", "V", "VI"))
         report = runner.run_many_report(plans)
         assert report.ok
         assert set(report.results) == set(plans)
@@ -120,10 +122,10 @@ class TestReplaceOnCrash:
     def test_hung_plan_kills_only_its_own_worker(self, tmp_path,
                                                  pid_execute):
         runner = make_runner(tmp_path, workers=2, run_timeout=0.5)
-        plans = plans_of(("I", "hang", "III", "IV"))
+        plans = plans_of(("I", HANG, "III", "IV"))
         report = runner.run_many_report(plans)
         (failure,) = report.failures
-        assert failure.plan.model_name == "hang"
+        assert failure.plan.model_name == HANG
         assert failure.reason == "timeout"
         assert len(report.results) == 3
         assert len(pids(report)) == 1  # the survivor ran the rest
@@ -136,9 +138,9 @@ class TestShutdown:
     def test_cancel_mid_sweep_terminates_every_worker(self, tmp_path,
                                                       pid_execute):
         runner = make_runner(tmp_path, workers=2, run_timeout=60)
-        plans = (plans_of(("I", "hang"), "gzip")
-                 + plans_of(("hang", "V"), "mesa")
-                 + plans_of(("hang",), "art"))
+        plans = (plans_of(("I", HANG), "gzip")
+                 + plans_of((HANG, "V"), "mesa")
+                 + plans_of((HANG,), "art"))
         cancel = threading.Event()
         timer = threading.Timer(0.5, cancel.set)
         timer.start()

@@ -7,7 +7,6 @@ from dataclasses import fields
 
 import pytest
 
-from repro.core.config import ProcessorConfig
 from repro.core.metrics import BenchmarkRun
 from repro.faults import FaultSpec
 from repro.harness import runner as runner_module
@@ -21,6 +20,7 @@ from repro.harness.runner import (
 )
 from repro.interconnect.selection import PolicyFlags
 from repro.interconnect.stats import InterconnectStats
+from repro.interconnect.topology import Topology
 from repro.power import parse_gating, policy as policy_module
 from repro.workloads import annotate
 
@@ -75,6 +75,22 @@ class TestPlanKeys:
         assert plan.cache_key() == key
 
 
+class TestModelNames:
+    """A plan takes only models a run can build."""
+
+    @pytest.mark.parametrize("name", ["ZZ", "dp@n45:B143:cw2"])
+    def test_constructor_rejects_unbuildable_model(self, name):
+        with pytest.raises(ValueError, match="bad model_name"):
+            ExperimentPlan(name, "gzip")
+
+    @pytest.mark.parametrize("name", ["ZZ", "dp@n45:B143:cw2"])
+    def test_from_dict_rejects_unbuildable_model(self, name):
+        data = ExperimentPlan("X", "gzip").to_dict()
+        data["model_name"] = name
+        with pytest.raises(ValueError, match="bad model_name"):
+            ExperimentPlan.from_dict(data)
+
+
 class TestClusterCounts:
     """A plan takes exactly the cluster counts a topology can build."""
 
@@ -86,8 +102,7 @@ class TestClusterCounts:
     @pytest.mark.parametrize("count", [2, 3, 4, 8, 12, 16])
     def test_accepts_counts_a_topology_builds(self, count):
         plan = ExperimentPlan("X", "gzip", num_clusters=count)
-        topology = ProcessorConfig(num_clusters=count).build_topology()
-        assert topology.num_clusters == plan.num_clusters
+        assert Topology(count).num_clusters == plan.num_clusters
 
 
 class TestParseOnce:

@@ -10,14 +10,14 @@ from repro.core.config import InterconnectConfig, wire_counts
 from repro.core.models import model
 from repro.core.simulation import build_processor
 from repro.interconnect.selection import PolicyFlags
-from repro.interconnect.topology import CrossbarTopology
+from repro.interconnect.topology import Topology
 from repro.wires import WireClass
 
 
 class TestTransmissionLineLWires:
     def test_lwire_latency_immune_to_scaling(self):
-        rc = CrossbarTopology(4, latency_scale=2.0)
-        tl = CrossbarTopology(4, latency_scale=2.0,
+        rc = Topology(4, latency_scale=2.0)
+        tl = Topology(4, latency_scale=2.0,
                               transmission_line_lwires=True)
         assert rc.path("c0", "c1").latency[WireClass.L] == 2
         assert tl.path("c0", "c1").latency[WireClass.L] == 1
@@ -25,7 +25,7 @@ class TestTransmissionLineLWires:
         assert tl.path("c0", "c1").latency[WireClass.B] == 4
 
     def test_no_effect_without_scaling(self):
-        tl = CrossbarTopology(4, transmission_line_lwires=True)
+        tl = Topology(4, transmission_line_lwires=True)
         assert tl.path("c0", "c1").latency[WireClass.L] == 1
 
     def test_config_threads_the_flag(self):

@@ -9,7 +9,7 @@ from repro.core.processor import ClusteredProcessor
 from repro.interconnect.message import Transfer, TransferKind
 from repro.interconnect.network import Network
 from repro.interconnect.plane import LinkComposition
-from repro.interconnect.topology import CrossbarTopology, HierarchicalTopology
+from repro.interconnect.topology import Topology
 from repro.wires import WireClass
 from repro.workloads.trace import InstructionRecord, OpClass
 
@@ -137,7 +137,7 @@ def test_conservation_and_latency_crossbar(transfers):
     """Every submitted transfer arrives exactly once, never earlier than
     the wire latency allows."""
     submitted, arrivals, net = _run_network(
-        transfers, CrossbarTopology(4), {WireClass.B: 144}
+        transfers, Topology(4), {WireClass.B: 144}
     )
     assert len(arrivals) == submitted
     for submit_cycle, arrive_cycle in arrivals:
@@ -150,7 +150,7 @@ def test_conservation_hierarchical(transfers):
     mapped = [(f"c{hash(s) % 16}", f"c{hash(d) % 16}", c)
               for s, d, c in transfers]
     submitted, arrivals, _ = _run_network(
-        mapped, HierarchicalTopology(16),
+        mapped, Topology(16),
         {WireClass.B: 144, WireClass.L: 36},
     )
     assert len(arrivals) == submitted
@@ -160,7 +160,7 @@ def test_conservation_hierarchical(transfers):
 @given(transfers=transfer_lists)
 def test_energy_matches_traffic(transfers):
     submitted, _, net = _run_network(
-        transfers, CrossbarTopology(4), {WireClass.B: 144}
+        transfers, Topology(4), {WireClass.B: 144}
     )
     expected = submitted * 72 * 0.58
     assert abs(net.stats.dynamic_energy() - expected) < 1e-6

@@ -7,14 +7,14 @@ from repro.interconnect.errors import ConfigError, UnroutableError
 from repro.interconnect.message import Transfer, TransferKind
 from repro.interconnect.network import Network
 from repro.interconnect.plane import LinkComposition
-from repro.interconnect.topology import CrossbarTopology, HierarchicalTopology
+from repro.interconnect.topology import Topology
 from repro.wires import WireClass
 
 
 def make_network(wires, spec_text=None, seed=0, injector=None):
     if spec_text is not None:
         injector = FaultInjector(FaultSpec.parse(spec_text), seed=seed)
-    return Network(CrossbarTopology(4), LinkComposition(wires),
+    return Network(Topology(4), LinkComposition(wires),
                    injector=injector)
 
 
@@ -110,7 +110,7 @@ class TestPermanentKills:
         # wait on (c0:out, B); each must then be granted on PW on every
         # hop, and the dead plane must carry nothing more.
         injector = FaultInjector(FaultSpec.parse("kill=B@ring:0-1@2"))
-        net = Network(HierarchicalTopology(16),
+        net = Network(Topology(16),
                       LinkComposition({WireClass.B: 144,
                                        WireClass.PW: 288}),
                       injector=injector)

@@ -23,7 +23,7 @@ from hypothesis import given, settings, strategies as st
 from repro.interconnect.message import Transfer, TransferKind
 from repro.interconnect.network import Network
 from repro.interconnect.plane import LinkComposition
-from repro.interconnect.topology import CrossbarTopology
+from repro.interconnect.topology import Topology
 from repro.power import PlanePowerManager, PowerState, parse_gating
 from repro.wires import WireClass
 
@@ -42,7 +42,7 @@ policies = st.sampled_from(POLICY_STRINGS)
 
 
 def make_manager(policy_text):
-    return PlanePowerManager(CrossbarTopology(4), LinkComposition(MIX),
+    return PlanePowerManager(Topology(4), LinkComposition(MIX),
                              parse_gating(policy_text))
 
 
@@ -57,11 +57,23 @@ submissions = st.lists(
 )
 
 
+class TestOneMachinePerLink:
+    def test_ring_directions_share_a_slot(self):
+        """At 8 clusters one ring link carries both ring channels."""
+        power = PlanePowerManager(Topology(8), LinkComposition(MIX),
+                                  parse_gating(POLICY_STRINGS[0]))
+        forward = power._slots_on(("ring:0>1",))
+        backward = power._slots_on(("ring:1>0",))
+        assert forward
+        assert all(a is b for a, b in zip(forward, backward, strict=True))
+        assert {slot.link for slot in forward} == {"ring:0-1"}
+
+
 class TestNoTrafficOnSleepingPlanes:
     @settings(max_examples=25, deadline=None)
     @given(policy=policies, subs=submissions)
     def test_granted_plane_is_always_active(self, policy, subs):
-        net = Network(CrossbarTopology(4), LinkComposition(MIX),
+        net = Network(Topology(4), LinkComposition(MIX),
                       gating=parse_gating(policy))
         power = net.power
         violations = []

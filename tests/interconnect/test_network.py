@@ -5,13 +5,13 @@ import pytest
 from repro.interconnect.message import Transfer, TransferKind
 from repro.interconnect.network import Network
 from repro.interconnect.plane import LinkComposition
-from repro.interconnect.topology import CrossbarTopology, HierarchicalTopology
+from repro.interconnect.topology import Topology
 from repro.wires import WireClass
 
 
 def make_network(wires=None, flags=None, topology=None):
     wires = wires or {WireClass.B: 144}
-    topology = topology or CrossbarTopology(4)
+    topology = topology or Topology(4)
     return Network(topology, LinkComposition(wires), flags)
 
 
@@ -159,7 +159,7 @@ class TestEnergyAccounting:
         assert net.stats.dynamic_energy() == pytest.approx(expected)
 
     def test_ring_transfers_weighted_by_hops(self):
-        topo = HierarchicalTopology(16)
+        topo = Topology(16)
         net = make_network(topology=topo)
         net.submit(Transfer(kind=TransferKind.OPERAND, src="c0",
                             dst="c8"), 0)  # 2 hops -> weight 3
@@ -189,18 +189,17 @@ class TestEnergyAccounting:
 
 class TestRingContention:
     def test_ring_segment_is_shared(self):
-        """Two same-direction inter-group transfers compete for the same
-        ring segment."""
-        topo = HierarchicalTopology(16, ring_width_factor=1)
-        net = make_network(topology=topo)
+        """Three same-direction inter-group transfers compete for the
+        same 2x-wide ring segment: two fit in a cycle, the third waits."""
+        net = make_network(topology=Topology(16))
         seen = arrivals(net)
-        net.submit(Transfer(kind=TransferKind.OPERAND, src="c0", dst="c4",
-                            payload="a"), 0)
-        net.submit(Transfer(kind=TransferKind.OPERAND, src="c1", dst="c5",
-                            payload="b"), 0)
+        for src, dst, payload in (("c0", "c4", "a"), ("c1", "c5", "b"),
+                                  ("c2", "c6", "c")):
+            net.submit(Transfer(kind=TransferKind.OPERAND, src=src, dst=dst,
+                                payload=payload), 0)
         for cycle in range(12):
             net.deliver_due(cycle)
             net.tick(cycle)
         times = {t.payload: c for t, c in seen}
-        assert times["a"] == 6  # crossbar 2 + hop 4
-        assert times["b"] == 7  # waited a cycle for ring:0>1
+        assert times["a"] == times["b"] == 6  # crossbar 2 + hop 4
+        assert times["c"] == 7  # waited a cycle for ring:0>1

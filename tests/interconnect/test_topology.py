@@ -1,19 +1,15 @@
-"""Tests for Figure 2's topologies: crossbar and hierarchical ring."""
+"""Tests for Figure 2's topology: one crossbar, and a ring of them."""
 
 import pytest
 
-from repro.interconnect.topology import (
-    CACHE_NODE,
-    CrossbarTopology,
-    HierarchicalTopology,
-)
+from repro.interconnect.topology import CACHE_NODE, Topology
 from repro.wires import WireClass
 
 
 class TestCrossbar:
     @pytest.fixture
     def xbar(self):
-        return CrossbarTopology(4)
+        return Topology(4)
 
     def test_nodes(self, xbar):
         assert xbar.nodes == ["c0", "c1", "c2", "c3", CACHE_NODE]
@@ -46,13 +42,13 @@ class TestCrossbar:
         assert xbar.channel_width_factor("c0:out") == 1
 
     def test_latency_scale_doubles(self):
-        xbar = CrossbarTopology(4, latency_scale=2.0)
+        xbar = Topology(4, latency_scale=2.0)
         path = xbar.path("c0", "c1")
         assert path.latency[WireClass.B] == 4
         assert path.latency[WireClass.L] == 2
 
     def test_latency_scale_minimum_one(self):
-        xbar = CrossbarTopology(4, latency_scale=0.25)
+        xbar = Topology(4, latency_scale=0.25)
         assert xbar.path("c0", "c1").latency[WireClass.L] == 1
 
     def test_link_inventory(self, xbar):
@@ -63,17 +59,17 @@ class TestCrossbar:
 
     def test_rejects_too_few_clusters(self):
         with pytest.raises(ValueError):
-            CrossbarTopology(1)
+            Topology(1)
 
     def test_rejects_bad_scale(self):
         with pytest.raises(ValueError):
-            CrossbarTopology(4, latency_scale=0.0)
+            Topology(4, latency_scale=0.0)
 
 
 class TestHierarchical:
     @pytest.fixture
     def ring(self):
-        return HierarchicalTopology(16)
+        return Topology(16)
 
     def test_group_membership(self, ring):
         assert ring.group_of("c0") == 0
@@ -127,13 +123,49 @@ class TestHierarchical:
 
     def test_rejects_nonmultiple_of_group(self):
         with pytest.raises(ValueError):
-            HierarchicalTopology(10)
-
-    def test_rejects_bad_ring_factor(self):
-        with pytest.raises(ValueError):
-            HierarchicalTopology(16, ring_width_factor=0)
+            Topology(10)
 
     def test_symmetric_hop_counts(self, ring):
         for a, b in (("c0", "c8"), ("c4", "c12"), ("c5", "c9")):
             assert (ring.path(a, b).energy_weight
                     == ring.path(b, a).energy_weight)
+
+
+class TestNames:
+    """The topology is the one owner of link and channel names."""
+
+    @pytest.mark.parametrize("n, ring_links", [
+        (2, 0), (3, 0), (4, 0), (8, 1), (12, 3), (16, 4),
+    ])
+    def test_every_channel_on_exactly_one_link(self, n, ring_links):
+        topo = Topology(n)
+        links = [link for link, _ in topo.link_inventory()]
+        owners = {}
+        for link in links:
+            for channel in topo.channels_of(link):
+                owners.setdefault(channel, []).append(link)
+        assert sorted(owners) == topo.channels
+        assert all(len(found) == 1 for found in owners.values())
+        for channel in topo.channels:
+            assert channel in topo.channels_of(topo.link_of(channel))
+        assert sum(1 for link in links if link.startswith("ring:")) \
+            == ring_links
+
+    def test_ring_link_named_either_way_round(self):
+        topo = Topology(16)
+        assert topo.channels_of("ring:3-0") == topo.channels_of("ring:0-3")
+        assert sorted(topo.channels_of("ring:0-3")) == [
+            "ring:0>3", "ring:3>0"]
+
+    def test_cluster_of(self):
+        topo = Topology(16)
+        for i in range(16):
+            assert topo.cluster_of(f"c{i}:out") == i
+            assert topo.cluster_of(f"c{i}:in") == i
+        for channel in ("cache:out", "cache:in", "ring:0>1", "ring:3>0"):
+            assert topo.cluster_of(channel) is None
+
+    def test_unknown_link_has_no_channels(self):
+        topo = Topology(16)
+        assert topo.channels_of("c16") == ()
+        assert topo.channels_of("ring:0-2") == ()

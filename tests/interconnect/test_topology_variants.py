@@ -2,11 +2,10 @@
 
 import pytest
 
-from repro.interconnect.topology import (
-    CACHE_NODE,
-    HierarchicalTopology,
-    cluster_node,
-)
+from repro.core.models import model
+from repro.harness.runner import ExperimentPlan, simulate_plan
+from repro.interconnect.stats import leakage_energy
+from repro.interconnect.topology import CACHE_NODE, Topology, cluster_node
 from repro.wires import WireClass
 
 
@@ -15,7 +14,7 @@ class TestEightClusterHierarchy:
 
     @pytest.fixture
     def topo(self):
-        return HierarchicalTopology(8)
+        return Topology(8)
 
     def test_two_groups(self, topo):
         assert topo.num_groups == 2
@@ -31,13 +30,27 @@ class TestEightClusterHierarchy:
         ring_channels = [c for c in topo.channels if c.startswith("ring")]
         assert sorted(ring_channels) == ["ring:0>1", "ring:1>0"]
 
+    def test_run_leaks_one_ring_link(self, topo):
+        """An ungated run leaks 8 cluster links, the 2x cache link and
+        one 2x ring link: 12 link-widths, not 14."""
+        run = simulate_plan(ExperimentPlan(
+            "X", "gzip", num_clusters=8, instructions=1500, warmup=300,
+            seed=42))
+        per_link = model("X").config.build_composition().total_wires(False)
+        inventory = {wc: count * sum(f for _, f in topo.link_inventory())
+                     for wc, count in per_link.items()}
+        assert run.cycles == 1493
+        assert run.interconnect_leakage == pytest.approx(
+            leakage_energy(inventory, run.cycles))
+        assert run.interconnect_leakage == pytest.approx(3476420.64)
+
 
 class TestThirtyTwoClusters:
     """Scaling the hierarchy past the paper's largest machine."""
 
     @pytest.fixture
     def topo(self):
-        return HierarchicalTopology(32)
+        return Topology(32)
 
     def test_eight_groups(self, topo):
         assert topo.num_groups == 8
@@ -67,17 +80,16 @@ class TestThirtyTwoClusters:
 
 class TestLatencyScaleInteraction:
     def test_scale_applies_to_total_path(self):
-        base = HierarchicalTopology(16)
-        scaled = HierarchicalTopology(16, latency_scale=2.0)
+        base = Topology(16)
+        scaled = Topology(16, latency_scale=2.0)
         for pair in (("c0", "c1"), ("c0", "c4"), ("c0", "c8")):
             b = base.path(*pair).latency[WireClass.B]
             s = scaled.path(*pair).latency[WireClass.B]
             assert s == 2 * b
 
     def test_tl_lwires_on_the_ring(self):
-        tl = HierarchicalTopology(16, latency_scale=2.0,
-                                  transmission_line_lwires=True)
-        rc = HierarchicalTopology(16, latency_scale=2.0)
+        tl = Topology(16, latency_scale=2.0, transmission_line_lwires=True)
+        rc = Topology(16, latency_scale=2.0)
         path_tl = tl.path("c0", "c8").latency[WireClass.L]
         path_rc = rc.path("c0", "c8").latency[WireClass.L]
         assert path_tl == 1 + 2 * 2   # unscaled time-of-flight

@@ -5,7 +5,7 @@ import pytest
 from repro.interconnect.message import Transfer, TransferKind
 from repro.interconnect.network import Network
 from repro.interconnect.plane import LinkComposition
-from repro.interconnect.topology import CrossbarTopology
+from repro.interconnect.topology import Topology
 from repro.power import parse_gating
 from repro.telemetry import RingBufferSink, Telemetry
 from repro.wires import WireClass
@@ -13,7 +13,7 @@ from repro.wires import WireClass
 
 def make_network(wires=None, **kwargs):
     wires = wires or {WireClass.B: 144}
-    return Network(CrossbarTopology(4), LinkComposition(wires), **kwargs)
+    return Network(Topology(4), LinkComposition(wires), **kwargs)
 
 
 def keyed_network(wires=None):
