@@ -69,7 +69,6 @@ class InterconnectConfig:
 
     wires: Mapping[WireClass, int]
     flags: PolicyFlags = field(default_factory=PolicyFlags)
-    cache_width_factor: int = 2
     wire_specs: Mapping[WireClass, WireSpec] = None
 
     def __post_init__(self) -> None:
@@ -77,8 +76,7 @@ class InterconnectConfig:
             raise ValueError("interconnect needs at least one wire plane")
 
     def build_composition(self) -> LinkComposition:
-        return LinkComposition(dict(self.wires), self.cache_width_factor,
-                               specs=self.wire_specs)
+        return LinkComposition(dict(self.wires), specs=self.wire_specs)
 
     def describe(self) -> str:
         return self.build_composition().describe()

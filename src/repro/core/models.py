@@ -91,18 +91,15 @@ def is_design_point(name: str) -> bool:
     return name.startswith(DESIGN_POINT_PREFIX)
 
 
-def format_design_point(node: int,
-                        wires: Mapping[WireClass, int],
-                        cache_width_factor: int = 2) -> str:
-    """Canonical design-point model name, e.g. ``dp@n32:B144+L36:cw2``.
+def format_design_point(node: int, wires: Mapping[WireClass, int]) -> str:
+    """Canonical design-point model name, e.g. ``dp@n32:B144+L36``.
 
     Classes appear in :data:`DESIGN_POINT_CLASS_ORDER`; counts are
     bidirectional totals exactly as the paper's tables quote them.  The
     encoding is injective, so equal names mean equal configurations --
     which is what makes it safe inside ``ExperimentPlan.cache_key()``.
-    Only buildable links get a name: every count is positive and even
-    and the cache width factor is at least 1, as
-    :class:`~repro.interconnect.plane.LinkComposition` demands.
+    Only buildable links get a name: every count is positive and even,
+    as :class:`~repro.interconnect.plane.LinkComposition` demands.
     """
     if not wires:
         raise ValueError("a design point needs at least one wire plane")
@@ -115,43 +112,35 @@ def format_design_point(node: int,
                 f"{wc.value} wire count {wires[wc]} must be positive "
                 f"and even (bidirectional total)"
             )
-    if cache_width_factor < 1:
-        raise ValueError(
-            f"cache width factor {cache_width_factor} must be >= 1")
     mix = "+".join(
         f"{wc.value}{wires[wc]}"
         for wc in DESIGN_POINT_CLASS_ORDER if wc in wires
     )
-    return (f"{DESIGN_POINT_PREFIX}n{int(node)}:{mix}"
-            f":cw{int(cache_width_factor)}")
+    return f"{DESIGN_POINT_PREFIX}n{int(node)}:{mix}"
 
 
-def parse_design_point(name: str
-                       ) -> Tuple[int, Dict[WireClass, int], int]:
-    """Parse ``dp@n<node>:<CLASS><count>+...:cw<k>``.
+def parse_design_point(name: str) -> Tuple[int, Dict[WireClass, int]]:
+    """Parse ``dp@n<node>:<CLASS><count>+...``.
 
-    Returns ``(node, wires, cache_width_factor)``.  Only the canonical
-    spelling produced by :func:`format_design_point` is accepted
-    (classes in canonical order, no repeats), so every configuration has
-    exactly one name and therefore one cache key.
+    Returns ``(node, wires)``.  Only the canonical spelling produced by
+    :func:`format_design_point` is accepted (classes in canonical order,
+    no repeats), so every configuration has exactly one name and
+    therefore one cache key.
     """
     if not is_design_point(name):
         raise ValueError(f"not a design-point model name: {name!r}")
     body = name[len(DESIGN_POINT_PREFIX):]
     parts = body.split(":")
-    if len(parts) != 3 or not parts[0].startswith("n") \
-            or not parts[2].startswith("cw"):
+    if len(parts) != 2 or not parts[0].startswith("n"):
         raise ValueError(
             f"malformed design point {name!r}; expected "
-            f"'{DESIGN_POINT_PREFIX}n<node>:<CLASS><count>+...:cw<k>'"
+            f"'{DESIGN_POINT_PREFIX}n<node>:<CLASS><count>+...'"
         )
     try:
         node = int(parts[0][1:])
-        cache_width_factor = int(parts[2][2:])
     except ValueError:
         raise ValueError(
-            f"malformed design point {name!r}: node and cache width "
-            f"factor must be integers"
+            f"malformed design point {name!r}: node must be an integer"
         ) from None
     if node not in SUPPORTED_NODES:
         raise ValueError(
@@ -181,13 +170,13 @@ def parse_design_point(name: str
                 f"{wc.value} repeated"
             )
         wires[wc] = int(suffix)
-    canonical = format_design_point(node, wires, cache_width_factor)
+    canonical = format_design_point(node, wires)
     if canonical != name:
         raise ValueError(
             f"non-canonical design point {name!r}; canonical spelling "
             f"is {canonical!r}"
         )
-    return node, wires, cache_width_factor
+    return node, wires
 
 
 def model(name: str) -> InterconnectModel:
@@ -198,15 +187,11 @@ def model(name: str) -> InterconnectModel:
     electrical parameters rather than Table 2's 45 nm values.
     """
     if is_design_point(name):
-        node, wires, cache_width_factor = parse_design_point(name)
-        catalog = scale_catalog(node)
+        node, wires = parse_design_point(name)
         return InterconnectModel(
             name=name,
-            config=InterconnectConfig(
-                wires=wires,
-                cache_width_factor=cache_width_factor,
-                wire_specs=catalog.specs,
-            ),
+            config=InterconnectConfig(wires=wires,
+                                      wire_specs=scale_catalog(node)),
         )
     try:
         wires = _MODEL_WIRES[name]

@@ -33,6 +33,7 @@ from typing import (
 from ..core.metrics import DYNAMIC_SHARE, LEAKAGE_SHARE, BenchmarkRun
 from ..harness.profiling import NULL_PROFILER, HarnessProfiler
 from ..harness.runner import ExperimentPlan, RunFailure, SweepReport
+from ..interconnect.topology import Topology
 from ..wires import (
     CANONICAL_SPECS,
     FREQ_BASE_GHZ,
@@ -292,7 +293,12 @@ def _point_metrics(point: DesignPoint, total: _Aggregate,
         count * CANONICAL_SPECS[wire_class].area_factor
         for wire_class, count in composition.items()
     )
-    num_links = TOPOLOGIES[point.topology]
+    # Every link the topology builds, the wide cache and ring links at
+    # their width factor, as the leakage inventory counts them.
+    link_widths = sum(
+        factor
+        for _, factor in Topology(point.num_clusters).link_inventory()
+    )
     return PointMetrics(
         point=point,
         ipc=total.ipc_sum / total.runs,
@@ -301,7 +307,7 @@ def _point_metrics(point: DesignPoint, total: _Aggregate,
         rel_leakage=rel_leakage,
         energy=energy,
         ed2=energy * rel_delay * rel_delay,
-        area_mm2=link_metal_area_mm2(tracks * num_links, point.node),
+        area_mm2=link_metal_area_mm2(tracks * link_widths, point.node),
     )
 
 

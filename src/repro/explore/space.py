@@ -2,7 +2,7 @@
 
 A :class:`DesignPoint` pins everything the explorer varies -- the
 technology node, the per-class wire counts of every link, the network
-topology and the cache-link width factor.  Its :meth:`~DesignPoint.
+topology and the gating policy.  Its :meth:`~DesignPoint.
 encode` string is canonical and injective, and its plans embed the
 node-scaled model name and latency factor, so two equal points always
 share cache entries and two different points never do.
@@ -51,7 +51,6 @@ class DesignPoint:
     node: int
     wires: Tuple[Tuple[str, int], ...]
     topology: str = "xbar4"
-    cache_width_factor: int = 2
     #: Canonical gating-policy string ("" = always-on planes); a sweep
     #: axis like the others, but reaching the cache key through
     #: ``ExperimentPlan.gating_policy`` rather than the model name.
@@ -83,7 +82,6 @@ class DesignPoint:
     @classmethod
     def from_mix(cls, node: int, wires: Mapping[WireClass, int],
                  topology: str = "xbar4",
-                 cache_width_factor: int = 2,
                  gating: str = "") -> "DesignPoint":
         """Build a point from a class->count mapping, canonicalized."""
         pairs = tuple(
@@ -94,7 +92,7 @@ class DesignPoint:
             unknown = set(wires) - set(DESIGN_POINT_CLASS_ORDER)
             raise ValueError(f"unknown wire classes: {unknown}")
         return cls(node=node, wires=pairs, topology=topology,
-                   cache_width_factor=cache_width_factor, gating=gating)
+                   gating=gating)
 
     def wire_mapping(self) -> Dict[WireClass, int]:
         return {WireClass(value): count for value, count in self.wires}
@@ -106,19 +104,17 @@ class DesignPoint:
     def model_name(self) -> str:
         """The ``dp@...`` model name :func:`repro.core.models.model`
         resolves to this point's node-scaled configuration."""
-        return format_design_point(self.node, self.wire_mapping(),
-                                   self.cache_width_factor)
+        return format_design_point(self.node, self.wire_mapping())
 
     def encode(self) -> str:
-        """Canonical identity string, e.g. ``dp@n32:B144+L36:cw2|xbar4``.
+        """Canonical identity string, e.g. ``dp@n32:B144+L36|xbar4``.
 
-        Injective over (node, mix, cache width, topology, gating);
-        everything except the topology and gating policy is exactly the
-        model name, and those two are pinned separately because they
-        reach the cache key through ``num_clusters`` /
-        ``gating_policy`` rather than the model name.  Gated points
-        append ``|g=<policy>``; ungated encodings stay byte-identical
-        to their pre-gating spellings.
+        Injective over (node, mix, topology, gating); everything except
+        the topology and gating policy is exactly the model name, and
+        those two are pinned separately because they reach the cache key
+        through ``num_clusters`` / ``gating_policy`` rather than the
+        model name.  Gated points append ``|g=<policy>``; ungated
+        encodings stay byte-identical to their pre-gating spellings.
         """
         base = f"{self.model_name()}|{self.topology}"
         if self.gating:

@@ -744,7 +744,7 @@ class Network:
         """Physical wires per class across all links (for leakage)."""
         inventory: Dict[WireClass, int] = {}
         for _, factor in self.topology.link_inventory():
-            for wc, count in self.composition.total_wires(False).items():
+            for wc, count in self.composition.total_wires().items():
                 inventory[wc] = inventory.get(wc, 0) + count * factor
         return inventory
 

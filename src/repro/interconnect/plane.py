@@ -36,36 +36,22 @@ class PlaneSpec:
         if self.spec.wire_class is not self.wire_class:
             raise ValueError("spec wire class must match plane wire class")
 
-    def dynamic_energy_for_bits(self, bits: int) -> float:
-        """Relative dynamic energy of moving ``bits`` one link-length."""
-        if bits < 0:
-            raise ValueError("bits must be non-negative")
-        return bits * self.spec.relative_dynamic_energy
-
-    def leakage_per_cycle(self) -> float:
-        """Relative leakage of this plane for one cycle (both directions
-        are accounted separately by the caller)."""
-        return self.width * self.spec.relative_leakage
-
 
 class LinkComposition:
     """The set of planes making up every link of a network.
 
     Constructed from *bidirectional totals* as the paper's tables quote
-    them ("144 B-Wires" = 72 per direction).  ``cache_width_factor``
-    scales the planes of links touching the centralized data cache, which
-    the paper gives twice the metal area.  ``specs`` overrides the
+    them ("144 B-Wires" = 72 per direction).  The composition is one
+    unit-width link; the topology scales the wider links (the cache and
+    ring links) by their width factors.  ``specs`` overrides the
     electrical parameters per class (a node-scaled catalog); classes not
     in the mapping keep the canonical Table 2 values.
     """
 
     def __init__(self, wires_total: Mapping[WireClass, int],
-                 cache_width_factor: int = 2,
                  specs: Mapping[WireClass, WireSpec] = None) -> None:
         if not wires_total:
             raise ValueError("a link needs at least one wire plane")
-        if cache_width_factor < 1:
-            raise ValueError("cache width factor must be >= 1")
         specs = {} if specs is None else dict(specs)
         self._planes: Dict[WireClass, PlaneSpec] = {}
         for wire_class, total in wires_total.items():
@@ -80,7 +66,6 @@ class LinkComposition:
                 wire_class=wire_class, width=total // 2,
                 spec=specs.get(wire_class),
             )
-        self.cache_width_factor = cache_width_factor
         self._specs = specs
 
     def specs_map(self) -> Dict[WireClass, WireSpec]:
@@ -108,11 +93,6 @@ class LinkComposition:
                 f"(composition: {self.describe()})"
             ) from None
 
-    def plane_width(self, wire_class: WireClass, is_cache_link: bool) -> int:
-        """Per-direction bit budget of a plane on a given link."""
-        width = self.plane(wire_class).width
-        return width * self.cache_width_factor if is_cache_link else width
-
     def bulk_plane(self) -> WireClass:
         """The plane regular (full-width) traffic defaults to.
 
@@ -126,10 +106,10 @@ class LinkComposition:
             "link has no bulk-capable plane (only L-Wires present)"
         )
 
-    def total_wires(self, is_cache_link: bool) -> Dict[WireClass, int]:
-        """Physical wire count per class on one link (both directions)."""
-        factor = 2 * (self.cache_width_factor if is_cache_link else 1)
-        return {wc: p.width * factor for wc, p in self._planes.items()}
+    def total_wires(self) -> Dict[WireClass, int]:
+        """Physical wire count per class on one unit-width link (both
+        directions)."""
+        return {wc: 2 * p.width for wc, p in self._planes.items()}
 
     def relative_metal_area(self) -> float:
         """Metal area of one cluster link relative to one W-Wire track."""

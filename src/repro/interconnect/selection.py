@@ -172,7 +172,6 @@ class WireSelector:
         self._dynamic_bulk = (self.flags.pw_load_balance
                               and self._has_b and self._has_pw)
         self._plans: Dict[Tuple[str, WireClass, int], Plan] = {}
-        self.narrow_transfers = 0
         self.narrow_mispredicts = 0
         # Register-traffic narrowness (the paper's "14% of all register
         # traffic on the inter-cluster network are integers 0..1023").
@@ -251,7 +250,6 @@ class WireSelector:
             plane = self._bulk_choice(transfer, cycle, avoid)
         elif (kind._result and flags.lwire_narrow and has_l
                 and transfer.narrow_predicted):
-            self.narrow_transfers += 1
             if transfer.narrow_actual:
                 reason, plane, bits = "narrow_lwire", _L, LWIRE_BITS
             else:

@@ -40,7 +40,6 @@ class InterconnectStats:
 
     buffered_cycles: int = 0
     split_transfers: int = 0
-    diverted_transfers: int = 0
     # Fault-injection / graceful-degradation counters (all zero on a
     # healthy network).  A corrupted segment still burns wires and
     # energy; its retransmission is a fresh grant recorded on top.

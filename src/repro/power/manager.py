@@ -154,7 +154,7 @@ class PlanePowerManager:
             else NULL_TELEMETRY
         self.window_start = 0
         specs = composition.specs_map()
-        wires = composition.total_wires(False)
+        wires = composition.total_wires()
         bulk = composition.bulk_plane()
         self._slots: List[_PlaneSlot] = []
         self._by_link: Dict[str, List[_PlaneSlot]] = {}

@@ -33,11 +33,9 @@ from .repeaters import (
 )
 from .scaling import (
     FREQ_BASE_GHZ,
-    SCALING_PROFILES,
     SUPPORTED_NODES,
     VDD_BASE_V,
     NodeScaling,
-    ScaledCatalog,
     clock_frequency_ghz,
     link_length_m,
     link_metal_area_mm2,
@@ -79,11 +77,9 @@ __all__ = [
     "paper_delay_ratio_l_vs_w",
     "table2_rows",
     "FREQ_BASE_GHZ",
-    "SCALING_PROFILES",
     "SUPPORTED_NODES",
     "VDD_BASE_V",
     "NodeScaling",
-    "ScaledCatalog",
     "clock_frequency_ghz",
     "link_length_m",
     "link_metal_area_mm2",

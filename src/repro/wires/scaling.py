@@ -7,33 +7,30 @@ its wire catalog across the nodes of the ITRS shrink path
 node, not just the one the paper hand-picked.
 
 The scaling tables are shaped after lumos' ``compute.py`` (hoangt/lumos;
-see SNIPPETS.md): per-node supply-voltage and frequency multipliers for
-an aggressive ``"itrs"`` and a ``"cons"`` (conservative) profile, a
-0.5x-per-generation area shrink, and ITRS threshold voltages.  On top
-of those literals, the RC geometry and repeater models of
-:mod:`repro.wires.geometry` / :mod:`repro.wires.repeaters` -- which
-already take the technology node as a parameter -- supply the
-wire-specific part: how the delay/energy/leakage of an optimally
-repeated minimum-pitch wire moves between nodes.
+see SNIPPETS.md): per-node supply-voltage and frequency multipliers of
+its aggressive ITRS projection, a 0.5x-per-generation area shrink, and
+ITRS threshold voltages.  On top of those literals, the RC geometry and
+repeater models of :mod:`repro.wires.geometry` /
+:mod:`repro.wires.repeaters` -- which already take the technology node
+as a parameter -- supply the wire-specific part: how the
+delay/energy/leakage of an optimally repeated minimum-pitch wire moves
+between nodes.
 
 Everything is normalized at 45 nm: every scale factor is exactly 1.0
 there, and :func:`scale_catalog` at 45 nm reproduces the canonical
 Table 2 catalog bit-for-bit (pinned by ``tests/wires/test_scaling.py``).
+The catalog holds electrical parameters only: a run's cycle latencies
+come from :class:`~repro.interconnect.topology.Topology`, which scales
+and rounds each path's total by :attr:`NodeScaling.latency_factor`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Mapping, Tuple
+from typing import Dict, Tuple
 
-from .catalog import (
-    CANONICAL_SPECS,
-    CROSSBAR_LATENCY,
-    REFERENCE_LENGTH,
-    RING_HOP_LATENCY,
-    derive_wire_spec,
-)
+from .catalog import CANONICAL_SPECS, REFERENCE_LENGTH, derive_wire_spec
 from .geometry import minimum_width_geometry
 from .repeaters import (
     optimal_repeater_config,
@@ -46,9 +43,6 @@ from .wiretypes import WireClass, WireSpec
 #: Technology nodes the scaling tables cover, in shrink order (nm).
 SUPPORTED_NODES: Tuple[int, ...] = (45, 32, 22, 16, 11, 8)
 
-#: Named scaling profiles: aggressive ITRS projections vs conservative.
-SCALING_PROFILES: Tuple[str, ...] = ("itrs", "cons")
-
 #: Supply voltage at the 45 nm anchor (V).
 VDD_BASE_V = 1.0
 
@@ -56,16 +50,14 @@ VDD_BASE_V = 1.0
 #: core baseline.
 FREQ_BASE_GHZ = 3.7
 
-#: Per-node supply-voltage multipliers (lumos compute.py shape).
-VDD_SCALE: Dict[str, Dict[int, float]] = {
-    "itrs": {45: 1.0, 32: 0.93, 22: 0.84, 16: 0.75, 11: 0.68, 8: 0.62},
-    "cons": {45: 1.0, 32: 0.93, 22: 0.88, 16: 0.86, 11: 0.84, 8: 0.84},
+#: Per-node supply-voltage multipliers (lumos compute.py, ITRS).
+VDD_SCALE: Dict[int, float] = {
+    45: 1.0, 32: 0.93, 22: 0.84, 16: 0.75, 11: 0.68, 8: 0.62,
 }
 
-#: Per-node clock-frequency multipliers (lumos compute.py shape).
-FREQ_SCALE: Dict[str, Dict[int, float]] = {
-    "itrs": {45: 1.0, 32: 1.09, 22: 2.38, 16: 3.21, 11: 4.17, 8: 3.85},
-    "cons": {45: 1.0, 32: 1.10, 22: 1.19, 16: 1.25, 11: 1.30, 8: 1.34},
+#: Per-node clock-frequency multipliers (lumos compute.py, ITRS).
+FREQ_SCALE: Dict[int, float] = {
+    45: 1.0, 32: 1.09, 22: 2.38, 16: 3.21, 11: 4.17, 8: 3.85,
 }
 
 #: Per-node die/cluster area multipliers: 0.5x per generation.
@@ -93,24 +85,14 @@ def _check_node(node: int) -> int:
     return node
 
 
-def _check_profile(profile: str) -> str:
-    if profile not in VDD_SCALE:
-        raise ValueError(
-            f"unknown scaling profile {profile!r}; choose from "
-            f"{', '.join(SCALING_PROFILES)}"
-        )
-    return profile
+def supply_voltage(node: int) -> float:
+    """Supply voltage at ``node`` (V)."""
+    return VDD_BASE_V * VDD_SCALE[_check_node(node)]
 
 
-def supply_voltage(node: int, profile: str = "itrs") -> float:
-    """Supply voltage at ``node`` (V) under a scaling profile."""
-    return VDD_BASE_V * VDD_SCALE[_check_profile(profile)][_check_node(node)]
-
-
-def clock_frequency_ghz(node: int, profile: str = "itrs") -> float:
+def clock_frequency_ghz(node: int) -> float:
     """Projected clock frequency at ``node`` (GHz)."""
-    return (FREQ_BASE_GHZ
-            * FREQ_SCALE[_check_profile(profile)][_check_node(node)])
+    return FREQ_BASE_GHZ * FREQ_SCALE[_check_node(node)]
 
 
 def link_length_m(node: int) -> float:
@@ -166,7 +148,6 @@ class NodeScaling:
     """
 
     node: int
-    profile: str
     vdd: float
     frequency_ghz: float
     latency_factor: float
@@ -176,22 +157,20 @@ class NodeScaling:
     linear_scale: float
 
 
-def node_scaling(node: int, profile: str = "itrs") -> NodeScaling:
+def node_scaling(node: int) -> NodeScaling:
     """All scale factors of ``node``; every factor is 1.0 at 45 nm."""
     _check_node(node)
-    _check_profile(profile)
     delay_45, dynamic_45, leakage_45 = _w_wire_figures(45)
     delay_n, dynamic_n, leakage_n = _w_wire_figures(node)
-    freq_45 = clock_frequency_ghz(45, profile)
-    freq_n = clock_frequency_ghz(node, profile)
-    vdd_ratio = VDD_SCALE[profile][node]
+    freq_45 = clock_frequency_ghz(45)
+    freq_n = clock_frequency_ghz(node)
+    vdd_ratio = VDD_SCALE[node]
     leak_current_growth = 10.0 ** (
         (VTH_V[45] - VTH_V[node]) / SUBTHRESHOLD_SWING_V
     )
     return NodeScaling(
         node=node,
-        profile=profile,
-        vdd=supply_voltage(node, profile),
+        vdd=supply_voltage(node),
         frequency_ghz=freq_n,
         latency_factor=(delay_n * freq_n) / (delay_45 * freq_45),
         dynamic_scale=(dynamic_n / dynamic_45) * vdd_ratio * vdd_ratio,
@@ -200,24 +179,6 @@ def node_scaling(node: int, profile: str = "itrs") -> NodeScaling:
         area_scale=AREA_SCALE[node],
         linear_scale=math.sqrt(AREA_SCALE[node]),
     )
-
-
-@dataclass(frozen=True)
-class ScaledCatalog:
-    """A Table-2-equivalent wire catalog at one technology node.
-
-    ``specs`` are per-class electrical parameters relative to the same
-    node's W-Wire (exactly Table 2's normalization); ``crossbar_latency``
-    and ``ring_hop_latency`` are the node's inter-cluster latencies in
-    cycles, after the node's :attr:`NodeScaling.latency_factor`.
-    """
-
-    node: int
-    profile: str
-    scaling: NodeScaling
-    specs: Mapping[WireClass, WireSpec]
-    crossbar_latency: Mapping[WireClass, int]
-    ring_hop_latency: Mapping[WireClass, int]
 
 
 def _scaled_spec(wire_class: WireClass, node: int) -> WireSpec:
@@ -245,32 +206,15 @@ def _scaled_spec(wire_class: WireClass, node: int) -> WireSpec:
     )
 
 
-def scale_catalog(node: int, profile: str = "itrs") -> ScaledCatalog:
-    """Derive the full Table-2-equivalent wire catalog at ``node``.
+def scale_catalog(node: int) -> Dict[WireClass, WireSpec]:
+    """Derive the Table-2-equivalent wire specs at ``node``.
 
-    At 45 nm the result is bit-identical to the canonical catalog
-    (:data:`CANONICAL_SPECS`, :data:`CROSSBAR_LATENCY`,
-    :data:`RING_HOP_LATENCY`).
+    Each class's electrical parameters are relative to the same node's
+    W-Wire (exactly Table 2's normalization).  At 45 nm the result is
+    bit-identical to the canonical catalog (:data:`CANONICAL_SPECS`).
     """
-    scaling = node_scaling(node, profile)
-    factor = scaling.latency_factor
-    specs = {
+    _check_node(node)
+    return {
         wc: _scaled_spec(wc, node)
         for wc in (WireClass.W, WireClass.PW, WireClass.B, WireClass.L)
     }
-    crossbar = {
-        wc: max(1, round(base * factor))
-        for wc, base in CROSSBAR_LATENCY.items()
-    }
-    ring = {
-        wc: max(1, round(base * factor))
-        for wc, base in RING_HOP_LATENCY.items()
-    }
-    return ScaledCatalog(
-        node=node,
-        profile=profile,
-        scaling=scaling,
-        specs=specs,
-        crossbar_latency=crossbar,
-        ring_hop_latency=ring,
-    )

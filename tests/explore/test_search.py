@@ -11,8 +11,10 @@ from repro.explore import (
     runner_executor,
 )
 from repro.explore.report import CSV_FIELDS, frontier_table, to_csv
+from repro.explore.search import _Aggregate, _point_metrics
+from repro.explore.space import DesignPoint
 from repro.harness.runner import ExperimentPlan, ExperimentRunner, ResultCache
-from repro.wires import WireClass
+from repro.wires import WireClass, link_metal_area_mm2
 
 SETTINGS = EvaluationSettings(
     benchmarks=("bzip2",),
@@ -31,8 +33,8 @@ class TestSearchSpace:
                             pw_options=(0, 288), l_options=(0, 36))
         encodings = [p.encode() for p in space.points()]
         assert encodings == sorted(encodings)
-        assert "dp@n45:B144:cw2|xbar4" in encodings
-        assert "dp@n45:PW288+B144+L36:cw2|xbar4" in encodings
+        assert "dp@n45:B144|xbar4" in encodings
+        assert "dp@n45:PW288+B144+L36|xbar4" in encodings
         assert space.size() == 4
 
     def test_mixes_without_bulk_plane_are_excluded(self):
@@ -66,6 +68,22 @@ class TestSearchSpace:
                       dict(b_options=()), dict(topologies=())):
             with pytest.raises(ValueError, match="no design point"):
                 SearchSpace(nodes=(45,), **empty)
+
+
+class TestPointMetrics:
+    @pytest.mark.parametrize("topology, link_widths", [
+        ("xbar4", 6),    # 4 clusters + the 2x cache link
+        ("ring16", 26),  # 16 clusters + the cache link + 4 2x ring links
+    ])
+    def test_area_counts_every_link_the_topology_builds(self, topology,
+                                                        link_widths):
+        point = DesignPoint.from_mix(45, {WireClass.B: 144}, topology)
+        total = _Aggregate(cycles=100, dynamic=1.0, leakage=1.0,
+                           ipc_sum=1.0, runs=1)
+        metrics = _point_metrics(point, total, total, SETTINGS)
+        # 144 B-Wires are 288 W-Wire tracks per unit link.
+        assert metrics.area_mm2 == link_metal_area_mm2(288 * link_widths,
+                                                       45)
 
 
 class TestExplore:

@@ -15,23 +15,19 @@ class TestDesignPoint:
             32, {WireClass.L: 36, WireClass.B: 144}, "xbar4",
         )
         assert point.wires == (("B", 144), ("L", 36))
-        assert point.model_name() == "dp@n32:B144+L36:cw2"
-        assert point.encode() == "dp@n32:B144+L36:cw2|xbar4"
+        assert point.model_name() == "dp@n32:B144+L36"
+        assert point.encode() == "dp@n32:B144+L36|xbar4"
 
     def test_encode_decode_roundtrip(self):
         """Encodings are exact and tell different points apart."""
         points = {
-            "dp@n45:B144:cw2|xbar4": baseline_point(),
-            "dp@n22:PW288:cw2|ring16":
+            "dp@n45:B144|xbar4": baseline_point(),
+            "dp@n22:PW288|ring16":
                 DesignPoint.from_mix(22, {WireClass.PW: 288}, "ring16"),
-            "dp@n8:B288+L72:cw4|xbar4": DesignPoint.from_mix(
-                8, {WireClass.B: 288, WireClass.L: 72}, "xbar4",
-                cache_width_factor=4,
-            ),
-            "dp@n8:B288+L72:cw2|xbar4": DesignPoint.from_mix(
+            "dp@n8:B288+L72|xbar4": DesignPoint.from_mix(
                 8, {WireClass.B: 288, WireClass.L: 72}, "xbar4",
             ),
-            "dp@n22:PW288:cw2|xbar4":
+            "dp@n22:PW288|xbar4":
                 DesignPoint.from_mix(22, {WireClass.PW: 288}, "xbar4"),
         }
         for text, point in points.items():
@@ -60,23 +56,20 @@ class TestDesignPoint:
         point = DesignPoint.from_mix(
             16, {WireClass.B: 144, WireClass.PW: 288}, "xbar4",
         )
-        node, wires, cwf = parse_design_point(point.model_name())
-        assert node == 16
-        assert wires == point.wire_mapping()
-        assert cwf == 2
+        assert parse_design_point(point.model_name()) == (
+            16, point.wire_mapping())
 
     @pytest.mark.parametrize("name", [
-        "dp@n45:B3:cw2",      # odd count: no bidirectional split
-        "dp@n45:B0:cw2",      # empty plane
-        "dp@n45:B144:cw0",    # cache links narrower than nothing
+        "dp@n45:B3",      # odd count: no bidirectional split
+        "dp@n45:B0",      # empty plane
     ])
     def test_parser_rejects_links_no_run_can_build(self, name):
         with pytest.raises(ValueError):
             parse_design_point(name)
 
     def test_model_resolves_with_scaled_specs(self):
-        scaled = model("dp@n22:B144+L36:cw2")
-        anchor = model("dp@n45:B144+L36:cw2")
+        scaled = model("dp@n22:B144+L36")
+        anchor = model("dp@n45:B144+L36")
         assert scaled.config.wires == anchor.config.wires
         # The 22 nm catalog differs from Table 2's 45 nm values.
         assert scaled.config.wire_specs != anchor.config.wire_specs

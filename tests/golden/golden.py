@@ -7,7 +7,7 @@ sha256 digests of its result: the run with every field and extra
 (floats by ``repr``, as ``perfbench/checks.py`` digests them) and, for
 traced entries, the telemetry event stream and the metrics snapshot.
 Its ``scaling`` section pins the explorer's node scaling the same way:
-for every technology node and profile, the digests of the ``repr`` of
+for every technology node, the digests of the ``repr`` of
 :func:`~repro.wires.scaling.node_scaling` and
 :func:`~repro.wires.scaling.scale_catalog`, next to the scale factors.
 
@@ -17,7 +17,8 @@ for every technology node and profile, the digests of the ``repr`` of
     PYTHONPATH=src python tests/golden/golden.py            # every entry
     PYTHONPATH=src python tests/golden/golden.py LABEL...   # just these
 
-A scaling label is ``n<node>/<profile>``, e.g. ``n16/itrs``.
+A scaling label is ``n<node>``, e.g. ``n16``; a design-point entry is
+labelled by its model name, e.g. ``dp@n16:B144+L36/gzip``.
 
 No cache bump goes with a re-pin: the simulator edit that moved the
 results has already changed ``repro.harness.runner.CACHE_VERSION``, a
@@ -39,12 +40,7 @@ from repro.core.models import MODEL_NAMES
 from repro.harness import ExperimentPlan, simulate_plan
 from repro.interconnect.selection import PolicyFlags
 from repro.telemetry import RingBufferSink, Telemetry, TraceEvent
-from repro.wires.scaling import (
-    SCALING_PROFILES,
-    SUPPORTED_NODES,
-    node_scaling,
-    scale_catalog,
-)
+from repro.wires.scaling import SUPPORTED_NODES, node_scaling, scale_catalog
 
 CORPUS_PATH = Path(__file__).resolve().parent / "corpus.json"
 
@@ -164,8 +160,8 @@ def entries() -> Dict[str, Dict[str, object]]:
         _entry(gating_policy=POLICIES[1], traced=True),
         _entry(fault_spec=TRACED_FAULTS, gating_policy=POLICIES[1],
                traced=True),
-        _entry("dp@n45:B144+L36:cw1"),
-        _entry("dp@n16:B144+L36:cw1"),
+        _entry("dp@n45:B144+L36"),
+        _entry("dp@n16:B144+L36"),
         # The ablation benches' policy flags.
         _entry("VII", policy_tag=PolicyFlags().without_lwire_uses().tag()),
         _entry("V", policy_tag=PolicyFlags(pw_store_data=False).tag()),
@@ -194,15 +190,14 @@ def scaling() -> Dict[str, Dict[str, object]]:
     """Every node's scale factors and scaling digests, by label."""
     pins = {}
     for node in SUPPORTED_NODES:
-        for profile in SCALING_PROFILES:
-            factors = node_scaling(node, profile)
-            pins[f"n{node}/{profile}"] = {
-                "factors": dataclasses.asdict(factors),
-                "digests": {
-                    "node_scaling": _sha(repr(factors)),
-                    "scale_catalog": _sha(repr(scale_catalog(node, profile))),
-                },
-            }
+        factors = node_scaling(node)
+        pins[f"n{node}"] = {
+            "factors": dataclasses.asdict(factors),
+            "digests": {
+                "node_scaling": _sha(repr(factors)),
+                "scale_catalog": _sha(repr(scale_catalog(node))),
+            },
+        }
     return pins
 
 

@@ -110,7 +110,7 @@ _json = st.recursive(
 
 _ints = st.integers(-(2 ** 40), 2 ** 40)
 valid_plan_dicts = st.fixed_dictionaries(
-    {"model_name": st.sampled_from(["I", "VII", "X", "dp@n45:B144:cw2"]),
+    {"model_name": st.sampled_from(["I", "VII", "X", "dp@n45:B144"]),
      "benchmark": st.sampled_from(["gzip", "art", "mcf"])},
     optional={
         "num_clusters": st.sampled_from([4, 16]),

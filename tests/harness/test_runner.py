@@ -78,12 +78,14 @@ class TestPlanKeys:
 class TestModelNames:
     """A plan takes only models a run can build."""
 
-    @pytest.mark.parametrize("name", ["ZZ", "dp@n45:B143:cw2"])
+    @pytest.mark.parametrize(
+        "name", ["ZZ", "dp@n45:B143", "dp@n45:B144+L36:cw2"])
     def test_constructor_rejects_unbuildable_model(self, name):
         with pytest.raises(ValueError, match="bad model_name"):
             ExperimentPlan(name, "gzip")
 
-    @pytest.mark.parametrize("name", ["ZZ", "dp@n45:B143:cw2"])
+    @pytest.mark.parametrize(
+        "name", ["ZZ", "dp@n45:B143", "dp@n45:B144+L36:cw2"])
     def test_from_dict_rejects_unbuildable_model(self, name):
         data = ExperimentPlan("X", "gzip").to_dict()
         data["model_name"] = name
@@ -411,7 +413,7 @@ class TestRunner:
                             lambda self: self.__init__())
         cache = ResultCache(tmp_path)
         runner = ExperimentRunner(cache=cache, verbose=False)
-        plan = ExperimentPlan("dp@n16:B144+L36:cw1", "gzip",
+        plan = ExperimentPlan("dp@n16:B144+L36", "gzip",
                               instructions=800, warmup=200)
         report = runner.run_many_report([plan])
         assert report.results == {}
@@ -493,7 +495,7 @@ class TestPolicyFlagsInThePlan:
         assert ablated.runs[0].cycles != stock.runs[0].cycles
 
     def test_default_flags_keep_the_design_points_wires(self, tmp_path):
-        name = "dp@n16:B144+L36:cw1"
+        name = "dp@n16:B144+L36"
         runner = ExperimentRunner(cache=ResultCache(tmp_path),
                                   verbose=False)
         flagged = self.run(runner, name, PolicyFlags())
@@ -510,14 +512,13 @@ class TestPolicyFlagsInThePlan:
     def test_plan_interconnect_applies_its_flags_to_its_model(self):
         from repro.core.models import model
 
-        name = "dp@n16:B144+L36:cw1"
+        name = "dp@n16:B144+L36"
         plan = ExperimentPlan(name, "gzip",
                               policy_tag="pw_store_data=0")
         config = plan.interconnect()
         base = model(name).config
         assert config.flags == PolicyFlags(pw_store_data=False)
         assert config.wires == base.wires
-        assert config.cache_width_factor == base.cache_width_factor == 1
         assert config.wire_specs == base.wire_specs
         assert config.wire_specs is not None
 

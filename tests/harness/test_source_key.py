@@ -33,7 +33,7 @@ PLANS = [
     ExperimentPlan("X", "gzip", instructions=500, warmup=120,
                    fault_spec="ber=0.0001"),
     ExperimentPlan("VII", "mcf", gating_policy="idle:drowsy=64,gate=256"),
-    ExperimentPlan("dp@n16:B144+L36:cw1", "gzip", latency_scale=2.0),
+    ExperimentPlan("dp@n16:B144+L36", "gzip", latency_scale=2.0),
 ]
 
 KEYS_SCRIPT = """\
@@ -58,7 +58,7 @@ with tempfile.TemporaryDirectory() as cache_dir:
     ExperimentRunner(cache=ResultCache(Path(cache_dir)),
                      verbose=False).run(plan)
 simulate_plan(plan, telemetry=Telemetry(sink=RingBufferSink(capacity=None)))
-simulate_plan(ExperimentPlan("dp@n16:B144+L36:cw1", "mcf",
+simulate_plan(ExperimentPlan("dp@n16:B144+L36", "mcf",
                              instructions=300, warmup=100))
 print(json.dumps(sorted(
     module.__file__ for name, module in list(sys.modules.items())

@@ -20,19 +20,6 @@ class TestPlaneSpec:
             PlaneSpec(WireClass.B, width=72,
                       spec=CANONICAL_SPECS[WireClass.L])
 
-    def test_dynamic_energy_scales_with_bits(self):
-        plane = PlaneSpec(WireClass.PW, width=144)
-        assert plane.dynamic_energy_for_bits(72) == pytest.approx(72 * 0.30)
-        assert plane.dynamic_energy_for_bits(0) == 0.0
-
-    def test_dynamic_energy_rejects_negative_bits(self):
-        with pytest.raises(ValueError):
-            PlaneSpec(WireClass.B, width=72).dynamic_energy_for_bits(-1)
-
-    def test_leakage_per_cycle(self):
-        plane = PlaneSpec(WireClass.L, width=18)
-        assert plane.leakage_per_cycle() == pytest.approx(18 * 0.79)
-
 
 class TestLinkComposition:
     def test_model_i_baseline(self):
@@ -65,15 +52,9 @@ class TestLinkComposition:
         with pytest.raises(ValueError):
             comp.bulk_plane()
 
-    def test_cache_link_twice_as_wide(self):
-        comp = LinkComposition({WireClass.B: 144}, cache_width_factor=2)
-        assert comp.plane_width(WireClass.B, is_cache_link=False) == 72
-        assert comp.plane_width(WireClass.B, is_cache_link=True) == 144
-
     def test_total_wires(self):
         comp = LinkComposition({WireClass.B: 144, WireClass.L: 36})
-        assert comp.total_wires(False) == {WireClass.B: 144, WireClass.L: 36}
-        assert comp.total_wires(True) == {WireClass.B: 288, WireClass.L: 72}
+        assert comp.total_wires() == {WireClass.B: 144, WireClass.L: 36}
 
     def test_relative_metal_area_model_vii(self):
         """144 B (area 2x) + 36 L (area 8x) = 2x the Model I area."""
@@ -87,7 +68,3 @@ class TestLinkComposition:
             WireClass.L: 36, WireClass.B: 144, WireClass.PW: 288,
         })
         assert comp.describe() == "144 B-Wires, 288 PW-Wires, 36 L-Wires"
-
-    def test_rejects_bad_cache_factor(self):
-        with pytest.raises(ValueError):
-            LinkComposition({WireClass.B: 144}, cache_width_factor=0)

@@ -36,7 +36,7 @@ class TestEightClusterHierarchy:
         run = simulate_plan(ExperimentPlan(
             "X", "gzip", num_clusters=8, instructions=1500, warmup=300,
             seed=42))
-        per_link = model("X").config.build_composition().total_wires(False)
+        per_link = model("X").config.build_composition().total_wires()
         inventory = {wc: count * sum(f for _, f in topo.link_inventory())
                      for wc, count in per_link.items()}
         assert run.cycles == 1493

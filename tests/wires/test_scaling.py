@@ -5,16 +5,15 @@ from itertools import pairwise
 
 import pytest
 
+from repro.interconnect.topology import Topology
 from repro.wires import (
     CANONICAL_SPECS,
     CROSSBAR_LATENCY,
     FREQ_BASE_GHZ,
     RING_HOP_LATENCY,
-    SCALING_PROFILES,
     SUPPORTED_NODES,
     VDD_BASE_V,
     WireClass,
-    clock_frequency_ghz,
     link_length_m,
     link_metal_area_mm2,
     node_scaling,
@@ -22,6 +21,17 @@ from repro.wires import (
     supply_voltage,
 )
 from repro.wires.scaling import REFERENCE_LENGTH
+
+
+def run_latencies(node):
+    """(crossbar, ring hop) cycles per class of a run at ``node``: the
+    16-cluster topology's crossbar path, and its one-hop path minus
+    that (the classes Table 2 gives latencies for)."""
+    topology = Topology(16, node_scaling(node).latency_factor)
+    crossbar = topology.path("c0", "c1").latency
+    one_hop = topology.path("c0", "c4").latency
+    return ({wc: crossbar[wc] for wc in CROSSBAR_LATENCY},
+            {wc: one_hop[wc] - crossbar[wc] for wc in RING_HOP_LATENCY})
 
 
 class TestGolden45nm:
@@ -34,9 +44,9 @@ class TestGolden45nm:
 
     def test_specs_bit_identical(self):
         catalog = scale_catalog(45)
-        assert set(catalog.specs) == set(CANONICAL_SPECS)
+        assert set(catalog) == set(CANONICAL_SPECS)
         for wc, spec in CANONICAL_SPECS.items():
-            scaled = catalog.specs[wc]
+            scaled = catalog[wc]
             for field in dataclasses.fields(spec):
                 canonical = getattr(spec, field.name)
                 value = getattr(scaled, field.name)
@@ -46,9 +56,7 @@ class TestGolden45nm:
                 assert repr(value) == repr(canonical), (wc, field.name)
 
     def test_latencies_identical(self):
-        catalog = scale_catalog(45)
-        assert catalog.crossbar_latency == CROSSBAR_LATENCY
-        assert catalog.ring_hop_latency == RING_HOP_LATENCY
+        assert run_latencies(45) == (CROSSBAR_LATENCY, RING_HOP_LATENCY)
 
     def test_scaling_factors_are_exactly_one(self):
         scaling = node_scaling(45)
@@ -60,18 +68,16 @@ class TestGolden45nm:
         assert scaling.frequency_ghz == FREQ_BASE_GHZ
 
     def test_both_profiles_anchor_at_45(self):
-        for profile in SCALING_PROFILES:
-            scaling = node_scaling(45, profile)
-            assert scaling.latency_factor == 1.0
-            assert scaling.dynamic_scale == 1.0
-            assert scaling.leakage_scale == 1.0
+        scaling = node_scaling(45)
+        assert scaling.latency_factor == 1.0
+        assert scaling.dynamic_scale == 1.0
+        assert scaling.leakage_scale == 1.0
 
 
 class TestScalingTrends:
     def test_vdd_monotonically_nonincreasing(self):
-        for profile in SCALING_PROFILES:
-            vdds = [supply_voltage(n, profile) for n in SUPPORTED_NODES]
-            assert vdds == sorted(vdds, reverse=True)
+        vdds = [supply_voltage(n) for n in SUPPORTED_NODES]
+        assert vdds == sorted(vdds, reverse=True)
 
     def test_dynamic_energy_falls_with_shrink(self):
         scales = [node_scaling(n).dynamic_scale for n in SUPPORTED_NODES]
@@ -109,37 +115,29 @@ class TestScalingTrends:
 class TestScaledCatalogs:
     @pytest.mark.parametrize("node", SUPPORTED_NODES)
     def test_catalog_preserves_class_structure(self, node):
-        catalog = scale_catalog(node)
-        assert set(catalog.specs) == set(CANONICAL_SPECS)
-        assert set(catalog.crossbar_latency) == set(CROSSBAR_LATENCY)
-        assert set(catalog.ring_hop_latency) == set(RING_HOP_LATENCY)
+        specs = scale_catalog(node)
+        assert set(specs) == set(CANONICAL_SPECS)
         # Relative orderings of Table 2 survive: L beats B beats PW on
         # delay, PW beats W on dynamic energy, at every node.
-        specs = catalog.specs
         assert (specs[WireClass.L].relative_delay
                 < specs[WireClass.B].relative_delay
                 < specs[WireClass.PW].relative_delay)
         assert (specs[WireClass.PW].relative_dynamic_energy
                 < specs[WireClass.W].relative_dynamic_energy)
-        # Latencies stay whole positive cycles.
-        for table in (catalog.crossbar_latency, catalog.ring_hop_latency):
-            for latency in table.values():
-                assert isinstance(latency, int) and latency >= 1
 
     @pytest.mark.parametrize("node", SUPPORTED_NODES)
     def test_area_factors_never_scale(self, node):
         # Area factors are *relative track widths* -- dimensionless
         # within a node -- so they are node-invariant by construction.
-        for wc, spec in scale_catalog(node).specs.items():
+        for wc, spec in scale_catalog(node).items():
             assert spec.area_factor == CANONICAL_SPECS[wc].area_factor
 
     def test_l_wire_advantage_erodes_at_small_nodes(self):
         # At 45 nm an L-Wire crossbar traversal takes 1 cycle vs B's 2;
         # deeper nodes stretch both, keeping L strictly faster.
         for node in SUPPORTED_NODES[1:]:
-            catalog = scale_catalog(node)
-            assert (catalog.crossbar_latency[WireClass.L]
-                    < catalog.crossbar_latency[WireClass.B])
+            crossbar, _ = run_latencies(node)
+            assert crossbar[WireClass.L] < crossbar[WireClass.B]
 
 
 class TestValidation:
@@ -148,19 +146,6 @@ class TestValidation:
             scale_catalog(28)
         with pytest.raises(ValueError, match="node"):
             node_scaling(90)
-
-    def test_unknown_profile_rejected(self):
-        with pytest.raises(ValueError, match="profile"):
-            node_scaling(32, "moore")
-
-    def test_conservative_profile_scales_less(self):
-        # The "cons" profile clocks slower than ITRS at every shrink,
-        # so its latency penalty (cycles per traversal) is milder.
-        for node in SUPPORTED_NODES[2:]:
-            assert (clock_frequency_ghz(node, "cons")
-                    < clock_frequency_ghz(node, "itrs"))
-            assert (node_scaling(node, "cons").latency_factor
-                    < node_scaling(node, "itrs").latency_factor)
 
     def test_determinism(self):
         assert scale_catalog(22) == scale_catalog(22)
