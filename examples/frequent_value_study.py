@@ -3,7 +3,9 @@
 Measures value locality in the synthetic benchmarks (after Yang et al.,
 whom the paper cites for data compaction), then shows the online
 frequent-value table covering wide register traffic that the 10-bit
-narrow mechanism cannot.
+narrow mechanism cannot.  The timed runs are traced: a transfer sent as
+a frequent-value index is a ``wire_selected`` event with reason
+``frequent_value``.
 
 Run:  python examples/frequent_value_study.py
 """
@@ -15,6 +17,7 @@ from repro.core.simulation import build_processor
 from repro.harness.formatting import render_table
 from repro.interconnect.selection import PolicyFlags
 from repro.operands import FrequentValueTable, frequent_value_coverage
+from repro.telemetry import EventKind, RingBufferSink, Telemetry
 from repro.workloads import TraceGenerator, profile
 
 #: Trace records of the offline locality study; timed window and warmup.
@@ -55,9 +58,12 @@ def main() -> None:
                          ("narrow + frequent values", flags_on)):
         icfg = InterconnectConfig(wires=wire_counts(B=144, L=36),
                                   flags=flags)
-        cpu = build_processor(icfg, "gzip")
+        telemetry = Telemetry(sink=RingBufferSink(capacity=None))
+        cpu = build_processor(icfg, "gzip", telemetry=telemetry)
         stats = cpu.run(INSTRUCTIONS, warmup=WARMUP)
-        fv = cpu.network.selector.fv_transfers
+        fv = sum(1 for event in telemetry.events()
+                 if event.kind is EventKind.WIRE_SELECTED
+                 and event.attr("reason") == "frequent_value")
         print(f"  {label:26s} IPC {stats.ipc:.3f}   "
               f"fv transfers {fv}")
 

@@ -28,13 +28,12 @@ class Cluster:
     hashing the enum.
     """
 
-    def __init__(self, index: int, node: str, iq_size: int = 15,
+    def __init__(self, index: int, iq_size: int = 15,
                  regfile_size: int = 32,
                  fu_counts: Dict[str, int] | None = None) -> None:
         if iq_size < 1 or regfile_size < 1:
             raise ValueError("cluster resources must be positive")
         self.index = index
-        self.node = node
         self.iq_size = iq_size
         self.regfile_size = regfile_size
         self.free_int_iq = iq_size

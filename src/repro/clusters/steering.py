@@ -114,8 +114,6 @@ class SteeringHeuristic:
         self._pull: Dict[Tuple[Tuple[int, ...], Optional[int]],
                          List[float]] = {}
         self._no_pull = [0.0] * n
-        self.steered = 0
-        self.overflowed = 0
         # Accumulated per-cluster penalties from degraded (faulted)
         # links; zero-cost on the healthy path.
         self._link_penalty = [0.0] * n
@@ -152,14 +150,12 @@ class SteeringHeuristic:
         best = self._score(producers, op)
         chosen = clusters[best]
         if chosen.can_accept(op, has_dest):
-            self.steered += 1
             return chosen
         # Some cluster has room (checked above): spill to the nearest.
         for j in self._orders[best]:
             fallback = clusters[j]
             if fallback.can_accept(op, has_dest):
                 break
-        self.overflowed += 1
         tel = self.telemetry
         if tel.enabled:
             # The heaviest cluster was full: the instruction spilled

@@ -28,10 +28,9 @@ class DynInstr:
 
     __slots__ = (
         "seq", "rec", "cluster", "mispredicted", "btb_miss",
-        "outstanding", "issued", "issue_cycle", "completed",
+        "outstanding", "issued", "completed",
         "complete_cycle", "committed", "avail_cycle",
-        "waiters", "dispatch_cycle", "pred_taken",
-        "addr_known_cycle", "lsq_index", "store_data_ready",
+        "waiters", "pred_taken",
         # Set at rename: ``producer_pcs``, the PCs of the in-flight
         # producers (criticality training when the last operand arrives).
         "narrow_predicted", "producer_pcs", "transfer_started",
@@ -50,7 +49,6 @@ class DynInstr:
         #: Source operands not yet available in this instruction's cluster.
         self.outstanding = 0
         self.issued = False
-        self.issue_cycle = NEVER
         self.completed = False
         self.complete_cycle = NEVER
         self.committed = False
@@ -63,13 +61,7 @@ class DynInstr:
         #: entry is (consumer, is_store_data).  Created by the first
         #: waiter.
         self.waiters: Optional[Dict[int, List[tuple]]] = None
-        self.dispatch_cycle = NEVER
         self.pred_taken = False
-        #: Cycle the effective address was computed (loads/stores).
-        self.addr_known_cycle = NEVER
-        self.lsq_index = -1
-        #: Store data has arrived at the LSQ (stores only).
-        self.store_data_ready = False
         #: The width predictor flagged this result as narrow.
         self.narrow_predicted = False
         #: Clusters an operand copy has already been launched toward,

@@ -32,8 +32,8 @@ does the work):
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Deque, Dict, Iterable, List, Optional, Union
+from dataclasses import dataclass
+from typing import Deque, Iterable, List, Optional, Union
 
 from ..clusters.cluster import Cluster
 from ..clusters.steering import SteeringHeuristic, SteeringWeights
@@ -79,12 +79,8 @@ class ProcessorStats:
     committed: int = 0
     loads: int = 0
     stores: int = 0
-    branches: int = 0
     redirects: int = 0
-    ordering_violations: int = 0
     cross_cluster_operands: int = 0
-    local_operands: int = 0
-    hit_levels: Dict[HitLevel, int] = field(default_factory=dict)
 
     @property
     def ipc(self) -> float:
@@ -124,8 +120,7 @@ class ClusteredProcessor:
                                telemetry=self.telemetry, gating=gating)
         self.network.on_plane_kill = self._plane_killed
         self.clusters = [
-            Cluster(i, cluster_node(i), config.issue_queue_size,
-                    config.regfile_size)
+            Cluster(i, config.issue_queue_size, config.regfile_size)
             for i in range(config.num_clusters)
         ]
         self.steering = SteeringHeuristic(
@@ -388,7 +383,6 @@ class ClusteredProcessor:
             queue.popleft()
             budget -= 1
             cluster.admit(instr)
-            instr.dispatch_cycle = cycle
             rob.append(instr)
             if op._mem:
                 lsq.allocate(instr)
@@ -456,11 +450,9 @@ class ClusteredProcessor:
     def _issue(self, cluster: Cluster, cycle: int) -> None:
         wheel = self._wheel
         for instr in cluster.select():
-            instr.issue_cycle = cycle
             op = instr.rec.op
             done = cycle + op._lat
             if op._mem:
-                instr.addr_known_cycle = done
                 wheel.schedule(done, self._send_address, instr)
             else:
                 wheel.schedule(done, self._complete, instr)
@@ -469,10 +461,8 @@ class ClusteredProcessor:
         """A non-memory instruction finished executing."""
         cycle = self.cycle
         self._result_ready(instr, cycle)
-        if instr.rec.op is _BRANCH:
-            self.stats.branches += 1
-            if instr.mispredicted or instr.btb_miss:
-                self._send_redirect(instr, cycle)
+        if instr.rec.op is _BRANCH and (instr.mispredicted or instr.btb_miss):
+            self._send_redirect(instr, cycle)
 
     def _result_ready(self, instr: DynInstr, cycle: int) -> None:
         """The result exists in its home cluster at ``cycle``: wake the
@@ -600,8 +590,6 @@ class ClusteredProcessor:
     def _load_data_ready(self, instr: DynInstr, cycle: int,
                          level: HitLevel) -> None:
         """LSQ callback: the load's value can leave the cache at ``cycle``."""
-        stats = self.stats
-        stats.hit_levels[level] = stats.hit_levels.get(level, 0) + 1
         tel = self.telemetry
         if tel.enabled:
             tel.count(f"cache.{level._value_}")
@@ -631,7 +619,6 @@ class ClusteredProcessor:
         penalty (the load's consumers keep their values -- the timing
         cost, not the dataflow repair, is what the evaluation needs).
         """
-        self.stats.ordering_violations += 1
         self.fetch.stall_until(cycle + self.config.violation_penalty)
 
     # -- redirects -------------------------------------------------------------

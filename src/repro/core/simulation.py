@@ -157,8 +157,9 @@ def simulate_benchmark(interconnect: InterconnectConfig, benchmark: str,
         if telemetry is not None and telemetry.enabled:
             telemetry.emit(cpu.cycle, EventKind.RUN_END, _END_ATTRS,
                            (benchmark, stats.committed, stats.cycles))
-        degradation = cpu.network.degradation_report()
-        power = cpu.network.power
+        net = cpu.network
+        traffic = net.stats
+        power = net.power
         power_extra = () if power is None else (
             ("plane_wakes", float(power.total_wakes())),
             ("plane_gate_events", float(power.total_gate_entries())),
@@ -169,8 +170,8 @@ def simulate_benchmark(interconnect: InterconnectConfig, benchmark: str,
             benchmark=benchmark,
             instructions=stats.committed,
             cycles=stats.cycles,
-            interconnect_dynamic=cpu.network.stats.dynamic_energy(),
-            interconnect_leakage=cpu.network.leakage_energy(stats.cycles),
+            interconnect_dynamic=traffic.dynamic_energy(),
+            interconnect_leakage=net.leakage_energy(stats.cycles),
             extra=(
                 ("redirects", float(stats.redirects)),
                 ("loads", float(stats.loads)),
@@ -182,17 +183,16 @@ def simulate_benchmark(interconnect: InterconnectConfig, benchmark: str,
                 ("early_ram_starts", float(cpu.lsq.early_ram_starts)),
                 ("narrow_coverage", cpu.narrow_predictor.coverage),
                 ("narrow_false_rate", cpu.narrow_predictor.false_narrow_rate),
-                ("operand_transfers",
-                 float(cpu.network.selector.operand_transfers)),
-                ("operand_narrow", float(cpu.network.selector.operand_narrow)),
-                ("retransmissions", float(degradation.retransmissions)),
-                ("corrupted_segments",
-                 float(degradation.corrupted_segments)),
-                ("retry_escalations", float(degradation.retry_escalations)),
-                ("degraded_reroutes", float(degradation.degraded_reroutes)),
+                ("operand_transfers", float(net.selector.operand_transfers)),
+                ("operand_narrow", float(net.selector.operand_narrow)),
+                ("retransmissions", float(traffic.retransmissions)),
+                ("corrupted_segments", float(traffic.corrupted_segments)),
+                ("retry_escalations", float(traffic.retry_escalations)),
+                ("degraded_reroutes", float(traffic.degraded_reroutes)),
                 ("degraded_selections",
-                 float(degradation.degraded_selections)),
-                ("planes_killed", float(degradation.planes_killed)),
+                 float(net.selector.degraded_selections)),
+                # The dead set survives the measurement reset.
+                ("planes_killed", float(len(net._dead))),
             ) + power_extra,
         )
         width = cpu.config.commit_width
@@ -203,7 +203,7 @@ def simulate_benchmark(interconnect: InterconnectConfig, benchmark: str,
                 f"{instructions} at commit width {width}")
         # After the extras: settling the gating window (as the residency
         # check does) may count gate entries the extras must not see.
-        check_accounting(interconnect, cpu.network, benchmark, stats.cycles)
+        check_accounting(interconnect, net, benchmark, stats.cycles)
         return run
     finally:
         cpu.release()

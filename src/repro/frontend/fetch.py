@@ -53,7 +53,6 @@ class FetchUnit:
         #: Sequence number of the unresolved redirecting branch, if any.
         self._redirect_seq: Optional[int] = None
         self.exhausted = False
-        self.fetched = 0
         self.redirects = 0
 
     def predictor_counts(self) -> Tuple[int, int]:
@@ -132,7 +131,6 @@ class FetchUnit:
             rec = records[seq]
             instr = DynInstr(seq, rec)
             seq += 1
-            self.fetched += 1
             fetched += 1
             if rec.op is _BRANCH:
                 index = instr.seq

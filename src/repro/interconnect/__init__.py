@@ -23,7 +23,7 @@ from .message import (
     TransferKind,
     is_narrow,
 )
-from .network import ChannelReport, DegradationReport, Network
+from .network import ChannelReport, Network
 from .plane import LinkComposition, PlaneSpec
 from .selection import PlannedSegment, PolicyFlags, WireSelector
 from .stats import InterconnectStats, PlaneActivity, leakage_energy
@@ -66,7 +66,6 @@ __all__ = [
     "leakage_energy",
     "ChannelReport",
     "ConfigError",
-    "DegradationReport",
     "Network",
     "UnroutableError",
 ]

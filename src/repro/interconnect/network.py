@@ -67,7 +67,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, replace
 from operator import attrgetter
-from typing import Callable, Dict, FrozenSet, List, Optional, Tuple
+from typing import Callable, Dict, FrozenSet, List, Optional, Set, Tuple
 
 from ..power import GatingPolicy, PlanePowerManager
 from ..telemetry import NULL_TELEMETRY, EventKind, Telemetry, event_names
@@ -160,19 +160,6 @@ class ChannelReport:
     retransmissions: int = 0
 
 
-@dataclass(frozen=True)
-class DegradationReport:
-    """How much fault-induced degradation a network absorbed."""
-
-    corrupted_segments: int
-    retransmissions: int
-    retry_escalations: int
-    degraded_reroutes: int
-    degraded_selections: int
-    planes_killed: int
-    retry_budget: int
-
-
 class Network:
     """Cycle-driven heterogeneous inter-cluster network."""
 
@@ -218,7 +205,7 @@ class Network:
         # Fault state: scheduled and activated plane kills, NACKed
         # segments awaiting their retransmission cycle.
         self._pending_kills: List[Tuple[int, str, WireClass]] = []
-        self._dead: Dict[Tuple[str, WireClass], int] = {}
+        self._dead: Set[Tuple[str, WireClass]] = set()
         #: Dead planes per path (route channels), built on first ask and
         #: cleared by every kill.
         self._dead_on: Dict[Tuple[str, ...], FrozenSet[WireClass]] = {}
@@ -272,8 +259,6 @@ class Network:
                                       selector.demand_planes(transfer),
                                       avoid)
         segments = selector.select(transfer, cycle, avoid=avoid)
-        if len(segments) > 1:
-            self.stats.split_transfers += 1
         tel = self.telemetry
         traced = tel.enabled
         energy_weight = route.energy_weight
@@ -379,7 +364,7 @@ class Network:
         key = (channel, plane)
         if key in self._dead:
             return
-        self._dead[key] = cycle
+        self._dead.add(key)
         self._dead_on.clear()
         tel = self.telemetry
         if tel.enabled:
@@ -534,10 +519,9 @@ class Network:
         active = self._active
         if not active:
             return
-        stats = self.stats
         deliveries = self._deliveries
         delivery_cycles = self._delivery_cycles
-        tally = stats._tally
+        tally = self.stats._tally
         faulty = bool(self._dead)
         ber = self._ber_active
         tel = self.telemetry
@@ -581,8 +565,7 @@ class Network:
                     peer.bits += bits
                 granted_any = True
                 head += 1
-                tkey = (plane, bits, item.energy_weight,
-                        item.transfer.kind)
+                tkey = (plane, bits, item.energy_weight)
                 tally[tkey] = tally.get(tkey, 0) + 1
                 if traced:
                     tel.observe("network.segment_bits", bits,
@@ -599,7 +582,6 @@ class Network:
                     heapq.heappush(delivery_cycles, arrival)
                 else:
                     bucket.append(item)
-            stats.buffered_cycles += length - head
             if head >= length:
                 queue.clear()
                 head = 0
@@ -678,32 +660,6 @@ class Network:
         if candidates:
             return min(candidates)
         return None
-
-    def dead_planes(self) -> Tuple[Tuple[str, WireClass, int], ...]:
-        """(channel, plane, kill cycle) for every deactivated plane."""
-        return tuple(
-            (channel, plane, cycle)
-            for (channel, plane), cycle in sorted(
-                self._dead.items(), key=lambda kv: (kv[1], kv[0][0],
-                                                    kv[0][1].value))
-        )
-
-    def degradation_report(self) -> DegradationReport:
-        """Fault-tolerance counters, aggregated network-wide.
-
-        ``planes_killed`` reflects the *current* dead set (it survives
-        measurement resets); the remaining counters cover the measured
-        window.
-        """
-        return DegradationReport(
-            corrupted_segments=self.stats.corrupted_segments,
-            retransmissions=self.stats.retransmissions,
-            retry_escalations=self.stats.retry_escalations,
-            degraded_reroutes=self.stats.degraded_reroutes,
-            degraded_selections=self.selector.degraded_selections,
-            planes_killed=len(self._dead),
-            retry_budget=self._retry_budget,
-        )
 
     def utilization_report(self,
                            cycles: Optional[int] = None

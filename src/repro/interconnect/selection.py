@@ -172,17 +172,10 @@ class WireSelector:
         self._dynamic_bulk = (self.flags.pw_load_balance
                               and self._has_b and self._has_pw)
         self._plans: Dict[Tuple[str, WireClass, int], Plan] = {}
-        self.narrow_mispredicts = 0
         # Register-traffic narrowness (the paper's "14% of all register
         # traffic on the inter-cluster network are integers 0..1023").
         self.operand_transfers = 0
         self.operand_narrow = 0
-        # Frequent-value-encoded transfers (extension).
-        self.fv_transfers = 0
-        # Per-rule PW steering counts (ablation reporting).
-        self.pw_ready_transfers = 0
-        self.pw_store_transfers = 0
-        self.pw_diverted_transfers = 0
         # Selections planned around one or more dead planes.
         self.degraded_selections = 0
 
@@ -256,21 +249,17 @@ class WireSelector:
                 # Width mispredicted: the tag went out on L-Wires but the
                 # value does not fit; reissue full width after a
                 # detection cycle.
-                self.narrow_mispredicts += 1
                 reason = "narrow_mispredict"
                 plane = self._bulk_choice(transfer, cycle, avoid)
         elif (kind._result and flags.lwire_frequent_value and has_l
                 and transfer.fv_encodable):
             # Frequent-value index + tag fits the L-Wire plane.
-            self.fv_transfers += 1
             reason, plane, bits = "frequent_value", _L, LWIRE_BITS
         elif (kind is _OPERAND and transfer.ready_at_dispatch
                 and flags.pw_ready_operand and has_pw):
-            self.pw_ready_transfers += 1
             reason, plane = "pw_ready", _PW
         elif (kind is _STORE_DATA and flags.pw_store_data
                 and has_pw):
-            self.pw_store_transfers += 1
             reason, plane = "pw_store", _PW
         else:
             reason = "bulk"
@@ -340,7 +329,6 @@ class WireSelector:
             diverted = self._detector.redirect(cycle, _B, _PW)
             if diverted is not None:
                 if diverted is not self._bulk:
-                    self.pw_diverted_transfers += 1
                     tel = self.telemetry
                     if tel.enabled:
                         # The paper's overflow criterion fired: recent

@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 from typing import Dict, Mapping, Optional, Tuple
 
 from ..wires import CANONICAL_SPECS, WireClass, WireSpec
-from .message import TransferKind
 
 
 @dataclass
@@ -31,15 +30,13 @@ class PlaneActivity:
 class InterconnectStats:
     """Everything the energy model and the paper's traffic claims need.
 
-    Grants are tallied per distinct ``(plane, bits, weight, kind)``
-    shape and folded into :attr:`by_plane` / :attr:`by_kind` on first
-    read.  All counters are integers and the fold keeps first-grant
-    order, so the float summation order of :meth:`dynamic_energy` is
-    that of per-grant recording.
+    Grants are tallied per distinct ``(plane, bits, weight)`` shape and
+    folded into :attr:`by_plane` on first read.  All counters are
+    integers and the fold keeps first-grant order, so the float
+    summation order of :meth:`dynamic_energy` is that of per-grant
+    recording.
     """
 
-    buffered_cycles: int = 0
-    split_transfers: int = 0
     # Fault-injection / graceful-degradation counters (all zero on a
     # healthy network).  A corrupted segment still burns wires and
     # energy; its retransmission is a fresh grant recorded on top.
@@ -54,11 +51,9 @@ class InterconnectStats:
     )
     _planes: Dict[WireClass, PlaneActivity] = field(
         default_factory=dict, init=False, repr=False)
-    _kinds: Dict[TransferKind, int] = field(
-        default_factory=dict, init=False, repr=False)
-    #: (wire_class, bits, energy_weight, kind) -> grants not yet folded,
-    #: in first-grant order (dict insertion order).
-    _tally: Dict[Tuple[WireClass, int, int, TransferKind], int] = field(
+    #: (wire_class, bits, energy_weight) -> grants not yet folded, in
+    #: first-grant order (dict insertion order).
+    _tally: Dict[Tuple[WireClass, int, int], int] = field(
         default_factory=dict, init=False, repr=False)
 
     @property
@@ -66,38 +61,31 @@ class InterconnectStats:
         self.flush()
         return self._planes
 
-    @property
-    def by_kind(self) -> Dict[TransferKind, int]:
-        self.flush()
-        return self._kinds
-
     def record_segment(self, wire_class: WireClass, bits: int,
-                       energy_weight: int, kind: TransferKind) -> None:
+                       energy_weight: int) -> None:
         if bits < 0:
             raise ValueError(
                 f"cannot record a segment of {bits} bits on "
                 f"{wire_class.value}-Wires; bit counts are non-negative"
             )
-        key = (wire_class, bits, energy_weight, kind)
+        key = (wire_class, bits, energy_weight)
         tally = self._tally
         tally[key] = tally.get(key, 0) + 1
 
     def flush(self) -> "InterconnectStats":
-        """Fold pending grant tallies into the plane/kind counters."""
+        """Fold pending grant tallies into the plane counters."""
         tally = self._tally
         if not tally:
             return self
         self._tally = {}
         planes = self._planes
-        kinds = self._kinds
-        for (wire_class, bits, weight, kind), count in tally.items():
+        for (wire_class, bits, weight), count in tally.items():
             activity = planes.get(wire_class)
             if activity is None:
                 activity = planes.setdefault(wire_class, PlaneActivity())
             activity.transfers += count
             activity.bits += count * bits
             activity.weighted_bits += count * bits * weight
-            kinds[kind] = kinds.get(kind, 0) + count
         return self
 
     def reset(self) -> None:

@@ -167,7 +167,6 @@ class LoadStoreQueue:
                         instr.rec.pc
                     )
                 )
-        instr.lsq_index = instr.seq
         return True
 
     def on_partial_address(self, instr: DynInstr, addr: int,
@@ -203,7 +202,6 @@ class LoadStoreQueue:
         if entry is None or entry.data_ready:
             return
         entry.data_cycle = cycle
-        instr.store_data_ready = True
         self._wake_loads(cycle)
 
     def release(self, instr: DynInstr) -> None:

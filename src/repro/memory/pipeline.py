@@ -40,8 +40,6 @@ class CachePipeline:
 
     def __init__(self, hierarchy: MemoryHierarchy) -> None:
         self.hierarchy = hierarchy
-        self.early_starts = 0
-        self.overlap_cycles = 0
 
     # -- baseline pipeline -------------------------------------------------
 
@@ -64,7 +62,6 @@ class CachePipeline:
         """
         h = self.hierarchy
         start = h.reserve_bank(addr, partial_cycle)
-        self.early_starts += 1
         return start + h.config.l1_latency
 
     def finish_early_access(self, addr: int, ram_done_cycle: int,
@@ -74,11 +71,6 @@ class CachePipeline:
         tlb_penalty = h.translate(addr)
         hit_done = max(ram_done_cycle,
                        full_addr_cycle + self.LATE_TAG_CYCLE)
-        overlap = ram_done_cycle - (full_addr_cycle + self.LATE_TAG_CYCLE)
-        if overlap < 0:
-            self.overlap_cycles += ram_done_cycle - full_addr_cycle
-        else:
-            self.overlap_cycles += h.config.l1_latency
         level, extra = h.lookup_levels(addr)
         done = hit_done + tlb_penalty + extra
         return AccessResult(done_cycle=done, level=level)

@@ -88,7 +88,7 @@ class _PlaneSlot:
         "state", "last_use", "ewma", "transitions", "settled", "wake_ready",
         "hold_until",
         "active_cycles", "waking_cycles", "drowsy_cycles", "gated_cycles",
-        "drowsy_entries", "gate_entries", "drowsy_wakes", "gated_wakes",
+        "gate_entries", "drowsy_wakes", "gated_wakes",
     )
 
     def __init__(self, link: str, plane: WireClass, wires: int,
@@ -111,7 +111,6 @@ class _PlaneSlot:
         self.waking_cycles = 0
         self.drowsy_cycles = 0
         self.gated_cycles = 0
-        self.drowsy_entries = 0
         self.gate_entries = 0
         self.drowsy_wakes = 0
         self.gated_wakes = 0
@@ -266,7 +265,6 @@ class PlanePowerManager:
                     slot.gate_entries += 1
                 else:
                     state = PowerState.DROWSY
-                    slot.drowsy_entries += 1
                 self._transition(slot, state, pos, to, emit)
             elif state is PowerState.DROWSY:
                 transitions = slot.transitions
@@ -384,7 +382,6 @@ class PlanePowerManager:
             slot.waking_cycles = 0
             slot.drowsy_cycles = 0
             slot.gated_cycles = 0
-            slot.drowsy_entries = 0
             slot.gate_entries = 0
             slot.drowsy_wakes = 0
             slot.gated_wakes = 0

@@ -15,7 +15,7 @@ def make_instr(seq, op=OpClass.IALU, dest=5):
 
 @pytest.fixture
 def cluster():
-    return Cluster(0, "c0", iq_size=4, regfile_size=4)
+    return Cluster(0, iq_size=4, regfile_size=4)
 
 
 class TestResources:
@@ -46,7 +46,7 @@ class TestResources:
         assert cluster.can_accept(OpClass.FPALU, True)
 
     def test_can_accept_respects_register_limit(self):
-        cluster = Cluster(0, "c0", iq_size=8, regfile_size=2)
+        cluster = Cluster(0, iq_size=8, regfile_size=2)
         cluster.admit(make_instr(0))
         cluster.admit(make_instr(1))
         assert not cluster.can_accept(OpClass.IALU, True)
@@ -82,7 +82,7 @@ class TestResources:
 
     def test_rejects_bad_sizes(self):
         with pytest.raises(ValueError):
-            Cluster(0, "c0", iq_size=0)
+            Cluster(0, iq_size=0)
 
 
 class TestSelect:

@@ -14,6 +14,7 @@ from repro.clusters.criticality import CriticalityPredictor
 from repro.clusters.steering import SteeringHeuristic, SteeringWeights
 from repro.core.instruction import DynInstr
 from repro.interconnect.topology import Topology
+from repro.telemetry import EventKind
 from repro.workloads.trace import InstructionRecord, OpClass
 
 SRC = str(Path(__file__).resolve().parents[2] / "src")
@@ -26,7 +27,13 @@ def make_instr(seq, op=OpClass.IALU, dest=5, pc=None):
 
 
 def make_clusters(n=4, iq=15, regs=32):
-    return [Cluster(i, f"c{i}", iq, regs) for i in range(n)]
+    return [Cluster(i, iq, regs) for i in range(n)]
+
+
+def overflows(tel):
+    """(fallback, preferred) of every ``steer_overflow`` event."""
+    return [(e.attr("fallback"), e.attr("preferred")) for e in tel.events()
+            if e.kind is EventKind.STEER_OVERFLOW]
 
 
 @pytest.fixture
@@ -64,9 +71,10 @@ class TestDependenceSteering:
 
 
 class TestResourceFallback:
-    def test_full_cluster_overflows_to_neighbor(self):
+    def test_full_cluster_overflows_to_neighbor(self, traced):
         clusters = make_clusters(iq=2, regs=2)
-        heur = SteeringHeuristic(clusters, Topology(4))
+        tel = traced.telemetry()
+        heur = SteeringHeuristic(clusters, Topology(4), telemetry=tel)
         producer = make_instr(0)
         producer.cluster = 1
         clusters[1].admit(make_instr(10))
@@ -74,7 +82,7 @@ class TestResourceFallback:
         chosen = heur.choose(make_instr(1), [(1, producer)])
         assert chosen is not None
         assert chosen.index != 1
-        assert heur.overflowed == 1
+        assert overflows(tel) == [(chosen.index, 1)]
 
     def test_all_full_returns_none(self):
         clusters = make_clusters(iq=1, regs=1)
@@ -83,14 +91,15 @@ class TestResourceFallback:
             cluster.admit(make_instr(10 + i))
         assert heur.choose(make_instr(0), []) is None
 
-    def test_no_room_scores_nothing(self, monkeypatch):
+    def test_no_room_scores_nothing(self, monkeypatch, traced):
         clusters = make_clusters(iq=1, regs=1)
-        heur = SteeringHeuristic(clusters, Topology(4))
+        tel = traced.telemetry()
+        heur = SteeringHeuristic(clusters, Topology(4), telemetry=tel)
         for i, cluster in enumerate(clusters):
             cluster.admit(make_instr(10 + i))
         monkeypatch.setattr(heur, "_score", None)  # a call would raise
         assert heur.choose(make_instr(0), []) is None
-        assert (heur.steered, heur.overflowed) == (0, 0)
+        assert tel.events() == ()
 
     def test_a_run_scores_each_admitted_instruction_once(self, monkeypatch):
         """Every ``choose`` that scores admits its instruction: scoring
@@ -304,7 +313,7 @@ def reference_choice(heur, instr, producers):
 
 @pytest.mark.parametrize("n", [4, 16])
 @pytest.mark.parametrize("seed", range(4))
-def test_one_pass_choice_equals_reference(n, seed):
+def test_one_pass_choice_equals_reference(n, seed, traced):
     """Random cluster states, producer sets and a trained criticality
     table: ``choose`` picks what the reference scorer picks, call after
     call on one heuristic (so its memo is reused across states)."""
@@ -315,7 +324,9 @@ def test_one_pass_choice_equals_reference(n, seed):
         crit.train(rng.choice(pcs), rng.sample(pcs, 2))
     iq = rng.choice((2, 4, 15))
     clusters = make_clusters(n, iq=iq, regs=rng.choice((2, 32)))
-    heur = SteeringHeuristic(clusters, Topology(n), criticality=crit)
+    tel = traced.telemetry()
+    heur = SteeringHeuristic(clusters, Topology(n), criticality=crit,
+                             telemetry=tel)
     ops = (OpClass.IALU, OpClass.FPALU, OpClass.LOAD, OpClass.STORE)
     spills = []
     for step in range(600):
@@ -340,6 +351,5 @@ def test_one_pass_choice_equals_reference(n, seed):
         else:
             assert chosen is not None and chosen.index == expected[0], step
             spills.append(expected[1])
-    assert (heur.steered, heur.overflowed) == (
-        spills.count(False), spills.count(True))
+    assert len(overflows(tel)) == spills.count(True)
     assert len(spills) > 300

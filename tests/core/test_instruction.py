@@ -36,7 +36,7 @@ class TestLifecycleFlags:
         assert not instr.completed
         assert not instr.committed
         assert instr.cluster == -1
-        assert instr.issue_cycle == NEVER
+        assert instr.complete_cycle == NEVER
 
     def test_op_properties(self):
         assert make(op=OpClass.LOAD, dest=5).is_load
@@ -57,7 +57,7 @@ class TestLifecycleFlags:
 class TestAvailability:
     def test_not_available_until_recorded(self):
         producer = make()
-        Cluster(0, "c0").admit(producer)
+        Cluster(0).admit(producer)
         assert rename(producer).outstanding == 1
         # Home availability is the completed producer's complete_cycle.
         producer.completed = True
@@ -84,7 +84,7 @@ class TestAvailability:
 
     def test_transfer_started_marks_the_last_of_sixteen_clusters(self):
         producer = make()
-        Cluster(0, "c0").admit(producer)
+        Cluster(0).admit(producer)
         producer.completed = True
         producer.complete_cycle = 50
         assert producer.transfer_started == 0

@@ -72,17 +72,14 @@ class TestConfigOverride:
 
 
 class TestSelectorCounters:
-    def test_pw_rule_counters_populate(self):
-        cpu = build_processor(model("V").config, "gzip")
+    def test_pw_rule_counters_populate(self, traced):
+        cpu = traced.build(model("V").config, "gzip")
         cpu.run(2500, warmup=500)
-        selector = cpu.network.selector
-        assert selector.pw_store_transfers > 0
+        pw_store = traced.count(cpu, "wire_selected", reason="pw_store")
+        assert pw_store > 0
         # Ready-operand and diverted traffic occur on realistic streams.
-        assert selector.pw_ready_transfers >= 0
-        total_pw_rules = (selector.pw_ready_transfers
-                          + selector.pw_store_transfers
-                          + selector.pw_diverted_transfers)
-        assert total_pw_rules > 0
+        assert (traced.count(cpu, "wire_selected", reason="pw_ready")
+                + pw_store + traced.count(cpu, "lb_divert")) > pw_store
 
     def test_operand_narrow_share_tracked(self):
         cpu = build_processor(model("I").config, "gzip")

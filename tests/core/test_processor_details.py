@@ -6,7 +6,6 @@ from repro.core.config import InterconnectConfig, ProcessorConfig, wire_counts
 from repro.core.models import model
 from repro.core.processor import ClusteredProcessor
 from repro.core.simulation import build_processor
-from repro.interconnect.message import TransferKind
 from repro.interconnect.selection import PolicyFlags
 from repro.wires import WireClass
 from repro.workloads.trace import InstructionRecord, OpClass
@@ -31,14 +30,15 @@ def store(pc, addr, srcs=(1, 2)):
     return InstructionRecord(pc=pc, op=OpClass.STORE, srcs=srcs, addr=addr)
 
 
-def make_cpu(records, wires=None, flags=None, repeat=True, **cfg):
+def make_cpu(records, wires=None, flags=None, repeat=True, telemetry=None,
+             **cfg):
     config = ProcessorConfig(num_clusters=4, **cfg)
     icfg = InterconnectConfig(
         wires=wires or wire_counts(B=144),
         flags=flags or PolicyFlags(),
     )
     supply = itertools.cycle(records) if repeat else iter(records)
-    return ClusteredProcessor(config, icfg, supply)
+    return ClusteredProcessor(config, icfg, supply, telemetry=telemetry)
 
 
 class TestMispredictPath:
@@ -53,12 +53,12 @@ class TestMispredictPath:
             records.append(alu(0x400004 + 8 * i, dest=8 + (i % 16)))
         return records
 
-    def test_redirects_traverse_the_network(self):
-        cpu = make_cpu(self._mispredict_stream())
+    def test_redirects_traverse_the_network(self, traced):
+        cpu = make_cpu(self._mispredict_stream(),
+                       telemetry=traced.telemetry())
         stats = cpu.run(400)
         assert stats.redirects > 0
-        assert cpu.network.stats.by_kind.get(TransferKind.MISPREDICT,
-                                             0) > 0
+        assert traced.count(cpu, "transfer_routed", kind="mispredict") > 0
 
     def test_mispredict_penalty_at_least_12_cycles(self):
         """Table 1: 'at least 12 cycles'.  A branch with deterministic
@@ -83,7 +83,7 @@ class TestMispredictPath:
 
 
 class TestPWSteeringPaths:
-    def test_ready_at_dispatch_operands_ride_pw(self):
+    def test_ready_at_dispatch_operands_ride_pw(self, traced):
         """Values already sitting in a remote register file when their
         consumer dispatches travel on PW-Wires (the paper's first
         criterion).  A realistic stream triggers the case naturally."""
@@ -91,20 +91,21 @@ class TestPWSteeringPaths:
         gen = TraceGenerator(profile("gzip"), seed=42)
         config = ProcessorConfig(num_clusters=4)
         icfg = InterconnectConfig(wires=wire_counts(B=144, PW=288))
-        cpu = ClusteredProcessor(config, icfg, gen.stream_forever())
+        cpu = ClusteredProcessor(config, icfg, gen.stream_forever(),
+                                 telemetry=traced.telemetry())
         cpu.prewarm(gen.data_footprint())
         cpu.run(3000, warmup=500)
-        assert cpu.network.selector.pw_ready_transfers > 0
+        assert traced.count(cpu, "wire_selected", reason="pw_ready") > 0
 
-    def test_store_data_rides_pw(self):
+    def test_store_data_rides_pw(self, traced):
         records = [store(0x400000, addr=0x2000), alu(0x400004, dest=9)]
-        cpu = make_cpu(records, wires=wire_counts(B=144, PW=288))
+        cpu = make_cpu(records, wires=wire_counts(B=144, PW=288),
+                       telemetry=traced.telemetry())
         cpu.run(200)
-        stats = cpu.network.stats
-        assert stats.by_kind.get(TransferKind.STORE_DATA, 0) > 0
-        assert stats.transfers_on(WireClass.PW) >= stats.by_kind[
-            TransferKind.STORE_DATA
-        ] * 0.9
+        store_data = traced.count(cpu, "transfer_routed", kind="store_data")
+        assert store_data > 0
+        assert traced.count(cpu, "transfer_routed", kind="store_data",
+                            plane="PW") == store_data
 
     def test_pw_criteria_disabled_all_on_b(self):
         flags = PolicyFlags(pw_ready_operand=False, pw_store_data=False,
@@ -117,27 +118,29 @@ class TestPWSteeringPaths:
 
 
 class TestPartialAddressPath:
-    def test_split_addresses_on_lwires(self):
+    def test_split_addresses_on_lwires(self, traced):
         records = [load(0x400000 + 4 * i, dest=8 + i, addr=0x3000 + 8 * i)
                    for i in range(4)]
-        cpu = make_cpu(records, wires=wire_counts(B=144, L=36))
+        cpu = make_cpu(records, wires=wire_counts(B=144, L=36),
+                       telemetry=traced.telemetry())
         cpu.run(120)
-        assert cpu.network.stats.split_transfers > 0
+        assert traced.count(cpu, "wire_selected", split=True) > 0
         assert cpu.lsq.early_ram_starts > 0
 
-    def test_partial_flag_off_means_no_split(self):
+    def test_partial_flag_off_means_no_split(self, traced):
         flags = PolicyFlags(lwire_partial_address=False)
         records = [load(0x400000, dest=8, addr=0x3000)]
         cpu = make_cpu(records, wires=wire_counts(B=144, L=36),
-                       flags=flags)
+                       flags=flags, telemetry=traced.telemetry())
         cpu.run(60)
-        assert cpu.network.stats.split_transfers == 0
+        assert traced.count(cpu, "wire_selected") > 0
+        assert traced.count(cpu, "wire_selected", split=True) == 0
         assert cpu.lsq.early_ram_starts == 0
         assert not cpu.lsq.partial_enabled
 
 
 class TestNarrowMispredictPath:
-    def test_inconsistent_width_pcs_cause_reissues(self):
+    def test_inconsistent_width_pcs_cause_reissues(self, traced):
         """A pc that alternates narrow/wide results saturates then
         deceives the width predictor, exercising the reissue path."""
         records = []
@@ -149,9 +152,11 @@ class TestNarrowMispredictPath:
             )
             records.append(alu(0x400004 + 4 * i, dest=9 + (i % 8),
                                srcs=(8, 8)))
-        cpu = make_cpu(records, wires=wire_counts(B=144, L=36))
+        cpu = make_cpu(records, wires=wire_counts(B=144, L=36),
+                       telemetry=traced.telemetry())
         cpu.run(600)
-        assert cpu.network.selector.narrow_mispredicts > 0
+        assert traced.count(cpu, "wire_selected",
+                            reason="narrow_mispredict") > 0
 
 
 class TestEnergyAccounting:

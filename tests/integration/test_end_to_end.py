@@ -15,7 +15,6 @@ from repro.harness import (
     ResultCache,
     run_variants,
 )
-from repro.interconnect.message import TransferKind
 from repro.wires import WireClass
 
 BENCHES = ("gzip", "mesa", "swim", "crafty")
@@ -94,13 +93,11 @@ class TestWireUsage:
         assert stats.transfers_on(WireClass.L) == 0
         assert stats.transfers_on(WireClass.PW) == 0
 
-    def test_model_vii_splits_addresses(self):
-        from repro.core.simulation import build_processor
-        cpu = build_processor(model("VII").config, "gzip")
+    def test_model_vii_splits_addresses(self, traced):
+        cpu = traced.build(model("VII").config, "gzip")
         cpu.run(2000, warmup=500)
-        stats = cpu.network.stats
-        assert stats.transfers_on(WireClass.L) > 0
-        assert stats.split_transfers > 0
+        assert cpu.network.stats.transfers_on(WireClass.L) > 0
+        assert traced.count(cpu, "wire_selected", split=True) > 0
 
     def test_model_vi_bulk_on_pw(self):
         from repro.core.simulation import build_processor
@@ -110,11 +107,10 @@ class TestWireUsage:
         assert stats.transfers_on(WireClass.PW) > 0
         assert stats.transfers_on(WireClass.B) == 0
 
-    def test_mispredicts_travel_the_network(self):
-        from repro.core.simulation import build_processor
-        cpu = build_processor(model("I").config, "gzip")
+    def test_mispredicts_travel_the_network(self, traced):
+        cpu = traced.build(model("I").config, "gzip")
         cpu.run(3000, warmup=500)
-        assert cpu.network.stats.by_kind.get(TransferKind.MISPREDICT, 0) > 0
+        assert traced.count(cpu, "transfer_routed", kind="mispredict") > 0
 
 
 class TestScaling:

@@ -49,22 +49,25 @@ class TestTransmissionLineLWires:
 
 
 class TestFrequentValueCompaction:
-    def _build(self, enabled):
+    def _build(self, enabled, traced=None):
         flags = PolicyFlags(lwire_frequent_value=enabled)
         icfg = InterconnectConfig(wires=wire_counts(B=144, L=36),
                                   flags=flags)
+        if traced is not None:
+            return traced.build(icfg, "gzip")
         return build_processor(icfg, "gzip")
 
     def test_disabled_by_default(self):
         cpu = build_processor(model("VII").config, "gzip")
         assert cpu.frequent_values is None
 
-    def test_fv_transfers_happen_when_enabled(self):
-        cpu = self._build(True)
+    def test_fv_transfers_happen_when_enabled(self, traced):
+        cpu = self._build(True, traced)
         cpu.run(4000, warmup=1000)
         assert cpu.frequent_values is not None
         assert cpu.frequent_values.observations > 0
-        assert cpu.network.selector.fv_transfers > 0
+        assert traced.count(cpu, "wire_selected",
+                            reason="frequent_value") > 0
 
     def test_fv_raises_lwire_traffic(self):
         off = self._build(False)
@@ -79,15 +82,18 @@ class TestFrequentValueCompaction:
         stats = cpu.run(4000, warmup=1000)
         assert stats.committed >= 4000
 
-    def test_flag_composition_with_other_policies(self):
+    def test_flag_composition_with_other_policies(self, traced):
         flags = replace(PolicyFlags().without_lwire_uses(),
                         lwire_frequent_value=True)
         icfg = InterconnectConfig(wires=wire_counts(B=144, L=36),
                                   flags=flags)
-        cpu = build_processor(icfg, "gzip")
+        cpu = traced.build(icfg, "gzip")
         cpu.run(3000, warmup=800)
         # Only FV transfers may use L-Wires in this configuration (some
         # selected transfers are still queued when the run stops, so
         # granted <= selected).
         l_transfers = cpu.network.stats.transfers_on(WireClass.L)
-        assert 0 < l_transfers <= cpu.network.selector.fv_transfers
+        assert 0 < l_transfers <= traced.count(cpu, "wire_selected",
+                                               reason="frequent_value")
+        assert traced.count(cpu, "wire_selected", plane="L") == \
+            traced.count(cpu, "wire_selected", reason="frequent_value")

@@ -1,7 +1,7 @@
 """Round-trip coverage of the tallied grant accounting.
 
-:class:`InterconnectStats` tallies grants per (plane, bits, weight,
-kind) shape and folds them into its counters on first read.  These
+:class:`InterconnectStats` tallies grants per (plane, bits, weight)
+shape and folds them into its counters on first read.  These
 tests pin the fold: tallied stats must agree with stats folded after
 every single grant on *every* observable -- counters, insertion order
 (which fixes the float summation order of ``dynamic_energy``) and energy
@@ -12,29 +12,28 @@ import pytest
 
 from repro.core.models import model
 from repro.core.simulation import build_processor
-from repro.interconnect.message import TransferKind
 from repro.interconnect.stats import InterconnectStats
 from repro.telemetry import RingBufferSink, Telemetry
 from repro.wires import WireClass
 
-#: A grant stream touching several planes/kinds in interleaved order,
-#: with repeated shapes (the tally's whole point) and a zero-bit edge.
+#: A grant stream touching several planes in interleaved order, with
+#: repeated shapes (the tally's whole point) and a zero-bit edge.
 GRANTS = [
-    (WireClass.B, 72, 1, TransferKind.OPERAND),
-    (WireClass.L, 12, 1, TransferKind.LOAD_ADDRESS),
-    (WireClass.B, 72, 1, TransferKind.OPERAND),
-    (WireClass.PW, 72, 2, TransferKind.STORE_DATA),
-    (WireClass.B, 24, 1, TransferKind.OPERAND),
-    (WireClass.L, 12, 1, TransferKind.MISPREDICT),
-    (WireClass.PW, 72, 2, TransferKind.STORE_DATA),
-    (WireClass.B, 72, 2, TransferKind.LOAD_DATA),
-    (WireClass.L, 0, 1, TransferKind.LOAD_ADDRESS),
+    (WireClass.B, 72, 1),
+    (WireClass.L, 12, 1),
+    (WireClass.B, 72, 1),
+    (WireClass.PW, 72, 2),
+    (WireClass.B, 24, 1),
+    (WireClass.L, 12, 1),
+    (WireClass.PW, 72, 2),
+    (WireClass.B, 72, 2),
+    (WireClass.L, 0, 1),
 ]
 
 
 def record_all(stats, grants):
-    for wire_class, bits, weight, kind in grants:
-        stats.record_segment(wire_class, bits, weight, kind)
+    for wire_class, bits, weight in grants:
+        stats.record_segment(wire_class, bits, weight)
     return stats
 
 
@@ -50,8 +49,6 @@ def assert_same_counters(stats, reference):
     """Field-for-field agreement, including dict insertion order."""
     assert list(stats.by_plane) == list(reference.by_plane)
     assert stats.by_plane == reference.by_plane
-    assert list(stats.by_kind) == list(reference.by_kind)
-    assert stats.by_kind == reference.by_kind
     assert stats.dynamic_energy() == reference.dynamic_energy()
     assert stats.total_transfers() == reference.total_transfers()
     for wire_class in WireClass:
@@ -96,8 +93,7 @@ class TestBatchedStatsFold:
 
     def test_negative_bits_still_rejected_when_recorded_directly(self):
         with pytest.raises(ValueError):
-            InterconnectStats().record_segment(
-                WireClass.B, -1, 1, TransferKind.OPERAND)
+            InterconnectStats().record_segment(WireClass.B, -1, 1)
 
 
 class TestEngineReportsAgree:
@@ -125,13 +121,17 @@ class TestEngineReportsAgree:
         assert (processors["traced"].network.utilization_report()
                 == processors["untraced"].network.utilization_report())
 
-    def test_degradation_reports_identical(self, processors):
-        assert (processors["traced"].network.degradation_report()
-                == processors["untraced"].network.degradation_report())
+    def test_fault_counters_identical(self, processors):
+        def counters(cpu):
+            stats = cpu.network.stats
+            return (stats.corrupted_segments, stats.retransmissions,
+                    stats.retry_escalations, stats.degraded_reroutes,
+                    cpu.network.selector.degraded_selections)
+
+        assert (counters(processors["traced"])
+                == counters(processors["untraced"]))
 
     def test_stats_counters_identical(self, processors):
         traced = processors["traced"].network.stats
         untraced = processors["untraced"].network.stats
         assert_same_counters(untraced, traced)
-        assert untraced.buffered_cycles == traced.buffered_cycles
-        assert untraced.split_transfers == traced.split_transfers

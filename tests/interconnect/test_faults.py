@@ -8,14 +8,36 @@ from repro.interconnect.message import Transfer, TransferKind
 from repro.interconnect.network import Network
 from repro.interconnect.plane import LinkComposition
 from repro.interconnect.topology import Topology
+from repro.telemetry import EventKind, RingBufferSink, Telemetry
 from repro.wires import WireClass
 
 
 def make_network(wires, spec_text=None, seed=0, injector=None):
+    """A traced 4-cluster network: its events record every kill."""
     if spec_text is not None:
         injector = FaultInjector(FaultSpec.parse(spec_text), seed=seed)
     return Network(Topology(4), LinkComposition(wires),
-                   injector=injector)
+                   injector=injector,
+                   telemetry=Telemetry(sink=RingBufferSink(capacity=None)))
+
+
+def events(net, kind):
+    return [e for e in net.telemetry.events() if e.kind is kind]
+
+
+def kills(net):
+    """(channel, plane name, cycle) of every plane kill, in kill order."""
+    return [(e.attr("channel"), e.attr("plane"), e.cycle)
+            for e in events(net, EventKind.PLANE_KILL)]
+
+
+def fault_counters(net):
+    stats = net.stats
+    return {"corrupted_segments": stats.corrupted_segments,
+            "retransmissions": stats.retransmissions,
+            "retry_escalations": stats.retry_escalations,
+            "degraded_reroutes": stats.degraded_reroutes,
+            "degraded_selections": net.selector.degraded_selections}
 
 
 def arrivals(net):
@@ -60,15 +82,15 @@ class TestPermanentKills:
         run_cycles(net, 6)
         assert seen == [2]  # B-Wire latency, not the 1-cycle L-Wire
         assert net.selector.degraded_selections == 1
-        assert net.degradation_report().planes_killed == len(
-            net.topology.channels)
+        assert len(kills(net)) == len(net.topology.channels)
 
     def test_lwire_kill_disables_address_split(self):
         net = make_network({WireClass.B: 144, WireClass.L: 36},
                            "kill=L@*@0")
         net.submit(Transfer(kind=TransferKind.LOAD_ADDRESS, src="c0",
                             dst="cache"), 0)
-        assert net.stats.split_transfers == 0
+        [selected] = events(net, EventKind.WIRE_SELECTED)
+        assert selected.attr("split") is False
 
     def test_queued_segment_rerouted_when_plane_dies(self):
         net = make_network({WireClass.B: 144, WireClass.PW: 288},
@@ -79,9 +101,8 @@ class TestPermanentKills:
                                 dst="c1", seq=i), 0)
         run_cycles(net, 12)
         assert len(seen) == 3
-        report = net.degradation_report()
-        assert report.degraded_reroutes >= 1
-        assert ("c0:out", WireClass.B, 1) in net.dead_planes()
+        assert net.stats.degraded_reroutes >= 1
+        assert ("c0:out", "B", 1) in kills(net)
 
     def test_reroute_into_queue_drained_same_tick_is_not_stranded(self):
         # Regression: at cycle 1 the OPERAND drains (c0:out, B), then
@@ -133,7 +154,7 @@ class TestPermanentKills:
             net.tick(cycle)
         after = rows()
         assert len(seen) == 5
-        assert net.degradation_report().degraded_reroutes == 3
+        assert net.stats.degraded_reroutes == 3
         for hop in hops:
             assert after[(hop, WireClass.B)] == before_kill[
                 (hop, WireClass.B)]
@@ -188,9 +209,8 @@ class TestTransientCorruption:
         net.submit(Transfer(kind=TransferKind.OPERAND, src="c0", dst="c1"),
                    0)
         run_cycles(net, 20)
-        report = net.degradation_report()
-        assert report.corrupted_segments == 1
-        assert report.retransmissions == 1
+        assert net.stats.corrupted_segments == 1
+        assert net.stats.retransmissions == 1
         # NACK round trip: granted at 0, retried at 0 + 2*2 + 1 = 5,
         # clean delivery two cycles later.
         assert seen == [7]
@@ -220,12 +240,9 @@ class TestTransientCorruption:
         net.submit(Transfer(kind=TransferKind.OPERAND, src="c0", dst="c1"),
                    0)
         run_cycles(net, 60)
-        report = net.degradation_report()
-        assert report.retry_escalations == 1
-        assert report.retransmissions == net.injector.spec.retry_budget
-        assert ("c0:out", WireClass.B) in [
-            (ch, wc) for ch, wc, _ in net.dead_planes()
-        ]
+        assert net.stats.retry_escalations == 1
+        assert net.stats.retransmissions == net.injector.spec.retry_budget
+        assert [(ch, wc) for ch, wc, _ in kills(net)] == [("c0:out", "B")]
         assert len(seen) == 1  # delivered via the surviving PW plane
 
 
@@ -258,13 +275,13 @@ class TestDeterminism:
                 net.submit(Transfer(kind=TransferKind.OPERAND, src="c0",
                                     dst="c1", seq=i), i)
             run_cycles(net, 400)
-            return seen, net.degradation_report()
+            return seen, fault_counters(net)
 
-        first, report_a = faulted_run()
-        second, report_b = faulted_run()
+        first, counters_a = faulted_run()
+        second, counters_b = faulted_run()
         assert first == second
-        assert report_a == report_b
-        assert report_a.retransmissions > 0
+        assert counters_a == counters_b
+        assert counters_a["retransmissions"] > 0
 
     def test_next_event_includes_retries_and_kills(self):
         net = make_network({WireClass.B: 144, WireClass.PW: 288},

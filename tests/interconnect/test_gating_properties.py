@@ -57,6 +57,12 @@ submissions = st.lists(
 )
 
 
+class TestWindowArguments:
+    def test_negative_window_is_refused(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            make_manager("idle:drowsy=8,gate=32").leakage_energy(-1)
+
+
 class TestOneMachinePerLink:
     def test_ring_directions_share_a_slot(self):
         """At 8 clusters one ring link carries both ring channels."""

@@ -130,7 +130,8 @@ class TestSplitTransfers:
             net.deliver_due(cycle)
             net.tick(cycle)
         assert events == [("ls", 1), ("full", 2)]
-        assert net.stats.split_transfers == 1
+        assert (net.stats.transfers_on(WireClass.L),
+                net.stats.transfers_on(WireClass.B)) == (1, 1)
 
     def test_narrow_mispredict_delays_final(self):
         net = make_network({WireClass.B: 144, WireClass.L: 36})
@@ -180,11 +181,11 @@ class TestEnergyAccounting:
             2 * net.leakage_energy(100)
         )
 
-    def test_transfers_recorded_per_kind(self):
+    def test_grant_recorded_on_its_plane(self):
         net = make_network()
         net.submit(Transfer(kind=TransferKind.OPERAND, src="c0", dst="c1"), 0)
         net.tick(0)
-        assert net.stats.by_kind[TransferKind.OPERAND] == 1
+        assert net.stats.transfers_on(WireClass.B) == 1
 
 
 class TestRingContention:

@@ -16,14 +16,14 @@ from repro.interconnect.selection import PolicyFlags, WireSelector
 from repro.wires import WireClass
 
 
-def make_selector(wires, flags=None):
-    return WireSelector(LinkComposition(wires), flags)
+def make_selector(wires, flags=None, telemetry=None):
+    return WireSelector(LinkComposition(wires), flags, telemetry=telemetry)
 
 
-def heterogeneous():
+def heterogeneous(telemetry=None):
     return make_selector({
         WireClass.B: 144, WireClass.PW: 288, WireClass.L: 36,
-    })
+    }, telemetry=telemetry)
 
 
 class TestMispredictSignals:
@@ -94,17 +94,18 @@ class TestNarrowOperands:
         assert segs[0].wire_class is WireClass.B
         assert segs[0].bits == OPERAND_BITS
 
-    def test_narrow_mispredict_reissues_full_width(self):
+    def test_narrow_mispredict_reissues_full_width(self, traced):
         """Tag went out on L-Wires but the value is wide: the full value
         follows on the bulk plane after a detection cycle."""
-        sel = heterogeneous()
+        sel = heterogeneous(traced.telemetry())
         segs = sel.select(self._transfer(True, False), 0)
         assert len(segs) == 2
         assert segs[0].wire_class is WireClass.L
         assert not segs[0].is_final_slice
         assert segs[1].bits == OPERAND_BITS
         assert segs[1].submit_delay == WireSelector.NARROW_MISPREDICT_PENALTY
-        assert sel.narrow_mispredicts == 1
+        assert traced.count(sel, "wire_selected") == traced.count(
+            sel, "wire_selected", reason="narrow_mispredict") == 1
 
     def test_narrow_load_data_eligible(self):
         sel = heterogeneous()

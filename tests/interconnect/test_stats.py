@@ -3,7 +3,6 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.interconnect.message import TransferKind
 from repro.interconnect.stats import (
     InterconnectStats,
     PlaneActivity,
@@ -15,40 +14,32 @@ from repro.wires import WireClass
 class TestRecording:
     def test_segment_recording(self):
         stats = InterconnectStats()
-        stats.record_segment(WireClass.B, 72, 1, TransferKind.OPERAND)
-        stats.record_segment(WireClass.B, 72, 2, TransferKind.OPERAND)
+        stats.record_segment(WireClass.B, 72, 1)
+        stats.record_segment(WireClass.B, 72, 2)
         activity = stats.by_plane[WireClass.B]
         assert activity.transfers == 2
         assert activity.bits == 144
         assert activity.weighted_bits == 72 + 144
-
-    def test_kind_counts(self):
-        stats = InterconnectStats()
-        stats.record_segment(WireClass.L, 18, 1, TransferKind.MISPREDICT)
-        stats.record_segment(WireClass.L, 18, 1, TransferKind.MISPREDICT)
-        stats.record_segment(WireClass.B, 72, 1, TransferKind.OPERAND)
-        assert stats.by_kind[TransferKind.MISPREDICT] == 2
-        assert stats.by_kind[TransferKind.OPERAND] == 1
 
     def test_rejects_negative_bits(self):
         """Regression: a negative bit count must fail loudly instead of
         silently reducing the energy accumulators."""
         stats = InterconnectStats()
         with pytest.raises(ValueError, match="non-negative"):
-            stats.record_segment(WireClass.B, -1, 1, TransferKind.OPERAND)
+            stats.record_segment(WireClass.B, -1, 1)
         assert stats.total_transfers() == 0
 
     def test_zero_bits_is_allowed(self):
         stats = InterconnectStats()
-        stats.record_segment(WireClass.B, 0, 1, TransferKind.OPERAND)
+        stats.record_segment(WireClass.B, 0, 1)
         assert stats.by_plane[WireClass.B].transfers == 1
         assert stats.by_plane[WireClass.B].bits == 0
 
     def test_total_transfers(self):
         stats = InterconnectStats()
         assert stats.total_transfers() == 0
-        stats.record_segment(WireClass.B, 72, 1, TransferKind.OPERAND)
-        stats.record_segment(WireClass.PW, 72, 1, TransferKind.STORE_DATA)
+        stats.record_segment(WireClass.B, 72, 1)
+        stats.record_segment(WireClass.PW, 72, 1)
         assert stats.total_transfers() == 2
         assert stats.transfers_on(WireClass.B) == 1
         assert stats.transfers_on(WireClass.L) == 0
@@ -57,14 +48,14 @@ class TestRecording:
 class TestDynamicEnergy:
     def test_weighted_by_wire_class(self):
         stats = InterconnectStats()
-        stats.record_segment(WireClass.B, 100, 1, TransferKind.OPERAND)
-        stats.record_segment(WireClass.PW, 100, 1, TransferKind.OPERAND)
+        stats.record_segment(WireClass.B, 100, 1)
+        stats.record_segment(WireClass.PW, 100, 1)
         expected = 100 * 0.58 + 100 * 0.30
         assert stats.dynamic_energy() == pytest.approx(expected)
 
     def test_hop_weighting(self):
         stats = InterconnectStats()
-        stats.record_segment(WireClass.B, 72, 3, TransferKind.OPERAND)
+        stats.record_segment(WireClass.B, 72, 3)
         assert stats.dynamic_energy() == pytest.approx(3 * 72 * 0.58)
 
     @given(bits=st.lists(st.integers(min_value=1, max_value=200),
@@ -73,7 +64,7 @@ class TestDynamicEnergy:
         """Recording N segments equals the sum of individual energies."""
         stats = InterconnectStats()
         for b in bits:
-            stats.record_segment(WireClass.L, b, 1, TransferKind.OPERAND)
+            stats.record_segment(WireClass.L, b, 1)
         expected = sum(b * 0.84 for b in bits)
         assert stats.dynamic_energy() == pytest.approx(expected)
 

@@ -101,6 +101,26 @@ class TestBaselineDisambiguation:
         assert h.done == [(1, 11, HitLevel.FORWARD)]
         assert h.lsq.true_forwards == 1
 
+    def test_only_the_first_copy_of_an_arrival_counts(self):
+        """A repeated address or data arrival changes nothing, and one
+        for a released entry is dropped."""
+        h = Harness(partial=True)
+        st = store(0, 0x100)
+        ld = load(1, 0x100)
+        h.lsq.allocate(st)
+        h.lsq.allocate(ld)
+        h.lsq.on_partial_address(st, 0x100, cycle=3)
+        h.lsq.on_partial_address(st, 0x200, cycle=4)
+        h.lsq.on_full_address(st, 0x100, cycle=5)
+        h.lsq.on_full_address(st, 0x200, cycle=6)
+        h.lsq.on_store_data(st, cycle=8)
+        h.lsq.on_store_data(st, cycle=30)
+        h.lsq.on_full_address(ld, 0x100, cycle=10)
+        assert h.done == [(1, 11, HitLevel.FORWARD)]
+        h.lsq.release(st)
+        h.lsq.on_store_data(st, cycle=40)
+        assert h.lsq.store_ready_to_commit(st)
+
     def test_forwarding_waits_for_store_data(self):
         h = Harness()
         st = store(0, 0x100)

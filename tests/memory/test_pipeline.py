@@ -86,7 +86,7 @@ class TestAcceleratedPipeline:
         assert result.level is HitLevel.L2
         assert result.done_cycle == 106 + 30
 
-    def test_early_start_counted(self, pipeline):
+    def test_early_start_holds_its_bank(self, pipeline):
         self._warm(pipeline)
-        pipeline.start_ram_early(0x1000, 100)
-        assert pipeline.early_starts == 1
+        assert pipeline.start_ram_early(0x1000, 100) == 106
+        assert pipeline.start_ram_early(0x1000, 100) == 107

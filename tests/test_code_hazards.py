@@ -25,6 +25,11 @@ SIM303, SIM401 and SIM403 apply only under ``src/repro/``.  The few
 deliberate sites live in :data:`ACCEPTED`, keyed by path, enclosing
 function and code, each with its reason.  An entry that matches no
 finding, or matches two, fails the suite: the list cannot go stale.
+
+A ninth check reads the simulator as a whole: every attribute the
+simulator packages store must have a reader somewhere in ``src/repro``
+(state no result, check or trace reads is work each run pays for).
+The names a test alone reads live in :data:`WRITE_ONLY_ACCEPTED`.
 """
 
 from __future__ import annotations
@@ -35,7 +40,7 @@ import textwrap
 from collections import Counter
 from itertools import pairwise
 from pathlib import Path
-from typing import Iterator, List, NamedTuple, Tuple
+from typing import Dict, Iterator, List, Mapping, NamedTuple, Tuple
 
 import pytest
 
@@ -645,3 +650,145 @@ def test_findings_name_their_enclosing_function():
     assert [(f.scope, f.code, f.line) for f in
             check_source(CORE, textwrap.dedent(source))] == [
         ("Table.row", "SIM303", 4), ("run", "SIM402", 6)]
+
+
+# -- write-only state ----------------------------------------------------
+
+#: Packages under ``src/repro`` whose attribute stores must have a reader.
+SIMULATOR_PACKAGES = (
+    "core", "clusters", "frontend", "interconnect", "memory", "operands",
+    "power", "faults", "workloads", "wires", "telemetry",
+)
+
+#: Attribute name -> why the simulator stores it with no reader in
+#: ``src/repro``.  Each is the only way a test sees its mechanism fire.
+WRITE_ONLY_ACCEPTED = {
+    "speculative_loads":
+        "LoadStoreQueue has no telemetry handle: a load run past "
+        "unresolved older stores shows only in this count "
+        "(tests/memory/test_depspec.py).",
+    "true_forwards":
+        "LoadStoreQueue has no telemetry handle: the LSQ unit tests see "
+        "store-to-load forwarding only in this count "
+        "(tests/memory/test_lsq.py, tests/core/test_processor.py).",
+    "violations":
+        "LoadStoreQueue: the dependence-speculation tests hold this "
+        "count against the speculated loads (tests/memory/test_depspec.py).",
+    "exhausted":
+        "FetchUnit has no telemetry handle: the fetch tests run until a "
+        "finite record stream is dry (tests/frontend/test_fetch.py).",
+}
+
+
+def _slot_strings(tree: ast.AST) -> set:
+    """ids of the nodes inside every ``__slots__ = ...`` value."""
+    inside = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(
+                isinstance(target, ast.Name) and target.id == "__slots__"
+                for target in node.targets):
+            inside.update(id(sub) for sub in ast.walk(node.value))
+    return inside
+
+
+def write_only_attributes(sources: Mapping[str, str]
+                          ) -> Dict[str, List[str]]:
+    """Attribute name -> its store sites (``path:line``), for every
+    attribute a simulator package stores that no file in ``sources``
+    loads or names in a string outside ``__slots__``.
+
+    ``sources`` maps every repo-relative ``src/repro`` path to its text.
+    A string counts as a reader because ``getattr`` and report tables
+    name attributes that way; a ``__slots__`` entry only declares one.
+    """
+    stores: Dict[str, List[str]] = {}
+    read = set()
+    for path, source in sorted(sources.items()):
+        tree = ast.parse(source, filename=path)
+        slots = _slot_strings(tree)
+        simulator = path.split("/")[2] in SIMULATOR_PACKAGES
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute):
+                if isinstance(node.ctx, ast.Load):
+                    read.add(node.attr)
+                elif isinstance(node.ctx, ast.Store) and simulator:
+                    stores.setdefault(node.attr, []).append(
+                        f"{path}:{node.lineno}")
+            elif (isinstance(node, ast.Constant)
+                    and isinstance(node.value, str)
+                    and id(node) not in slots):
+                read.add(node.value)
+    return {name: sorted(sites) for name, sites in sorted(stores.items())
+            if name not in read}
+
+
+@pytest.fixture(scope="module")
+def write_only() -> Dict[str, List[str]]:
+    return write_only_attributes({
+        file.relative_to(ROOT).as_posix(): file.read_text(encoding="utf-8")
+        for file in sorted((ROOT / "src/repro").rglob("*.py"))})
+
+
+def test_simulator_state_has_a_reader(write_only):
+    new = {name: sites for name, sites in write_only.items()
+           if name not in WRITE_ONLY_ACCEPTED}
+    assert not new, (
+        "attributes the simulator stores but nothing in src/repro reads "
+        "-- delete them, or read them where a result, check or trace "
+        "needs them:\n" + "\n".join(
+            f"{name}: {', '.join(sites)}" for name, sites in new.items()))
+
+
+def test_every_write_only_acceptance_is_still_write_only(write_only):
+    stale = sorted(set(WRITE_ONLY_ACCEPTED) - set(write_only))
+    assert not stale, (
+        f"WRITE_ONLY_ACCEPTED names that now have a reader or are no "
+        f"longer stored (delete them): {stale}")
+
+
+WRITE_ONLY_CASES = [
+    pytest.param({CORE: """
+        class Unit:
+            def __init__(self):
+                self.hits = 0
+
+            def tick(self):
+                self.hits += 1
+        """}, ["hits"], id="stored-never-read"),
+    pytest.param({CORE: """
+        class Unit:
+            def __init__(self):
+                self.hits = 0
+
+            def rate(self):
+                return self.hits
+        """}, [], id="read-by-attribute"),
+    pytest.param({CORE: """
+        class Unit:
+            def __init__(self):
+                self.hits = 0
+        """, "src/repro/harness/demo.py": """
+        def report(unit):
+            return getattr(unit, "hits")
+        """}, [], id="read-by-name-elsewhere"),
+    pytest.param({CORE: """
+        class Unit:
+            __slots__ = ("hits",)
+
+            def __init__(self):
+                self.hits = 0
+        """}, ["hits"], id="slots-entry-is-no-reader"),
+    pytest.param({"src/repro/harness/demo.py": """
+        class Sweep:
+            def __init__(self):
+                self.hits = 0
+        """}, [], id="harness-stores-are-not-checked"),
+]
+
+
+@pytest.mark.parametrize("sources, expected", WRITE_ONLY_CASES)
+def test_write_only_case(sources, expected):
+    found = write_only_attributes(
+        {path: textwrap.dedent(text)
+         for path, text in sorted(sources.items())})
+    assert list(found) == expected

@@ -24,7 +24,7 @@ def health():
             "l1_miss": cpu.hierarchy.l1.miss_rate,
             "l2_miss": cpu.hierarchy.l2.miss_rate,
             "bpred": cpu.fetch.branch_accuracy,
-            "branches": stats.branches,
+            "branches": cpu.fetch.predictor_counts()[0],
             "loads": stats.loads,
         }
     return vitals
